@@ -2,11 +2,23 @@
 geometric-phase extraction, and integration of the driven classical
 oscillator with angle-shift extraction.
 
-Both propagators use a fixed-step classical fourth-order one-step method on a
-time-dilated traversal of the loop; parameter values between samples come
-from spectral upsampling, consistent with the band-limited loops used
-everywhere else.  Determinism of step placement makes convergence studies
-reproducible.
+Both propagators apply the classical fourth-order Runge-Kutta method with a
+fixed step to a time-dilated traversal of the loop; parameter values between
+samples come from spectral upsampling, consistent with the band-limited loops
+used everywhere else.  Determinism of step placement makes convergence
+studies reproducible.
+
+Both equations are linear in the state, y' = A(t) y, so each step is one
+fixed matrix y_{i+1} = M_i y_i.  All step matrices are built in one
+vectorised pass from A at the step starts and midpoints.  Their running
+products are then formed as a blocked prefix scan (Blelloch, "Prefix Sums
+and Their Applications", CMU-CS-90-190, 1990): inside each block of
+``steps_per_sample`` steps, vectorised across the loop samples, and then
+carried from block to block.  That takes ``steps_per_sample + m`` Python
+iterations for m loop samples.  Every trace (norms, phases, actions, angles)
+is derived from the resulting array of states.  Matrix stacks are stored
+batch-last, shape (N, N, ...), so every elementwise operation runs over the
+long batch axis.
 """
 
 from __future__ import annotations
@@ -71,23 +83,85 @@ def recommended_steps_per_sample(loop: LoopSpec, slowness: float, rate_scale: fl
 
 
 def _upsample_columns(points: np.ndarray, factor: int) -> np.ndarray:
-    """Spectral upsample of closed-loop samples (first M rows, no endpoint)."""
+    """Spectral upsample of closed-loop samples (first M rows, no endpoint).
+
+    Row ``j * factor + s`` is the band-limited interpolant at sample
+    ``j + s / factor``.  Each sub-sample offset ``s`` is one length-M inverse
+    real FFT of the coefficients times the shift phases, with the Nyquist
+    mode of an even M split symmetrically between +M/2 and -M/2.
+    """
     x = points[:-1]
     m = x.shape[0]
-    coef = np.fft.fft(x, axis=0)
-    big = np.zeros((m * factor, x.shape[1]), dtype=complex)
-    pos = (m + 1) // 2  # nonnegative-frequency block
-    big[:pos] = coef[:pos]
-    big[m * factor - (m - pos):] = coef[pos:]
+    k = np.arange(m // 2 + 1)
+    s = np.arange(factor)
+    shift = np.exp((2j * math.pi / (m * factor)) * np.outer(k, s))
     if m % 2 == 0:
-        # split the Nyquist mode symmetrically to keep the signal real
-        big[m // 2] = 0.5 * coef[m // 2]
-        big[m * factor - m // 2] = 0.5 * coef[m // 2]
-    return np.real(np.fft.ifft(big, axis=0)) * factor
+        shift[-1] = np.cos(math.pi * s / factor)
+    coef = np.fft.rfft(x, axis=0)[:, None, :] * shift[:, :, None]
+    return np.fft.irfft(coef, n=m, axis=0).reshape(m * factor, x.shape[1])
 
 
 def _wrap_angle(x: np.ndarray) -> np.ndarray:
     return (x + math.pi) % TWO_PI - math.pi
+
+
+def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products a @ b of stacks stored batch-last: a has shape
+    (N, N, ...) and b shape (N, K, ...)."""
+    out = a[:, :1] * b[:1]
+    for j in range(1, a.shape[1]):
+        out += a[:, j : j + 1] * b[j : j + 1]
+    return out
+
+
+def _rk4_step_increments(gen: np.ndarray, h: float) -> np.ndarray:
+    """Increments D_i = M_i - I of the RK4 steps y_{i+1} = M_i y_i of
+    y' = A(t) y.
+
+    ``gen`` is batch-last, shape (N, N, 2n): A at every step start (even
+    entries) and midpoint (odd entries) of a closed traversal, so the last
+    step ends where the first starts.  With B1 = I + h/2 A0 and
+    B2 = I + h/2 A1 B1 each step is
+    M = I + h/6 (A0 + 2 A1 B1 + 2 A1 B2 + A2 (I + h A1 B2)).
+    The identity is left out: rounding I + D to the stored matrix would bias
+    every step's norm the same way on loops of constant spectrum.
+    """
+    a0 = gen[..., 0::2]
+    a1 = gen[..., 1::2]
+    eye = np.eye(gen.shape[0])[:, :, None]
+    k = _bmm(a1, eye + (0.5 * h) * a0)  # A1 B1
+    out = a0 + 2.0 * k
+    k = _bmm(a1, eye + (0.5 * h) * k)  # A1 B2
+    out += 2.0 * k
+    out += _bmm(np.roll(a0, -1, axis=-1), eye + h * k)
+    out *= h / 6.0
+    return out
+
+
+def _blocked_states(incs: np.ndarray, y0: np.ndarray, block: int) -> np.ndarray:
+    """States y_0 .. y_n of y_{i+1} = (I + D_i) y_i, by a blocked prefix scan.
+
+    ``incs`` holds the D_i batch-last, shape (N, N, n); the result has shape
+    (N, n + 1).  The running products inside each block of ``block`` steps
+    are formed vectorised across blocks; the block totals then carry the
+    state from one block start to the next.
+    """
+    dim, n = incs.shape[0], incs.shape[-1]
+    m = n // block
+    # prods[:, :, r, j] is the product of the first r + 1 steps of block j
+    prods = incs.reshape(dim, dim, m, block).swapaxes(2, 3).copy()
+    prods[:, :, 0] += np.eye(dim)[:, :, None]
+    for r in range(1, block):
+        prods[:, :, r] = prods[:, :, r - 1] + _bmm(prods[:, :, r], prods[:, :, r - 1])
+    starts = np.empty((dim, m), dtype=np.result_type(incs, y0))
+    starts[:, 0] = y0
+    for j in range(1, m):
+        starts[:, j] = prods[:, :, -1, j - 1] @ starts[:, j - 1]
+    within = _bmm(prods, starts[:, None, None, :])[:, 0]
+    states = np.empty((dim, n + 1), dtype=starts.dtype)
+    states[:, 0] = y0
+    states[:, 1:] = within.swapaxes(1, 2).reshape(dim, n)
+    return states
 
 
 def propagate_quantum(
@@ -101,13 +175,15 @@ def propagate_quantum(
     """Integrate the Schrodinger equation while the parameters traverse the
     loop once over a total time of slowness * period.
 
-    The state starts in level ``k``'s eigenvector (canonical gauge) and is
-    renormalized each step; the discarded norm excess accumulates into
-    ``norm_drift``.  The dynamical phase is the trapezoid of the tracked
-    level's energy over the full step grid.  ``phase_track`` holds, at every
-    loop sample, the state's phase relative to the canonical eigenvector plus
-    the dynamical phase accumulated so far; its unwrapped increments survive
-    many windings and feed ``extract_geometric_phase``.
+    The state starts in level ``k``'s eigenvector (canonical gauge).
+    ``norm_drift`` sums, over the steps, how far each step moves the norm
+    away from 1: |norm ratio of consecutive states - 1|, which equals the
+    excess a per-step renormalisation would discard.  The dynamical phase is
+    the trapezoid of the tracked level's energy over the full step grid.
+    ``phase_track`` holds, at every loop sample, the state's phase relative
+    to the canonical eigenvector plus the dynamical phase accumulated so far;
+    its unwrapped increments survive many windings and feed
+    ``extract_geometric_phase``.
     """
     if not 0 <= k < family.dim:
         raise IndexError(f"level {k} out of range")
@@ -118,15 +194,17 @@ def propagate_quantum(
     h = slowness * loop.period / n_steps
 
     fine = _upsample_columns(loop.points, 2 * steps_per_sample)  # 2 points per step
-    mats = family.matrices(fine)
-    energies_fine = np.linalg.eigvalsh(mats[::2])  # one per full step
+    gen = family.matrices(fine)
+    energies_fine = np.linalg.eigvalsh(gen[::2])  # one per full step
     if family.dim > 1:
         gaps = np.diff(energies_fine, axis=1)
         scale = float(np.max(np.abs(energies_fine)))
         tol = 1e-9 * max(scale, 1e-300)
         if float(np.min(gaps)) < tol:
             j, lv = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-            raise GapTooSmall(sample=int(j), level=int(lv), gap=float(np.min(gaps)), tol=tol)
+            raise GapTooSmall(
+                sample=int(j) // steps_per_sample, level=int(lv), gap=float(np.min(gaps)), tol=tol
+            )
 
     # reference eigenvectors at the loop samples, canonical-section gauge
     sample_mats = family.matrices(loop.points)
@@ -141,77 +219,17 @@ def propagate_quantum(
     else:
         refs, _ = canon
 
-    gen = mats * (-1j / hbar)  # dpsi/dtau = gen(tau) psi
+    gen = np.ascontiguousarray(np.moveaxis(gen, 0, -1)) * (-1j / hbar)  # dpsi/dtau = gen psi
+    psi_initial = refs[0].astype(complex)
+    states = _blocked_states(_rk4_step_increments(gen, h), psi_initial, steps_per_sample)
+    norms = np.linalg.norm(states, axis=0)
+    norm_drift = float(np.sum(np.abs(norms[1:] / norms[:-1] - 1.0)))
+    psi = states[:, -1] / norms[-1]
+
     e_level = energies_fine[:, k]
-
-    psi = refs[0].astype(complex).copy()
-    psi_initial = psi.copy()
-    norm_drift = 0.0
-    dyn = 0.0
-    track = np.empty(m + 1)
-    track[0] = float(np.angle(np.vdot(refs[0], psi)))
-
-    two_n = 2 * n_steps
-    use_fast = family.dim == 2
-    if use_fast:
-        a00 = gen[:, 0, 0].tolist()
-        a01 = gen[:, 0, 1].tolist()
-        a10 = gen[:, 1, 0].tolist()
-        a11 = gen[:, 1, 1].tolist()
-        x0 = complex(psi[0])
-        x1 = complex(psi[1])
-        h6 = h / 6.0
-        h2 = h / 2.0
-        for i in range(n_steps):
-            i0 = 2 * i
-            i1 = i0 + 1
-            i2 = (i0 + 2) % two_n
-            k1a = a00[i0] * x0 + a01[i0] * x1
-            k1b = a10[i0] * x0 + a11[i0] * x1
-            ya = x0 + h2 * k1a
-            yb = x1 + h2 * k1b
-            k2a = a00[i1] * ya + a01[i1] * yb
-            k2b = a10[i1] * ya + a11[i1] * yb
-            ya = x0 + h2 * k2a
-            yb = x1 + h2 * k2b
-            k3a = a00[i1] * ya + a01[i1] * yb
-            k3b = a10[i1] * ya + a11[i1] * yb
-            ya = x0 + h * k3a
-            yb = x1 + h * k3b
-            k4a = a00[i2] * ya + a01[i2] * yb
-            k4b = a10[i2] * ya + a11[i2] * yb
-            x0 = x0 + h6 * (k1a + 2.0 * (k2a + k3a) + k4a)
-            x1 = x1 + h6 * (k1b + 2.0 * (k2b + k3b) + k4b)
-            nrm = math.sqrt(
-                x0.real * x0.real + x0.imag * x0.imag + x1.real * x1.real + x1.imag * x1.imag
-            )
-            norm_drift += abs(nrm - 1.0)
-            x0 /= nrm
-            x1 /= nrm
-            dyn += h2 / hbar * (e_level[i] + e_level[(i + 1) % n_steps])
-            if (i + 1) % steps_per_sample == 0:
-                j = (i + 1) // steps_per_sample
-                ref = refs[j]
-                ov = np.conj(ref[0]) * x0 + np.conj(ref[1]) * x1
-                track[j] = float(np.angle(ov)) + dyn
-        psi = np.array([x0, x1])
-    else:
-        for i in range(n_steps):
-            i0 = 2 * i
-            i1 = i0 + 1
-            i2 = (i0 + 2) % two_n
-            k1 = gen[i0] @ psi
-            k2 = gen[i1] @ (psi + 0.5 * h * k1)
-            k3 = gen[i1] @ (psi + 0.5 * h * k2)
-            k4 = gen[i2] @ (psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            nrm = float(np.linalg.norm(psi))
-            norm_drift += abs(nrm - 1.0)
-            psi /= nrm
-            dyn += 0.5 * h / hbar * (e_level[i] + e_level[(i + 1) % n_steps])
-            if (i + 1) % steps_per_sample == 0:
-                j = (i + 1) // steps_per_sample
-                track[j] = float(np.angle(np.vdot(refs[j], psi))) + dyn
+    dyn = np.cumsum(np.concatenate(([0.0], 0.5 * h / hbar * (e_level + np.roll(e_level, -1)))))
+    overlaps = np.einsum("ja,aj->j", np.conj(refs), states[:, ::steps_per_sample])
+    track = np.angle(overlaps) + dyn[::steps_per_sample]
 
     fidelity = float(abs(np.vdot(refs[-1], psi)) ** 2)
     if fidelity < _ADIABATIC_FIDELITY:
@@ -222,7 +240,7 @@ def propagate_quantum(
     return QuantumPropagation(
         psi_initial=psi_initial,
         psi_final=psi,
-        dynamical_phase=dyn,
+        dynamical_phase=float(dyn[-1]),
         norm_drift=norm_drift,
         slowness=slowness,
         level=k,
@@ -284,75 +302,31 @@ def propagate_classical(
     h = slowness * x2_loop.period / n_steps
 
     fine = _upsample_columns(x2_loop.points, 2 * steps_per_sample)
-    w_sq_fine = fine[:, 0] * fine[:, 2] - fine[:, 1] ** 2
+    x, y, z = fine.T
+    w_sq_fine = x * z - y**2
     if np.any(w_sq_fine <= 0):
-        j = int(np.argmax(w_sq_fine <= 0))
+        j = int(np.argmax(w_sq_fine <= 0)) // (2 * steps_per_sample)
         raise EllipticViolation(f"frequency squared vanished between samples ({j})", sample=j)
 
-    xs = fine[:, 0].tolist()
-    ys = fine[:, 1].tolist()
-    zs = fine[:, 2].tolist()
-    omega_full = np.sqrt(w_sq_fine[::2])
+    gen = np.array([[y, z], [-x, -y]])
+    q, p = _blocked_states(
+        _rk4_step_increments(gen, h), np.asarray(initial_qp, dtype=float), steps_per_sample
+    )
 
-    q, p = (float(initial_qp[0]), float(initial_qp[1]))
-    times = np.empty(n_steps + 1)
-    qs = np.empty(n_steps + 1)
-    ps = np.empty(n_steps + 1)
-    actions = np.empty(n_steps + 1)
-    angles = np.empty(n_steps + 1)
+    # frozen parameters at every step start, the last step ending on the first
+    y_at = np.append(y[::2], y[0])
+    z_at = np.append(z[::2], z[0])
+    omega = np.sqrt(np.append(w_sq_fine[::2], w_sq_fine[0]))
+    v = -(z_at * p + y_at * q) / omega
+    actions = omega * (q * q + v * v) / (2.0 * z_at)
+    raw = np.arctan2(v, q)
+    angles = np.cumsum(np.concatenate(([raw[0]], _wrap_angle(np.diff(raw)))))
 
-    def record(i_step: int, qv: float, pv: float) -> None:
-        idx = (2 * i_step) % (2 * n_steps)
-        _, y, z = fine[idx]
-        w = omega_full[i_step % n_steps]
-        u = qv
-        v = -(z * pv + y * qv) / w
-        actions[i_step] = w * (u * u + v * v) / (2.0 * z)
-        raw = math.atan2(v, u)
-        if i_step == 0:
-            angles[0] = raw
-        else:
-            prev = angles[i_step - 1]
-            angles[i_step] = prev + (raw - prev + math.pi) % TWO_PI - math.pi
-        times[i_step] = i_step * h
-        qs[i_step] = qv
-        ps[i_step] = pv
-
-    record(0, q, p)
-    h2 = h / 2.0
-    h6 = h / 6.0
-    two_n = 2 * n_steps
-    for i in range(n_steps):
-        i0 = 2 * i
-        i1 = i0 + 1
-        i2 = (i0 + 2) % two_n
-        x, y, z = xs[i0], ys[i0], zs[i0]
-        k1q = y * q + z * p
-        k1p = -x * q - y * p
-        x, y, z = xs[i1], ys[i1], zs[i1]
-        aq = q + h2 * k1q
-        ap = p + h2 * k1p
-        k2q = y * aq + z * ap
-        k2p = -x * aq - y * ap
-        aq = q + h2 * k2q
-        ap = p + h2 * k2p
-        k3q = y * aq + z * ap
-        k3p = -x * aq - y * ap
-        x, y, z = xs[i2], ys[i2], zs[i2]
-        aq = q + h * k3q
-        ap = p + h * k3p
-        k4q = y * aq + z * ap
-        k4p = -x * aq - y * ap
-        q = q + h6 * (k1q + 2.0 * (k2q + k3q) + k4q)
-        p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        record(i + 1, q, p)
-
-    omega_closed = np.append(omega_full, omega_full[0])
-    dyn = float(h * (0.5 * omega_closed[0] + np.sum(omega_closed[1:-1]) + 0.5 * omega_closed[-1]))
+    dyn = float(h * (0.5 * omega[0] + np.sum(omega[1:-1]) + 0.5 * omega[-1]))
     return ClassicalTrajectory(
-        times=times,
-        q=qs,
-        p=ps,
+        times=np.arange(n_steps + 1) * h,
+        q=q,
+        p=p,
         action_trace=actions,
         angle_trace=angles,
         dynamical_angle=dyn,

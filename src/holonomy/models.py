@@ -19,11 +19,15 @@ _AXIS_EPS = 1e-14
 def spin_hamiltonian_family(mu: float = 1.0) -> HamiltonianFamily:
     """The two-level family H(B) = -mu * sigma . B over field space."""
     s1, s2, s3 = pauli_matrices()
+    pauli = np.stack([s1, s2, s3])
 
     def evaluate(b: np.ndarray) -> np.ndarray:
         return -mu * (b[0] * s1 + b[1] * s2 + b[2] * s3)
 
-    return HamiltonianFamily(dim=2, eval=evaluate)
+    def evaluate_batch(b: np.ndarray) -> np.ndarray:
+        return -mu * np.einsum("nd,dab->nab", b, pauli)
+
+    return HamiltonianFamily(dim=2, eval=evaluate, batch=evaluate_batch)
 
 
 def cone_loop(

@@ -44,11 +44,17 @@ _THETA_GRID = 8  # exact angle average for trigonometric degree < 8
 
 @dataclass(frozen=True)
 class HamiltonianFamily:
-    """A parameterized family X -> H(X) of N x N Hermitian matrices."""
+    """A parameterized family X -> H(X) of N x N Hermitian matrices.
+
+    ``eval`` maps one parameter point to one matrix.  The optional ``batch``
+    maps an (n, d) array of points to the (n, N, N) stack in one call; when
+    given, ``matrices`` uses it instead of evaluating point by point.
+    """
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     hermiticity_tol: float = 1e-10
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         h = np.asarray(self.eval(np.asarray(x, dtype=float)), dtype=complex)
@@ -63,9 +69,15 @@ class HamiltonianFamily:
 
     def matrices(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((pts.shape[0], self.dim, self.dim), dtype=complex)
-        for j, x in enumerate(pts):
-            out[j] = np.asarray(self.eval(x), dtype=complex)
+        shape = (pts.shape[0], self.dim, self.dim)
+        if self.batch is not None:
+            out = np.asarray(self.batch(pts), dtype=complex)
+            if out.shape != shape:
+                raise ValueError(f"batch evaluator returned shape {out.shape}, expected {shape}")
+        else:
+            out = np.empty(shape, dtype=complex)
+            for j, x in enumerate(pts):
+                out[j] = np.asarray(self.eval(x), dtype=complex)
         dev = float(np.max(np.abs(out - np.conj(np.swapaxes(out, 1, 2)))))
         if dev > self.hermiticity_tol:
             raise HermiticityViolation(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from holonomy import (
     EllipticViolation,
+    GapTooSmall,
+    HamiltonianFamily,
     NonAdiabatic,
     OverlapTooSmall,
     StandardLoopParams,
@@ -21,6 +23,8 @@ from holonomy import (
     standard_loop_report,
     subsystem_parameter_loop,
 )
+from holonomy.dynamics_oracle import _upsample_columns
+from holonomy.quantum_geometry import canonical_section_track
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
 FAMILY = spin_hamiltonian_family(1.0)
@@ -33,6 +37,97 @@ def constant_field_loop(n=64):
 def std_params(eps=EPS_PAPER):
     return StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, n1=1, n2=1,
                               base_rate=1.0, epsilon=eps, k=0.0, j_action=1.0)
+
+
+def three_level_family():
+    rng = np.random.default_rng(7)
+    couplings = []
+    for _ in range(3):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        couplings.append(0.1 * (a + a.conj().T))
+    base = np.diag([-1.0, 0.0, 1.5]).astype(complex)
+    return HamiltonianFamily(dim=3, eval=lambda x: base + sum(xi * c for xi, c in zip(x, couplings)))
+
+
+def rk4_schedule(loop, sps, slowness):
+    """Step size and the (start, midpoint, end) rows of every step in the
+    upsampled grid."""
+    n = loop.n_segments * sps
+    h = slowness * loop.period / n
+    return h, [(2 * i, 2 * i + 1, (2 * i + 2) % (2 * n)) for i in range(n)]
+
+
+def rk4_step(gen, idx, y, h):
+    k1 = gen[idx[0]] @ y
+    k2 = gen[idx[1]] @ (y + 0.5 * h * k1)
+    k3 = gen[idx[1]] @ (y + 0.5 * h * k2)
+    k4 = gen[idx[2]] @ (y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def sequential_quantum(family, loop, k, slowness, sps):
+    """Per-step RK4 loop with renormalisation, as one step after another."""
+    mats = family.matrices(_upsample_columns(loop.points, 2 * sps))
+    h, steps = rk4_schedule(loop, sps, slowness)
+    e = np.linalg.eigvalsh(mats[::2])[:, k]
+    refs, _ = canonical_section_track(np.linalg.eigh(family.matrices(loop.points))[1][:, :, k])
+    gen = -1j * mats
+    psi = refs[0].astype(complex)
+    drift, dyn, track = 0.0, 0.0, [0.0]
+    for i, idx in enumerate(steps):
+        psi = rk4_step(gen, idx, psi, h)
+        nrm = float(np.linalg.norm(psi))
+        drift += abs(nrm - 1.0)
+        psi /= nrm
+        dyn += 0.5 * h * (e[i] + e[(i + 1) % len(steps)])
+        if (i + 1) % sps == 0:
+            track.append(float(np.angle(np.vdot(refs[(i + 1) // sps], psi))) + dyn)
+    return psi, drift, dyn, np.array(track)
+
+
+def sequential_classical(loop, qp0, slowness, sps):
+    """Per-step RK4 loop for the driven oscillator, with the angle unwound
+    one step at a time."""
+    fine = _upsample_columns(loop.points, 2 * sps)
+    gen = np.array([[[y, z], [-x, -y]] for x, y, z in fine])
+    h, steps = rk4_schedule(loop, sps, slowness)
+    qp = [np.asarray(qp0, dtype=float)]
+    for idx in steps:
+        qp.append(rk4_step(gen, idx, qp[-1], h))
+    angles = []
+    for i, (q, p) in enumerate(qp):
+        x, y, z = fine[(2 * i) % fine.shape[0]]
+        raw = math.atan2(-(z * p + y * q) / math.sqrt(x * z - y * y), q)
+        prev = angles[-1] if angles else raw
+        angles.append(prev + (raw - prev + math.pi) % (2 * math.pi) - math.pi)
+    q, p = np.array(qp).T
+    return q, p, np.array(angles)
+
+
+def zero_padded_upsample(points, factor):
+    """Band-limited upsampling by zero-padding the full spectrum."""
+    x = points[:-1]
+    m = x.shape[0]
+    coef = np.fft.fft(x, axis=0)
+    big = np.zeros((m * factor, x.shape[1]), dtype=complex)
+    pos = (m + 1) // 2
+    big[:pos] = coef[:pos]
+    big[m * factor - (m - pos):] = coef[pos:]
+    if m % 2 == 0:
+        big[m // 2] = 0.5 * coef[m // 2]
+        big[m * factor - m // 2] = 0.5 * coef[m // 2]
+    return np.real(np.fft.ifft(big, axis=0)) * factor
+
+
+@pytest.mark.parametrize("m, factor", [(17, 6), (16, 6), (32, 2), (256, 2 * 1109)])
+def test_upsample_matches_zero_padding(m, factor):
+    rng = np.random.default_rng(m + factor)
+    points = rng.normal(size=(m + 1, 3))
+    points[-1] = points[0]
+    fine = _upsample_columns(points, factor)
+    assert fine.shape == (m * factor, 3)
+    assert np.max(np.abs(fine - zero_padded_upsample(points, factor))) <= 1e-13
+    assert np.max(np.abs(fine[::factor] - points[:-1])) <= 1e-13
 
 
 class TestPropagateQuantum:
@@ -84,6 +179,32 @@ class TestPropagateQuantum:
         loop = cone_loop(math.pi / 2, n_samples=64)
         with pytest.raises(NonAdiabatic):
             propagate_quantum(FAMILY, loop, 0, slowness=2.0, steps_per_sample=64)
+
+    @pytest.mark.parametrize(
+        "family, loop",
+        [
+            (FAMILY, cone_loop(1.1, n_samples=32)),
+            (three_level_family(), make_loop(
+                lambda t: np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t), 0.5]),
+                1.0, 32)),
+        ],
+        ids=["spin", "three-level"],
+    )
+    def test_matches_sequential_rk4(self, family, loop):
+        sps = 12
+        prop = propagate_quantum(family, loop, 0, 30.0, sps)
+        psi, drift, dyn, track = sequential_quantum(family, loop, 0, 30.0, sps)
+        assert np.max(np.abs(prop.phase_track - track)) <= 1e-10
+        assert np.max(np.abs(prop.psi_final - psi)) <= 1e-12
+        assert abs(prop.norm_drift - drift) <= 1e-12
+        assert abs(prop.dynamical_phase - dyn) <= 1e-12 * abs(dyn)
+
+    def test_gap_error_reports_loop_sample(self):
+        # |B| = 1 + cos(2 pi t) vanishes at t = 1/2, between samples 8 and 9 of 17
+        loop = make_loop(lambda t: np.array([1.0 + math.cos(2 * math.pi * t), 0.0, 0.0]), 1.0, 17)
+        with pytest.raises(GapTooSmall) as info:
+            propagate_quantum(FAMILY, loop, 0, 10.0, steps_per_sample=4)
+        assert info.value.sample == 8
 
     def test_overlap_guard(self):
         from holonomy import spin_eigensystem
@@ -157,3 +278,21 @@ class TestPropagateClassical:
         loop = LoopSpec(1.0, t, pts)
         with pytest.raises(EllipticViolation):
             propagate_classical(loop, (1.0, 0.0), 10.0, 32)
+
+    def test_elliptic_error_reports_loop_sample(self):
+        # X Z - Y^2 = 0.99 + cos(2 pi t) dips below zero only for |t - 1/2| < 0.0225,
+        # between samples 8 and 9 of 17
+        loop = make_loop(lambda t: np.array([0.99 + math.cos(2 * math.pi * t), 0.0, 1.0]), 1.0, 17)
+        assert np.all(loop.points[:, 0] > 0)
+        with pytest.raises(EllipticViolation) as info:
+            propagate_classical(loop, (1.0, 0.0), 10.0, steps_per_sample=4)
+        assert info.value.sample == 8
+
+    def test_matches_sequential_rk4(self):
+        loop = subsystem_parameter_loop(std_params(eps=0.5), 2, 32)
+        qp0 = action_angle_to_qp(loop.points[0], 1.0, 0.3)
+        traj = propagate_classical(loop, qp0, 20.0, 12)
+        q, p, angles = sequential_classical(loop, qp0, 20.0, 12)
+        assert np.max(np.abs(traj.q - q)) <= 1e-12
+        assert np.max(np.abs(traj.p - p)) <= 1e-12
+        assert np.max(np.abs(traj.angle_trace - angles)) <= 1e-10

@@ -45,6 +45,28 @@ def random_family(dim, rng, n_params=3):
     return HamiltonianFamily(dim=dim, eval=evaluate)
 
 
+class TestHamiltonianFamily:
+    def test_spin_batch_matches_pointwise(self):
+        fam = spin_hamiltonian_family(1.7)
+        assert fam.batch is not None
+        pts = RNG.normal(size=(50, 3))
+        stacked = np.stack([fam.matrix(x) for x in pts])
+        assert np.array_equal(fam.matrices(pts), stacked)
+
+    def test_batch_hermiticity_guard(self):
+        bad = np.array([[0.0, 1.0], [0.5, 0.0]])
+        fam = HamiltonianFamily(dim=2, eval=lambda x: bad,
+                                batch=lambda pts: np.broadcast_to(bad, (len(pts), 2, 2)))
+        with pytest.raises(HermiticityViolation):
+            fam.matrices(np.zeros((4, 3)))
+
+    def test_batch_shape_checked(self):
+        fam = HamiltonianFamily(dim=2, eval=lambda x: np.eye(2),
+                                batch=lambda pts: np.zeros((len(pts), 3, 3)))
+        with pytest.raises(ValueError):
+            fam.matrices(np.zeros((4, 3)))
+
+
 class TestEigenFrame:
     def test_equator_energies_and_gap(self):
         frame = eigenframe_along_loop(spin_hamiltonian_family(1.0), cone_loop(math.pi / 2, n_samples=256))
