@@ -14,11 +14,13 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .manifold import (
 from .models import CoupledGHOHybrid, SpinOscillatorHybrid, cone_loop, spin_hamiltonian_family
 from .hybrid_pipeline import (
     BRANCH_COMMON,
-    bo_full_quantum_phase,
     bo_full_quantum_phase_parts,
     coupled_gho_one_form,
     elliptic_bound,
@@ -54,25 +55,61 @@ from .dynamics_oracle import (
     recommended_steps_per_sample,
 )
 
-EXPERIMENTS = (
-    "spin-berry",
-    "gho-uncoupled",
-    "hybrid-spin-osc",
-    "hybrid-gho",
-    "full-quantum",
-    "oracle-quantum",
-    "oracle-classical",
-    "fig1",
-    "fig2",
-)
+# fig's default sweep; its K grid spans these fractions of each ratio's K_max
+_FIG_SWEEP = {"parameter": "k_fraction_of_max", "start": 1e-4, "stop": 0.95, "count": 50,
+              "scale": "log"}
 
-_FIG_RATIOS = ((1, 1), (2, 1), (1, 2))
+# A sweep point: the row's coordinates and the callable computing its other columns.
+Point = tuple[dict[str, Any], Callable[[], dict[str, Any]]]
 
 
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.16e}"
     return str(value)
+
+
+def _number(
+    section: dict[str, Any], key: str, default: Any, kind: type = float, positive: bool = False
+) -> Any:
+    """``section[key]`` (``default`` when absent) as a finite ``kind``, also
+    positive when ``positive`` is set; a list of such values when ``default``
+    is a list.  Anything else raises ``ConfigInvalid``."""
+    value = section.get(key, default)
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigInvalid(f"{key} must be a list of numbers, got {value!r}")
+        return [_number({key: v}, key, None, kind, positive) for v in value]
+    finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        abs(value) <= sys.float_info.max  # false for inf, nan and ints past float range
+    )
+    if not (finite and (kind is float or float(value).is_integer())
+            and (value > 0 or not positive)):
+        sign = "positive " if positive else ""
+        raise ConfigInvalid(f"{key} must be a finite {sign}{kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _construct(cls: Callable[..., Any], **kwargs: Any) -> Any:
+    """``cls(**kwargs)``, the ``ValueError`` of its validation raised as ``ConfigInvalid``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
+
+
+def _grid(sweep: dict[str, Any], scale: float = 1.0) -> list[float]:
+    """The points of a sweep block, each times ``scale``."""
+    if sweep.get("scale", "linear") not in ("linear", "log"):
+        raise ConfigInvalid("sweep scale must be 'linear' or 'log'")
+    log = sweep.get("scale") == "log"
+    start = _number(sweep, "start", None, positive=log)
+    stop = _number(sweep, "stop", None, positive=log)
+    count = _number(sweep, "count", None, int)
+    if count < 2:
+        raise ConfigInvalid("sweep count must be at least 2")
+    spacing = np.geomspace if log else np.linspace
+    return [float(v) for v in spacing(start * scale, stop * scale, count)]
 
 
 @dataclass
@@ -87,6 +124,10 @@ class ExperimentConfig:
     emit_svg: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        if self.sweep is not None:
+            _grid(self.sweep)  # a malformed sweep fails here, before any row runs
+
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
         if not isinstance(raw, dict):
@@ -94,27 +135,20 @@ class ExperimentConfig:
         exp = raw.get("experiment")
         if exp not in EXPERIMENTS:
             raise ConfigInvalid(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
+        sections = {key: raw.get(key, {}) for key in ("params", "numerics", "output")}
         sweep = raw.get("sweep")
-        if sweep is not None:
-            for key in ("parameter", "start", "stop", "count"):
-                if key not in sweep:
-                    raise ConfigInvalid(f"sweep is missing {key!r}")
-            if int(sweep["count"]) < 2:
-                raise ConfigInvalid("sweep count must be at least 2")
-            if sweep.get("scale", "linear") not in ("linear", "log"):
-                raise ConfigInvalid("sweep scale must be 'linear' or 'log'")
-        numerics = raw.get("numerics", {})
-        if not isinstance(numerics, dict):
-            raise ConfigInvalid("numerics must be an object")
-        output = raw.get("output", {})
+        for key, section in (*sections.items(), ("sweep", {} if sweep is None else sweep)):
+            if not isinstance(section, dict):
+                raise ConfigInvalid(f"{key} must be an object, got {section!r}")
+        output = sections["output"]
         return cls(
             experiment=exp,
-            params=raw.get("params", {}),
+            params=sections["params"],
             sweep=sweep,
-            numerics=numerics,
+            numerics=sections["numerics"],
             output_dir=str(output.get("directory", "out")),
             emit_svg=bool(output.get("emit_svg", False)),
-            seed=int(raw.get("seed", 0)),
+            seed=_number(raw, "seed", 0, int),
         )
 
     @classmethod
@@ -125,11 +159,17 @@ class ExperimentConfig:
             raise ConfigInvalid(f"cannot read configuration: {exc}") from exc
         return cls.from_dict(raw)
 
-    def n_samples(self) -> int:
-        return int(self.numerics.get("n_samples", DEFAULT_SAMPLES))
+    def n_samples(self, default: int = DEFAULT_SAMPLES) -> int:
+        return _number(self.numerics, "n_samples", default, int, positive=True)
 
     def slowness(self) -> float:
-        return float(self.numerics.get("slowness", 1000.0))
+        return _number(self.numerics, "slowness", 1000.0, positive=True)
+
+    def steps_per_sample(self) -> int | None:
+        """RK4 steps per loop sample, or None to let each row recommend its own."""
+        if "steps_per_sample" not in self.numerics:
+            return None
+        return _number(self.numerics, "steps_per_sample", None, int, positive=True)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -142,25 +182,8 @@ class ExperimentConfig:
         }
 
 
-def _sweep_values(cfg: ExperimentConfig, parameter: str | None = None) -> np.ndarray | None:
-    if cfg.sweep is None:
-        return None
-    if parameter is not None and cfg.sweep["parameter"] != parameter:
-        raise ConfigInvalid(
-            f"experiment {cfg.experiment!r} sweeps over {parameter!r}, "
-            f"not {cfg.sweep['parameter']!r}"
-        )
-    start, stop = float(cfg.sweep["start"]), float(cfg.sweep["stop"])
-    count = int(cfg.sweep["count"])
-    if cfg.sweep.get("scale", "linear") == "log":
-        if start <= 0 or stop <= 0:
-            raise ConfigInvalid("log sweeps need positive endpoints")
-        return np.geomspace(start, stop, count)
-    return np.linspace(start, stop, count)
-
-
 def _standard_params(params: dict[str, Any], **overrides: Any) -> StandardLoopParams:
-    merged = {
+    defaults = {
         "a1": 1.0,
         "a2": 1.0,
         "mu1": 1.0,
@@ -174,24 +197,16 @@ def _standard_params(params: dict[str, Any], **overrides: Any) -> StandardLoopPa
         "hbar": 1.0,
         "n_level": 0,
     }
-    merged.update({k: v for k, v in params.items() if k in merged})
-    merged.update(overrides)
-    merged["n1"] = int(merged["n1"])
-    merged["n2"] = int(merged["n2"])
-    merged["n_level"] = int(merged["n_level"])
-    try:
-        return StandardLoopParams(**merged)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+    merged = {**defaults, **params, **overrides}
+    values = {key: _number(merged, key, None, type(value)) for key, value in defaults.items()}
+    return _construct(StandardLoopParams, **values)
 
 
 def _hybrid_gho_row(p: StandardLoopParams, n_samples: int) -> dict[str, Any]:
     report = standard_loop_report(p, n_samples)
-    n = p.n_level
     return {
-        "K": p.k,
         "branch": report.branch,
-        "gamma_0": report.gamma[n],
+        "gamma_0": report.gamma[p.n_level],
         "gamma_00": report.gamma_0_part,
         "gamma_I": report.gamma_I_part,
         "delta_phi": report.delta_phi,
@@ -204,142 +219,91 @@ def _hybrid_gho_row(p: StandardLoopParams, n_samples: int) -> dict[str, Any]:
     }
 
 
-def _run_hybrid_gho(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
+def _hybrid_gho_points(cfg: ExperimentConfig) -> list[Point]:
     base = _standard_params(cfg.params)
-    grid = _sweep_values(cfg, parameter="k")
-    if grid is None:
-        grid = np.array([base.k])
-    header = [
-        "ratio", "K", "branch", "gamma_0", "gamma_00", "gamma_I", "delta_phi",
-        "delta_phi_0", "delta_phi_I", "gamma_I_approx", "delta_phi_I_approx",
-        "elliptic_margin", "quadrature_error", "error",
+    ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
+    n_samples = cfg.n_samples()
+    return [
+        ({"ratio": f"{base.n1}/{base.n2}", "K": k},
+         partial(_hybrid_gho_row, _standard_params(cfg.params, k=k), n_samples))
+        for k in ks
     ]
-    rows = []
-    for kval in grid:
-        row: dict[str, Any] = {"ratio": f"{base.n1}/{base.n2}", "error": ""}
-        try:
-            p = _standard_params(cfg.params, k=float(kval))
-            row.update(_hybrid_gho_row(p, cfg.n_samples()))
-        except HolonomyError as exc:
-            row["error"] = type(exc).__name__
-        rows.append(row)
-    return header, rows
 
 
-def _run_fig(cfg: ExperimentConfig, which: int) -> tuple[list[str], list[dict[str, Any]]]:
-    params = dict(cfg.params)
-    params.setdefault("a1", 1.0)
-    params.setdefault("a2", params["a1"] / float(params.pop("a1_over_a2", 1e8)))
-    params.setdefault("j_action", float(params.pop("j_over_hbar", 1e13)))
-    count = int(cfg.sweep["count"]) if cfg.sweep else 50
-    k_lo_frac = float(params.pop("k_min_fraction", 1e-4))
-    k_hi_frac = float(params.pop("k_max_fraction", 0.95))
-    ratios = params.pop("ratios", [list(r) for r in _FIG_RATIOS])
-    if which == 1:
-        header = ["ratio", "K", "branch", "gamma_0", "gamma_00", "gamma_I", "error"]
-    else:
-        header = ["ratio", "K", "branch", "delta_phi_I", "gamma_I", "delta_phi_0", "error"]
-    rows = []
+def _fig_points(cfg: ExperimentConfig) -> list[Point]:
+    """hybrid-gho rows over (ratio, K), K swept as fractions of each ratio's K_max."""
+    params = dict(cfg.params, a1=_number(cfg.params, "a1", 1.0))
+    params.setdefault("a2", params["a1"] / _number(params, "a1_over_a2", 1e8, positive=True))
+    params.setdefault("j_action", _number(params, "j_over_hbar", 1e13))
+    ratios = params.get("ratios", [[1, 1], [2, 1], [1, 2]])
+    if not (isinstance(ratios, list) and all(isinstance(r, list) and len(r) == 2 for r in ratios)):
+        raise ConfigInvalid(f"ratios must be a list of [n1, n2] pairs, got {ratios!r}")
+    n_samples = cfg.n_samples()
+    points = []
     for n1, n2 in ratios:
-        p0 = _standard_params(params, n1=int(n1), n2=int(n2), k=0.0)
-        _, k_max = elliptic_bound(p0)
-        for kval in np.geomspace(k_lo_frac * k_max, k_hi_frac * k_max, count):
-            row: dict[str, Any] = {"ratio": f"{int(n1)}/{int(n2)}", "error": ""}
-            try:
-                p = _standard_params(params, n1=int(n1), n2=int(n2), k=float(kval))
-                full = _hybrid_gho_row(p, cfg.n_samples())
-                row["K"] = full["K"]
-                row["branch"] = full["branch"]
-                if which == 1:
-                    row["gamma_0"] = full["gamma_0"]
-                    row["gamma_00"] = full["gamma_00"]
-                    row["gamma_I"] = full["gamma_I"]
-                else:
-                    row["delta_phi_I"] = full["delta_phi_I"]
-                    row["gamma_I"] = full["gamma_I"]
-                    row["delta_phi_0"] = full["delta_phi_0"]
-            except HolonomyError as exc:
-                row["K"] = float(kval)
-                row["branch"] = BRANCH_COMMON
-                row["error"] = type(exc).__name__
-            rows.append(row)
-    return header, rows
+        base = _standard_params(params, n1=n1, n2=n2, k=0.0)
+        _, k_max = elliptic_bound(base)
+        for k in _grid(_FIG_SWEEP if cfg.sweep is None else cfg.sweep, k_max):
+            p = _standard_params(params, n1=n1, n2=n2, k=k)
+            points.append(({"ratio": f"{p.n1}/{p.n2}", "K": k},
+                           partial(_hybrid_gho_row, p, n_samples)))
+    return points
 
 
-def _run_spin_berry(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
-    mu = float(cfg.params.get("mu", 1.0))
-    b = float(cfg.params.get("b_magnitude", 1.0))
-    thetas = cfg.params.get("thetas", [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3])
-    cycles = int(cfg.params.get("cycles", 1))
+def _spin_berry_points(cfg: ExperimentConfig) -> list[Point]:
+    family = spin_hamiltonian_family(_number(cfg.params, "mu", 1.0, positive=True))
+    b = _number(cfg.params, "b_magnitude", 1.0, positive=True)
+    cycles = _number(cfg.params, "cycles", 1, int, positive=True)
     n_samples = cfg.n_samples()
-    family = spin_hamiltonian_family(mu)
-    header = [
-        "theta", "gamma_1", "gamma_2", "delta_theta_1", "delta_theta_2",
-        "closed_form_1", "closed_form_2", "abs_err_1", "abs_err_2", "error",
-    ]
-    rows = []
-    for theta in thetas:
-        row: dict[str, Any] = {"theta": float(theta), "error": ""}
-        try:
-            loop = cone_loop(float(theta), b=b, n_samples=n_samples, cycles=cycles)
-            frame = eigenframe_along_loop(family, loop)
-            g1, d1 = berry_and_hannay(frame, 0)
-            g2, d2 = berry_and_hannay(frame, 1)
-            c1 = spin_hannay_closed_form(loop, 1)
-            c2 = spin_hannay_closed_form(loop, 2)
-            row.update(
-                gamma_1=g1, gamma_2=g2, delta_theta_1=d1, delta_theta_2=d2,
-                closed_form_1=c1, closed_form_2=c2,
-                abs_err_1=abs(d1 - c1), abs_err_2=abs(d2 - c2),
-            )
-        except HolonomyError as exc:
-            row["error"] = type(exc).__name__
-        rows.append(row)
-    return header, rows
+
+    def row(theta: float) -> dict[str, Any]:
+        loop = cone_loop(theta, b=b, n_samples=n_samples, cycles=cycles)
+        frame = eigenframe_along_loop(family, loop)
+        g1, d1 = berry_and_hannay(frame, 0)
+        g2, d2 = berry_and_hannay(frame, 1)
+        c1 = spin_hannay_closed_form(loop, 1)
+        c2 = spin_hannay_closed_form(loop, 2)
+        return dict(
+            gamma_1=g1, gamma_2=g2, delta_theta_1=d1, delta_theta_2=d2,
+            closed_form_1=c1, closed_form_2=c2,
+            abs_err_1=abs(d1 - c1), abs_err_2=abs(d2 - c2),
+        )
+
+    thetas = _number(cfg.params, "thetas", [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3])
+    return [({"theta": theta}, partial(row, theta)) for theta in thetas]
 
 
-def _run_gho_uncoupled(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
-    eps_list = cfg.params.get("epsilons", [0.1, 0.5, math.sqrt(3.0) / 2.0])
+def _gho_uncoupled_points(cfg: ExperimentConfig) -> list[Point]:
     n_samples = cfg.n_samples()
-    header = [
-        "epsilon", "gamma_00_closed", "gamma_00_quadrature", "abs_err",
-        "delta_phi_0", "correspondence_residual", "error",
+
+    def row(p: StandardLoopParams) -> dict[str, Any]:
+        report = standard_loop_report(p, n_samples, branch=BRANCH_COMMON)
+        phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), n_samples))
+        closed = report.gamma_0_part
+        quad = phases.gammas[p.n_level]
+        corr = closed + (p.n_level + 0.5) * (p.omega1 / p.omega2) * report.delta_phi_0_part
+        return dict(
+            gamma_00_closed=closed,
+            gamma_00_quadrature=quad,
+            abs_err=abs(closed - quad),
+            delta_phi_0=report.delta_phi_0_part,
+            correspondence_residual=corr,
+        )
+
+    epsilons = _number(cfg.params, "epsilons", [0.1, 0.5, math.sqrt(3.0) / 2.0])
+    return [
+        ({"epsilon": eps}, partial(row, _standard_params(cfg.params, epsilon=eps, k=0.0)))
+        for eps in epsilons
     ]
-    rows = []
-    for eps in eps_list:
-        row: dict[str, Any] = {"epsilon": float(eps), "error": ""}
-        try:
-            p = _standard_params(cfg.params, epsilon=float(eps), k=0.0)
-            report = standard_loop_report(p, n_samples, branch=BRANCH_COMMON)
-            phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), n_samples))
-            closed = report.gamma_0_part
-            quad = phases.gammas[p.n_level]
-            corr = closed + (p.n_level + 0.5) * (p.omega1 / p.omega2) * report.delta_phi_0_part
-            row.update(
-                gamma_00_closed=closed,
-                gamma_00_quadrature=quad,
-                abs_err=abs(closed - quad),
-                delta_phi_0=report.delta_phi_0_part,
-                correspondence_residual=corr,
-            )
-        except HolonomyError as exc:
-            row["error"] = type(exc).__name__
-        rows.append(row)
-    return header, rows
 
 
-def _run_hybrid_spin_osc(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
+def _hybrid_spin_osc_points(cfg: ExperimentConfig) -> list[Point]:
     params = cfg.params
     n_samples = cfg.n_samples()
-    lam_list = params.get("lambdas", [0.0, 0.02, 0.05])
-    a = float(params.get("a", 1.0))
-    m_param = float(params.get("m", 1.0))
-    eps = float(params.get("epsilon", 0.5))
-    b = float(params.get("b_magnitude", 1.0))
-    j_action = float(params.get("j_action", 1.0))
-    i_plus = float(params.get("i_plus", 1.0))
-    i_minus = float(params.get("i_minus", 0.0))
-    period = 2.0 * math.pi / float(params.get("omega", 1.0))
+    a = _number(params, "a", 1.0, positive=True)
+    m_param = _number(params, "m", 1.0, positive=True)
+    eps = _number(params, "epsilon", 0.5)
+    period = 2.0 * math.pi / _number(params, "omega", 1.0, positive=True)
     t = np.linspace(0.0, period, n_samples + 1)
     w = 2.0 * math.pi / period
     x = a * m_param * (1.0 + eps * np.cos(w * t))
@@ -347,156 +311,169 @@ def _run_hybrid_spin_osc(cfg: ExperimentConfig) -> tuple[list[str], list[dict[st
     z = (a / m_param) * (1.0 - eps * np.cos(w * t))
     pts = np.column_stack([x, y, z])
     pts[-1] = pts[0]
-    x_loop = LoopSpec(period, t, pts, cycles=1)
-    phi_loop = circle_loop(period=period, n_samples=n_samples)
-    header = ["lambda", "gamma_plus", "gamma_minus", "delta_phi", "quadrature_error", "error"]
-    rows = []
-    for lam in lam_list:
-        row: dict[str, Any] = {"lambda": float(lam), "error": ""}
-        try:
-            hybrid = SpinOscillatorHybrid(
-                mu=float(params.get("mu", 1.0)),
-                lam=float(lam),
-                b_field=b,
-                phi_loop=phi_loop,
-                x_loop=x_loop,
-                i_plus=i_plus,
-                i_minus=i_minus,
-                j_action=j_action,
-            )
-            phases = phases_from_one_form(spin_oscillator_one_form(hybrid))
-            row.update(
-                gamma_plus=phases.gammas["+"],
-                gamma_minus=phases.gammas["-"],
-                delta_phi=phases.delta_phi,
-                quadrature_error=phases.quadrature_error,
-            )
-        except HolonomyError as exc:
-            row["error"] = type(exc).__name__
-        rows.append(row)
-    return header, rows
+    hybrid = partial(
+        _construct,
+        SpinOscillatorHybrid,
+        mu=_number(params, "mu", 1.0, positive=True),
+        b_field=_number(params, "b_magnitude", 1.0, positive=True),
+        phi_loop=circle_loop(period=period, n_samples=n_samples),
+        x_loop=LoopSpec(period, t, pts, cycles=1),
+        i_plus=_number(params, "i_plus", 1.0),
+        i_minus=_number(params, "i_minus", 0.0),
+        j_action=_number(params, "j_action", 1.0),
+    )
+
+    def row(model: SpinOscillatorHybrid) -> dict[str, Any]:
+        phases = phases_from_one_form(spin_oscillator_one_form(model))
+        return dict(
+            gamma_plus=phases.gammas["+"],
+            gamma_minus=phases.gammas["-"],
+            delta_phi=phases.delta_phi,
+            quadrature_error=phases.quadrature_error,
+        )
+
+    lambdas = _number(params, "lambdas", [0.0, 0.02, 0.05])
+    return [({"lambda": lam}, partial(row, hybrid(lam=lam))) for lam in lambdas]
 
 
-def _run_full_quantum(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
+def _full_quantum_points(cfg: ExperimentConfig) -> list[Point]:
     base = _standard_params(cfg.params)
-    m_level = int(cfg.params.get("m_level", 0))
-    n_level = int(cfg.params.get("n_level", 0))
+    m_level = _number(cfg.params, "m_level", 0, int)
+    if m_level < 0:
+        raise ConfigInvalid(f"m_level must be nonnegative, got {m_level}")
     n_samples = cfg.n_samples()
-    grid = _sweep_values(cfg, parameter="k")
-    if grid is None:
-        grid = np.array([base.k])
-    header = ["K", "gamma_mn", "bo_gamma_mn", "hybrid_gamma_n", "abs_err_bo_vs_hybrid", "error"]
-    rows = []
-    for kval in grid:
-        row: dict[str, Any] = {"K": float(kval), "error": ""}
-        try:
-            p = _standard_params(cfg.params, k=float(kval), n_level=n_level,
-                                 j_action=(m_level + 0.5) * float(cfg.params.get("hbar", 1.0)))
-            loop1, loop2 = standard_parameter_loops(p, n_samples)
-            gamma_mn = full_quantum_phase(loop1, loop2, p.k, m_level, n_level)
-            bo = bo_full_quantum_phase(loop1, loop2, p.k, m_level, n_level, p.hbar)
-            phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), n_samples))
-            hybrid_gamma = phases.gammas[n_level]
-            part1, _ = bo_full_quantum_phase_parts(loop1, loop2, p.k, m_level, n_level, p.hbar)
-            row.update(
-                gamma_mn=gamma_mn,
-                bo_gamma_mn=bo,
-                hybrid_gamma_n=hybrid_gamma,
-                abs_err_bo_vs_hybrid=abs(part1 - hybrid_gamma),
-            )
-        except HolonomyError as exc:
-            row["error"] = type(exc).__name__
-        rows.append(row)
-    return header, rows
+
+    def row(p: StandardLoopParams) -> dict[str, Any]:
+        # This order decides which typed error a row past mode collapse reports.
+        loop1, loop2 = standard_parameter_loops(p, n_samples)
+        gamma_mn = full_quantum_phase(loop1, loop2, p.k, m_level, p.n_level)
+        part1, part2 = bo_full_quantum_phase_parts(loop1, loop2, p.k, m_level, p.n_level)
+        phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), n_samples))
+        hybrid_gamma = phases.gammas[p.n_level]
+        return dict(
+            gamma_mn=gamma_mn,
+            bo_gamma_mn=part1 + part2,
+            hybrid_gamma_n=hybrid_gamma,
+            abs_err_bo_vs_hybrid=abs(part1 - hybrid_gamma),
+        )
+
+    ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
+    j_action = (m_level + 0.5) * base.hbar
+    return [
+        ({"K": k}, partial(row, _standard_params(cfg.params, k=k, j_action=j_action)))
+        for k in ks
+    ]
 
 
-def _run_oracle_quantum(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
-    slowness = cfg.slowness()
-    n_samples = int(cfg.numerics.get("n_samples", 256))
-    mu = float(cfg.params.get("mu", 1.0))
-    thetas = cfg.params.get("thetas", [math.pi / 2, math.pi / 3])
+def _oracle_quantum_points(cfg: ExperimentConfig) -> list[Point]:
+    mu = _number(cfg.params, "mu", 1.0, positive=True)
     family = spin_hamiltonian_family(mu)
-    header = [
+    slowness, n_samples, sps = cfg.slowness(), cfg.n_samples(256), cfg.steps_per_sample()
+
+    def row(theta: float) -> dict[str, Any]:
+        loop = cone_loop(theta, n_samples=n_samples)
+        frame = eigenframe_along_loop(family, loop)
+        gamma_w, _ = berry_and_hannay(frame, 0)
+        steps = sps or recommended_steps_per_sample(loop, slowness, rate_scale=mu)
+        prop = propagate_quantum(family, loop, 0, slowness, steps)
+        gamma_n = extract_geometric_phase(prop, prop.psi_initial)
+        return dict(
+            gamma_numeric=gamma_n,
+            gamma_wilson=gamma_w,
+            abs_error=abs(gamma_n - gamma_w),
+            norm_drift=prop.norm_drift,
+            final_fidelity=prop.final_fidelity,
+        )
+
+    thetas = _number(cfg.params, "thetas", [math.pi / 2, math.pi / 3])
+    return [
+        ({"theta": theta, "level": 0, "slowness": slowness}, partial(row, theta))
+        for theta in thetas
+    ]
+
+
+def _oracle_classical_points(cfg: ExperimentConfig) -> list[Point]:
+    slowness, n_samples, sps = cfg.slowness(), cfg.n_samples(256), cfg.steps_per_sample()
+    j0 = _number(cfg.params, "j0", 1.0, positive=True)
+    phi0 = _number(cfg.params, "phi0", 0.3)
+
+    def row(p: StandardLoopParams) -> dict[str, Any]:
+        loop = subsystem_parameter_loop(p, 2, n_samples)
+        report = standard_loop_report(p, max(DEFAULT_SAMPLES, n_samples))
+        steps = sps or recommended_steps_per_sample(loop, slowness, rate_scale=p.a2)
+        qp0 = action_angle_to_qp(loop.points[0], j0, phi0)
+        traj = propagate_classical(loop, qp0, slowness, steps)
+        dphi_num = extract_hannay_angle(traj)
+        dphi_quad = report.delta_phi_0_part
+        return dict(
+            delta_phi_numeric=dphi_num,
+            delta_phi_quadrature=dphi_quad,
+            abs_error=abs(dphi_num - dphi_quad),
+            j_drift=traj.action_drift,
+        )
+
+    epsilons = _number(cfg.params, "epsilons", [math.sqrt(3.0) / 2.0])
+    return [
+        ({"epsilon": eps, "slowness": slowness},
+         partial(row, _standard_params(cfg.params, epsilon=eps, k=0.0)))
+        for eps in epsilons
+    ]
+
+
+# experiment -> (sweep points, swept parameter or None, CSV columns before ``error``)
+_EXPERIMENTS: dict[
+    str, tuple[Callable[[ExperimentConfig], list[Point]], str | None, tuple[str, ...]]
+] = {
+    "spin-berry": (_spin_berry_points, None, (
+        "theta", "gamma_1", "gamma_2", "delta_theta_1", "delta_theta_2",
+        "closed_form_1", "closed_form_2", "abs_err_1", "abs_err_2")),
+    "gho-uncoupled": (_gho_uncoupled_points, None, (
+        "epsilon", "gamma_00_closed", "gamma_00_quadrature", "abs_err",
+        "delta_phi_0", "correspondence_residual")),
+    "hybrid-spin-osc": (_hybrid_spin_osc_points, None, (
+        "lambda", "gamma_plus", "gamma_minus", "delta_phi", "quadrature_error")),
+    "hybrid-gho": (_hybrid_gho_points, "k", (
+        "ratio", "K", "branch", "gamma_0", "gamma_00", "gamma_I", "delta_phi",
+        "delta_phi_0", "delta_phi_I", "gamma_I_approx", "delta_phi_I_approx",
+        "elliptic_margin", "quadrature_error")),
+    "full-quantum": (_full_quantum_points, "k", (
+        "K", "gamma_mn", "bo_gamma_mn", "hybrid_gamma_n", "abs_err_bo_vs_hybrid")),
+    "oracle-quantum": (_oracle_quantum_points, None, (
         "theta", "level", "slowness", "gamma_numeric", "gamma_wilson",
-        "abs_error", "norm_drift", "final_fidelity", "error",
-    ]
-    rows = []
-    for theta in thetas:
-        row: dict[str, Any] = {"theta": float(theta), "level": 0, "slowness": slowness, "error": ""}
-        try:
-            loop = cone_loop(float(theta), n_samples=n_samples)
-            frame = eigenframe_along_loop(family, loop)
-            gamma_w, _ = berry_and_hannay(frame, 0)
-            sps = int(
-                cfg.numerics.get(
-                    "steps_per_sample",
-                    recommended_steps_per_sample(loop, slowness, rate_scale=mu),
-                )
-            )
-            prop = propagate_quantum(family, loop, 0, slowness, sps)
-            gamma_n = extract_geometric_phase(prop, prop.psi_initial)
-            row.update(
-                gamma_numeric=gamma_n,
-                gamma_wilson=gamma_w,
-                abs_error=abs(gamma_n - gamma_w),
-                norm_drift=prop.norm_drift,
-                final_fidelity=prop.final_fidelity,
-            )
-        except HolonomyError as exc:
-            row["error"] = type(exc).__name__
-        rows.append(row)
-    return header, rows
-
-
-def _run_oracle_classical(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
-    slowness = cfg.slowness()
-    n_samples = int(cfg.numerics.get("n_samples", 256))
-    eps_list = cfg.params.get("epsilons", [math.sqrt(3.0) / 2.0])
-    header = [
+        "abs_error", "norm_drift", "final_fidelity")),
+    "oracle-classical": (_oracle_classical_points, None, (
         "epsilon", "slowness", "delta_phi_numeric", "delta_phi_quadrature",
-        "abs_error", "j_drift", "error",
-    ]
+        "abs_error", "j_drift")),
+    "fig1": (_fig_points, "k_fraction_of_max", (
+        "ratio", "K", "branch", "gamma_0", "gamma_00", "gamma_I")),
+    "fig2": (_fig_points, "k_fraction_of_max", (
+        "ratio", "K", "branch", "delta_phi_I", "gamma_I", "delta_phi_0")),
+}
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
+    """The experiment's CSV header and one row per sweep point.
+
+    Every point, and so every configuration value, is built before the first
+    row runs.  A row's ``HolonomyError`` goes into its ``error`` column; the
+    row keeps its coordinates.
+    """
+    points, axis, columns = _EXPERIMENTS[cfg.experiment]
+    if cfg.sweep is not None and cfg.sweep.get("parameter") != axis:
+        swept = cfg.sweep.get("parameter")
+        takes = f"sweeps over {axis!r}, not {swept!r}" if axis else "takes no sweep"
+        raise ConfigInvalid(f"experiment {cfg.experiment!r} {takes}")
     rows = []
-    for eps in eps_list:
-        row: dict[str, Any] = {"epsilon": float(eps), "slowness": slowness, "error": ""}
+    for coords, compute in points(cfg):
+        row = dict(coords, error="")
         try:
-            p = _standard_params(cfg.params, epsilon=float(eps), k=0.0)
-            loop = subsystem_parameter_loop(p, 2, n_samples)
-            report = standard_loop_report(p, max(DEFAULT_SAMPLES, n_samples))
-            sps = int(
-                cfg.numerics.get(
-                    "steps_per_sample",
-                    recommended_steps_per_sample(loop, slowness, rate_scale=p.a2),
-                )
-            )
-            qp0 = action_angle_to_qp(loop.points[0], float(cfg.params.get("j0", 1.0)),
-                                     float(cfg.params.get("phi0", 0.3)))
-            traj = propagate_classical(loop, qp0, slowness, sps)
-            dphi_num = extract_hannay_angle(traj)
-            dphi_quad = report.delta_phi_0_part
-            row.update(
-                delta_phi_numeric=dphi_num,
-                delta_phi_quadrature=dphi_quad,
-                abs_error=abs(dphi_num - dphi_quad),
-                j_drift=traj.action_drift,
-            )
+            row.update(compute())
         except HolonomyError as exc:
             row["error"] = type(exc).__name__
         rows.append(row)
-    return header, rows
-
-
-_RUNNERS = {
-    "spin-berry": _run_spin_berry,
-    "gho-uncoupled": _run_gho_uncoupled,
-    "hybrid-spin-osc": _run_hybrid_spin_osc,
-    "hybrid-gho": _run_hybrid_gho,
-    "full-quantum": _run_full_quantum,
-    "oracle-quantum": _run_oracle_quantum,
-    "oracle-classical": _run_oracle_classical,
-    "fig1": lambda cfg: _run_fig(cfg, 1),
-    "fig2": lambda cfg: _run_fig(cfg, 2),
-}
+    return [*columns, "error"], rows
 
 
 def _write_csv(path: Path, header: list[str], rows: list[dict[str, Any]]) -> None:
@@ -565,8 +542,7 @@ def _write_svg(path: Path, header: list[str], rows: list[dict[str, Any]], experi
 def execute(cfg: ExperimentConfig) -> int:
     """Run one experiment configuration; returns the process exit code."""
     t_start = time.perf_counter()
-    runner = _RUNNERS[cfg.experiment]
-    header, rows = runner(cfg)
+    header, rows = _sweep(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.experiment}.csv"
@@ -588,20 +564,6 @@ def execute(cfg: ExperimentConfig) -> int:
         print(f"{cfg.experiment} [{i + 1}/{len(rows)}] {tag}: {status}")
     print(f"wrote {csv_path}")
     return 0
-
-
-def _fig_config(which: int, out_dir: str, emit_svg: bool, count: int = 50) -> ExperimentConfig:
-    # K grids are derived per ratio from the elliptic bound; the sweep entry
-    # records the fractions of K_max that the grid spans.
-    return ExperimentConfig(
-        experiment=f"fig{which}",
-        params={},
-        sweep={"parameter": "k_fraction_of_max", "start": 1e-4, "stop": 0.95,
-               "count": count, "scale": "log"},
-        numerics={"n_samples": DEFAULT_SAMPLES},
-        output_dir=out_dir,
-        emit_svg=emit_svg,
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -633,15 +595,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "run":
             cfg = ExperimentConfig.from_path(args.config)
-        elif args.command in ("fig1", "fig2"):
-            cfg = _fig_config(int(args.command[-1]), args.out, args.emit_svg, args.points)
-        else:
+        elif args.command == "oracle":
             cfg = ExperimentConfig(
                 experiment=f"oracle-{args.kind}",
                 numerics={"slowness": args.slowness, "n_samples": args.samples},
                 output_dir=args.out,
                 emit_svg=args.emit_svg,
                 seed=args.seed,
+            )
+        else:
+            cfg = ExperimentConfig(
+                experiment=args.command,
+                sweep=dict(_FIG_SWEEP, count=args.points),
+                numerics={"n_samples": DEFAULT_SAMPLES},
+                output_dir=args.out,
+                emit_svg=args.emit_svg,
             )
         return execute(cfg)
     except ConfigInvalid as exc:

@@ -33,6 +33,7 @@ from .errors import (
     GapTooSmall,
     NonAdiabatic,
     OverlapTooSmall,
+    require_positive,
 )
 from .manifold import LoopSpec
 from .quantum_geometry import HamiltonianFamily, canonical_section_track
@@ -304,9 +305,9 @@ def propagate_classical(
     fine = _upsample_columns(x2_loop.points, 2 * steps_per_sample)
     x, y, z = fine.T
     w_sq_fine = x * z - y**2
-    if np.any(w_sq_fine <= 0):
-        j = int(np.argmax(w_sq_fine <= 0)) // (2 * steps_per_sample)
-        raise EllipticViolation(f"frequency squared vanished between samples ({j})", sample=j)
+    per_sample = 2 * steps_per_sample  # fine points per loop sample
+    require_positive(w_sq_fine, lambda i: EllipticViolation(
+        f"frequency squared vanished between samples ({i // per_sample})", sample=i // per_sample))
 
     gen = np.array([[y, z], [-x, -y]])
     q, p = _blocked_states(

@@ -1,6 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positivity guard that
+raises them at the first bad loop sample."""
 
 from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
 
 
 class HolonomyError(Exception):
@@ -83,3 +88,11 @@ class OverlapTooSmall(HolonomyError):
 
 class ConfigInvalid(HolonomyError):
     """An experiment configuration failed validation."""
+
+
+def require_positive(values: np.ndarray, error: Callable[[int], HolonomyError]) -> None:
+    """Raise ``error(j)`` for the first sample ``j`` whose value is not
+    positive.  A NaN is not positive, so it cannot slip through."""
+    bad = ~(values > 0)
+    if bad.any():
+        raise error(int(np.argmax(bad)))

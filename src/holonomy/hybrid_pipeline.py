@@ -17,7 +17,13 @@ from typing import Hashable
 
 import numpy as np
 
-from .errors import EllipticViolation, ModeCollapse, OmegaImaginary, WeakCouplingViolated
+from .errors import (
+    EllipticViolation,
+    ModeCollapse,
+    OmegaImaginary,
+    WeakCouplingViolated,
+    require_positive,
+)
 from .manifold import (
     DEFAULT_SAMPLES,
     LoopSpec,
@@ -126,11 +132,8 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
     shift = m.mu * m.lam**2 * (m.i_plus - m.i_minus) / m.b_field
     x_eff = x + shift
     omega_sq = x_eff * z - y**2
-    if np.any(omega_sq <= 0):
-        j = int(np.argmax(omega_sq <= 0))
-        raise OmegaImaginary(
-            f"action-shifted frequency squared {omega_sq[j]:.3e} at sample {j}"
-        )
+    require_positive(omega_sq, lambda j: OmegaImaginary(
+        f"action-shifted frequency squared {omega_sq[j]:.3e} at sample {j}"))
     omega = np.sqrt(omega_sq)
     if m.j_action > 0:
         q_typ = np.sqrt(2.0 * z * m.j_action / omega)
@@ -173,13 +176,15 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
 
 
 def _bo_frequency_sq(x1: np.ndarray, x2: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """(omega^2 of the fast triple, effective Omega^2 of the slow triple)."""
+    """(omega^2 of the fast triple, effective Omega^2 of the slow triple),
+    both checked positive at every sample."""
     w_sq = x1[:, 0] * x1[:, 2] - x1[:, 1] ** 2
-    if np.any(w_sq <= 0):
-        j = int(np.argmax(w_sq <= 0))
-        raise EllipticViolation(f"fast-triple frequency squared {w_sq[j]:.3e}", sample=j)
-    omega_eff_sq = x2[:, 0] * x2[:, 2] - k**2 * x1[:, 2] * x2[:, 2] / w_sq - x2[:, 1] ** 2
-    return w_sq, omega_eff_sq
+    require_positive(w_sq, lambda j: EllipticViolation(
+        f"fast-triple frequency squared {w_sq[j]:.3e}", sample=j))
+    omega_sq = x2[:, 0] * x2[:, 2] - k**2 * x1[:, 2] * x2[:, 2] / w_sq - x2[:, 1] ** 2
+    require_positive(omega_sq, lambda j: EllipticViolation(
+        f"effective frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
+    return w_sq, omega_sq
 
 
 def _grad_y_over_z(points: np.ndarray, block: int) -> np.ndarray:
@@ -207,11 +212,6 @@ def coupled_gho_one_form(m: CoupledGHOHybrid, n_samples: int = DEFAULT_SAMPLES) 
     pts = loop.points
     x1, x2 = pts[:, :3], pts[:, 3:]
     w_sq, omega_sq = _bo_frequency_sq(x1, x2, p.k)
-    if np.any(omega_sq <= 0):
-        j = int(np.argmax(omega_sq <= 0))
-        raise EllipticViolation(
-            f"effective frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j
-        )
     w = np.sqrt(w_sq)
     omega = np.sqrt(omega_sq)
     z1, z2 = x1[:, 2], x2[:, 2]
@@ -258,11 +258,8 @@ def coupled_gho_effective_frequency(p: StandardLoopParams, t: np.ndarray) -> np.
     f1 = 1.0 - eps * np.cos(p.omega1 * t)
     f2 = 1.0 - eps * np.cos(p.omega2 * t)
     core = 1.0 - eps**2 - 2.0 * d**2 * f1 * f2
-    if np.any(core <= 0):
-        j = int(np.argmax(core <= 0))
-        raise EllipticViolation(
-            f"effective frequency squared vanished at sample {j}", sample=j
-        )
+    require_positive(core, lambda j: EllipticViolation(
+        f"effective frequency squared vanished at sample {j}", sample=j))
     return p.a2 * np.sqrt(core)
 
 
@@ -347,14 +344,14 @@ def standard_loop_report(
     if p.k == 0.0:
         core = np.full_like(t2, root)
         core_dot = np.zeros_like(t2)
+        margin = one_minus
     else:
+        # t2 is t1 here: coupling forces the common branch
         f1b = 1.0 - eps * np.cos(p.omega1 * t2)
         core_sq = one_minus - 2.0 * d**2 * f1b * f2b
-        if np.any(core_sq <= 0):
-            j = int(np.argmax(core_sq <= 0))
-            raise EllipticViolation(
-                f"effective frequency squared vanished at sample {j}", sample=j
-            )
+        require_positive(core_sq, lambda j: EllipticViolation(
+            f"effective frequency squared vanished at sample {j}", sample=j))
+        margin = float(np.min(core_sq))
         core = np.sqrt(core_sq)
         prod_dot = eps * p.omega1 * np.sin(p.omega1 * t2) * f2b + f1b * eps * p.omega2 * s2
         core_dot = -(d**2) * prod_dot / core
@@ -370,13 +367,6 @@ def standard_loop_report(
         p.hbar * p.a1 * one_minus * root
     )
     delta_phi_i_approx = -(eps**2) * p.a2 * d**2 * t_omega1 / (p.a1 * one_minus * root)
-
-    if p.k == 0.0:
-        margin = one_minus
-    else:
-        f1m = 1.0 - eps * np.cos(p.omega1 * t1)
-        f2m = 1.0 - eps * np.cos(p.omega2 * t1)
-        margin = float(np.min(one_minus - 2.0 * d**2 * f1m * f2m))
 
     return HybridPhaseReport(
         gamma={p.n_level: gamma_0 + gamma_i},
@@ -398,9 +388,8 @@ def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     the circulation of (2n+1) Z/(4 omega) d(Y/Z)."""
     x, y, z = loop.points.T
     w_sq = x * z - y**2
-    if np.any(w_sq <= 0):
-        j = int(np.argmax(w_sq <= 0))
-        raise EllipticViolation(f"frequency squared {w_sq[j]:.3e} at sample {j}", sample=j)
+    require_positive(w_sq, lambda j: EllipticViolation(
+        f"frequency squared {w_sq[j]:.3e} at sample {j}", sample=j))
     w = np.sqrt(w_sq)
     fac = (2 * n + 1) / (4.0 * w)
     coeffs = np.column_stack([np.zeros_like(w), fac, -fac * y / z])
@@ -437,13 +426,11 @@ def full_quantum_phase(
     x1, x2 = pts[:, :3], pts[:, 3:]
     w1_sq = x1[:, 0] * x1[:, 2] - x1[:, 1] ** 2
     w2_sq = x2[:, 0] * x2[:, 2] - x2[:, 1] ** 2
-    if np.any(w1_sq <= 0) or np.any(w2_sq <= 0):
-        raise EllipticViolation("a bare triple is not elliptic along the loop")
+    require_positive(np.minimum(w1_sq, w2_sq), lambda j: EllipticViolation(
+        "a bare triple is not elliptic along the loop", sample=j))
     r = np.sqrt((w1_sq - w2_sq) ** 2 + 4.0 * k**2 * x1[:, 2] * x2[:, 2])
     low_sq = 0.5 * (w1_sq + w2_sq - r)
-    if np.any(low_sq <= 0):
-        j = int(np.argmax(low_sq <= 0))
-        raise ModeCollapse(f"lower normal mode closes at sample {j}")
+    require_positive(low_sq, lambda j: ModeCollapse(f"lower normal mode closes at sample {j}"))
     high = np.sqrt(0.5 * (w1_sq + w2_sq + r))
     low = np.sqrt(low_sq)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -457,29 +444,22 @@ def full_quantum_phase(
 
 
 def bo_full_quantum_phase_parts(
-    x1_loop: LoopSpec, x2_loop: LoopSpec, k: float, m: int, n: int, hbar: float = 1.0
+    x1_loop: LoopSpec, x2_loop: LoopSpec, k: float, m: int, n: int
 ) -> tuple[float, float]:
     """The two quadrature pieces of the slow/fast-separated quantum phase:
     the d(Y1/Z1) part and the d(Y2/Z2) part.
 
     Here ``n`` counts the fast oscillator's level and ``m`` the slow one's
     (unlike ``full_quantum_phase``, whose ``m`` counts the upper normal
-    mode).  ``hbar`` fixes the action scale in the correspondence
-    J = (m + 1/2) hbar used by callers comparing against the hybrid phases;
-    the integrands themselves are hbar-free.
+    mode).  The integrands are hbar-free; callers comparing against the
+    hybrid phases set J = (m + 1/2) hbar themselves.
     """
-    del hbar
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
     combined = _combined(x1_loop, x2_loop)
     pts = combined.points
     x1, x2 = pts[:, :3], pts[:, 3:]
     w_sq, omega_sq = _bo_frequency_sq(x1, x2, k)
-    if np.any(omega_sq <= 0):
-        j = int(np.argmax(omega_sq <= 0))
-        raise EllipticViolation(
-            f"effective frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j
-        )
     w = np.sqrt(w_sq)
     omega = np.sqrt(omega_sq)
     z1, z2 = x1[:, 2], x2[:, 2]
@@ -493,9 +473,7 @@ def bo_full_quantum_phase_parts(
     return part1, part2
 
 
-def bo_full_quantum_phase(
-    x1_loop: LoopSpec, x2_loop: LoopSpec, k: float, m: int, n: int, hbar: float = 1.0
-) -> float:
+def bo_full_quantum_phase(x1_loop: LoopSpec, x2_loop: LoopSpec, k: float, m: int, n: int) -> float:
     """Slow/fast-separated quantum phase (sum of both quadrature pieces)."""
-    p1, p2 = bo_full_quantum_phase_parts(x1_loop, x2_loop, k, m, n, hbar)
+    p1, p2 = bo_full_quantum_phase_parts(x1_loop, x2_loop, k, m, n)
     return p1 + p2

@@ -416,16 +416,14 @@ def theta_averaged_one_form(
     actions: np.ndarray,
     x: np.ndarray,
     dx: np.ndarray,
-    hbar: float = 1.0,
 ) -> float:
     """Angle-averaged one-form <p dq> evaluated on the direction dx.
 
     The average runs over a uniform grid of 8 points per angle, which is
     exact for the degree-2 trigonometric integrand; the parametric derivative
-    of q uses central differences with step max(1e-6 |x|, 1e-8).  ``hbar``
-    only fixes the units of the supplied actions.
+    of q uses central differences with step max(1e-6 |x|, 1e-8).  Actions
+    enter in absolute units: q and p carry sqrt(2 I_k).
     """
-    del hbar  # actions enter in absolute units; q and p carry sqrt(2 I_k)
     actions = np.asarray(actions, dtype=float)
     n = family.dim
     if actions.shape != (n,):

@@ -3,8 +3,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from holonomy import StandardLoopParams, elliptic_bound
 from holonomy.cli import ExperimentConfig, execute, main
 from holonomy.errors import ConfigInvalid
 
@@ -186,3 +188,117 @@ class TestOracleCLI:
         cfg_dict["sweep"]["parameter"] = "epsilon"
         with pytest.raises(ConfigInvalid):
             execute(ExperimentConfig.from_dict(cfg_dict))
+
+
+# Each of these configurations must be refused before any row runs.
+BAD_CONFIGS = {
+    "sweep count": '{"experiment": "hybrid-gho", "sweep": {"parameter": "k", "start": 0.01,'
+                   ' "stop": 0.02, "count": "abc"}}',
+    "sweep start": '{"experiment": "hybrid-gho", "sweep": {"parameter": "k", "start": "a",'
+                   ' "stop": 0.02, "count": 3}}',
+    "sweep not an object": '{"experiment": "hybrid-gho", "sweep": 5}',
+    "params list": '{"experiment": "hybrid-gho", "params": [1, 2]}',
+    "output list": '{"experiment": "hybrid-gho", "output": ["out"]}',
+    "n1 string": '{"experiment": "hybrid-gho", "params": {"n1": "two"}}',
+    "n_samples string": '{"experiment": "spin-berry", "numerics": {"n_samples": "x"}}',
+    "seed string": '{"experiment": "spin-berry", "seed": "x"}',
+    "thetas string": '{"experiment": "spin-berry", "params": {"thetas": "ab"}}',
+    "j_action overflows": '{"experiment": "hybrid-gho", "params": {"j_action": 1e400}}',
+    "negative slowness": '{"experiment": "oracle-quantum", "numerics": {"slowness": -1}}',
+    "zero omega": '{"experiment": "hybrid-spin-osc", "params": {"omega": 0}}',
+    "negative field, spin": '{"experiment": "spin-berry", "params": {"b_magnitude": -1}}',
+    "negative field, hybrid": '{"experiment": "hybrid-spin-osc", "params": {"b_magnitude": -1}}',
+    "zero cycles": '{"experiment": "spin-berry", "params": {"cycles": 0}}',
+    "zero steps": '{"experiment": "oracle-classical", "numerics": {"steps_per_sample": 0}}',
+    "negative m_level": '{"experiment": "full-quantum", "params": {"m_level": -1}}',
+}
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_invalid_config_exits_2_with_one_record(text, tmp_path, capsys):
+    cfg = json.loads(text)
+    cfg.setdefault("output", {"directory": str(tmp_path / "out")})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigInvalid"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment", ["spin-berry", "gho-uncoupled", "hybrid-spin-osc", "oracle-quantum",
+                   "oracle-classical"],
+)
+def test_sweep_rejected_where_nothing_is_swept(experiment, tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "experiment": experiment,
+        "sweep": {"parameter": "k", "start": 0.01, "stop": 0.02, "count": 2},
+        "output": {"directory": str(tmp_path)},
+    })
+    with pytest.raises(ConfigInvalid):
+        execute(cfg)
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+def test_fig_sweep_spans_fractions_of_k_max(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "fig1",
+        "params": {"ratios": [[2, 1]], "a1_over_a2": 4.0, "j_over_hbar": 2.0},
+        "sweep": {"parameter": "k_fraction_of_max", "start": 0.2, "stop": 0.6, "count": 3,
+                  "scale": "linear"},
+        "numerics": {"n_samples": 256},
+        "output": {"directory": str(tmp_path)},
+    })
+    assert execute(cfg) == 0
+    p = StandardLoopParams(a1=1.0, a2=0.25, mu1=1.0, mu2=1.0, n1=2, n2=1, base_rate=1.0,
+                           epsilon=math.sqrt(3.0) / 2.0, j_action=2.0)
+    _, k_max = elliptic_bound(p)
+    rows = read_csv(tmp_path / "fig1.csv")
+    assert [r["ratio"] for r in rows] == ["2/1"] * 3
+    assert [float(r["K"]) for r in rows] == list(np.linspace(0.2 * k_max, 0.6 * k_max, 3))
+
+
+def readme_schemas() -> dict[str, list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("CSV schemas", 1)[1]
+    schemas = {}
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            schemas[cells[0].strip("`")] = [c.strip() for c in cells[1].split(",")]
+    return schemas
+
+
+# Cheap configurations; each sweep ends past K_max, so its last row fails.
+SCHEMA_CASES = {
+    "spin-berry": {"params": {"thetas": [1.0]}},
+    "gho-uncoupled": {"params": {"epsilons": [0.5]}},
+    "hybrid-spin-osc": {"params": {"lambdas": [0.0]}},
+    "hybrid-gho": {"sweep": {"parameter": "k", "start": 0.01, "stop": 10.0, "count": 2}},
+    "full-quantum": {},
+    "oracle-quantum": {"params": {"thetas": [1.0]}, "numerics": {"slowness": 50, "n_samples": 32}},
+    "oracle-classical": {"numerics": {"slowness": 50, "n_samples": 32}},
+    "fig1": {"params": {"ratios": [[1, 1]]},
+             "sweep": {"parameter": "k_fraction_of_max", "start": 0.5, "stop": 1.5, "count": 2}},
+    "fig2": {"params": {"ratios": [[1, 1]]},
+             "sweep": {"parameter": "k_fraction_of_max", "start": 0.5, "stop": 1.5, "count": 2}},
+}
+
+
+@pytest.mark.parametrize("experiment", SCHEMA_CASES)
+def test_csv_header_matches_readme_and_failed_rows_keep_coordinates(experiment, tmp_path):
+    cfg = {"experiment": experiment, "numerics": {"n_samples": 64},
+           "output": {"directory": str(tmp_path)}, **SCHEMA_CASES[experiment]}
+    assert execute(ExperimentConfig.from_dict(cfg)) == 0
+    with (tmp_path / f"{experiment}.csv").open() as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    header = reader.fieldnames
+    assert header == readme_schemas()[experiment] + ["error"]
+    if "sweep" in cfg:
+        last = rows[-1]
+        assert last["error"] == "EllipticViolation" and float(last["K"]) > 0
+        assert all(last[c] == "" for c in header[2:-1])  # fig rows never computed a branch
+    else:
+        assert all(r["error"] == "" for r in rows)

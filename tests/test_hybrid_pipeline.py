@@ -314,6 +314,17 @@ class TestFullQuantum:
         with pytest.raises(ModeCollapse):
             full_quantum_phase(self.loop1, self.loop2, 5.0, 0, 0)
 
+    def test_nan_sample_is_elliptic_violation_at_that_sample(self):
+        # NaN compares false both ways, so a guard written as "any <= 0" let it through
+        pts = self.loop2.points.copy()
+        pts[37, 0] = np.nan
+        loop2 = LoopSpec(self.loop2.period, self.loop2.times, pts, cycles=self.loop2.cycles)
+        with pytest.raises(EllipticViolation) as single:
+            single_gho_phase(loop2, 0)
+        with pytest.raises(EllipticViolation) as full:
+            full_quantum_phase(self.loop1, loop2, 0.1, 0, 0)
+        assert single.value.sample == full.value.sample == 37
+
 
 class TestBOFullQuantum:
     def setup_method(self):
