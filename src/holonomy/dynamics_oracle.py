@@ -30,13 +30,14 @@ import numpy as np
 
 from .errors import (
     EllipticViolation,
-    GapTooSmall,
     NonAdiabatic,
     OverlapTooSmall,
+    relative_gap_tol,
+    require_gap,
     require_positive,
 )
 from .manifold import LoopSpec
-from .quantum_geometry import HamiltonianFamily, canonical_section_track
+from .quantum_geometry import HamiltonianFamily, align_gauge, canonical_section_track
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,15 +198,7 @@ def propagate_quantum(
     fine = _upsample_columns(loop.points, 2 * steps_per_sample)  # 2 points per step
     gen = family.matrices(fine)
     energies_fine = np.linalg.eigvalsh(gen[::2])  # one per full step
-    if family.dim > 1:
-        gaps = np.diff(energies_fine, axis=1)
-        scale = float(np.max(np.abs(energies_fine)))
-        tol = 1e-9 * max(scale, 1e-300)
-        if float(np.min(gaps)) < tol:
-            j, lv = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-            raise GapTooSmall(
-                sample=int(j) // steps_per_sample, level=int(lv), gap=float(np.min(gaps)), tol=tol
-            )
+    require_gap(energies_fine, relative_gap_tol(energies_fine), stride=steps_per_sample)
 
     # reference eigenvectors at the loop samples, canonical-section gauge
     sample_mats = family.matrices(loop.points)
@@ -213,10 +206,7 @@ def propagate_quantum(
     canon = canonical_section_track(sample_vecs[:, :, k])
     if canon is None:
         # no usable pivot: fall back to transport-aligned references
-        refs = sample_vecs[:, :, k].copy()
-        for j in range(1, refs.shape[0]):
-            ov = np.vdot(refs[j - 1], refs[j])
-            refs[j] *= np.conj(ov / abs(ov))
+        refs = align_gauge(sample_vecs[:, :, k : k + 1])[:, :, 0]
     else:
         refs, _ = canon
 

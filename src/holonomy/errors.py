@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the positivity guard that
-raises them at the first bad loop sample."""
+"""Exception types shared across the package, and the positivity and level-gap
+guards that raise them with the offending loop sample."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -40,6 +41,14 @@ class GapTooSmall(HolonomyError):
             f"gap {gap:.3e} between levels {level} and {level + 1} at sample "
             f"{sample} is below tolerance {tol:.3e}"
         )
+
+
+class NonFinite(HolonomyError):
+    """A sampled value is NaN or infinite where a finite number is required."""
+
+    def __init__(self, message: str, sample: int | None = None):
+        self.sample = sample
+        super().__init__(message)
 
 
 class NotNormalized(HolonomyError):
@@ -96,3 +105,26 @@ def require_positive(values: np.ndarray, error: Callable[[int], HolonomyError]) 
     bad = ~(values > 0)
     if bad.any():
         raise error(int(np.argmax(bad)))
+
+
+def relative_gap_tol(energies: np.ndarray) -> float:
+    """The default level-gap tolerance: 1e-9 times the spectral scale."""
+    return 1e-9 * max(float(np.max(np.abs(energies))), 1e-300)
+
+
+def require_gap(energies: np.ndarray, tol: float, stride: int = 1) -> float:
+    """Smallest gap between adjacent levels of sorted spectra, one per row.
+
+    ``energies`` is one spectrum (N,) or a stack (n, N).  Raises
+    ``GapTooSmall`` at the row and level of the smallest gap when it is below
+    ``tol``; row j belongs to loop sample j // stride.  A single level has no
+    gap, and the result is then infinite.
+    """
+    gaps = np.diff(np.atleast_2d(energies), axis=1)
+    if gaps.size == 0:
+        return math.inf
+    min_gap = float(np.min(gaps))
+    if min_gap < tol:
+        j, level = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+        raise GapTooSmall(sample=int(j) // stride, level=int(level), gap=min_gap, tol=tol)
+    return min_gap

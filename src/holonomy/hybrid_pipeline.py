@@ -251,16 +251,24 @@ def coupled_gho_one_form(m: CoupledGHOHybrid, n_samples: int = DEFAULT_SAMPLES) 
     )
 
 
-def coupled_gho_effective_frequency(p: StandardLoopParams, t: np.ndarray) -> np.ndarray:
-    """Effective slow frequency along the standard loops, in its reduced form
-    a2 * sqrt(1 - eps^2 - 2 D^2 (1 - eps cos w1 t)(1 - eps cos w2 t))."""
+def _effective_core_sq(
+    p: StandardLoopParams, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(core^2, f1, f2) with core^2 = 1 - eps^2 - 2 D^2 f1 f2 checked positive
+    at every sample, where f_i = 1 - eps cos(w_i t)."""
     eps, d = p.epsilon, p.d_ratio
     f1 = 1.0 - eps * np.cos(p.omega1 * t)
     f2 = 1.0 - eps * np.cos(p.omega2 * t)
-    core = 1.0 - eps**2 - 2.0 * d**2 * f1 * f2
-    require_positive(core, lambda j: EllipticViolation(
+    core_sq = 1.0 - eps**2 - 2.0 * d**2 * f1 * f2
+    require_positive(core_sq, lambda j: EllipticViolation(
         f"effective frequency squared vanished at sample {j}", sample=j))
-    return p.a2 * np.sqrt(core)
+    return core_sq, f1, f2
+
+
+def coupled_gho_effective_frequency(p: StandardLoopParams, t: np.ndarray) -> np.ndarray:
+    """Effective slow frequency along the standard loops, in its reduced form
+    a2 * sqrt(1 - eps^2 - 2 D^2 (1 - eps cos w1 t)(1 - eps cos w2 t))."""
+    return p.a2 * np.sqrt(_effective_core_sq(p, t)[0])
 
 
 def gamma_n0_closed_form(p: StandardLoopParams, branch: str = BRANCH_COMMON) -> float:
@@ -324,38 +332,34 @@ def standard_loop_report(
 
     # Coupling corrections share one integrand, evaluated on the range that
     # carries both drives (the common period; they vanish identically at k=0).
+    # The effective-frequency core below feeds them and the uncoupled angle
+    # shift; without coupling it is the constant sqrt(1 - eps^2).
+    s2 = np.sin(p.omega2 * t2)
     if p.k == 0.0:
         gamma_i = 0.0
         delta_phi_i = 0.0
+        f2 = 1.0 - eps * np.cos(p.omega2 * t2)
+        core = np.full_like(t2, root)
+        core_dot = np.zeros_like(t2)
+        margin = one_minus
     else:
-        f2 = 1.0 - eps * np.cos(p.omega2 * t1)
+        # t2 is t1 here: coupling forces the common branch
+        core_sq, f1, f2 = _effective_core_sq(p, t1)
+        margin = float(np.min(core_sq))
+        core = np.sqrt(core_sq)
         drive = eps - np.cos(p.omega1 * t1)
-        omega_eff = coupled_gho_effective_frequency(p, t1)
+        omega_eff = p.a2 * core
         base = d**2 * p.a2**2 * eps * p.omega1 * f2 * drive / (p.a1 * one_minus * omega_eff)
         res_dphi = periodic_integral(-base, period1)
         res_gamma = periodic_integral((p.j_action / p.hbar) * base, period1)
         delta_phi_i = res_dphi.value
         gamma_i = res_gamma.value
         errs.extend([res_dphi.error_estimate, res_gamma.error_estimate])
+        prod_dot = eps * p.omega1 * np.sin(p.omega1 * t2) * f2 + f1 * eps * p.omega2 * s2
+        core_dot = -(d**2) * prod_dot / core
 
     # Uncoupled angle shift, with the effective frequency kept inside.
-    f2b = 1.0 - eps * np.cos(p.omega2 * t2)
-    s2 = np.sin(p.omega2 * t2)
-    if p.k == 0.0:
-        core = np.full_like(t2, root)
-        core_dot = np.zeros_like(t2)
-        margin = one_minus
-    else:
-        # t2 is t1 here: coupling forces the common branch
-        f1b = 1.0 - eps * np.cos(p.omega1 * t2)
-        core_sq = one_minus - 2.0 * d**2 * f1b * f2b
-        require_positive(core_sq, lambda j: EllipticViolation(
-            f"effective frequency squared vanished at sample {j}", sample=j))
-        margin = float(np.min(core_sq))
-        core = np.sqrt(core_sq)
-        prod_dot = eps * p.omega1 * np.sin(p.omega1 * t2) * f2b + f1b * eps * p.omega2 * s2
-        core_dot = -(d**2) * prod_dot / core
-    integrand0 = -(eps**2) * p.omega2 * s2**2 / (2.0 * core * f2b) + eps * s2 * core_dot / (
+    integrand0 = -(eps**2) * p.omega2 * s2**2 / (2.0 * core * f2) + eps * s2 * core_dot / (
         2.0 * core**2
     )
     res0 = periodic_integral(integrand0, period2)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EllipticViolation, LengthMismatch, NotClosed, TooFewSamples
+from .errors import EllipticViolation, LengthMismatch, NonFinite, NotClosed, TooFewSamples
 
 DEFAULT_SAMPLES = 4096
 
@@ -36,7 +36,11 @@ class LoopSpec:
     ``times`` runs from 0 to ``period`` inclusive on a uniform grid, and the
     last point must coincide with the first (relative tolerance 1e-12).
     ``cycles`` records how many base cycles the curve contains; phase
-    computations use it for branch bookkeeping on multi-cycle loops.
+    computations use it for branch bookkeeping on multi-cycle loops.  Sample
+    times must be finite (``NonFinite`` otherwise).  Points are not checked
+    here: a non-finite interior point reaches the consumer, whose guard
+    names the sample (``NonFinite`` from ``HamiltonianFamily``, or the
+    frequency guards' ``EllipticViolation``).
     """
 
     period: float
@@ -57,6 +61,10 @@ class LoopSpec:
             raise TooFewSamples(
                 f"need at least {_MIN_SEGMENTS} segments, got {times.shape[0] - 1}"
             )
+        finite = np.isfinite(times)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise NonFinite(f"sample time {j} is not finite", sample=j)
         if not (self.period > 0 and math.isfinite(self.period)):
             raise ValueError(f"period must be positive and finite, got {self.period}")
         if abs(times[0]) > 1e-15 * self.period:
@@ -102,6 +110,10 @@ class QuadratureResult:
     error_estimate: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.error_estimate)):
+            raise NonFinite(
+                f"quadrature value {self.value} or error {self.error_estimate} is not finite"
+            )
         if not (self.error_estimate >= 0.0):
             raise ValueError("error estimate must be nonnegative")
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllipticViolation, ModeCollapse, ZeroField
-from .manifold import DEFAULT_SAMPLES, LoopSpec, StandardLoopParams, make_loop
+from .manifold import DEFAULT_SAMPLES, LoopSpec, StandardLoopParams
 from .quantum_geometry import HamiltonianFamily, pauli_matrices
 
 _AXIS_EPS = 1e-14
@@ -37,14 +37,14 @@ def cone_loop(
     n_samples: int = DEFAULT_SAMPLES,
     cycles: int = 1,
 ) -> LoopSpec:
-    """Field loop at constant polar angle theta on the sphere of radius b."""
+    """Field loop at constant polar angle theta on the sphere of radius b,
+    sampled in one vectorised pass."""
     w = 2.0 * math.pi * cycles / period
     st, ct = math.sin(theta), math.cos(theta)
-
-    def f(t: float) -> np.ndarray:
-        return b * np.array([st * math.cos(w * t), st * math.sin(w * t), ct])
-
-    return make_loop(f, period, n_samples, cycles=cycles)
+    times = np.linspace(0.0, period, n_samples + 1)
+    wt = w * times
+    points = b * np.column_stack([st * np.cos(wt), st * np.sin(wt), np.full_like(wt, ct)])
+    return LoopSpec(period=period, times=times, points=points, cycles=cycles)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,12 @@ import numpy as np
 from .errors import (
     GapTooSmall,
     HermiticityViolation,
+    NonFinite,
     NotNormalized,
     NotUnitary,
     PoleProximity,
+    relative_gap_tol,
+    require_gap,
 )
 from .manifold import LoopSpec, closed_line_integral
 
@@ -48,7 +51,11 @@ class HamiltonianFamily:
 
     ``eval`` maps one parameter point to one matrix.  The optional ``batch``
     maps an (n, d) array of points to the (n, N, N) stack in one call; when
-    given, ``matrices`` uses it instead of evaluating point by point.
+    given, ``matrices`` uses it instead of evaluating point by point.  Every
+    evaluated matrix must be finite and Hermitian within ``hermiticity_tol``.
+    A non-finite matrix raises ``NonFinite`` with its sample index in place of
+    the floating-point warning that produced it, so evaluation runs with
+    numpy's floating-point warnings off.
     """
 
     dim: int
@@ -57,27 +64,33 @@ class HamiltonianFamily:
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        h = np.asarray(self.eval(np.asarray(x, dtype=float)), dtype=complex)
+        with np.errstate(all="ignore"):
+            h = np.asarray(self.eval(np.asarray(x, dtype=float)), dtype=complex)
         if h.shape != (self.dim, self.dim):
             raise ValueError(f"family returned shape {h.shape}, expected {(self.dim,)*2}")
-        dev = float(np.max(np.abs(h - h.conj().T)))
-        if dev > self.hermiticity_tol:
-            raise HermiticityViolation(
-                f"max |H - H^dagger| = {dev:.3e} exceeds {self.hermiticity_tol:.1e}"
-            )
-        return h
+        return self._checked(h[None])[0]
 
     def matrices(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         shape = (pts.shape[0], self.dim, self.dim)
-        if self.batch is not None:
-            out = np.asarray(self.batch(pts), dtype=complex)
-            if out.shape != shape:
-                raise ValueError(f"batch evaluator returned shape {out.shape}, expected {shape}")
-        else:
-            out = np.empty(shape, dtype=complex)
-            for j, x in enumerate(pts):
-                out[j] = np.asarray(self.eval(x), dtype=complex)
+        with np.errstate(all="ignore"):
+            if self.batch is not None:
+                out = np.asarray(self.batch(pts), dtype=complex)
+                if out.shape != shape:
+                    raise ValueError(
+                        f"batch evaluator returned shape {out.shape}, expected {shape}"
+                    )
+            else:
+                out = np.empty(shape, dtype=complex)
+                for j, x in enumerate(pts):
+                    out[j] = np.asarray(self.eval(x), dtype=complex)
+        return self._checked(out)
+
+    def _checked(self, out: np.ndarray) -> np.ndarray:
+        finite = np.isfinite(out)
+        if not finite.all():
+            j = int(np.argmin(finite.all(axis=(1, 2))))
+            raise NonFinite(f"family matrix at sample {j} is not finite", sample=j)
         dev = float(np.max(np.abs(out - np.conj(np.swapaxes(out, 1, 2)))))
         if dev > self.hermiticity_tol:
             raise HermiticityViolation(
@@ -107,31 +120,41 @@ def eigenframe_along_loop(
 ) -> EigenFrame:
     """Diagonalize the family at every loop sample and align the gauge.
 
-    Raises ``GapTooSmall`` at the first sample where adjacent levels come
-    closer than ``gap_tol`` (default 1e-9 times the spectral scale).
+    Raises ``GapTooSmall`` at the sample where adjacent levels come closest,
+    when that gap is below ``gap_tol`` (default 1e-9 times the spectral
+    scale), and ``NonFinite`` at the first sample whose matrix is not finite.
     """
     h = family.matrices(loop.points)
     energies, vectors = np.linalg.eigh(h)
-    scale = float(np.max(np.abs(energies))) if energies.size else 0.0
-    tol = gap_tol if gap_tol is not None else 1e-9 * max(scale, 1e-300)
-    if family.dim > 1:
-        gaps = np.diff(energies, axis=1)
-        min_gap = float(np.min(gaps))
-        if min_gap < tol:
-            j, k = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-            raise GapTooSmall(sample=int(j), level=int(k), gap=min_gap, tol=tol)
-    else:
-        min_gap = math.inf
+    tol = gap_tol if gap_tol is not None else relative_gap_tol(energies)
+    min_gap = require_gap(energies, tol)
 
     resid = np.einsum("jab,jbk->jak", h, vectors) - vectors * energies[:, None, :]
     if float(np.max(np.abs(resid))) > 1e-9 * max(1.0, float(np.max(np.abs(h)))):
         raise ArithmeticError("eigendecomposition residual above tolerance")
 
-    for j in range(1, vectors.shape[0]):
-        ov = np.einsum("nk,nk->k", np.conj(vectors[j - 1]), vectors[j])
-        phases = np.where(np.abs(ov) > 0, ov / np.abs(np.where(np.abs(ov) > 0, ov, 1.0)), 1.0)
-        vectors[j] *= np.conj(phases)[None, :]
+    align_gauge(vectors)
     return EigenFrame(loop=loop, energies=energies, vectors=vectors, min_gap=min_gap)
+
+
+def align_gauge(vectors: np.ndarray) -> np.ndarray:
+    """Rephase an (n, N, K) stack of eigenvector columns, in place, so that
+    consecutive samples have real nonnegative overlaps.
+
+    Sample j's factor is the conjugated product of the raw consecutive
+    overlap phases up to j (the link variables of Fukui, Hatsugai and Suzuki,
+    J. Phys. Soc. Jpn. 74, 1674 (2005)), so one cumulative product aligns
+    every sample at once.  A product of unit phasors, renormalised, keeps the
+    rounding near machine precision; a cumulative sum of angles would not,
+    because eigh may flip a vector's sign at every sample and the sum then
+    reaches thousands of radians.  A zero overlap has no phase: its link is
+    1, masked explicitly because ``np.angle(-0.0 + 0j)`` is pi.
+    """
+    ov = np.einsum("jnk,jnk->jk", np.conj(vectors[:-1]), vectors[1:])
+    links = np.exp(1j * np.where(np.abs(ov) > 0, np.angle(ov), 0.0))
+    factors = np.conj(np.cumprod(links, axis=0))
+    vectors[1:] *= (factors / np.abs(factors))[:, None, :]
+    return vectors
 
 
 def section_pivot(track: np.ndarray) -> int | None:
@@ -355,10 +378,7 @@ def reconstruct(aa: ActionAngle, eigenvectors: np.ndarray, hbar: float = 1.0) ->
 
 def _sorted_eigvecs_checked(family: HamiltonianFamily, x: np.ndarray, gap_tol: float):
     energies, vectors = np.linalg.eigh(family.matrix(x))
-    if family.dim > 1:
-        gap = float(np.min(np.diff(energies)))
-        if gap < gap_tol:
-            raise GapTooSmall(sample=0, level=int(np.argmin(np.diff(energies))), gap=gap, tol=gap_tol)
+    require_gap(energies, gap_tol)
     return energies, vectors
 
 
@@ -382,12 +402,8 @@ def _fd_eigvec_triplet(family: HamiltonianFamily, x: np.ndarray, dx: np.ndarray)
     unit = dx / norm_dx
     h = max(_FD_STEP_REL * float(np.linalg.norm(x)), _FD_STEP_FLOOR)
     e0, c0 = np.linalg.eigh(family.matrix(x))
-    scale = max(float(np.max(np.abs(e0))), 1e-300)
-    tol = 1e-9 * scale
-    if family.dim > 1:
-        gap = float(np.min(np.diff(e0)))
-        if gap < tol:
-            raise GapTooSmall(sample=0, level=int(np.argmin(np.diff(e0))), gap=gap, tol=tol)
+    tol = relative_gap_tol(e0)
+    require_gap(e0, tol)
     _, cp = _sorted_eigvecs_checked(family, x + h * unit, tol)
     _, cm = _sorted_eigvecs_checked(family, x - h * unit, tol)
     pivots = np.argmax(np.abs(c0), axis=0)

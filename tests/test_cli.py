@@ -302,3 +302,17 @@ def test_csv_header_matches_readme_and_failed_rows_keep_coordinates(experiment, 
         assert all(last[c] == "" for c in header[2:-1])  # fig rows never computed a branch
     else:
         assert all(r["error"] == "" for r in rows)
+
+
+def test_overflowing_spin_family_is_a_typed_row_not_nan(tmp_path):
+    # mu * |B| overflows: the Wilson phases used to come out NaN with no error
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "spin-berry",
+        "params": {"thetas": [1.0, 2.0], "mu": 1e300, "b_magnitude": 1e150},
+        "numerics": {"n_samples": 64},
+        "output": {"directory": str(tmp_path)},
+    })
+    assert execute(cfg) == 0
+    text = (tmp_path / "spin-berry.csv").read_text()
+    assert "nan" not in text.lower()
+    assert [row["error"] for row in read_csv(tmp_path / "spin-berry.csv")] == ["NonFinite"] * 2

@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 
 from holonomy import (
     LoopSpec,
+    NonFinite,
     NotClosed,
+    QuadratureResult,
     StandardLoopParams,
     TooFewSamples,
     LengthMismatch,
@@ -181,3 +183,25 @@ class TestLoopSpecValidation:
     def test_circle_loop_is_uniform(self):
         loop = circle_loop(n_samples=128)
         assert loop.is_uniform
+
+
+class TestNonFinite:
+    def test_non_finite_time_rejected_with_its_index(self):
+        loop = circle_loop(n_samples=32)
+        for bad in (np.nan, np.inf):
+            times = loop.times.copy()
+            times[5] = bad
+            with pytest.raises(NonFinite) as err:
+                LoopSpec(loop.period, times, loop.points)
+            assert err.value.sample == 5
+
+    def test_non_finite_quadrature_rejected(self):
+        with pytest.raises(NonFinite):
+            QuadratureResult(value=float("nan"), error_estimate=0.0)
+        with pytest.raises(NonFinite):
+            QuadratureResult(value=1.0, error_estimate=float("inf"))
+        loop = circle_loop(n_samples=64)
+        coeffs = np.zeros_like(loop.points)
+        coeffs[10, 0] = np.inf
+        with pytest.raises(NonFinite):
+            closed_line_integral(coeffs, loop)

@@ -12,6 +12,7 @@ from holonomy import (
     ZeroField,
     cone_loop,
     gho_effective_energy,
+    make_loop,
     normal_mode_split,
     spin_eigensystem,
     spin_hamiltonian_family,
@@ -169,3 +170,20 @@ class TestNormalModes:
             prev_beta, prev_low = split.beta, split.omega_2
         assert abs(prev_low - min(x1.omega, x2.omega)) < 1e-12
         assert prev_beta in (0.0,) or abs(prev_beta - math.pi / 2) < 1e-12
+
+
+class TestConeLoop:
+    @pytest.mark.parametrize("theta, b, period, n, cycles", [
+        (math.pi / 3, 1.0, 1.0, 4096, 1), (0.3, 2.5, 3.0, 100, 2), (math.pi, 0.7, 1.0, 16, 3),
+    ])
+    def test_vectorised_samples_match_scalar_make_loop(self, theta, b, period, n, cycles):
+        w = 2.0 * math.pi * cycles / period
+        st, ct = math.sin(theta), math.cos(theta)
+        scalar = make_loop(
+            lambda t: b * np.array([st * math.cos(w * t), st * math.sin(w * t), ct]),
+            period, n, cycles=cycles,
+        )
+        loop = cone_loop(theta, b=b, period=period, n_samples=n, cycles=cycles)
+        assert np.array_equal(loop.times, scalar.times)
+        assert np.array_equal(loop.points, scalar.points)
+        assert loop.cycles == cycles

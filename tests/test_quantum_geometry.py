@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from holonomy import (
@@ -9,6 +11,8 @@ from holonomy import (
     GapTooSmall,
     HamiltonianFamily,
     HermiticityViolation,
+    LoopSpec,
+    NonFinite,
     NotNormalized,
     NotUnitary,
     PoleProximity,
@@ -26,6 +30,7 @@ from holonomy import (
     stokes_vector,
     theta_averaged_one_form,
 )
+from holonomy.quantum_geometry import align_gauge
 
 RNG = np.random.default_rng(20240811)
 
@@ -346,3 +351,129 @@ class TestThetaAveragedOneForm:
             lhs = theta_averaged_one_form(fam, actions, x, dx)
             rhs = float(actions @ finite_difference_connection(fam, x, dx))
             assert abs(lhs - rhs) <= 1e-7 * max(abs(rhs), 1e-9)
+
+
+def sequential_gauge(vectors):
+    """The sample-by-sample alignment loop that ``align_gauge`` replaces."""
+    v = vectors.copy()
+    for j in range(1, v.shape[0]):
+        ov = np.einsum("nk,nk->k", np.conj(v[j - 1]), v[j])
+        phases = np.where(np.abs(ov) > 0, ov / np.abs(np.where(np.abs(ov) > 0, ov, 1.0)), 1.0)
+        v[j] *= np.conj(phases)[None, :]
+    return v
+
+
+def raw_eigenvectors(family, loop):
+    return np.linalg.eigh(family.matrices(loop.points))[1]
+
+
+def three_level_loop(n_samples):
+    return make_loop(
+        lambda t: np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t),
+                            0.3 * math.sin(4 * math.pi * t)]),
+        1.0,
+        n_samples,
+    )
+
+
+class TestCumulativeGauge:
+    def test_matches_sequential_loop_spin(self):
+        fam = spin_hamiltonian_family(1.3)
+        loop = cone_loop(1.2, n_samples=4096)
+        raw = raw_eigenvectors(fam, loop)
+        ref = sequential_gauge(raw)
+        assert np.max(np.abs(align_gauge(raw.copy()) - ref)) <= 1e-12
+        assert np.max(np.abs(eigenframe_along_loop(fam, loop).vectors - ref)) <= 1e-12
+
+    def test_matches_sequential_loop_three_level(self):
+        # point-by-point evaluation, no batch evaluator
+        fam = random_family(3, np.random.default_rng(7))
+        loop = three_level_loop(1024)
+        frame = eigenframe_along_loop(fam, loop)
+        ref = sequential_gauge(raw_eigenvectors(fam, loop))
+        assert np.max(np.abs(frame.vectors - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["spin", "three-level"])
+    def test_consecutive_overlaps_real_nonnegative(self, case):
+        if case == "spin":
+            frame = eigenframe_along_loop(spin_hamiltonian_family(1.0), cone_loop(2.0, n_samples=2048))
+        else:
+            frame = eigenframe_along_loop(random_family(3, np.random.default_rng(7)),
+                                          three_level_loop(1024))
+        v = frame.vectors
+        ov = np.einsum("jnk,jnk->jk", np.conj(v[:-1]), v[1:])
+        assert np.max(np.abs(ov.imag)) <= 1e-12
+        assert np.min(ov.real) >= -1e-12
+
+    def test_zero_overlap_contributes_phase_one(self):
+        # level 0 jumps from e0 to e1 between samples 1 and 2: that overlap is
+        # exactly zero, its link is 1, and sample 2 keeps the factor -i that
+        # sample 1 needed
+        e0 = np.array([1.0, 0.0], dtype=complex)
+        e1 = np.array([0.0, 1.0], dtype=complex)
+        v = np.stack([e0, 1j * e0, -e1, np.exp(0.4j) * e1, np.exp(1.1j) * e1])[:, :, None]
+        out = align_gauge(v.copy())
+        assert np.all(np.isfinite(out))
+        assert_allclose(out[:2, :, 0], [e0, e0], atol=1e-15)
+        assert_allclose(out[2:, :, 0], np.broadcast_to(-1j * -e1, (3, 2)), atol=1e-15)
+        ov = np.einsum("jnk,jnk->jk", np.conj(out[:-1]), out[1:])[:, 0]
+        assert ov[1] == 0
+        assert_allclose(ov[[0, 2, 3]], 1.0, atol=1e-15)
+
+
+class TestNonFinite:
+    def test_nan_interior_sample_raises_with_its_index(self):
+        equator = cone_loop(math.pi / 2, n_samples=64)
+        pts = equator.points.copy()
+        pts[20, 1] = np.nan
+        loop = LoopSpec(equator.period, equator.times, pts, cycles=equator.cycles)
+        with pytest.raises(NonFinite) as err:
+            eigenframe_along_loop(spin_hamiltonian_family(1.0), loop)
+        assert err.value.sample == 20
+
+    def test_overflowing_family_raises(self):
+        with pytest.raises(NonFinite) as err:
+            spin_hamiltonian_family(1e300).matrices(np.array([[0.0, 0.0, 1.0], [1e150, 0.0, 0.0]]))
+        assert err.value.sample == 1
+        with pytest.raises(NonFinite):
+            spin_hamiltonian_family(1e300).matrix(np.array([1e150, 0.0, 0.0]))
+
+
+CONE_THETA = st.floats(min_value=0.2, max_value=math.pi - 0.2)
+LEVEL = st.sampled_from([0, 1])
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def wrapped(angle):
+    return abs((angle + math.pi) % (2 * math.pi) - math.pi)
+
+
+class TestWilsonProperties:
+    @PROPERTY
+    @given(theta=CONE_THETA, level=LEVEL, seed=st.integers(0, 2**32 - 1))
+    def test_random_sample_phases_leave_gamma_unchanged(self, theta, level, seed):
+        frame = eigenframe_along_loop(spin_hamiltonian_family(1.0), cone_loop(theta, n_samples=256))
+        phases = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * math.pi, size=(257, 1, 2)))
+        scrambled = EigenFrame(loop=frame.loop, energies=frame.energies,
+                               vectors=frame.vectors * phases, min_gap=frame.min_gap)
+        assert abs(berry_and_hannay(scrambled, level)[0] - berry_and_hannay(frame, level)[0]) <= 1e-10
+
+    @PROPERTY
+    @given(theta=CONE_THETA, level=LEVEL, cycles=st.sampled_from([1, 2]))
+    def test_reversed_loop_negates_gamma(self, theta, level, cycles):
+        fam = spin_hamiltonian_family(1.0)
+        loop = cone_loop(theta, n_samples=256, cycles=cycles)
+        gamma, _ = berry_and_hannay(eigenframe_along_loop(fam, loop), level)
+        gamma_rev, _ = berry_and_hannay(eigenframe_along_loop(fam, loop.reversed()), level)
+        assert abs(gamma_rev + gamma) <= 1e-10
+
+    @PROPERTY
+    @given(theta=CONE_THETA, level=LEVEL, shift=st.integers(1, 255))
+    def test_cyclic_shift_leaves_gamma_unchanged(self, theta, level, shift):
+        fam = spin_hamiltonian_family(1.0)
+        loop = cone_loop(theta, n_samples=256)
+        pts = np.roll(loop.points[:-1], -shift, axis=0)
+        shifted = LoopSpec(loop.period, loop.times, np.vstack([pts, pts[:1]]), cycles=loop.cycles)
+        gamma, _ = berry_and_hannay(eigenframe_along_loop(fam, loop), level)
+        gamma_shift, _ = berry_and_hannay(eigenframe_along_loop(fam, shifted), level)
+        assert wrapped(gamma_shift - gamma) <= 1e-10
