@@ -28,8 +28,8 @@ from . import __version__
 from .errors import ConfigInvalid, HolonomyError
 from .manifold import (
     DEFAULT_SAMPLES,
-    LoopSpec,
     StandardLoopParams,
+    _gho_loop,
     circle_loop,
     standard_parameter_loops,
     subsystem_parameter_loop,
@@ -303,21 +303,15 @@ def _hybrid_spin_osc_points(cfg: ExperimentConfig) -> list[Point]:
     a = _number(params, "a", 1.0, positive=True)
     m_param = _number(params, "m", 1.0, positive=True)
     eps = _number(params, "epsilon", 0.5)
-    period = 2.0 * math.pi / _number(params, "omega", 1.0, positive=True)
-    t = np.linspace(0.0, period, n_samples + 1)
-    w = 2.0 * math.pi / period
-    x = a * m_param * (1.0 + eps * np.cos(w * t))
-    y = -a * eps * np.sin(w * t)
-    z = (a / m_param) * (1.0 - eps * np.cos(w * t))
-    pts = np.column_stack([x, y, z])
-    pts[-1] = pts[0]
+    omega = _number(params, "omega", 1.0, positive=True)
+    period = 2.0 * math.pi / omega
     hybrid = partial(
         _construct,
         SpinOscillatorHybrid,
         mu=_number(params, "mu", 1.0, positive=True),
         b_field=_number(params, "b_magnitude", 1.0, positive=True),
         phi_loop=circle_loop(period=period, n_samples=n_samples),
-        x_loop=LoopSpec(period, t, pts, cycles=1),
+        x_loop=_gho_loop(a, m_param, eps, omega, period, n_samples, 1),
         i_plus=_number(params, "i_plus", 1.0),
         i_minus=_number(params, "i_minus", 0.0),
         j_action=_number(params, "j_action", 1.0),

@@ -43,12 +43,16 @@ class GapTooSmall(HolonomyError):
         )
 
 
-class NonFinite(HolonomyError):
-    """A sampled value is NaN or infinite where a finite number is required."""
+class _AtSample(HolonomyError):
+    """A failure that may name the loop sample where it occurred (``sample``)."""
 
     def __init__(self, message: str, sample: int | None = None):
         self.sample = sample
         super().__init__(message)
+
+
+class NonFinite(_AtSample):
+    """A sampled value is NaN or infinite where a finite number is required."""
 
 
 class NotNormalized(HolonomyError):
@@ -67,12 +71,8 @@ class ZeroField(HolonomyError):
     """The spin eigensystem is undefined at zero field."""
 
 
-class EllipticViolation(HolonomyError):
+class EllipticViolation(_AtSample):
     """An effective oscillator frequency squared is non-positive."""
-
-    def __init__(self, message: str, sample: int | None = None):
-        self.sample = sample
-        super().__init__(message)
 
 
 class ModeCollapse(HolonomyError):
@@ -91,8 +91,9 @@ class NonAdiabatic(HolonomyError):
     """Time evolution left the tracked level; slow down the drive."""
 
 
-class OverlapTooSmall(HolonomyError):
-    """Initial/final overlap too small for a meaningful phase."""
+class OverlapTooSmall(_AtSample):
+    """An overlap too small for a meaningful phase: a propagated state's
+    initial/final overlap, or a vanishing link of a discrete Wilson loop."""
 
 
 class ConfigInvalid(HolonomyError):

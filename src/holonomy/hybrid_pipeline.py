@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     EllipticViolation,
-    ModeCollapse,
     OmegaImaginary,
     WeakCouplingViolated,
     require_positive,
@@ -29,11 +28,12 @@ from .manifold import (
     LoopSpec,
     QuadratureResult,
     StandardLoopParams,
+    _joined,
     closed_line_integral,
     combined_parameter_loop,
     periodic_integral,
 )
-from .models import CoupledGHOHybrid, SpinOscillatorHybrid
+from .models import CoupledGHOHybrid, SpinOscillatorHybrid, _normal_mode_squares
 
 _WEAK_COUPLING_MAX = 0.3  # largest allowed lam * Q_typ / B for the spin hybrid
 
@@ -126,9 +126,9 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
     spin coefficients through the analytic action-derivative of the
     oscillator term, whose frequency is shifted by the population imbalance.
     """
-    phi_pts = m.phi_loop.points
-    xyz = m.x_loop.points
-    x, y, z = xyz.T
+    loop = _joined(m.phi_loop, m.x_loop)
+    pts = loop.points
+    x, y, z = pts[:, 2:].T
     shift = m.mu * m.lam**2 * (m.i_plus - m.i_minus) / m.b_field
     x_eff = x + shift
     omega_sq = x_eff * z - y**2
@@ -143,30 +143,19 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
                 f"lam * Q_typ / B reaches {ratio:.3f}, beyond {_WEAK_COUPLING_MAX}"
             )
 
-    n = phi_pts.shape[0]
-    zeros = np.zeros(n)
     # dphi on the circle embedding (c, s): dphi = -s dc + c ds
-    dphi = np.column_stack([-phi_pts[:, 1], phi_pts[:, 0], zeros, zeros, zeros])
-    # d(Y/Z) over (X, Y, Z)
-    d_y_over_z = np.column_stack([zeros, zeros, zeros, 1.0 / z, -y / z**2])
-    # d(Z/Omega) over (X, Y, Z); Omega^2 = (X + shift) Z - Y^2
-    d_omega = np.column_stack(
-        [zeros, zeros, z / (2.0 * omega), -y / omega, x_eff / (2.0 * omega)]
-    )
-    e_z = np.column_stack([zeros, zeros, zeros, zeros, np.ones(n)])
-    d_z_over_omega = e_z / omega[:, None] - (z / omega**2)[:, None] * d_omega
+    dphi = np.zeros_like(pts)
+    dphi[:, 0], dphi[:, 1] = -pts[:, 1], pts[:, 0]
+    d_y_over_z = _d_y_over_z(pts, 2)
+    # d(Omega^2) for Omega^2 = (X + shift) Z - Y^2
+    d_omega_sq = np.zeros_like(pts)
+    d_omega_sq[:, 2], d_omega_sq[:, 3], d_omega_sq[:, 4] = z, -2.0 * y, x_eff
 
     correction = (m.mu * m.lam**2 * z**2 * m.j_action / (4.0 * omega**3 * m.b_field))[:, None]
     coeff_plus = -0.5 * dphi - correction * d_y_over_z
     coeff_minus = -0.5 * dphi + correction * d_y_over_z
-    j_coeff = -(y / (2.0 * z))[:, None] * d_z_over_omega
+    j_coeff = -(y / (2.0 * z))[:, None] * _d_z_over_omega(pts, 2, omega_sq, d_omega_sq)
 
-    loop = LoopSpec(
-        m.phi_loop.period,
-        m.phi_loop.times,
-        np.hstack([phi_pts, xyz]),
-        cycles=1,
-    )
     return LinearOneForm(
         loop=loop,
         const=np.zeros_like(loop.points),
@@ -187,14 +176,22 @@ def _bo_frequency_sq(x1: np.ndarray, x2: np.ndarray, k: float) -> tuple[np.ndarr
     return w_sq, omega_sq
 
 
-def _grad_y_over_z(points: np.ndarray, block: int) -> np.ndarray:
-    """Covector of d(Y/Z) for the triple occupying columns 3*block..3*block+2."""
-    n = points.shape[0]
-    grad = np.zeros((n, points.shape[1]))
-    y = points[:, 3 * block + 1]
-    z = points[:, 3 * block + 2]
-    grad[:, 3 * block + 1] = 1.0 / z
-    grad[:, 3 * block + 2] = -y / z**2
+def _d_y_over_z(points: np.ndarray, col: int) -> np.ndarray:
+    """Covector of d(Y/Z) for the triple (X, Y, Z) in columns col..col+2."""
+    y, z = points[:, col + 1], points[:, col + 2]
+    grad = np.zeros_like(points)
+    grad[:, col + 1] = 1.0 / z
+    grad[:, col + 2] = -y / z**2
+    return grad
+
+
+def _d_z_over_omega(points: np.ndarray, col: int, omega_sq: np.ndarray,
+                    d_omega_sq: np.ndarray) -> np.ndarray:
+    """Covector of d(Z/Omega) for the triple (X, Y, Z) in columns col..col+2,
+    given Omega^2 and its covector d(Omega^2) over all columns."""
+    omega = np.sqrt(omega_sq)
+    grad = -(points[:, col + 2] / omega_sq)[:, None] * (d_omega_sq / (2.0 * omega)[:, None])
+    grad[:, col + 2] += 1.0 / omega
     return grad
 
 
@@ -218,21 +215,17 @@ def coupled_gho_one_form(m: CoupledGHOHybrid, n_samples: int = DEFAULT_SAMPLES) 
     y2 = x2[:, 1]
     ksq = p.k**2
 
-    grad_y1z1 = _grad_y_over_z(pts, 0)
+    grad_y1z1 = _d_y_over_z(pts, 0)
 
     # gradient of Omega^2 = X2 Z2 - k^2 Z1 Z2 / omega^2 - Y2^2
-    n = pts.shape[0]
-    grad_osq = np.zeros((n, 6))
+    grad_osq = np.empty_like(pts)
     grad_osq[:, 0] = ksq * z1**2 * z2 / w_sq**2
     grad_osq[:, 1] = -2.0 * ksq * z1 * z2 * x1[:, 1] / w_sq**2
     grad_osq[:, 2] = -ksq * z2 / w_sq + ksq * z1 * z2 * x1[:, 0] / w_sq**2
     grad_osq[:, 3] = z2
     grad_osq[:, 4] = -2.0 * y2
     grad_osq[:, 5] = x2[:, 0] - ksq * z1 / w_sq
-    grad_omega = grad_osq / (2.0 * omega)[:, None]
-    e_z2 = np.zeros((n, 6))
-    e_z2[:, 5] = 1.0
-    grad_z2_over_omega = e_z2 / omega[:, None] - (z2 / omega_sq)[:, None] * grad_omega
+    grad_z2_over_omega = _d_z_over_omega(pts, 3, omega_sq, grad_osq)
 
     nl = p.n_level
     quantum_coeff = (
@@ -271,15 +264,16 @@ def coupled_gho_effective_frequency(p: StandardLoopParams, t: np.ndarray) -> np.
     return p.a2 * np.sqrt(_effective_core_sq(p, t)[0])
 
 
-def gamma_n0_closed_form(p: StandardLoopParams, branch: str = BRANCH_COMMON) -> float:
-    """Uncoupled quantum phase: (2n+1)(1 - sqrt(1-eps^2)) T w1 / (4 sqrt(1-eps^2)).
+def _fast_phase_span(p: StandardLoopParams, branch: str) -> float:
+    """T w1, the fast drive's phase over the integration range: one fast-triple
+    cycle (2 pi) on the per-subsystem branch."""
+    return 2.0 * math.pi if branch == BRANCH_SUBSYSTEM else p.common_period * p.omega1
 
-    On the per-subsystem branch the integration range is one fast-triple
-    cycle, so T w1 reduces to 2 pi.
-    """
+
+def gamma_n0_closed_form(p: StandardLoopParams, branch: str = BRANCH_COMMON) -> float:
+    """Uncoupled quantum phase: (2n+1)(1 - sqrt(1-eps^2)) T w1 / (4 sqrt(1-eps^2))."""
     root = math.sqrt(1.0 - p.epsilon**2)
-    t_omega = 2.0 * math.pi if branch == BRANCH_SUBSYSTEM else p.common_period * p.omega1
-    return (2 * p.n_level + 1) * (1.0 - root) * t_omega / (4.0 * root)
+    return (2 * p.n_level + 1) * (1.0 - root) * _fast_phase_span(p, branch) / (4.0 * root)
 
 
 def elliptic_bound(p: StandardLoopParams) -> tuple[float, float]:
@@ -366,7 +360,7 @@ def standard_loop_report(
     delta_phi_0 = res0.value
     errs.append(res0.error_estimate)
 
-    t_omega1 = 2.0 * math.pi if branch == BRANCH_SUBSYSTEM else p.common_period * p.omega1
+    t_omega1 = _fast_phase_span(p, branch)
     gamma_i_approx = eps**2 * p.a2 * p.j_action * d**2 * t_omega1 / (
         p.hbar * p.a1 * one_minus * root
     )
@@ -394,23 +388,8 @@ def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     w_sq = x * z - y**2
     require_positive(w_sq, lambda j: EllipticViolation(
         f"frequency squared {w_sq[j]:.3e} at sample {j}", sample=j))
-    w = np.sqrt(w_sq)
-    fac = (2 * n + 1) / (4.0 * w)
-    coeffs = np.column_stack([np.zeros_like(w), fac, -fac * y / z])
-    return closed_line_integral(coeffs, loop)
-
-
-def _combined(x1_loop: LoopSpec, x2_loop: LoopSpec) -> LoopSpec:
-    if x1_loop.n_segments != x2_loop.n_segments:
-        raise ValueError("the two loops must share their sampling")
-    if abs(x1_loop.period - x2_loop.period) > 1e-12 * x1_loop.period:
-        raise ValueError("the two loops must share their period")
-    return LoopSpec(
-        x1_loop.period,
-        x1_loop.times,
-        np.hstack([x1_loop.points, x2_loop.points]),
-        cycles=1,
-    )
+    coeff = (2 * n + 1) * z / (4.0 * np.sqrt(w_sq))
+    return closed_line_integral(coeff[:, None] * _d_y_over_z(loop.points, 0), loop)
 
 
 def full_quantum_phase(
@@ -425,25 +404,21 @@ def full_quantum_phase(
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
-    combined = _combined(x1_loop, x2_loop)
+    combined = _joined(x1_loop, x2_loop)
     pts = combined.points
     x1, x2 = pts[:, :3], pts[:, 3:]
     w1_sq = x1[:, 0] * x1[:, 2] - x1[:, 1] ** 2
     w2_sq = x2[:, 0] * x2[:, 2] - x2[:, 1] ** 2
     require_positive(np.minimum(w1_sq, w2_sq), lambda j: EllipticViolation(
         "a bare triple is not elliptic along the loop", sample=j))
-    r = np.sqrt((w1_sq - w2_sq) ** 2 + 4.0 * k**2 * x1[:, 2] * x2[:, 2])
-    low_sq = 0.5 * (w1_sq + w2_sq - r)
-    require_positive(low_sq, lambda j: ModeCollapse(f"lower normal mode closes at sample {j}"))
-    high = np.sqrt(0.5 * (w1_sq + w2_sq + r))
+    high_sq, low_sq, sin_sq = _normal_mode_squares(w1_sq, w2_sq, k**2 * x1[:, 2] * x2[:, 2])
+    high = np.sqrt(high_sq)
     low = np.sqrt(low_sq)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sin_sq = np.where(r > 0, np.clip((w2_sq - w1_sq + r) / (2.0 * r), 0.0, 1.0), 0.0)
     cos_sq = 1.0 - sin_sq
 
     t1 = (x1[:, 2] / 4.0) * ((2 * m + 1) * cos_sq / high + (2 * n + 1) * sin_sq / low)
     t2 = (x2[:, 2] / 4.0) * ((2 * m + 1) * sin_sq / high + (2 * n + 1) * cos_sq / low)
-    coeffs = t1[:, None] * _grad_y_over_z(pts, 0) + t2[:, None] * _grad_y_over_z(pts, 1)
+    coeffs = t1[:, None] * _d_y_over_z(pts, 0) + t2[:, None] * _d_y_over_z(pts, 3)
     return closed_line_integral(coeffs, combined).value
 
 
@@ -460,7 +435,7 @@ def bo_full_quantum_phase_parts(
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
-    combined = _combined(x1_loop, x2_loop)
+    combined = _joined(x1_loop, x2_loop)
     pts = combined.points
     x1, x2 = pts[:, :3], pts[:, 3:]
     w_sq, omega_sq = _bo_frequency_sq(x1, x2, k)
@@ -472,8 +447,8 @@ def bo_full_quantum_phase_parts(
         4.0 * w_sq**2 * omega
     )
     t2 = (2 * m + 1) * z2 / (4.0 * omega)
-    part1 = closed_line_integral(t1[:, None] * _grad_y_over_z(pts, 0), combined).value
-    part2 = closed_line_integral(t2[:, None] * _grad_y_over_z(pts, 1), combined).value
+    part1 = closed_line_integral(t1[:, None] * _d_y_over_z(pts, 0), combined).value
+    part2 = closed_line_integral(t2[:, None] * _d_y_over_z(pts, 3), combined).value
     return part1, part2
 
 

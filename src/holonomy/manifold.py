@@ -306,10 +306,27 @@ class StandardLoopParams:
             )
 
 
-def _gho_triple(a: float, mu: float, eps: float, omega: float, t: np.ndarray):
+def _gho_loop(a: float, mu: float, eps: float, omega: float, period: float, n_samples: int,
+              cycles: int) -> LoopSpec:
+    """The GHO triple X = a mu (1 + eps cos wt), Y = -a eps sin wt,
+    Z = (a/mu)(1 - eps cos wt) sampled uniformly over [0, period], its last
+    point snapped onto the first."""
+    t = np.linspace(0.0, period, n_samples + 1)
     c = eps * np.cos(omega * t)
     s = eps * np.sin(omega * t)
-    return a * mu * (1.0 + c), -a * s, (a / mu) * (1.0 - c)
+    pts = np.column_stack([a * mu * (1.0 + c), -a * s, (a / mu) * (1.0 - c)])
+    pts[-1] = pts[0]
+    return LoopSpec(period, t, pts, cycles=cycles)
+
+
+def _joined(loop1: LoopSpec, loop2: LoopSpec) -> LoopSpec:
+    """One single-cycle loop whose points are both loops' points side by side;
+    the loops must share their sampling and period."""
+    if loop1.n_segments != loop2.n_segments:
+        raise ValueError("the two loops must share their sampling")
+    if abs(loop1.period - loop2.period) > 1e-12 * loop1.period:
+        raise ValueError("the two loops must share their period")
+    return LoopSpec(loop1.period, loop1.times, np.hstack([loop1.points, loop2.points]), cycles=1)
 
 
 def standard_parameter_loops(
@@ -320,16 +337,10 @@ def standard_parameter_loops(
     Loop i contains n_i base cycles, so the pair is synchronized for
     coupled-phase quadrature.
     """
-    t = np.linspace(0.0, p.common_period, n_samples + 1)
-    x1, y1, z1 = _gho_triple(p.a1, p.mu1, p.epsilon, p.omega1, t)
-    x2, y2, z2 = _gho_triple(p.a2, p.mu2, p.epsilon, p.omega2, t)
-    pts1 = np.column_stack([x1, y1, z1])
-    pts2 = np.column_stack([x2, y2, z2])
-    pts1[-1] = pts1[0]
-    pts2[-1] = pts2[0]
-    loop1 = LoopSpec(p.common_period, t, pts1, cycles=p.n1)
-    loop2 = LoopSpec(p.common_period, t, pts2, cycles=p.n2)
-    return loop1, loop2
+    return (
+        _gho_loop(p.a1, p.mu1, p.epsilon, p.omega1, p.common_period, n_samples, p.n1),
+        _gho_loop(p.a2, p.mu2, p.epsilon, p.omega2, p.common_period, n_samples, p.n2),
+    )
 
 
 def subsystem_parameter_loop(
@@ -342,18 +353,11 @@ def subsystem_parameter_loop(
         a, mu, omega = p.a2, p.mu2, p.omega2
     else:
         raise ValueError("subsystem must be 1 or 2")
-    period = 2.0 * math.pi / omega
-    t = np.linspace(0.0, period, n_samples + 1)
-    x, y, z = _gho_triple(a, mu, p.epsilon, omega, t)
-    pts = np.column_stack([x, y, z])
-    pts[-1] = pts[0]
-    return LoopSpec(period, t, pts, cycles=1)
+    return _gho_loop(a, mu, p.epsilon, omega, 2.0 * math.pi / omega, n_samples, 1)
 
 
 def combined_parameter_loop(
     p: StandardLoopParams, n_samples: int = DEFAULT_SAMPLES
 ) -> LoopSpec:
     """Both triples concatenated into one 6-dimensional common-period loop."""
-    loop1, loop2 = standard_parameter_loops(p, n_samples)
-    pts = np.hstack([loop1.points, loop2.points])
-    return LoopSpec(p.common_period, loop1.times, pts, cycles=1)
+    return _joined(*standard_parameter_loops(p, n_samples))

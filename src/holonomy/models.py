@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EllipticViolation, ModeCollapse, ZeroField
-from .manifold import DEFAULT_SAMPLES, LoopSpec, StandardLoopParams
+from .errors import EllipticViolation, ModeCollapse, ZeroField, require_positive
+from .manifold import DEFAULT_SAMPLES, LoopSpec, StandardLoopParams, _joined
 from .quantum_geometry import HamiltonianFamily, pauli_matrices
 
 _AXIS_EPS = 1e-14
@@ -174,6 +174,21 @@ class NormalModeSplit:
             raise ValueError("normal frequencies must satisfy omega_1 >= omega_2 > 0")
 
 
+def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
+    """(upper^2, lower^2, sin^2 beta) of two coupled oscillators, sample by
+    sample, from the bare frequencies squared and kzz = k^2 Z1 Z2.  Raises
+    ``ModeCollapse`` at the first sample whose lower mode squared is not
+    positive; sin^2 beta is 0 where the modes neither differ nor couple."""
+    r = np.sqrt((w1_sq - w2_sq) ** 2 + 4.0 * kzz)
+    low_sq = 0.5 * (w1_sq + w2_sq - r)
+    require_positive(low_sq, lambda j: ModeCollapse(
+        f"lower normal frequency squared {low_sq[j]:.3e} at sample {j} is not positive "
+        f"(omega1^2 omega2^2 = {w1_sq[j] * w2_sq[j]:.3e}, k^2 Z1 Z2 = {kzz[j]:.3e})"))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sin_sq = np.where(r > 0, np.clip((w2_sq - w1_sq + r) / (2.0 * r), 0.0, 1.0), 0.0)
+    return 0.5 * (w1_sq + w2_sq + r), low_sq, sin_sq
+
+
 def normal_mode_split(x1: GHOTriple, x2: GHOTriple, k: float) -> NormalModeSplit:
     """Diagonalize two bilinearly coupled generalized oscillators.
 
@@ -181,22 +196,9 @@ def normal_mode_split(x1: GHOTriple, x2: GHOTriple, k: float) -> NormalModeSplit
     frequency to zero, i.e. when omega_1^2 omega_2^2 <= k^2 Z1 Z2.  At k = 0
     with identical frequencies the mixing angle is taken to be 0.
     """
-    w1sq = x1.omega**2
-    w2sq = x2.omega**2
-    r = math.sqrt((w1sq - w2sq) ** 2 + 4.0 * k**2 * x1.z * x2.z)
-    low = 0.5 * (w1sq + w2sq - r)
-    if not low > 0:
-        raise ModeCollapse(
-            f"lower normal frequency squared {low:.3e} is not positive "
-            f"(omega1^2 omega2^2 = {w1sq * w2sq:.3e}, k^2 Z1 Z2 = {k**2 * x1.z * x2.z:.3e})"
-        )
-    high = 0.5 * (w1sq + w2sq + r)
-    if r == 0.0:
-        beta = 0.0
-    else:
-        sin_b = math.sqrt(max(0.0, (w2sq - w1sq + r) / (2.0 * r)))
-        beta = math.asin(min(1.0, sin_b))
-    return NormalModeSplit(beta=beta, omega_1=math.sqrt(high), omega_2=math.sqrt(low))
+    squares = np.array([[x1.omega**2], [x2.omega**2], [k**2 * x1.z * x2.z]])
+    high, low, sin_sq = (float(v[0]) for v in _normal_mode_squares(*squares))
+    return NormalModeSplit(math.asin(math.sqrt(sin_sq)), math.sqrt(high), math.sqrt(low))
 
 
 @dataclass(frozen=True)
@@ -227,10 +229,7 @@ class SpinOscillatorHybrid:
             raise ValueError("phi_loop must be the circle embedding (cos, sin)")
         if self.x_loop.dim != 3:
             raise ValueError("x_loop must carry the triple (X, Y, Z)")
-        if self.phi_loop.n_segments != self.x_loop.n_segments:
-            raise ValueError("phi_loop and x_loop must share their sampling")
-        if abs(self.phi_loop.period - self.x_loop.period) > 1e-12 * self.x_loop.period:
-            raise ValueError("phi_loop and x_loop must share their period")
+        _joined(self.phi_loop, self.x_loop)  # raises unless sampling and period agree
 
 
 @dataclass(frozen=True)

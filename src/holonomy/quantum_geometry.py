@@ -31,9 +31,11 @@ from .errors import (
     NonFinite,
     NotNormalized,
     NotUnitary,
+    OverlapTooSmall,
     PoleProximity,
     relative_gap_tol,
     require_gap,
+    require_positive,
 )
 from .manifold import LoopSpec, closed_line_integral
 
@@ -181,21 +183,30 @@ def canonical_section_track(track: np.ndarray) -> tuple[np.ndarray, int] | None:
     return track * np.conj(ph / np.abs(ph))[:, None], pivot
 
 
+def _links(track: np.ndarray) -> np.ndarray:
+    """Consecutive overlaps <v_j|v_j+1> of one level's track, then the closing
+    <v_m|v_0>; ``OverlapTooSmall`` at the first that vanishes (or is NaN)."""
+    links = np.empty(track.shape[0], dtype=complex)
+    links[:-1] = np.einsum("jn,jn->j", np.conj(track[:-1]), track[1:])
+    links[-1] = np.vdot(track[-1], track[0])
+    mod = np.abs(links)
+    require_positive(mod, lambda j: OverlapTooSmall(
+        f"eigenvector overlap {mod[j]:.3e} between samples {j} and {(j + 1) % len(links)}",
+        sample=j))
+    return links
+
+
 def _accumulated_section_phase(track: np.ndarray) -> float | None:
     canon = canonical_section_track(track)
     if canon is None:
         return None
-    w, _ = canon
-    ov = np.einsum("jn,jn->j", np.conj(w[:-1]), w[1:])
-    closing = np.vdot(w[-1], w[0])
-    return -(float(np.sum(np.angle(ov))) + float(np.angle(closing)))
+    angles = np.angle(_links(canon[0]))
+    return -(float(np.sum(angles[:-1])) + float(angles[-1]))
 
 
 def _reduced_wilson_phase(track: np.ndarray) -> float:
-    ov = np.einsum("jn,jn->j", np.conj(track[:-1]), track[1:])
-    prod = np.prod(ov / np.abs(ov))
-    closing = np.vdot(track[-1], track[0])
-    return -float(np.angle(prod * closing / abs(closing)))
+    links = _links(track)
+    return -float(np.angle(np.prod(links / np.abs(links))))
 
 
 def berry_and_hannay(frame: EigenFrame, k: int) -> tuple[float, float]:
@@ -233,12 +244,16 @@ def spin_hannay_closed_form(loop: LoopSpec, level: int) -> float:
 
     ``loop`` lives in field space (B1, B2, B3); ``level`` is 1 (lower) or 2
     (upper).  The connection has a pole where B3 = -B (level 1) or B3 = +B
-    (level 2); loops closer than 1e-6 * B to a pole are rejected.
+    (level 2); loops closer than 1e-6 * B to a pole are rejected.  The points
+    are first scaled by the power of two that brings max |B_i| into [1/2, 1),
+    so the squares neither overflow nor underflow (and the value is unchanged).
     """
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
     if loop.dim != 3:
         raise ValueError("field loop must be 3-dimensional")
+    exponent = np.frexp(np.max(np.abs(loop.points)))[1]
+    loop = LoopSpec(loop.period, loop.times, np.ldexp(loop.points, -exponent), loop.cycles)
     b1, b2, b3 = loop.points.T
     b = np.sqrt(b1**2 + b2**2 + b3**2)
     sign = 1.0 if level == 1 else -1.0

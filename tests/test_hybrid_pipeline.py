@@ -9,6 +9,7 @@ from holonomy import (
     BRANCH_SUBSYSTEM,
     CoupledGHOHybrid,
     EllipticViolation,
+    GHOTriple,
     LinearOneForm,
     LoopSpec,
     ModeCollapse,
@@ -21,6 +22,7 @@ from holonomy import (
     coupled_gho_one_form,
     elliptic_bound,
     full_quantum_phase,
+    normal_mode_split,
     phases_from_one_form,
     single_gho_phase,
     spin_oscillator_one_form,
@@ -354,3 +356,22 @@ class TestBOFullQuantum:
         g_m = bo_full_quantum_phase(self.loop1, self.loop2, k, m, n)
         g_m1 = bo_full_quantum_phase(self.loop1, self.loop2, k, m + 1, n)
         assert abs(-(g_m1 - g_m) - ph.delta_phi) <= 1e-9
+
+
+class TestNormalModeCollapseSide:
+    @pytest.mark.parametrize("offset", [-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])
+    def test_full_quantum_phase_collapses_where_normal_mode_split_does(self, offset):
+        # a frozen-parameter loop: every sample carries the same pair of triples
+        x1, x2 = GHOTriple(4.0, 0.1, 1.0), GHOTriple(1.0, -0.2, 1.3)
+        k = (1.0 + offset) * x1.omega * x2.omega / math.sqrt(x1.z * x2.z)
+        t = np.linspace(0.0, 1.0, 65)
+        loop1 = LoopSpec(1.0, t, np.tile([x1.x, x1.y, x1.z], (65, 1)))
+        loop2 = LoopSpec(1.0, t, np.tile([x2.x, x2.y, x2.z], (65, 1)))
+        if offset > 0:
+            with pytest.raises(ModeCollapse):
+                normal_mode_split(x1, x2, k)
+            with pytest.raises(ModeCollapse):
+                full_quantum_phase(loop1, loop2, k, 0, 0)
+        else:
+            normal_mode_split(x1, x2, k)
+            assert full_quantum_phase(loop1, loop2, k, 0, 0) == 0.0

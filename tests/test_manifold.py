@@ -205,3 +205,62 @@ class TestNonFinite:
         coeffs[10, 0] = np.inf
         with pytest.raises(NonFinite):
             closed_line_integral(coeffs, loop)
+
+
+def old_gho_triple(a, mu, eps, omega, t):
+    c = eps * np.cos(omega * t)
+    s = eps * np.sin(omega * t)
+    return a * mu * (1.0 + c), -a * s, (a / mu) * (1.0 - c)
+
+
+def old_standard_parameter_loops(p, n_samples):
+    """The loop pair as built before one loop builder served every GHO loop."""
+    t = np.linspace(0.0, p.common_period, n_samples + 1)
+    pts1 = np.column_stack(old_gho_triple(p.a1, p.mu1, p.epsilon, p.omega1, t))
+    pts2 = np.column_stack(old_gho_triple(p.a2, p.mu2, p.epsilon, p.omega2, t))
+    pts1[-1] = pts1[0]
+    pts2[-1] = pts2[0]
+    return (LoopSpec(p.common_period, t, pts1, cycles=p.n1),
+            LoopSpec(p.common_period, t, pts2, cycles=p.n2))
+
+
+def old_subsystem_parameter_loop(p, subsystem, n_samples):
+    a, mu, omega = (p.a1, p.mu1, p.omega1) if subsystem == 1 else (p.a2, p.mu2, p.omega2)
+    period = 2.0 * math.pi / omega
+    t = np.linspace(0.0, period, n_samples + 1)
+    pts = np.column_stack(old_gho_triple(a, mu, p.epsilon, omega, t))
+    pts[-1] = pts[0]
+    return LoopSpec(period, t, pts, cycles=1)
+
+
+def old_combined_parameter_loop(p, n_samples):
+    loop1, loop2 = old_standard_parameter_loops(p, n_samples)
+    return LoopSpec(p.common_period, loop1.times, np.hstack([loop1.points, loop2.points]))
+
+
+def assert_same_loop(new, old):
+    assert new.period == old.period and new.cycles == old.cycles
+    assert np.array_equal(new.times, old.times)
+    assert np.array_equal(new.points, old.points)
+
+
+class TestGHOLoopsUnchanged:
+    PARAMS = [
+        dict(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, n1=1, n2=1, base_rate=1.0, epsilon=EPS_PAPER),
+        dict(a1=2.0, a2=0.3, mu1=1.7, mu2=0.45, n1=2, n2=1, base_rate=1.3, epsilon=0.5),
+        dict(a1=0.7, a2=3.1, mu1=0.9, mu2=2.2, n1=3, n2=2, base_rate=0.37, epsilon=0.0),
+        dict(a1=1e-3, a2=1e3, mu1=5.0, mu2=0.2, n1=1, n2=4, base_rate=2.5, epsilon=0.95),
+    ]
+
+    @pytest.mark.parametrize("kw", PARAMS)
+    @pytest.mark.parametrize("n_samples", [16, 127, 4096])
+    def test_bit_identical_to_the_old_constructions(self, kw, n_samples):
+        p = StandardLoopParams(**kw)
+        for new, old in zip(standard_parameter_loops(p, n_samples),
+                            old_standard_parameter_loops(p, n_samples)):
+            assert_same_loop(new, old)
+        for subsystem in (1, 2):
+            assert_same_loop(subsystem_parameter_loop(p, subsystem, n_samples),
+                             old_subsystem_parameter_loop(p, subsystem, n_samples))
+        assert_same_loop(combined_parameter_loop(p, n_samples),
+                         old_combined_parameter_loop(p, n_samples))

@@ -187,3 +187,59 @@ class TestConeLoop:
         assert np.array_equal(loop.times, scalar.times)
         assert np.array_equal(loop.points, scalar.points)
         assert loop.cycles == cycles
+
+
+def old_normal_mode_split(x1, x2, k):
+    """The scalar split as written before it became a view of the vectorised core."""
+    w1sq = x1.omega**2
+    w2sq = x2.omega**2
+    r = math.sqrt((w1sq - w2sq) ** 2 + 4.0 * k**2 * x1.z * x2.z)
+    low = 0.5 * (w1sq + w2sq - r)
+    if not low > 0:
+        raise ModeCollapse("lower normal frequency squared is not positive")
+    high = 0.5 * (w1sq + w2sq + r)
+    if r == 0.0:
+        beta = 0.0
+    else:
+        sin_b = math.sqrt(max(0.0, (w2sq - w1sq + r) / (2.0 * r)))
+        beta = math.asin(min(1.0, sin_b))
+    return beta, math.sqrt(high), math.sqrt(low)
+
+
+class TestNormalModesUnchanged:
+    def test_named_points_bit_identical(self):
+        x1, x2 = GHOTriple(4.0, 0.1, 1.0), GHOTriple(1.0, -0.2, 1.3)
+        k_lim = x1.omega * x2.omega / math.sqrt(x1.z * x2.z)
+        cases = [
+            (GHOTriple(1.0, 0.0, 1.0), GHOTriple(1.0, 0.0, 1.0), 0.0),  # r = 0
+            (GHOTriple(1.0, 0.0, 1.0), GHOTriple(1.0, 0.0, 1.0), 0.5),
+            (x1, x2, 0.0),
+            (x1, x2, 0.3),
+            (x2, x1, 0.3),
+            (x1, x2, k_lim * (1.0 - 1e-9)),  # just short of collapse
+        ]
+        for a, b, k in cases:
+            split = normal_mode_split(a, b, k)
+            assert (split.beta, split.omega_1, split.omega_2) == old_normal_mode_split(a, b, k)
+
+    def test_random_points_agree_with_the_old_split(self):
+        # The old split squared w1^2 - w2^2 with Python's float power, which
+        # is not always correctly rounded; the core's square is.  Wherever
+        # the two squares agree, so does every output bit.
+        rng = np.random.default_rng(3)
+        exact = 0
+        for _ in range(500):
+            x1 = GHOTriple(rng.uniform(1, 4), rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2))
+            x2 = GHOTriple(rng.uniform(1, 4), rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2))
+            k = rng.uniform(0.0, 0.99) * x1.omega * x2.omega / math.sqrt(x1.z * x2.z)
+            split = normal_mode_split(x1, x2, k)
+            new = (split.beta, split.omega_1, split.omega_2)
+            old = old_normal_mode_split(x1, x2, k)
+            d = x1.omega**2 - x2.omega**2
+            if d**2 == d * d:
+                assert new == old
+                exact += 1
+            else:
+                for u, v in zip(new, old):
+                    assert abs(u - v) <= 4 * math.ulp(v)
+        assert exact >= 490

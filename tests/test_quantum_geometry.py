@@ -15,10 +15,12 @@ from holonomy import (
     NonFinite,
     NotNormalized,
     NotUnitary,
+    OverlapTooSmall,
     PoleProximity,
     action_angle_transform,
     berry_and_hannay,
     classicalize,
+    closed_line_integral,
     cone_loop,
     eigenframe_along_loop,
     finite_difference_connection,
@@ -477,3 +479,103 @@ class TestWilsonProperties:
         gamma, _ = berry_and_hannay(eigenframe_along_loop(fam, loop), level)
         gamma_shift, _ = berry_and_hannay(eigenframe_along_loop(fam, shifted), level)
         assert wrapped(gamma_shift - gamma) <= 1e-10
+
+    @PROPERTY
+    @given(theta=CONE_THETA, level=LEVEL, cycles=st.integers(2, 4),
+           m=st.sampled_from([64, 128, 256]))
+    def test_cycles_scale_gamma_and_closed_form(self, theta, level, cycles, m):
+        fam = spin_hamiltonian_family(1.0)
+        single = cone_loop(theta, n_samples=m)
+        multi = cone_loop(theta, n_samples=cycles * m, cycles=cycles)
+        gamma, _ = berry_and_hannay(eigenframe_along_loop(fam, single), level)
+        gamma_c, _ = berry_and_hannay(eigenframe_along_loop(fam, multi), level)
+        assert abs(gamma_c - cycles * gamma) <= 1e-10
+        closed = spin_hannay_closed_form(single, level + 1)
+        assert abs(spin_hannay_closed_form(multi, level + 1) - cycles * closed) <= 1e-10
+
+    @PROPERTY
+    @given(theta=CONE_THETA, level=LEVEL, m=st.sampled_from([64, 128, 256]),
+           amp=st.floats(-0.6, 0.6), offset=st.floats(0.0, 2 * math.pi))
+    def test_reparametrised_azimuth_keeps_gamma(self, theta, level, m, amp, offset):
+        # azimuth 2 pi s + amp (sin(2 pi s + offset) - sin offset) is monotone for |amp| < 1
+        fam = spin_hamiltonian_family(1.0)
+        uniform = cone_loop(theta, n_samples=m)
+        s = uniform.times
+        phi = 2 * math.pi * s + amp * (np.sin(2 * math.pi * s + offset) - math.sin(offset))
+        pts = np.column_stack([math.sin(theta) * np.cos(phi), math.sin(theta) * np.sin(phi),
+                               np.full_like(phi, math.cos(theta))])
+        gamma, _ = berry_and_hannay(eigenframe_along_loop(fam, uniform), level)
+        gamma_re, _ = berry_and_hannay(eigenframe_along_loop(fam, LoopSpec(1.0, s, pts)), level)
+        discretisation = abs(gamma + spin_hannay_closed_form(uniform, level + 1))
+        assert abs(gamma_re - gamma) <= discretisation + 1e-12
+
+
+class TestWilsonLinks:
+    def test_orthogonal_consecutive_eigenvectors_raise_overlap_too_small(self):
+        # the field flips from +z to -z between samples 7 and 8 and back at the end:
+        # the gap stays 2, but the link between samples 7 and 8 vanishes
+        pts = np.zeros((17, 3))
+        pts[:, 2] = 1.0
+        pts[8:16, 2] = -1.0
+        loop = LoopSpec(1.0, np.linspace(0.0, 1.0, 17), pts)
+        frame = eigenframe_along_loop(spin_hamiltonian_family(1.0), loop)
+        for level in (0, 1):
+            with pytest.raises(OverlapTooSmall) as err:
+                berry_and_hannay(frame, level)
+            assert err.value.sample == 7
+
+    def test_vanishing_closing_link_names_the_last_sample(self):
+        # a real track turning from (1, 0) to exactly (0, 1) in 16 steps: every
+        # consecutive overlap is cos(pi/32), the closing one is exactly 0
+        angle = np.linspace(0.0, math.pi / 2, 17)
+        c, s = np.cos(angle), np.sin(angle)
+        c[-1], s[-1] = 0.0, 1.0
+        vectors = np.stack([np.column_stack([c, s]), np.column_stack([-s, c])], axis=2)
+        loop = LoopSpec(1.0, np.linspace(0.0, 1.0, 17), np.ones((17, 1)))
+        frame = EigenFrame(loop=loop, energies=np.tile([-1.0, 1.0], (17, 1)),
+                           vectors=vectors.astype(complex), min_gap=2.0)
+        with pytest.raises(OverlapTooSmall) as err:
+            berry_and_hannay(frame, 0)
+        assert err.value.sample == 16
+
+
+def old_spin_hannay_closed_form(loop, level):
+    """The closed form as written before its points were scaled by a power of two."""
+    b1, b2, b3 = loop.points.T
+    b = np.sqrt(b1**2 + b2**2 + b3**2)
+    sign = 1.0 if level == 1 else -1.0
+    denom_core = b + sign * b3
+    if np.any(denom_core <= 1e-6 * b):
+        raise PoleProximity("pole")
+    denom = 2.0 * b * denom_core
+    coeffs = np.column_stack([b2 / denom, -b1 / denom, np.zeros_like(b)])
+    return -closed_line_integral(coeffs, loop).value
+
+
+class TestClosedFormScale:
+    def test_in_range_values_unchanged(self):
+        rng = np.random.default_rng(7)
+        for _ in range(120):
+            theta = rng.uniform(0.2, 2.9)
+            b = 10.0 ** rng.uniform(-3, 3)
+            loop = cone_loop(theta, b=b, n_samples=int(rng.choice([64, 256, 4096])))
+            for level in (1, 2):
+                assert spin_hannay_closed_form(loop, level) == old_spin_hannay_closed_form(
+                    loop, level)
+
+    @pytest.mark.parametrize("exponent", [515, -664, 997])
+    def test_power_of_two_scaled_field_gives_unit_value(self, exponent):
+        # fields near 1e155, 1e-200 and 1e300: the squares overflow or underflow
+        unit = cone_loop(1.0, n_samples=256)
+        scaled = LoopSpec(unit.period, unit.times, np.ldexp(unit.points, exponent))
+        for level in (1, 2):
+            assert spin_hannay_closed_form(scaled, level) == spin_hannay_closed_form(unit, level)
+
+    @pytest.mark.parametrize("b", [1e155, 1e-200, 1e300])
+    def test_extreme_field_strength_matches_wilson(self, b):
+        loop = cone_loop(1.0, b=b, n_samples=256)
+        frame = eigenframe_along_loop(spin_hamiltonian_family(1.0), loop)
+        for level in (1, 2):
+            closed = spin_hannay_closed_form(loop, level)
+            assert abs(closed - spin_hannay_closed_form(cone_loop(1.0, n_samples=256), level)) <= 1e-14
+            assert abs(berry_and_hannay(frame, level - 1)[1] - closed) <= 1e-4
