@@ -4,8 +4,8 @@ Every experiment writes ``<experiment>.csv`` (17 significant digits, '.'
 decimal separator), optionally ``<experiment>.svg`` (a plain polyline chart,
 no external renderer), and ``run_meta.json`` with the echoed configuration,
 package version, and timings.  CSV bytes are deterministic for a fixed
-configuration; the seed only feeds randomized helper experiments and is
-recorded for provenance.
+configuration; the ``seed`` is recorded for provenance only, as no
+experiment draws random numbers.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigInvalid, HolonomyError
+from .errors import ConfigInvalid, HolonomyError, NonFinite
 from .manifold import (
     DEFAULT_SAMPLES,
     StandardLoopParams,
     _gho_loop,
     circle_loop,
-    standard_parameter_loops,
+    combined_parameter_loop,
     subsystem_parameter_loop,
 )
 from .models import CoupledGHOHybrid, SpinOscillatorHybrid, cone_loop, spin_hamiltonian_family
@@ -278,7 +278,8 @@ def _gho_uncoupled_points(cfg: ExperimentConfig) -> list[Point]:
 
     def row(p: StandardLoopParams) -> dict[str, Any]:
         report = standard_loop_report(p, n_samples, branch=BRANCH_COMMON)
-        phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), n_samples))
+        loop = combined_parameter_loop(p, n_samples)
+        phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), loop))
         closed = report.gamma_0_part
         quad = phases.gammas[p.n_level]
         corr = closed + (p.n_level + 0.5) * (p.omega1 / p.omega2) * report.delta_phi_0_part
@@ -339,10 +340,10 @@ def _full_quantum_points(cfg: ExperimentConfig) -> list[Point]:
 
     def row(p: StandardLoopParams) -> dict[str, Any]:
         # This order decides which typed error a row past mode collapse reports.
-        loop1, loop2 = standard_parameter_loops(p, n_samples)
-        gamma_mn = full_quantum_phase(loop1, loop2, p.k, m_level, p.n_level)
-        part1, part2 = bo_full_quantum_phase_parts(loop1, loop2, p.k, m_level, p.n_level)
-        phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), n_samples))
+        loop = combined_parameter_loop(p, n_samples)
+        gamma_mn = full_quantum_phase(loop, p.k, m_level, p.n_level)
+        part1, part2 = bo_full_quantum_phase_parts(loop, p.k, m_level, p.n_level)
+        phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), loop))
         hybrid_gamma = phases.gammas[p.n_level]
         return dict(
             gamma_mn=gamma_mn,
@@ -452,7 +453,10 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
 
     Every point, and so every configuration value, is built before the first
     row runs.  A row's ``HolonomyError`` goes into its ``error`` column; the
-    row keeps its coordinates.
+    row keeps its coordinates.  Points and rows run with numpy's overflow,
+    invalid and divide conditions raised; leaving floating-point range there
+    (or in a Python float ``**``, whose ``OverflowError`` numpy would have
+    returned as inf) is ``ConfigInvalid`` for the points, ``NonFinite`` for a row.
     """
     points, axis, columns = _EXPERIMENTS[cfg.experiment]
     if cfg.sweep is not None and cfg.sweep.get("parameter") != axis:
@@ -460,13 +464,20 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
         takes = f"sweeps over {axis!r}, not {swept!r}" if axis else "takes no sweep"
         raise ConfigInvalid(f"experiment {cfg.experiment!r} {takes}")
     rows = []
-    for coords, compute in points(cfg):
-        row = dict(coords, error="")
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            row.update(compute())
-        except HolonomyError as exc:
-            row["error"] = type(exc).__name__
-        rows.append(row)
+            sweep_points = points(cfg)
+        except (FloatingPointError, OverflowError) as exc:
+            raise ConfigInvalid(f"configuration leaves floating-point range: {exc}") from exc
+        for coords, compute in sweep_points:
+            row = dict(coords, error="")
+            try:
+                row.update(compute())
+            except HolonomyError as exc:
+                row["error"] = type(exc).__name__
+            except (FloatingPointError, OverflowError):
+                row["error"] = NonFinite.__name__
+            rows.append(row)
     return [*columns, "error"], rows
 
 
@@ -581,7 +592,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_or.add_argument("kind", choices=("quantum", "classical"))
     p_or.add_argument("--slowness", type=float, default=1000.0)
     p_or.add_argument("--samples", type=int, default=256)
-    p_or.add_argument("--seed", type=int, default=0)
     p_or.add_argument("--out", default="out")
     p_or.add_argument("--emit-svg", action="store_true")
 
@@ -595,7 +605,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 numerics={"slowness": args.slowness, "n_samples": args.samples},
                 output_dir=args.out,
                 emit_svg=args.emit_svg,
-                seed=args.seed,
             )
         else:
             cfg = ExperimentConfig(

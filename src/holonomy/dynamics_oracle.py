@@ -4,9 +4,9 @@ oscillator with angle-shift extraction.
 
 Both propagators apply the classical fourth-order Runge-Kutta method with a
 fixed step to a time-dilated traversal of the loop; parameter values between
-samples come from spectral upsampling, consistent with the band-limited loops
-used everywhere else.  Determinism of step placement makes convergence
-studies reproducible.
+samples come from the loop's own band-limited interpolant
+(``LoopSpec.upsampled``), the one every quadrature differentiates.
+Determinism of step placement makes convergence studies reproducible.
 
 Both equations are linear in the state, y' = A(t) y, so each step is one
 fixed matrix y_{i+1} = M_i y_i.  All step matrices are built in one
@@ -82,25 +82,6 @@ def recommended_steps_per_sample(loop: LoopSpec, slowness: float, rate_scale: fl
     in units of the characteristic rate)."""
     target = 0.7 / (rate_scale * math.sqrt(slowness))
     return max(8, int(math.ceil(slowness * loop.spacing / target)))
-
-
-def _upsample_columns(points: np.ndarray, factor: int) -> np.ndarray:
-    """Spectral upsample of closed-loop samples (first M rows, no endpoint).
-
-    Row ``j * factor + s`` is the band-limited interpolant at sample
-    ``j + s / factor``.  Each sub-sample offset ``s`` is one length-M inverse
-    real FFT of the coefficients times the shift phases, with the Nyquist
-    mode of an even M split symmetrically between +M/2 and -M/2.
-    """
-    x = points[:-1]
-    m = x.shape[0]
-    k = np.arange(m // 2 + 1)
-    s = np.arange(factor)
-    shift = np.exp((2j * math.pi / (m * factor)) * np.outer(k, s))
-    if m % 2 == 0:
-        shift[-1] = np.cos(math.pi * s / factor)
-    coef = np.fft.rfft(x, axis=0)[:, None, :] * shift[:, :, None]
-    return np.fft.irfft(coef, n=m, axis=0).reshape(m * factor, x.shape[1])
 
 
 def _wrap_angle(x: np.ndarray) -> np.ndarray:
@@ -195,7 +176,7 @@ def propagate_quantum(
     n_steps = m * steps_per_sample
     h = slowness * loop.period / n_steps
 
-    fine = _upsample_columns(loop.points, 2 * steps_per_sample)  # 2 points per step
+    fine = loop.upsampled(2 * steps_per_sample)  # 2 points per step
     gen = family.matrices(fine)
     energies_fine = np.linalg.eigvalsh(gen[::2])  # one per full step
     require_gap(energies_fine, relative_gap_tol(energies_fine), stride=steps_per_sample)
@@ -292,7 +273,7 @@ def propagate_classical(
     n_steps = m * steps_per_sample
     h = slowness * x2_loop.period / n_steps
 
-    fine = _upsample_columns(x2_loop.points, 2 * steps_per_sample)
+    fine = x2_loop.upsampled(2 * steps_per_sample)
     x, y, z = fine.T
     w_sq_fine = x * z - y**2
     per_sample = 2 * steps_per_sample  # fine points per loop sample

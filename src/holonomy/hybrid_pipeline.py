@@ -30,7 +30,6 @@ from .manifold import (
     StandardLoopParams,
     _joined,
     closed_line_integral,
-    combined_parameter_loop,
     periodic_integral,
 )
 from .models import CoupledGHOHybrid, SpinOscillatorHybrid, _normal_mode_squares
@@ -45,20 +44,18 @@ BRANCH_SUBSYSTEM = "per-subsystem"
 class LinearOneForm:
     """Sampled covector coefficients of a one-form affine in the actions.
 
-    ``const`` is the action-independent part, ``action_coeffs[label]`` the
-    coefficient of that quantum action, and ``j_coeff`` the coefficient of
-    the classical action.  All arrays match the combined loop's samples.
+    ``action_coeffs[label]`` is the coefficient of that quantum action and
+    ``j_coeff`` the coefficient of the classical action.  All arrays match
+    the loop's samples.
     """
 
     loop: LoopSpec
-    const: np.ndarray
     action_coeffs: dict[Hashable, np.ndarray]
     j_coeff: np.ndarray
 
     def __post_init__(self):
         shape = self.loop.points.shape
-        arrays = [self.const, self.j_coeff, *self.action_coeffs.values()]
-        for a in arrays:
+        for a in (self.j_coeff, *self.action_coeffs.values()):
             if np.asarray(a).shape != shape:
                 raise ValueError(
                     f"coefficient shape {np.asarray(a).shape} does not match loop {shape}"
@@ -71,7 +68,6 @@ class PhaseSet:
 
     gammas: dict[Hashable, float]
     delta_phi: float
-    const_integral: float
     quadrature_error: float
 
 
@@ -93,28 +89,19 @@ class HybridPhaseReport:
     branch: str
 
 
-def phases_from_one_form(a: LinearOneForm, loop: LoopSpec | None = None) -> PhaseSet:
-    """Integrate a one-form's coefficients around the loop.
+def phases_from_one_form(a: LinearOneForm) -> PhaseSet:
+    """Integrate a one-form's coefficients around its loop.
 
     Because the coefficients are affine in the actions, each quantum phase is
     the exact circulation of its action coefficient, and the angle shift is
     minus the circulation of the classical-action coefficient.
     """
-    loop = a.loop if loop is None else loop
-    errs = []
-    gammas: dict[Hashable, float] = {}
-    for label, coeff in a.action_coeffs.items():
-        res = closed_line_integral(coeff, loop)
-        gammas[label] = res.value
-        errs.append(res.error_estimate)
-    res_j = closed_line_integral(a.j_coeff, loop)
-    errs.append(res_j.error_estimate)
-    res_e = closed_line_integral(a.const, loop)
+    res = {label: closed_line_integral(c, a.loop) for label, c in a.action_coeffs.items()}
+    res_j = closed_line_integral(a.j_coeff, a.loop)
     return PhaseSet(
-        gammas=gammas,
+        gammas={label: r.value for label, r in res.items()},
         delta_phi=-res_j.value,
-        const_integral=res_e.value,
-        quadrature_error=max(errs),
+        quadrature_error=max(r.error_estimate for r in (*res.values(), res_j)),
     )
 
 
@@ -157,10 +144,7 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
     j_coeff = -(y / (2.0 * z))[:, None] * _d_z_over_omega(pts, 2, omega_sq, d_omega_sq)
 
     return LinearOneForm(
-        loop=loop,
-        const=np.zeros_like(loop.points),
-        action_coeffs={"+": coeff_plus, "-": coeff_minus},
-        j_coeff=j_coeff,
+        loop=loop, action_coeffs={"+": coeff_plus, "-": coeff_minus}, j_coeff=j_coeff
     )
 
 
@@ -174,6 +158,14 @@ def _bo_frequency_sq(x1: np.ndarray, x2: np.ndarray, k: float) -> tuple[np.ndarr
     require_positive(omega_sq, lambda j: EllipticViolation(
         f"effective frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
     return w_sq, omega_sq
+
+
+def _triple_pair(loop: LoopSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The fast and slow triples (X1, Y1, Z1) and (X2, Y2, Z2) of a combined
+    loop, as built by ``combined_parameter_loop``."""
+    if loop.dim != 6:
+        raise ValueError(f"expected a combined loop of two triples, got {loop.dim} columns")
+    return loop.points[:, :3], loop.points[:, 3:]
 
 
 def _d_y_over_z(points: np.ndarray, col: int) -> np.ndarray:
@@ -195,19 +187,19 @@ def _d_z_over_omega(points: np.ndarray, col: int, omega_sq: np.ndarray,
     return grad
 
 
-def coupled_gho_one_form(m: CoupledGHOHybrid, n_samples: int = DEFAULT_SAMPLES) -> LinearOneForm:
+def coupled_gho_one_form(m: CoupledGHOHybrid, loop: LoopSpec) -> LinearOneForm:
     """One-form of the quantum oscillator coupled to the classical one.
 
-    Coordinates are the concatenated triples (X1, Y1, Z1, X2, Y2, Z2) over
-    the common period.  The quantum-action coefficient multiplies d(Y1/Z1);
-    the classical-action coefficient collects the coupling back-reaction on
+    ``loop`` carries the concatenated triples (X1, Y1, Z1, X2, Y2, Z2) over
+    the common period, as ``combined_parameter_loop(m.params, n)`` builds
+    them.  The quantum-action coefficient multiplies d(Y1/Z1); the
+    classical-action coefficient collects the coupling back-reaction on
     d(Y1/Z1) together with the slow oscillator's own d(Z2/Omega) term.
     """
     p = m.params
     p.require_elliptic()
-    loop = combined_parameter_loop(p, n_samples)
+    x1, x2 = _triple_pair(loop)
     pts = loop.points
-    x1, x2 = pts[:, :3], pts[:, 3:]
     w_sq, omega_sq = _bo_frequency_sq(x1, x2, p.k)
     w = np.sqrt(w_sq)
     omega = np.sqrt(omega_sq)
@@ -236,12 +228,7 @@ def coupled_gho_one_form(m: CoupledGHOHybrid, n_samples: int = DEFAULT_SAMPLES) 
         y2 / (2.0 * z2)
     )[:, None] * grad_z2_over_omega
 
-    return LinearOneForm(
-        loop=loop,
-        const=np.zeros_like(pts),
-        action_coeffs={nl: quantum_coeff},
-        j_coeff=j_coeff,
-    )
+    return LinearOneForm(loop=loop, action_coeffs={nl: quantum_coeff}, j_coeff=j_coeff)
 
 
 def _effective_core_sq(
@@ -256,12 +243,6 @@ def _effective_core_sq(
     require_positive(core_sq, lambda j: EllipticViolation(
         f"effective frequency squared vanished at sample {j}", sample=j))
     return core_sq, f1, f2
-
-
-def coupled_gho_effective_frequency(p: StandardLoopParams, t: np.ndarray) -> np.ndarray:
-    """Effective slow frequency along the standard loops, in its reduced form
-    a2 * sqrt(1 - eps^2 - 2 D^2 (1 - eps cos w1 t)(1 - eps cos w2 t))."""
-    return p.a2 * np.sqrt(_effective_core_sq(p, t)[0])
 
 
 def _fast_phase_span(p: StandardLoopParams, branch: str) -> float:
@@ -392,21 +373,19 @@ def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     return closed_line_integral(coeff[:, None] * _d_y_over_z(loop.points, 0), loop)
 
 
-def full_quantum_phase(
-    x1_loop: LoopSpec, x2_loop: LoopSpec, k: float, m: int, n: int
-) -> float:
+def full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:
     """Phase of the fully quantum coupled-oscillator state with m quanta in
     the upper normal mode and n in the lower.
 
+    ``loop`` is the combined loop of both triples (``combined_parameter_loop``).
     Evaluates the normal-mode connection coefficients sample by sample and
-    integrates around the pair of loops.  Raises ``ModeCollapse`` when the
-    coupling closes the lower mode anywhere along the loop.
+    integrates around it.  Raises ``ModeCollapse`` when the coupling closes
+    the lower mode anywhere along the loop.
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
-    combined = _joined(x1_loop, x2_loop)
-    pts = combined.points
-    x1, x2 = pts[:, :3], pts[:, 3:]
+    x1, x2 = _triple_pair(loop)
+    pts = loop.points
     w1_sq = x1[:, 0] * x1[:, 2] - x1[:, 1] ** 2
     w2_sq = x2[:, 0] * x2[:, 2] - x2[:, 1] ** 2
     require_positive(np.minimum(w1_sq, w2_sq), lambda j: EllipticViolation(
@@ -419,14 +398,12 @@ def full_quantum_phase(
     t1 = (x1[:, 2] / 4.0) * ((2 * m + 1) * cos_sq / high + (2 * n + 1) * sin_sq / low)
     t2 = (x2[:, 2] / 4.0) * ((2 * m + 1) * sin_sq / high + (2 * n + 1) * cos_sq / low)
     coeffs = t1[:, None] * _d_y_over_z(pts, 0) + t2[:, None] * _d_y_over_z(pts, 3)
-    return closed_line_integral(coeffs, combined).value
+    return closed_line_integral(coeffs, loop).value
 
 
-def bo_full_quantum_phase_parts(
-    x1_loop: LoopSpec, x2_loop: LoopSpec, k: float, m: int, n: int
-) -> tuple[float, float]:
-    """The two quadrature pieces of the slow/fast-separated quantum phase:
-    the d(Y1/Z1) part and the d(Y2/Z2) part.
+def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int, n: int) -> tuple[float, float]:
+    """The two quadrature pieces of the slow/fast-separated quantum phase
+    around the combined loop: the d(Y1/Z1) part and the d(Y2/Z2) part.
 
     Here ``n`` counts the fast oscillator's level and ``m`` the slow one's
     (unlike ``full_quantum_phase``, whose ``m`` counts the upper normal
@@ -435,9 +412,8 @@ def bo_full_quantum_phase_parts(
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
-    combined = _joined(x1_loop, x2_loop)
-    pts = combined.points
-    x1, x2 = pts[:, :3], pts[:, 3:]
+    x1, x2 = _triple_pair(loop)
+    pts = loop.points
     w_sq, omega_sq = _bo_frequency_sq(x1, x2, k)
     w = np.sqrt(w_sq)
     omega = np.sqrt(omega_sq)
@@ -447,12 +423,12 @@ def bo_full_quantum_phase_parts(
         4.0 * w_sq**2 * omega
     )
     t2 = (2 * m + 1) * z2 / (4.0 * omega)
-    part1 = closed_line_integral(t1[:, None] * _d_y_over_z(pts, 0), combined).value
-    part2 = closed_line_integral(t2[:, None] * _d_y_over_z(pts, 3), combined).value
+    part1 = closed_line_integral(t1[:, None] * _d_y_over_z(pts, 0), loop).value
+    part2 = closed_line_integral(t2[:, None] * _d_y_over_z(pts, 3), loop).value
     return part1, part2
 
 
-def bo_full_quantum_phase(x1_loop: LoopSpec, x2_loop: LoopSpec, k: float, m: int, n: int) -> float:
+def bo_full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:
     """Slow/fast-separated quantum phase (sum of both quadrature pieces)."""
-    p1, p2 = bo_full_quantum_phase_parts(x1_loop, x2_loop, k, m, n)
+    p1, p2 = bo_full_quantum_phase_parts(loop, k, m, n)
     return p1 + p2

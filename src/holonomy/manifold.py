@@ -1,17 +1,20 @@
 """Closed parameter loops, the standard periodic parameter family, and
 spectrally accurate closed-curve quadrature.
 
-Loops are uniformly sampled closed curves.  Line integrals are evaluated by
-differentiating the curve spectrally (the samples are periodic) and applying
-the composite trapezoid rule in the loop parameter, which is exact for
+Loops are uniformly sampled closed curves, each carrying its band-limited
+interpolant (Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3): one
+real FFT of the samples, taken on first use, gives the loop's velocity and
+its values between samples.  Line integrals apply the composite trapezoid
+rule in the loop parameter against that velocity, which is exact for
 band-limited curves and converges faster than any power of the sample count
-for smooth ones.
+for smooth ones (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,16 +34,17 @@ def _closure_ok(x0: np.ndarray, x1: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """A sampled closed curve in parameter space.
+    """A sampled closed curve in parameter space and its band-limited interpolant.
 
-    ``times`` runs from 0 to ``period`` inclusive on a uniform grid, and the
-    last point must coincide with the first (relative tolerance 1e-12).
-    ``cycles`` records how many base cycles the curve contains; phase
-    computations use it for branch bookkeeping on multi-cycle loops.  Sample
-    times must be finite (``NonFinite`` otherwise).  Points are not checked
-    here: a non-finite interior point reaches the consumer, whose guard
-    names the sample (``NonFinite`` from ``HamiltonianFamily``, or the
-    frequency guards' ``EllipticViolation``).
+    ``times`` runs from 0 to ``period`` inclusive on a uniform grid (spacing
+    within relative 1e-9, ``ValueError`` otherwise), and the last point must
+    coincide with the first (relative tolerance 1e-12).  ``cycles`` records
+    how many base cycles the curve contains; phase computations use it for
+    branch bookkeeping on multi-cycle loops.  Sample times must be finite
+    (``NonFinite`` otherwise).  Points are not checked here: a non-finite
+    interior point reaches the consumer, whose guard names the sample.
+    ``times`` and ``points`` are read-only copies, so the spectrum taken on
+    first use, and the velocities cached from it, never go stale.
     """
 
     period: float
@@ -49,8 +53,8 @@ class LoopSpec:
     cycles: int = 1
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        points = np.asarray(self.points, dtype=float)
+        times = np.array(self.times, dtype=float)
+        points = np.array(self.points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
         if times.ndim != 1 or points.shape[0] != times.shape[0]:
@@ -71,12 +75,15 @@ class LoopSpec:
             raise ValueError("first sample time must be 0")
         if abs(times[-1] - self.period) > 1e-12 * self.period:
             raise ValueError("last sample time must equal the period")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
+        spacing = self.period / (times.shape[0] - 1)
+        if np.max(np.abs(np.diff(times) - spacing)) > 1e-9 * spacing:
+            raise ValueError("sample times must be uniformly spaced")
         if not _closure_ok(points[0], points[-1]):
             raise NotClosed("loop endpoint does not return to its start")
         if not (isinstance(self.cycles, int) and self.cycles >= 1):
             raise ValueError(f"cycles must be a positive integer, got {self.cycles}")
+        times.flags.writeable = False
+        points.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
 
@@ -92,14 +99,53 @@ class LoopSpec:
     def spacing(self) -> float:
         return self.period / self.n_segments
 
-    @property
-    def is_uniform(self) -> bool:
-        dt = np.diff(self.times)
-        return bool(np.max(np.abs(dt - self.spacing)) <= 1e-9 * self.spacing)
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Real FFT of the first M samples (the endpoint repeats the start)."""
+        return np.fft.rfft(self.points[:-1], axis=0)
+
+    @cached_property
+    def velocity(self) -> np.ndarray:
+        """d(points)/dt at the first M samples, shape (M, dim)."""
+        return _derivative(self._spectrum, self.n_segments, self.period)
+
+    @cached_property
+    def half_velocity(self) -> np.ndarray:
+        """The velocity of the stride-2 subsample ``points[::2]``, shape
+        (M/2, dim), for the quadrature's error estimate; M must be even."""
+        m = self.n_segments
+        if m % 2:
+            raise ValueError(f"a stride-2 subsample needs an even segment count, got {m}")
+        return _derivative(np.fft.rfft(self.points[:-1:2], axis=0), m // 2, self.period)
+
+    def upsampled(self, factor: int) -> np.ndarray:
+        """The interpolant at M * factor points: row ``j * factor + s`` is at
+        sample ``j + s / factor``.  Each offset ``s`` is one length-M inverse
+        real FFT of the spectrum times shift phases, an even M's Nyquist mode
+        split symmetrically between +M/2 and -M/2."""
+        m = self.n_segments
+        k = np.arange(m // 2 + 1)
+        s = np.arange(factor)
+        shift = np.exp((2j * math.pi / (m * factor)) * np.outer(k, s))
+        if m % 2 == 0:
+            shift[-1] = np.cos(math.pi * s / factor)
+        coef = self._spectrum[:, None, :] * shift[:, :, None]
+        return np.fft.irfft(coef, n=m, axis=0).reshape(m * factor, self.dim)
 
     def reversed(self) -> "LoopSpec":
         """The same curve traversed in the opposite orientation."""
-        return LoopSpec(self.period, self.times, self.points[::-1].copy(), self.cycles)
+        return LoopSpec(self.period, self.times, self.points[::-1], self.cycles)
+
+
+def _derivative(spectrum: np.ndarray, m: int, period: float) -> np.ndarray:
+    """Read-only d/dt at M samples of the interpolant with real FFT ``spectrum``."""
+    freqs = 2.0 * math.pi * np.fft.rfftfreq(m, d=period / m)
+    coef = spectrum * (1j * freqs)[:, None]
+    if m % 2 == 0:
+        coef[m // 2] = 0.0  # unpaired Nyquist mode carries no derivative
+    vel = np.fft.irfft(coef, n=m, axis=0)
+    vel.flags.writeable = False
+    return vel
 
 
 @dataclass(frozen=True)
@@ -162,24 +208,11 @@ def circle_loop(
     return LoopSpec(period=period, times=times, points=pts, cycles=cycles)
 
 
-def _spectral_velocity(points: np.ndarray, period: float) -> np.ndarray:
-    """d(points)/dt at the first M samples via FFT differentiation."""
-    m = points.shape[0] - 1
-    x = points[:-1]
-    freqs = 2.0 * math.pi * np.fft.fftfreq(m, d=period / m)
-    coef = np.fft.fft(x, axis=0) * (1j * freqs)[:, None]
-    if m % 2 == 0:
-        coef[m // 2] = 0.0  # unpaired Nyquist mode carries no derivative
-    return np.real(np.fft.ifft(coef, axis=0))
-
-
-def _line_integral_value(coeffs: np.ndarray, points: np.ndarray, period: float) -> float:
-    m = points.shape[0] - 1
-    vel = _spectral_velocity(points, period)
-    g = np.einsum("jd,jd->j", coeffs[:-1], vel)
-    g_close = float(coeffs[-1] @ vel[0])
-    dt = period / m
-    return float(dt * (0.5 * g[0] + np.sum(g[1:]) + 0.5 * g_close))
+def _trapezoid(coeffs: np.ndarray, velocity: np.ndarray, period: float) -> float:
+    """Closed trapezoid sum of coeffs . velocity; the last covector meets velocity[0]."""
+    g = np.einsum("jd,jd->j", coeffs[:-1], velocity)
+    g_close = float(coeffs[-1] @ velocity[0])
+    return float(period / velocity.shape[0] * (0.5 * g[0] + np.sum(g[1:]) + 0.5 * g_close))
 
 
 def _chord_integral_value(coeffs: np.ndarray, points: np.ndarray) -> float:
@@ -192,8 +225,9 @@ def closed_line_integral(coefficients: np.ndarray, loop: LoopSpec) -> Quadrature
     """Evaluate the circulation of a sampled covector field around the loop.
 
     ``coefficients[j]`` is the covector at ``loop.points[j]``; the result is
-    the closed line integral of coefficients . dx.  The error estimate is the
-    difference against a stride-2 subsample of the same data.
+    the closed line integral of coefficients . dx, a trapezoid sum against
+    ``loop.velocity``.  The error estimate is the difference against a
+    stride-2 subsample of the same data.
     """
     c = np.asarray(coefficients, dtype=float)
     if c.ndim == 1:
@@ -202,12 +236,10 @@ def closed_line_integral(coefficients: np.ndarray, loop: LoopSpec) -> Quadrature
         raise LengthMismatch(
             f"coefficients shape {c.shape} does not match loop samples {loop.points.shape}"
         )
-    if not loop.is_uniform:
-        raise ValueError("the quadrature rule requires uniformly spaced samples")
-    value = _line_integral_value(c, loop.points, loop.period)
+    value = _trapezoid(c, loop.velocity, loop.period)
     m = loop.n_segments
     if m % 2 == 0 and m >= 2 * _MIN_SEGMENTS:
-        half = _line_integral_value(c[::2], loop.points[::2], loop.period)
+        half = _trapezoid(c[::2], loop.half_velocity, loop.period)
     else:
         half = _chord_integral_value(c, loop.points)
     return QuadratureResult(value=value, error_estimate=abs(value - half))

@@ -107,7 +107,7 @@ def test_criterion_05_uncoupled_gho():
         p = std_params(eps=eps, k=0.0)
         closed = H.gamma_n0_closed_form(p, H.BRANCH_COMMON)
         quad = H.phases_from_one_form(
-            H.coupled_gho_one_form(H.CoupledGHOHybrid(p))
+            H.coupled_gho_one_form(H.CoupledGHOHybrid(p), H.combined_parameter_loop(p))
         ).gammas[0]
         worst = max(worst, abs(quad / closed - 1.0))
     ref = H.gamma_n0_closed_form(std_params(eps=EPS_PAPER), H.BRANCH_COMMON)
@@ -167,8 +167,9 @@ def test_criterion_09_elliptic_bound():
     except H.EllipticViolation:
         raised = True
     raised_form = False
+    p = std_params(eps=EPS_PAPER, k=1.001 * k_max)
     try:
-        H.coupled_gho_one_form(H.CoupledGHOHybrid(std_params(eps=EPS_PAPER, k=1.001 * k_max)))
+        H.coupled_gho_one_form(H.CoupledGHOHybrid(p), H.combined_parameter_loop(p))
     except H.EllipticViolation:
         raised_form = True
     report(9, "D_max(eps) = 0.18947 +/- 1e-5; beyond it every path raises, never NaN",
@@ -178,8 +179,9 @@ def test_criterion_09_elliptic_bound():
 def test_criterion_10_full_quantum_consistency():
     p = std_params(eps=0.5, k=0.0, n1=2, n2=1, a1=2.0)
     loop1, loop2 = H.standard_parameter_loops(p, 2048)
+    loop = H.combined_parameter_loop(p, 2048)
     # (a) zero-coupling reduction to two independent oscillator phases
-    total = H.full_quantum_phase(loop1, loop2, 0.0, 1, 2)
+    total = H.full_quantum_phase(loop, 0.0, 1, 2)
     split = H.single_gho_phase(loop1, 1).value + H.single_gho_phase(loop2, 2).value
     err_a = abs(total - split)
     # (b) fast part of the separated phase vs hybrid phase at J = (m + 1/2) hbar
@@ -188,14 +190,14 @@ def test_criterion_10_full_quantum_consistency():
         H.coupled_gho_one_form(
             H.CoupledGHOHybrid(std_params(eps=0.5, k=kc, n1=2, n2=1, a1=2.0,
                                           j_action=(m + 0.5), n_level=n)),
-            2048,
+            loop,
         )
     )
-    part1, _ = H.bo_full_quantum_phase_parts(loop1, loop2, kc, m, n)
+    part1, _ = H.bo_full_quantum_phase_parts(loop, kc, m, n)
     err_b = abs(part1 / ph.gammas[n] - 1.0)
     # (c) minus the level-index difference reproduces the angle shift
-    g_m = H.bo_full_quantum_phase(loop1, loop2, kc, m, n)
-    g_m1 = H.bo_full_quantum_phase(loop1, loop2, kc, m + 1, n)
+    g_m = H.bo_full_quantum_phase(loop, kc, m, n)
+    g_m1 = H.bo_full_quantum_phase(loop, kc, m + 1, n)
     err_c = abs(-(g_m1 - g_m) - ph.delta_phi)
     report(10, "full-quantum reductions: (a) 1e-10, (b) 1e-9, (c) 1e-9",
            err_a <= 1e-10 and err_b <= 1e-9 and err_c <= 1e-9,

@@ -316,3 +316,41 @@ def test_overflowing_spin_family_is_a_typed_row_not_nan(tmp_path):
     text = (tmp_path / "spin-berry.csv").read_text()
     assert "nan" not in text.lower()
     assert [row["error"] for row in read_csv(tmp_path / "spin-berry.csv")] == ["NonFinite"] * 2
+
+
+# Each of these left floating-point range inside a row or while its points
+# were built, and ended in an OverflowError traceback or a RuntimeWarning.
+OUT_OF_RANGE_CONFIGS = {
+    "full-quantum k": {"experiment": "full-quantum", "params": {"k": 1e200}},
+    "spin-osc lambda": {"experiment": "hybrid-spin-osc", "params": {"lambdas": [1e200]}},
+    "spin-osc epsilon": {"experiment": "hybrid-spin-osc", "params": {"epsilon": 1e300}},
+    "hybrid-gho j_action": {"experiment": "hybrid-gho", "params": {"j_action": 1e308, "k": 0.1}},
+    "fig1 a1_over_a2": {"experiment": "fig1", "params": {"a1_over_a2": 1e-300}},
+    "fig1 a1": {"experiment": "fig1", "params": {"a1": 1e300}},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg", OUT_OF_RANGE_CONFIGS.values(), ids=OUT_OF_RANGE_CONFIGS)
+def test_out_of_range_values_are_typed(cfg, tmp_path, capsys):
+    cfg = dict(cfg, numerics={"n_samples": 64}, output={"directory": str(tmp_path / "out")})
+    if cfg["experiment"] == "fig1":
+        cfg["params"] = dict(cfg["params"], ratios=[[1, 1]])
+        cfg["sweep"] = {"parameter": "k_fraction_of_max", "start": 0.1, "stop": 0.5, "count": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["run", str(path)])
+    lines = capsys.readouterr().err.strip().splitlines()
+    if code == 2:
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigInvalid"
+        assert not (tmp_path / "out").exists()
+    else:
+        assert code == 0 and lines == []
+        rows = read_csv(tmp_path / "out" / f"{cfg['experiment']}.csv")
+        assert rows and all(row["error"] == "NonFinite" for row in rows)
+
+
+def test_oracle_has_no_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "quantum", "--seed", "1"])
+    assert exc.value.code == 2

@@ -6,6 +6,7 @@ from holonomy import (
     EllipticViolation,
     GapTooSmall,
     HamiltonianFamily,
+    LoopSpec,
     NonAdiabatic,
     OverlapTooSmall,
     StandardLoopParams,
@@ -23,7 +24,6 @@ from holonomy import (
     standard_loop_report,
     subsystem_parameter_loop,
 )
-from holonomy.dynamics_oracle import _upsample_columns
 from holonomy.quantum_geometry import canonical_section_track
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
@@ -67,7 +67,7 @@ def rk4_step(gen, idx, y, h):
 
 def sequential_quantum(family, loop, k, slowness, sps):
     """Per-step RK4 loop with renormalisation, as one step after another."""
-    mats = family.matrices(_upsample_columns(loop.points, 2 * sps))
+    mats = family.matrices(loop.upsampled(2 * sps))
     h, steps = rk4_schedule(loop, sps, slowness)
     e = np.linalg.eigvalsh(mats[::2])[:, k]
     refs, _ = canonical_section_track(np.linalg.eigh(family.matrices(loop.points))[1][:, :, k])
@@ -88,7 +88,7 @@ def sequential_quantum(family, loop, k, slowness, sps):
 def sequential_classical(loop, qp0, slowness, sps):
     """Per-step RK4 loop for the driven oscillator, with the angle unwound
     one step at a time."""
-    fine = _upsample_columns(loop.points, 2 * sps)
+    fine = loop.upsampled(2 * sps)
     gen = np.array([[[y, z], [-x, -y]] for x, y, z in fine])
     h, steps = rk4_schedule(loop, sps, slowness)
     qp = [np.asarray(qp0, dtype=float)]
@@ -124,7 +124,7 @@ def test_upsample_matches_zero_padding(m, factor):
     rng = np.random.default_rng(m + factor)
     points = rng.normal(size=(m + 1, 3))
     points[-1] = points[0]
-    fine = _upsample_columns(points, factor)
+    fine = LoopSpec(1.0, np.linspace(0.0, 1.0, m + 1), points).upsampled(factor)
     assert fine.shape == (m * factor, 3)
     assert np.max(np.abs(fine - zero_padded_upsample(points, factor))) <= 1e-13
     assert np.max(np.abs(fine[::factor] - points[:-1])) <= 1e-13
@@ -273,8 +273,6 @@ class TestPropagateClassical:
         n = 64
         t = np.linspace(0, 1.0, n + 1)
         pts = np.tile([1.0, 1.5, 1.0], (n + 1, 1))  # X Z - Y^2 < 0
-        from holonomy import LoopSpec
-
         loop = LoopSpec(1.0, t, pts)
         with pytest.raises(EllipticViolation):
             propagate_classical(loop, (1.0, 0.0), 10.0, 32)

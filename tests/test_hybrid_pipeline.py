@@ -19,6 +19,7 @@ from holonomy import (
     bo_full_quantum_phase,
     bo_full_quantum_phase_parts,
     circle_loop,
+    combined_parameter_loop,
     coupled_gho_one_form,
     elliptic_bound,
     full_quantum_phase,
@@ -70,7 +71,6 @@ class TestPhasesFromOneForm:
         dphi = np.column_stack([-s, c])
         form = LinearOneForm(
             loop=loop,
-            const=np.zeros_like(loop.points),
             action_coeffs={0: dphi},
             j_coeff=np.zeros_like(loop.points),
         )
@@ -85,7 +85,8 @@ class TestPhasesFromOneForm:
 
     def test_coupled_gho_two_routes_at_zero_coupling(self):
         p = std_params(eps=EPS_PAPER, k=0.0)
-        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p)))
+        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p),
+                                                       combined_parameter_loop(p)))
         rep = standard_loop_report(p, branch=BRANCH_COMMON)
         assert abs(ph.gammas[0] / rep.gamma_0_part - 1.0) <= 1e-9
         assert abs(ph.delta_phi / rep.delta_phi_0_part - 1.0) <= 1e-9
@@ -154,7 +155,7 @@ class TestSpinOscillatorOneForm:
 class TestCoupledGHOOneForm:
     def test_zero_coupling_coefficient_reduction(self):
         p = std_params(eps=0.5, k=0.0, n_level=1)
-        form = coupled_gho_one_form(CoupledGHOHybrid(p), n_samples=256)
+        form = coupled_gho_one_form(CoupledGHOHybrid(p), combined_parameter_loop(p, 256))
         pts = form.loop.points
         y1, z1 = pts[:, 1], pts[:, 2]
         w = math.sqrt(p.a1**2 * (1 - 0.25))
@@ -165,7 +166,8 @@ class TestCoupledGHOOneForm:
 
     def test_frozen_parameters_zero_phases(self):
         p = std_params(eps=0.0, k=0.01)
-        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), n_samples=256))
+        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p),
+                                                       combined_parameter_loop(p, 256)))
         assert abs(ph.gammas[0]) < 1e-14
         assert abs(ph.delta_phi) < 1e-14
 
@@ -173,7 +175,7 @@ class TestCoupledGHOOneForm:
         p0 = std_params(eps=EPS_PAPER, k=0.0)
         _, k_max = elliptic_bound(p0)
         p = std_params(eps=EPS_PAPER, k=0.5 * k_max)
-        form = coupled_gho_one_form(CoupledGHOHybrid(p), n_samples=512)
+        form = coupled_gho_one_form(CoupledGHOHybrid(p), combined_parameter_loop(p, 512))
         pts = form.loop.points
         x1, x2 = pts[:, :3], pts[:, 3:]
         w_sq = x1[:, 0] * x1[:, 2] - x1[:, 1] ** 2
@@ -190,8 +192,9 @@ class TestCoupledGHOOneForm:
     def test_elliptic_violation_raises(self):
         p0 = std_params(eps=EPS_PAPER, k=0.0)
         _, k_max = elliptic_bound(p0)
+        p = std_params(eps=EPS_PAPER, k=1.01 * k_max)
         with pytest.raises(EllipticViolation):
-            coupled_gho_one_form(CoupledGHOHybrid(std_params(eps=EPS_PAPER, k=1.01 * k_max)))
+            coupled_gho_one_form(CoupledGHOHybrid(p), combined_parameter_loop(p))
 
 
 class TestStandardLoopReport:
@@ -245,10 +248,9 @@ class TestStandardLoopReport:
         p0 = std_params(eps=0.5, k=0.0)
         _, k_max = elliptic_bound(p0)
         p = std_params(eps=0.5, k=0.4 * k_max)
-        form = coupled_gho_one_form(CoupledGHOHybrid(p), n_samples=512)
+        form = coupled_gho_one_form(CoupledGHOHybrid(p), combined_parameter_loop(p, 512))
         rev = LinearOneForm(
             loop=form.loop.reversed(),
-            const=form.const[::-1],
             action_coeffs={k: v[::-1] for k, v in form.action_coeffs.items()},
             j_coeff=form.j_coeff[::-1],
         )
@@ -262,7 +264,8 @@ class TestStandardLoopReport:
         _, k_max = elliptic_bound(p0)
         p = std_params(eps=EPS_PAPER, k=0.5 * k_max, j_action=1.0)
         rep = standard_loop_report(p)
-        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p)))
+        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p),
+                                                       combined_parameter_loop(p)))
         assert abs(ph.gammas[0] / rep.gamma[0] - 1.0) < 1e-9
         assert abs(ph.delta_phi / rep.delta_phi - 1.0) < 1e-9
 
@@ -295,66 +298,70 @@ class TestFullQuantum:
     def setup_method(self):
         self.p = std_params(eps=0.5, k=0.0, n1=2, n2=1, a1=2.0)
         self.loop1, self.loop2 = standard_parameter_loops(self.p, 1024)
+        self.loop = combined_parameter_loop(self.p, 1024)
 
     def test_zero_coupling_sum(self):
-        total = full_quantum_phase(self.loop1, self.loop2, 0.0, 1, 2)
+        total = full_quantum_phase(self.loop, 0.0, 1, 2)
         split = single_gho_phase(self.loop1, 1).value + single_gho_phase(self.loop2, 2).value
         assert abs(total - split) <= 1e-10
 
     def test_frozen_parameters(self):
         p = std_params(eps=0.0, a1=2.0, n1=2, n2=1)
-        l1, l2 = standard_parameter_loops(p, 256)
-        assert abs(full_quantum_phase(l1, l2, 0.1, 0, 0)) < 1e-14
+        assert abs(full_quantum_phase(combined_parameter_loop(p, 256), 0.1, 0, 0)) < 1e-14
 
     def test_swap_symmetry(self):
         k = 0.15
-        direct = full_quantum_phase(self.loop1, self.loop2, k, 2, 1)
-        swapped = full_quantum_phase(self.loop2, self.loop1, k, 2, 1)
+        direct = full_quantum_phase(self.loop, k, 2, 1)
+        swapped_points = np.hstack([self.loop2.points, self.loop1.points])
+        swapped = full_quantum_phase(LoopSpec(self.loop.period, self.loop.times, swapped_points),
+                                     k, 2, 1)
         assert abs(direct - swapped) <= 1e-10
 
     def test_mode_collapse_along_loop(self):
         with pytest.raises(ModeCollapse):
-            full_quantum_phase(self.loop1, self.loop2, 5.0, 0, 0)
+            full_quantum_phase(self.loop, 5.0, 0, 0)
 
     def test_nan_sample_is_elliptic_violation_at_that_sample(self):
         # NaN compares false both ways, so a guard written as "any <= 0" let it through
         pts = self.loop2.points.copy()
         pts[37, 0] = np.nan
         loop2 = LoopSpec(self.loop2.period, self.loop2.times, pts, cycles=self.loop2.cycles)
+        combined = LoopSpec(self.loop.period, self.loop.times,
+                            np.hstack([self.loop1.points, pts]))
         with pytest.raises(EllipticViolation) as single:
             single_gho_phase(loop2, 0)
         with pytest.raises(EllipticViolation) as full:
-            full_quantum_phase(self.loop1, loop2, 0.1, 0, 0)
+            full_quantum_phase(combined, 0.1, 0, 0)
         assert single.value.sample == full.value.sample == 37
 
 
 class TestBOFullQuantum:
     def setup_method(self):
         self.p = std_params(eps=0.5, k=0.0, n1=2, n2=1, a1=2.0)
-        self.loop1, self.loop2 = standard_parameter_loops(self.p, 1024)
+        self.loop = combined_parameter_loop(self.p, 1024)
 
     def test_zero_coupling_matches_exact(self):
         # The exact formula counts m in the higher normal mode (oscillator 1
         # here since omega1 > omega2); the separated formula counts m in the
         # heavy oscillator 2.  At k = 0 they describe the same state with the
         # indices interchanged.
-        exact = full_quantum_phase(self.loop1, self.loop2, 0.0, 1, 2)
-        bo = bo_full_quantum_phase(self.loop1, self.loop2, 0.0, 2, 1)
+        exact = full_quantum_phase(self.loop, 0.0, 1, 2)
+        bo = bo_full_quantum_phase(self.loop, 0.0, 2, 1)
         assert abs(exact - bo) <= 1e-12
 
     def test_fast_part_matches_hybrid_phase(self):
         k, m, n = 0.15, 1, 2
         p = std_params(eps=0.5, k=k, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n)
-        part1, _ = bo_full_quantum_phase_parts(self.loop1, self.loop2, k, m, n)
-        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), 1024))
+        part1, _ = bo_full_quantum_phase_parts(self.loop, k, m, n)
+        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), self.loop))
         assert abs(part1 / ph.gammas[n] - 1.0) <= 1e-9
 
     def test_level_difference_gives_angle_shift(self):
         k, m, n = 0.15, 1, 2
         p = std_params(eps=0.5, k=k, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n)
-        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), 1024))
-        g_m = bo_full_quantum_phase(self.loop1, self.loop2, k, m, n)
-        g_m1 = bo_full_quantum_phase(self.loop1, self.loop2, k, m + 1, n)
+        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), self.loop))
+        g_m = bo_full_quantum_phase(self.loop, k, m, n)
+        g_m1 = bo_full_quantum_phase(self.loop, k, m + 1, n)
         assert abs(-(g_m1 - g_m) - ph.delta_phi) <= 1e-9
 
 
@@ -365,13 +372,12 @@ class TestNormalModeCollapseSide:
         x1, x2 = GHOTriple(4.0, 0.1, 1.0), GHOTriple(1.0, -0.2, 1.3)
         k = (1.0 + offset) * x1.omega * x2.omega / math.sqrt(x1.z * x2.z)
         t = np.linspace(0.0, 1.0, 65)
-        loop1 = LoopSpec(1.0, t, np.tile([x1.x, x1.y, x1.z], (65, 1)))
-        loop2 = LoopSpec(1.0, t, np.tile([x2.x, x2.y, x2.z], (65, 1)))
+        loop = LoopSpec(1.0, t, np.tile([x1.x, x1.y, x1.z, x2.x, x2.y, x2.z], (65, 1)))
         if offset > 0:
             with pytest.raises(ModeCollapse):
                 normal_mode_split(x1, x2, k)
             with pytest.raises(ModeCollapse):
-                full_quantum_phase(loop1, loop2, k, 0, 0)
+                full_quantum_phase(loop, k, 0, 0)
         else:
             normal_mode_split(x1, x2, k)
-            assert full_quantum_phase(loop1, loop2, k, 0, 0) == 0.0
+            assert full_quantum_phase(loop, k, 0, 0) == 0.0

@@ -180,9 +180,67 @@ class TestLoopSpecValidation:
         with pytest.raises(NotClosed):
             LoopSpec(1.0, t, pts)
 
-    def test_circle_loop_is_uniform(self):
-        loop = circle_loop(n_samples=128)
-        assert loop.is_uniform
+    def test_non_uniform_times_rejected(self):
+        # a GHO triple sampled at t = 2 pi s^1.5: the oracle propagators used
+        # to integrate such a loop as if its samples were evenly spaced
+        s = np.linspace(0.0, 1.0, 65)
+        t = 2 * math.pi * s**1.5
+        pts = np.column_stack([1 + 0.5 * np.cos(t), -0.5 * np.sin(t), 1 - 0.5 * np.cos(t)])
+        pts[-1] = pts[0]
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            LoopSpec(2 * math.pi, t, pts)
+
+
+def trig_loop(m, period=2.7):
+    """A trigonometric-polynomial loop of degree 5 and its exact velocity."""
+    w = 2 * math.pi / period
+    t = np.linspace(0.0, period, m + 1)
+    pts = np.column_stack([np.cos(w * t) + 0.3 * np.sin(3 * w * t),
+                           0.5 * np.sin(2 * w * t) - 0.2 * np.cos(5 * w * t) + 1.0])
+    vel = w * np.column_stack([-np.sin(w * t) + 0.9 * np.cos(3 * w * t),
+                               np.cos(2 * w * t) + np.sin(5 * w * t)])
+    pts[-1] = pts[0]
+    return LoopSpec(period, t, pts), vel
+
+
+class TestLoopInterpolant:
+    def test_arrays_are_read_only_copies(self):
+        t = np.linspace(0.0, 1.0, 33)
+        pts = np.column_stack([np.cos(2 * math.pi * t), np.sin(2 * math.pi * t)])
+        pts[-1] = pts[0]
+        loop = LoopSpec(1.0, t, pts)
+        with pytest.raises(ValueError):
+            loop.points[3, 0] = 1.0
+        with pytest.raises(ValueError):
+            loop.times[3] = 0.5
+        pts[3, 0] = 99.0  # the caller's array stays its own
+        assert loop.points[3, 0] != 99.0
+
+    def test_velocity_is_computed_once(self):
+        loop = circle_loop(n_samples=64)
+        assert loop.velocity is loop.velocity
+        assert loop.half_velocity is loop.half_velocity
+        with pytest.raises(ValueError):
+            loop.velocity[0, 0] = 1.0
+
+    @pytest.mark.parametrize("m", [33, 34, 64])
+    def test_velocity_matches_analytic_derivative(self, m):
+        loop, vel = trig_loop(m)
+        scale = np.max(np.abs(vel))
+        assert loop.velocity.shape == (m, 2)
+        assert np.max(np.abs(loop.velocity - vel[:-1])) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m", [34, 64])  # M/2 odd and even
+    def test_half_velocity_matches_analytic_derivative(self, m):
+        loop, vel = trig_loop(m)
+        scale = np.max(np.abs(vel))
+        assert loop.half_velocity.shape == (m // 2, 2)
+        assert np.max(np.abs(loop.half_velocity - vel[:-1:2])) <= 1e-12 * scale
+
+    def test_half_velocity_needs_even_segments(self):
+        loop, _ = trig_loop(33)
+        with pytest.raises(ValueError):
+            loop.half_velocity
 
 
 class TestNonFinite:
