@@ -34,7 +34,13 @@ from .manifold import (
     combined_parameter_loop,
     subsystem_parameter_loop,
 )
-from .models import CoupledGHOHybrid, SpinOscillatorHybrid, cone_loop, spin_hamiltonian_family
+from .models import (
+    CoupledGHOHybrid,
+    SpinOscillatorHybrid,
+    cone_loop,
+    spin_hamiltonian_family,
+    spin_oscillator_loop,
+)
 from .hybrid_pipeline import (
     BRANCH_COMMON,
     bo_full_quantum_phase_parts,
@@ -98,8 +104,10 @@ def _construct(cls: Callable[..., Any], **kwargs: Any) -> Any:
         raise ConfigInvalid(str(exc)) from exc
 
 
-def _grid(sweep: dict[str, Any], scale: float = 1.0) -> list[float]:
-    """The points of a sweep block, each times ``scale``."""
+def _sweep_block(sweep: dict[str, Any]) -> tuple[Callable[..., np.ndarray], float, float, int]:
+    """A sweep block's spacing, start, stop and count, checked.  Only
+    comparisons run here; the arithmetic that lays out the points, which can
+    leave floating-point range, runs in ``_grid`` under ``_sweep``'s errstate."""
     if sweep.get("scale", "linear") not in ("linear", "log"):
         raise ConfigInvalid("sweep scale must be 'linear' or 'log'")
     log = sweep.get("scale") == "log"
@@ -108,7 +116,12 @@ def _grid(sweep: dict[str, Any], scale: float = 1.0) -> list[float]:
     count = _number(sweep, "count", None, int)
     if count < 2:
         raise ConfigInvalid("sweep count must be at least 2")
-    spacing = np.geomspace if log else np.linspace
+    return np.geomspace if log else np.linspace, start, stop, count
+
+
+def _grid(sweep: dict[str, Any], scale: float = 1.0) -> list[float]:
+    """The points of a sweep block, each times ``scale``."""
+    spacing, start, stop, count = _sweep_block(sweep)
     return [float(v) for v in spacing(start * scale, stop * scale, count)]
 
 
@@ -126,7 +139,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.sweep is not None:
-            _grid(self.sweep)  # a malformed sweep fails here, before any row runs
+            _sweep_block(self.sweep)  # a malformed sweep fails here, even one no point reads
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
@@ -311,8 +324,8 @@ def _hybrid_spin_osc_points(cfg: ExperimentConfig) -> list[Point]:
         SpinOscillatorHybrid,
         mu=_number(params, "mu", 1.0, positive=True),
         b_field=_number(params, "b_magnitude", 1.0, positive=True),
-        phi_loop=circle_loop(period=period, n_samples=n_samples),
-        x_loop=_gho_loop(a, m_param, eps, omega, period, n_samples, 1),
+        loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n_samples),
+                                  _gho_loop(a, m_param, eps, omega, period, n_samples, 1)),
         i_plus=_number(params, "i_plus", 1.0),
         i_minus=_number(params, "i_minus", 0.0),
         j_action=_number(params, "j_action", 1.0),

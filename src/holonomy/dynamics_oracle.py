@@ -32,12 +32,11 @@ from .errors import (
     EllipticViolation,
     NonAdiabatic,
     OverlapTooSmall,
-    relative_gap_tol,
     require_gap,
     require_positive,
 )
 from .manifold import LoopSpec
-from .quantum_geometry import HamiltonianFamily, align_gauge, canonical_section_track
+from .quantum_geometry import HamiltonianFamily, canonical_section_track, eigenframe_along_loop
 
 TWO_PI = 2.0 * math.pi
 
@@ -179,17 +178,13 @@ def propagate_quantum(
     fine = loop.upsampled(2 * steps_per_sample)  # 2 points per step
     gen = family.matrices(fine)
     energies_fine = np.linalg.eigvalsh(gen[::2])  # one per full step
-    require_gap(energies_fine, relative_gap_tol(energies_fine), stride=steps_per_sample)
+    require_gap(energies_fine, stride=steps_per_sample)
 
-    # reference eigenvectors at the loop samples, canonical-section gauge
-    sample_mats = family.matrices(loop.points)
-    _, sample_vecs = np.linalg.eigh(sample_mats)
-    canon = canonical_section_track(sample_vecs[:, :, k])
-    if canon is None:
-        # no usable pivot: fall back to transport-aligned references
-        refs = align_gauge(sample_vecs[:, :, k : k + 1])[:, :, 0]
-    else:
-        refs, _ = canon
+    # reference eigenvectors at the loop samples: the canonical section, or
+    # the transport-aligned eigenframe where no component can serve as pivot
+    track = eigenframe_along_loop(family, loop).vectors[:, :, k]
+    canon = canonical_section_track(track)
+    refs = track if canon is None else canon[0]
 
     gen = np.ascontiguousarray(np.moveaxis(gen, 0, -1)) * (-1j / hbar)  # dpsi/dtau = gen psi
     psi_initial = refs[0].astype(complex)

@@ -75,11 +75,11 @@ class EllipticViolation(_AtSample):
     """An effective oscillator frequency squared is non-positive."""
 
 
-class ModeCollapse(HolonomyError):
+class ModeCollapse(_AtSample):
     """The lower normal-mode frequency squared is non-positive."""
 
 
-class OmegaImaginary(HolonomyError):
+class OmegaImaginary(_AtSample):
     """The action-shifted oscillator frequency squared is non-positive."""
 
 
@@ -108,22 +108,19 @@ def require_positive(values: np.ndarray, error: Callable[[int], HolonomyError]) 
         raise error(int(np.argmax(bad)))
 
 
-def relative_gap_tol(energies: np.ndarray) -> float:
-    """The default level-gap tolerance: 1e-9 times the spectral scale."""
-    return 1e-9 * max(float(np.max(np.abs(energies))), 1e-300)
-
-
-def require_gap(energies: np.ndarray, tol: float, stride: int = 1) -> float:
+def require_gap(energies: np.ndarray, stride: int = 1) -> float:
     """Smallest gap between adjacent levels of sorted spectra, one per row.
 
     ``energies`` is one spectrum (N,) or a stack (n, N).  Raises
     ``GapTooSmall`` at the row and level of the smallest gap when it is below
-    ``tol``; row j belongs to loop sample j // stride.  A single level has no
-    gap, and the result is then infinite.
+    1e-9 times the spectral scale, the largest |energy|; row j belongs to loop
+    sample j // stride.  A single level has no gap, and the result is then
+    infinite.
     """
     gaps = np.diff(np.atleast_2d(energies), axis=1)
     if gaps.size == 0:
         return math.inf
+    tol = 1e-9 * max(float(np.max(np.abs(energies))), 1e-300)
     min_gap = float(np.min(gaps))
     if min_gap < tol:
         j, level = np.unravel_index(int(np.argmin(gaps)), gaps.shape)

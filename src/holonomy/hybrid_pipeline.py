@@ -28,7 +28,6 @@ from .manifold import (
     LoopSpec,
     QuadratureResult,
     StandardLoopParams,
-    _joined,
     closed_line_integral,
     periodic_integral,
 )
@@ -113,14 +112,13 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
     spin coefficients through the analytic action-derivative of the
     oscillator term, whose frequency is shifted by the population imbalance.
     """
-    loop = _joined(m.phi_loop, m.x_loop)
-    pts = loop.points
+    pts = m.loop.points
     x, y, z = pts[:, 2:].T
     shift = m.mu * m.lam**2 * (m.i_plus - m.i_minus) / m.b_field
     x_eff = x + shift
     omega_sq = x_eff * z - y**2
     require_positive(omega_sq, lambda j: OmegaImaginary(
-        f"action-shifted frequency squared {omega_sq[j]:.3e} at sample {j}"))
+        f"action-shifted frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
     omega = np.sqrt(omega_sq)
     if m.j_action > 0:
         q_typ = np.sqrt(2.0 * z * m.j_action / omega)
@@ -144,7 +142,7 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
     j_coeff = -(y / (2.0 * z))[:, None] * _d_z_over_omega(pts, 2, omega_sq, d_omega_sq)
 
     return LinearOneForm(
-        loop=loop, action_coeffs={"+": coeff_plus, "-": coeff_minus}, j_coeff=j_coeff
+        loop=m.loop, action_coeffs={"+": coeff_plus, "-": coeff_minus}, j_coeff=j_coeff
     )
 
 

@@ -215,10 +215,14 @@ def _trapezoid(coeffs: np.ndarray, velocity: np.ndarray, period: float) -> float
     return float(period / velocity.shape[0] * (0.5 * g[0] + np.sum(g[1:]) + 0.5 * g_close))
 
 
-def _chord_integral_value(coeffs: np.ndarray, points: np.ndarray) -> float:
-    dx = np.diff(points, axis=0)
-    mid = 0.5 * (coeffs[:-1] + coeffs[1:])
-    return float(np.einsum("jd,jd->", mid, dx))
+def _require_halvable(m: int) -> None:
+    """Every quadrature's error estimate is the difference from its stride-2
+    subsample, which needs an even segment count of at least 32."""
+    if m % 2 or m < 2 * _MIN_SEGMENTS:
+        raise TooFewSamples(
+            f"the stride-2 error estimate needs an even segment count of at least "
+            f"{2 * _MIN_SEGMENTS}, got {m}"
+        )
 
 
 def closed_line_integral(coefficients: np.ndarray, loop: LoopSpec) -> QuadratureResult:
@@ -236,31 +240,25 @@ def closed_line_integral(coefficients: np.ndarray, loop: LoopSpec) -> Quadrature
         raise LengthMismatch(
             f"coefficients shape {c.shape} does not match loop samples {loop.points.shape}"
         )
+    _require_halvable(loop.n_segments)
     value = _trapezoid(c, loop.velocity, loop.period)
-    m = loop.n_segments
-    if m % 2 == 0 and m >= 2 * _MIN_SEGMENTS:
-        half = _trapezoid(c[::2], loop.half_velocity, loop.period)
-    else:
-        half = _chord_integral_value(c, loop.points)
+    half = _trapezoid(c[::2], loop.half_velocity, loop.period)
     return QuadratureResult(value=value, error_estimate=abs(value - half))
 
 
 def periodic_integral(values: np.ndarray, period: float) -> QuadratureResult:
     """Trapezoid integral of a periodic function sampled on a closed uniform grid.
 
-    ``values`` includes both endpoints (t = 0 and t = period).
+    ``values`` includes both endpoints (t = 0 and t = period).  The error
+    estimate is the difference against the stride-2 subsample.
     """
     v = np.asarray(values, dtype=float)
     m = v.shape[0] - 1
-    if m < _MIN_SEGMENTS:
-        raise TooFewSamples(f"need at least {_MIN_SEGMENTS} segments, got {m}")
+    _require_halvable(m)
     dt = period / m
     value = float(dt * (0.5 * v[0] + np.sum(v[1:-1]) + 0.5 * v[-1]))
-    if m % 2 == 0 and m >= 2 * _MIN_SEGMENTS:
-        v2 = v[::2]
-        half = float(2 * dt * (0.5 * v2[0] + np.sum(v2[1:-1]) + 0.5 * v2[-1]))
-    else:
-        half = value
+    v2 = v[::2]
+    half = float(2 * dt * (0.5 * v2[0] + np.sum(v2[1:-1]) + 0.5 * v2[-1]))
     return QuadratureResult(value=value, error_estimate=abs(value - half))
 
 

@@ -18,16 +18,8 @@ _AXIS_EPS = 1e-14
 
 def spin_hamiltonian_family(mu: float = 1.0) -> HamiltonianFamily:
     """The two-level family H(B) = -mu * sigma . B over field space."""
-    s1, s2, s3 = pauli_matrices()
-    pauli = np.stack([s1, s2, s3])
-
-    def evaluate(b: np.ndarray) -> np.ndarray:
-        return -mu * (b[0] * s1 + b[1] * s2 + b[2] * s3)
-
-    def evaluate_batch(b: np.ndarray) -> np.ndarray:
-        return -mu * np.einsum("nd,dab->nab", b, pauli)
-
-    return HamiltonianFamily(dim=2, eval=evaluate, batch=evaluate_batch)
+    pauli = np.stack(pauli_matrices())
+    return HamiltonianFamily(dim=2, eval=lambda b: -mu * np.einsum("nd,dab->nab", b, pauli))
 
 
 def cone_loop(
@@ -183,7 +175,8 @@ def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
     low_sq = 0.5 * (w1_sq + w2_sq - r)
     require_positive(low_sq, lambda j: ModeCollapse(
         f"lower normal frequency squared {low_sq[j]:.3e} at sample {j} is not positive "
-        f"(omega1^2 omega2^2 = {w1_sq[j] * w2_sq[j]:.3e}, k^2 Z1 Z2 = {kzz[j]:.3e})"))
+        f"(omega1^2 omega2^2 = {w1_sq[j] * w2_sq[j]:.3e}, k^2 Z1 Z2 = {kzz[j]:.3e})",
+        sample=j))
     with np.errstate(invalid="ignore", divide="ignore"):
         sin_sq = np.where(r > 0, np.clip((w2_sq - w1_sq + r) / (2.0 * r), 0.0, 1.0), 0.0)
     return 0.5 * (w1_sq + w2_sq + r), low_sq, sin_sq
@@ -205,17 +198,16 @@ def normal_mode_split(x1: GHOTriple, x2: GHOTriple, k: float) -> NormalModeSplit
 class SpinOscillatorHybrid:
     """A spin in a rotating planar field coupled to one classical oscillator.
 
-    ``phi_loop`` is the field azimuth embedded as (cos phi, sin phi);
-    ``x_loop`` carries the oscillator triple (X, Y, Z).  Both must share the
-    common period and sampling.  ``i_plus``/``i_minus`` are the spin-level
-    actions and ``j_action`` the oscillator action.
+    ``loop`` has five columns: the field azimuth embedded as
+    (cos phi, sin phi), then the oscillator triple (X, Y, Z), as
+    ``spin_oscillator_loop`` joins them.  ``i_plus``/``i_minus`` are the
+    spin-level actions and ``j_action`` the oscillator action.
     """
 
     mu: float
     lam: float
     b_field: float
-    phi_loop: LoopSpec
-    x_loop: LoopSpec
+    loop: LoopSpec
     i_plus: float
     i_minus: float
     j_action: float
@@ -225,11 +217,18 @@ class SpinOscillatorHybrid:
             raise ValueError("field magnitude must be positive")
         if self.i_plus < 0 or self.i_minus < 0 or self.j_action < 0:
             raise ValueError("actions must be nonnegative")
-        if self.phi_loop.dim != 2:
-            raise ValueError("phi_loop must be the circle embedding (cos, sin)")
-        if self.x_loop.dim != 3:
-            raise ValueError("x_loop must carry the triple (X, Y, Z)")
-        _joined(self.phi_loop, self.x_loop)  # raises unless sampling and period agree
+        if self.loop.dim != 5:
+            raise ValueError(f"expected the five columns (cos phi, sin phi, X, Y, Z), "
+                             f"got {self.loop.dim}")
+
+
+def spin_oscillator_loop(phi_loop: LoopSpec, x_loop: LoopSpec) -> LoopSpec:
+    """The five-column loop of ``SpinOscillatorHybrid``: the azimuth circle
+    (cos phi, sin phi) beside the oscillator triple (X, Y, Z), which must
+    share its sampling and period."""
+    if (phi_loop.dim, x_loop.dim) != (2, 3):
+        raise ValueError("expected the circle embedding (cos, sin) and the triple (X, Y, Z)")
+    return _joined(phi_loop, x_loop)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .errors import (
     NotUnitary,
     OverlapTooSmall,
     PoleProximity,
-    relative_gap_tol,
     require_gap,
     require_positive,
 )
@@ -45,58 +44,43 @@ _PIVOT_FLOOR = 1e-3
 _FD_STEP_FLOOR = 1e-8
 _FD_STEP_REL = 1e-6
 _THETA_GRID = 8  # exact angle average for trigonometric degree < 8
+_HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class HamiltonianFamily:
     """A parameterized family X -> H(X) of N x N Hermitian matrices.
 
-    ``eval`` maps one parameter point to one matrix.  The optional ``batch``
-    maps an (n, d) array of points to the (n, N, N) stack in one call; when
-    given, ``matrices`` uses it instead of evaluating point by point.  Every
-    evaluated matrix must be finite and Hermitian within ``hermiticity_tol``.
-    A non-finite matrix raises ``NonFinite`` with its sample index in place of
-    the floating-point warning that produced it, so evaluation runs with
-    numpy's floating-point warnings off.
+    ``eval`` maps an (n, d) array of parameter points to the (n, N, N) stack
+    of their matrices in one call; a per-point function ``f`` becomes one as
+    ``lambda pts: np.stack([f(x) for x in pts])``.  Every evaluated matrix
+    must be finite and Hermitian within 1e-10.  A non-finite matrix raises
+    ``NonFinite`` with its sample index in place of the floating-point
+    warning that produced it, so evaluation runs with numpy's floating-point
+    warnings off.
     """
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
-    hermiticity_tol: float = 1e-10
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            h = np.asarray(self.eval(np.asarray(x, dtype=float)), dtype=complex)
-        if h.shape != (self.dim, self.dim):
-            raise ValueError(f"family returned shape {h.shape}, expected {(self.dim,)*2}")
-        return self._checked(h[None])[0]
+        return self.matrices(np.asarray(x, dtype=float)[None])[0]
 
     def matrices(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         shape = (pts.shape[0], self.dim, self.dim)
         with np.errstate(all="ignore"):
-            if self.batch is not None:
-                out = np.asarray(self.batch(pts), dtype=complex)
-                if out.shape != shape:
-                    raise ValueError(
-                        f"batch evaluator returned shape {out.shape}, expected {shape}"
-                    )
-            else:
-                out = np.empty(shape, dtype=complex)
-                for j, x in enumerate(pts):
-                    out[j] = np.asarray(self.eval(x), dtype=complex)
-        return self._checked(out)
-
-    def _checked(self, out: np.ndarray) -> np.ndarray:
+            out = np.asarray(self.eval(pts), dtype=complex)
+        if out.shape != shape:
+            raise ValueError(f"family returned shape {out.shape}, expected {shape}")
         finite = np.isfinite(out)
         if not finite.all():
             j = int(np.argmin(finite.all(axis=(1, 2))))
             raise NonFinite(f"family matrix at sample {j} is not finite", sample=j)
         dev = float(np.max(np.abs(out - np.conj(np.swapaxes(out, 1, 2)))))
-        if dev > self.hermiticity_tol:
+        if dev > _HERMITICITY_TOL:
             raise HermiticityViolation(
-                f"max |H - H^dagger| = {dev:.3e} exceeds {self.hermiticity_tol:.1e}"
+                f"max |H - H^dagger| = {dev:.3e} exceeds {_HERMITICITY_TOL:.1e}"
             )
         return out
 
@@ -117,19 +101,16 @@ class EigenFrame:
     min_gap: float
 
 
-def eigenframe_along_loop(
-    family: HamiltonianFamily, loop: LoopSpec, gap_tol: float | None = None
-) -> EigenFrame:
+def eigenframe_along_loop(family: HamiltonianFamily, loop: LoopSpec) -> EigenFrame:
     """Diagonalize the family at every loop sample and align the gauge.
 
     Raises ``GapTooSmall`` at the sample where adjacent levels come closest,
-    when that gap is below ``gap_tol`` (default 1e-9 times the spectral
-    scale), and ``NonFinite`` at the first sample whose matrix is not finite.
+    when that gap is below 1e-9 times the spectral scale, and ``NonFinite``
+    at the first sample whose matrix is not finite.
     """
     h = family.matrices(loop.points)
     energies, vectors = np.linalg.eigh(h)
-    tol = gap_tol if gap_tol is not None else relative_gap_tol(energies)
-    min_gap = require_gap(energies, tol)
+    min_gap = require_gap(energies)
 
     resid = np.einsum("jab,jbk->jak", h, vectors) - vectors * energies[:, None, :]
     if float(np.max(np.abs(resid))) > 1e-9 * max(1.0, float(np.max(np.abs(h)))):
@@ -245,16 +226,16 @@ def spin_hannay_closed_form(loop: LoopSpec, level: int) -> float:
     ``loop`` lives in field space (B1, B2, B3); ``level`` is 1 (lower) or 2
     (upper).  The connection has a pole where B3 = -B (level 1) or B3 = +B
     (level 2); loops closer than 1e-6 * B to a pole are rejected.  The points
-    are first scaled by the power of two that brings max |B_i| into [1/2, 1),
-    so the squares neither overflow nor underflow (and the value is unchanged).
+    are scaled by the power of two 2**-e that brings max |B_i| into [1/2, 1),
+    so the squares neither overflow nor underflow; the connection, homogeneous
+    of degree -1 in B, is then scaled back by 2**-e, which is exact.
     """
     if level not in (1, 2):
         raise ValueError("level must be 1 or 2")
     if loop.dim != 3:
         raise ValueError("field loop must be 3-dimensional")
     exponent = np.frexp(np.max(np.abs(loop.points)))[1]
-    loop = LoopSpec(loop.period, loop.times, np.ldexp(loop.points, -exponent), loop.cycles)
-    b1, b2, b3 = loop.points.T
+    b1, b2, b3 = np.ldexp(loop.points, -exponent).T
     b = np.sqrt(b1**2 + b2**2 + b3**2)
     sign = 1.0 if level == 1 else -1.0
     denom_core = b + sign * b3
@@ -265,7 +246,7 @@ def spin_hannay_closed_form(loop: LoopSpec, level: int) -> float:
         )
     denom = 2.0 * b * denom_core
     coeffs = np.column_stack([b2 / denom, -b1 / denom, np.zeros_like(b)])
-    return -closed_line_integral(coeffs, loop).value
+    return -closed_line_integral(np.ldexp(coeffs, -exponent), loop).value
 
 
 def classicalize(psi: np.ndarray, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray, float]:
@@ -391,24 +372,9 @@ def reconstruct(aa: ActionAngle, eigenvectors: np.ndarray, hbar: float = 1.0) ->
     return q, p
 
 
-def _sorted_eigvecs_checked(family: HamiltonianFamily, x: np.ndarray, gap_tol: float):
-    energies, vectors = np.linalg.eigh(family.matrix(x))
-    require_gap(energies, gap_tol)
-    return energies, vectors
-
-
-def _canonicalize_columns(c: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-    out = c.copy()
-    for k, piv in enumerate(pivots):
-        z = out[piv, k]
-        if abs(z) == 0.0:
-            raise GapTooSmall(sample=0, level=k, gap=0.0, tol=0.0)
-        out[:, k] *= np.conj(z) / abs(z)
-    return out
-
-
 def _fd_eigvec_triplet(family: HamiltonianFamily, x: np.ndarray, dx: np.ndarray):
-    """Canonically gauged eigenvector matrices at x and x +/- h along dx."""
+    """Canonically gauged eigenvector matrices at x and x +/- h along dx,
+    diagonalised as one stack of three."""
     x = np.asarray(x, dtype=float)
     dx = np.asarray(dx, dtype=float)
     norm_dx = float(np.linalg.norm(dx))
@@ -416,15 +382,13 @@ def _fd_eigvec_triplet(family: HamiltonianFamily, x: np.ndarray, dx: np.ndarray)
         raise ValueError("dx must be nonzero")
     unit = dx / norm_dx
     h = max(_FD_STEP_REL * float(np.linalg.norm(x)), _FD_STEP_FLOOR)
-    e0, c0 = np.linalg.eigh(family.matrix(x))
-    tol = relative_gap_tol(e0)
-    require_gap(e0, tol)
-    _, cp = _sorted_eigvecs_checked(family, x + h * unit, tol)
-    _, cm = _sorted_eigvecs_checked(family, x - h * unit, tol)
-    pivots = np.argmax(np.abs(c0), axis=0)
-    c0 = _canonicalize_columns(c0, pivots)
-    cp = _canonicalize_columns(cp, pivots)
-    cm = _canonicalize_columns(cm, pivots)
+    energies, vectors = np.linalg.eigh(family.matrices(np.stack([x, x + h * unit, x - h * unit])))
+    require_gap(energies)
+    pivots = vectors[:, np.argmax(np.abs(vectors[0]), axis=0), np.arange(family.dim)]
+    if not np.all(pivots):
+        j, level = np.argwhere(pivots == 0)[0]
+        raise GapTooSmall(sample=int(j), level=int(level), gap=0.0, tol=0.0)
+    c0, cp, cm = vectors * (np.conj(pivots) / np.abs(pivots))[:, None, :]
     return c0, cp, cm, h, norm_dx
 
 

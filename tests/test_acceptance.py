@@ -76,7 +76,7 @@ def test_criterion_03_one_form_identity():
     mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(4)]
     mats = [0.5 * (m + m.conj().T) for m in mats]
     fam3 = H.HamiltonianFamily(
-        dim=3, eval=lambda x: mats[0] + x[0] * mats[1] + x[1] * mats[2] + x[2] * mats[3]
+        dim=3, eval=lambda x: mats[0] + np.einsum("nd,dab->nab", x, np.stack(mats[1:]))
     )
     for _ in range(20):
         x = rng.normal(size=3)

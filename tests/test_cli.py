@@ -350,6 +350,27 @@ def test_out_of_range_values_are_typed(cfg, tmp_path, capsys):
         assert rows and all(row["error"] == "NonFinite" for row in rows)
 
 
+# Sweeps whose points leave floating-point range, or that no point reads.
+SWEEP_CONFIGS = {
+    "linear k overflows": {"experiment": "hybrid-gho", "sweep": {
+        "parameter": "k", "start": -1.7e308, "stop": 1.7e308, "count": 3}},
+    "fig with no ratios": {"experiment": "fig1", "params": {"ratios": []}, "sweep": {
+        "parameter": "k_fraction_of_max", "start": 0.1, "stop": 0.5, "count": 1}},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg", SWEEP_CONFIGS.values(), ids=SWEEP_CONFIGS)
+def test_sweep_checked_inside_the_floating_point_boundary(cfg, tmp_path, capsys):
+    cfg = dict(cfg, output={"directory": str(tmp_path / "out")})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigInvalid"
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_has_no_seed_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "quantum", "--seed", "1"])

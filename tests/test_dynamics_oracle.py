@@ -46,7 +46,8 @@ def three_level_family():
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         couplings.append(0.1 * (a + a.conj().T))
     base = np.diag([-1.0, 0.0, 1.5]).astype(complex)
-    return HamiltonianFamily(dim=3, eval=lambda x: base + sum(xi * c for xi, c in zip(x, couplings)))
+    return HamiltonianFamily(dim=3, eval=lambda pts: base + np.einsum(
+        "nd,dab->nab", pts, np.stack(couplings)))
 
 
 def rk4_schedule(loop, sps, slowness):

@@ -15,6 +15,7 @@ from holonomy import (
     ModeCollapse,
     SpinOscillatorHybrid,
     StandardLoopParams,
+    TooFewSamples,
     WeakCouplingViolated,
     bo_full_quantum_phase,
     bo_full_quantum_phase_parts,
@@ -26,6 +27,7 @@ from holonomy import (
     normal_mode_split,
     phases_from_one_form,
     single_gho_phase,
+    spin_oscillator_loop,
     spin_oscillator_one_form,
     standard_loop_report,
     standard_parameter_loops,
@@ -57,8 +59,8 @@ def spin_osc(lam, eps=0.5, j_action=1.0, i_plus=1.0, i_minus=0.0, n_samples=1024
     period = 2 * math.pi
     return SpinOscillatorHybrid(
         mu=1.0, lam=lam, b_field=1.0,
-        phi_loop=circle_loop(period=period, n_samples=n_samples),
-        x_loop=triple_loop(eps=eps, n_samples=n_samples, period=period),
+        loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n_samples),
+                                  triple_loop(eps=eps, n_samples=n_samples, period=period)),
         i_plus=i_plus, i_minus=i_minus, j_action=j_action,
     )
 
@@ -110,8 +112,8 @@ class TestSpinOscillatorOneForm:
         n = 1024
         hybrid = SpinOscillatorHybrid(
             mu=1.0, lam=0.1, b_field=1.0,
-            phi_loop=circle_loop(period=period, n_samples=n, cycles=2),
-            x_loop=triple_loop(eps=0.5, n_samples=n, period=period),
+            loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n, cycles=2),
+                                      triple_loop(eps=0.5, n_samples=n, period=period)),
             i_plus=1.0, i_minus=0.0, j_action=0.0,
         )
         ph = phases_from_one_form(spin_oscillator_one_form(hybrid))
@@ -125,8 +127,9 @@ class TestSpinOscillatorOneForm:
         pts = np.tile([1.2, -0.1, 0.8], (n + 1, 1))
         hybrid = SpinOscillatorHybrid(
             mu=1.0, lam=0.05, b_field=1.0,
-            phi_loop=circle_loop(period=period, n_samples=n),
-            x_loop=LoopSpec(period, t, pts), i_plus=0.7, i_minus=0.3, j_action=1.0,
+            loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n),
+                                      LoopSpec(period, t, pts)),
+            i_plus=0.7, i_minus=0.3, j_action=1.0,
         )
         ph = phases_from_one_form(spin_oscillator_one_form(hybrid))
         assert abs(ph.delta_phi) <= 1e-12
@@ -150,6 +153,42 @@ class TestSpinOscillatorOneForm:
         hybrid = spin_osc(lam=1.05, j_action=0.0, i_plus=0.0, i_minus=1.0, n_samples=256)
         with pytest.raises(OmegaImaginary):
             spin_oscillator_one_form(hybrid)
+
+    def test_omega_imaginary_names_its_sample(self):
+        from holonomy import OmegaImaginary
+
+        hybrid = spin_osc(lam=1.05, j_action=0.0, i_plus=0.0, i_minus=1.0, n_samples=256)
+        with pytest.raises(OmegaImaginary) as err:
+            spin_oscillator_one_form(hybrid)
+        x, y, z = hybrid.loop.points[:, 2:].T
+        omega_sq = (x - 1.05**2) * z - y**2
+        assert err.value.sample == int(np.argmax(omega_sq <= 0)) > 0
+
+    def test_one_form_integrates_around_the_model_loop(self):
+        hybrid = spin_osc(lam=0.05)
+        assert hybrid.loop.dim == 5
+        assert spin_oscillator_one_form(hybrid).loop is hybrid.loop
+
+    def test_loops_must_share_sampling(self):
+        with pytest.raises(ValueError):
+            spin_oscillator_loop(circle_loop(period=2 * math.pi, n_samples=256),
+                                 triple_loop(n_samples=512))
+
+
+class TestReportQuadratureError:
+    @pytest.mark.parametrize("n_samples", [17, 30])
+    def test_too_coarse_for_an_error_estimate(self, n_samples):
+        # no stride-2 estimate can be formed; at 17 samples delta_phi_0 is 4.8e-5 off
+        p = std_params(eps=0.8, k=0.1, n1=2, n2=1)
+        with pytest.raises(TooFewSamples, match=f"got {n_samples}"):
+            standard_loop_report(p, n_samples)
+
+    def test_estimate_at_32_samples_covers_the_error(self):
+        p = std_params(eps=0.8, k=0.1, n1=2, n2=1)
+        coarse = standard_loop_report(p, 32)
+        converged = standard_loop_report(p, 4096)
+        assert coarse.quadrature_error > 0.0
+        assert abs(coarse.delta_phi_0_part - converged.delta_phi_0_part) <= coarse.quadrature_error
 
 
 class TestCoupledGHOOneForm:
@@ -320,6 +359,17 @@ class TestFullQuantum:
     def test_mode_collapse_along_loop(self):
         with pytest.raises(ModeCollapse):
             full_quantum_phase(self.loop, 5.0, 0, 0)
+
+    def test_mode_collapse_names_its_first_sample(self):
+        # the lower mode closes where omega1^2 omega2^2 <= k^2 Z1 Z2
+        x1, x2 = self.loop.points[:, :3], self.loop.points[:, 3:]
+        w1_sq = x1[:, 0] * x1[:, 2] - x1[:, 1] ** 2
+        w2_sq = x2[:, 0] * x2[:, 2] - x2[:, 1] ** 2
+        ratio = w1_sq * w2_sq / (x1[:, 2] * x2[:, 2])
+        k = math.sqrt(np.quantile(ratio, 0.4))
+        with pytest.raises(ModeCollapse) as err:
+            full_quantum_phase(self.loop, k, 0, 0)
+        assert err.value.sample == int(np.argmax(ratio <= k**2)) > 0
 
     def test_nan_sample_is_elliptic_violation_at_that_sample(self):
         # NaN compares false both ways, so a guard written as "any <= 0" let it through

@@ -129,6 +129,28 @@ class TestPeriodicIntegral:
         assert_allclose(res.value, 2 * math.pi / math.sqrt(3.0), rtol=1e-12)
 
 
+class TestStrideTwoEstimate:
+    """Every quadrature's error estimate comes from its stride-2 subsample;
+    where that cannot be formed, the quadrature refuses to run."""
+
+    @pytest.mark.parametrize("segments", [17, 30])
+    def test_periodic_integral_needs_an_even_count_of_32(self, segments):
+        t = np.linspace(0, 2 * math.pi, segments + 1)
+        with pytest.raises(TooFewSamples, match=f"got {segments}"):
+            periodic_integral(1.0 / (2.0 + np.cos(t)), 2 * math.pi)
+
+    @pytest.mark.parametrize("segments", [17, 30])
+    def test_closed_line_integral_needs_an_even_count_of_32(self, segments):
+        loop = unit_circle_3d(segments)
+        with pytest.raises(TooFewSamples, match=f"got {segments}"):
+            closed_line_integral(angle_form(loop), loop)
+
+    def test_estimate_bounds_a_coarse_grid_error(self):
+        t = np.linspace(0, 2 * math.pi, 33)
+        res = periodic_integral(1.0 / (2.0 + np.cos(t)), 2 * math.pi)
+        assert abs(res.value - 2 * math.pi / math.sqrt(3.0)) <= res.error_estimate
+
+
 class TestStandardLoops:
     def test_epsilon_zero_freezes(self):
         p = StandardLoopParams(a1=1.5, a2=1.0, mu1=2.0, mu2=1.0, n1=1, n2=1,

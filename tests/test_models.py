@@ -155,8 +155,9 @@ class TestNormalModes:
         assert_allclose(math.sin(split.beta) ** 2, 0.5, rtol=1e-12)
 
     def test_mode_collapse(self):
-        with pytest.raises(ModeCollapse):
+        with pytest.raises(ModeCollapse) as err:
             normal_mode_split(GHOTriple(1.0, 0.0, 1.0), GHOTriple(1.0, 0.0, 1.0), 1.0)
+        assert err.value.sample == 0
 
     def test_continuity_toward_zero_coupling(self):
         x1 = GHOTriple(4.0, 0.1, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,33 +44,39 @@ def random_family(dim, rng, n_params=3):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mats.append(0.5 * (a + a.conj().T))
 
-    def evaluate(x):
-        h = mats[0].copy()
-        for i, xi in enumerate(x, start=1):
-            h = h + xi * mats[i]
-        return h
+    return HamiltonianFamily(dim=dim, eval=lambda pts: mats[0] + np.einsum(
+        "nd,dab->nab", pts, np.stack(mats[1:])))
 
-    return HamiltonianFamily(dim=dim, eval=evaluate)
+
+def constant_family(h0):
+    """The family with the matrix ``h0`` at every point."""
+    return HamiltonianFamily(dim=2, eval=lambda pts: np.broadcast_to(h0, (len(pts), 2, 2)))
+
+
+def spin_matrix(b, mu):
+    """-mu * sigma . B at one field point, written out term by term."""
+    s1, s2, s3 = pauli_matrices()
+    return -mu * (b[0] * s1 + b[1] * s2 + b[2] * s3)
 
 
 class TestHamiltonianFamily:
     def test_spin_batch_matches_pointwise(self):
         fam = spin_hamiltonian_family(1.7)
-        assert fam.batch is not None
         pts = RNG.normal(size=(50, 3))
-        stacked = np.stack([fam.matrix(x) for x in pts])
+        stacked = np.stack([spin_matrix(x, 1.7) for x in pts])
         assert np.array_equal(fam.matrices(pts), stacked)
+        assert np.array_equal(fam.matrix(pts[7]), stacked[7])
 
     def test_batch_hermiticity_guard(self):
-        bad = np.array([[0.0, 1.0], [0.5, 0.0]])
-        fam = HamiltonianFamily(dim=2, eval=lambda x: bad,
-                                batch=lambda pts: np.broadcast_to(bad, (len(pts), 2, 2)))
+        fam = constant_family(np.array([[0.0, 1.0], [0.5, 0.0]]))
         with pytest.raises(HermiticityViolation):
             fam.matrices(np.zeros((4, 3)))
 
+    def test_one_evaluator(self):
+        assert [f.name for f in dataclasses.fields(HamiltonianFamily)] == ["dim", "eval"]
+
     def test_batch_shape_checked(self):
-        fam = HamiltonianFamily(dim=2, eval=lambda x: np.eye(2),
-                                batch=lambda pts: np.zeros((len(pts), 3, 3)))
+        fam = HamiltonianFamily(dim=2, eval=lambda pts: np.zeros((len(pts), 3, 3)))
         with pytest.raises(ValueError):
             fam.matrices(np.zeros((4, 3)))
 
@@ -83,7 +90,7 @@ class TestEigenFrame:
 
     def test_constant_family_frames_identical(self):
         h0 = np.array([[1.0, 0.3j], [-0.3j, -1.0]])
-        fam = HamiltonianFamily(dim=2, eval=lambda x: h0)
+        fam = constant_family(h0)
         loop = make_loop(lambda t: np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)]), 1.0, 64)
         frame = eigenframe_along_loop(fam, loop)
         assert np.max(np.abs(frame.vectors - frame.vectors[0])) < 1e-12
@@ -105,7 +112,7 @@ class TestEigenFrame:
         assert np.min(ov.real) > 0
 
     def test_hermiticity_guard(self):
-        fam = HamiltonianFamily(dim=2, eval=lambda x: np.array([[0.0, 1.0], [0.5, 0.0]]))
+        fam = constant_family(np.array([[0.0, 1.0], [0.5, 0.0]]))
         loop = cone_loop(0.7, n_samples=32)
         with pytest.raises(HermiticityViolation):
             eigenframe_along_loop(fam, loop)
@@ -126,7 +133,7 @@ class TestWilsonLoop:
 
     def test_constant_loop_no_transport(self):
         h0 = pauli_matrices()[2]
-        fam = HamiltonianFamily(dim=2, eval=lambda x: np.asarray(h0))
+        fam = constant_family(h0)
         loop = make_loop(lambda t: np.array([1.0, 0.0]), 1.0, 64)
         gamma, dtheta = berry_and_hannay(eigenframe_along_loop(fam, loop), 0)
         assert gamma == 0.0 and dtheta == 0.0
@@ -388,7 +395,7 @@ class TestCumulativeGauge:
         assert np.max(np.abs(eigenframe_along_loop(fam, loop).vectors - ref)) <= 1e-12
 
     def test_matches_sequential_loop_three_level(self):
-        # point-by-point evaluation, no batch evaluator
+        # a family that is not the spin family
         fam = random_family(3, np.random.default_rng(7))
         loop = three_level_loop(1024)
         frame = eigenframe_along_loop(fam, loop)
@@ -570,6 +577,17 @@ class TestClosedFormScale:
         scaled = LoopSpec(unit.period, unit.times, np.ldexp(unit.points, exponent))
         for level in (1, 2):
             assert spin_hannay_closed_form(scaled, level) == spin_hannay_closed_form(unit, level)
+
+    def test_small_field_loop_closed_within_absolute_tolerance(self):
+        # |B| = 1e-6 and an endpoint 5e-13 off: closed within LoopSpec's
+        # absolute tolerance 1e-12, which the same loop scaled to |B| ~ 1 is not
+        loop = cone_loop(1.0, b=1e-6, n_samples=256)
+        pts = loop.points.copy()
+        pts[-1, 2] += 5e-13
+        small = LoopSpec(loop.period, loop.times, pts)
+        for level in (1, 2):
+            unit = spin_hannay_closed_form(cone_loop(1.0, n_samples=256), level)
+            assert abs(spin_hannay_closed_form(small, level) - unit) <= 1e-8
 
     @pytest.mark.parametrize("b", [1e155, 1e-200, 1e300])
     def test_extreme_field_strength_matches_wilson(self, b):
