@@ -36,7 +36,12 @@ from .errors import (
     require_positive,
 )
 from .manifold import LoopSpec
-from .quantum_geometry import HamiltonianFamily, canonical_section_track, eigenframe_along_loop
+from .quantum_geometry import (
+    HamiltonianFamily,
+    _eigh,
+    canonical_section_track,
+    eigenframe_along_loop,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,8 +165,10 @@ def propagate_quantum(
     The state starts in level ``k``'s eigenvector (canonical gauge).
     ``norm_drift`` sums, over the steps, how far each step moves the norm
     away from 1: |norm ratio of consecutive states - 1|, which equals the
-    excess a per-step renormalisation would discard.  The dynamical phase is
-    the trapezoid of the tracked level's energy over the full step grid.
+    excess a per-step renormalisation would discard.  The spectrum at every
+    step start (in closed form for two levels, by LAPACK for more) feeds the
+    per-step gap check, whose error names the loop sample, and the dynamical
+    phase: the trapezoid of the tracked level's energy over the full step grid.
     ``phase_track`` holds, at every loop sample, the state's phase relative
     to the canonical eigenvector plus the dynamical phase accumulated so far;
     its unwrapped increments survive many windings and feed
@@ -177,7 +184,7 @@ def propagate_quantum(
 
     fine = loop.upsampled(2 * steps_per_sample)  # 2 points per step
     gen = family.matrices(fine)
-    energies_fine = np.linalg.eigvalsh(gen[::2])  # one per full step
+    energies_fine = _eigh(gen[::2], vectors=False)  # one per full step
     require_gap(energies_fine, stride=steps_per_sample)
 
     # reference eigenvectors at the loop samples: the canonical section, or

@@ -11,15 +11,29 @@ import numpy as np
 
 from .errors import EllipticViolation, ModeCollapse, ZeroField, require_positive
 from .manifold import DEFAULT_SAMPLES, LoopSpec, StandardLoopParams, _joined
-from .quantum_geometry import HamiltonianFamily, pauli_matrices
+from .quantum_geometry import HamiltonianFamily
 
 _AXIS_EPS = 1e-14
 
 
 def spin_hamiltonian_family(mu: float = 1.0) -> HamiltonianFamily:
-    """The two-level family H(B) = -mu * sigma . B over field space."""
-    pauli = np.stack(pauli_matrices())
-    return HamiltonianFamily(dim=2, eval=lambda b: -mu * np.einsum("nd,dab->nab", b, pauli))
+    """The two-level family H(B) = -mu * sigma . B over field space.
+
+    The four entries are filled from -mu * B in the Pauli convention of
+    ``pauli_matrices``: H = [[-v3, v1 + i v2], [v1 - i v2, v3]] with v = -mu B.
+    """
+
+    def matrices(b: np.ndarray) -> np.ndarray:
+        v = -mu * b
+        h = np.zeros((len(b), 2, 2), dtype=complex)
+        h.real[:, 0, 0] = -v[:, 2]
+        h.real[:, 1, 1] = v[:, 2]
+        h.real[:, 0, 1] = h.real[:, 1, 0] = v[:, 0]
+        h.imag[:, 0, 1] = v[:, 1]
+        h.imag[:, 1, 0] = -v[:, 1]
+        return h
+
+    return HamiltonianFamily(dim=2, eval=matrices)
 
 
 def cone_loop(

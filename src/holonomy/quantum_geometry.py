@@ -101,15 +101,61 @@ class EigenFrame:
     min_gap: float
 
 
+def _eigh(h: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues of an (n, N, N) stack of Hermitian matrices, and
+    with ``vectors`` their eigenvectors as columns, like ``np.linalg.eigh``.
+
+    Both read the lower triangle.  A 2 x 2 stack is solved in closed form:
+    with m = (a + d)/2, c = (a - d)/2 and r = hypot(c, |b|) for
+    H = [[a, b], [conj(b), d]], the eigenvalues are m -/+ r.  The lower
+    eigenvector (x, y) is the larger of the two null-space candidates of
+    H - (m - r), (b, -(c + r)) for c >= 0 and (c - r, conj(b)) otherwise, so
+    its norm hypot(|b|, |c| + r) is at least r; the upper one is
+    (-conj(y), conj(x)), orthogonal by construction.  At an exact degeneracy
+    (r = 0) the basis is the identity, so the gap check, not a 0/0, reports
+    it.  Larger stacks go to LAPACK.
+    """
+    if h.shape[-1] != 2:
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    a = h[:, 0, 0].real
+    d = h[:, 1, 1].real
+    b = np.conj(h[:, 1, 0])
+    abs_b = np.abs(b)
+    mid = 0.5 * (a + d)
+    half = 0.5 * (a - d)
+    r = np.hypot(half, abs_b)
+    energies = np.stack([mid - r, mid + r], axis=-1)
+    if not vectors:
+        return energies
+    upper_half = half >= 0
+    x = np.where(upper_half, b, half - r)
+    y = np.where(upper_half, -(half + r), np.conj(b))
+    norm = np.hypot(abs_b, np.abs(half) + r)
+    degenerate = norm == 0
+    x[degenerate] = 1.0
+    norm[degenerate] = 1.0
+    x /= norm
+    y /= norm
+    vecs = np.empty(h.shape, dtype=complex)
+    vecs[:, 0, 0] = x
+    vecs[:, 1, 0] = y
+    vecs[:, 0, 1] = -np.conj(y)
+    vecs[:, 1, 1] = np.conj(x)
+    return energies, vecs
+
+
 def eigenframe_along_loop(family: HamiltonianFamily, loop: LoopSpec) -> EigenFrame:
     """Diagonalize the family at every loop sample and align the gauge.
 
-    Raises ``GapTooSmall`` at the sample where adjacent levels come closest,
-    when that gap is below 1e-9 times the spectral scale, and ``NonFinite``
-    at the first sample whose matrix is not finite.
+    Two-level families are diagonalised in closed form and larger ones by
+    LAPACK (``_eigh``); the residual |H v - E v| of every eigenpair is checked
+    against 1e-9 times the matrix scale either way.  Raises ``GapTooSmall``
+    at the sample where adjacent levels come closest, when that gap is below
+    1e-9 times the spectral scale, and ``NonFinite`` at the first sample
+    whose matrix is not finite.
     """
     h = family.matrices(loop.points)
-    energies, vectors = np.linalg.eigh(h)
+    energies, vectors = _eigh(h)
     min_gap = require_gap(energies)
 
     resid = np.einsum("jab,jbk->jak", h, vectors) - vectors * energies[:, None, :]
@@ -382,7 +428,7 @@ def _fd_eigvec_triplet(family: HamiltonianFamily, x: np.ndarray, dx: np.ndarray)
         raise ValueError("dx must be nonzero")
     unit = dx / norm_dx
     h = max(_FD_STEP_REL * float(np.linalg.norm(x)), _FD_STEP_FLOOR)
-    energies, vectors = np.linalg.eigh(family.matrices(np.stack([x, x + h * unit, x - h * unit])))
+    energies, vectors = _eigh(family.matrices(np.stack([x, x + h * unit, x - h * unit])))
     require_gap(energies)
     pivots = vectors[:, np.argmax(np.abs(vectors[0]), axis=0), np.arange(family.dim)]
     if not np.all(pivots):

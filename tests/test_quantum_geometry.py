@@ -27,13 +27,14 @@ from holonomy import (
     finite_difference_connection,
     make_loop,
     pauli_matrices,
+    propagate_quantum,
     reconstruct,
     spin_hamiltonian_family,
     spin_hannay_closed_form,
     stokes_vector,
     theta_averaged_one_form,
 )
-from holonomy.quantum_geometry import align_gauge
+from holonomy.quantum_geometry import _eigh, align_gauge
 
 RNG = np.random.default_rng(20240811)
 
@@ -61,11 +62,14 @@ def spin_matrix(b, mu):
 
 class TestHamiltonianFamily:
     def test_spin_batch_matches_pointwise(self):
-        fam = spin_hamiltonian_family(1.7)
-        pts = RNG.normal(size=(50, 3))
-        stacked = np.stack([spin_matrix(x, 1.7) for x in pts])
-        assert np.array_equal(fam.matrices(pts), stacked)
-        assert np.array_equal(fam.matrix(pts[7]), stacked[7])
+        pts = RNG.normal(size=(50, 3)) * 10.0 ** RNG.uniform(-200, 150, size=(50, 1))
+        pts[:6] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                   [-0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
+        for mu in (1.7, -0.3):
+            fam = spin_hamiltonian_family(mu)
+            stacked = np.stack([spin_matrix(x, mu) for x in pts])
+            assert np.array_equal(fam.matrices(pts), stacked)
+            assert np.array_equal(fam.matrix(pts[7]), stacked[7])
 
     def test_batch_hermiticity_guard(self):
         fam = constant_family(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -373,7 +377,7 @@ def sequential_gauge(vectors):
 
 
 def raw_eigenvectors(family, loop):
-    return np.linalg.eigh(family.matrices(loop.points))[1]
+    return _eigh(family.matrices(loop.points))[1]
 
 
 def three_level_loop(n_samples):
@@ -392,7 +396,12 @@ class TestCumulativeGauge:
         raw = raw_eigenvectors(fam, loop)
         ref = sequential_gauge(raw)
         assert np.max(np.abs(align_gauge(raw.copy()) - ref)) <= 1e-12
-        assert np.max(np.abs(eigenframe_along_loop(fam, loop).vectors - ref)) <= 1e-12
+        frame = eigenframe_along_loop(fam, loop)
+        assert np.max(np.abs(frame.vectors - ref)) <= 1e-12
+        # the same rays as LAPACK's, whatever the phase of each
+        lapack = np.linalg.eigh(fam.matrices(loop.points))[1]
+        fidelity = np.abs(np.einsum("jnk,jnk->jk", np.conj(frame.vectors), lapack))
+        assert np.min(fidelity) >= 1 - 1e-12
 
     def test_matches_sequential_loop_three_level(self):
         # a family that is not the spin family
@@ -597,3 +606,60 @@ class TestClosedFormScale:
             closed = spin_hannay_closed_form(loop, level)
             assert abs(closed - spin_hannay_closed_form(cone_loop(1.0, n_samples=256), level)) <= 1e-14
             assert abs(berry_and_hannay(frame, level - 1)[1] - closed) <= 1e-4
+
+
+def two_level_stack(rng, n, exponent, offset):
+    """n random 2 x 2 Hermitian matrices scaled by 10**exponent, each shifted
+    by ``offset`` times its own splitting; the first rows are the kernel's
+    branch edges: diagonal either way round, real and imaginary couplings,
+    equal diagonals, and an exact degeneracy."""
+    a, d = rng.normal(size=(2, n))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    a[:6] = [1.0, -1.0, 0.7, 0.2, 0.5, 0.5]
+    d[:6] = [-1.0, 1.0, -0.3, 0.9, 0.5, 0.5]
+    b[:6] = [0.0, 0.0, 0.4, -0.6j, 1.0 - 1.0j, 0.0]
+    shift = offset * np.hypot(0.5 * (a - d), np.abs(b))
+    h = np.empty((n, 2, 2), dtype=complex)
+    h[:, 0, 0] = a + shift
+    h[:, 1, 1] = d + shift
+    h[:, 0, 1] = b
+    h[:, 1, 0] = np.conj(b)
+    return h * 10.0**exponent
+
+
+class TestTwoLevelKernel:
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-200, 155),
+           offset=st.floats(-1e6, 1e6))
+    def test_matches_lapack(self, seed, exponent, offset):
+        h = two_level_stack(np.random.default_rng(seed), 64, exponent, offset)
+        scale = np.max(np.abs(h), axis=(1, 2))
+        energies, vectors = _eigh(h)
+        assert np.array_equal(_eigh(h, vectors=False), energies)
+        assert np.all(np.abs(energies - np.linalg.eigvalsh(h)) <= 1e-14 * scale[:, None])
+        resid = np.linalg.norm(h @ vectors - vectors * energies[:, None, :], axis=1)
+        assert np.all(resid <= 1e-14 * scale[:, None])
+        gram = np.einsum("jnk,jnl->jkl", np.conj(vectors), vectors)
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+        assert np.all(energies[:, 0] <= energies[:, 1])
+
+    @pytest.mark.parametrize("c", [0.0, 2.5])
+    @pytest.mark.parametrize("route", ["frame", "connection", "propagation"])
+    def test_exact_degeneracy_is_a_gap_error(self, c, route):
+        fam = constant_family(c * np.eye(2, dtype=complex))
+        loop = make_loop(lambda t: np.array([math.cos(2 * math.pi * t), 0.0]), 1.0, 16)
+        with np.errstate(all="raise"), pytest.raises(GapTooSmall):
+            if route == "frame":
+                eigenframe_along_loop(fam, loop)
+            elif route == "connection":
+                finite_difference_connection(fam, np.array([0.3, 0.1]), np.array([1.0, 0.0]))
+            else:
+                propagate_quantum(fam, loop, 0, 10.0, steps_per_sample=4)
+
+    def test_three_levels_keep_lapack(self):
+        fam = random_family(3, np.random.default_rng(7))
+        loop = three_level_loop(256)
+        energies, vectors = np.linalg.eigh(fam.matrices(loop.points))
+        frame = eigenframe_along_loop(fam, loop)
+        assert np.array_equal(frame.energies, energies)
+        assert np.array_equal(frame.vectors, align_gauge(vectors))
