@@ -9,22 +9,26 @@ samples come from the loop's own band-limited interpolant
 Determinism of step placement makes convergence studies reproducible.
 
 Both equations are linear in the state, y' = A(t) y, so each step is one
-fixed matrix y_{i+1} = M_i y_i.  All step matrices are built in one
-vectorised pass from A at the step starts and midpoints.  Their running
-products are then formed as a blocked prefix scan (Blelloch, "Prefix Sums
-and Their Applications", CMU-CS-90-190, 1990): inside each block of
-``steps_per_sample`` steps, vectorised across the loop samples, and then
-carried from block to block.  That takes ``steps_per_sample + m`` Python
-iterations for m loop samples.  Every trace (norms, phases, actions, angles)
-is derived from the resulting array of states.  Matrix stacks are stored
-batch-last, shape (N, N, ...), so every elementwise operation runs over the
-long batch axis.
+fixed matrix y_{i+1} = M_i y_i.  Their running products are formed as a
+blocked prefix scan (Blelloch, "Prefix Sums and Their Applications",
+CMU-CS-90-190, 1990): inside each block of ``steps_per_sample`` steps,
+vectorised across the loop samples, and then carried from block to block.
+That takes ``steps_per_sample + m`` Python iterations for m loop samples.
+The scan walks the steps of a block in cache-sized chunks (Lam, Rothberg and
+Wolf, "The cache performance and optimizations of blocked algorithms",
+ASPLOS 1991): each chunk's step matrices are built from A at its step
+starts, midpoints and ends and folded straight into the running products,
+so no array of every step's matrix is formed.  Inside a chunk, matrices are
+laid out (N, N, step, sample), so every elementwise operation runs over a
+whole row of loop samples.  Every trace (norms, phases, actions, angles) is
+derived from the resulting array of states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +50,12 @@ from .quantum_geometry import (
 TWO_PI = 2.0 * math.pi
 
 _ADIABATIC_FIDELITY = 0.99
+
+# Steps per chunk of the RK4 scan, rounded down to whole rows of loop samples.
+# For the real 2 x 2 oscillator a chunk's generators take 0.5 MiB and its
+# increments and each stage temporary 0.25 MiB, so the chunk's working set
+# stays within a core's 2 MiB L2 cache.
+_CHUNK_STEPS = 8192
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,13 @@ def recommended_steps_per_sample(loop: LoopSpec, slowness: float, rate_scale: fl
     return max(8, int(math.ceil(slowness * loop.spacing / target)))
 
 
+def _require_schedule(slowness: float, steps_per_sample: int) -> None:
+    if not (math.isfinite(slowness) and slowness > 0):
+        raise ValueError(f"slowness must be positive and finite, got {slowness}")
+    if steps_per_sample < 1:
+        raise ValueError(f"steps_per_sample must be at least 1, got {steps_per_sample}")
+
+
 def _wrap_angle(x: np.ndarray) -> np.ndarray:
     return (x + math.pi) % TWO_PI - math.pi
 
@@ -101,53 +118,60 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_step_increments(gen: np.ndarray, h: float) -> np.ndarray:
-    """Increments D_i = M_i - I of the RK4 steps y_{i+1} = M_i y_i of
-    y' = A(t) y.
+def _rk4_states(
+    generators: Callable[[int, int], np.ndarray], y0: np.ndarray, h: float, block: int, m: int
+) -> np.ndarray:
+    """States y_0 .. y_n of n = m * block RK4 steps y_{i+1} = M_i y_i of
+    y' = A(t) y around a closed traversal, by a blocked prefix scan.
 
-    ``gen`` is batch-last, shape (N, N, 2n): A at every step start (even
-    entries) and midpoint (odd entries) of a closed traversal, so the last
-    step ends where the first starts.  With B1 = I + h/2 A0 and
+    Step i = j * block + r is step r of loop sample j.  ``generators(lo, hi)``
+    returns A at the fine offsets lo .. hi - 1 of every sample, shape
+    (N, N, hi - lo, m): offset 2r is the start of step r and 2r + 1 its
+    midpoint; the last step of sample j ends at offset 0 of sample j + 1, and
+    the last step of all where the first starts.  With B1 = I + h/2 A0 and
     B2 = I + h/2 A1 B1 each step is
     M = I + h/6 (A0 + 2 A1 B1 + 2 A1 B2 + A2 (I + h A1 B2)).
-    The identity is left out: rounding I + D to the stored matrix would bias
-    every step's norm the same way on loops of constant spectrum.
+
+    The scan walks r in chunks of whole offset rows, every sample at once.
+    Each chunk's increments D = M - I are folded straight into the running
+    products P[:, :, r, j] of the first r + 1 steps of block j; the block
+    totals then carry the state from one block start to the next.  The
+    identity is kept out of D: rounding I + D to a stored matrix would bias
+    every step's norm the same way on loops of constant spectrum.  The result
+    has shape (N, n + 1).
     """
-    a0 = gen[..., 0::2]
-    a1 = gen[..., 1::2]
-    eye = np.eye(gen.shape[0])[:, :, None]
-    k = _bmm(a1, eye + (0.5 * h) * a0)  # A1 B1
-    out = a0 + 2.0 * k
-    k = _bmm(a1, eye + (0.5 * h) * k)  # A1 B2
-    out += 2.0 * k
-    out += _bmm(np.roll(a0, -1, axis=-1), eye + h * k)
-    out *= h / 6.0
-    return out
-
-
-def _blocked_states(incs: np.ndarray, y0: np.ndarray, block: int) -> np.ndarray:
-    """States y_0 .. y_n of y_{i+1} = (I + D_i) y_i, by a blocked prefix scan.
-
-    ``incs`` holds the D_i batch-last, shape (N, N, n); the result has shape
-    (N, n + 1).  The running products inside each block of ``block`` steps
-    are formed vectorised across blocks; the block totals then carry the
-    state from one block start to the next.
-    """
-    dim, n = incs.shape[0], incs.shape[-1]
-    m = n // block
-    # prods[:, :, r, j] is the product of the first r + 1 steps of block j
-    prods = incs.reshape(dim, dim, m, block).swapaxes(2, 3).copy()
-    prods[:, :, 0] += np.eye(dim)[:, :, None]
-    for r in range(1, block):
-        prods[:, :, r] = prods[:, :, r - 1] + _bmm(prods[:, :, r], prods[:, :, r - 1])
-    starts = np.empty((dim, m), dtype=np.result_type(incs, y0))
+    dim = y0.shape[0]
+    rows = max(1, _CHUNK_STEPS // m)
+    eye = np.eye(dim)[:, :, None, None]
+    wrap = np.roll(generators(0, 1), -1, axis=-1)  # offset 0 of the next sample
+    prods = np.empty((dim, dim, block, m), dtype=wrap.dtype)
+    for r0 in range(0, block, rows):
+        r1 = min(r0 + rows, block)
+        gen = generators(2 * r0, min(2 * r1 + 1, 2 * block))
+        if r1 == block:
+            gen = np.concatenate((gen, wrap), axis=2)
+        a0, a1 = gen[:, :, 0:-1:2], gen[:, :, 1::2]
+        k = _bmm(a1, eye + (0.5 * h) * a0)  # A1 B1
+        inc = a0 + 2.0 * k
+        k = _bmm(a1, eye + (0.5 * h) * k)  # A1 B2
+        inc += 2.0 * k
+        inc += _bmm(gen[:, :, 2::2], eye + h * k)
+        inc *= h / 6.0
+        if r0 == 0:
+            prods[:, :, 0] = inc[:, :, 0] + eye[:, :, 0]
+        for r in range(max(r0, 1), r1):
+            prev = prods[:, :, r - 1]
+            np.add(prev, _bmm(inc[:, :, r - r0], prev), out=prods[:, :, r])
+    starts = np.empty((dim, m), dtype=np.result_type(prods, y0))
     starts[:, 0] = y0
     for j in range(1, m):
         starts[:, j] = prods[:, :, -1, j - 1] @ starts[:, j - 1]
-    within = _bmm(prods, starts[:, None, None, :])[:, 0]
-    states = np.empty((dim, n + 1), dtype=starts.dtype)
+    states = np.empty((dim, m * block + 1), dtype=starts.dtype)
     states[:, 0] = y0
-    states[:, 1:] = within.swapaxes(1, 2).reshape(dim, n)
+    within = states[:, 1:].reshape(dim, m, block)
+    for r0 in range(0, block, rows):
+        r1 = min(r0 + rows, block)
+        within[:, :, r0:r1] = _bmm(prods[:, :, r0:r1], starts[:, None, None, :])[:, 0].swapaxes(1, 2)
     return states
 
 
@@ -176,8 +200,7 @@ def propagate_quantum(
     """
     if not 0 <= k < family.dim:
         raise IndexError(f"level {k} out of range")
-    if slowness <= 0 or steps_per_sample < 1:
-        raise ValueError("slowness must be positive and steps_per_sample at least 1")
+    _require_schedule(slowness, steps_per_sample)
     m = loop.n_segments
     n_steps = m * steps_per_sample
     h = slowness * loop.period / n_steps
@@ -193,9 +216,13 @@ def propagate_quantum(
     canon = canonical_section_track(track)
     refs = track if canon is None else canon[0]
 
-    gen = np.ascontiguousarray(np.moveaxis(gen, 0, -1)) * (-1j / hbar)  # dpsi/dtau = gen psi
+    by_sample = gen.reshape(m, 2 * steps_per_sample, family.dim, family.dim)
+
+    def generators(lo: int, hi: int) -> np.ndarray:  # dpsi/dtau = gen psi
+        return np.ascontiguousarray(by_sample[:, lo:hi].transpose(2, 3, 1, 0)) * (-1j / hbar)
+
     psi_initial = refs[0].astype(complex)
-    states = _blocked_states(_rk4_step_increments(gen, h), psi_initial, steps_per_sample)
+    states = _rk4_states(generators, psi_initial, h, steps_per_sample, m)
     norms = np.linalg.norm(states, axis=0)
     norm_drift = float(np.sum(np.abs(norms[1:] / norms[:-1] - 1.0)))
     psi = states[:, -1] / norms[-1]
@@ -206,7 +233,7 @@ def propagate_quantum(
     track = np.angle(overlaps) + dyn[::steps_per_sample]
 
     fidelity = float(abs(np.vdot(refs[-1], psi)) ** 2)
-    if fidelity < _ADIABATIC_FIDELITY:
+    if not fidelity >= _ADIABATIC_FIDELITY:
         raise NonAdiabatic(
             f"final level fidelity {fidelity:.4f} below {_ADIABATIC_FIDELITY}; "
             f"increase the slowness"
@@ -242,6 +269,10 @@ def extract_geometric_phase(prop: QuantumPropagation, initial_state: np.ndarray)
 def action_angle_to_qp(triple: np.ndarray, j_action: float, phi: float) -> tuple[float, float]:
     """Oscillator coordinates for action ``j_action`` and angle ``phi`` at
     frozen parameters (X, Y, Z)."""
+    if not (math.isfinite(j_action) and j_action > 0):
+        raise ValueError(f"j_action must be positive and finite, got {j_action}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     x, y, z = (float(v) for v in triple)
     w_sq = x * z - y**2
     if not w_sq > 0:
@@ -269,28 +300,34 @@ def propagate_classical(
     """
     if x2_loop.dim != 3:
         raise ValueError("expected a loop of oscillator triples (X, Y, Z)")
-    if slowness <= 0 or steps_per_sample < 1:
-        raise ValueError("slowness must be positive and steps_per_sample at least 1")
+    _require_schedule(slowness, steps_per_sample)
+    qp0 = np.asarray(initial_qp, dtype=float)
+    if qp0.shape != (2,) or not (np.all(np.isfinite(qp0)) and np.any(qp0)):
+        raise ValueError(f"initial_qp must be a finite, nonzero (q, p) pair, got {initial_qp}")
     m = x2_loop.n_segments
     n_steps = m * steps_per_sample
     h = slowness * x2_loop.period / n_steps
 
-    fine = x2_loop.upsampled(2 * steps_per_sample)
-    x, y, z = fine.T
+    planes = x2_loop._offset_planes(2 * steps_per_sample)  # (offset, coordinate, sample)
+    x, y, z = planes.transpose(1, 0, 2)
     w_sq_fine = x * z - y**2
-    per_sample = 2 * steps_per_sample  # fine points per loop sample
-    require_positive(w_sq_fine, lambda i: EllipticViolation(
-        f"frequency squared vanished between samples ({i // per_sample})", sample=i // per_sample))
+    require_positive(np.min(w_sq_fine, axis=0), lambda j: EllipticViolation(
+        f"frequency squared vanished between samples ({j})", sample=j))
 
-    gen = np.array([[y, z], [-x, -y]])
-    q, p = _blocked_states(
-        _rk4_step_increments(gen, h), np.asarray(initial_qp, dtype=float), steps_per_sample
-    )
+    def generators(lo: int, hi: int) -> np.ndarray:
+        x, y, z = planes[lo:hi].transpose(1, 0, 2)
+        return np.array([[y, z], [-x, -y]])
 
-    # frozen parameters at every step start, the last step ending on the first
-    y_at = np.append(y[::2], y[0])
-    z_at = np.append(z[::2], z[0])
-    omega = np.sqrt(np.append(w_sq_fine[::2], w_sq_fine[0]))
+    q, p = _rk4_states(generators, qp0, h, steps_per_sample, m)
+
+    # frozen parameters at every step start, in step order, the last step
+    # ending on the first
+    def at_starts(values: np.ndarray) -> np.ndarray:
+        return np.append(values[::2].T, values[0, 0])
+
+    y_at = at_starts(y)
+    z_at = at_starts(z)
+    omega = np.sqrt(at_starts(w_sq_fine))
     v = -(z_at * p + y_at * q) / omega
     actions = omega * (q * q + v * v) / (2.0 * z_at)
     raw = np.arctan2(v, q)

@@ -120,17 +120,24 @@ class LoopSpec:
 
     def upsampled(self, factor: int) -> np.ndarray:
         """The interpolant at M * factor points: row ``j * factor + s`` is at
-        sample ``j + s / factor``.  Each offset ``s`` is one length-M inverse
-        real FFT of the spectrum times shift phases, an even M's Nyquist mode
-        split symmetrically between +M/2 and -M/2."""
+        sample ``j + s / factor``."""
+        m = self.n_segments
+        return self._offset_planes(factor).transpose(2, 0, 1).reshape(m * factor, self.dim)
+
+    def _offset_planes(self, factor: int) -> np.ndarray:
+        """The points of ``upsampled`` grouped by offset, shape (factor, dim, M):
+        entry ``[s, d, j]`` is coordinate d at sample ``j + s / factor``.  Each
+        offset ``s`` is one length-M inverse real FFT of the spectrum times
+        shift phases, an even M's Nyquist mode split symmetrically between
+        +M/2 and -M/2."""
         m = self.n_segments
         k = np.arange(m // 2 + 1)
         s = np.arange(factor)
-        shift = np.exp((2j * math.pi / (m * factor)) * np.outer(k, s))
+        shift = np.exp((2j * math.pi / (m * factor)) * np.outer(s, k))
         if m % 2 == 0:
-            shift[-1] = np.cos(math.pi * s / factor)
-        coef = self._spectrum[:, None, :] * shift[:, :, None]
-        return np.fft.irfft(coef, n=m, axis=0).reshape(m * factor, self.dim)
+            shift[:, -1] = np.cos(math.pi * s / factor)
+        coef = np.ascontiguousarray(self._spectrum.T) * shift[:, None, :]
+        return np.fft.irfft(coef, n=m, axis=-1)
 
     def reversed(self) -> "LoopSpec":
         """The same curve traversed in the opposite orientation."""

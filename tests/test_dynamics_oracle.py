@@ -1,5 +1,6 @@
 import math
 
+import holonomy.dynamics_oracle as oracle
 import numpy as np
 import pytest
 from holonomy import (
@@ -12,6 +13,7 @@ from holonomy import (
     StandardLoopParams,
     action_angle_to_qp,
     berry_and_hannay,
+    circle_loop,
     cone_loop,
     eigenframe_along_loop,
     extract_geometric_phase,
@@ -295,3 +297,181 @@ class TestPropagateClassical:
         assert np.max(np.abs(traj.q - q)) <= 1e-12
         assert np.max(np.abs(traj.p - p)) <= 1e-12
         assert np.max(np.abs(traj.angle_trace - angles)) <= 1e-10
+
+
+def unchunked_rk4_step_increments(gen, h):
+    """Increments D_i = M_i - I of every RK4 step at once; ``gen`` is A at
+    every step start and midpoint, batch-last, shape (N, N, 2n)."""
+    a0 = gen[..., 0::2]
+    a1 = gen[..., 1::2]
+    eye = np.eye(gen.shape[0])[:, :, None]
+    k = oracle._bmm(a1, eye + (0.5 * h) * a0)
+    out = a0 + 2.0 * k
+    k = oracle._bmm(a1, eye + (0.5 * h) * k)
+    out += 2.0 * k
+    out += oracle._bmm(np.roll(a0, -1, axis=-1), eye + h * k)
+    out *= h / 6.0
+    return out
+
+
+def unchunked_blocked_states(incs, y0, block):
+    """States from all increments (N, N, n) by the blocked prefix scan in one
+    pass over every step."""
+    dim, n = incs.shape[0], incs.shape[-1]
+    m = n // block
+    prods = incs.reshape(dim, dim, m, block).swapaxes(2, 3).copy()
+    prods[:, :, 0] += np.eye(dim)[:, :, None]
+    for r in range(1, block):
+        prods[:, :, r] = prods[:, :, r - 1] + oracle._bmm(prods[:, :, r], prods[:, :, r - 1])
+    starts = np.empty((dim, m), dtype=np.result_type(incs, y0))
+    starts[:, 0] = y0
+    for j in range(1, m):
+        starts[:, j] = prods[:, :, -1, j - 1] @ starts[:, j - 1]
+    within = oracle._bmm(prods, starts[:, None, None, :])[:, 0]
+    states = np.empty((dim, n + 1), dtype=starts.dtype)
+    states[:, 0] = y0
+    states[:, 1:] = within.swapaxes(1, 2).reshape(dim, n)
+    return states
+
+
+def unchunked_rk4_states(generators, y0, h, block, m):
+    """The scan without chunks: every step's generators in step order, then
+    every increment, then the states."""
+    gen = generators(0, 2 * block)
+    gen = gen.transpose(0, 1, 3, 2).reshape(gen.shape[0], gen.shape[1], -1)
+    return unchunked_blocked_states(unchunked_rk4_step_increments(gen, h), y0, block)
+
+
+def forbid_steps(monkeypatch):
+    def fail(*args):
+        raise AssertionError("RK4 steps ran before the parameter checks")
+
+    monkeypatch.setattr(oracle, "_rk4_states", fail)
+
+
+CHUNK = oracle._CHUNK_STEPS
+
+
+class TestChunkedScan:
+    """The chunked scan does each step's arithmetic exactly as one pass over
+    all steps does, whatever the chunk boundaries."""
+
+    @pytest.mark.parametrize(
+        "m, sps",
+        [
+            (256, 1109),  # the oracle's slowness-1000 rung: a prime block
+            (32, CHUNK // 32 + CHUNK // 64 + 1),  # a partial last chunk
+            (32, 1),
+            (16, CHUNK + 3),  # one block longer than a chunk
+            (CHUNK + 16, 2),  # one offset row longer than a chunk
+        ],
+    )
+    def test_classical_bit_identical(self, monkeypatch, m, sps):
+        loop = subsystem_parameter_loop(std_params(eps=0.5), 2, m)
+        qp0 = action_angle_to_qp(loop.points[0], 1.0, 0.3)
+        slowness = 1000.0 if m == 256 else 20.0
+        traj = propagate_classical(loop, qp0, slowness, sps)
+        monkeypatch.setattr(oracle, "_rk4_states", unchunked_rk4_states)
+        ref = propagate_classical(loop, qp0, slowness, sps)
+        for field in ("times", "q", "p", "action_trace", "angle_trace", "dynamical_angle"):
+            assert np.array_equal(getattr(traj, field), getattr(ref, field)), field
+
+    @pytest.mark.parametrize("sps", [1, CHUNK // 32 + CHUNK // 64 + 1])
+    @pytest.mark.parametrize(
+        "family, loop",
+        [
+            (FAMILY, cone_loop(1.1, n_samples=32)),
+            (three_level_family(), make_loop(
+                lambda t: np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t), 0.5]),
+                1.0, 32)),
+        ],
+        ids=["spin", "three-level"],
+    )
+    def test_quantum_bit_identical(self, monkeypatch, family, loop, sps):
+        prop = propagate_quantum(family, loop, 0, 30.0, sps)
+        monkeypatch.setattr(oracle, "_rk4_states", unchunked_rk4_states)
+        ref = propagate_quantum(family, loop, 0, 30.0, sps)
+        for field in ("psi_final", "phase_track", "norm_drift", "dynamical_phase",
+                      "final_fidelity"):
+            assert np.array_equal(getattr(prop, field), getattr(ref, field)), field
+
+    # Two failures: one at a late offset of an early sample, which a chunked
+    # walk reaches last, and one at an early offset of a later sample.
+    M, EARLY, LATE = 64, 3, 40
+    SPS = CHUNK // 64 + CHUNK // 256  # offset rows past the first chunk exist
+    LATE_ROW, EARLY_ROW = SPS - 5, 3
+
+    def test_elliptic_error_names_earliest_sample(self, monkeypatch):
+        m, sps = self.M, self.SPS
+        t_early = (self.EARLY + self.LATE_ROW / sps) / m
+        t_late = (self.LATE + self.EARLY_ROW / sps) / m
+
+        def bumps(t):  # trigonometric polynomials of degree 16 < m / 2
+            return np.cos(np.pi * (t - t_early)) ** 32 + np.cos(np.pi * (t - t_late)) ** 32
+
+        c = 0.5 * (np.max(bumps(np.arange(m) / m)) + bumps(t_early))
+        loop = make_loop(lambda t: np.array([c - bumps(t), 0.0, 1.0]), 1.0, m)
+        rows = CHUNK // m
+        x = loop.upsampled(2 * sps)[:, 0].reshape(m, 2 * sps)
+        bad_samples, bad_offsets = np.nonzero(x <= 0)
+        assert set(bad_samples) == {self.EARLY, self.LATE}
+        assert np.all(bad_offsets[bad_samples == self.EARLY] >= 2 * rows)
+        assert np.all(bad_offsets[bad_samples == self.LATE] < 2 * rows)
+        forbid_steps(monkeypatch)
+        with pytest.raises(EllipticViolation) as info:
+            propagate_classical(loop, (1.0, 0.0), 10.0, sps)
+        assert info.value.sample == self.EARLY
+
+    def test_gap_error_reports_smallest_gap(self, monkeypatch):
+        m, sps = self.M, self.SPS
+        # a sub-tolerance gap at an early offset of an early sample, and the
+        # smallest gap at a late offset of a later sample, in a later chunk
+        dips = [((self.EARLY + self.EARLY_ROW / sps) / m, 1e-11),
+                ((self.LATE + self.LATE_ROW / sps) / m, 1e-12)]
+        assert self.LATE_ROW >= CHUNK // m > self.EARLY_ROW
+
+        def gaps(pts):
+            t = np.arctan2(pts[:, 1], pts[:, 0]) / (2.0 * np.pi)
+            g = np.ones(len(pts))
+            for t0, depth in dips:
+                d = (t - t0 + 0.5) % 1.0 - 0.5
+                g -= (1.0 - depth) * np.exp(-((d / 1e-6) ** 2))
+            return g
+
+        def diag(pts):
+            out = np.zeros((len(pts), 2, 2))
+            out[:, 1, 1] = gaps(pts)
+            return out
+
+        family = HamiltonianFamily(dim=2, eval=diag)
+        forbid_steps(monkeypatch)
+        with pytest.raises(GapTooSmall) as info:
+            propagate_quantum(family, circle_loop(n_samples=m), 0, 10.0, sps)
+        assert info.value.sample == self.LATE
+        assert info.value.gap == pytest.approx(1e-12, rel=1e-6)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("slowness", [math.nan, math.inf, -1.0, 0.0])
+    def test_slowness(self, slowness):
+        loop = subsystem_parameter_loop(std_params(eps=0.5), 2, 32)
+        with pytest.raises(ValueError, match="slowness"):
+            propagate_classical(loop, (1.0, 0.0), slowness, 8)
+        with pytest.raises(ValueError, match="slowness"):
+            propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 0, slowness, 8)
+
+    @pytest.mark.parametrize("qp0", [(math.nan, 0.3), (0.0, math.inf), (0.0, 0.0)])
+    def test_initial_qp(self, qp0):
+        loop = subsystem_parameter_loop(std_params(eps=0.5), 2, 32)
+        with pytest.raises(ValueError, match="initial_qp"):
+            propagate_classical(loop, qp0, 20.0, 8)
+
+    @pytest.mark.parametrize("j_action", [-1.0, 0.0, math.nan, math.inf])
+    def test_j_action(self, j_action):
+        with pytest.raises(ValueError, match="j_action"):
+            action_angle_to_qp(np.array([1.3, -0.2, 0.9]), j_action, 0.3)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_phi(self, phi):
+        with pytest.raises(ValueError, match="phi"):
+            action_angle_to_qp(np.array([1.3, -0.2, 0.9]), 1.0, phi)
