@@ -37,9 +37,8 @@ from .errors import (
     NonAdiabatic,
     OverlapTooSmall,
     require_gap,
-    require_positive,
 )
-from .manifold import LoopSpec
+from .manifold import LoopSpec, _frequency_sq
 from .quantum_geometry import (
     HamiltonianFamily,
     _eigh,
@@ -181,10 +180,12 @@ def propagate_quantum(
     k: int,
     slowness: float,
     steps_per_sample: int = 32,
-    hbar: float = 1.0,
 ) -> QuantumPropagation:
     """Integrate the Schrodinger equation while the parameters traverse the
     loop once over a total time of slowness * period.
+
+    Energies are in units of hbar: for a physical hbar, propagate the family
+    H/hbar, whose generator, dynamical phase and gap check scale together.
 
     The state starts in level ``k``'s eigenvector (canonical gauge).
     ``norm_drift`` sums, over the steps, how far each step moves the norm
@@ -219,7 +220,7 @@ def propagate_quantum(
     by_sample = gen.reshape(m, 2 * steps_per_sample, family.dim, family.dim)
 
     def generators(lo: int, hi: int) -> np.ndarray:  # dpsi/dtau = gen psi
-        return np.ascontiguousarray(by_sample[:, lo:hi].transpose(2, 3, 1, 0)) * (-1j / hbar)
+        return np.ascontiguousarray(by_sample[:, lo:hi].transpose(2, 3, 1, 0)) * -1j
 
     psi_initial = refs[0].astype(complex)
     states = _rk4_states(generators, psi_initial, h, steps_per_sample, m)
@@ -228,7 +229,7 @@ def propagate_quantum(
     psi = states[:, -1] / norms[-1]
 
     e_level = energies_fine[:, k]
-    dyn = np.cumsum(np.concatenate(([0.0], 0.5 * h / hbar * (e_level + np.roll(e_level, -1)))))
+    dyn = np.cumsum(np.concatenate(([0.0], 0.5 * h * (e_level + np.roll(e_level, -1)))))
     overlaps = np.einsum("ja,aj->j", np.conj(refs), states[:, ::steps_per_sample])
     track = np.angle(overlaps) + dyn[::steps_per_sample]
 
@@ -309,10 +310,7 @@ def propagate_classical(
     h = slowness * x2_loop.period / n_steps
 
     planes = x2_loop._offset_planes(2 * steps_per_sample)  # (offset, coordinate, sample)
-    x, y, z = planes.transpose(1, 0, 2)
-    w_sq_fine = x * z - y**2
-    require_positive(np.min(w_sq_fine, axis=0), lambda j: EllipticViolation(
-        f"frequency squared vanished between samples ({j})", sample=j))
+    w_sq = _frequency_sq(planes.transpose(2, 0, 1), "frequency squared between samples")
 
     def generators(lo: int, hi: int) -> np.ndarray:
         x, y, z = planes[lo:hi].transpose(1, 0, 2)
@@ -321,13 +319,13 @@ def propagate_classical(
     q, p = _rk4_states(generators, qp0, h, steps_per_sample, m)
 
     # frozen parameters at every step start, in step order, the last step
-    # ending on the first
+    # ending on the first; values are laid out (sample, offset)
     def at_starts(values: np.ndarray) -> np.ndarray:
-        return np.append(values[::2].T, values[0, 0])
+        return np.append(values[:, ::2], values[0, 0])
 
-    y_at = at_starts(y)
-    z_at = at_starts(z)
-    omega = np.sqrt(at_starts(w_sq_fine))
+    y_at = at_starts(planes[:, 1].T)
+    z_at = at_starts(planes[:, 2].T)
+    omega = np.sqrt(at_starts(w_sq))
     v = -(z_at * p + y_at * q) / omega
     actions = omega * (q * q + v * v) / (2.0 * z_at)
     raw = np.arctan2(v, q)
@@ -335,7 +333,7 @@ def propagate_classical(
 
     dyn = float(h * (0.5 * omega[0] + np.sum(omega[1:-1]) + 0.5 * omega[-1]))
     return ClassicalTrajectory(
-        times=np.arange(n_steps + 1) * h,
+        np.arange(n_steps + 1) * h,  # the times
         q=q,
         p=p,
         action_trace=actions,

@@ -101,11 +101,12 @@ class ConfigInvalid(HolonomyError):
 
 
 def require_positive(values: np.ndarray, error: Callable[[int], HolonomyError]) -> None:
-    """Raise ``error(j)`` for the first sample ``j`` whose value is not
-    positive.  A NaN is not positive, so it cannot slip through."""
+    """Raise ``error(j)`` for the first sample ``j`` (index on axis 0) with a
+    value that is not positive.  A NaN is not positive, so it cannot slip
+    through."""
     bad = ~(values > 0)
     if bad.any():
-        raise error(int(np.argmax(bad)))
+        raise error(int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))))
 
 
 def require_gap(energies: np.ndarray, stride: int = 1) -> float:

@@ -28,6 +28,7 @@ from .manifold import (
     LoopSpec,
     QuadratureResult,
     StandardLoopParams,
+    _frequency_sq,
     closed_line_integral,
     periodic_integral,
 )
@@ -149,9 +150,7 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
 def _bo_frequency_sq(x1: np.ndarray, x2: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     """(omega^2 of the fast triple, effective Omega^2 of the slow triple),
     both checked positive at every sample."""
-    w_sq = x1[:, 0] * x1[:, 2] - x1[:, 1] ** 2
-    require_positive(w_sq, lambda j: EllipticViolation(
-        f"fast-triple frequency squared {w_sq[j]:.3e}", sample=j))
+    w_sq = _frequency_sq(x1, "fast-triple frequency squared")
     omega_sq = x2[:, 0] * x2[:, 2] - k**2 * x1[:, 2] * x2[:, 2] / w_sq - x2[:, 1] ** 2
     require_positive(omega_sq, lambda j: EllipticViolation(
         f"effective frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
@@ -291,15 +290,9 @@ def standard_loop_report(
     root = math.sqrt(one_minus)
     errs = [0.0]
 
-    if branch == BRANCH_COMMON:
-        t1 = np.linspace(0.0, p.common_period, n_samples + 1)
-        t2 = t1
-        period1 = period2 = p.common_period
-    else:
-        period1 = 2.0 * math.pi / p.omega1
-        period2 = 2.0 * math.pi / p.omega2
-        t1 = np.linspace(0.0, period1, n_samples + 1)
-        t2 = np.linspace(0.0, period2, n_samples + 1)
+    # the per-subsystem branch (k = 0) integrates the slow subsystem over its own period
+    period = p.common_period if branch == BRANCH_COMMON else 2.0 * math.pi / p.omega2
+    t = np.linspace(0.0, period, n_samples + 1)
 
     gamma_0 = gamma_n0_closed_form(p, branch)
 
@@ -307,35 +300,34 @@ def standard_loop_report(
     # carries both drives (the common period; they vanish identically at k=0).
     # The effective-frequency core below feeds them and the uncoupled angle
     # shift; without coupling it is the constant sqrt(1 - eps^2).
-    s2 = np.sin(p.omega2 * t2)
+    s2 = np.sin(p.omega2 * t)
     if p.k == 0.0:
         gamma_i = 0.0
         delta_phi_i = 0.0
-        f2 = 1.0 - eps * np.cos(p.omega2 * t2)
-        core = np.full_like(t2, root)
-        core_dot = np.zeros_like(t2)
+        f2 = 1.0 - eps * np.cos(p.omega2 * t)
+        core = np.full_like(t, root)
+        core_dot = np.zeros_like(t)
         margin = one_minus
     else:
-        # t2 is t1 here: coupling forces the common branch
-        core_sq, f1, f2 = _effective_core_sq(p, t1)
+        core_sq, f1, f2 = _effective_core_sq(p, t)
         margin = float(np.min(core_sq))
         core = np.sqrt(core_sq)
-        drive = eps - np.cos(p.omega1 * t1)
+        drive = eps - np.cos(p.omega1 * t)
         omega_eff = p.a2 * core
         base = d**2 * p.a2**2 * eps * p.omega1 * f2 * drive / (p.a1 * one_minus * omega_eff)
-        res_dphi = periodic_integral(-base, period1)
-        res_gamma = periodic_integral((p.j_action / p.hbar) * base, period1)
+        res_dphi = periodic_integral(-base, period)
+        res_gamma = periodic_integral((p.j_action / p.hbar) * base, period)
         delta_phi_i = res_dphi.value
         gamma_i = res_gamma.value
         errs.extend([res_dphi.error_estimate, res_gamma.error_estimate])
-        prod_dot = eps * p.omega1 * np.sin(p.omega1 * t2) * f2 + f1 * eps * p.omega2 * s2
+        prod_dot = eps * p.omega1 * np.sin(p.omega1 * t) * f2 + f1 * eps * p.omega2 * s2
         core_dot = -(d**2) * prod_dot / core
 
     # Uncoupled angle shift, with the effective frequency kept inside.
     integrand0 = -(eps**2) * p.omega2 * s2**2 / (2.0 * core * f2) + eps * s2 * core_dot / (
         2.0 * core**2
     )
-    res0 = periodic_integral(integrand0, period2)
+    res0 = periodic_integral(integrand0, period)
     delta_phi_0 = res0.value
     errs.append(res0.error_estimate)
 
@@ -363,11 +355,8 @@ def standard_loop_report(
 def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     """Phase of one isolated generalized oscillator around its triple loop:
     the circulation of (2n+1) Z/(4 omega) d(Y/Z)."""
-    x, y, z = loop.points.T
-    w_sq = x * z - y**2
-    require_positive(w_sq, lambda j: EllipticViolation(
-        f"frequency squared {w_sq[j]:.3e} at sample {j}", sample=j))
-    coeff = (2 * n + 1) * z / (4.0 * np.sqrt(w_sq))
+    w_sq = _frequency_sq(loop.points, "frequency squared")
+    coeff = (2 * n + 1) * loop.points[:, 2] / (4.0 * np.sqrt(w_sq))
     return closed_line_integral(coeff[:, None] * _d_y_over_z(loop.points, 0), loop)
 
 
@@ -384,10 +373,7 @@ def full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:
         raise ValueError("mode occupation numbers must be nonnegative")
     x1, x2 = _triple_pair(loop)
     pts = loop.points
-    w1_sq = x1[:, 0] * x1[:, 2] - x1[:, 1] ** 2
-    w2_sq = x2[:, 0] * x2[:, 2] - x2[:, 1] ** 2
-    require_positive(np.minimum(w1_sq, w2_sq), lambda j: EllipticViolation(
-        "a bare triple is not elliptic along the loop", sample=j))
+    w1_sq, w2_sq = _frequency_sq(pts.reshape(-1, 2, 3), "a bare triple's frequency squared").T
     high_sq, low_sq, sin_sq = _normal_mode_squares(w1_sq, w2_sq, k**2 * x1[:, 2] * x2[:, 2])
     high = np.sqrt(high_sq)
     low = np.sqrt(low_sq)

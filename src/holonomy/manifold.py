@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EllipticViolation, LengthMismatch, NonFinite, NotClosed, TooFewSamples
+from .errors import EllipticViolation, LengthMismatch, NonFinite, NotClosed, TooFewSamples, require_positive
 
 DEFAULT_SAMPLES = 4096
 
@@ -27,65 +27,50 @@ _MIN_SEGMENTS = 16
 _CLOSURE_RTOL = 1e-12
 
 
-def _closure_ok(x0: np.ndarray, x1: np.ndarray) -> bool:
-    scale = max(1.0, float(np.max(np.abs(x0))), float(np.max(np.abs(x1))))
-    return bool(np.all(np.abs(np.asarray(x1) - np.asarray(x0)) <= _CLOSURE_RTOL * scale))
-
-
 @dataclass(frozen=True)
 class LoopSpec:
-    """A sampled closed curve in parameter space and its band-limited interpolant.
+    """A closed curve in parameter space, sampled uniformly over one period,
+    and its band-limited interpolant.
 
-    ``times`` runs from 0 to ``period`` inclusive on a uniform grid (spacing
-    within relative 1e-9, ``ValueError`` otherwise), and the last point must
-    coincide with the first (relative tolerance 1e-12).  ``cycles`` records
-    how many base cycles the curve contains; phase computations use it for
-    branch bookkeeping on multi-cycle loops.  Sample times must be finite
-    (``NonFinite`` otherwise).  Points are not checked here: a non-finite
-    interior point reaches the consumer, whose guard names the sample.
-    ``times`` and ``points`` are read-only copies, so the spectrum taken on
-    first use, and the velocities cached from it, never go stale.
+    ``points`` holds the M + 1 samples at ``times``, which are derived:
+    ``np.linspace(0, period, M + 1)``.  The last point must coincide with the
+    first (relative tolerance 1e-12).  ``cycles`` records how many base
+    cycles the curve contains; phase computations use it for branch
+    bookkeeping on multi-cycle loops.  Points are not checked here: a
+    non-finite interior point reaches the consumer, whose guard names the
+    sample.  ``points`` is a read-only copy, so the spectrum taken on first
+    use, and the velocities cached from it, never go stale.
     """
 
     period: float
-    times: np.ndarray
     points: np.ndarray
     cycles: int = 1
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
         points = np.array(self.points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
-        if times.ndim != 1 or points.shape[0] != times.shape[0]:
-            raise LengthMismatch(
-                f"times has {times.shape[0]} entries, points has {points.shape[0]} rows"
-            )
-        if times.shape[0] - 1 < _MIN_SEGMENTS:
+        if points.shape[0] - 1 < _MIN_SEGMENTS:
             raise TooFewSamples(
-                f"need at least {_MIN_SEGMENTS} segments, got {times.shape[0] - 1}"
+                f"need at least {_MIN_SEGMENTS} segments, got {points.shape[0] - 1}"
             )
-        finite = np.isfinite(times)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise NonFinite(f"sample time {j} is not finite", sample=j)
         if not (self.period > 0 and math.isfinite(self.period)):
             raise ValueError(f"period must be positive and finite, got {self.period}")
-        if abs(times[0]) > 1e-15 * self.period:
-            raise ValueError("first sample time must be 0")
-        if abs(times[-1] - self.period) > 1e-12 * self.period:
-            raise ValueError("last sample time must equal the period")
-        spacing = self.period / (times.shape[0] - 1)
-        if np.max(np.abs(np.diff(times) - spacing)) > 1e-9 * spacing:
-            raise ValueError("sample times must be uniformly spaced")
-        if not _closure_ok(points[0], points[-1]):
+        x0, x1 = points[0], points[-1]
+        scale = max(1.0, float(np.max(np.abs(x0))), float(np.max(np.abs(x1))))
+        if not np.all(np.abs(x1 - x0) <= _CLOSURE_RTOL * scale):
             raise NotClosed("loop endpoint does not return to its start")
         if not (isinstance(self.cycles, int) and self.cycles >= 1):
             raise ValueError(f"cycles must be a positive integer, got {self.cycles}")
-        times.flags.writeable = False
         points.flags.writeable = False
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The read-only times of the samples, ``np.linspace(0, period, M + 1)``."""
+        times = np.linspace(0.0, self.period, self.n_segments + 1)
+        times.flags.writeable = False
+        return times
 
     @property
     def dim(self) -> int:
@@ -93,7 +78,7 @@ class LoopSpec:
 
     @property
     def n_segments(self) -> int:
-        return self.times.shape[0] - 1
+        return self.points.shape[0] - 1
 
     @property
     def spacing(self) -> float:
@@ -141,7 +126,7 @@ class LoopSpec:
 
     def reversed(self) -> "LoopSpec":
         """The same curve traversed in the opposite orientation."""
-        return LoopSpec(self.period, self.times, self.points[::-1], self.cycles)
+        return LoopSpec(self.period, self.points[::-1], self.cycles)
 
 
 def _derivative(spectrum: np.ndarray, m: int, period: float) -> np.ndarray:
@@ -179,40 +164,30 @@ def make_loop(
 ) -> LoopSpec:
     """Sample ``f`` uniformly on ``[0, period]`` into a closed loop.
 
-    ``f(0)`` and ``f(period)`` must agree to relative 1e-12; raises
-    ``NotClosed`` otherwise and ``TooFewSamples`` below 16 segments.
+    Raises ``TooFewSamples`` below 16 segments and ``ValueError`` for a period
+    that is not positive and finite, before calling ``f``; ``NotClosed`` when
+    ``f(0)`` and ``f(period)`` differ beyond relative 1e-12.
     """
-    if n_samples < _MIN_SEGMENTS:
+    if not n_samples >= _MIN_SEGMENTS:
         raise TooFewSamples(f"n_samples must be at least {_MIN_SEGMENTS}, got {n_samples}")
-    if period <= 0:
-        raise ValueError("period must be positive")
-    x0 = np.atleast_1d(np.asarray(f(0.0), dtype=float))
-    x_end = np.atleast_1d(np.asarray(f(period), dtype=float))
-    if not _closure_ok(x0, x_end):
-        raise NotClosed("f(0) and f(period) differ beyond the closure tolerance")
+    if not (period > 0 and math.isfinite(period)):
+        raise ValueError(f"period must be positive and finite, got {period}")
     times = np.linspace(0.0, period, n_samples + 1)
-    points = np.empty((n_samples + 1, x0.shape[0]))
-    points[0] = x0
-    points[-1] = x_end
-    for j in range(1, n_samples):
-        points[j] = np.atleast_1d(np.asarray(f(times[j]), dtype=float))
-    return LoopSpec(period=period, times=times, points=points, cycles=cycles)
+    points = np.array([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in times])
+    return LoopSpec(period, points, cycles)
 
 
 def circle_loop(
     period: float = 1.0,
     n_samples: int = DEFAULT_SAMPLES,
     cycles: int = 1,
-    phase: float = 0.0,
-    radius: float = 1.0,
 ) -> LoopSpec:
-    """A circle in the plane, embedded as (cos, sin); used for angle-like axes."""
+    """A unit circle in the plane, embedded as (cos, sin); used for angle-like axes."""
     w = 2.0 * math.pi * cycles / period
-    times = np.linspace(0.0, period, n_samples + 1)
-    ang = w * times + phase
-    pts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    ang = w * np.linspace(0.0, period, n_samples + 1)
+    pts = np.column_stack([np.cos(ang), np.sin(ang)])
     pts[-1] = pts[0]
-    return LoopSpec(period=period, times=times, points=pts, cycles=cycles)
+    return LoopSpec(period, pts, cycles)
 
 
 def _trapezoid(coeffs: np.ndarray, velocity: np.ndarray, period: float) -> float:
@@ -353,7 +328,17 @@ def _gho_loop(a: float, mu: float, eps: float, omega: float, period: float, n_sa
     s = eps * np.sin(omega * t)
     pts = np.column_stack([a * mu * (1.0 + c), -a * s, (a / mu) * (1.0 - c)])
     pts[-1] = pts[0]
-    return LoopSpec(period, t, pts, cycles=cycles)
+    return LoopSpec(period, pts, cycles=cycles)
+
+
+def _frequency_sq(triples: np.ndarray, what: str) -> np.ndarray:
+    """X Z - Y^2 of the (X, Y, Z) triples on the last axis; raises
+    ``EllipticViolation`` at the first index j on axis 0 where a value is not
+    positive (NaN included), naming ``what`` and the smallest value there."""
+    w_sq = triples[..., 0] * triples[..., 2] - triples[..., 1] ** 2
+    require_positive(w_sq, lambda j: EllipticViolation(
+        f"{what} {np.min(w_sq[j]):.3e} at sample {j}", sample=j))
+    return w_sq
 
 
 def _joined(loop1: LoopSpec, loop2: LoopSpec) -> LoopSpec:
@@ -363,7 +348,7 @@ def _joined(loop1: LoopSpec, loop2: LoopSpec) -> LoopSpec:
         raise ValueError("the two loops must share their sampling")
     if abs(loop1.period - loop2.period) > 1e-12 * loop1.period:
         raise ValueError("the two loops must share their period")
-    return LoopSpec(loop1.period, loop1.times, np.hstack([loop1.points, loop2.points]), cycles=1)
+    return LoopSpec(loop1.period, np.hstack([loop1.points, loop2.points]), cycles=1)
 
 
 def standard_parameter_loops(

@@ -47,10 +47,9 @@ def cone_loop(
     sampled in one vectorised pass."""
     w = 2.0 * math.pi * cycles / period
     st, ct = math.sin(theta), math.cos(theta)
-    times = np.linspace(0.0, period, n_samples + 1)
-    wt = w * times
+    wt = w * np.linspace(0.0, period, n_samples + 1)
     points = b * np.column_stack([st * np.cos(wt), st * np.sin(wt), np.full_like(wt, ct)])
-    return LoopSpec(period=period, times=times, points=points, cycles=cycles)
+    return LoopSpec(period, points, cycles)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import holonomy.dynamics_oracle as oracle
@@ -127,7 +128,7 @@ def test_upsample_matches_zero_padding(m, factor):
     rng = np.random.default_rng(m + factor)
     points = rng.normal(size=(m + 1, 3))
     points[-1] = points[0]
-    fine = LoopSpec(1.0, np.linspace(0.0, 1.0, m + 1), points).upsampled(factor)
+    fine = LoopSpec(1.0, points).upsampled(factor)
     assert fine.shape == (m * factor, 3)
     assert np.max(np.abs(fine - zero_padded_upsample(points, factor))) <= 1e-13
     assert np.max(np.abs(fine[::factor] - points[:-1])) <= 1e-13
@@ -274,9 +275,8 @@ class TestPropagateClassical:
 
     def test_elliptic_guard(self):
         n = 64
-        t = np.linspace(0, 1.0, n + 1)
         pts = np.tile([1.0, 1.5, 1.0], (n + 1, 1))  # X Z - Y^2 < 0
-        loop = LoopSpec(1.0, t, pts)
+        loop = LoopSpec(1.0, pts)
         with pytest.raises(EllipticViolation):
             propagate_classical(loop, (1.0, 0.0), 10.0, 32)
 
@@ -475,3 +475,18 @@ class TestArgumentChecks:
     def test_phi(self, phi):
         with pytest.raises(ValueError, match="phi"):
             action_angle_to_qp(np.array([1.3, -0.2, 0.9]), 1.0, phi)
+
+    def test_no_hbar(self):
+        # energies are in units of hbar: a physical hbar is carried by the family
+        assert "hbar" not in inspect.signature(propagate_quantum).parameters
+        with pytest.raises(TypeError, match="hbar"):
+            propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 0, 30.0, 8, hbar=0.0)
+
+    def test_energies_in_units_of_hbar(self):
+        # the family H/hbar at slowness s takes the steps of H at slowness s/hbar
+        loop = cone_loop(1.1, n_samples=32)
+        scaled = propagate_quantum(spin_hamiltonian_family(0.5), loop, 0, 60.0, 8)
+        plain = propagate_quantum(FAMILY, loop, 0, 30.0, 8)
+        assert np.array_equal(scaled.psi_final, plain.psi_final)
+        assert scaled.dynamical_phase == plain.dynamical_phase
+        assert np.array_equal(scaled.phase_track, plain.phase_track)

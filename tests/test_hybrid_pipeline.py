@@ -52,7 +52,7 @@ def triple_loop(a=1.0, m=1.0, eps=0.5, n_samples=1024, period=2 * math.pi):
     z = (a / m) * (1 - eps * np.cos(w * t))
     pts = np.column_stack([x, y, z])
     pts[-1] = pts[0]
-    return LoopSpec(period, t, pts, cycles=1)
+    return LoopSpec(period, pts, cycles=1)
 
 
 def spin_osc(lam, eps=0.5, j_action=1.0, i_plus=1.0, i_minus=0.0, n_samples=1024):
@@ -123,12 +123,11 @@ class TestSpinOscillatorOneForm:
     def test_constant_triple(self):
         period = 2 * math.pi
         n = 256
-        t = np.linspace(0, period, n + 1)
         pts = np.tile([1.2, -0.1, 0.8], (n + 1, 1))
         hybrid = SpinOscillatorHybrid(
             mu=1.0, lam=0.05, b_field=1.0,
             loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n),
-                                      LoopSpec(period, t, pts)),
+                                      LoopSpec(period, pts)),
             i_plus=0.7, i_minus=0.3, j_action=1.0,
         )
         ph = phases_from_one_form(spin_oscillator_one_form(hybrid))
@@ -352,7 +351,7 @@ class TestFullQuantum:
         k = 0.15
         direct = full_quantum_phase(self.loop, k, 2, 1)
         swapped_points = np.hstack([self.loop2.points, self.loop1.points])
-        swapped = full_quantum_phase(LoopSpec(self.loop.period, self.loop.times, swapped_points),
+        swapped = full_quantum_phase(LoopSpec(self.loop.period, swapped_points),
                                      k, 2, 1)
         assert abs(direct - swapped) <= 1e-10
 
@@ -375,9 +374,8 @@ class TestFullQuantum:
         # NaN compares false both ways, so a guard written as "any <= 0" let it through
         pts = self.loop2.points.copy()
         pts[37, 0] = np.nan
-        loop2 = LoopSpec(self.loop2.period, self.loop2.times, pts, cycles=self.loop2.cycles)
-        combined = LoopSpec(self.loop.period, self.loop.times,
-                            np.hstack([self.loop1.points, pts]))
+        loop2 = LoopSpec(self.loop2.period, pts, cycles=self.loop2.cycles)
+        combined = LoopSpec(self.loop.period, np.hstack([self.loop1.points, pts]))
         with pytest.raises(EllipticViolation) as single:
             single_gho_phase(loop2, 0)
         with pytest.raises(EllipticViolation) as full:
@@ -421,8 +419,7 @@ class TestNormalModeCollapseSide:
         # a frozen-parameter loop: every sample carries the same pair of triples
         x1, x2 = GHOTriple(4.0, 0.1, 1.0), GHOTriple(1.0, -0.2, 1.3)
         k = (1.0 + offset) * x1.omega * x2.omega / math.sqrt(x1.z * x2.z)
-        t = np.linspace(0.0, 1.0, 65)
-        loop = LoopSpec(1.0, t, np.tile([x1.x, x1.y, x1.z, x2.x, x2.y, x2.z], (65, 1)))
+        loop = LoopSpec(1.0, np.tile([x1.x, x1.y, x1.z, x2.x, x2.y, x2.z], (65, 1)))
         if offset > 0:
             with pytest.raises(ModeCollapse):
                 normal_mode_split(x1, x2, k)

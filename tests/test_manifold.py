@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from holonomy import (
+    EllipticViolation,
     LoopSpec,
     NonFinite,
     NotClosed,
@@ -20,6 +22,7 @@ from holonomy import (
     standard_parameter_loops,
     subsystem_parameter_loop,
 )
+from holonomy.manifold import _frequency_sq
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
 
@@ -67,6 +70,20 @@ class TestMakeLoop:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             make_loop(lambda t: np.array([1.0]), 1.0, 8)
+
+    @pytest.mark.parametrize("n_samples", [-5, -1, 0, 15])
+    def test_sample_count_checked_before_sampling(self, n_samples):
+        with pytest.raises(TooFewSamples):
+            make_loop(never_called, 1.0, n_samples)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_period_checked_before_sampling(self, period):
+        with pytest.raises(ValueError, match="period"):
+            make_loop(never_called, period, 32)
+
+
+def never_called(t):
+    raise AssertionError(f"f called at t={t}")
 
 
 class TestClosedLineIntegral:
@@ -200,17 +217,7 @@ class TestLoopSpecValidation:
         t = np.linspace(0, 1, 33)
         pts = np.column_stack([t, t])
         with pytest.raises(NotClosed):
-            LoopSpec(1.0, t, pts)
-
-    def test_non_uniform_times_rejected(self):
-        # a GHO triple sampled at t = 2 pi s^1.5: the oracle propagators used
-        # to integrate such a loop as if its samples were evenly spaced
-        s = np.linspace(0.0, 1.0, 65)
-        t = 2 * math.pi * s**1.5
-        pts = np.column_stack([1 + 0.5 * np.cos(t), -0.5 * np.sin(t), 1 - 0.5 * np.cos(t)])
-        pts[-1] = pts[0]
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            LoopSpec(2 * math.pi, t, pts)
+            LoopSpec(1.0, pts)
 
 
 def trig_loop(m, period=2.7):
@@ -222,7 +229,56 @@ def trig_loop(m, period=2.7):
     vel = w * np.column_stack([-np.sin(w * t) + 0.9 * np.cos(3 * w * t),
                                np.cos(2 * w * t) + np.sin(5 * w * t)])
     pts[-1] = pts[0]
-    return LoopSpec(period, t, pts), vel
+    return LoopSpec(period, pts), vel
+
+
+class TestDerivedTimes:
+    """A loop is its period and its samples; its times follow from them."""
+
+    def test_fields_are_period_points_cycles(self):
+        assert [f.name for f in dataclasses.fields(LoopSpec)] == ["period", "points", "cycles"]
+
+    @pytest.mark.parametrize("m, period", [(16, 1.0), (33, 2.7), (4096, 2 * math.pi)])
+    def test_times_are_the_linspace_grid(self, m, period):
+        loop, _ = trig_loop(m, period)
+        assert np.array_equal(loop.times, np.linspace(0.0, period, m + 1))
+        assert loop.times is loop.times
+        with pytest.raises(ValueError):
+            loop.times[1] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            loop.times = np.linspace(0.0, period, m + 1)
+
+    def test_times_carry_through_reversal_and_joining(self):
+        loop, _ = trig_loop(64)
+        assert np.array_equal(loop.reversed().times, loop.times)
+        p = StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, n1=3, n2=2,
+                               base_rate=1.0, epsilon=0.3)
+        combined = combined_parameter_loop(p, 126)
+        assert np.array_equal(combined.times, np.linspace(0.0, p.common_period, 127))
+        for part in standard_parameter_loops(p, 126):
+            assert np.array_equal(part.times, combined.times)
+
+
+class TestFrequencySquared:
+    """The one checked X Z - Y^2: values as written out, the first bad sample named."""
+
+    @pytest.mark.parametrize("shape", [(40, 3), (40, 5, 3), (40, 2, 3)])
+    def test_values_are_x_z_minus_y_squared(self, shape):
+        t = np.random.default_rng(len(shape)).uniform(0.5, 2.0, size=shape)
+        t[..., 1] *= 0.1
+        assert np.array_equal(_frequency_sq(t, "w^2"), t[..., 0] * t[..., 2] - t[..., 1] ** 2)
+
+    def test_first_sample_with_any_bad_value(self):
+        t = np.tile([1.0, 0.5, 1.0], (40, 5, 1))  # (sample, offset, coordinate)
+        t[30, 0, 1] = 2.0  # negative at an early offset of a late sample
+        t[12, 4, 0] = np.nan  # NaN at a late offset of an earlier sample
+        with pytest.raises(EllipticViolation) as err:
+            _frequency_sq(t, "w^2")
+        assert err.value.sample == 12
+        t[12, 4, 0] = 0.25  # exactly zero is not positive either
+        with pytest.raises(EllipticViolation) as err:
+            _frequency_sq(t, "w^2")
+        assert err.value.sample == 12
 
 
 class TestLoopInterpolant:
@@ -230,7 +286,7 @@ class TestLoopInterpolant:
         t = np.linspace(0.0, 1.0, 33)
         pts = np.column_stack([np.cos(2 * math.pi * t), np.sin(2 * math.pi * t)])
         pts[-1] = pts[0]
-        loop = LoopSpec(1.0, t, pts)
+        loop = LoopSpec(1.0, pts)
         with pytest.raises(ValueError):
             loop.points[3, 0] = 1.0
         with pytest.raises(ValueError):
@@ -266,15 +322,6 @@ class TestLoopInterpolant:
 
 
 class TestNonFinite:
-    def test_non_finite_time_rejected_with_its_index(self):
-        loop = circle_loop(n_samples=32)
-        for bad in (np.nan, np.inf):
-            times = loop.times.copy()
-            times[5] = bad
-            with pytest.raises(NonFinite) as err:
-                LoopSpec(loop.period, times, loop.points)
-            assert err.value.sample == 5
-
     def test_non_finite_quadrature_rejected(self):
         with pytest.raises(NonFinite):
             QuadratureResult(value=float("nan"), error_estimate=0.0)
@@ -300,8 +347,8 @@ def old_standard_parameter_loops(p, n_samples):
     pts2 = np.column_stack(old_gho_triple(p.a2, p.mu2, p.epsilon, p.omega2, t))
     pts1[-1] = pts1[0]
     pts2[-1] = pts2[0]
-    return (LoopSpec(p.common_period, t, pts1, cycles=p.n1),
-            LoopSpec(p.common_period, t, pts2, cycles=p.n2))
+    return (LoopSpec(p.common_period, pts1, cycles=p.n1),
+            LoopSpec(p.common_period, pts2, cycles=p.n2))
 
 
 def old_subsystem_parameter_loop(p, subsystem, n_samples):
@@ -310,12 +357,12 @@ def old_subsystem_parameter_loop(p, subsystem, n_samples):
     t = np.linspace(0.0, period, n_samples + 1)
     pts = np.column_stack(old_gho_triple(a, mu, p.epsilon, omega, t))
     pts[-1] = pts[0]
-    return LoopSpec(period, t, pts, cycles=1)
+    return LoopSpec(period, pts, cycles=1)
 
 
 def old_combined_parameter_loop(p, n_samples):
     loop1, loop2 = old_standard_parameter_loops(p, n_samples)
-    return LoopSpec(p.common_period, loop1.times, np.hstack([loop1.points, loop2.points]))
+    return LoopSpec(p.common_period, np.hstack([loop1.points, loop2.points]))
 
 
 def assert_same_loop(new, old):

@@ -68,7 +68,7 @@ class TestSpinEigensystem:
         from holonomy import LoopSpec
 
         with pytest.raises(ZeroField):
-            SpinFieldModel(mu=1.0, b_loop=LoopSpec(loop.period, loop.times, bad))
+            SpinFieldModel(mu=1.0, b_loop=LoopSpec(loop.period, bad))
 
 
 class TestSpinOscillatorEffective:

@@ -444,7 +444,7 @@ class TestNonFinite:
         equator = cone_loop(math.pi / 2, n_samples=64)
         pts = equator.points.copy()
         pts[20, 1] = np.nan
-        loop = LoopSpec(equator.period, equator.times, pts, cycles=equator.cycles)
+        loop = LoopSpec(equator.period, pts, cycles=equator.cycles)
         with pytest.raises(NonFinite) as err:
             eigenframe_along_loop(spin_hamiltonian_family(1.0), loop)
         assert err.value.sample == 20
@@ -491,7 +491,7 @@ class TestWilsonProperties:
         fam = spin_hamiltonian_family(1.0)
         loop = cone_loop(theta, n_samples=256)
         pts = np.roll(loop.points[:-1], -shift, axis=0)
-        shifted = LoopSpec(loop.period, loop.times, np.vstack([pts, pts[:1]]), cycles=loop.cycles)
+        shifted = LoopSpec(loop.period, np.vstack([pts, pts[:1]]), cycles=loop.cycles)
         gamma, _ = berry_and_hannay(eigenframe_along_loop(fam, loop), level)
         gamma_shift, _ = berry_and_hannay(eigenframe_along_loop(fam, shifted), level)
         assert wrapped(gamma_shift - gamma) <= 1e-10
@@ -521,7 +521,7 @@ class TestWilsonProperties:
         pts = np.column_stack([math.sin(theta) * np.cos(phi), math.sin(theta) * np.sin(phi),
                                np.full_like(phi, math.cos(theta))])
         gamma, _ = berry_and_hannay(eigenframe_along_loop(fam, uniform), level)
-        gamma_re, _ = berry_and_hannay(eigenframe_along_loop(fam, LoopSpec(1.0, s, pts)), level)
+        gamma_re, _ = berry_and_hannay(eigenframe_along_loop(fam, LoopSpec(1.0, pts)), level)
         discretisation = abs(gamma + spin_hannay_closed_form(uniform, level + 1))
         assert abs(gamma_re - gamma) <= discretisation + 1e-12
 
@@ -533,7 +533,7 @@ class TestWilsonLinks:
         pts = np.zeros((17, 3))
         pts[:, 2] = 1.0
         pts[8:16, 2] = -1.0
-        loop = LoopSpec(1.0, np.linspace(0.0, 1.0, 17), pts)
+        loop = LoopSpec(1.0, pts)
         frame = eigenframe_along_loop(spin_hamiltonian_family(1.0), loop)
         for level in (0, 1):
             with pytest.raises(OverlapTooSmall) as err:
@@ -547,7 +547,7 @@ class TestWilsonLinks:
         c, s = np.cos(angle), np.sin(angle)
         c[-1], s[-1] = 0.0, 1.0
         vectors = np.stack([np.column_stack([c, s]), np.column_stack([-s, c])], axis=2)
-        loop = LoopSpec(1.0, np.linspace(0.0, 1.0, 17), np.ones((17, 1)))
+        loop = LoopSpec(1.0, np.ones((17, 1)))
         frame = EigenFrame(loop=loop, energies=np.tile([-1.0, 1.0], (17, 1)),
                            vectors=vectors.astype(complex), min_gap=2.0)
         with pytest.raises(OverlapTooSmall) as err:
@@ -583,7 +583,7 @@ class TestClosedFormScale:
     def test_power_of_two_scaled_field_gives_unit_value(self, exponent):
         # fields near 1e155, 1e-200 and 1e300: the squares overflow or underflow
         unit = cone_loop(1.0, n_samples=256)
-        scaled = LoopSpec(unit.period, unit.times, np.ldexp(unit.points, exponent))
+        scaled = LoopSpec(unit.period, np.ldexp(unit.points, exponent))
         for level in (1, 2):
             assert spin_hannay_closed_form(scaled, level) == spin_hannay_closed_form(unit, level)
 
@@ -593,7 +593,7 @@ class TestClosedFormScale:
         loop = cone_loop(1.0, b=1e-6, n_samples=256)
         pts = loop.points.copy()
         pts[-1, 2] += 5e-13
-        small = LoopSpec(loop.period, loop.times, pts)
+        small = LoopSpec(loop.period, pts)
         for level in (1, 2):
             unit = spin_hannay_closed_form(cone_loop(1.0, n_samples=256), level)
             assert abs(spin_hannay_closed_form(small, level) - unit) <= 1e-8
