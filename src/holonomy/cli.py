@@ -18,7 +18,7 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -350,10 +350,14 @@ def _full_quantum_points(cfg: ExperimentConfig) -> list[Point]:
     if m_level < 0:
         raise ConfigInvalid(f"m_level must be nonnegative, got {m_level}")
     n_samples = cfg.n_samples()
+    # The loop does not depend on k or j_action, so the sweep builds it once,
+    # in the first row that runs; ``cache`` stores no exception, so a failing
+    # build stays each row's own typed error.
+    combined_loop = cache(partial(combined_parameter_loop, base, n_samples))
 
     def row(p: StandardLoopParams) -> dict[str, Any]:
         # This order decides which typed error a row past mode collapse reports.
-        loop = combined_parameter_loop(p, n_samples)
+        loop = combined_loop()
         gamma_mn = full_quantum_phase(loop, p.k, m_level, p.n_level)
         part1, part2 = bo_full_quantum_phase_parts(loop, p.k, m_level, p.n_level)
         phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), loop))

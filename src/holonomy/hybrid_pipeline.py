@@ -228,14 +228,42 @@ def coupled_gho_one_form(m: CoupledGHOHybrid, loop: LoopSpec) -> LinearOneForm:
     return LinearOneForm(loop=loop, action_coeffs={nl: quantum_coeff}, j_coeff=j_coeff)
 
 
+_DRIVE_GRIDS: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
+_DRIVE_GRIDS_MAX = 4  # a coupled row reads two grids, a k = 0 row one more
+
+
+def _drive_grid(omega: float, period: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cos(omega t), sin(omega t)) on ``np.linspace(0, period,
+    n_samples + 1)``, memoised because a coupling sweep repeats it every row.
+
+    Only an all-finite grid is stored.  Any overflow, invalid or divide
+    condition here leaves a NaN or inf in the grid, so a grid that is not
+    stored is recomputed on every call under the caller's errstate, and
+    raises, warns or returns NaN exactly as it would without the memo.
+    """
+    key = (omega, period, n_samples)
+    grid = _DRIVE_GRIDS.get(key)
+    if grid is not None:
+        return grid
+    wt = omega * np.linspace(0.0, period, n_samples + 1)
+    grid = (np.cos(wt), np.sin(wt))
+    for a in grid:
+        a.flags.writeable = False
+    if all(np.isfinite(a).all() for a in grid):
+        if len(_DRIVE_GRIDS) >= _DRIVE_GRIDS_MAX:
+            del _DRIVE_GRIDS[next(iter(_DRIVE_GRIDS))]
+        _DRIVE_GRIDS[key] = grid
+    return grid
+
+
 def _effective_core_sq(
-    p: StandardLoopParams, t: np.ndarray
+    p: StandardLoopParams, c1: np.ndarray, c2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(core^2, f1, f2) with core^2 = 1 - eps^2 - 2 D^2 f1 f2 checked positive
-    at every sample, where f_i = 1 - eps cos(w_i t)."""
+    at every sample, where f_i = 1 - eps c_i and c_i = cos(w_i t)."""
     eps, d = p.epsilon, p.d_ratio
-    f1 = 1.0 - eps * np.cos(p.omega1 * t)
-    f2 = 1.0 - eps * np.cos(p.omega2 * t)
+    f1 = 1.0 - eps * c1
+    f2 = 1.0 - eps * c2
     core_sq = 1.0 - eps**2 - 2.0 * d**2 * f1 * f2
     require_positive(core_sq, lambda j: EllipticViolation(
         f"effective frequency squared vanished at sample {j}", sample=j))
@@ -292,27 +320,28 @@ def standard_loop_report(
 
     # the per-subsystem branch (k = 0) integrates the slow subsystem over its own period
     period = p.common_period if branch == BRANCH_COMMON else 2.0 * math.pi / p.omega2
-    t = np.linspace(0.0, period, n_samples + 1)
+    c2, s2 = _drive_grid(p.omega2, period, n_samples)
 
     gamma_0 = gamma_n0_closed_form(p, branch)
 
     # Coupling corrections share one integrand, evaluated on the range that
     # carries both drives (the common period; they vanish identically at k=0).
     # The effective-frequency core below feeds them and the uncoupled angle
-    # shift; without coupling it is the constant sqrt(1 - eps^2).
-    s2 = np.sin(p.omega2 * t)
+    # shift; without coupling it is the constant sqrt(1 - eps^2), and the
+    # fast drive's grid is never built.
     if p.k == 0.0:
         gamma_i = 0.0
         delta_phi_i = 0.0
-        f2 = 1.0 - eps * np.cos(p.omega2 * t)
-        core = np.full_like(t, root)
-        core_dot = np.zeros_like(t)
+        f2 = 1.0 - eps * c2
+        core = np.full_like(c2, root)
+        core_dot = np.zeros_like(c2)
         margin = one_minus
     else:
-        core_sq, f1, f2 = _effective_core_sq(p, t)
+        c1, s1 = _drive_grid(p.omega1, period, n_samples)
+        core_sq, f1, f2 = _effective_core_sq(p, c1, c2)
         margin = float(np.min(core_sq))
         core = np.sqrt(core_sq)
-        drive = eps - np.cos(p.omega1 * t)
+        drive = eps - c1
         omega_eff = p.a2 * core
         base = d**2 * p.a2**2 * eps * p.omega1 * f2 * drive / (p.a1 * one_minus * omega_eff)
         res_dphi = periodic_integral(-base, period)
@@ -320,7 +349,7 @@ def standard_loop_report(
         delta_phi_i = res_dphi.value
         gamma_i = res_gamma.value
         errs.extend([res_dphi.error_estimate, res_gamma.error_estimate])
-        prod_dot = eps * p.omega1 * np.sin(p.omega1 * t) * f2 + f1 * eps * p.omega2 * s2
+        prod_dot = eps * p.omega1 * s1 * f2 + f1 * eps * p.omega2 * s2
         core_dot = -(d**2) * prod_dot / core
 
     # Uncoupled angle shift, with the effective frequency kept inside.

@@ -13,6 +13,7 @@ for smooth ones (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -48,6 +49,8 @@ class LoopSpec:
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
+        if points.ndim not in (1, 2):
+            raise ValueError(f"points must be a 1-D or 2-D array, got shape {points.shape}")
         if points.ndim == 1:
             points = points[:, None]
         if points.shape[0] - 1 < _MIN_SEGMENTS:
@@ -156,6 +159,12 @@ class QuadratureResult:
             raise ValueError("error estimate must be nonnegative")
 
 
+def _require_sample_count(n_samples: int) -> None:
+    """The loop builders' shared guard: ``n_samples`` must be an integer."""
+    if not isinstance(n_samples, numbers.Integral):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+
+
 def make_loop(
     f: Callable[[float], np.ndarray],
     period: float,
@@ -164,10 +173,12 @@ def make_loop(
 ) -> LoopSpec:
     """Sample ``f`` uniformly on ``[0, period]`` into a closed loop.
 
-    Raises ``TooFewSamples`` below 16 segments and ``ValueError`` for a period
+    Raises ``ValueError`` for a sample count that is not an integer,
+    ``TooFewSamples`` below 16 segments and ``ValueError`` for a period
     that is not positive and finite, before calling ``f``; ``NotClosed`` when
     ``f(0)`` and ``f(period)`` differ beyond relative 1e-12.
     """
+    _require_sample_count(n_samples)
     if not n_samples >= _MIN_SEGMENTS:
         raise TooFewSamples(f"n_samples must be at least {_MIN_SEGMENTS}, got {n_samples}")
     if not (period > 0 and math.isfinite(period)):
@@ -183,6 +194,7 @@ def circle_loop(
     cycles: int = 1,
 ) -> LoopSpec:
     """A unit circle in the plane, embedded as (cos, sin); used for angle-like axes."""
+    _require_sample_count(n_samples)
     w = 2.0 * math.pi * cycles / period
     ang = w * np.linspace(0.0, period, n_samples + 1)
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -323,6 +335,7 @@ def _gho_loop(a: float, mu: float, eps: float, omega: float, period: float, n_sa
     """The GHO triple X = a mu (1 + eps cos wt), Y = -a eps sin wt,
     Z = (a/mu)(1 - eps cos wt) sampled uniformly over [0, period], its last
     point snapped onto the first."""
+    _require_sample_count(n_samples)
     t = np.linspace(0.0, period, n_samples + 1)
     c = eps * np.cos(omega * t)
     s = eps * np.sin(omega * t)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllipticViolation, ModeCollapse, ZeroField, require_positive
-from .manifold import DEFAULT_SAMPLES, LoopSpec, StandardLoopParams, _joined
+from .manifold import DEFAULT_SAMPLES, LoopSpec, StandardLoopParams, _joined, _require_sample_count
 from .quantum_geometry import HamiltonianFamily
 
 _AXIS_EPS = 1e-14
@@ -45,6 +45,7 @@ def cone_loop(
 ) -> LoopSpec:
     """Field loop at constant polar angle theta on the sphere of radius b,
     sampled in one vectorised pass."""
+    _require_sample_count(n_samples)
     w = 2.0 * math.pi * cycles / period
     st, ct = math.sin(theta), math.cos(theta)
     wt = w * np.linspace(0.0, period, n_samples + 1)

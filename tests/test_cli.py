@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holonomy import StandardLoopParams, elliptic_bound
+from holonomy import StandardLoopParams, elliptic_bound, hybrid_pipeline
 from holonomy.cli import ExperimentConfig, execute, main
 from holonomy.errors import ConfigInvalid
 
@@ -375,3 +375,55 @@ def test_oracle_has_no_seed_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "quantum", "--seed", "1"])
     assert exc.value.code == 2
+
+
+
+def run_rows(cfg: dict, out_dir: Path) -> list[dict[str, str]]:
+    assert execute(ExperimentConfig.from_dict(dict(cfg, output={"directory": str(out_dir)}))) == 0
+    return read_csv(out_dir / f"{cfg['experiment']}.csv")
+
+
+# Swept configs at 64 samples.  The full-quantum K range crosses K_max
+# (EllipticViolation) and then mode collapse (ModeCollapse); the second
+# hybrid-gho sweep starts at k = 0, on the per-subsystem branch.
+SWEPT_CONFIGS = {
+    "full-quantum": {"experiment": "full-quantum", "params": {
+        "epsilon": 0.5, "n1": 2, "n2": 1, "a1": 2.0, "m_level": 1, "n_level": 2},
+        "sweep": {"parameter": "k", "start": 0.05, "stop": 2.0, "count": 9, "scale": "log"}},
+    "hybrid-gho k > 0": {"experiment": "hybrid-gho", "params": {
+        "epsilon": 0.5, "n1": 2, "n2": 1, "j_action": 3.0},
+        "sweep": {"parameter": "k", "start": 1e-3, "stop": 0.7, "count": 5, "scale": "log"}},
+    "hybrid-gho from k = 0": {"experiment": "hybrid-gho", "params": {"epsilon": 0.5, "n1": 1, "n2": 2},
+                              "sweep": {"parameter": "k", "start": 0.0, "stop": 0.8, "count": 5}},
+    "fig1": {"experiment": "fig1", "params": {"ratios": [[2, 1], [1, 1]]}, "sweep": {
+        "parameter": "k_fraction_of_max", "start": 0.01, "stop": 1.2, "count": 4, "scale": "log"}},
+}
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+@pytest.mark.parametrize("cfg", SWEPT_CONFIGS.values(), ids=SWEPT_CONFIGS)
+def test_swept_rows_equal_one_point_runs(cfg, cold, tmp_path, monkeypatch):
+    """Each row of a sweep, error column included, is bit for bit the row of
+    a one-point run of its K made afterwards in the same process, with the
+    drive-grid memo as the previous run left it (warm) or emptied (cold):
+    work built once per sweep leaks nothing between rows or sweeps."""
+    cfg = dict(cfg, numerics={"n_samples": 64})
+    swept = run_rows(cfg, tmp_path / "swept")
+    errors = {row["error"] for row in swept}
+    assert "" in errors and len(errors) > 1
+    if cfg["experiment"] == "full-quantum":
+        assert {"EllipticViolation", "ModeCollapse"} <= errors
+    params = dict(cfg["params"])
+    if cfg["experiment"] == "fig1":
+        # fig1's defaults, as the hybrid-gho params that give the same row
+        params = {"a1": 1.0, "a2": 1e-8, "j_action": 1e13}
+    for i, row in enumerate(swept):
+        one = dict(params, k=float(row["K"]))
+        if "ratio" in row:
+            one["n1"], one["n2"] = map(int, row["ratio"].split("/"))
+        experiment = "hybrid-gho" if cfg["experiment"] == "fig1" else cfg["experiment"]
+        if cold:
+            monkeypatch.setattr(hybrid_pipeline, "_DRIVE_GRIDS", {})
+        [single] = run_rows(dict(cfg, experiment=experiment, params=one, sweep=None),
+                            tmp_path / f"single-{i}")
+        assert {col: single[col] for col in row} == row

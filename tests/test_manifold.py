@@ -17,12 +17,13 @@ from holonomy import (
     circle_loop,
     closed_line_integral,
     combined_parameter_loop,
+    cone_loop,
     make_loop,
     periodic_integral,
     standard_parameter_loops,
     subsystem_parameter_loop,
 )
-from holonomy.manifold import _frequency_sq
+from holonomy.manifold import _frequency_sq, _gho_loop
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
 
@@ -218,6 +219,28 @@ class TestLoopSpecValidation:
         pts = np.column_stack([t, t])
         with pytest.raises(NotClosed):
             LoopSpec(1.0, pts)
+
+    def test_scalar_points_rejected(self):
+        with pytest.raises(ValueError, match="points"):
+            LoopSpec(1.0, 5.0)
+
+    def test_three_dimensional_points_rejected(self):
+        with pytest.raises(ValueError, match="points"):
+            LoopSpec(1.0, np.ones((17, 2, 2)))
+
+    @pytest.mark.parametrize("build", [
+        lambda n: make_loop(never_called, 1.0, n),
+        lambda n: circle_loop(n_samples=n),
+        lambda n: cone_loop(1.0, n_samples=n),
+        lambda n: _gho_loop(1.0, 1.0, 0.5, 1.0, 2 * math.pi, n, 1),
+    ], ids=["make_loop", "circle_loop", "cone_loop", "_gho_loop"])
+    @pytest.mark.parametrize("n_samples", [16.0, 16.5])
+    def test_non_integer_sample_count_rejected(self, build, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            build(n_samples)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        assert circle_loop(n_samples=np.int64(32)).n_segments == 32
 
 
 def trig_loop(m, period=2.7):

@@ -1,0 +1,56 @@
+"""Every cell of one small configuration per experiment, against the committed
+snapshot in ``tests/data`` (regenerated by ``tests/data/regenerate.py``).
+
+Values are compared, not bytes, because numpy's FFT and libm can move the
+last digits across platforms and numpy versions.  A direct value must agree
+to relative 1e-12.  A difference column is the difference of two values of
+order one, so it gets an absolute floor instead.  Coordinates, text columns,
+empty cells and the ``error`` column must match exactly.
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import pytest
+
+from holonomy import hybrid_pipeline
+from holonomy.cli import ExperimentConfig, execute
+
+DATA = Path(__file__).parent / "data"
+CONFIGS = sorted(DATA.glob("*.json"))
+
+RTOL = 1e-12
+DIFFERENCE_ATOL = 1e-12
+DIFFERENCE_COLUMNS = {"quadrature_error", "abs_err_bo_vs_hybrid"}
+TEXT_COLUMNS = {"ratio", "branch", "error"}
+
+
+def read_table(text: str) -> tuple[list[str], list[list[str]]]:
+    header, *rows = csv.reader(text.splitlines())
+    return header, rows
+
+
+def test_snapshot_covers_the_coupling_sweeps():
+    assert [c.stem for c in CONFIGS] == ["fig1", "fig2", "full-quantum", "hybrid-gho"]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
+def test_experiment_matches_snapshot(config, tmp_path, monkeypatch):
+    monkeypatch.setattr(hybrid_pipeline, "_DRIVE_GRIDS", {})  # as in a fresh process
+    raw = dict(json.loads(config.read_text()), output={"directory": str(tmp_path)})
+    assert execute(ExperimentConfig.from_dict(raw)) == 0
+    header, rows = read_table((tmp_path / f"{raw['experiment']}.csv").read_text())
+    want_header, want_rows = read_table(config.with_suffix(".csv").read_text())
+    assert header == want_header
+    assert len(rows) == len(want_rows)
+    assert {row[-1] for row in want_rows} > {""}  # the snapshot holds typed-error rows
+    for i, (row, want_row) in enumerate(zip(rows, want_rows)):
+        for col, got, want in zip(header, row, want_row):
+            where = f"{config.stem} row {i} {col}: {got} != {want}"
+            if col in TEXT_COLUMNS or "" in (got, want):
+                assert got == want, where
+            elif col in DIFFERENCE_COLUMNS:
+                assert abs(float(got) - float(want)) <= DIFFERENCE_ATOL, where
+            else:
+                assert abs(float(got) - float(want)) <= RTOL * abs(float(want)), where
