@@ -377,7 +377,6 @@ def test_oracle_has_no_seed_flag(capsys):
     assert exc.value.code == 2
 
 
-
 def run_rows(cfg: dict, out_dir: Path) -> list[dict[str, str]]:
     assert execute(ExperimentConfig.from_dict(dict(cfg, output={"directory": str(out_dir)}))) == 0
     return read_csv(out_dir / f"{cfg['experiment']}.csv")
@@ -413,15 +412,14 @@ def test_swept_rows_equal_one_point_runs(cfg, cold, tmp_path, monkeypatch):
     assert "" in errors and len(errors) > 1
     if cfg["experiment"] == "full-quantum":
         assert {"EllipticViolation", "ModeCollapse"} <= errors
-    params = dict(cfg["params"])
-    if cfg["experiment"] == "fig1":
-        # fig1's defaults, as the hybrid-gho params that give the same row
-        params = {"a1": 1.0, "a2": 1e-8, "j_action": 1e13}
+    experiment, params = cfg["experiment"], cfg["params"]
+    if experiment == "fig1":
+        # a fig1 row is the hybrid-gho row of fig1's default parameters
+        experiment, params = "hybrid-gho", {"a1": 1.0, "a2": 1e-8, "j_action": 1e13}
     for i, row in enumerate(swept):
         one = dict(params, k=float(row["K"]))
         if "ratio" in row:
             one["n1"], one["n2"] = map(int, row["ratio"].split("/"))
-        experiment = "hybrid-gho" if cfg["experiment"] == "fig1" else cfg["experiment"]
         if cold:
             monkeypatch.setattr(hybrid_pipeline, "_DRIVE_GRIDS", {})
         [single] = run_rows(dict(cfg, experiment=experiment, params=one, sweep=None),
