@@ -96,14 +96,6 @@ def _number(
     return kind(value)
 
 
-def _construct(cls: Callable[..., Any], **kwargs: Any) -> Any:
-    """``cls(**kwargs)``, the ``ValueError`` of its validation raised as ``ConfigInvalid``."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
-
-
 def _sweep_block(sweep: dict[str, Any]) -> tuple[Callable[..., np.ndarray], float, float, int]:
     """A sweep block's spacing, start, stop and count, checked.  Only
     comparisons run here; the arithmetic that lays out the points, which can
@@ -212,7 +204,7 @@ def _standard_params(params: dict[str, Any], **overrides: Any) -> StandardLoopPa
     }
     merged = {**defaults, **params, **overrides}
     values = {key: _number(merged, key, None, type(value)) for key, value in defaults.items()}
-    return _construct(StandardLoopParams, **values)
+    return StandardLoopParams(**values)
 
 
 def _hybrid_gho_row(p: StandardLoopParams, n_samples: int) -> dict[str, Any]:
@@ -320,7 +312,6 @@ def _hybrid_spin_osc_points(cfg: ExperimentConfig) -> list[Point]:
     omega = _number(params, "omega", 1.0, positive=True)
     period = 2.0 * math.pi / omega
     hybrid = partial(
-        _construct,
         SpinOscillatorHybrid,
         mu=_number(params, "mu", 1.0, positive=True),
         b_field=_number(params, "b_magnitude", 1.0, positive=True),
@@ -469,11 +460,13 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
     """The experiment's CSV header and one row per sweep point.
 
     Every point, and so every configuration value, is built before the first
-    row runs.  A row's ``HolonomyError`` goes into its ``error`` column; the
-    row keeps its coordinates.  Points and rows run with numpy's overflow,
-    invalid and divide conditions raised; leaving floating-point range there
-    (or in a Python float ``**``, whose ``OverflowError`` numpy would have
-    returned as inf) is ``ConfigInvalid`` for the points, ``NonFinite`` for a row.
+    row runs; a ``HolonomyError`` or ``ValueError`` raised while they are
+    built is ``ConfigInvalid``.  A row's ``HolonomyError`` goes into its
+    ``error`` column; the row keeps its coordinates.  Points and rows run with
+    numpy's overflow, invalid and divide conditions raised; leaving
+    floating-point range there (or in a Python float ``**``, whose
+    ``OverflowError`` numpy would have returned as inf) is ``ConfigInvalid``
+    for the points, ``NonFinite`` for a row.
     """
     points, axis, columns = _EXPERIMENTS[cfg.experiment]
     if cfg.sweep is not None and cfg.sweep.get("parameter") != axis:
@@ -484,6 +477,10 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
             sweep_points = points(cfg)
+        except ConfigInvalid:
+            raise
+        except (HolonomyError, ValueError) as exc:
+            raise ConfigInvalid(str(exc)) from exc
         except (FloatingPointError, OverflowError) as exc:
             raise ConfigInvalid(f"configuration leaves floating-point range: {exc}") from exc
         for coords, compute in sweep_points:

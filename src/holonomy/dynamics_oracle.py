@@ -92,7 +92,11 @@ class ClassicalTrajectory:
 def recommended_steps_per_sample(loop: LoopSpec, slowness: float, rate_scale: float = 1.0) -> int:
     """Steps per loop sample keeping the integrator error well under the
     adiabatic error at the given slowness (dilated step ~ 0.7/sqrt(slowness)
-    in units of the characteristic rate)."""
+    in units of the characteristic rate).  Raises ``ValueError`` for a
+    slowness or rate scale that is not positive and finite."""
+    for name, value in (("slowness", slowness), ("rate_scale", rate_scale)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     target = 0.7 / (rate_scale * math.sqrt(slowness))
     return max(8, int(math.ceil(slowness * loop.spacing / target)))
 

@@ -28,6 +28,7 @@ from .manifold import (
     LoopSpec,
     QuadratureResult,
     StandardLoopParams,
+    _drive_grid,
     _frequency_sq,
     closed_line_integral,
     periodic_integral,
@@ -226,34 +227,6 @@ def coupled_gho_one_form(m: CoupledGHOHybrid, loop: LoopSpec) -> LinearOneForm:
     )[:, None] * grad_z2_over_omega
 
     return LinearOneForm(loop=loop, action_coeffs={nl: quantum_coeff}, j_coeff=j_coeff)
-
-
-_DRIVE_GRIDS: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
-_DRIVE_GRIDS_MAX = 4  # a coupled row reads two grids, a k = 0 row one more
-
-
-def _drive_grid(omega: float, period: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (cos(omega t), sin(omega t)) on ``np.linspace(0, period,
-    n_samples + 1)``, memoised because a coupling sweep repeats it every row.
-
-    Only an all-finite grid is stored.  Any overflow, invalid or divide
-    condition here leaves a NaN or inf in the grid, so a grid that is not
-    stored is recomputed on every call under the caller's errstate, and
-    raises, warns or returns NaN exactly as it would without the memo.
-    """
-    key = (omega, period, n_samples)
-    grid = _DRIVE_GRIDS.get(key)
-    if grid is not None:
-        return grid
-    wt = omega * np.linspace(0.0, period, n_samples + 1)
-    grid = (np.cos(wt), np.sin(wt))
-    for a in grid:
-        a.flags.writeable = False
-    if all(np.isfinite(a).all() for a in grid):
-        if len(_DRIVE_GRIDS) >= _DRIVE_GRIDS_MAX:
-            del _DRIVE_GRIDS[next(iter(_DRIVE_GRIDS))]
-        _DRIVE_GRIDS[key] = grid
-    return grid
 
 
 def _effective_core_sq(

@@ -53,11 +53,8 @@ class LoopSpec:
             raise ValueError(f"points must be a 1-D or 2-D array, got shape {points.shape}")
         if points.ndim == 1:
             points = points[:, None]
-        if points.shape[0] - 1 < _MIN_SEGMENTS:
-            raise TooFewSamples(
-                f"need at least {_MIN_SEGMENTS} segments, got {points.shape[0] - 1}"
-            )
-        if not (self.period > 0 and math.isfinite(self.period)):
+        _require_grid(self.period, points.shape[0] - 1)
+        if not math.isfinite(self.period):
             raise ValueError(f"period must be positive and finite, got {self.period}")
         x0, x1 = points[0], points[-1]
         scale = max(1.0, float(np.max(np.abs(x0))), float(np.max(np.abs(x1))))
@@ -159,10 +156,47 @@ class QuadratureResult:
             raise ValueError("error estimate must be nonnegative")
 
 
-def _require_sample_count(n_samples: int) -> None:
-    """The loop builders' shared guard: ``n_samples`` must be an integer."""
+def _require_grid(period: float, n_samples: int) -> None:
+    """The checks a uniform grid on ``[0, period]`` needs before any arithmetic
+    on its inputs: an integer ``n_samples`` of at least 16 and ``period > 0``
+    (NaN fails).  ``+inf`` passes, so an overflowed period fails in the grid's
+    own arithmetic under the caller's errstate; ``LoopSpec`` rejects it."""
     if not isinstance(n_samples, numbers.Integral):
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    if not n_samples >= _MIN_SEGMENTS:
+        raise TooFewSamples(f"need at least {_MIN_SEGMENTS} segments, got {n_samples}")
+    if not period > 0:
+        raise ValueError(f"period must be positive, got {period}")
+
+
+_DRIVE_GRIDS: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
+_DRIVE_GRIDS_MAX = 4  # a sweep from k = 0 reads three: a coupled row's two, a k = 0 row's one
+
+
+def _drive_grid(omega: float, period: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cos(omega t), sin(omega t)) on ``np.linspace(0, period,
+    n_samples + 1)``, the one sampling of every periodic drive, memoised
+    because a sweep repeats it every row.
+
+    Only an all-finite grid is stored.  Any overflow, invalid or divide
+    condition here leaves a NaN or inf in the grid, so a grid that is not
+    stored is recomputed on every call under the caller's errstate, and
+    raises, warns or returns NaN exactly as it would without the memo.
+    """
+    _require_grid(period, n_samples)
+    key = (omega, period, n_samples)
+    grid = _DRIVE_GRIDS.get(key)
+    if grid is not None:
+        return grid
+    wt = omega * np.linspace(0.0, period, n_samples + 1)
+    grid = (np.cos(wt), np.sin(wt))
+    for a in grid:
+        a.flags.writeable = False
+    if all(np.isfinite(a).all() for a in grid):
+        if len(_DRIVE_GRIDS) >= _DRIVE_GRIDS_MAX:
+            del _DRIVE_GRIDS[next(iter(_DRIVE_GRIDS))]
+        _DRIVE_GRIDS[key] = grid
+    return grid
 
 
 def make_loop(
@@ -178,10 +212,8 @@ def make_loop(
     that is not positive and finite, before calling ``f``; ``NotClosed`` when
     ``f(0)`` and ``f(period)`` differ beyond relative 1e-12.
     """
-    _require_sample_count(n_samples)
-    if not n_samples >= _MIN_SEGMENTS:
-        raise TooFewSamples(f"n_samples must be at least {_MIN_SEGMENTS}, got {n_samples}")
-    if not (period > 0 and math.isfinite(period)):
+    _require_grid(period, n_samples)
+    if not math.isfinite(period):
         raise ValueError(f"period must be positive and finite, got {period}")
     times = np.linspace(0.0, period, n_samples + 1)
     points = np.array([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in times])
@@ -194,10 +226,8 @@ def circle_loop(
     cycles: int = 1,
 ) -> LoopSpec:
     """A unit circle in the plane, embedded as (cos, sin); used for angle-like axes."""
-    _require_sample_count(n_samples)
-    w = 2.0 * math.pi * cycles / period
-    ang = w * np.linspace(0.0, period, n_samples + 1)
-    pts = np.column_stack([np.cos(ang), np.sin(ang)])
+    _require_grid(period, n_samples)
+    pts = np.column_stack(_drive_grid(2.0 * math.pi * cycles / period, period, n_samples))
     pts[-1] = pts[0]
     return LoopSpec(period, pts, cycles)
 
@@ -335,10 +365,7 @@ def _gho_loop(a: float, mu: float, eps: float, omega: float, period: float, n_sa
     """The GHO triple X = a mu (1 + eps cos wt), Y = -a eps sin wt,
     Z = (a/mu)(1 - eps cos wt) sampled uniformly over [0, period], its last
     point snapped onto the first."""
-    _require_sample_count(n_samples)
-    t = np.linspace(0.0, period, n_samples + 1)
-    c = eps * np.cos(omega * t)
-    s = eps * np.sin(omega * t)
+    c, s = (eps * g for g in _drive_grid(omega, period, n_samples))
     pts = np.column_stack([a * mu * (1.0 + c), -a * s, (a / mu) * (1.0 - c)])
     pts[-1] = pts[0]
     return LoopSpec(period, pts, cycles=cycles)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EllipticViolation, ModeCollapse, ZeroField, require_positive
-from .manifold import DEFAULT_SAMPLES, LoopSpec, StandardLoopParams, _joined, _require_sample_count
+from .manifold import DEFAULT_SAMPLES, LoopSpec, StandardLoopParams, _drive_grid, _joined, _require_grid
 from .quantum_geometry import HamiltonianFamily
 
 _AXIS_EPS = 1e-14
@@ -45,11 +45,10 @@ def cone_loop(
 ) -> LoopSpec:
     """Field loop at constant polar angle theta on the sphere of radius b,
     sampled in one vectorised pass."""
-    _require_sample_count(n_samples)
-    w = 2.0 * math.pi * cycles / period
+    _require_grid(period, n_samples)
+    cos, sin = _drive_grid(2.0 * math.pi * cycles / period, period, n_samples)
     st, ct = math.sin(theta), math.cos(theta)
-    wt = w * np.linspace(0.0, period, n_samples + 1)
-    points = b * np.column_stack([st * np.cos(wt), st * np.sin(wt), np.full_like(wt, ct)])
+    points = b * np.column_stack([st * cos, st * sin, np.full_like(cos, ct)])
     return LoopSpec(period, points, cycles)
 
 

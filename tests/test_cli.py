@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holonomy import StandardLoopParams, elliptic_bound, hybrid_pipeline
+from holonomy import StandardLoopParams, elliptic_bound, manifold
 from holonomy.cli import ExperimentConfig, execute, main
 from holonomy.errors import ConfigInvalid
 
@@ -211,6 +211,7 @@ BAD_CONFIGS = {
     "zero cycles": '{"experiment": "spin-berry", "params": {"cycles": 0}}',
     "zero steps": '{"experiment": "oracle-classical", "numerics": {"steps_per_sample": 0}}',
     "negative m_level": '{"experiment": "full-quantum", "params": {"m_level": -1}}',
+    "spin-osc too few samples": '{"experiment": "hybrid-spin-osc", "numerics": {"n_samples": 8}}',
 }
 
 
@@ -327,6 +328,13 @@ OUT_OF_RANGE_CONFIGS = {
     "hybrid-gho j_action": {"experiment": "hybrid-gho", "params": {"j_action": 1e308, "k": 0.1}},
     "fig1 a1_over_a2": {"experiment": "fig1", "params": {"a1_over_a2": 1e-300}},
     "fig1 a1": {"experiment": "fig1", "params": {"a1": 1e300}},
+    # 2 pi / base_rate overflows to a period of +inf, which the grid guard lets
+    # through: the row's own grid arithmetic fails, so the row is NonFinite
+    "hybrid-gho base_rate": {"experiment": "hybrid-gho", "params": {"base_rate": 1e-320}},
+    "full-quantum base_rate": {"experiment": "full-quantum", "params": {"base_rate": 1e-320}},
+    "gho-uncoupled base_rate": {"experiment": "gho-uncoupled", "params": {"base_rate": 1e-320}},
+    "oracle-classical base_rate": {"experiment": "oracle-classical",
+                                   "params": {"base_rate": 1e-320}},
 }
 
 
@@ -341,7 +349,7 @@ def test_out_of_range_values_are_typed(cfg, tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     code = main(["run", str(path)])
     lines = capsys.readouterr().err.strip().splitlines()
-    if code == 2:
+    if code == 2 and "base_rate" not in cfg["params"]:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigInvalid"
         assert not (tmp_path / "out").exists()
     else:
@@ -421,7 +429,7 @@ def test_swept_rows_equal_one_point_runs(cfg, cold, tmp_path, monkeypatch):
         if "ratio" in row:
             one["n1"], one["n2"] = map(int, row["ratio"].split("/"))
         if cold:
-            monkeypatch.setattr(hybrid_pipeline, "_DRIVE_GRIDS", {})
+            monkeypatch.setattr(manifold, "_DRIVE_GRIDS", {})
         [single] = run_rows(dict(cfg, experiment=experiment, params=one, sweep=None),
                             tmp_path / f"single-{i}")
         assert {col: single[col] for col in row} == row

@@ -459,6 +459,14 @@ class TestArgumentChecks:
             propagate_classical(loop, (1.0, 0.0), slowness, 8)
         with pytest.raises(ValueError, match="slowness"):
             propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 0, slowness, 8)
+        with pytest.raises(ValueError, match="slowness"):
+            recommended_steps_per_sample(loop, slowness)
+
+    @pytest.mark.parametrize("rate_scale", [math.nan, math.inf, -1.0, 0.0])
+    def test_rate_scale(self, rate_scale):
+        loop = cone_loop(1.1, n_samples=32)
+        with pytest.raises(ValueError, match="rate_scale"):
+            recommended_steps_per_sample(loop, 100.0, rate_scale=rate_scale)
 
     @pytest.mark.parametrize("qp0", [(math.nan, 0.3), (0.0, math.inf), (0.0, 0.0)])
     def test_initial_qp(self, qp0):

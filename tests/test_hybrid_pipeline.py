@@ -33,7 +33,7 @@ from holonomy import (
     standard_loop_report,
     standard_parameter_loops,
 )
-from holonomy import hybrid_pipeline as hp
+from holonomy import manifold
 from holonomy.cli import ExperimentConfig, execute
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
@@ -316,19 +316,19 @@ class TestStandardLoopReport:
 
 
 class TestDriveGridMemo:
-    """``standard_loop_report`` reads its drive grids from a memo that keeps
-    only finite, read-only grids, so a memoised grid is indistinguishable
-    from a fresh one."""
+    """The loop builders and ``standard_loop_report`` read drive grids from a
+    memo that keeps only finite, read-only grids, so a memoised grid is
+    indistinguishable from a fresh one."""
 
     def test_grids_are_read_only(self):
-        for a in hp._drive_grid(2.0, 2 * math.pi, 64):
+        for a in manifold._drive_grid(2.0, 2 * math.pi, 64):
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
     def test_hit_equals_a_fresh_computation(self, monkeypatch):
-        monkeypatch.setattr(hp, "_DRIVE_GRIDS", {})
-        first = hp._drive_grid(3.0, 2 * math.pi, 128)
-        hit = hp._drive_grid(3.0, 2 * math.pi, 128)
+        monkeypatch.setattr(manifold, "_DRIVE_GRIDS", {})
+        first = manifold._drive_grid(3.0, 2 * math.pi, 128)
+        hit = manifold._drive_grid(3.0, 2 * math.pi, 128)
         assert hit is first
         wt = 3.0 * np.linspace(0.0, 2 * math.pi, 129)
         assert hit[0].tobytes() == np.cos(wt).tobytes()
@@ -336,15 +336,15 @@ class TestDriveGridMemo:
 
     def test_report_on_a_hit_equals_a_report_on_a_miss(self, monkeypatch):
         p = std_params(eps=0.5, k=0.1, n1=2, n2=1)
-        monkeypatch.setattr(hp, "_DRIVE_GRIDS", {})
+        monkeypatch.setattr(manifold, "_DRIVE_GRIDS", {})
         miss = standard_loop_report(p, 256)
-        assert len(hp._DRIVE_GRIDS) == 2
+        assert len(manifold._DRIVE_GRIDS) == 2
         assert standard_loop_report(p, 256) == miss
 
     def test_memo_is_bounded(self):
-        for n in range(1, 3 * hp._DRIVE_GRIDS_MAX):
-            hp._drive_grid(float(n), 2 * math.pi, 32)
-        assert len(hp._DRIVE_GRIDS) == hp._DRIVE_GRIDS_MAX
+        for n in range(1, 3 * manifold._DRIVE_GRIDS_MAX):
+            manifold._drive_grid(float(n), 2 * math.pi, 32)
+        assert len(manifold._DRIVE_GRIDS) == manifold._DRIVE_GRIDS_MAX
 
     def test_grid_left_non_finite_outside_the_errstate_is_not_memoised(self, tmp_path):
         # omega1 = 2 base_rate overflows to inf, so its grid is NaN.  Computed
@@ -354,7 +354,7 @@ class TestDriveGridMemo:
         p = StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, epsilon=EPS_PAPER, **params)
         with np.errstate(all="ignore"), pytest.raises(EllipticViolation):
             standard_loop_report(p, 64)
-        assert (p.omega1, p.common_period, 64) not in hp._DRIVE_GRIDS
+        assert (p.omega1, p.common_period, 64) not in manifold._DRIVE_GRIDS
         cfg = ExperimentConfig.from_dict({
             "experiment": "hybrid-gho", "params": params, "numerics": {"n_samples": 64},
             "output": {"directory": str(tmp_path)},

@@ -20,6 +20,7 @@ from holonomy import (
     cone_loop,
     make_loop,
     periodic_integral,
+    standard_loop_report,
     standard_parameter_loops,
     subsystem_parameter_loop,
 )
@@ -85,6 +86,27 @@ class TestMakeLoop:
 
 def never_called(t):
     raise AssertionError(f"f called at t={t}")
+
+
+def coupled_report(period, n_samples):
+    """``standard_loop_report``, which takes its period from its parameters."""
+    p = StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, n1=2, n2=1, base_rate=1.0,
+                           epsilon=0.5, k=0.1)
+    return standard_loop_report(p, n_samples)
+
+
+# Every loop builder, given a period and a sample count.  LoopSpec's sample
+# count is the row count of its points, less one.
+LOOP_BUILDERS = {
+    "make_loop": lambda period, n: make_loop(never_called, period, n),
+    "circle_loop": lambda period, n: circle_loop(period=period, n_samples=n),
+    "cone_loop": lambda period, n: cone_loop(1.0, period=period, n_samples=n),
+    "_gho_loop": lambda period, n: _gho_loop(1.0, 1.0, 0.5, 1.0, period, n, 1),
+    "LoopSpec": lambda period, n: LoopSpec(period, np.ones((n + 1, 2))),
+}
+# Everything that takes a sample count and lays out its own grid.
+SAMPLERS = {name: build for name, build in LOOP_BUILDERS.items() if name != "LoopSpec"} | {
+    "standard_loop_report": coupled_report}
 
 
 class TestClosedLineIntegral:
@@ -228,16 +250,30 @@ class TestLoopSpecValidation:
         with pytest.raises(ValueError, match="points"):
             LoopSpec(1.0, np.ones((17, 2, 2)))
 
-    @pytest.mark.parametrize("build", [
-        lambda n: make_loop(never_called, 1.0, n),
-        lambda n: circle_loop(n_samples=n),
-        lambda n: cone_loop(1.0, n_samples=n),
-        lambda n: _gho_loop(1.0, 1.0, 0.5, 1.0, 2 * math.pi, n, 1),
-    ], ids=["make_loop", "circle_loop", "cone_loop", "_gho_loop"])
+    @pytest.mark.parametrize("build", SAMPLERS.values(), ids=SAMPLERS)
     @pytest.mark.parametrize("n_samples", [16.0, 16.5])
     def test_non_integer_sample_count_rejected(self, build, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
-            build(n_samples)
+            build(2 * math.pi, n_samples)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", SAMPLERS.values(), ids=SAMPLERS)
+    @pytest.mark.parametrize("n_samples", [-4, 0, 15])
+    def test_too_few_samples_rejected(self, build, n_samples):
+        with pytest.raises(TooFewSamples, match=f"need at least 16 segments, got {n_samples}"):
+            build(2 * math.pi, n_samples)
+
+    @pytest.mark.parametrize("segments", [0, 15])
+    def test_too_few_segments_rejected(self, segments):
+        with pytest.raises(TooFewSamples, match=f"need at least 16 segments, got {segments}"):
+            LoopSpec(1.0, np.ones((segments + 1, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", LOOP_BUILDERS.values(), ids=LOOP_BUILDERS)
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan])
+    def test_non_positive_period_rejected(self, build, period):
+        with pytest.raises(ValueError, match="period"):
+            build(period, 32)
 
     def test_numpy_integer_sample_count_accepted(self):
         assert circle_loop(n_samples=np.int64(32)).n_segments == 32

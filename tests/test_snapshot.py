@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from holonomy import hybrid_pipeline
+from holonomy import manifold
 from holonomy.cli import EXPERIMENTS, ExperimentConfig, execute
 
 DATA = Path(__file__).parent / "data"
@@ -42,7 +42,7 @@ def test_snapshot_covers_the_coupling_sweeps():
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
 def test_experiment_matches_snapshot(config, tmp_path, monkeypatch):
-    monkeypatch.setattr(hybrid_pipeline, "_DRIVE_GRIDS", {})  # as in a fresh process
+    monkeypatch.setattr(manifold, "_DRIVE_GRIDS", {})  # as in a fresh process
     raw = dict(json.loads(config.read_text()), output={"directory": str(tmp_path)})
     assert execute(ExperimentConfig.from_dict(raw)) == 0
     header, rows = read_table((tmp_path / f"{raw['experiment']}.csv").read_text())
