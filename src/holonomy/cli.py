@@ -34,13 +34,7 @@ from .manifold import (
     combined_parameter_loop,
     subsystem_parameter_loop,
 )
-from .models import (
-    CoupledGHOHybrid,
-    SpinOscillatorHybrid,
-    cone_loop,
-    spin_hamiltonian_family,
-    spin_oscillator_loop,
-)
+from .models import SpinOscillatorHybrid, cone_loop, spin_hamiltonian_family, spin_oscillator_loop
 from .hybrid_pipeline import (
     BRANCH_COMMON,
     bo_full_quantum_phase_parts,
@@ -284,7 +278,7 @@ def _gho_uncoupled_points(cfg: ExperimentConfig) -> list[Point]:
     def row(p: StandardLoopParams) -> dict[str, Any]:
         report = standard_loop_report(p, n_samples, branch=BRANCH_COMMON)
         loop = combined_parameter_loop(p, n_samples)
-        phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), loop))
+        phases = phases_from_one_form(coupled_gho_one_form(p, loop))
         closed = report.gamma_0_part
         quad = phases.gammas[p.n_level]
         corr = closed + (p.n_level + 0.5) * (p.omega1 / p.omega2) * report.delta_phi_0_part
@@ -351,7 +345,7 @@ def _full_quantum_points(cfg: ExperimentConfig) -> list[Point]:
         loop = combined_loop()
         gamma_mn = full_quantum_phase(loop, p.k, m_level, p.n_level)
         part1, part2 = bo_full_quantum_phase_parts(loop, p.k, m_level, p.n_level)
-        phases = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), loop))
+        phases = phases_from_one_form(coupled_gho_one_form(p, loop))
         hybrid_gamma = phases.gammas[p.n_level]
         return dict(
             gamma_mn=gamma_mn,
@@ -559,23 +553,27 @@ def _write_svg(path: Path, header: list[str], rows: list[dict[str, Any]], experi
 
 
 def execute(cfg: ExperimentConfig) -> int:
-    """Run one experiment configuration; returns the process exit code."""
+    """Run one experiment configuration; returns the process exit code.  An
+    output directory that cannot be created or written is ``ConfigInvalid``."""
     t_start = time.perf_counter()
     header, rows = _sweep(cfg)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.experiment}.csv"
-    _write_csv(csv_path, header, rows)
-    if cfg.emit_svg:
-        _write_svg(out_dir / f"{cfg.experiment}.svg", header, rows, cfg.experiment)
-    meta = {
-        "version": __version__,
-        "config": cfg.as_dict(),
-        "rows": len(rows),
-        "failed_rows": sum(1 for r in rows if r.get("error")),
-        "elapsed_seconds": time.perf_counter() - t_start,
-    }
-    (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_csv(csv_path, header, rows)
+        if cfg.emit_svg:
+            _write_svg(out_dir / f"{cfg.experiment}.svg", header, rows, cfg.experiment)
+        meta = {
+            "version": __version__,
+            "config": cfg.as_dict(),
+            "rows": len(rows),
+            "failed_rows": sum(1 for r in rows if r.get("error")),
+            "elapsed_seconds": time.perf_counter() - t_start,
+        }
+        (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write output: {exc}") from exc
     label_cols = [c for c in header[:3] if c != "error"]
     for i, row in enumerate(rows):
         tag = " ".join(f"{c}={row.get(c, '')}" for c in label_cols)

@@ -32,13 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    EllipticViolation,
-    NonAdiabatic,
-    OverlapTooSmall,
-    require_gap,
-)
-from .manifold import LoopSpec, _frequency_sq
+from .errors import NonAdiabatic, NonFinite, OverlapTooSmall, require_gap
+from .manifold import LoopSpec, _frequency_sq, _trapezoid
 from .quantum_geometry import (
     HamiltonianFamily,
     _eigh,
@@ -93,11 +88,15 @@ def recommended_steps_per_sample(loop: LoopSpec, slowness: float, rate_scale: fl
     """Steps per loop sample keeping the integrator error well under the
     adiabatic error at the given slowness (dilated step ~ 0.7/sqrt(slowness)
     in units of the characteristic rate).  Raises ``ValueError`` for a
-    slowness or rate scale that is not positive and finite."""
+    slowness or rate scale that is not positive and finite, and ``NonFinite``
+    when the characteristic rate rate_scale * sqrt(slowness) overflows."""
     for name, value in (("slowness", slowness), ("rate_scale", rate_scale)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    target = 0.7 / (rate_scale * math.sqrt(slowness))
+    rate = rate_scale * math.sqrt(slowness)
+    if math.isinf(rate):
+        raise NonFinite(f"rate_scale * sqrt(slowness) overflows: {rate_scale} * sqrt({slowness})")
+    target = 0.7 / rate
     return max(8, int(math.ceil(slowness * loop.spacing / target)))
 
 
@@ -279,10 +278,7 @@ def action_angle_to_qp(triple: np.ndarray, j_action: float, phi: float) -> tuple
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
     x, y, z = (float(v) for v in triple)
-    w_sq = x * z - y**2
-    if not w_sq > 0:
-        raise EllipticViolation(f"frequency squared {w_sq:.3e} is not positive")
-    w = math.sqrt(w_sq)
+    w = math.sqrt(_frequency_sq(np.array([[x, y, z]]), "frequency squared")[0])
     amp = math.sqrt(2.0 * z * j_action / w)
     q = amp * math.cos(phi)
     p = -amp * ((y / z) * math.cos(phi) + (w / z) * math.sin(phi))
@@ -335,14 +331,13 @@ def propagate_classical(
     raw = np.arctan2(v, q)
     angles = np.cumsum(np.concatenate(([raw[0]], _wrap_angle(np.diff(raw)))))
 
-    dyn = float(h * (0.5 * omega[0] + np.sum(omega[1:-1]) + 0.5 * omega[-1]))
     return ClassicalTrajectory(
         np.arange(n_steps + 1) * h,  # the times
         q=q,
         p=p,
         action_trace=actions,
         angle_trace=angles,
-        dynamical_angle=dyn,
+        dynamical_angle=_trapezoid(omega, slowness * x2_loop.period),
         slowness=slowness,
     )
 

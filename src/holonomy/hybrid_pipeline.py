@@ -33,7 +33,7 @@ from .manifold import (
     closed_line_integral,
     periodic_integral,
 )
-from .models import CoupledGHOHybrid, SpinOscillatorHybrid, _normal_mode_squares
+from .models import SpinOscillatorHybrid, _normal_mode_squares
 
 _WEAK_COUPLING_MAX = 0.3  # largest allowed lam * Q_typ / B for the spin hybrid
 
@@ -47,20 +47,13 @@ class LinearOneForm:
 
     ``action_coeffs[label]`` is the coefficient of that quantum action and
     ``j_coeff`` the coefficient of the classical action.  All arrays match
-    the loop's samples.
+    the loop's samples; ``phases_from_one_form`` raises ``LengthMismatch``
+    otherwise.
     """
 
     loop: LoopSpec
     action_coeffs: dict[Hashable, np.ndarray]
     j_coeff: np.ndarray
-
-    def __post_init__(self):
-        shape = self.loop.points.shape
-        for a in (self.j_coeff, *self.action_coeffs.values()):
-            if np.asarray(a).shape != shape:
-                raise ValueError(
-                    f"coefficient shape {np.asarray(a).shape} does not match loop {shape}"
-                )
 
 
 @dataclass(frozen=True)
@@ -185,16 +178,15 @@ def _d_z_over_omega(points: np.ndarray, col: int, omega_sq: np.ndarray,
     return grad
 
 
-def coupled_gho_one_form(m: CoupledGHOHybrid, loop: LoopSpec) -> LinearOneForm:
+def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec) -> LinearOneForm:
     """One-form of the quantum oscillator coupled to the classical one.
 
     ``loop`` carries the concatenated triples (X1, Y1, Z1, X2, Y2, Z2) over
-    the common period, as ``combined_parameter_loop(m.params, n)`` builds
+    the common period, as ``combined_parameter_loop(p, n)`` builds
     them.  The quantum-action coefficient multiplies d(Y1/Z1); the
     classical-action coefficient collects the coupling back-reaction on
     d(Y1/Z1) together with the slow oscillator's own d(Z2/Omega) term.
     """
-    p = m.params
     p.require_elliptic()
     x1, x2 = _triple_pair(loop)
     pts = loop.points

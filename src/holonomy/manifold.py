@@ -33,11 +33,11 @@ class LoopSpec:
     """A closed curve in parameter space, sampled uniformly over one period,
     and its band-limited interpolant.
 
-    ``points`` holds the M + 1 samples at ``times``, which are derived:
-    ``np.linspace(0, period, M + 1)``.  The last point must coincide with the
-    first (relative tolerance 1e-12).  ``cycles`` records how many base
-    cycles the curve contains; phase computations use it for branch
-    bookkeeping on multi-cycle loops.  Points are not checked here: a
+    ``points``, shape (M + 1, d), holds the M + 1 samples at ``times``, which
+    are derived: ``np.linspace(0, period, M + 1)``.  The last point must
+    coincide with the first (relative tolerance 1e-12).  ``cycles`` records
+    how many base cycles the curve contains; phase computations use it for
+    branch bookkeeping on multi-cycle loops.  Points are not checked here: a
     non-finite interior point reaches the consumer, whose guard names the
     sample.  ``points`` is a read-only copy, so the spectrum taken on first
     use, and the velocities cached from it, never go stale.
@@ -49,10 +49,8 @@ class LoopSpec:
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
-        if points.ndim not in (1, 2):
-            raise ValueError(f"points must be a 1-D or 2-D array, got shape {points.shape}")
-        if points.ndim == 1:
-            points = points[:, None]
+        if points.ndim != 2:
+            raise ValueError(f"points must be a 2-D array, got shape {points.shape}")
         _require_grid(self.period, points.shape[0] - 1)
         if not math.isfinite(self.period):
             raise ValueError(f"period must be positive and finite, got {self.period}")
@@ -232,11 +230,18 @@ def circle_loop(
     return LoopSpec(period, pts, cycles)
 
 
-def _trapezoid(coeffs: np.ndarray, velocity: np.ndarray, period: float) -> float:
-    """Closed trapezoid sum of coeffs . velocity; the last covector meets velocity[0]."""
-    g = np.einsum("jd,jd->j", coeffs[:-1], velocity)
-    g_close = float(coeffs[-1] @ velocity[0])
-    return float(period / velocity.shape[0] * (0.5 * g[0] + np.sum(g[1:]) + 0.5 * g_close))
+def _trapezoid(values: np.ndarray, period: float) -> float:
+    """Trapezoid sum over ``period`` of M + 1 samples on a closed uniform grid."""
+    inner = np.sum(values[1:-1])
+    return float(period / (len(values) - 1) * (0.5 * values[0] + inner + 0.5 * values[-1]))
+
+
+def _contracted(coeffs: np.ndarray, velocity: np.ndarray) -> np.ndarray:
+    """coeffs . velocity at the M + 1 samples; the last covector meets velocity[0]."""
+    g = np.empty(len(coeffs))
+    np.einsum("jd,jd->j", coeffs[:-1], velocity, out=g[:-1])
+    g[-1] = coeffs[-1] @ velocity[0]
+    return g
 
 
 def _require_halvable(m: int) -> None:
@@ -258,15 +263,13 @@ def closed_line_integral(coefficients: np.ndarray, loop: LoopSpec) -> Quadrature
     stride-2 subsample of the same data.
     """
     c = np.asarray(coefficients, dtype=float)
-    if c.ndim == 1:
-        c = c[:, None]
     if c.shape != loop.points.shape:
         raise LengthMismatch(
             f"coefficients shape {c.shape} does not match loop samples {loop.points.shape}"
         )
     _require_halvable(loop.n_segments)
-    value = _trapezoid(c, loop.velocity, loop.period)
-    half = _trapezoid(c[::2], loop.half_velocity, loop.period)
+    value = _trapezoid(_contracted(c, loop.velocity), loop.period)
+    half = _trapezoid(_contracted(c[::2], loop.half_velocity), loop.period)
     return QuadratureResult(value=value, error_estimate=abs(value - half))
 
 
@@ -277,12 +280,9 @@ def periodic_integral(values: np.ndarray, period: float) -> QuadratureResult:
     estimate is the difference against the stride-2 subsample.
     """
     v = np.asarray(values, dtype=float)
-    m = v.shape[0] - 1
-    _require_halvable(m)
-    dt = period / m
-    value = float(dt * (0.5 * v[0] + np.sum(v[1:-1]) + 0.5 * v[-1]))
-    v2 = v[::2]
-    half = float(2 * dt * (0.5 * v2[0] + np.sum(v2[1:-1]) + 0.5 * v2[-1]))
+    _require_halvable(v.shape[0] - 1)
+    value = _trapezoid(v, period)
+    half = _trapezoid(v[::2], period)
     return QuadratureResult(value=value, error_estimate=abs(value - half))
 
 

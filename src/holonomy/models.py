@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EllipticViolation, ModeCollapse, ZeroField, require_positive
-from .manifold import DEFAULT_SAMPLES, LoopSpec, StandardLoopParams, _drive_grid, _joined, _require_grid
+from .errors import ModeCollapse, ZeroField, require_positive
+from .manifold import DEFAULT_SAMPLES, LoopSpec, _drive_grid, _frequency_sq, _joined, _require_grid
 from .quantum_geometry import HamiltonianFamily
 
 _AXIS_EPS = 1e-14
@@ -145,15 +145,9 @@ class GHOTriple:
             raise ValueError("Z must be positive")
 
     @property
-    def omega_sq(self) -> float:
-        return self.x * self.z - self.y**2
-
-    @property
     def omega(self) -> float:
-        w2 = self.omega_sq
-        if not w2 > 0:
-            raise EllipticViolation(f"X Z - Y^2 = {w2:.3e} is not positive")
-        return math.sqrt(w2)
+        """sqrt(X Z - Y^2); raises ``EllipticViolation`` unless X Z - Y^2 > 0."""
+        return math.sqrt(_frequency_sq(np.array([[self.x, self.y, self.z]]), "X Z - Y^2")[0])
 
 
 def gho_effective_energy(x1: GHOTriple, k: float, q: float, n: int, hbar: float = 1.0) -> float:
@@ -242,11 +236,3 @@ def spin_oscillator_loop(phi_loop: LoopSpec, x_loop: LoopSpec) -> LoopSpec:
     if (phi_loop.dim, x_loop.dim) != (2, 3):
         raise ValueError("expected the circle embedding (cos, sin) and the triple (X, Y, Z)")
     return _joined(phi_loop, x_loop)
-
-
-@dataclass(frozen=True)
-class CoupledGHOHybrid:
-    """A quantum generalized oscillator coupled to a classical one, with both
-    parameter triples driven by the standard periodic family."""
-
-    params: StandardLoopParams

@@ -1,8 +1,10 @@
 """Regenerate the committed experiment snapshots in this directory.
 
-Each ``<experiment>.json`` here is a CLI configuration; this script runs it
-and writes ``<experiment>.csv``, every cell of the table ``holonomy.cli``
-produces for it, failed rows and their ``error`` column included.
+Each ``<name>.json`` here is a CLI configuration (``<experiment>.json`` one
+small configuration per experiment, ``<experiment>-defaults.json`` an
+experiment's CLI defaults); this script runs it and writes ``<name>.csv``,
+every cell of the table ``holonomy.cli`` produces for it, failed rows and
+their ``error`` column included.
 ``tests/test_snapshot.py`` compares a fresh run against these files.  Run it
 from the repository root:
 

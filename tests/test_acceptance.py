@@ -107,7 +107,7 @@ def test_criterion_05_uncoupled_gho():
         p = std_params(eps=eps, k=0.0)
         closed = H.gamma_n0_closed_form(p, H.BRANCH_COMMON)
         quad = H.phases_from_one_form(
-            H.coupled_gho_one_form(H.CoupledGHOHybrid(p), H.combined_parameter_loop(p))
+            H.coupled_gho_one_form(p, H.combined_parameter_loop(p))
         ).gammas[0]
         worst = max(worst, abs(quad / closed - 1.0))
     ref = H.gamma_n0_closed_form(std_params(eps=EPS_PAPER), H.BRANCH_COMMON)
@@ -169,7 +169,7 @@ def test_criterion_09_elliptic_bound():
     raised_form = False
     p = std_params(eps=EPS_PAPER, k=1.001 * k_max)
     try:
-        H.coupled_gho_one_form(H.CoupledGHOHybrid(p), H.combined_parameter_loop(p))
+        H.coupled_gho_one_form(p, H.combined_parameter_loop(p))
     except H.EllipticViolation:
         raised_form = True
     report(9, "D_max(eps) = 0.18947 +/- 1e-5; beyond it every path raises, never NaN",
@@ -188,8 +188,7 @@ def test_criterion_10_full_quantum_consistency():
     kc, m, n = 0.15, 1, 2
     ph = H.phases_from_one_form(
         H.coupled_gho_one_form(
-            H.CoupledGHOHybrid(std_params(eps=0.5, k=kc, n1=2, n2=1, a1=2.0,
-                                          j_action=(m + 0.5), n_level=n)),
+            std_params(eps=0.5, k=kc, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n),
             loop,
         )
     )

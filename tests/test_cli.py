@@ -335,6 +335,9 @@ OUT_OF_RANGE_CONFIGS = {
     "gho-uncoupled base_rate": {"experiment": "gho-uncoupled", "params": {"base_rate": 1e-320}},
     "oracle-classical base_rate": {"experiment": "oracle-classical",
                                    "params": {"base_rate": 1e-320}},
+    # the characteristic rate scale * sqrt(slowness) of the step recommendation overflows
+    "oracle-quantum mu": {"experiment": "oracle-quantum", "params": {"mu": 1e307}},
+    "oracle-classical a2": {"experiment": "oracle-classical", "params": {"a2": 1e307}},
 }
 
 
@@ -377,6 +380,20 @@ def test_sweep_checked_inside_the_floating_point_boundary(cfg, tmp_path, capsys)
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigInvalid"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "inside file"])
+def test_unwritable_output_exits_2_with_one_record(under, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    code = main(["oracle", "quantum", "--samples", "64", "--slowness", "100", "--out", str(out)])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigInvalid"
+    assert record["detail"].startswith("cannot write output: ")
+    assert blocker.read_text() == ""
 
 
 def test_oracle_has_no_seed_flag(capsys):

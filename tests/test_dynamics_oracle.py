@@ -10,6 +10,7 @@ from holonomy import (
     HamiltonianFamily,
     LoopSpec,
     NonAdiabatic,
+    NonFinite,
     OverlapTooSmall,
     StandardLoopParams,
     action_angle_to_qp,
@@ -449,6 +450,36 @@ class TestChunkedScan:
             propagate_quantum(family, circle_loop(n_samples=m), 0, 10.0, sps)
         assert info.value.sample == self.LATE
         assert info.value.gap == pytest.approx(1e-12, rel=1e-6)
+
+
+# (error, what the message names, the call)
+ORACLE_GUARDS = {
+    "elliptic triple": (EllipticViolation, "frequency squared",
+                        lambda: action_angle_to_qp(np.array([1.0, 2.0, 1.0]), 1.0, 0.3)),
+    "zero steps, quantum": (ValueError, "steps_per_sample",
+                            lambda: propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 0,
+                                                      30.0, 0)),
+    "zero steps, classical": (ValueError, "steps_per_sample",
+                              lambda: propagate_classical(
+                                  subsystem_parameter_loop(std_params(eps=0.5), 2, 32),
+                                  (1.0, 0.0), 20.0, 0)),
+    "level 2 of 2": (IndexError, "level 2",
+                     lambda: propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 2, 30.0, 8)),
+    "level -1": (IndexError, "level -1",
+                 lambda: propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), -1, 30.0, 8)),
+    "not triples": (ValueError, "triples",
+                    lambda: propagate_classical(circle_loop(n_samples=32), (1.0, 0.0), 20.0, 8)),
+    # rate_scale * sqrt(slowness) = 1e307 * sqrt(1000) overflows
+    "rate overflows": (NonFinite, "rate_scale",
+                       lambda: recommended_steps_per_sample(cone_loop(1.0, n_samples=64), 1000.0,
+                                                            rate_scale=1e307)),
+}
+
+
+@pytest.mark.parametrize("error, names, call", ORACLE_GUARDS.values(), ids=ORACLE_GUARDS)
+def test_guard_raises_its_error_naming_the_argument(error, names, call):
+    with pytest.raises(error, match=names):
+        call()
 
 
 class TestArgumentChecks:

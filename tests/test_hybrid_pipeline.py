@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 from holonomy import (
     BRANCH_COMMON,
     BRANCH_SUBSYSTEM,
-    CoupledGHOHybrid,
     EllipticViolation,
     GHOTriple,
+    LengthMismatch,
     LinearOneForm,
     LoopSpec,
     ModeCollapse,
@@ -68,6 +68,40 @@ def spin_osc(lam, eps=0.5, j_action=1.0, i_plus=1.0, i_minus=0.0, n_samples=1024
     )
 
 
+def mismatched_one_form():
+    loop = triple_loop(n_samples=64)
+    return LinearOneForm(loop=loop, action_coeffs={0: np.zeros((65, 3))}, j_coeff=np.zeros(65))
+
+
+# (error, what the message names, the call)
+PIPELINE_GUARDS = {
+    "one-form shape": (LengthMismatch, r"coefficients shape \(65,\)",
+                       lambda: phases_from_one_form(mismatched_one_form())),
+    "five columns": (ValueError, "got 5 columns",
+                     lambda: full_quantum_phase(spin_osc(0.0, n_samples=64).loop, 0.1, 0, 0)),
+    "unknown branch": (ValueError, "unknown branch 'other'",
+                       lambda: standard_loop_report(std_params(), 64, branch="other")),
+    "full quantum m": (ValueError, "occupation",
+                       lambda: full_quantum_phase(combined_parameter_loop(std_params(), 64),
+                                                  0.1, -1, 0)),
+    "full quantum n": (ValueError, "occupation",
+                       lambda: full_quantum_phase(combined_parameter_loop(std_params(), 64),
+                                                  0.1, 0, -1)),
+    "separated m": (ValueError, "occupation",
+                    lambda: bo_full_quantum_phase_parts(combined_parameter_loop(std_params(), 64),
+                                                        0.1, -1, 0)),
+    "separated n": (ValueError, "occupation",
+                    lambda: bo_full_quantum_phase_parts(combined_parameter_loop(std_params(), 64),
+                                                        0.1, 0, -1)),
+}
+
+
+@pytest.mark.parametrize("error, names, call", PIPELINE_GUARDS.values(), ids=PIPELINE_GUARDS)
+def test_guard_raises_its_error_naming_the_argument(error, names, call):
+    with pytest.raises(error, match=names):
+        call()
+
+
 class TestPhasesFromOneForm:
     def test_action_times_winding(self):
         # A = I dphi on the unit circle gives gamma = 2 pi, delta_phi = 0
@@ -90,8 +124,7 @@ class TestPhasesFromOneForm:
 
     def test_coupled_gho_two_routes_at_zero_coupling(self):
         p = std_params(eps=EPS_PAPER, k=0.0)
-        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p),
-                                                       combined_parameter_loop(p)))
+        ph = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p)))
         rep = standard_loop_report(p, branch=BRANCH_COMMON)
         assert abs(ph.gammas[0] / rep.gamma_0_part - 1.0) <= 1e-9
         assert abs(ph.delta_phi / rep.delta_phi_0_part - 1.0) <= 1e-9
@@ -196,7 +229,7 @@ class TestReportQuadratureError:
 class TestCoupledGHOOneForm:
     def test_zero_coupling_coefficient_reduction(self):
         p = std_params(eps=0.5, k=0.0, n_level=1)
-        form = coupled_gho_one_form(CoupledGHOHybrid(p), combined_parameter_loop(p, 256))
+        form = coupled_gho_one_form(p, combined_parameter_loop(p, 256))
         pts = form.loop.points
         y1, z1 = pts[:, 1], pts[:, 2]
         w = math.sqrt(p.a1**2 * (1 - 0.25))
@@ -207,8 +240,7 @@ class TestCoupledGHOOneForm:
 
     def test_frozen_parameters_zero_phases(self):
         p = std_params(eps=0.0, k=0.01)
-        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p),
-                                                       combined_parameter_loop(p, 256)))
+        ph = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p, 256)))
         assert abs(ph.gammas[0]) < 1e-14
         assert abs(ph.delta_phi) < 1e-14
 
@@ -216,7 +248,7 @@ class TestCoupledGHOOneForm:
         p0 = std_params(eps=EPS_PAPER, k=0.0)
         _, k_max = elliptic_bound(p0)
         p = std_params(eps=EPS_PAPER, k=0.5 * k_max)
-        form = coupled_gho_one_form(CoupledGHOHybrid(p), combined_parameter_loop(p, 512))
+        form = coupled_gho_one_form(p, combined_parameter_loop(p, 512))
         pts = form.loop.points
         x1, x2 = pts[:, :3], pts[:, 3:]
         w_sq = x1[:, 0] * x1[:, 2] - x1[:, 1] ** 2
@@ -235,7 +267,7 @@ class TestCoupledGHOOneForm:
         _, k_max = elliptic_bound(p0)
         p = std_params(eps=EPS_PAPER, k=1.01 * k_max)
         with pytest.raises(EllipticViolation):
-            coupled_gho_one_form(CoupledGHOHybrid(p), combined_parameter_loop(p))
+            coupled_gho_one_form(p, combined_parameter_loop(p))
 
 
 class TestStandardLoopReport:
@@ -289,7 +321,7 @@ class TestStandardLoopReport:
         p0 = std_params(eps=0.5, k=0.0)
         _, k_max = elliptic_bound(p0)
         p = std_params(eps=0.5, k=0.4 * k_max)
-        form = coupled_gho_one_form(CoupledGHOHybrid(p), combined_parameter_loop(p, 512))
+        form = coupled_gho_one_form(p, combined_parameter_loop(p, 512))
         rev = LinearOneForm(
             loop=form.loop.reversed(),
             action_coeffs={k: v[::-1] for k, v in form.action_coeffs.items()},
@@ -305,8 +337,7 @@ class TestStandardLoopReport:
         _, k_max = elliptic_bound(p0)
         p = std_params(eps=EPS_PAPER, k=0.5 * k_max, j_action=1.0)
         rep = standard_loop_report(p)
-        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p),
-                                                       combined_parameter_loop(p)))
+        ph = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p)))
         assert abs(ph.gammas[0] / rep.gamma[0] - 1.0) < 1e-9
         assert abs(ph.delta_phi / rep.delta_phi - 1.0) < 1e-9
 
@@ -453,13 +484,13 @@ class TestBOFullQuantum:
         k, m, n = 0.15, 1, 2
         p = std_params(eps=0.5, k=k, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n)
         part1, _ = bo_full_quantum_phase_parts(self.loop, k, m, n)
-        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), self.loop))
+        ph = phases_from_one_form(coupled_gho_one_form(p, self.loop))
         assert abs(part1 / ph.gammas[n] - 1.0) <= 1e-9
 
     def test_level_difference_gives_angle_shift(self):
         k, m, n = 0.15, 1, 2
         p = std_params(eps=0.5, k=k, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n)
-        ph = phases_from_one_form(coupled_gho_one_form(CoupledGHOHybrid(p), self.loop))
+        ph = phases_from_one_form(coupled_gho_one_form(p, self.loop))
         g_m = bo_full_quantum_phase(self.loop, k, m, n)
         g_m1 = bo_full_quantum_phase(self.loop, k, m + 1, n)
         assert abs(-(g_m1 - g_m) - ph.delta_phi) <= 1e-9

@@ -24,7 +24,7 @@ from holonomy import (
     standard_parameter_loops,
     subsystem_parameter_loop,
 )
-from holonomy.manifold import _frequency_sq, _gho_loop
+from holonomy.manifold import _frequency_sq, _gho_loop, _joined
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
 
@@ -249,6 +249,8 @@ class TestLoopSpecValidation:
     def test_three_dimensional_points_rejected(self):
         with pytest.raises(ValueError, match="points"):
             LoopSpec(1.0, np.ones((17, 2, 2)))
+        with pytest.raises(ValueError, match="points must be a 2-D array"):
+            LoopSpec(1.0, np.ones(17))
 
     @pytest.mark.parametrize("build", SAMPLERS.values(), ids=SAMPLERS)
     @pytest.mark.parametrize("n_samples", [16.0, 16.5])
@@ -277,6 +279,36 @@ class TestLoopSpecValidation:
 
     def test_numpy_integer_sample_count_accepted(self):
         assert circle_loop(n_samples=np.int64(32)).n_segments == 32
+
+
+STANDARD = dict(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, n1=1, n2=1, base_rate=1.0, epsilon=0.5)
+
+# (error, what the message names, the call)
+MANIFOLD_GUARDS = {
+    "infinite period": (ValueError, "period", lambda: LoopSpec(math.inf, np.ones((17, 2)))),
+    "zero cycles": (ValueError, "cycles", lambda: LoopSpec(1.0, np.ones((17, 2)), cycles=0)),
+    "zero a1": (ValueError, "a1", lambda: StandardLoopParams(**dict(STANDARD, a1=0.0))),
+    "float n1": (ValueError, "multipliers", lambda: StandardLoopParams(**dict(STANDARD, n1=1.0))),
+    "zero n2": (ValueError, "multipliers", lambda: StandardLoopParams(**dict(STANDARD, n2=0))),
+    "unreduced pair": (ValueError, r"\(n1, n2\)=\(2, 4\)",
+                       lambda: StandardLoopParams(**dict(STANDARD, n1=2, n2=4))),
+    "epsilon 1": (ValueError, "epsilon", lambda: StandardLoopParams(**dict(STANDARD, epsilon=1.0))),
+    "negative k": (ValueError, "coupling k", lambda: StandardLoopParams(**dict(STANDARD, k=-0.1))),
+    "negative j_action": (ValueError, "j_action",
+                          lambda: StandardLoopParams(**dict(STANDARD, j_action=-1.0))),
+    "negative n_level": (ValueError, "n_level",
+                         lambda: StandardLoopParams(**dict(STANDARD, n_level=-1))),
+    "joined periods": (ValueError, "period",
+                       lambda: _joined(circle_loop(1.0, 32), circle_loop(2.0, 32))),
+    "subsystem 3": (ValueError, "subsystem",
+                    lambda: subsystem_parameter_loop(StandardLoopParams(**STANDARD), 3, 32)),
+}
+
+
+@pytest.mark.parametrize("error, names, call", MANIFOLD_GUARDS.values(), ids=MANIFOLD_GUARDS)
+def test_guard_raises_its_error_naming_the_argument(error, names, call):
+    with pytest.raises(error, match=names):
+        call()
 
 
 def trig_loop(m, period=2.7):

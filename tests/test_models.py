@@ -22,6 +22,20 @@ from holonomy import (
 
 RNG = np.random.default_rng(42)
 
+# (error, what the message names, the call)
+MODEL_GUARDS = {
+    "X Z < Y^2": (EllipticViolation, r"X Z - Y\^2", lambda: GHOTriple(1.0, 2.0, 1.0).omega),
+    "X Z = Y^2": (EllipticViolation, r"X Z - Y\^2", lambda: GHOTriple(1.0, 1.0, 1.0).omega),
+    "zero Z": (ValueError, "Z must be positive", lambda: GHOTriple(1.0, 0.0, 0.0)),
+    "negative Z": (ValueError, "Z must be positive", lambda: GHOTriple(1.0, 0.0, -1.0)),
+}
+
+
+@pytest.mark.parametrize("error, names, call", MODEL_GUARDS.values(), ids=MODEL_GUARDS)
+def test_guard_raises_its_error_naming_the_argument(error, names, call):
+    with pytest.raises(error, match=names):
+        call()
+
 
 class TestSpinEigensystem:
     def test_north_axis(self):

@@ -1,4 +1,5 @@
-"""Every cell of one small configuration per experiment, against the committed
+"""Every cell of one small configuration per experiment, and of the CLI
+defaults of ``fig1``, ``fig2`` and both oracles, against the committed
 snapshot in ``tests/data`` (regenerated by ``tests/data/regenerate.py``).
 
 Values are compared, not bytes, because numpy's FFT and libm can move the
@@ -29,6 +30,8 @@ DIFFERENCE_COLUMNS = {
 TEXT_COLUMNS = {"ratio", "branch", "error"}
 # the snapshots with a typed-error row: past K_max, at the pole, past weak coupling
 WITH_ERROR_ROWS = {"fig1", "fig2", "full-quantum", "hybrid-gho", "spin-berry", "hybrid-spin-osc"}
+# the experiments whose CLI defaults have a snapshot, ``<experiment>-defaults.json``
+WITH_DEFAULTS = ("fig1", "fig2", "oracle-quantum", "oracle-classical")
 
 
 def read_table(text: str) -> tuple[list[str], list[list[str]]]:
@@ -37,7 +40,10 @@ def read_table(text: str) -> tuple[list[str], list[list[str]]]:
 
 
 def test_snapshot_covers_the_coupling_sweeps():
-    assert [c.stem for c in CONFIGS] == sorted(EXPERIMENTS)
+    defaults = [f"{name}-defaults" for name in WITH_DEFAULTS]
+    assert sorted(c.stem for c in CONFIGS) == sorted([*EXPERIMENTS, *defaults])
+    for name in WITH_DEFAULTS:  # nothing set, so every value is the CLI's default
+        assert json.loads((DATA / f"{name}-defaults.json").read_text()) == {"experiment": name}
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)

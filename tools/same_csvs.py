@@ -5,14 +5,17 @@
 BASE and HEAD are checkouts of this repository, say the commit a change
 starts from and the change.  Each tree's ``src/`` runs in its own Python
 process on the same tables: every table ``bench/workloads.build`` makes for
-the ``oracle``, ``geometry`` and ``hybrid`` workloads at seeds 1 to 3, and
-each experiment's CLI defaults.  The tables come from this checkout's
-``bench/workloads.py``, so both trees see the same inputs.
+the ``oracle``, ``geometry`` and ``hybrid`` workloads at seeds 1 to 3,
+each experiment's CLI defaults, and every snapshot configuration in
+``tests/data`` (the only tables with ``PoleProximity`` and
+``WeakCouplingViolated`` rows); 106 CSVs in all.  The tables come from this
+checkout's ``bench/workloads.py`` and ``tests/data``, so both trees see the
+same inputs.
 
 The script prints every CSV whose SHA-256 differs between the trees, or that
 only one of them wrote, and exits 1 if there is any; it exits 0 when every
 CSV is byte-identical.  A change that moves values on purpose quotes this
-list.  Both trees together take about 6 s on a 2-core x86-64 host.
+list.  Both trees together take about 8 s on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ def configs(out: Path) -> list[dict]:
              for table in workloads.build(workload, seed, out / f"{workload}-{seed}")]
     found += [{"experiment": name, "output": {"directory": str(out / "defaults" / name)}}
               for name in EXPERIMENTS]
+    found += [dict(json.loads(path.read_text()),
+                   output={"directory": str(out / "snapshots" / path.stem)})
+              for path in sorted((ROOT / "tests" / "data").glob("*.json"))]
     return found
 
 
