@@ -139,14 +139,19 @@ class ExperimentConfig:
         for key, section in (*sections.items(), ("sweep", {} if sweep is None else sweep)):
             if not isinstance(section, dict):
                 raise ConfigInvalid(f"{key} must be an object, got {section!r}")
-        output = sections["output"]
+        directory = sections["output"].get("directory", "out")
+        if not (isinstance(directory, str) and directory):
+            raise ConfigInvalid(f"output directory must be a non-empty string, got {directory!r}")
+        emit_svg = sections["output"].get("emit_svg", False)
+        if not isinstance(emit_svg, bool):
+            raise ConfigInvalid(f"emit_svg must be true or false, got {emit_svg!r}")
         return cls(
             experiment=exp,
             params=sections["params"],
             sweep=sweep,
             numerics=sections["numerics"],
-            output_dir=str(output.get("directory", "out")),
-            emit_svg=bool(output.get("emit_svg", False)),
+            output_dir=directory,
+            emit_svg=emit_svg,
             seed=_number(raw, "seed", 0, int),
         )
 

@@ -89,7 +89,8 @@ def recommended_steps_per_sample(loop: LoopSpec, slowness: float, rate_scale: fl
     adiabatic error at the given slowness (dilated step ~ 0.7/sqrt(slowness)
     in units of the characteristic rate).  Raises ``ValueError`` for a
     slowness or rate scale that is not positive and finite, and ``NonFinite``
-    when the characteristic rate rate_scale * sqrt(slowness) overflows."""
+    when the characteristic rate rate_scale * sqrt(slowness) or the step
+    count itself overflows."""
     for name, value in (("slowness", slowness), ("rate_scale", rate_scale)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -97,7 +98,10 @@ def recommended_steps_per_sample(loop: LoopSpec, slowness: float, rate_scale: fl
     if math.isinf(rate):
         raise NonFinite(f"rate_scale * sqrt(slowness) overflows: {rate_scale} * sqrt({slowness})")
     target = 0.7 / rate
-    return max(8, int(math.ceil(slowness * loop.spacing / target)))
+    steps = slowness * loop.spacing / target
+    if math.isinf(steps):
+        raise NonFinite(f"steps per sample overflow at slowness {slowness}, rate_scale {rate_scale}")
+    return max(8, int(math.ceil(steps)))
 
 
 def _require_schedule(slowness: float, steps_per_sample: int) -> None:

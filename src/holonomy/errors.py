@@ -96,6 +96,15 @@ class OverlapTooSmall(_AtSample):
     initial/final overlap, or a vanishing link of a discrete Wilson loop."""
 
 
+class ResidualTooLarge(_AtSample):
+    """An eigenpair misses H v = E v by more than 1e-9 times the matrix scale;
+    ``sample`` is where the largest residual entry lies."""
+
+
+class EnergyMismatch(HolonomyError):
+    """A state's classical energy disagrees with its quantum expectation."""
+
+
 class ConfigInvalid(HolonomyError):
     """An experiment configuration failed validation."""
 

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    EnergyMismatch,
     GapTooSmall,
     HermiticityViolation,
     NonFinite,
@@ -33,6 +34,7 @@ from .errors import (
     NotUnitary,
     OverlapTooSmall,
     PoleProximity,
+    ResidualTooLarge,
     require_gap,
     require_positive,
 )
@@ -77,12 +79,21 @@ class HamiltonianFamily:
         if not finite.all():
             j = int(np.argmin(finite.all(axis=(1, 2))))
             raise NonFinite(f"family matrix at sample {j} is not finite", sample=j)
-        dev = float(np.max(np.abs(out - np.conj(np.swapaxes(out, 1, 2)))))
+        dev = _hermitian_deviation(out)
         if dev > _HERMITICITY_TOL:
             raise HermiticityViolation(
                 f"max |H - H^dagger| = {dev:.3e} exceeds {_HERMITICITY_TOL:.1e}"
             )
         return out
+
+
+def _hermitian_deviation(h: np.ndarray) -> float:
+    """max |H - H^dagger| over an (n, N, N) stack, one pass over the sample
+    axis per entry (i, j) with i <= j.  Entry (j, i) of H - H^dagger is minus
+    the conjugate of entry (i, j), so its modulus is the same bit for bit."""
+    n = h.shape[-1]
+    return max(float(np.max(np.abs(h[:, i, j] - np.conj(h[:, j, i]))))
+               for i in range(n) for j in range(i, n))
 
 
 @dataclass(frozen=True)
@@ -144,23 +155,49 @@ def _eigh(h: np.ndarray, vectors: bool = True):
     return energies, vecs
 
 
+def _residuals(h: np.ndarray, energies: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Moduli |(H v_k - E_k v_k)_a| of an (n, N, N) stack of eigenpairs, as an
+    (N * N, n) array whose row a * N + k holds entry a of level k.
+
+    Each row is one pass over the sample axis that sums h_ab v_bk with b
+    ascending; numpy's batched products (einsum, matmul) run a loop per tiny
+    matrix and take several times as long.
+    """
+    n = h.shape[-1]
+    out = np.empty((n * n, h.shape[0]))
+    for a in range(n):
+        for k in range(n):
+            r = h[:, a, 0] * vectors[:, 0, k]
+            for b in range(1, n):
+                r += h[:, a, b] * vectors[:, b, k]
+            r -= vectors[:, a, k] * energies[:, k]
+            np.abs(r, out=out[a * n + k])
+    return out
+
+
 def eigenframe_along_loop(family: HamiltonianFamily, loop: LoopSpec) -> EigenFrame:
     """Diagonalize the family at every loop sample and align the gauge.
 
     Two-level families are diagonalised in closed form and larger ones by
     LAPACK (``_eigh``); the residual |H v - E v| of every eigenpair is checked
-    against 1e-9 times the matrix scale either way.  Raises ``GapTooSmall``
-    at the sample where adjacent levels come closest, when that gap is below
-    1e-9 times the spectral scale, and ``NonFinite`` at the first sample
-    whose matrix is not finite.
+    entry by entry against 1e-9 times the matrix scale either way, and
+    ``ResidualTooLarge`` names the sample and level of the largest.  Raises
+    ``GapTooSmall`` at the sample where adjacent levels come closest, when
+    that gap is below 1e-9 times the spectral scale, and ``NonFinite`` at the
+    first sample whose matrix is not finite.
     """
     h = family.matrices(loop.points)
     energies, vectors = _eigh(h)
     min_gap = require_gap(energies)
 
-    resid = np.einsum("jab,jbk->jak", h, vectors) - vectors * energies[:, None, :]
-    if float(np.max(np.abs(resid))) > 1e-9 * max(1.0, float(np.max(np.abs(h)))):
-        raise ArithmeticError("eigendecomposition residual above tolerance")
+    resid = _residuals(h, energies, vectors)
+    worst = float(np.max(resid))
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(h))))
+    if worst > tol:
+        row, j = np.unravel_index(int(np.argmax(resid)), resid.shape)
+        raise ResidualTooLarge(
+            f"eigenpair residual {worst:.3e} of level {row % family.dim} at sample {j} "
+            f"exceeds {tol:.3e}", sample=int(j))
 
     align_gauge(vectors)
     return EigenFrame(loop=loop, energies=energies, vectors=vectors, min_gap=min_gap)
@@ -365,7 +402,7 @@ def stokes_vector(
         h = -mu * (b[0] * sx + b[1] * sy + b[2] * sz)
         quantum = float(np.real(np.vdot(psi, h @ psi)))
         if abs(classical - quantum) > 1e-10 * max(1.0, abs(quantum)):
-            raise ArithmeticError(
+            raise EnergyMismatch(
                 f"classical energy {classical!r} disagrees with quantum {quantum!r}"
             )
     return s

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holonomy import StandardLoopParams, elliptic_bound, manifold
+from holonomy import StandardLoopParams, elliptic_bound, manifold, quantum_geometry
 from holonomy.cli import ExperimentConfig, execute, main
 from holonomy.errors import ConfigInvalid
 
@@ -227,6 +227,29 @@ def test_invalid_config_exits_2_with_one_record(text, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Output values that are not a non-empty directory string and a JSON bool:
+# ``str(None)`` once named the directory "None", and ``bool("false")`` is True.
+BAD_OUTPUTS = {
+    "directory null": {"directory": None},
+    "directory empty": {"directory": ""},
+    "directory number": {"directory": 5},
+    "emit_svg string": {"emit_svg": "false"},
+    "emit_svg number": {"emit_svg": 1},
+}
+
+
+@pytest.mark.parametrize("output", BAD_OUTPUTS.values(), ids=BAD_OUTPUTS)
+def test_invalid_output_exits_2_and_writes_nothing(output, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "hybrid-gho",
+                                "output": dict({"directory": "out"}, **output)}))
+    assert main(["run", str(path)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigInvalid"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize(
     "experiment", ["spin-berry", "gho-uncoupled", "hybrid-spin-osc", "oracle-quantum",
                    "oracle-classical"],
@@ -317,6 +340,27 @@ def test_overflowing_spin_family_is_a_typed_row_not_nan(tmp_path):
     text = (tmp_path / "spin-berry.csv").read_text()
     assert "nan" not in text.lower()
     assert [row["error"] for row in read_csv(tmp_path / "spin-berry.csv")] == ["NonFinite"] * 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_eigenpair_residual_failure_is_a_typed_row(tmp_path, monkeypatch, capsys):
+    # eigenvectors off by 1e-6 at one sample: the residual check fails there
+    eigh = quantum_geometry._eigh
+
+    def perturbed(h, vectors=True):
+        energies, vecs = eigh(h)
+        vecs[5, 0, 0] += 1e-6
+        return energies, vecs
+
+    monkeypatch.setattr(quantum_geometry, "_eigh", perturbed)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "experiment": "spin-berry", "params": {"thetas": [1.0]}, "numerics": {"n_samples": 64},
+        "output": {"directory": str(tmp_path / "out")}}))
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(tmp_path / "out" / "spin-berry.csv")
+    assert [(row["theta"], row["error"]) for row in rows] == [(f"{1.0:.16e}", "ResidualTooLarge")]
 
 
 # Each of these left floating-point range inside a row or while its points

@@ -473,6 +473,9 @@ ORACLE_GUARDS = {
     "rate overflows": (NonFinite, "rate_scale",
                        lambda: recommended_steps_per_sample(cone_loop(1.0, n_samples=64), 1000.0,
                                                             rate_scale=1e307)),
+    # the rate 1e105 stays finite, but slowness * spacing * rate / 0.7 does not
+    "steps overflow": (NonFinite, "steps per sample",
+                       lambda: recommended_steps_per_sample(cone_loop(1.0, n_samples=256), 1e210)),
 }
 
 

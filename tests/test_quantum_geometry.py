@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from holonomy import (
     EigenFrame,
+    EnergyMismatch,
     GapTooSmall,
     HamiltonianFamily,
     HermiticityViolation,
@@ -18,8 +19,10 @@ from holonomy import (
     NotUnitary,
     OverlapTooSmall,
     PoleProximity,
+    ResidualTooLarge,
     action_angle_transform,
     berry_and_hannay,
+    circle_loop,
     classicalize,
     closed_line_integral,
     cone_loop,
@@ -34,7 +37,8 @@ from holonomy import (
     stokes_vector,
     theta_averaged_one_form,
 )
-from holonomy.quantum_geometry import _eigh, align_gauge
+from holonomy import quantum_geometry
+from holonomy.quantum_geometry import _eigh, _hermitian_deviation, _residuals, align_gauge
 
 RNG = np.random.default_rng(20240811)
 
@@ -270,6 +274,13 @@ class TestStokes:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             stokes_vector(np.array([1.0, 1.0]))
+
+    def test_energy_mismatch_is_typed(self, monkeypatch):
+        # a flipped sigma_3 puts the spin-up quantum energy at +1, against -1
+        s1, s2, s3 = pauli_matrices()
+        monkeypatch.setattr(quantum_geometry, "pauli_matrices", lambda: (s1, s2, -s3))
+        with pytest.raises(EnergyMismatch, match="disagrees"):
+            stokes_vector(np.array([0.0, 1.0]), field=np.array([0.0, 0.0, 1.0]))
 
     def test_poisson_brackets(self):
         # finite-difference {S_i, S_j} = 2 eps_ijk S_k / hbar on canonical coordinates
@@ -663,3 +674,118 @@ class TestTwoLevelKernel:
         frame = eigenframe_along_loop(fam, loop)
         assert np.array_equal(frame.energies, energies)
         assert np.array_equal(frame.vectors, align_gauge(vectors))
+
+
+def random_stack(rng, n, dim, scale, hermitian=True):
+    """n random complex dim x dim matrices times ``scale``; with ``hermitian``
+    the Hermitian part, which is Hermitian bit for bit."""
+    a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    if hermitian:
+        a = 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
+    return a * scale
+
+
+def stack_family(h):
+    """The family that returns the stack ``h`` for a loop of len(h) samples."""
+    return HamiltonianFamily(dim=h.shape[-1], eval=lambda pts: h)
+
+
+def perturbed_eigh(sample, level, component, size):
+    """``_eigh`` with one eigenvector entry moved by ``size``."""
+    def eigh(h, vectors=True):
+        energies, vecs = _eigh(h)
+        vecs[sample, component, level] += size
+        return energies, vecs
+    return eigh
+
+
+def einsum_residual(h, energies, vectors):
+    """The batched residual H v - E v that the entry-wise check replaces."""
+    return np.einsum("jab,jbk->jak", h, vectors) - vectors * energies[:, None, :]
+
+
+CHECK_CASE = dict(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5),
+                  exponent=st.integers(-200, 150))
+
+
+class TestEntrywiseChecks:
+    """The Hermiticity and residual checks, one pass over the sample axis per
+    matrix entry, against the full-stack formulas they replace."""
+
+    @PROPERTY
+    @given(**CHECK_CASE)
+    def test_hermitian_deviation_equals_full_difference(self, seed, dim, exponent):
+        rng = np.random.default_rng(seed)
+        for hermitian in (False, True):
+            h = random_stack(rng, 33, dim, 10.0**exponent, hermitian)
+            full = float(np.max(np.abs(h - np.conj(np.swapaxes(h, 1, 2)))))
+            assert _hermitian_deviation(h) == full
+
+    @PROPERTY
+    @given(**CHECK_CASE)
+    def test_residuals_match_einsum(self, seed, dim, exponent):
+        h = random_stack(np.random.default_rng(seed), 33, dim, 10.0**exponent)
+        energies, vectors = _eigh(h)
+        ref = np.abs(einsum_residual(h, energies, vectors))
+        new = _residuals(h, energies, vectors).reshape(dim, dim, -1).transpose(2, 0, 1)
+        scale = np.max(np.abs(h), axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(new - ref) <= 8 * np.finfo(float).eps * scale)
+
+    @PROPERTY
+    @given(**CHECK_CASE, factor=st.sampled_from([0.5, 2.0]))
+    def test_hermiticity_check_decides_as_before(self, seed, dim, exponent, factor):
+        rng = np.random.default_rng(seed)
+        h = random_stack(rng, 33, dim, 10.0**exponent)
+        j, i, k = rng.integers(33), rng.integers(dim), rng.integers(dim)
+        # an imaginary diagonal part is exact at every scale: dev = factor * tol
+        diagonal = h.copy()
+        diagonal[j, i, i] += 0.5j * factor * 1e-10
+        offdiagonal = h.copy()
+        offdiagonal[j, i, (i + 1) % dim] += factor * 1e-10
+        for stack in (diagonal, offdiagonal):
+            before = float(np.max(np.abs(stack - np.conj(np.swapaxes(stack, 1, 2))))) > 1e-10
+            try:
+                stack_family(stack).matrices(np.zeros((33, 1)))
+                raised = False
+            except HermiticityViolation:
+                raised = True
+            assert raised == before
+        assert (factor > 1) == (_hermitian_deviation(diagonal) > 1e-10)
+
+    @PROPERTY
+    @given(**CHECK_CASE, factor=st.sampled_from([0.5, 2.0]))
+    def test_residual_check_decides_as_before(self, seed, dim, exponent, factor):
+        rng = np.random.default_rng(seed)
+        h = random_stack(rng, 33, dim, 10.0**exponent)
+        energies, vectors = _eigh(h)
+        j, level = rng.integers(33), rng.integers(dim)
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(h))))
+        # moving entry a of the vector by d moves the residual by d (H - E) e_a
+        column = np.abs(h[j] - energies[j, level] * np.eye(dim))
+        component = int(np.argmax(np.max(column, axis=0)))
+        size = factor * tol / np.max(column[:, component])
+        vectors[j, component, level] += size
+        before = float(np.max(np.abs(einsum_residual(h, energies, vectors)))) > tol
+        assert before == (factor > 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quantum_geometry, "_eigh", perturbed_eigh(j, level, component, size))
+            try:
+                eigenframe_along_loop(stack_family(h), circle_loop(n_samples=32))
+                raised = None
+            except ResidualTooLarge as exc:
+                raised = exc
+        assert (raised is not None) == before
+        if raised is not None:
+            assert raised.sample == j and f"level {level} at sample {j}" in str(raised)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_residual_failure_names_sample_and_level(self, dim, monkeypatch):
+        if dim == 2:
+            fam, loop = spin_hamiltonian_family(1.0), cone_loop(1.0, n_samples=64)
+        else:
+            fam, loop = random_family(3, np.random.default_rng(11)), three_level_loop(64)
+        level = dim - 1
+        monkeypatch.setattr(quantum_geometry, "_eigh", perturbed_eigh(37, level, 0, 1e-6))
+        with pytest.raises(ResidualTooLarge, match=f"level {level} at sample 37") as info:
+            eigenframe_along_loop(fam, loop)
+        assert info.value.sample == 37

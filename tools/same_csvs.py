@@ -12,17 +12,23 @@ each experiment's CLI defaults, and every snapshot configuration in
 checkout's ``bench/workloads.py`` and ``tests/data``, so both trees see the
 same inputs.
 
-The script prints every CSV whose SHA-256 differs between the trees, or that
+The script prints every CSV whose bytes differ between the trees, or that
 only one of them wrote, and exits 1 if there is any; it exits 0 when every
-CSV is byte-identical.  A change that moves values on purpose quotes this
-list.  Both trees together take about 8 s on a 2-core x86-64 host.
+CSV is byte-identical.  Under each CSV written by both trees it prints every
+column that moved, with the largest absolute move over the cells that are
+finite numbers on both sides, and whether any other cell (text, empty, inf
+or nan; compared exactly) changed.  A change that moves values on purpose
+quotes this list.  Both trees together take about 8 s on a 2-core x86-64
+host.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,14 +70,51 @@ def configs(out: Path) -> list[dict]:
     return found
 
 
-def digests(tree: Path, out: Path) -> dict[str, str]:
-    """Run every configuration on ``tree``'s source; SHA-256 of each CSV written,
-    by its path under ``out``."""
+def contents(tree: Path, out: Path) -> dict[str, bytes]:
+    """Run every configuration on ``tree``'s source; the bytes of each CSV
+    written, by its path under ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     subprocess.run([sys.executable, "-c", _RUN], input=json.dumps(configs(out)), text=True,
                    env=env, cwd=out.parent, check=True)
-    return {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out.rglob("*.csv"))}
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*.csv"))}
+
+
+def _finite(cell: str) -> float | None:
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def column_moves(base: str, head: str) -> list[str]:
+    """One line per column whose cells differ between two CSV texts, rows
+    matched by position: the largest absolute move over the cells that are
+    finite numbers on both sides, and ``text changed`` when any other cell
+    differs.  A changed row count or a column only one side has gets a line
+    of its own."""
+    tables = [list(csv.reader(io.StringIO(text))) for text in (base, head)]
+    old, new = ({name: column for name, *column in zip(*table)} if table else {}
+                for table in tables)
+    lines = []
+    if len(tables[0]) != len(tables[1]):
+        lines.append(f"rows: {len(tables[0]) - 1} -> {len(tables[1]) - 1}")
+    for name in [*old, *(name for name in new if name not in old)]:
+        if name not in new or name not in old:
+            lines.append(f"{name}: only in {'head' if name in new else 'base'}")
+            continue
+        moves, text = [], False
+        for a, b in zip(old[name], new[name]):
+            if a != b:
+                x, y = _finite(a), _finite(b)
+                if x is None or y is None:
+                    text = True
+                else:
+                    moves.append(abs(x - y))
+        if moves or text:
+            parts = [f"largest move {max(moves):.3e}"] if moves else []
+            lines.append(f"{name}: " + ", ".join(parts + ["text changed"] * text))
+    return lines
 
 
 def main() -> int:
@@ -80,11 +123,14 @@ def main() -> int:
     parser.add_argument("head", type=Path, help="checkout of the change")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        base = digests(args.base, Path(tmp) / "base")
-        head = digests(args.head, Path(tmp) / "head")
+        base = contents(args.base, Path(tmp) / "base")
+        head = contents(args.head, Path(tmp) / "head")
     differ = sorted(name for name in base.keys() | head.keys() if base.get(name) != head.get(name))
     for name in differ:
         print(f"differs: {name}")
+        if name in base and name in head:
+            for line in column_moves(base[name].decode(), head[name].decode()):
+                print(f"  {line}")
     print(f"{len(base.keys() | head.keys())} CSVs, {len(differ)} differ")
     return 1 if differ else 0
 
