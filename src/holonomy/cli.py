@@ -374,10 +374,9 @@ def _oracle_quantum_points(cfg: ExperimentConfig) -> list[Point]:
 
     def row(theta: float) -> dict[str, Any]:
         loop = cone_loop(theta, n_samples=n_samples)
-        frame = eigenframe_along_loop(family, loop)
-        gamma_w, _ = berry_and_hannay(frame, 0)
         steps = sps or recommended_steps_per_sample(loop, slowness, rate_scale=mu)
         prop = propagate_quantum(family, loop, 0, slowness, steps)
+        gamma_w, _ = berry_and_hannay(prop.frame, 0)
         gamma_n = extract_geometric_phase(prop, prop.psi_initial)
         return dict(
             gamma_numeric=gamma_n,

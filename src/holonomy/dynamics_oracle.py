@@ -35,10 +35,11 @@ import numpy as np
 from .errors import NonAdiabatic, NonFinite, OverlapTooSmall, require_gap
 from .manifold import LoopSpec, _frequency_sq, _trapezoid
 from .quantum_geometry import (
+    EigenFrame,
     HamiltonianFamily,
     _eigh,
-    canonical_section_track,
     eigenframe_along_loop,
+    smooth_track,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -64,6 +65,7 @@ class QuantumPropagation:
     level: int
     phase_track: np.ndarray
     final_fidelity: float
+    frame: EigenFrame
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,10 @@ def propagate_quantum(
     Energies are in units of hbar: for a physical hbar, propagate the family
     H/hbar, whose generator, dynamical phase and gap check scale together.
 
-    The state starts in level ``k``'s eigenvector (canonical gauge).
+    The state starts in level ``k``'s eigenvector.  The reference
+    eigenvectors at the loop samples are ``smooth_track`` of the loop's
+    eigenframe, which is returned as ``frame``, so the Wilson phase of the
+    same loop needs no second diagonalisation.
     ``norm_drift`` sums, over the steps, how far each step moves the norm
     away from 1: |norm ratio of consecutive states - 1|, which equals the
     excess a per-step renormalisation would discard.  The spectrum at every
@@ -202,7 +207,7 @@ def propagate_quantum(
     per-step gap check, whose error names the loop sample, and the dynamical
     phase: the trapezoid of the tracked level's energy over the full step grid.
     ``phase_track`` holds, at every loop sample, the state's phase relative
-    to the canonical eigenvector plus the dynamical phase accumulated so far;
+    to the reference eigenvector plus the dynamical phase accumulated so far;
     its unwrapped increments survive many windings and feed
     ``extract_geometric_phase``.
     """
@@ -218,11 +223,8 @@ def propagate_quantum(
     energies_fine = _eigh(gen[::2], vectors=False)  # one per full step
     require_gap(energies_fine, stride=steps_per_sample)
 
-    # reference eigenvectors at the loop samples: the canonical section, or
-    # the transport-aligned eigenframe where no component can serve as pivot
-    track = eigenframe_along_loop(family, loop).vectors[:, :, k]
-    canon = canonical_section_track(track)
-    refs = track if canon is None else canon[0]
+    frame = eigenframe_along_loop(family, loop)
+    refs = smooth_track(frame, k)
 
     by_sample = gen.reshape(m, 2 * steps_per_sample, family.dim, family.dim)
 
@@ -255,6 +257,7 @@ def propagate_quantum(
         level=k,
         phase_track=track,
         final_fidelity=fidelity,
+        frame=frame,
     )
 
 

@@ -11,10 +11,14 @@ equal to -pi, and the associated angle shift Delta_theta_k = -gamma_k = +pi.
 Branch convention
 -----------------
 The Wilson loop fixes a phase only modulo 2*pi.  Values are unreduced by
-tracking the eigenvector phase in the canonical gauge that keeps the
-highest-index usable component real positive; for two-level systems this is
-the gauge that is smooth away from the "south" degeneracy, so level-2 angles
-such as pi*(1 + cos(theta)) come out on the branch in (0, 2*pi).
+summing the link angles of one smooth, single-valued gauge, ``smooth_track``:
+the canonical gauge that keeps the highest-index usable component real
+positive.  For two-level systems this is the gauge that is smooth away from
+the "south" degeneracy, so level-2 angles such as pi*(1 + cos(theta)) come
+out on the branch in (0, 2*pi).  Where every component dips too low, the
+parallel-transport gauge with its holonomy spread evenly over the samples
+takes its place.  The adiabatic oracle takes its reference eigenvectors from
+the same function.
 """
 
 from __future__ import annotations
@@ -98,12 +102,11 @@ def _hermitian_deviation(h: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EigenFrame:
-    """Gauge-aligned eigenvalue/eigenvector path along a closed loop.
+    """Eigenvalue/eigenvector path along a closed loop.
 
-    ``vectors[j][:, k]`` is the k-th eigenvector at sample j; consecutive
-    samples are phase-aligned so their overlaps are real nonnegative.  The
-    last sample is aligned to its predecessor, not forced back onto sample 0:
-    the residual closure phase is the holonomy.
+    ``vectors[j][:, k]`` is the k-th eigenvector at sample j, as the
+    diagonalisation returns it: each sample's phase is arbitrary.
+    ``smooth_track`` puts one level into a smooth gauge.
     """
 
     loop: LoopSpec
@@ -176,7 +179,7 @@ def _residuals(h: np.ndarray, energies: np.ndarray, vectors: np.ndarray) -> np.n
 
 
 def eigenframe_along_loop(family: HamiltonianFamily, loop: LoopSpec) -> EigenFrame:
-    """Diagonalize the family at every loop sample and align the gauge.
+    """Diagonalize the family at every loop sample.
 
     Two-level families are diagonalised in closed form and larger ones by
     LAPACK (``_eigh``); the residual |H v - E v| of every eigenpair is checked
@@ -199,7 +202,6 @@ def eigenframe_along_loop(family: HamiltonianFamily, loop: LoopSpec) -> EigenFra
             f"eigenpair residual {worst:.3e} of level {row % family.dim} at sample {j} "
             f"exceeds {tol:.3e}", sample=int(j))
 
-    align_gauge(vectors)
     return EigenFrame(loop=loop, energies=energies, vectors=vectors, min_gap=min_gap)
 
 
@@ -234,7 +236,7 @@ def section_pivot(track: np.ndarray) -> int | None:
     return int(viable[-1]) if viable.size else None
 
 
-def canonical_section_track(track: np.ndarray) -> tuple[np.ndarray, int] | None:
+def canonical_section_track(track: np.ndarray) -> np.ndarray | None:
     """Rotate each vector so the pivot component is real positive.
 
     The result depends only on the rays, so it is gauge invariant.  Returns
@@ -244,7 +246,32 @@ def canonical_section_track(track: np.ndarray) -> tuple[np.ndarray, int] | None:
     if pivot is None:
         return None
     ph = track[:, pivot]
-    return track * np.conj(ph / np.abs(ph))[:, None], pivot
+    return track * np.conj(ph / np.abs(ph))[:, None]
+
+
+def smooth_track(frame: EigenFrame, k: int) -> np.ndarray:
+    """Level ``k``'s eigenvectors along the frame's loop, shape (M + 1, N), in
+    a gauge that is smooth and single-valued: sample M equals sample 0.
+
+    Where a section pivot exists this is the canonical section.  Otherwise it
+    is the parallel-transport track (``align_gauge``), whose last sample
+    carries the holonomy: its closing phase theta, unwound on a multi-cycle
+    loop to the nearest 2*pi of ``cycles`` times the first base cycle's, is
+    spread evenly over the samples, sample j rotated by exp(-i theta j / M).
+    """
+    if not 0 <= k < frame.vectors.shape[2]:
+        raise IndexError(f"level {k} out of range for {frame.vectors.shape[2]} levels")
+    canon = canonical_section_track(frame.vectors[:, :, k])
+    if canon is not None:
+        return canon
+    track = align_gauge(frame.vectors[:, :, k:k + 1].copy())[:, :, 0]
+    m = track.shape[0] - 1
+    theta = -float(np.angle(np.vdot(track[m], track[0])))
+    cycles = frame.loop.cycles
+    if cycles > 1 and m % cycles == 0:
+        theta_base = -float(np.angle(np.vdot(track[m // cycles], track[0])))
+        theta += TWO_PI * round((cycles * theta_base - theta) / TWO_PI)
+    return track * np.exp(-1j * theta * np.arange(m + 1) / m)[:, None]
 
 
 def _links(track: np.ndarray) -> np.ndarray:
@@ -260,46 +287,16 @@ def _links(track: np.ndarray) -> np.ndarray:
     return links
 
 
-def _accumulated_section_phase(track: np.ndarray) -> float | None:
-    canon = canonical_section_track(track)
-    if canon is None:
-        return None
-    angles = np.angle(_links(canon[0]))
-    return -(float(np.sum(angles[:-1])) + float(angles[-1]))
-
-
-def _reduced_wilson_phase(track: np.ndarray) -> float:
-    links = _links(track)
-    return -float(np.angle(np.prod(links / np.abs(links))))
-
-
 def berry_and_hannay(frame: EigenFrame, k: int) -> tuple[float, float]:
     """Geometric phase and angle shift of level ``k`` around the frame's loop.
 
-    The magnitude modulo 2*pi is the gauge-invariant discrete Wilson loop
-    (product of consecutive overlaps plus the closing overlap).  The 2*pi
-    branch is fixed by the canonical-section tracking described in the module
-    docstring; when no section pivot exists the value falls back to the
-    reduced phase unwound by the loop's cycle count.  The angle shift is the
-    exact negation of the phase.
+    The phase is the discrete Wilson loop: minus the summed angles of the
+    consecutive overlaps, closing overlap included, of ``smooth_track``.  Its
+    value modulo 2*pi is gauge invariant; the smooth gauge fixes the 2*pi
+    branch, as the module docstring describes.  The angle shift is the exact
+    negation of the phase.
     """
-    if not 0 <= k < frame.vectors.shape[2]:
-        raise IndexError(f"level {k} out of range for {frame.vectors.shape[2]} levels")
-    track = frame.vectors[:, :, k]
-    gamma_red = _reduced_wilson_phase(track)
-    gamma_acc = _accumulated_section_phase(track)
-    if gamma_acc is not None:
-        winding = round((gamma_acc - gamma_red) / TWO_PI)
-        gamma = gamma_red + TWO_PI * winding
-    else:
-        gamma = gamma_red
-        cycles = frame.loop.cycles
-        m = track.shape[0] - 1
-        if cycles > 1 and m % cycles == 0:
-            base = m // cycles
-            gamma_base = _reduced_wilson_phase(track[: base + 1])
-            winding = round((cycles * gamma_base - gamma_red) / TWO_PI)
-            gamma = gamma_red + TWO_PI * winding
+    gamma = -float(np.sum(np.angle(_links(smooth_track(frame, k)))))
     return gamma, -gamma
 
 

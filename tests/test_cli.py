@@ -183,6 +183,21 @@ class TestOracleCLI:
             assert float(row["abs_error"]) < 0.1
             assert float(row["final_fidelity"]) > 0.99
 
+    def test_oracle_quantum_row_diagonalises_its_loop_once(self, tmp_path, monkeypatch):
+        from holonomy import cli, dynamics_oracle
+
+        calls = []
+        for module in (cli, dynamics_oracle):
+            def counted(*args, _inner=module.eigenframe_along_loop, **kwargs):
+                calls.append(1)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(module, "eigenframe_along_loop", counted)
+        code = main(["oracle", "quantum", "--slowness", "150", "--samples", "128",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert len(read_csv(tmp_path / "oracle-quantum.csv")) == 2
+        assert len(calls) == 2
+
     def test_sweep_parameter_name_checked(self, tmp_path):
         cfg_dict = small_hybrid_config(str(tmp_path))
         cfg_dict["sweep"]["parameter"] = "epsilon"

@@ -28,7 +28,7 @@ from holonomy import (
     standard_loop_report,
     subsystem_parameter_loop,
 )
-from holonomy.quantum_geometry import canonical_section_track
+from holonomy.quantum_geometry import canonical_section_track, smooth_track
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
 FAMILY = spin_hamiltonian_family(1.0)
@@ -75,7 +75,7 @@ def sequential_quantum(family, loop, k, slowness, sps):
     mats = family.matrices(loop.upsampled(2 * sps))
     h, steps = rk4_schedule(loop, sps, slowness)
     e = np.linalg.eigvalsh(mats[::2])[:, k]
-    refs, _ = canonical_section_track(np.linalg.eigh(family.matrices(loop.points))[1][:, :, k])
+    refs = canonical_section_track(np.linalg.eigh(family.matrices(loop.points))[1][:, :, k])
     gen = -1j * mats
     psi = refs[0].astype(complex)
     drift, dyn, track = 0.0, 0.0, [0.0]
@@ -133,6 +133,55 @@ def test_upsample_matches_zero_padding(m, factor):
     assert fine.shape == (m * factor, 3)
     assert np.max(np.abs(fine - zero_padded_upsample(points, factor))) <= 1e-13
     assert np.max(np.abs(fine[::factor] - points[:-1])) <= 1e-13
+
+
+def lune_loop(alpha, cycles, n_samples):
+    """Unit field at polar angle pi (1 - cos 2 pi c t) / 2 and azimuth
+    alpha sin 2 pi c t, c = cycles: it passes through both poles, so no
+    eigenvector component can serve as a section pivot."""
+    def field(t):
+        theta = math.pi * (1.0 - math.cos(2 * math.pi * cycles * t)) / 2.0
+        phi = alpha * math.sin(2 * math.pi * cycles * t)
+        return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                         math.cos(theta)])
+    return make_loop(field, 1.0, n_samples, cycles=cycles)
+
+
+def meridian_loop(n_samples):
+    return make_loop(lambda t: np.array([math.sin(2 * math.pi * t), 0.0, math.cos(2 * math.pi * t)]),
+                     1.0, n_samples)
+
+
+NO_PIVOT_LOOPS = {
+    "lune": lambda: lune_loop(0.7, 1, 256),
+    "two-cycle lune": lambda: lune_loop(1.3, 2, 512),
+    "meridian": lambda: meridian_loop(256),
+}
+
+
+@pytest.mark.parametrize("case", [*NO_PIVOT_LOOPS, "cone"])
+def test_smooth_track_is_single_valued(case):
+    loop = cone_loop(1.1, n_samples=256) if case == "cone" else NO_PIVOT_LOOPS[case]()
+    frame = eigenframe_along_loop(FAMILY, loop)
+    for k in (0, 1):
+        track = smooth_track(frame, k)
+        assert np.max(np.abs(track[-1] - track[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("case", NO_PIVOT_LOOPS)
+def test_no_pivot_oracle_keeps_the_holonomy(case):
+    # without a pivot the references are the transport track, whose last
+    # sample carries the holonomy; the oracle must still see it, so its gap
+    # to the Wilson phase is only the adiabatic error and falls with slowness
+    loop = NO_PIVOT_LOOPS[case]()
+    gaps = []
+    for slowness in (100.0, 400.0):
+        prop = propagate_quantum(FAMILY, loop, 0, slowness,
+                                 recommended_steps_per_sample(loop, slowness))
+        gamma_w, _ = berry_and_hannay(prop.frame, 0)
+        gaps.append(abs(extract_geometric_phase(prop, prop.psi_initial) - gamma_w))
+    assert gaps[1] <= 0.1
+    assert gaps[1] <= gaps[0] / 3.0
 
 
 class TestPropagateQuantum:

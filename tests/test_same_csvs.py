@@ -22,7 +22,7 @@ RESHAPED = ("K,a\n1,2\n", "K,b\n1,2\n3,4\n")
 
 def test_column_moves_name_each_moved_column():
     assert same_csvs.column_moves(*MOVED) == [
-        "gamma_1: largest move 4.441e-16, text changed",
+        "gamma_1: largest move 4.441e-16, relative 2.2e-16, text changed",
         "gamma_2: largest move 0.000e+00",
         "error: text changed",
     ]
@@ -41,7 +41,7 @@ def test_main_lists_moves_under_each_differing_csv(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "differs: gone.csv",
         "differs: moved.csv",
-        "  gamma_1: largest move 4.441e-16, text changed",
+        "  gamma_1: largest move 4.441e-16, relative 2.2e-16, text changed",
         "  gamma_2: largest move 0.000e+00",
         "  error: text changed",
         "3 CSVs, 2 differ",

@@ -16,10 +16,12 @@ The script prints every CSV whose bytes differ between the trees, or that
 only one of them wrote, and exits 1 if there is any; it exits 0 when every
 CSV is byte-identical.  Under each CSV written by both trees it prints every
 column that moved, with the largest absolute move over the cells that are
-finite numbers on both sides, and whether any other cell (text, empty, inf
-or nan; compared exactly) changed.  A change that moves values on purpose
-quotes this list.  Both trees together take about 8 s on a 2-core x86-64
-host.
+finite numbers on both sides, the largest move relative to
+max(|base|, |head|) over those cells that are not zero on both sides (so a
+move at rounding level reads as one, near 1e-16), and whether any other
+cell (text, empty, inf or nan; compared exactly) changed.  A change that
+moves values on purpose quotes this list.  Both trees together take about
+8 s on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -90,9 +92,10 @@ def _finite(cell: str) -> float | None:
 def column_moves(base: str, head: str) -> list[str]:
     """One line per column whose cells differ between two CSV texts, rows
     matched by position: the largest absolute move over the cells that are
-    finite numbers on both sides, and ``text changed`` when any other cell
-    differs.  A changed row count or a column only one side has gets a line
-    of its own."""
+    finite numbers on both sides, the largest relative move over those not
+    zero on both sides, and ``text changed`` when any other cell differs.
+    A changed row count or a column only one side has gets a line of its
+    own."""
     tables = [list(csv.reader(io.StringIO(text))) for text in (base, head)]
     old, new = ({name: column for name, *column in zip(*table)} if table else {}
                 for table in tables)
@@ -103,7 +106,7 @@ def column_moves(base: str, head: str) -> list[str]:
         if name not in new or name not in old:
             lines.append(f"{name}: only in {'head' if name in new else 'base'}")
             continue
-        moves, text = [], False
+        moves, relative, text = [], [], False
         for a, b in zip(old[name], new[name]):
             if a != b:
                 x, y = _finite(a), _finite(b)
@@ -111,8 +114,11 @@ def column_moves(base: str, head: str) -> list[str]:
                     text = True
                 else:
                     moves.append(abs(x - y))
+                    if x or y:
+                        relative.append(abs(x - y) / max(abs(x), abs(y)))
         if moves or text:
             parts = [f"largest move {max(moves):.3e}"] if moves else []
+            parts += [f"relative {max(relative):.1e}"] if relative else []
             lines.append(f"{name}: " + ", ".join(parts + ["text changed"] * text))
     return lines
 
