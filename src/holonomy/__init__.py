@@ -23,8 +23,8 @@ from .errors import (
     PoleProximity,
     ResidualTooLarge,
     TooFewSamples,
+    TooManySteps,
     WeakCouplingViolated,
-    ZeroField,
 )
 from .manifold import (
     DEFAULT_SAMPLES,
@@ -34,7 +34,6 @@ from .manifold import (
     circle_loop,
     closed_line_integral,
     combined_parameter_loop,
-    make_loop,
     periodic_integral,
     standard_parameter_loops,
     subsystem_parameter_loop,
@@ -56,18 +55,10 @@ from .quantum_geometry import (
     theta_averaged_one_form,
 )
 from .models import (
-    GHOTriple,
-    NormalModeSplit,
-    SpinFieldModel,
     SpinOscillatorHybrid,
     cone_loop,
-    gho_effective_energy,
-    normal_mode_split,
-    spin_eigensystem,
     spin_hamiltonian_family,
-    spin_oscillator_effective,
     spin_oscillator_loop,
-    spin_oscillator_weak_expansion,
 )
 from .hybrid_pipeline import (
     BRANCH_COMMON,

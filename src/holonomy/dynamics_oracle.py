@@ -27,12 +27,13 @@ derived from the resulting array of states.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonAdiabatic, NonFinite, OverlapTooSmall, require_gap
+from .errors import NonAdiabatic, NonFinite, OverlapTooSmall, TooManySteps, require_gap
 from .manifold import LoopSpec, _frequency_sq, _trapezoid
 from .quantum_geometry import (
     EigenFrame,
@@ -51,6 +52,10 @@ _ADIABATIC_FIDELITY = 0.99
 # increments and each stage temporary 0.25 MiB, so the chunk's working set
 # stays within a core's 2 MiB L2 cache.
 _CHUNK_STEPS = 8192
+
+# The most RK4 steps one run may take.  The upsampled loop holds two points
+# per step, so this bounds a run's memory before anything is allocated.
+_MAX_STEPS = 2**22
 
 
 @dataclass(frozen=True)
@@ -106,11 +111,16 @@ def recommended_steps_per_sample(loop: LoopSpec, slowness: float, rate_scale: fl
     return max(8, int(math.ceil(steps)))
 
 
-def _require_schedule(slowness: float, steps_per_sample: int) -> None:
+def _require_schedule(loop: LoopSpec, slowness: float, steps_per_sample: int) -> None:
+    """Check a run's schedule before any of its arrays is allocated."""
     if not (math.isfinite(slowness) and slowness > 0):
         raise ValueError(f"slowness must be positive and finite, got {slowness}")
-    if steps_per_sample < 1:
-        raise ValueError(f"steps_per_sample must be at least 1, got {steps_per_sample}")
+    if not (isinstance(steps_per_sample, numbers.Integral) and steps_per_sample >= 1):
+        raise ValueError(f"steps_per_sample must be a positive integer, got {steps_per_sample!r}")
+    n_steps = loop.n_segments * int(steps_per_sample)
+    if n_steps > _MAX_STEPS:
+        raise TooManySteps(f"{loop.n_segments} samples at {steps_per_sample} steps per sample "
+                           f"take {n_steps} steps, more than {_MAX_STEPS}")
 
 
 def _wrap_angle(x: np.ndarray) -> np.ndarray:
@@ -213,7 +223,7 @@ def propagate_quantum(
     """
     if not 0 <= k < family.dim:
         raise IndexError(f"level {k} out of range")
-    _require_schedule(slowness, steps_per_sample)
+    _require_schedule(loop, slowness, steps_per_sample)
     m = loop.n_segments
     n_steps = m * steps_per_sample
     h = slowness * loop.period / n_steps
@@ -308,7 +318,7 @@ def propagate_classical(
     """
     if x2_loop.dim != 3:
         raise ValueError("expected a loop of oscillator triples (X, Y, Z)")
-    _require_schedule(slowness, steps_per_sample)
+    _require_schedule(x2_loop, slowness, steps_per_sample)
     qp0 = np.asarray(initial_qp, dtype=float)
     if qp0.shape != (2,) or not (np.all(np.isfinite(qp0)) and np.any(qp0)):
         raise ValueError(f"initial_qp must be a finite, nonzero (q, p) pair, got {initial_qp}")

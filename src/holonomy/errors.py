@@ -21,6 +21,10 @@ class TooFewSamples(HolonomyError):
     """A loop needs at least 16 segments for the quadrature to be meaningful."""
 
 
+class TooManySteps(HolonomyError):
+    """A time-domain run would take more integrator steps than its bound."""
+
+
 class LengthMismatch(HolonomyError):
     """Sampled coefficients do not line up with the loop samples."""
 
@@ -65,10 +69,6 @@ class NotUnitary(HolonomyError):
 
 class PoleProximity(HolonomyError):
     """A closed-form connection is evaluated too close to one of its poles."""
-
-
-class ZeroField(HolonomyError):
-    """The spin eigensystem is undefined at zero field."""
 
 
 class EllipticViolation(_AtSample):

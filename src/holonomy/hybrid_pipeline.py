@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     EllipticViolation,
+    ModeCollapse,
     OmegaImaginary,
     WeakCouplingViolated,
     require_positive,
@@ -33,7 +34,7 @@ from .manifold import (
     closed_line_integral,
     periodic_integral,
 )
-from .models import SpinOscillatorHybrid, _normal_mode_squares
+from .models import SpinOscillatorHybrid
 
 _WEAK_COUPLING_MAX = 0.3  # largest allowed lam * Q_typ / B for the spin hybrid
 
@@ -352,6 +353,22 @@ def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     w_sq = _frequency_sq(loop.points, "frequency squared")
     coeff = (2 * n + 1) * loop.points[:, 2] / (4.0 * np.sqrt(w_sq))
     return closed_line_integral(coeff[:, None] * _d_y_over_z(loop.points, 0), loop)
+
+
+def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
+    """(upper^2, lower^2, sin^2 beta) of two coupled oscillators, sample by
+    sample, from the bare frequencies squared and kzz = k^2 Z1 Z2.  Raises
+    ``ModeCollapse`` at the first sample whose lower mode squared is not
+    positive; sin^2 beta is 0 where the modes neither differ nor couple."""
+    r = np.sqrt((w1_sq - w2_sq) ** 2 + 4.0 * kzz)
+    low_sq = 0.5 * (w1_sq + w2_sq - r)
+    require_positive(low_sq, lambda j: ModeCollapse(
+        f"lower normal frequency squared {low_sq[j]:.3e} at sample {j} is not positive "
+        f"(omega1^2 omega2^2 = {w1_sq[j] * w2_sq[j]:.3e}, k^2 Z1 Z2 = {kzz[j]:.3e})",
+        sample=j))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sin_sq = np.where(r > 0, np.clip((w2_sq - w1_sq + r) / (2.0 * r), 0.0, 1.0), 0.0)
+    return 0.5 * (w1_sq + w2_sq + r), low_sq, sin_sq
 
 
 def full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:

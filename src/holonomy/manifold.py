@@ -16,7 +16,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -195,27 +194,6 @@ def _drive_grid(omega: float, period: float, n_samples: int) -> tuple[np.ndarray
             del _DRIVE_GRIDS[next(iter(_DRIVE_GRIDS))]
         _DRIVE_GRIDS[key] = grid
     return grid
-
-
-def make_loop(
-    f: Callable[[float], np.ndarray],
-    period: float,
-    n_samples: int,
-    cycles: int = 1,
-) -> LoopSpec:
-    """Sample ``f`` uniformly on ``[0, period]`` into a closed loop.
-
-    Raises ``ValueError`` for a sample count that is not an integer,
-    ``TooFewSamples`` below 16 segments and ``ValueError`` for a period
-    that is not positive and finite, before calling ``f``; ``NotClosed`` when
-    ``f(0)`` and ``f(period)`` differ beyond relative 1e-12.
-    """
-    _require_grid(period, n_samples)
-    if not math.isfinite(period):
-        raise ValueError(f"period must be positive and finite, got {period}")
-    times = np.linspace(0.0, period, n_samples + 1)
-    points = np.array([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in times])
-    return LoopSpec(period, points, cycles)
 
 
 def circle_loop(

@@ -420,6 +420,26 @@ def test_out_of_range_values_are_typed(cfg, tmp_path, capsys):
         assert rows and all(row["error"] == "NonFinite" for row in rows)
 
 
+# Step recommendations past the oracles' step cap: each row fails typed, before
+# its upsampled loop is allocated (at mu 1e6 that loop would take 42 GiB).
+OVERLONG_SCHEDULE_CONFIGS = {
+    "oracle-quantum mu 1e6": {"experiment": "oracle-quantum", "params": {"mu": 1e6}},
+    "oracle-quantum mu 1e300": {"experiment": "oracle-quantum", "params": {"mu": 1e300}},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg", OVERLONG_SCHEDULE_CONFIGS.values(), ids=OVERLONG_SCHEDULE_CONFIGS)
+def test_overlong_schedules_are_typed_row_errors(cfg, tmp_path, capsys):
+    cfg = dict(cfg, numerics={"n_samples": 16}, output={"directory": str(tmp_path / "out")})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(tmp_path / "out" / f"{cfg['experiment']}.csv")
+    assert rows and all(row["error"] == "TooManySteps" for row in rows)
+
+
 # Sweeps whose points leave floating-point range, or that no point reads.
 SWEEP_CONFIGS = {
     "linear k overflows": {"experiment": "hybrid-gho", "sweep": {

@@ -13,6 +13,7 @@ from holonomy import (
     NonFinite,
     OverlapTooSmall,
     StandardLoopParams,
+    TooManySteps,
     action_angle_to_qp,
     berry_and_hannay,
     circle_loop,
@@ -20,7 +21,6 @@ from holonomy import (
     eigenframe_along_loop,
     extract_geometric_phase,
     extract_hannay_angle,
-    make_loop,
     propagate_classical,
     propagate_quantum,
     recommended_steps_per_sample,
@@ -29,6 +29,7 @@ from holonomy import (
     subsystem_parameter_loop,
 )
 from holonomy.quantum_geometry import canonical_section_track, smooth_track
+from loops import make_loop
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
 FAMILY = spin_hamiltonian_family(1.0)
@@ -261,11 +262,9 @@ class TestPropagateQuantum:
         assert info.value.sample == 8
 
     def test_overlap_guard(self):
-        from holonomy import spin_eigensystem
-
         loop = constant_field_loop()
         prop = propagate_quantum(FAMILY, loop, 0, slowness=20.0, steps_per_sample=32)
-        (_, _), (_, excited) = spin_eigensystem(loop.points[0])
+        excited = prop.frame.vectors[0, :, 1]
         with pytest.raises(OverlapTooSmall):
             extract_geometric_phase(prop, excited)
 
@@ -505,6 +504,8 @@ class TestChunkedScan:
 ORACLE_GUARDS = {
     "elliptic triple": (EllipticViolation, "frequency squared",
                         lambda: action_angle_to_qp(np.array([1.0, 2.0, 1.0]), 1.0, 0.3)),
+    "X Z = Y^2": (EllipticViolation, "frequency squared",
+                  lambda: action_angle_to_qp(np.array([1.0, 1.0, 1.0]), 1.0, 0.3)),
     "zero steps, quantum": (ValueError, "steps_per_sample",
                             lambda: propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 0,
                                                       30.0, 0)),
@@ -512,6 +513,14 @@ ORACLE_GUARDS = {
                               lambda: propagate_classical(
                                   subsystem_parameter_loop(std_params(eps=0.5), 2, 32),
                                   (1.0, 0.0), 20.0, 0)),
+    "fractional steps": (ValueError, "steps_per_sample must be a positive integer, got 2.5",
+                         lambda: propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 0,
+                                                   30.0, 2.5)),
+    # rejected before the upsampled loop is allocated
+    "steps past the cap": (TooManySteps, f"more than {oracle._MAX_STEPS}",
+                           lambda: propagate_classical(
+                               subsystem_parameter_loop(std_params(eps=0.5), 2, 32),
+                               (1.0, 0.0), 20.0, oracle._MAX_STEPS // 32 + 1)),
     "level 2 of 2": (IndexError, "level 2",
                      lambda: propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 2, 30.0, 8)),
     "level -1": (IndexError, "level -1",
@@ -535,6 +544,13 @@ def test_guard_raises_its_error_naming_the_argument(error, names, call):
 
 
 class TestArgumentChecks:
+    def test_step_cap_is_inclusive(self):
+        # only the schedule check runs, so nothing is allocated at the cap
+        loop = cone_loop(1.1, n_samples=32)
+        oracle._require_schedule(loop, 30.0, np.int64(oracle._MAX_STEPS // 32))
+        with pytest.raises(TooManySteps):
+            oracle._require_schedule(loop, 30.0, oracle._MAX_STEPS // 32 + 1)
+
     @pytest.mark.parametrize("slowness", [math.nan, math.inf, -1.0, 0.0])
     def test_slowness(self, slowness):
         loop = subsystem_parameter_loop(std_params(eps=0.5), 2, 32)

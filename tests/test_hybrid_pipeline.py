@@ -9,7 +9,6 @@ from holonomy import (
     BRANCH_COMMON,
     BRANCH_SUBSYSTEM,
     EllipticViolation,
-    GHOTriple,
     LengthMismatch,
     LinearOneForm,
     LoopSpec,
@@ -25,7 +24,6 @@ from holonomy import (
     coupled_gho_one_form,
     elliptic_bound,
     full_quantum_phase,
-    normal_mode_split,
     phases_from_one_form,
     single_gho_phase,
     spin_oscillator_loop,
@@ -500,14 +498,13 @@ class TestNormalModeCollapseSide:
     @pytest.mark.parametrize("offset", [-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])
     def test_full_quantum_phase_collapses_where_normal_mode_split_does(self, offset):
         # a frozen-parameter loop: every sample carries the same pair of triples
-        x1, x2 = GHOTriple(4.0, 0.1, 1.0), GHOTriple(1.0, -0.2, 1.3)
-        k = (1.0 + offset) * x1.omega * x2.omega / math.sqrt(x1.z * x2.z)
-        loop = LoopSpec(1.0, np.tile([x1.x, x1.y, x1.z, x2.x, x2.y, x2.z], (65, 1)))
+        x1, x2 = (4.0, 0.1, 1.0), (1.0, -0.2, 1.3)
+        w1, w2 = (math.sqrt(x * z - y**2) for x, y, z in (x1, x2))
+        k_c = w1 * w2 / math.sqrt(x1[2] * x2[2])  # the lower mode closes at k_c
+        k = (1.0 + offset) * k_c
+        loop = LoopSpec(1.0, np.tile([*x1, *x2], (65, 1)))
         if offset > 0:
-            with pytest.raises(ModeCollapse):
-                normal_mode_split(x1, x2, k)
             with pytest.raises(ModeCollapse):
                 full_quantum_phase(loop, k, 0, 0)
         else:
-            normal_mode_split(x1, x2, k)
             assert full_quantum_phase(loop, k, 0, 0) == 0.0

@@ -18,13 +18,13 @@ from holonomy import (
     closed_line_integral,
     combined_parameter_loop,
     cone_loop,
-    make_loop,
     periodic_integral,
     standard_loop_report,
     standard_parameter_loops,
     subsystem_parameter_loop,
 )
 from holonomy.manifold import _frequency_sq, _gho_loop, _joined
+from loops import make_loop
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
 
@@ -48,6 +48,9 @@ def angle_form(loop):
 
 
 class TestMakeLoop:
+    """The scalar sampler of ``loops``, the reference the loop builders are
+    checked against, closes its loops and checks its grid before sampling."""
+
     def test_constant_map(self):
         loop = make_loop(lambda t: np.array([1.0, 0.0, 0.0]), 1.0, 16)
         assert loop.n_segments == 16
@@ -95,8 +98,8 @@ def coupled_report(period, n_samples):
     return standard_loop_report(p, n_samples)
 
 
-# Every loop builder, given a period and a sample count.  LoopSpec's sample
-# count is the row count of its points, less one.
+# Every loop builder, and the tests' scalar sampler, given a period and a
+# sample count.  LoopSpec's sample count is the row count of its points, less one.
 LOOP_BUILDERS = {
     "make_loop": lambda period, n: make_loop(never_called, period, n),
     "circle_loop": lambda period, n: circle_loop(period=period, n_samples=n),

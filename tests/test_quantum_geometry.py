@@ -28,7 +28,6 @@ from holonomy import (
     cone_loop,
     eigenframe_along_loop,
     finite_difference_connection,
-    make_loop,
     pauli_matrices,
     propagate_quantum,
     reconstruct,
@@ -39,6 +38,7 @@ from holonomy import (
 )
 from holonomy import quantum_geometry
 from holonomy.quantum_geometry import _eigh, _hermitian_deviation, _residuals, align_gauge
+from loops import make_loop
 
 RNG = np.random.default_rng(20240811)
 
