@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from loops import make_loop
 from numpy.testing import assert_allclose
 
-from holonomy import ModeCollapse, cone_loop, spin_hamiltonian_family
+from holonomy import (
+    EllipticViolation,
+    LoopSpec,
+    ModeCollapse,
+    cone_loop,
+    full_quantum_phase,
+    spin_hamiltonian_family,
+)
 from holonomy.hybrid_pipeline import _normal_mode_squares
 
 RNG = np.random.default_rng(42)
@@ -111,6 +118,25 @@ class TestNormalModes:
         assert np.all(np.abs(high_sq + low_sq - total) <= 4 * ulp)
         assert np.all(np.abs(high_sq * low_sq - (w1_sq * w2_sq - kzz)) <= 16 * total * ulp)
         assert np.all((0.0 <= sin_sq) & (sin_sq <= 1.0))
+
+
+def pair_loop(x1, x2, n_samples=16):
+    """A constant combined loop holding one pair of triples (X, Y, Z)."""
+    return LoopSpec(1.0, np.tile(np.array([*x1, *x2], dtype=float), (n_samples + 1, 1)))
+
+
+# (error, what the message names, the call)
+MODEL_GUARDS = {
+    "X Z < Y^2": (EllipticViolation, "bare triple's frequency squared",
+                  lambda: full_quantum_phase(pair_loop((1.0, 2.0, 1.0), (1.0, 0.0, 1.0)),
+                                             0.1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("error, names, call", MODEL_GUARDS.values(), ids=MODEL_GUARDS.keys())
+def test_guard_raises_its_error_naming_the_argument(error, names, call):
+    with pytest.raises(error, match=names):
+        call()
 
 
 class TestConeLoop:
