@@ -81,8 +81,6 @@ from .dynamics_oracle import (
     ClassicalTrajectory,
     QuantumPropagation,
     action_angle_to_qp,
-    extract_geometric_phase,
-    extract_hannay_angle,
     propagate_classical,
     propagate_quantum,
     recommended_steps_per_sample,

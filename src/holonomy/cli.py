@@ -48,8 +48,6 @@ from .hybrid_pipeline import (
 from .quantum_geometry import berry_and_hannay, eigenframe_along_loop, spin_hannay_closed_form
 from .dynamics_oracle import (
     action_angle_to_qp,
-    extract_geometric_phase,
-    extract_hannay_angle,
     propagate_classical,
     propagate_quantum,
     recommended_steps_per_sample,
@@ -210,7 +208,7 @@ def _hybrid_gho_row(p: StandardLoopParams, n_samples: int) -> dict[str, Any]:
     report = standard_loop_report(p, n_samples)
     return {
         "branch": report.branch,
-        "gamma_0": report.gamma[p.n_level],
+        "gamma_0": report.gamma,
         "gamma_00": report.gamma_0_part,
         "gamma_I": report.gamma_I_part,
         "delta_phi": report.delta_phi,
@@ -377,11 +375,10 @@ def _oracle_quantum_points(cfg: ExperimentConfig) -> list[Point]:
         steps = sps or recommended_steps_per_sample(loop, slowness, rate_scale=mu)
         prop = propagate_quantum(family, loop, 0, slowness, steps)
         gamma_w, _ = berry_and_hannay(prop.frame, 0)
-        gamma_n = extract_geometric_phase(prop, prop.psi_initial)
         return dict(
-            gamma_numeric=gamma_n,
+            gamma_numeric=prop.geometric_phase,
             gamma_wilson=gamma_w,
-            abs_error=abs(gamma_n - gamma_w),
+            abs_error=abs(prop.geometric_phase - gamma_w),
             norm_drift=prop.norm_drift,
             final_fidelity=prop.final_fidelity,
         )
@@ -404,12 +401,11 @@ def _oracle_classical_points(cfg: ExperimentConfig) -> list[Point]:
         steps = sps or recommended_steps_per_sample(loop, slowness, rate_scale=p.a2)
         qp0 = action_angle_to_qp(loop.points[0], j0, phi0)
         traj = propagate_classical(loop, qp0, slowness, steps)
-        dphi_num = extract_hannay_angle(traj)
         dphi_quad = report.delta_phi_0_part
         return dict(
-            delta_phi_numeric=dphi_num,
+            delta_phi_numeric=traj.hannay_angle,
             delta_phi_quadrature=dphi_quad,
-            abs_error=abs(dphi_num - dphi_quad),
+            abs_error=abs(traj.hannay_angle - dphi_quad),
             j_drift=traj.action_drift,
         )
 
@@ -615,21 +611,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "run":
             cfg = ExperimentConfig.from_path(args.config)
-        elif args.command == "oracle":
-            cfg = ExperimentConfig(
-                experiment=f"oracle-{args.kind}",
-                numerics={"slowness": args.slowness, "n_samples": args.samples},
-                output_dir=args.out,
-                emit_svg=args.emit_svg,
-            )
         else:
-            cfg = ExperimentConfig(
-                experiment=args.command,
-                sweep=dict(_FIG_SWEEP, count=args.points),
-                numerics={"n_samples": DEFAULT_SAMPLES},
-                output_dir=args.out,
-                emit_svg=args.emit_svg,
-            )
+            if args.command == "oracle":
+                raw = {"experiment": f"oracle-{args.kind}",
+                       "numerics": {"slowness": args.slowness, "n_samples": args.samples}}
+            else:
+                raw = {"experiment": args.command, "sweep": dict(_FIG_SWEEP, count=args.points),
+                       "numerics": {"n_samples": DEFAULT_SAMPLES}}
+            raw["output"] = {"directory": args.out, "emit_svg": args.emit_svg}
+            cfg = ExperimentConfig.from_dict(raw)
         return execute(cfg)
     except ConfigInvalid as exc:
         print(json.dumps({"error": "ConfigInvalid", "detail": str(exc)}), file=sys.stderr)

@@ -1,11 +1,12 @@
-"""Independent time-domain validators: adiabatic Schrodinger propagation with
-geometric-phase extraction, and integration of the driven classical
-oscillator with angle-shift extraction.
+"""Independent time-domain validators: adiabatic Schrodinger propagation,
+which returns its geometric phase, and integration of the driven classical
+oscillator, which returns its Hannay angle.
 
 Both propagators apply the classical fourth-order Runge-Kutta method with a
 fixed step to a time-dilated traversal of the loop; parameter values between
-samples come from the loop's own band-limited interpolant
-(``LoopSpec.upsampled``), the one every quadrature differentiates.
+samples come from the loop's own band-limited interpolant, the one every
+quadrature differentiates (``LoopSpec.upsampled``, grouped by offset for the
+classical oscillator).
 Determinism of step placement makes convergence studies reproducible.
 
 Both equations are linear in the state, y' = A(t) y, so each step is one
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonAdiabatic, NonFinite, OverlapTooSmall, TooManySteps, require_gap
+from .errors import NonAdiabatic, NonFinite, TooManySteps, require_gap
 from .manifold import LoopSpec, _frequency_sq, _trapezoid
 from .quantum_geometry import (
     EigenFrame,
@@ -62,12 +63,10 @@ _MAX_STEPS = 2**22
 class QuantumPropagation:
     """Result of one adiabatic Schrodinger run around a loop."""
 
-    psi_initial: np.ndarray
+    geometric_phase: float
     psi_final: np.ndarray
     dynamical_phase: float
     norm_drift: float
-    slowness: float
-    level: int
     phase_track: np.ndarray
     final_fidelity: float
     frame: EigenFrame
@@ -77,13 +76,12 @@ class QuantumPropagation:
 class ClassicalTrajectory:
     """Result of one driven-oscillator run around a loop."""
 
-    times: np.ndarray
+    hannay_angle: float
     q: np.ndarray
     p: np.ndarray
     action_trace: np.ndarray
     angle_trace: np.ndarray
     dynamical_angle: float
-    slowness: float
 
     @property
     def action_drift(self) -> float:
@@ -217,9 +215,11 @@ def propagate_quantum(
     per-step gap check, whose error names the loop sample, and the dynamical
     phase: the trapezoid of the tracked level's energy over the full step grid.
     ``phase_track`` holds, at every loop sample, the state's phase relative
-    to the reference eigenvector plus the dynamical phase accumulated so far;
-    its unwrapped increments survive many windings and feed
-    ``extract_geometric_phase``.
+    to the reference eigenvector plus the dynamical phase accumulated so far.
+    ``geometric_phase`` is the total phase minus the dynamical phase: the
+    track's start plus the sum of its wrapped increments, which are small in
+    the adiabatic regime, so it keeps windings that a single final overlap
+    would fold back into (-pi, pi].
     """
     if not 0 <= k < family.dim:
         raise IndexError(f"level {k} out of range")
@@ -241,8 +241,7 @@ def propagate_quantum(
     def generators(lo: int, hi: int) -> np.ndarray:  # dpsi/dtau = gen psi
         return np.ascontiguousarray(by_sample[:, lo:hi].transpose(2, 3, 1, 0)) * -1j
 
-    psi_initial = refs[0].astype(complex)
-    states = _rk4_states(generators, psi_initial, h, steps_per_sample, m)
+    states = _rk4_states(generators, refs[0].astype(complex), h, steps_per_sample, m)
     norms = np.linalg.norm(states, axis=0)
     norm_drift = float(np.sum(np.abs(norms[1:] / norms[:-1] - 1.0)))
     psi = states[:, -1] / norms[-1]
@@ -259,32 +258,14 @@ def propagate_quantum(
             f"increase the slowness"
         )
     return QuantumPropagation(
-        psi_initial=psi_initial,
+        geometric_phase=float(track[0]) + float(np.sum(_wrap_angle(np.diff(track)))),
         psi_final=psi,
         dynamical_phase=float(dyn[-1]),
         norm_drift=norm_drift,
-        slowness=slowness,
-        level=k,
         phase_track=track,
         final_fidelity=fidelity,
         frame=frame,
     )
-
-
-def extract_geometric_phase(prop: QuantumPropagation, initial_state: np.ndarray) -> float:
-    """Total phase minus dynamical phase, unwound across multiples of 2*pi.
-
-    The per-sample increments of the propagation's phase track are small in
-    the adiabatic regime, so summing their wrapped values preserves windings
-    that a single final overlap would fold back into (-pi, pi].
-    """
-    initial_state = np.asarray(initial_state, dtype=complex)
-    overlap = abs(np.vdot(initial_state, prop.psi_final))
-    if overlap <= 0.9:
-        raise OverlapTooSmall(f"|<initial|final>| = {overlap:.4f} is at or below 0.9")
-    base = float(np.angle(np.vdot(initial_state, prop.psi_initial)))
-    increments = _wrap_angle(np.diff(prop.phase_track))
-    return base + float(prop.phase_track[0]) + float(np.sum(increments))
 
 
 def action_angle_to_qp(triple: np.ndarray, j_action: float, phi: float) -> tuple[float, float]:
@@ -314,7 +295,8 @@ def propagate_classical(
     The action and angle traces come from inverting the elliptic
     action-angle transform at the frozen instantaneous parameters after every
     step; the angle trace is unwound continuously.  The dynamical angle is
-    the trapezoid of the instantaneous frequency over the run.
+    the trapezoid of the instantaneous frequency over the run, and
+    ``hannay_angle`` the angle's advance beyond it over the one traversal.
     """
     if x2_loop.dim != 3:
         raise ValueError("expected a loop of oscillator triples (X, Y, Z)")
@@ -347,19 +329,14 @@ def propagate_classical(
     actions = omega * (q * q + v * v) / (2.0 * z_at)
     raw = np.arctan2(v, q)
     angles = np.cumsum(np.concatenate(([raw[0]], _wrap_angle(np.diff(raw)))))
+    dyn = _trapezoid(omega, slowness * x2_loop.period)
 
     return ClassicalTrajectory(
-        np.arange(n_steps + 1) * h,  # the times
+        hannay_angle=float(angles[-1] - angles[0] - dyn),
         q=q,
         p=p,
         action_trace=actions,
         angle_trace=angles,
-        dynamical_angle=_trapezoid(omega, slowness * x2_loop.period),
-        slowness=slowness,
+        dynamical_angle=dyn,
     )
 
-
-def extract_hannay_angle(traj: ClassicalTrajectory) -> float:
-    """Angle advance beyond the dynamical integral of the instantaneous
-    frequency over exactly one loop traversal."""
-    return float(traj.angle_trace[-1] - traj.angle_trace[0] - traj.dynamical_angle)

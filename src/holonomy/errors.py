@@ -92,8 +92,8 @@ class NonAdiabatic(HolonomyError):
 
 
 class OverlapTooSmall(_AtSample):
-    """An overlap too small for a meaningful phase: a propagated state's
-    initial/final overlap, or a vanishing link of a discrete Wilson loop."""
+    """A vanishing link of a discrete Wilson loop, too small for a meaningful
+    phase."""
 
 
 class ResidualTooLarge(_AtSample):

@@ -71,7 +71,7 @@ class HybridPhaseReport:
     """Phases of the standard coupled-oscillator hybrid, decomposed into
     uncoupled parts and coupling corrections."""
 
-    gamma: dict[int, float]
+    gamma: float
     delta_phi: float
     gamma_0_part: float
     gamma_I_part: float
@@ -282,7 +282,6 @@ def standard_loop_report(
     eps, d = p.epsilon, p.d_ratio
     one_minus = 1.0 - eps**2
     root = math.sqrt(one_minus)
-    errs = [0.0]
 
     # the per-subsystem branch (k = 0) integrates the slow subsystem over its own period
     period = p.common_period if branch == BRANCH_COMMON else 2.0 * math.pi / p.omega2
@@ -291,32 +290,23 @@ def standard_loop_report(
     gamma_0 = gamma_n0_closed_form(p, branch)
 
     # Coupling corrections share one integrand, evaluated on the range that
-    # carries both drives (the common period; they vanish identically at k=0).
-    # The effective-frequency core below feeds them and the uncoupled angle
-    # shift; without coupling it is the constant sqrt(1 - eps^2), and the
-    # fast drive's grid is never built.
-    if p.k == 0.0:
-        gamma_i = 0.0
-        delta_phi_i = 0.0
-        f2 = 1.0 - eps * c2
-        core = np.full_like(c2, root)
-        core_dot = np.zeros_like(c2)
-        margin = one_minus
-    else:
-        c1, s1 = _drive_grid(p.omega1, period, n_samples)
-        core_sq, f1, f2 = _effective_core_sq(p, c1, c2)
-        margin = float(np.min(core_sq))
-        core = np.sqrt(core_sq)
-        drive = eps - c1
-        omega_eff = p.a2 * core
-        base = d**2 * p.a2**2 * eps * p.omega1 * f2 * drive / (p.a1 * one_minus * omega_eff)
-        res_dphi = periodic_integral(-base, period)
-        res_gamma = periodic_integral((p.j_action / p.hbar) * base, period)
-        delta_phi_i = res_dphi.value
-        gamma_i = res_gamma.value
-        errs.extend([res_dphi.error_estimate, res_gamma.error_estimate])
-        prod_dot = eps * p.omega1 * s1 * f2 + f1 * eps * p.omega2 * s2
-        core_dot = -(d**2) * prod_dot / core
+    # carries both drives (the common period; they vanish identically at k=0,
+    # where d = 0).  The effective-frequency core below feeds them and the
+    # uncoupled angle shift.
+    c1, s1 = _drive_grid(p.omega1, period, n_samples)
+    core_sq, f1, f2 = _effective_core_sq(p, c1, c2)
+    margin = float(np.min(core_sq))
+    core = np.sqrt(core_sq)
+    drive = eps - c1
+    omega_eff = p.a2 * core
+    base = d**2 * p.a2**2 * eps * p.omega1 * f2 * drive / (p.a1 * one_minus * omega_eff)
+    res_dphi = periodic_integral(-base, period)
+    res_gamma = periodic_integral((p.j_action / p.hbar) * base, period)
+    delta_phi_i = res_dphi.value
+    gamma_i = res_gamma.value
+    errs = [0.0, res_dphi.error_estimate, res_gamma.error_estimate]
+    prod_dot = eps * p.omega1 * s1 * f2 + f1 * eps * p.omega2 * s2
+    core_dot = -(d**2) * prod_dot / core
 
     # Uncoupled angle shift, with the effective frequency kept inside.
     integrand0 = -(eps**2) * p.omega2 * s2**2 / (2.0 * core * f2) + eps * s2 * core_dot / (
@@ -333,7 +323,7 @@ def standard_loop_report(
     delta_phi_i_approx = -(eps**2) * p.a2 * d**2 * t_omega1 / (p.a1 * one_minus * root)
 
     return HybridPhaseReport(
-        gamma={p.n_level: gamma_0 + gamma_i},
+        gamma=gamma_0 + gamma_i,
         delta_phi=delta_phi_0 + delta_phi_i,
         gamma_0_part=gamma_0,
         gamma_I_part=gamma_i,

@@ -167,7 +167,9 @@ def _require_grid(period: float, n_samples: int) -> None:
 
 
 _DRIVE_GRIDS: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
-_DRIVE_GRIDS_MAX = 4  # a sweep from k = 0 reads three: a coupled row's two, a k = 0 row's one
+# A sweep from k = 0 reads at most four: a coupled row's two over the common
+# period, and a k = 0 row's two over the slow subsystem's own period.
+_DRIVE_GRIDS_MAX = 4
 
 
 def _drive_grid(omega: float, period: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:

@@ -212,7 +212,7 @@ def test_criterion_11_quantum_oracle():
         t0 = time.perf_counter()
         sps = H.recommended_steps_per_sample(loop, 1000.0)
         prop = H.propagate_quantum(FAMILY, loop, 0, 1000.0, sps)
-        gamma_n = H.extract_geometric_phase(prop, prop.psi_initial)
+        gamma_n = prop.geometric_phase
         elapsed = time.perf_counter() - t0
         results.append((name, abs(gamma_n - gamma_w), elapsed))
     # convergence study on the cone loop over three slowness doublings
@@ -224,7 +224,7 @@ def test_criterion_11_quantum_oracle():
     for s in slownesses:
         sps = H.recommended_steps_per_sample(loop, s)
         prop = H.propagate_quantum(FAMILY, loop, 0, s, sps)
-        errs.append(abs(H.extract_geometric_phase(prop, prop.psi_initial) - gamma_w))
+        errs.append(abs(prop.geometric_phase - gamma_w))
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     fitted_c = float(np.median([e * s for e, s in zip(errs, slownesses)]))
     accurate = all(err <= 0.01 for _, err, _ in results)
@@ -246,7 +246,7 @@ def test_criterion_12_classical_oracle():
         qp0 = H.action_angle_to_qp(loop.points[0], 1.0, 0.3)
         sps = H.recommended_steps_per_sample(loop, 1000.0)
         traj = H.propagate_classical(loop, qp0, 1000.0, sps)
-        dphi = H.extract_hannay_angle(traj)
+        dphi = traj.hannay_angle
         rel = abs(dphi - rep.delta_phi_0_part) / abs(rep.delta_phi_0_part)
         ok = ok and rel <= 0.02 and traj.action_drift <= 0.005
         details.append(f"eps={eps:.3f}: rel={rel:.4f}, drift={traj.action_drift:.2e}")

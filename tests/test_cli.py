@@ -265,6 +265,17 @@ def test_invalid_output_exits_2_and_writes_nothing(output, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("argv", [["fig1"], ["fig2"], ["oracle", "quantum"], ["oracle", "classical"]],
+                         ids=" ".join)
+def test_subcommand_empty_out_exits_2_and_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    # the subcommands' configurations go through the same checks as ``run``'s
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", ""]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigInvalid"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "experiment", ["spin-berry", "gho-uncoupled", "hybrid-spin-osc", "oracle-quantum",
                    "oracle-classical"],

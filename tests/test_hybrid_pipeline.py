@@ -291,7 +291,7 @@ class TestStandardLoopReport:
         p0 = std_params(eps=0.5, k=0.0)
         _, k_max = elliptic_bound(p0)
         rep = standard_loop_report(std_params(eps=0.5, k=0.5 * k_max))
-        assert rep.gamma[0] == rep.gamma_0_part + rep.gamma_I_part
+        assert rep.gamma == rep.gamma_0_part + rep.gamma_I_part
         assert rep.delta_phi == rep.delta_phi_0_part + rep.delta_phi_I_part
         assert rep.elliptic_margin > 0
 
@@ -336,7 +336,7 @@ class TestStandardLoopReport:
         p = std_params(eps=EPS_PAPER, k=0.5 * k_max, j_action=1.0)
         rep = standard_loop_report(p)
         ph = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p)))
-        assert abs(ph.gammas[0] / rep.gamma[0] - 1.0) < 1e-9
+        assert abs(ph.gammas[0] / rep.gamma - 1.0) < 1e-9
         assert abs(ph.delta_phi / rep.delta_phi - 1.0) < 1e-9
 
     def test_subsystem_branch_requires_zero_coupling(self):
