@@ -457,10 +457,11 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
     row runs; a ``HolonomyError`` or ``ValueError`` raised while they are
     built is ``ConfigInvalid``.  A row's ``HolonomyError`` goes into its
     ``error`` column; the row keeps its coordinates.  Points and rows run with
-    numpy's overflow, invalid and divide conditions raised; leaving
-    floating-point range there (or in a Python float ``**``, whose
-    ``OverflowError`` numpy would have returned as inf) is ``ConfigInvalid``
-    for the points, ``NonFinite`` for a row.
+    numpy's overflow, invalid and divide conditions raised; any
+    ``ArithmeticError`` there (numpy's conditions, a Python float ``**``
+    that overflows, a Python division by zero) means a value left
+    floating-point range: ``ConfigInvalid`` for the points, ``NonFinite``
+    for a row.
     """
     points, axis, columns = _EXPERIMENTS[cfg.experiment]
     if cfg.sweep is not None and cfg.sweep.get("parameter") != axis:
@@ -475,7 +476,7 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
             raise
         except (HolonomyError, ValueError) as exc:
             raise ConfigInvalid(str(exc)) from exc
-        except (FloatingPointError, OverflowError) as exc:
+        except ArithmeticError as exc:
             raise ConfigInvalid(f"configuration leaves floating-point range: {exc}") from exc
         for coords, compute in sweep_points:
             row = dict(coords, error="")
@@ -483,7 +484,7 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
                 row.update(compute())
             except HolonomyError as exc:
                 row["error"] = type(exc).__name__
-            except (FloatingPointError, OverflowError):
+            except ArithmeticError:
                 row["error"] = NonFinite.__name__
             rows.append(row)
     return [*columns, "error"], rows

@@ -229,7 +229,7 @@ def propagate_quantum(
     h = slowness * loop.period / n_steps
 
     fine = loop.upsampled(2 * steps_per_sample)  # 2 points per step
-    gen = family.matrices(fine)
+    gen = family.matrices(fine, stride=2 * steps_per_sample)
     energies_fine = _eigh(gen[::2], vectors=False)  # one per full step
     require_gap(energies_fine, stride=steps_per_sample)
 

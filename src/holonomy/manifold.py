@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,8 +51,6 @@ class LoopSpec:
         if points.ndim != 2:
             raise ValueError(f"points must be a 2-D array, got shape {points.shape}")
         _require_grid(self.period, points.shape[0] - 1)
-        if not math.isfinite(self.period):
-            raise ValueError(f"period must be positive and finite, got {self.period}")
         x0, x1 = points[0], points[-1]
         scale = max(1.0, float(np.max(np.abs(x0))), float(np.max(np.abs(x1))))
         if not np.all(np.abs(x1 - x0) <= _CLOSURE_RTOL * scale):
@@ -155,46 +153,40 @@ class QuadratureResult:
 
 def _require_grid(period: float, n_samples: int) -> None:
     """The checks a uniform grid on ``[0, period]`` needs before any arithmetic
-    on its inputs: an integer ``n_samples`` of at least 16 and ``period > 0``
-    (NaN fails).  ``+inf`` passes, so an overflowed period fails in the grid's
-    own arithmetic under the caller's errstate; ``LoopSpec`` rejects it."""
+    on its inputs: an integer ``n_samples`` of at least 16 and a finite
+    ``period > 0`` (NaN and +inf fail)."""
     if not isinstance(n_samples, numbers.Integral):
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if not n_samples >= _MIN_SEGMENTS:
         raise TooFewSamples(f"need at least {_MIN_SEGMENTS} segments, got {n_samples}")
-    if not period > 0:
-        raise ValueError(f"period must be positive, got {period}")
+    if not 0 < period < math.inf:
+        raise ValueError(f"period must be positive and finite, got {period}")
 
 
-_DRIVE_GRIDS: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
-# A sweep from k = 0 reads at most four: a coupled row's two over the common
-# period, and a k = 0 row's two over the slow subsystem's own period.
-_DRIVE_GRIDS_MAX = 4
-
-
+# A sweep from k = 0 reads at most four grids: a coupled row's two over the
+# common period, and a k = 0 row's two over the slow subsystem's own period.
+@lru_cache(maxsize=4, typed=True)
 def _drive_grid(omega: float, period: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (cos(omega t), sin(omega t)) on ``np.linspace(0, period,
-    n_samples + 1)``, the one sampling of every periodic drive, memoised
+    n_samples + 1)``, the one sampling of every periodic drive, cached
     because a sweep repeats it every row.
 
-    Only an all-finite grid is stored.  Any overflow, invalid or divide
-    condition here leaves a NaN or inf in the grid, so a grid that is not
-    stored is recomputed on every call under the caller's errstate, and
-    raises, warns or returns NaN exactly as it would without the memo.
+    An infinite ``omega`` or ``period``, or a non-finite ``omega * period``,
+    raises ``NonFinite``, so every grid is finite and a cached grid equals a
+    fresh one under any errstate.  The infinity check runs before
+    ``_require_grid``: a frequency that overflowed to inf has the period
+    2 pi / inf = 0, which is then ``NonFinite``, not a bad period.  Keys are
+    typed, so a float ``n_samples`` never hits an int entry past the guard.
     """
+    if math.isinf(omega) or math.isinf(period):
+        raise NonFinite(f"drive frequency {omega} or period {period} is infinite")
     _require_grid(period, n_samples)
-    key = (omega, period, n_samples)
-    grid = _DRIVE_GRIDS.get(key)
-    if grid is not None:
-        return grid
+    if not math.isfinite(omega * period):
+        raise NonFinite(f"drive phase omega * period = {omega * period} is not finite")
     wt = omega * np.linspace(0.0, period, n_samples + 1)
     grid = (np.cos(wt), np.sin(wt))
     for a in grid:
         a.flags.writeable = False
-    if all(np.isfinite(a).all() for a in grid):
-        if len(_DRIVE_GRIDS) >= _DRIVE_GRIDS_MAX:
-            del _DRIVE_GRIDS[next(iter(_DRIVE_GRIDS))]
-        _DRIVE_GRIDS[key] = grid
     return grid
 
 

@@ -63,7 +63,8 @@ class HamiltonianFamily:
     must be finite and Hermitian within 1e-10.  A non-finite matrix raises
     ``NonFinite`` with its sample index in place of the floating-point
     warning that produced it, so evaluation runs with numpy's floating-point
-    warnings off.
+    warnings off; with ``stride``, point j belongs to loop sample j // stride,
+    as in ``require_gap``.
     """
 
     dim: int
@@ -72,7 +73,7 @@ class HamiltonianFamily:
     def matrix(self, x: np.ndarray) -> np.ndarray:
         return self.matrices(np.asarray(x, dtype=float)[None])[0]
 
-    def matrices(self, points: np.ndarray) -> np.ndarray:
+    def matrices(self, points: np.ndarray, stride: int = 1) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         shape = (pts.shape[0], self.dim, self.dim)
         with np.errstate(all="ignore"):
@@ -81,7 +82,7 @@ class HamiltonianFamily:
             raise ValueError(f"family returned shape {out.shape}, expected {shape}")
         finite = np.isfinite(out)
         if not finite.all():
-            j = int(np.argmin(finite.all(axis=(1, 2))))
+            j = int(np.argmin(finite.all(axis=(1, 2)))) // stride
             raise NonFinite(f"family matrix at sample {j} is not finite", sample=j)
         dev = _hermitian_deviation(out)
         if dev > _HERMITICITY_TOL:

@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonomy import StandardLoopParams, elliptic_bound, manifold, quantum_geometry
 from holonomy.cli import ExperimentConfig, execute, main
@@ -398,13 +404,23 @@ OUT_OF_RANGE_CONFIGS = {
     "hybrid-gho j_action": {"experiment": "hybrid-gho", "params": {"j_action": 1e308, "k": 0.1}},
     "fig1 a1_over_a2": {"experiment": "fig1", "params": {"a1_over_a2": 1e-300}},
     "fig1 a1": {"experiment": "fig1", "params": {"a1": 1e300}},
-    # 2 pi / base_rate overflows to a period of +inf, which the grid guard lets
-    # through: the row's own grid arithmetic fails, so the row is NonFinite
+    # 2 pi / base_rate overflows to a period of +inf: the drive grid is NonFinite
     "hybrid-gho base_rate": {"experiment": "hybrid-gho", "params": {"base_rate": 1e-320}},
     "full-quantum base_rate": {"experiment": "full-quantum", "params": {"base_rate": 1e-320}},
     "gho-uncoupled base_rate": {"experiment": "gho-uncoupled", "params": {"base_rate": 1e-320}},
     "oracle-classical base_rate": {"experiment": "oracle-classical",
                                    "params": {"base_rate": 1e-320}},
+    # omega2 = 2 base_rate overflows to inf, so the slow subsystem's own period
+    # 2 pi / omega2 is 0.0: the drive grid is NonFinite, not a bad period
+    "hybrid-gho base_rate 1e308": {"experiment": "hybrid-gho",
+                                   "params": {"base_rate": 1e308, "n1": 1, "n2": 2}},
+    "oracle-classical base_rate 1e308": {"experiment": "oracle-classical",
+                                         "params": {"base_rate": 1e308, "n1": 1, "n2": 2}},
+    # the root in d_ratio's denominator underflows to 0: a Python ZeroDivisionError
+    "gho-uncoupled a1 mu2": {"experiment": "gho-uncoupled",
+                             "params": {"a1": 7.9e-266, "mu2": 1.5e-144}},
+    "hybrid-gho a1 a2": {"experiment": "hybrid-gho", "params": {"a1": 1e-200, "a2": 1e-200}},
+    "fig1 a1 6.3e-244": {"experiment": "fig1", "params": {"a1": 6.3e-244}},
     # the characteristic rate scale * sqrt(slowness) of the step recommendation overflows
     "oracle-quantum mu": {"experiment": "oracle-quantum", "params": {"mu": 1e307}},
     "oracle-classical a2": {"experiment": "oracle-classical", "params": {"a2": 1e307}},
@@ -429,6 +445,71 @@ def test_out_of_range_values_are_typed(cfg, tmp_path, capsys):
         assert code == 0 and lines == []
         rows = read_csv(tmp_path / "out" / f"{cfg['experiment']}.csv")
         assert rows and all(row["error"] == "NonFinite" for row in rows)
+
+
+_STANDARD_KEYS = ("a1", "a2", "mu1", "mu2", "base_rate", "epsilon", "k", "j_action", "hbar")
+# each experiment's numeric params; the list-valued ones get a one-element list
+FUZZED_PARAMS = {
+    "spin-berry": ("mu", "b_magnitude", "thetas"),
+    "gho-uncoupled": (*_STANDARD_KEYS, "epsilons"),
+    "hybrid-spin-osc": ("a", "m", "epsilon", "omega", "mu", "b_magnitude", "i_plus", "i_minus",
+                        "j_action", "lambdas"),
+    "hybrid-gho": _STANDARD_KEYS,
+    "full-quantum": _STANDARD_KEYS,
+    "oracle-quantum": ("mu", "thetas"),
+    "oracle-classical": (*_STANDARD_KEYS, "j0", "phi0", "epsilons"),
+    "fig1": (*_STANDARD_KEYS, "a1_over_a2", "j_over_hbar"),
+    "fig2": (*_STANDARD_KEYS, "a1_over_a2", "j_over_hbar"),
+}
+_LIST_PARAMS = {"thetas", "epsilons", "lambdas"}
+_TEXT_COLUMNS = {"ratio", "branch", "error"}
+# finite, of either sign, with magnitude from 1e-300 to 1e300
+_MAGNITUDES = st.builds(lambda sign, u: sign * 10.0 ** (600.0 * u - 300.0),
+                        st.sampled_from([-1.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def one_row_configs(draw):
+    """A one-row config (two rows for fig, whose sweep needs two points) with
+    one or two of its experiment's numeric params drawn from ``_MAGNITUDES``."""
+    experiment = draw(st.sampled_from(sorted(FUZZED_PARAMS)))
+    keys = draw(st.permutations(FUZZED_PARAMS[experiment]))[:draw(st.integers(1, 2))]
+    params = {}
+    for key in keys:
+        value = draw(_MAGNITUDES)
+        params[key] = [value] if key in _LIST_PARAMS else value
+    cfg = {"experiment": experiment, "params": params,
+           "numerics": {"n_samples": 32, "slowness": 20.0}}
+    if experiment.startswith("fig"):
+        params["ratios"] = [[1, 1]]
+        cfg["sweep"] = {"parameter": "k_fraction_of_max", "start": 0.1, "stop": 0.5, "count": 2}
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)  # ~1.3 s, 2-core x86-64
+@given(one_row_configs())
+def test_fuzzed_configs_exit_typed_with_finite_cells(cfg):
+    """Any finite value of any numeric param either fails the config check
+    (exit 2, one JSON ``ConfigInvalid`` line) or gives rows whose every cell
+    is finite or empty (exit 0, nothing on stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(dict(cfg, output={"directory": str(out)})))
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(["run", str(path)])
+        lines = stderr.getvalue().splitlines()
+        if code == 2:
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigInvalid"
+            assert not out.exists()
+            return
+        assert code == 0 and lines == []
+        for row in read_csv(out / f"{cfg['experiment']}.csv"):
+            for col, cell in row.items():
+                assert col in _TEXT_COLUMNS or cell == "" or math.isfinite(float(cell)), (col, row)
 
 
 # Step recommendations past the oracles' step cap: each row fails typed, before
@@ -516,10 +597,10 @@ SWEPT_CONFIGS = {
 
 @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
 @pytest.mark.parametrize("cfg", SWEPT_CONFIGS.values(), ids=SWEPT_CONFIGS)
-def test_swept_rows_equal_one_point_runs(cfg, cold, tmp_path, monkeypatch):
+def test_swept_rows_equal_one_point_runs(cfg, cold, tmp_path):
     """Each row of a sweep, error column included, is bit for bit the row of
     a one-point run of its K made afterwards in the same process, with the
-    drive-grid memo as the previous run left it (warm) or emptied (cold):
+    drive-grid cache as the previous run left it (warm) or emptied (cold):
     work built once per sweep leaks nothing between rows or sweeps."""
     cfg = dict(cfg, numerics={"n_samples": 64})
     swept = run_rows(cfg, tmp_path / "swept")
@@ -536,7 +617,7 @@ def test_swept_rows_equal_one_point_runs(cfg, cold, tmp_path, monkeypatch):
         if "ratio" in row:
             one["n1"], one["n2"] = map(int, row["ratio"].split("/"))
         if cold:
-            monkeypatch.setattr(manifold, "_DRIVE_GRIDS", {})
+            manifold._drive_grid.cache_clear()
         [single] = run_rows(dict(cfg, experiment=experiment, params=one, sweep=None),
                             tmp_path / f"single-{i}")
         assert {col: single[col] for col in row} == row

@@ -272,6 +272,24 @@ class TestPropagateQuantum:
             propagate_quantum(FAMILY, loop, 0, 10.0, steps_per_sample=4)
         assert info.value.sample == 8
 
+    def test_non_finite_error_reports_loop_sample(self):
+        # NaN only at fine point 43 = 5 * 8 + 3 of 32 samples at 4 steps
+        # (8 fine points) per sample: between loop samples 5 and 6
+        m, sps = 32, 4
+        t_nan = (5 + 3 / (2 * sps)) / m
+
+        def nan_between_samples(pts):
+            t = np.arctan2(pts[:, 1], pts[:, 0]) / (2 * np.pi) % 1.0
+            out = np.zeros((len(pts), 2, 2))
+            out[:, 1, 1] = 1.0
+            out[np.abs(t - t_nan) < 1e-9, 1, 1] = np.nan
+            return out
+
+        family = HamiltonianFamily(dim=2, eval=nan_between_samples)
+        with pytest.raises(NonFinite) as info:
+            propagate_quantum(family, circle_loop(n_samples=m), 0, 10.0, sps)
+        assert info.value.sample == 5
+
 
 class TestPropagateClassical:
     def test_frozen_parameters(self):

@@ -13,6 +13,7 @@ from holonomy import (
     LinearOneForm,
     LoopSpec,
     ModeCollapse,
+    NonFinite,
     SpinOscillatorHybrid,
     StandardLoopParams,
     TooFewSamples,
@@ -345,17 +346,17 @@ class TestStandardLoopReport:
 
 
 class TestDriveGridMemo:
-    """The loop builders and ``standard_loop_report`` read drive grids from a
-    memo that keeps only finite, read-only grids, so a memoised grid is
-    indistinguishable from a fresh one."""
+    """The loop builders and ``standard_loop_report`` read drive grids from an
+    ``lru_cache`` whose grids are all finite and read-only, so a cached grid
+    is indistinguishable from a fresh one."""
 
     def test_grids_are_read_only(self):
         for a in manifold._drive_grid(2.0, 2 * math.pi, 64):
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
-    def test_hit_equals_a_fresh_computation(self, monkeypatch):
-        monkeypatch.setattr(manifold, "_DRIVE_GRIDS", {})
+    def test_hit_equals_a_fresh_computation(self):
+        manifold._drive_grid.cache_clear()
         first = manifold._drive_grid(3.0, 2 * math.pi, 128)
         hit = manifold._drive_grid(3.0, 2 * math.pi, 128)
         assert hit is first
@@ -363,27 +364,30 @@ class TestDriveGridMemo:
         assert hit[0].tobytes() == np.cos(wt).tobytes()
         assert hit[1].tobytes() == np.sin(wt).tobytes()
 
-    def test_report_on_a_hit_equals_a_report_on_a_miss(self, monkeypatch):
+    def test_report_on_a_hit_equals_a_report_on_a_miss(self):
         p = std_params(eps=0.5, k=0.1, n1=2, n2=1)
-        monkeypatch.setattr(manifold, "_DRIVE_GRIDS", {})
+        manifold._drive_grid.cache_clear()
         miss = standard_loop_report(p, 256)
-        assert len(manifold._DRIVE_GRIDS) == 2
+        assert manifold._drive_grid.cache_info().currsize == 2
         assert standard_loop_report(p, 256) == miss
 
     def test_memo_is_bounded(self):
-        for n in range(1, 3 * manifold._DRIVE_GRIDS_MAX):
+        maxsize = manifold._drive_grid.cache_info().maxsize
+        for n in range(1, 3 * maxsize):
             manifold._drive_grid(float(n), 2 * math.pi, 32)
-        assert len(manifold._DRIVE_GRIDS) == manifold._DRIVE_GRIDS_MAX
+        assert manifold._drive_grid.cache_info().currsize == maxsize
 
     def test_grid_left_non_finite_outside_the_errstate_is_not_memoised(self, tmp_path):
-        # omega1 = 2 base_rate overflows to inf, so its grid is NaN.  Computed
-        # here with floating-point conditions ignored, a memoised NaN grid would
-        # make the CLI row below report EllipticViolation instead of NonFinite.
+        # omega1 = 2 base_rate overflows to inf, so its grid would be NaN: the
+        # grid raises NonFinite itself, under any errstate, and is not cached.
         params = {"base_rate": 1e308, "n1": 2, "n2": 1, "k": 1e-3}
         p = StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, epsilon=EPS_PAPER, **params)
-        with np.errstate(all="ignore"), pytest.raises(EllipticViolation):
+        manifold._drive_grid.cache_clear()
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
             standard_loop_report(p, 64)
-        assert (p.omega1, p.common_period, 64) not in manifold._DRIVE_GRIDS
+        assert manifold._drive_grid.cache_info().currsize == 1  # omega2's finite grid
+        with pytest.raises(NonFinite):
+            manifold._drive_grid(p.omega1, p.common_period, 64)
         cfg = ExperimentConfig.from_dict({
             "experiment": "hybrid-gho", "params": params, "numerics": {"n_samples": 64},
             "output": {"directory": str(tmp_path)},
@@ -391,6 +395,11 @@ class TestDriveGridMemo:
         assert execute(cfg) == 0
         [row] = csv.DictReader((tmp_path / "hybrid-gho.csv").read_text().splitlines())
         assert row["error"] == "NonFinite"
+
+    def test_float_sample_count_is_checked_on_a_cached_grid(self):
+        manifold._drive_grid(2.0, 2 * math.pi, 64)
+        with pytest.raises(ValueError, match="n_samples"):
+            manifold._drive_grid(2.0, 2 * math.pi, 64.0)
 
 
 class TestEllipticBound:

@@ -47,8 +47,8 @@ def test_snapshot_covers_the_coupling_sweeps():
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
-def test_experiment_matches_snapshot(config, tmp_path, monkeypatch):
-    monkeypatch.setattr(manifold, "_DRIVE_GRIDS", {})  # as in a fresh process
+def test_experiment_matches_snapshot(config, tmp_path):
+    manifold._drive_grid.cache_clear()  # as in a fresh process
     raw = dict(json.loads(config.read_text()), output={"directory": str(tmp_path)})
     assert execute(ExperimentConfig.from_dict(raw)) == 0
     header, rows = read_table((tmp_path / f"{raw['experiment']}.csv").read_text())
