@@ -137,6 +137,10 @@ class ExperimentConfig:
         for key, section in (*sections.items(), ("sweep", {} if sweep is None else sweep)):
             if not isinstance(section, dict):
                 raise ConfigInvalid(f"{key} must be an object, got {section!r}")
+        for key, name, instead in (("params", "hbar", "each action as J/hbar"),
+                                   ("numerics", "steps_per_sample", "slowness and n_samples")):
+            if name in sections[key]:
+                raise ConfigInvalid(f"{key}.{name} is not a setting; give {instead}")
         directory = sections["output"].get("directory", "out")
         if not (isinstance(directory, str) and directory):
             raise ConfigInvalid(f"output directory must be a non-empty string, got {directory!r}")
@@ -167,12 +171,6 @@ class ExperimentConfig:
     def slowness(self) -> float:
         return _number(self.numerics, "slowness", 1000.0, positive=True)
 
-    def steps_per_sample(self) -> int | None:
-        """RK4 steps per loop sample, or None to let each row recommend its own."""
-        if "steps_per_sample" not in self.numerics:
-            return None
-        return _number(self.numerics, "steps_per_sample", None, int, positive=True)
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "experiment": self.experiment,
@@ -196,7 +194,6 @@ def _standard_params(params: dict[str, Any], **overrides: Any) -> StandardLoopPa
         "epsilon": math.sqrt(3.0) / 2.0,
         "k": 0.0,
         "j_action": 1.0,
-        "hbar": 1.0,
         "n_level": 0,
     }
     merged = {**defaults, **params, **overrides}
@@ -358,7 +355,7 @@ def _full_quantum_points(cfg: ExperimentConfig) -> list[Point]:
         )
 
     ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
-    j_action = (m_level + 0.5) * base.hbar
+    j_action = m_level + 0.5
     return [
         ({"K": k}, partial(row, _standard_params(cfg.params, k=k, j_action=j_action)))
         for k in ks
@@ -368,11 +365,11 @@ def _full_quantum_points(cfg: ExperimentConfig) -> list[Point]:
 def _oracle_quantum_points(cfg: ExperimentConfig) -> list[Point]:
     mu = _number(cfg.params, "mu", 1.0, positive=True)
     family = spin_hamiltonian_family(mu)
-    slowness, n_samples, sps = cfg.slowness(), cfg.n_samples(256), cfg.steps_per_sample()
+    slowness, n_samples = cfg.slowness(), cfg.n_samples(256)
 
     def row(theta: float) -> dict[str, Any]:
         loop = cone_loop(theta, n_samples=n_samples)
-        steps = sps or recommended_steps_per_sample(loop, slowness, rate_scale=mu)
+        steps = recommended_steps_per_sample(loop, slowness, rate_scale=mu)
         prop = propagate_quantum(family, loop, 0, slowness, steps)
         gamma_w, _ = berry_and_hannay(prop.frame, 0)
         return dict(
@@ -391,14 +388,14 @@ def _oracle_quantum_points(cfg: ExperimentConfig) -> list[Point]:
 
 
 def _oracle_classical_points(cfg: ExperimentConfig) -> list[Point]:
-    slowness, n_samples, sps = cfg.slowness(), cfg.n_samples(256), cfg.steps_per_sample()
+    slowness, n_samples = cfg.slowness(), cfg.n_samples(256)
     j0 = _number(cfg.params, "j0", 1.0, positive=True)
     phi0 = _number(cfg.params, "phi0", 0.3)
 
     def row(p: StandardLoopParams) -> dict[str, Any]:
         loop = subsystem_parameter_loop(p, 2, n_samples)
         report = standard_loop_report(p, max(DEFAULT_SAMPLES, n_samples))
-        steps = sps or recommended_steps_per_sample(loop, slowness, rate_scale=p.a2)
+        steps = recommended_steps_per_sample(loop, slowness, rate_scale=p.a2)
         qp0 = action_angle_to_qp(loop.points[0], j0, phi0)
         traj = propagate_classical(loop, qp0, slowness, steps)
         dphi_quad = report.delta_phi_0_part

@@ -270,7 +270,8 @@ def propagate_quantum(
 
 def action_angle_to_qp(triple: np.ndarray, j_action: float, phi: float) -> tuple[float, float]:
     """Oscillator coordinates for action ``j_action`` and angle ``phi`` at
-    frozen parameters (X, Y, Z)."""
+    frozen parameters (X, Y, Z).  Raises ``NonFinite`` when the amplitude
+    sqrt(2 Z J / omega) underflows to 0 or q or p overflows."""
     if not (math.isfinite(j_action) and j_action > 0):
         raise ValueError(f"j_action must be positive and finite, got {j_action}")
     if not math.isfinite(phi):
@@ -280,6 +281,8 @@ def action_angle_to_qp(triple: np.ndarray, j_action: float, phi: float) -> tuple
     amp = math.sqrt(2.0 * z * j_action / w)
     q = amp * math.cos(phi)
     p = -amp * ((y / z) * math.cos(phi) + (w / z) * math.sin(phi))
+    if not (amp > 0.0 and math.isfinite(q) and math.isfinite(p)):
+        raise NonFinite(f"amplitude {amp} gives (q, p) = ({q}, {p}) out of floating-point range")
     return q, p
 
 

@@ -213,7 +213,7 @@ def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec) -> LinearOneForm
     nl = p.n_level
     quantum_coeff = (
         (2 * nl + 1) * z1 / (4.0 * w)
-        + ksq * z1**2 * z2 * p.j_action / (2.0 * p.hbar * w_sq**2 * omega)
+        + ksq * z1**2 * z2 * p.j_action / (2.0 * w_sq**2 * omega)
     )[:, None] * grad_y1z1
     j_coeff = (ksq * z1**2 * z2 / (2.0 * w_sq**2 * omega))[:, None] * grad_y1z1 - (
         y2 / (2.0 * z2)
@@ -301,7 +301,7 @@ def standard_loop_report(
     omega_eff = p.a2 * core
     base = d**2 * p.a2**2 * eps * p.omega1 * f2 * drive / (p.a1 * one_minus * omega_eff)
     res_dphi = periodic_integral(-base, period)
-    res_gamma = periodic_integral((p.j_action / p.hbar) * base, period)
+    res_gamma = periodic_integral(p.j_action * base, period)
     delta_phi_i = res_dphi.value
     gamma_i = res_gamma.value
     errs = [0.0, res_dphi.error_estimate, res_gamma.error_estimate]
@@ -317,9 +317,7 @@ def standard_loop_report(
     errs.append(res0.error_estimate)
 
     t_omega1 = _fast_phase_span(p, branch)
-    gamma_i_approx = eps**2 * p.a2 * p.j_action * d**2 * t_omega1 / (
-        p.hbar * p.a1 * one_minus * root
-    )
+    gamma_i_approx = eps**2 * p.a2 * p.j_action * d**2 * t_omega1 / (p.a1 * one_minus * root)
     delta_phi_i_approx = -(eps**2) * p.a2 * d**2 * t_omega1 / (p.a1 * one_minus * root)
 
     return HybridPhaseReport(
@@ -392,8 +390,8 @@ def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int, n: int) -> tup
 
     Here ``n`` counts the fast oscillator's level and ``m`` the slow one's
     (unlike ``full_quantum_phase``, whose ``m`` counts the upper normal
-    mode).  The integrands are hbar-free; callers comparing against the
-    hybrid phases set J = (m + 1/2) hbar themselves.
+    mode).  Actions are in units of hbar, so callers comparing against the
+    hybrid phases set J = m + 1/2 themselves.
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")

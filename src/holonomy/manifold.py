@@ -266,6 +266,8 @@ class StandardLoopParams:
     Y_i = -a_i*eps*sin(w_i t), Z_i = (a_i/mu_i)*(1 - eps*cos(w_i t)) with
     w_i = n_i * base_rate.  Keeping the frequencies an explicit reduced
     integer pair times one base rate makes the common period structural.
+    The classical action ``j_action`` is in units of hbar, J/hbar, as every
+    action in the package is.
     """
 
     a1: float
@@ -278,11 +280,10 @@ class StandardLoopParams:
     epsilon: float
     k: float = 0.0
     j_action: float = 1.0
-    hbar: float = 1.0
     n_level: int = 0
 
     def __post_init__(self):
-        for name in ("a1", "a2", "mu1", "mu2", "base_rate", "hbar"):
+        for name in ("a1", "a2", "mu1", "mu2", "base_rate"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not (isinstance(self.n1, int) and isinstance(self.n2, int)):

@@ -49,7 +49,6 @@ TWO_PI = 2.0 * math.pi
 _PIVOT_FLOOR = 1e-3
 _FD_STEP_FLOOR = 1e-8
 _FD_STEP_REL = 1e-6
-_THETA_GRID = 8  # exact angle average for trigonometric degree < 8
 _HERMITICITY_TOL = 1e-10
 
 
@@ -330,16 +329,16 @@ def spin_hannay_closed_form(loop: LoopSpec, level: int) -> float:
     return -closed_line_integral(np.ldexp(coeffs, -exponent), loop).value
 
 
-def classicalize(psi: np.ndarray, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray, float]:
-    """Split a state's components into canonical pairs psi_n = (q_n + i p_n)/sqrt(2 hbar).
+def classicalize(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Split a state's components into canonical pairs psi_n = (q_n + i p_n)/sqrt(2).
 
-    Returns (q, p, sum(p^2 + q^2)); the last entry equals 2 hbar ||psi||^2 and
-    doubles as a normalization check.
+    q and p are in units of sqrt(hbar).  Returns (q, p, sum(p^2 + q^2)); the
+    last entry equals 2 ||psi||^2 and doubles as a normalization check.
     """
     psi = np.asarray(psi, dtype=complex)
     if not np.all(np.isfinite(psi)):
         raise ValueError("state must be finite")
-    root = math.sqrt(2.0 * hbar)
+    root = math.sqrt(2.0)
     q = root * np.real(psi)
     p = root * np.imag(psi)
     return q, p, float(np.sum(p**2 + q**2))
@@ -372,7 +371,6 @@ def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def stokes_vector(
     psi: np.ndarray,
-    hbar: float = 1.0,
     field: np.ndarray | None = None,
     mu: float = 1.0,
 ) -> StokesVector:
@@ -387,11 +385,11 @@ def stokes_vector(
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) >= 1e-10:
         raise NotNormalized(f"|psi| = {norm} is not 1 within 1e-10")
-    q, p, _ = classicalize(psi, hbar)
+    q, p, _ = classicalize(psi)
     s = StokesVector(
-        s1=float((q[0] * q[1] + p[0] * p[1]) / hbar),
-        s2=float((p[0] * q[1] - p[1] * q[0]) / hbar),
-        s3=float((p[1] ** 2 + q[1] ** 2 - p[0] ** 2 - q[0] ** 2) / (2.0 * hbar)),
+        s1=float(q[0] * q[1] + p[0] * p[1]),
+        s2=float(p[0] * q[1] - p[1] * q[0]),
+        s3=float((p[1] ** 2 + q[1] ** 2 - p[0] ** 2 - q[0] ** 2) / 2.0),
     )
     if field is not None:
         b = np.asarray(field, dtype=float)
@@ -431,25 +429,28 @@ def _require_unitary(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def action_angle_transform(psi: np.ndarray, eigenvectors: np.ndarray, hbar: float = 1.0) -> ActionAngle:
+def action_angle_transform(psi: np.ndarray, eigenvectors: np.ndarray) -> ActionAngle:
     """Map a state onto (I, theta) in the eigenbasis whose columns are given.
 
-    I_k = hbar * |<E_k|psi>|^2 and theta_k = -arg <E_k|psi> modulo 2*pi, so
-    the actions sum to hbar times the squared norm of the state.
+    I_k = |<E_k|psi>|^2, in units of hbar, and theta_k = -arg <E_k|psi>
+    modulo 2*pi, so the actions sum to the squared norm of the state.
     """
     c = _require_unitary(eigenvectors)
     amps = c.conj().T @ np.asarray(psi, dtype=complex)
-    actions = hbar * np.abs(amps) ** 2
+    actions = np.abs(amps) ** 2
     angles = np.mod(-np.angle(amps), TWO_PI)
     return ActionAngle(actions=actions, angles=angles)
 
 
-def reconstruct(aa: ActionAngle, eigenvectors: np.ndarray, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of ``action_angle_transform``: back to canonical (q, p)."""
+def reconstruct(aa: ActionAngle, eigenvectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``action_angle_transform``: back to canonical (q, p).
+
+    ``aa.angles`` may hold one row of angles per state; q and p then hold
+    one row per state.
+    """
     c = _require_unitary(eigenvectors)
-    amps = np.sqrt(aa.actions / hbar) * np.exp(-1j * aa.angles)
-    psi = c @ amps
-    q, p, _ = classicalize(psi, hbar)
+    amps = np.sqrt(aa.actions) * np.exp(-1j * aa.angles)
+    q, p, _ = classicalize(amps @ c.T)
     return q, p
 
 
@@ -495,26 +496,21 @@ def theta_averaged_one_form(
 ) -> float:
     """Angle-averaged one-form <p dq> evaluated on the direction dx.
 
-    The average runs over a uniform grid of 8 points per angle, which is
-    exact for the degree-2 trigonometric integrand; the parametric derivative
-    of q uses central differences with step max(1e-6 |x|, 1e-8).  Actions
-    enter in absolute units: q and p carry sqrt(2 I_k).
+    q and p are ``reconstruct``'s map at the given actions (in units of
+    hbar).  The average runs over the 2N + 1 points of the rank-1 lattice
+    theta_i = 2 pi i (1, ..., N) / (2N + 1), i = 0 ... 2N, which is exact for
+    this integrand: its frequencies e_k +/- e_l and 2 e_k are none of them 0
+    modulo 2N + 1 (Sloan and Joe, Lattice Methods for Multiple Integration,
+    1994).  The parametric derivative of q uses central differences with
+    step max(1e-6 |x|, 1e-8).
     """
     actions = np.asarray(actions, dtype=float)
     n = family.dim
     if actions.shape != (n,):
         raise ValueError(f"expected {n} actions, got shape {actions.shape}")
-    if np.any(actions < 0):
-        raise ValueError("actions must be nonnegative")
+    nodes = np.outer(np.arange(2 * n + 1), np.arange(1, n + 1)) % (2 * n + 1)
+    lattice = ActionAngle(actions, nodes * (TWO_PI / (2 * n + 1)))
     c0, cp, cm, h, norm_dx = _fd_eigvec_triplet(family, x, dx)
-
-    grid = np.indices((_THETA_GRID,) * n).reshape(n, -1).T * (TWO_PI / _THETA_GRID)
-    cos_t = np.cos(grid) * np.sqrt(2.0 * actions)[None, :]
-    sin_t = np.sin(grid) * np.sqrt(2.0 * actions)[None, :]
-
-    def q_of(c: np.ndarray) -> np.ndarray:
-        return cos_t @ np.real(c).T + sin_t @ np.imag(c).T
-
-    p0 = cos_t @ np.imag(c0).T - sin_t @ np.real(c0).T
-    dq = (q_of(cp) - q_of(cm)) / (2.0 * h)
+    _, p0 = reconstruct(lattice, c0)
+    dq = (reconstruct(lattice, cp)[0] - reconstruct(lattice, cm)[0]) / (2.0 * h)
     return float(np.mean(np.einsum("gn,gn->g", p0, dq))) * norm_dx

@@ -139,7 +139,7 @@ def test_criterion_07_coupling_identity():
     for kval in np.geomspace(1e-3 * k_max, 0.95 * k_max, 50):
         p = std_params(eps=EPS_PAPER, k=float(kval), j_action=2.0)
         rep = H.standard_loop_report(p)
-        resid = abs(rep.gamma_I_part + (p.j_action / p.hbar) * rep.delta_phi_I_part)
+        resid = abs(rep.gamma_I_part + p.j_action * rep.delta_phi_I_part)
         worst = max(worst, resid / abs(rep.gamma_I_part))
     report(7, "gamma_I = -(J/hbar) delta_phi_I within 1e-12 on a 50-point grid",
            worst <= 1e-12, f"worst={worst:.2e}")
@@ -184,7 +184,7 @@ def test_criterion_10_full_quantum_consistency():
     total = H.full_quantum_phase(loop, 0.0, 1, 2)
     split = H.single_gho_phase(loop1, 1).value + H.single_gho_phase(loop2, 2).value
     err_a = abs(total - split)
-    # (b) fast part of the separated phase vs hybrid phase at J = (m + 1/2) hbar
+    # (b) fast part of the separated phase vs hybrid phase at J = m + 1/2
     kc, m, n = 0.15, 1, 2
     ph = H.phases_from_one_form(
         H.coupled_gho_one_form(

@@ -230,7 +230,10 @@ BAD_CONFIGS = {
     "negative field, spin": '{"experiment": "spin-berry", "params": {"b_magnitude": -1}}',
     "negative field, hybrid": '{"experiment": "hybrid-spin-osc", "params": {"b_magnitude": -1}}',
     "zero cycles": '{"experiment": "spin-berry", "params": {"cycles": 0}}',
+    # keys that are no longer read: ignoring one would change that config's numbers
     "zero steps": '{"experiment": "oracle-classical", "numerics": {"steps_per_sample": 0}}',
+    "steps_per_sample": '{"experiment": "oracle-quantum", "numerics": {"steps_per_sample": 64}}',
+    "hbar": '{"experiment": "full-quantum", "params": {"hbar": 1.0}}',
     "negative m_level": '{"experiment": "full-quantum", "params": {"m_level": -1}}',
     "spin-osc too few samples": '{"experiment": "hybrid-spin-osc", "numerics": {"n_samples": 8}}',
 }
@@ -246,6 +249,15 @@ def test_invalid_config_exits_2_with_one_record(text, tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigInvalid"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, instead", [
+    ("params", "hbar", "each action as J/hbar"),
+    ("numerics", "steps_per_sample", "slowness and n_samples"),
+])
+def test_removed_key_names_what_to_give_instead(section, key, instead):
+    with pytest.raises(ConfigInvalid, match=f"^{section}.{key} is not a setting; give {instead}$"):
+        ExperimentConfig.from_dict({"experiment": "oracle-classical", section: {key: 1}})
 
 
 # Output values that are not a non-empty directory string and a JSON bool:
@@ -424,6 +436,14 @@ OUT_OF_RANGE_CONFIGS = {
     # the characteristic rate scale * sqrt(slowness) of the step recommendation overflows
     "oracle-quantum mu": {"experiment": "oracle-quantum", "params": {"mu": 1e307}},
     "oracle-classical a2": {"experiment": "oracle-classical", "params": {"a2": 1e307}},
+    # the start amplitude sqrt(2 Z J / omega) overflows, underflows to 0, or
+    # stays finite while p = amp * omega / Z overflows
+    "oracle-classical j0 1e300": {"experiment": "oracle-classical",
+                                  "params": {"j0": 1e300, "mu2": 1e-10}},
+    "oracle-classical j0 1e-300": {"experiment": "oracle-classical",
+                                   "params": {"j0": 1e-300, "mu2": 1e30}},
+    "oracle-classical j0 1.7e308": {"experiment": "oracle-classical",
+                                    "params": {"j0": 1.7e308, "mu2": 5e307}},
 }
 
 
@@ -447,7 +467,7 @@ def test_out_of_range_values_are_typed(cfg, tmp_path, capsys):
         assert rows and all(row["error"] == "NonFinite" for row in rows)
 
 
-_STANDARD_KEYS = ("a1", "a2", "mu1", "mu2", "base_rate", "epsilon", "k", "j_action", "hbar")
+_STANDARD_KEYS = ("a1", "a2", "mu1", "mu2", "base_rate", "epsilon", "k", "j_action")
 # each experiment's numeric params; the list-valued ones get a one-element list
 FUZZED_PARAMS = {
     "spin-berry": ("mu", "b_magnitude", "thetas"),

@@ -1,6 +1,8 @@
+import dataclasses
 import inspect
 import math
 
+import holonomy
 import holonomy.dynamics_oracle as oracle
 import numpy as np
 import pytest
@@ -607,8 +609,13 @@ class TestArgumentChecks:
             action_angle_to_qp(np.array([1.3, -0.2, 0.9]), 1.0, phi)
 
     def test_no_hbar(self):
-        # energies are in units of hbar: a physical hbar is carried by the family
-        assert "hbar" not in inspect.signature(propagate_quantum).parameters
+        # energies and actions are in units of hbar: a physical hbar is carried
+        # by the family and the config, and no public callable or dataclass takes one
+        public = {name: obj for name, obj in vars(holonomy).items()
+                  if inspect.isfunction(obj) or dataclasses.is_dataclass(obj)}
+        assert "propagate_quantum" in public and "StandardLoopParams" in public
+        for name, obj in public.items():
+            assert "hbar" not in inspect.signature(obj).parameters, name
         with pytest.raises(TypeError, match="hbar"):
             propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 0, 30.0, 8, hbar=0.0)
 

@@ -285,7 +285,7 @@ class TestStandardLoopReport:
         for frac in (0.2, 0.6, 0.9):
             p = std_params(eps=EPS_PAPER, k=frac * k_max, j_action=2.5)
             rep = standard_loop_report(p)
-            resid = rep.gamma_I_part + (p.j_action / p.hbar) * rep.delta_phi_I_part
+            resid = rep.gamma_I_part + p.j_action * rep.delta_phi_I_part
             assert abs(resid) <= 1e-12 * abs(rep.gamma_I_part)
 
     def test_decomposition_sums_exactly(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from holonomy import (
+    ActionAngle,
     EigenFrame,
     EnergyMismatch,
     GapTooSmall,
@@ -37,7 +38,13 @@ from holonomy import (
     theta_averaged_one_form,
 )
 from holonomy import quantum_geometry
-from holonomy.quantum_geometry import _eigh, _hermitian_deviation, _residuals, align_gauge
+from holonomy.quantum_geometry import (
+    _eigh,
+    _fd_eigvec_triplet,
+    _hermitian_deviation,
+    _residuals,
+    align_gauge,
+)
 from loops import make_loop
 
 RNG = np.random.default_rng(20240811)
@@ -237,7 +244,7 @@ class TestClosedFormConnection:
 
 class TestClassicalization:
     def test_basis_state(self):
-        q, p, check = classicalize(np.array([0.0, 1.0]), hbar=1.0)
+        q, p, check = classicalize(np.array([0.0, 1.0]))
         assert_allclose(q, [0.0, math.sqrt(2.0)], atol=1e-15)
         assert_allclose(p, [0.0, 0.0], atol=1e-15)
         assert_allclose(check, 2.0, rtol=1e-15)
@@ -247,11 +254,11 @@ class TestClassicalization:
         assert np.all(q == 0) and np.all(p == 0) and check == 0.0
 
     def test_normalization_identity(self):
-        for hbar in (1.0, 0.5):
+        for _ in range(2):
             psi = RNG.normal(size=4) + 1j * RNG.normal(size=4)
             psi /= np.linalg.norm(psi)
-            _, _, check = classicalize(psi, hbar)
-            assert abs(check - 2.0 * hbar) < 1e-12
+            _, _, check = classicalize(psi)
+            assert abs(check - 2.0) < 1e-12
 
 
 class TestStokes:
@@ -283,18 +290,17 @@ class TestStokes:
             stokes_vector(np.array([0.0, 1.0]), field=np.array([0.0, 0.0, 1.0]))
 
     def test_poisson_brackets(self):
-        # finite-difference {S_i, S_j} = 2 eps_ijk S_k / hbar on canonical coordinates
-        hbar = 1.0
+        # finite-difference {S_i, S_j} = 2 eps_ijk S_k on canonical coordinates
         psi = RNG.normal(size=2) + 1j * RNG.normal(size=2)
         psi /= np.linalg.norm(psi)
-        q0, p0, _ = classicalize(psi, hbar)
+        q0, p0, _ = classicalize(psi)
 
         def s_of(q, p):
             return np.array(
                 [
-                    (q[0] * q[1] + p[0] * p[1]) / hbar,
-                    (p[0] * q[1] - p[1] * q[0]) / hbar,
-                    (p[1] ** 2 + q[1] ** 2 - p[0] ** 2 - q[0] ** 2) / (2 * hbar),
+                    q[0] * q[1] + p[0] * p[1],
+                    p[0] * q[1] - p[1] * q[0],
+                    (p[1] ** 2 + q[1] ** 2 - p[0] ** 2 - q[0] ** 2) / 2,
                 ]
             )
 
@@ -309,13 +315,13 @@ class TestStokes:
         s0 = s_of(q0, p0)
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             bracket = float(grad_q[i] @ grad_p[j] - grad_p[i] @ grad_q[j])
-            assert abs(bracket - 2.0 * s0[k] / hbar) < 1e-6
+            assert abs(bracket - 2.0 * s0[k]) < 1e-6
 
 
 class TestActionAngle:
     def test_eigenbasis_state(self):
         c = np.eye(3, dtype=complex)
-        aa = action_angle_transform(np.array([1.0, 0, 0], dtype=complex), c, hbar=1.0)
+        aa = action_angle_transform(np.array([1.0, 0, 0], dtype=complex), c)
         assert_allclose(aa.actions, [1.0, 0.0, 0.0], atol=1e-15)
         assert aa.angles[0] == 0.0
 
@@ -334,9 +340,21 @@ class TestActionAngle:
         h = fam.matrix(x)
         energies, c = np.linalg.eigh(h)
         psi = RNG.normal(size=3) + 1j * RNG.normal(size=3)
-        aa = action_angle_transform(psi, c, hbar=1.0)
+        aa = action_angle_transform(psi, c)
         mean_h = float(np.real(np.vdot(psi, h @ psi)))
         assert abs(float(energies @ aa.actions) - mean_h) < 1e-12
+
+    def test_batch_of_angle_rows(self):
+        rng = np.random.default_rng(7)
+        c = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        actions = rng.uniform(0.0, 2.0, size=3)
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(5, 3))
+        q, p = reconstruct(ActionAngle(actions, angles), c)
+        assert q.shape == p.shape == (5, 3)
+        for row, theta in enumerate(angles):
+            q1, p1 = reconstruct(ActionAngle(actions, theta), c)
+            assert_allclose(q[row], q1, rtol=0, atol=1e-15)
+            assert_allclose(p[row], p1, rtol=0, atol=1e-15)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
@@ -345,11 +363,39 @@ class TestActionAngle:
     def test_action_sum(self):
         c = np.linalg.qr(RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3)))[0]
         psi = RNG.normal(size=3) + 1j * RNG.normal(size=3)
-        aa = action_angle_transform(psi, c, hbar=0.7)
-        assert abs(np.sum(aa.actions) - 0.7 * np.linalg.norm(psi) ** 2) < 1e-12
+        aa = action_angle_transform(psi, c)
+        assert abs(np.sum(aa.actions) - np.linalg.norm(psi) ** 2) < 1e-12
+
+
+def grid_averaged_one_form(family, actions, x, dx):
+    """<p dq> on dx averaged over the full 8^N grid of angles: a reference
+    for ``theta_averaged_one_form``'s (2N + 1)-point lattice."""
+    c0, cp, cm, h, norm_dx = _fd_eigvec_triplet(family, x, dx)
+    n = family.dim
+    grid = np.indices((8,) * n).reshape(n, -1).T * (2.0 * math.pi / 8)
+    cos_t = np.cos(grid) * np.sqrt(2.0 * actions)
+    sin_t = np.sin(grid) * np.sqrt(2.0 * actions)
+
+    def q_of(c):
+        return cos_t @ np.real(c).T + sin_t @ np.imag(c).T
+
+    p0 = cos_t @ np.imag(c0).T - sin_t @ np.real(c0).T
+    dq = (q_of(cp) - q_of(cm)) / (2.0 * h)
+    return float(np.mean(np.einsum("gn,gn->g", p0, dq))) * norm_dx
 
 
 class TestThetaAveragedOneForm:
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_lattice_matches_full_grid(self, dim):
+        rng = np.random.default_rng(dim)
+        fam = random_family(dim, rng)
+        for _ in range(5):
+            x, dx = rng.normal(size=3), rng.normal(size=3)
+            actions = rng.uniform(0.0, 2.0, size=dim)
+            ref = grid_averaged_one_form(fam, actions, x, dx)
+            lattice = theta_averaged_one_form(fam, actions, x, dx)
+            assert abs(lattice - ref) <= 1e-8 * abs(ref)
+
     def test_zero_actions(self):
         fam = spin_hamiltonian_family(1.0)
         val = theta_averaged_one_form(fam, np.zeros(2), np.array([0.3, 0.1, 0.9]), np.array([0.0, 1.0, 0.0]))
