@@ -2,11 +2,16 @@
 which returns its geometric phase, and integration of the driven classical
 oscillator, which returns its Hannay angle.
 
-Both propagators apply the classical fourth-order Runge-Kutta method with a
-fixed step to a time-dilated traversal of the loop; parameter values between
-samples come from the loop's own band-limited interpolant, the one every
-quadrature differentiates (``LoopSpec.upsampled``, grouped by offset for the
-classical oscillator).
+Both propagators take fixed fourth-order Magnus steps through a time-dilated
+traversal of the loop (Iserles and Norsett, Phil. Trans. R. Soc. A 357, 983,
+1999; Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151, 2009): the
+exponential of Omega = h/6 (A0 + 4 A1/2 + A1) - h^2/12 [A0, A1] from the
+generator A at the step's start, midpoint and end.  The exponential takes the
+fast phase exactly, so the step count grows only linearly with the slowness,
+and each step is unitary (quantum) or symplectic (classical) to rounding.
+Parameter values between samples come from the loop's own band-limited
+interpolant, the one every quadrature differentiates (``LoopSpec.upsampled``,
+grouped by offset for the classical oscillator).
 Determinism of step placement makes convergence studies reproducible.
 
 Both equations are linear in the state, y' = A(t) y, so each step is one
@@ -34,7 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonAdiabatic, NonFinite, TooManySteps, require_gap
+from .errors import (EllipticViolation, NonAdiabatic, NonFinite, TooManySteps, require_gap,
+                     require_positive)
 from .manifold import LoopSpec, _frequency_sq, _trapezoid
 from .quantum_geometry import (
     EigenFrame,
@@ -48,14 +54,14 @@ TWO_PI = 2.0 * math.pi
 
 _ADIABATIC_FIDELITY = 0.99
 
-# Steps per chunk of the RK4 scan, rounded down to whole rows of loop samples.
-# For the real 2 x 2 oscillator a chunk's generators take 0.5 MiB and its
-# increments and each stage temporary 0.25 MiB, so the chunk's working set
-# stays within a core's 2 MiB L2 cache.
+# Steps per chunk of the Magnus scan, rounded down to whole rows of loop
+# samples.  For the real 2 x 2 oscillator a chunk's generators take 0.5 MiB
+# and its exponents, increments and each temporary 0.25 MiB, so the chunk's
+# working set stays within a core's 2 MiB L2 cache.
 _CHUNK_STEPS = 8192
 
-# The most RK4 steps one run may take.  The upsampled loop holds two points
-# per step, so this bounds a run's memory before anything is allocated.
+# The most Magnus steps one run may take.  The upsampled loop holds two
+# points per step, so this bounds a run's memory before anything is allocated.
 _MAX_STEPS = 2**22
 
 
@@ -90,23 +96,24 @@ class ClassicalTrajectory:
 
 
 def recommended_steps_per_sample(loop: LoopSpec, slowness: float, rate_scale: float = 1.0) -> int:
-    """Steps per loop sample keeping the integrator error well under the
-    adiabatic error at the given slowness (dilated step ~ 0.7/sqrt(slowness)
-    in units of the characteristic rate).  Raises ``ValueError`` for a
-    slowness or rate scale that is not positive and finite, and ``NonFinite``
-    when the characteristic rate rate_scale * sqrt(slowness) or the step
-    count itself overflows."""
+    """Steps per loop sample for a dilated step of 0.25 / rate_scale, at
+    least 8: ceil(slowness * spacing * rate_scale / 0.25), linear in the
+    slowness because a Magnus step takes the fast phase exactly.  The 0.25
+    is the longest step at which, on spin cones (rate_scale = mu = 1) and
+    oscillator loops (rate_scale = a2 = 1, epsilon 0.2 to 0.9) at slowness
+    250 to 1000, each run's integrator error against the same run at four
+    times the steps stays below that of classical fourth-order Runge-Kutta
+    at its stable step of 0.7 / (rate_scale * sqrt(slowness)).  Raises
+    ``ValueError`` for a slowness or rate scale that is not positive and
+    finite, and ``NonFinite`` when the step count overflows."""
     for name, value in (("slowness", slowness), ("rate_scale", rate_scale)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    rate = rate_scale * math.sqrt(slowness)
-    if math.isinf(rate):
-        raise NonFinite(f"rate_scale * sqrt(slowness) overflows: {rate_scale} * sqrt({slowness})")
-    target = 0.7 / rate
-    steps = slowness * loop.spacing / target
+    steps = slowness * loop.spacing * rate_scale / 0.25
     if math.isinf(steps):
-        raise NonFinite(f"steps per sample overflow at slowness {slowness}, rate_scale {rate_scale}")
-    return max(8, int(math.ceil(steps)))
+        raise NonFinite(f"steps per sample overflow: slowness {slowness} * spacing "
+                        f"{loop.spacing} * rate_scale {rate_scale} / 0.25")
+    return max(8, math.ceil(steps))
 
 
 def _require_schedule(loop: LoopSpec, slowness: float, steps_per_sample: int) -> None:
@@ -134,27 +141,28 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_states(
-    generators: Callable[[int, int], np.ndarray], y0: np.ndarray, h: float, block: int, m: int
-) -> np.ndarray:
-    """States y_0 .. y_n of n = m * block RK4 steps y_{i+1} = M_i y_i of
-    y' = A(t) y around a closed traversal, by a blocked prefix scan.
+def _magnus_states(generators: Callable[[int, int], np.ndarray],
+                   expm1: Callable[[np.ndarray], np.ndarray],
+                   y0: np.ndarray, h: float, block: int, m: int) -> np.ndarray:
+    """States y_0 .. y_n of n = m * block fourth-order Magnus steps
+    y_{i+1} = exp(Omega_i) y_i of y' = A(t) y around a closed traversal, by a
+    blocked prefix scan.
 
     Step i = j * block + r is step r of loop sample j.  ``generators(lo, hi)``
     returns A at the fine offsets lo .. hi - 1 of every sample, shape
     (N, N, hi - lo, m): offset 2r is the start of step r and 2r + 1 its
     midpoint; the last step of sample j ends at offset 0 of sample j + 1, and
-    the last step of all where the first starts.  With B1 = I + h/2 A0 and
-    B2 = I + h/2 A1 B1 each step is
-    M = I + h/6 (A0 + 2 A1 B1 + 2 A1 B2 + A2 (I + h A1 B2)).
+    the last step of all where the first starts.  ``expm1`` maps the steps'
+    exponents Omega (see the module docstring) to their increments
+    D = exp(Omega) - I, batch-last like Omega.
 
     The scan walks r in chunks of whole offset rows, every sample at once.
-    Each chunk's increments D = M - I are folded straight into the running
-    products P[:, :, r, j] of the first r + 1 steps of block j; the block
-    totals then carry the state from one block start to the next.  The
-    identity is kept out of D: rounding I + D to a stored matrix would bias
-    every step's norm the same way on loops of constant spectrum.  The result
-    has shape (N, n + 1).
+    Each chunk's increments are folded straight into the running products
+    P[:, :, r, j] of the first r + 1 steps of block j; the block totals then
+    carry the state from one block start to the next.  The identity is kept
+    out of D: rounding I + D to a stored matrix would bias every step's norm
+    the same way on loops of constant spectrum.  The result has shape
+    (N, n + 1).
     """
     dim = y0.shape[0]
     rows = max(1, _CHUNK_STEPS // m)
@@ -166,13 +174,10 @@ def _rk4_states(
         gen = generators(2 * r0, min(2 * r1 + 1, 2 * block))
         if r1 == block:
             gen = np.concatenate((gen, wrap), axis=2)
-        a0, a1 = gen[:, :, 0:-1:2], gen[:, :, 1::2]
-        k = _bmm(a1, eye + (0.5 * h) * a0)  # A1 B1
-        inc = a0 + 2.0 * k
-        k = _bmm(a1, eye + (0.5 * h) * k)  # A1 B2
-        inc += 2.0 * k
-        inc += _bmm(gen[:, :, 2::2], eye + h * k)
-        inc *= h / 6.0
+        a0, a_half, a1 = gen[:, :, 0:-1:2], gen[:, :, 1::2], gen[:, :, 2::2]
+        omega = (h / 6.0) * (a0 + 4.0 * a_half + a1)
+        omega -= (h * h / 12.0) * (_bmm(a0, a1) - _bmm(a1, a0))
+        inc = expm1(omega)
         if r0 == 0:
             prods[:, :, 0] = inc[:, :, 0] + eye[:, :, 0]
         for r in range(max(r0, 1), r1):
@@ -189,6 +194,35 @@ def _rk4_states(
         r1 = min(r0 + rows, block)
         within[:, :, r0:r1] = _bmm(prods[:, :, r0:r1], starts[:, None, None, :])[:, 0].swapaxes(1, 2)
     return states
+
+
+def _unitary_expm1(omega: np.ndarray) -> np.ndarray:
+    """exp(Omega) - I for Omega = -i K, K Hermitian, batch-last (N, N, ...):
+    V diag(exp(-i lambda) - 1) V^dagger from the eigenpairs of K, with
+    exp(-i lambda) - 1 = -2 sin^2(lambda/2) - i sin(lambda) kept to full
+    relative precision for small lambda."""
+    dim = omega.shape[0]
+    k_stack = np.moveaxis((1j * omega).reshape(dim, dim, -1), -1, 0)
+    lam, vecs = _eigh(k_stack)
+    vecs = np.moveaxis(vecs, 0, -1)  # (N, N, n), eigenvectors as columns
+    phase = (-2.0 * np.sin(0.5 * lam) ** 2 - 1j * np.sin(lam)).T
+    return _bmm(vecs * phase[None], np.conj(vecs).swapaxes(0, 1)).reshape(omega.shape)
+
+
+def _symplectic_expm1(omega: np.ndarray) -> np.ndarray:
+    """exp(Omega) - I for a real traceless 2 x 2 Omega, batch-last with loop
+    samples on the last axis: with r = sqrt(det Omega), Omega^2 = -r^2 I, so
+    exp(Omega) = cos(r) I + sin(r)/r Omega, and cos(r) - 1 = -2 sin^2(r/2).
+    Raises ``EllipticViolation`` at the first loop sample whose det Omega is
+    not positive, where the step is no rotation."""
+    det = omega[0, 0] * omega[1, 1] - omega[0, 1] * omega[1, 0]
+    require_positive(np.moveaxis(det, -1, 0), lambda j: EllipticViolation(
+        f"Magnus exponent determinant {np.min(det[..., j]):.3e} at sample {j}", sample=j))
+    r = np.sqrt(det)
+    inc = omega * (np.sin(r) / r)
+    cos_m1 = -2.0 * np.sin(0.5 * r) ** 2
+    inc[[0, 1], [0, 1]] += cos_m1
+    return inc
 
 
 def propagate_quantum(
@@ -241,7 +275,8 @@ def propagate_quantum(
     def generators(lo: int, hi: int) -> np.ndarray:  # dpsi/dtau = gen psi
         return np.ascontiguousarray(by_sample[:, lo:hi].transpose(2, 3, 1, 0)) * -1j
 
-    states = _rk4_states(generators, refs[0].astype(complex), h, steps_per_sample, m)
+    states = _magnus_states(generators, _unitary_expm1, refs[0].astype(complex), h,
+                            steps_per_sample, m)
     norms = np.linalg.norm(states, axis=0)
     norm_drift = float(np.sum(np.abs(norms[1:] / norms[:-1] - 1.0)))
     psi = states[:, -1] / norms[-1]
@@ -297,7 +332,9 @@ def propagate_classical(
 
     The action and angle traces come from inverting the elliptic
     action-angle transform at the frozen instantaneous parameters after every
-    step; the angle trace is unwound continuously.  The dynamical angle is
+    step.  A step may advance the angle by more than pi, so the angle trace
+    is unwound against omega h, omega at the step's midpoint: each increment
+    is omega h plus the wrapped difference from it.  The dynamical angle is
     the trapezoid of the instantaneous frequency over the run, and
     ``hannay_angle`` the angle's advance beyond it over the one traversal.
     """
@@ -318,7 +355,7 @@ def propagate_classical(
         x, y, z = planes[lo:hi].transpose(1, 0, 2)
         return np.array([[y, z], [-x, -y]])
 
-    q, p = _rk4_states(generators, qp0, h, steps_per_sample, m)
+    q, p = _magnus_states(generators, _symplectic_expm1, qp0, h, steps_per_sample, m)
 
     # frozen parameters at every step start, in step order, the last step
     # ending on the first; values are laid out (sample, offset)
@@ -330,8 +367,9 @@ def propagate_classical(
     omega = np.sqrt(at_starts(w_sq))
     v = -(z_at * p + y_at * q) / omega
     actions = omega * (q * q + v * v) / (2.0 * z_at)
+    advance = h * np.sqrt(w_sq[:, 1::2].ravel())
     raw = np.arctan2(v, q)
-    angles = np.cumsum(np.concatenate(([raw[0]], _wrap_angle(np.diff(raw)))))
+    angles = np.cumsum(np.concatenate(([raw[0]], advance + _wrap_angle(np.diff(raw) - advance))))
     dyn = _trapezoid(omega, slowness * x2_loop.period)
 
     return ClassicalTrajectory(

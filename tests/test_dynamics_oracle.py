@@ -6,6 +6,8 @@ import holonomy
 import holonomy.dynamics_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from holonomy import (
     EllipticViolation,
     GapTooSmall,
@@ -54,7 +56,41 @@ def three_level_family():
         "nd,dab->nab", pts, np.stack(couplings)))
 
 
-def rk4_schedule(loop, sps, slowness):
+# a two-level cone and a three-level family, whose steps go to LAPACK
+QUANTUM_CASES = pytest.mark.parametrize(
+    "family, loop",
+    [
+        (FAMILY, cone_loop(1.1, n_samples=32)),
+        (three_level_family(), make_loop(
+            lambda t: np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t), 0.5]),
+            1.0, 32)),
+    ],
+    ids=["spin", "three-level"],
+)
+
+
+def record_increments(monkeypatch, name):
+    """Every step increment D = exp(Omega) - I that ``oracle.<name>`` returns
+    during the test, batch-last as returned."""
+    seen = []
+    real = getattr(oracle, name)
+
+    def recording(omega):
+        seen.append(real(omega))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, name, recording)
+    return seen
+
+
+def step_matrices(increments):
+    """The step matrices I + D of recorded increments, as an (n, N, N) stack."""
+    dim = increments[0].shape[0]
+    incs = np.concatenate([np.moveaxis(d.reshape(dim, dim, -1), -1, 0) for d in increments])
+    return incs + np.eye(dim)
+
+
+def step_schedule(loop, sps, slowness):
     """Step size and the (start, midpoint, end) rows of every step in the
     upsampled grid."""
     n = loop.n_segments * sps
@@ -62,25 +98,32 @@ def rk4_schedule(loop, sps, slowness):
     return h, [(2 * i, 2 * i + 1, (2 * i + 2) % (2 * n)) for i in range(n)]
 
 
-def rk4_step(gen, idx, y, h):
-    k1 = gen[idx[0]] @ y
-    k2 = gen[idx[1]] @ (y + 0.5 * h * k1)
-    k3 = gen[idx[1]] @ (y + 0.5 * h * k2)
-    k4 = gen[idx[2]] @ (y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def magnus_exponent(a0, a_half, a1, h):
+    """Omega = h/6 (A0 + 4 A1/2 + A1) - h^2/12 [A0, A1] of N x N matrices."""
+    return h / 6.0 * (a0 + 4.0 * a_half + a1) - h * h / 12.0 * (a0 @ a1 - a1 @ a0)
+
+
+def expm(a):
+    """exp(a) of one diagonalisable matrix by its general eigendecomposition."""
+    w, v = np.linalg.eig(a)
+    return (v * np.exp(w)) @ np.linalg.inv(v)
+
+
+def magnus_step(gen, idx, y, h):
+    return expm(magnus_exponent(gen[idx[0]], gen[idx[1]], gen[idx[2]], h)) @ y
 
 
 def sequential_quantum(family, loop, k, slowness, sps):
-    """Per-step RK4 loop with renormalisation, as one step after another."""
+    """Per-step Magnus loop with renormalisation, as one step after another."""
     mats = family.matrices(loop.upsampled(2 * sps))
-    h, steps = rk4_schedule(loop, sps, slowness)
+    h, steps = step_schedule(loop, sps, slowness)
     e = np.linalg.eigvalsh(mats[::2])[:, k]
     refs = canonical_section_track(np.linalg.eigh(family.matrices(loop.points))[1][:, :, k])
     gen = -1j * mats
     psi = refs[0].astype(complex)
     drift, dyn, track = 0.0, 0.0, [0.0]
     for i, idx in enumerate(steps):
-        psi = rk4_step(gen, idx, psi, h)
+        psi = magnus_step(gen, idx, psi, h)
         nrm = float(np.linalg.norm(psi))
         drift += abs(nrm - 1.0)
         psi /= nrm
@@ -91,20 +134,24 @@ def sequential_quantum(family, loop, k, slowness, sps):
 
 
 def sequential_classical(loop, qp0, slowness, sps):
-    """Per-step RK4 loop for the driven oscillator, with the angle unwound
-    one step at a time."""
+    """Per-step Magnus loop for the driven oscillator, with the angle unwound
+    one step at a time against omega h at the step's midpoint."""
     fine = loop.upsampled(2 * sps)
     gen = np.array([[[y, z], [-x, -y]] for x, y, z in fine])
-    h, steps = rk4_schedule(loop, sps, slowness)
+    h, steps = step_schedule(loop, sps, slowness)
     qp = [np.asarray(qp0, dtype=float)]
     for idx in steps:
-        qp.append(rk4_step(gen, idx, qp[-1], h))
-    angles = []
+        qp.append(magnus_step(gen, idx, qp[-1], h).real)
+    raw = []
     for i, (q, p) in enumerate(qp):
         x, y, z = fine[(2 * i) % fine.shape[0]]
-        raw = math.atan2(-(z * p + y * q) / math.sqrt(x * z - y * y), q)
-        prev = angles[-1] if angles else raw
-        angles.append(prev + (raw - prev + math.pi) % (2 * math.pi) - math.pi)
+        raw.append(math.atan2(-(z * p + y * q) / math.sqrt(x * z - y * y), q))
+    angles = [raw[0]]
+    for i in range(1, len(raw)):
+        x, y, z = fine[2 * i - 1]  # midpoint of the step that ends at state i
+        advance = h * math.sqrt(x * z - y * y)
+        delta = raw[i] - raw[i - 1] - advance
+        angles.append(angles[-1] + advance + (delta + math.pi) % (2 * math.pi) - math.pi)
     q, p = np.array(qp).T
     return q, p, np.array(angles)
 
@@ -238,27 +285,20 @@ class TestPropagateQuantum:
         assert sums[1] <= sums[0] / 3.0
 
     def test_norm_drift_small(self):
+        # every step is unitary to rounding, so over 8448 steps the norm
+        # drifts by rounding alone
         loop = cone_loop(math.pi / 2, n_samples=128)
         sps = max(32, int(math.ceil(100.0 * loop.spacing / 0.012)))
         prop = propagate_quantum(FAMILY, loop, 0, 100.0, sps)
-        assert prop.norm_drift <= 1e-8
+        assert prop.norm_drift <= 1e-11
 
     def test_nonadiabatic_detected(self):
         loop = cone_loop(math.pi / 2, n_samples=64)
         with pytest.raises(NonAdiabatic):
             propagate_quantum(FAMILY, loop, 0, slowness=2.0, steps_per_sample=64)
 
-    @pytest.mark.parametrize(
-        "family, loop",
-        [
-            (FAMILY, cone_loop(1.1, n_samples=32)),
-            (three_level_family(), make_loop(
-                lambda t: np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t), 0.5]),
-                1.0, 32)),
-        ],
-        ids=["spin", "three-level"],
-    )
-    def test_matches_sequential_rk4(self, family, loop):
+    @QUANTUM_CASES
+    def test_matches_sequential_magnus(self, family, loop):
         sps = 12
         prop = propagate_quantum(family, loop, 0, 30.0, sps)
         psi, drift, dyn, track = sequential_quantum(family, loop, 0, 30.0, sps)
@@ -266,6 +306,16 @@ class TestPropagateQuantum:
         assert np.max(np.abs(prop.psi_final - psi)) <= 1e-12
         assert abs(prop.norm_drift - drift) <= 1e-12
         assert abs(prop.dynamical_phase - dyn) <= 1e-12 * abs(dyn)
+
+    @QUANTUM_CASES
+    def test_step_matrices_are_unitary(self, monkeypatch, family, loop):
+        sps = recommended_steps_per_sample(loop, 1000.0)
+        seen = record_increments(monkeypatch, "_unitary_expm1")
+        propagate_quantum(family, loop, 0, 1000.0, sps)
+        steps = step_matrices(seen)
+        assert steps.shape[0] == loop.n_segments * sps
+        residual = np.conj(steps.swapaxes(1, 2)) @ steps - np.eye(family.dim)
+        assert np.max(np.abs(residual)) <= 1e-13
 
     def test_gap_error_reports_loop_sample(self):
         # |B| = 1 + cos(2 pi t) vanishes at t = 1/2, between samples 8 and 9 of 17
@@ -362,7 +412,44 @@ class TestPropagateClassical:
             propagate_classical(loop, (1.0, 0.0), 10.0, steps_per_sample=4)
         assert info.value.sample == 8
 
-    def test_matches_sequential_rk4(self):
+    @pytest.mark.parametrize("eps, slowness, sps", [(0.5, 1000.0, None), (0.3, 4000.0, 24)])
+    def test_step_matrices_are_symplectic(self, monkeypatch, eps, slowness, sps):
+        loop = subsystem_parameter_loop(std_params(eps=eps), 2, 256)
+        sps = sps or recommended_steps_per_sample(loop, slowness)
+        seen = record_increments(monkeypatch, "_symplectic_expm1")
+        propagate_classical(loop, action_angle_to_qp(loop.points[0], 1.0, 0.3), slowness, sps)
+        steps = step_matrices(seen)
+        assert steps.shape[0] == loop.n_segments * sps
+        assert np.max(np.abs(np.linalg.det(steps) - 1.0)) <= 1e-13
+
+    def test_step_exponent_without_rotation_reports_its_sample(self):
+        # every A = [[0, a], [-1/a, 0]] is elliptic (det A = 1), but at h = 4
+        # the commutator term of the step from a = 1 through 2 to 4 outweighs
+        # the mean: det Omega = 16 * 13 * 3.25 / 36 - (16 * 3.75 / 12)^2 < 0
+        def elliptic(a):
+            return np.array([[0.0, a], [-1.0 / a, 0.0]])
+
+        steps = [(1.0, 1.0, 1.0), (1.0, 2.0, 4.0), (1.0, 1.0, 1.0)]
+        omega = np.stack([magnus_exponent(*map(elliptic, abc), 4.0) for abc in steps], axis=-1)
+        assert np.all(np.linalg.det(np.moveaxis(omega, -1, 0)) * [1, -1, 1] > 0)
+        with pytest.raises(EllipticViolation, match="at sample 1") as info:
+            oracle._symplectic_expm1(omega[:, :, None])  # one step per sample
+        assert info.value.sample == 1
+
+    @pytest.mark.parametrize("sps", [24, 28])
+    def test_unwinds_steps_past_pi(self, sps):
+        # at slowness 4000 a step advances the angle by omega h = 3.9 (24
+        # steps per sample) or 3.4 (28), past pi: unwinding each step against
+        # zero instead of omega h was off by 2.5e5 relative
+        loop = subsystem_parameter_loop(std_params(eps=0.3), 2, 256)
+        qp0 = action_angle_to_qp(loop.points[0], 1.0, 0.3)
+        fine = propagate_classical(loop, qp0, 4000.0, 128).hannay_angle
+        coarse = propagate_classical(loop, qp0, 4000.0, sps)
+        omega = math.sqrt(1.0 - 0.3**2)  # constant along this loop
+        assert omega * 4000.0 * loop.period / (256 * sps) > math.pi
+        assert abs(coarse.hannay_angle / fine - 1.0) <= 1e-2
+
+    def test_matches_sequential_magnus(self):
         loop = subsystem_parameter_loop(std_params(eps=0.5), 2, 32)
         qp0 = action_angle_to_qp(loop.points[0], 1.0, 0.3)
         traj = propagate_classical(loop, qp0, 20.0, 12)
@@ -372,19 +459,36 @@ class TestPropagateClassical:
         assert np.max(np.abs(traj.angle_trace - angles)) <= 1e-10
 
 
-def unchunked_rk4_step_increments(gen, h):
-    """Increments D_i = M_i - I of every RK4 step at once; ``gen`` is A at
-    every step start and midpoint, batch-last, shape (N, N, 2n)."""
+def order_run_quantum(shape, slowness, sps):
+    loop = cone_loop(0.4 + 2.0 * shape, n_samples=64)
+    return propagate_quantum(FAMILY, loop, 0, 50.0 + 150.0 * slowness, sps).geometric_phase
+
+
+def order_run_classical(shape, slowness, sps):
+    loop = subsystem_parameter_loop(std_params(eps=0.2 + 0.7 * shape), 2, 64)
+    qp0 = action_angle_to_qp(loop.points[0], 1.0, 0.3)
+    return propagate_classical(loop, qp0, 10.0 + 40.0 * slowness, sps).hannay_angle
+
+
+@pytest.mark.parametrize("run", [order_run_quantum, order_run_classical],
+                         ids=["spin cone", "oscillator loop"])
+@settings(max_examples=10, deadline=None, derandomize=True)  # ~0.1 s, 2-core x86-64
+@given(shape=st.floats(0.0, 1.0), slowness=st.floats(0.0, 1.0))
+def test_fourth_order(run, shape, slowness):
+    # a fourth-order step's error shrinks 16-fold per doubling of the steps
+    values = [run(shape, slowness, sps) for sps in (4, 8, 16)]
+    ratio = abs(values[0] - values[1]) / abs(values[1] - values[2])
+    assert 8.0 <= ratio <= 32.0
+
+
+def unchunked_magnus_step_increments(gen, h, expm1):
+    """Increments D_i = exp(Omega_i) - I of every Magnus step at once; ``gen``
+    is A at every step start and midpoint, batch-last, shape (N, N, 2n)."""
     a0 = gen[..., 0::2]
-    a1 = gen[..., 1::2]
-    eye = np.eye(gen.shape[0])[:, :, None]
-    k = oracle._bmm(a1, eye + (0.5 * h) * a0)
-    out = a0 + 2.0 * k
-    k = oracle._bmm(a1, eye + (0.5 * h) * k)
-    out += 2.0 * k
-    out += oracle._bmm(np.roll(a0, -1, axis=-1), eye + h * k)
-    out *= h / 6.0
-    return out
+    a1 = np.roll(a0, -1, axis=-1)
+    omega = (h / 6.0) * (a0 + 4.0 * gen[..., 1::2] + a1)
+    omega -= (h * h / 12.0) * (oracle._bmm(a0, a1) - oracle._bmm(a1, a0))
+    return expm1(omega)
 
 
 def unchunked_blocked_states(incs, y0, block):
@@ -407,19 +511,19 @@ def unchunked_blocked_states(incs, y0, block):
     return states
 
 
-def unchunked_rk4_states(generators, y0, h, block, m):
+def unchunked_magnus_states(generators, expm1, y0, h, block, m):
     """The scan without chunks: every step's generators in step order, then
     every increment, then the states."""
     gen = generators(0, 2 * block)
     gen = gen.transpose(0, 1, 3, 2).reshape(gen.shape[0], gen.shape[1], -1)
-    return unchunked_blocked_states(unchunked_rk4_step_increments(gen, h), y0, block)
+    return unchunked_blocked_states(unchunked_magnus_step_increments(gen, h, expm1), y0, block)
 
 
 def forbid_steps(monkeypatch):
     def fail(*args):
-        raise AssertionError("RK4 steps ran before the parameter checks")
+        raise AssertionError("Magnus steps ran before the parameter checks")
 
-    monkeypatch.setattr(oracle, "_rk4_states", fail)
+    monkeypatch.setattr(oracle, "_magnus_states", fail)
 
 
 CHUNK = oracle._CHUNK_STEPS
@@ -432,7 +536,7 @@ class TestChunkedScan:
     @pytest.mark.parametrize(
         "m, sps",
         [
-            (256, 1109),  # the oracle's slowness-1000 rung: a prime block
+            (256, 1109),  # a prime block over many chunks
             (32, CHUNK // 32 + CHUNK // 64 + 1),  # a partial last chunk
             (32, 1),
             (16, CHUNK + 3),  # one block longer than a chunk
@@ -444,26 +548,17 @@ class TestChunkedScan:
         qp0 = action_angle_to_qp(loop.points[0], 1.0, 0.3)
         slowness = 1000.0 if m == 256 else 20.0
         traj = propagate_classical(loop, qp0, slowness, sps)
-        monkeypatch.setattr(oracle, "_rk4_states", unchunked_rk4_states)
+        monkeypatch.setattr(oracle, "_magnus_states", unchunked_magnus_states)
         ref = propagate_classical(loop, qp0, slowness, sps)
         for field in ("hannay_angle", "q", "p", "action_trace", "angle_trace",
                       "dynamical_angle"):
             assert np.array_equal(getattr(traj, field), getattr(ref, field)), field
 
     @pytest.mark.parametrize("sps", [1, CHUNK // 32 + CHUNK // 64 + 1])
-    @pytest.mark.parametrize(
-        "family, loop",
-        [
-            (FAMILY, cone_loop(1.1, n_samples=32)),
-            (three_level_family(), make_loop(
-                lambda t: np.array([math.cos(2 * math.pi * t), math.sin(2 * math.pi * t), 0.5]),
-                1.0, 32)),
-        ],
-        ids=["spin", "three-level"],
-    )
+    @QUANTUM_CASES
     def test_quantum_bit_identical(self, monkeypatch, family, loop, sps):
         prop = propagate_quantum(family, loop, 0, 30.0, sps)
-        monkeypatch.setattr(oracle, "_rk4_states", unchunked_rk4_states)
+        monkeypatch.setattr(oracle, "_magnus_states", unchunked_magnus_states)
         ref = propagate_quantum(family, loop, 0, 30.0, sps)
         for field in ("geometric_phase", "psi_final", "phase_track", "norm_drift",
                       "dynamical_phase", "final_fidelity"):
@@ -546,19 +641,25 @@ ORACLE_GUARDS = {
                            lambda: propagate_classical(
                                subsystem_parameter_loop(std_params(eps=0.5), 2, 32),
                                (1.0, 0.0), 20.0, oracle._MAX_STEPS // 32 + 1)),
+    # a step of h = 390 outweighs its mean generator with the commutator term
+    "step past a rotation": (EllipticViolation, "Magnus exponent determinant",
+                             lambda: propagate_classical(
+                                 subsystem_parameter_loop(std_params(eps=0.5), 2, 16),
+                                 (1.0, 0.0), 1000.0, 1)),
     "level 2 of 2": (IndexError, "level 2",
                      lambda: propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 2, 30.0, 8)),
     "level -1": (IndexError, "level -1",
                  lambda: propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), -1, 30.0, 8)),
     "not triples": (ValueError, "triples",
                     lambda: propagate_classical(circle_loop(n_samples=32), (1.0, 0.0), 20.0, 8)),
-    # rate_scale * sqrt(slowness) = 1e307 * sqrt(1000) overflows
+    # slowness * spacing * rate_scale / 0.25 = 1000 / 64 * 1e307 / 0.25 overflows
     "rate overflows": (NonFinite, "rate_scale",
                        lambda: recommended_steps_per_sample(cone_loop(1.0, n_samples=64), 1000.0,
                                                             rate_scale=1e307)),
-    # the rate 1e105 stays finite, but slowness * spacing * rate / 0.7 does not
+    # slowness 1e300 and rate_scale 1e11 are finite, the step count is not
     "steps overflow": (NonFinite, "steps per sample",
-                       lambda: recommended_steps_per_sample(cone_loop(1.0, n_samples=256), 1e210)),
+                       lambda: recommended_steps_per_sample(cone_loop(1.0, n_samples=256), 1e300,
+                                                            rate_scale=1e11)),
 }
 
 
