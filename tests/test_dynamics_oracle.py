@@ -439,8 +439,8 @@ class TestPropagateClassical:
     @pytest.mark.parametrize("sps", [24, 28])
     def test_unwinds_steps_past_pi(self, sps):
         # at slowness 4000 a step advances the angle by omega h = 3.9 (24
-        # steps per sample) or 3.4 (28), past pi: unwinding each step against
-        # zero instead of omega h was off by 2.5e5 relative
+        # steps per sample) or 3.4 (28), past pi, so a wrapped step-to-step
+        # difference alone would drop a turn at every step
         loop = subsystem_parameter_loop(std_params(eps=0.3), 2, 256)
         qp0 = action_angle_to_qp(loop.points[0], 1.0, 0.3)
         fine = propagate_classical(loop, qp0, 4000.0, 128).hannay_angle
@@ -641,7 +641,7 @@ ORACLE_GUARDS = {
                            lambda: propagate_classical(
                                subsystem_parameter_loop(std_params(eps=0.5), 2, 32),
                                (1.0, 0.0), 20.0, oracle._MAX_STEPS // 32 + 1)),
-    # a step of h = 390 outweighs its mean generator with the commutator term
+    # a step of h = 393 outweighs its mean generator with the commutator term
     "step past a rotation": (EllipticViolation, "Magnus exponent determinant",
                              lambda: propagate_classical(
                                  subsystem_parameter_loop(std_params(eps=0.5), 2, 16),
