@@ -230,7 +230,7 @@ def propagate_quantum(
     loop: LoopSpec,
     k: int,
     slowness: float,
-    steps_per_sample: int = 32,
+    steps_per_sample: int,
 ) -> QuantumPropagation:
     """Integrate the Schrodinger equation while the parameters traverse the
     loop once over a total time of slowness * period.
@@ -325,7 +325,7 @@ def propagate_classical(
     x2_loop: LoopSpec,
     initial_qp: tuple[float, float],
     slowness: float,
-    steps_per_sample: int = 32,
+    steps_per_sample: int,
 ) -> ClassicalTrajectory:
     """Integrate dQ/dt = Y Q + Z P, dP/dt = -X Q - Y P while the triple
     traverses the loop once over slowness * period.

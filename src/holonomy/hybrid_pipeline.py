@@ -26,6 +26,7 @@ from .errors import (
 )
 from .manifold import (
     DEFAULT_SAMPLES,
+    Covector,
     LoopSpec,
     QuadratureResult,
     StandardLoopParams,
@@ -47,14 +48,14 @@ class LinearOneForm:
     """Sampled covector coefficients of a one-form affine in the actions.
 
     ``action_coeffs[label]`` is the coefficient of that quantum action and
-    ``j_coeff`` the coefficient of the classical action.  All arrays match
-    the loop's samples; ``phases_from_one_form`` raises ``LengthMismatch``
-    otherwise.
+    ``j_coeff`` the coefficient of the classical action, each a ``Covector``
+    of its nonzero columns; ``phases_from_one_form`` raises ``LengthMismatch``
+    for a column the loop does not have or one of another length.
     """
 
     loop: LoopSpec
-    action_coeffs: dict[Hashable, np.ndarray]
-    j_coeff: np.ndarray
+    action_coeffs: dict[Hashable, Covector]
+    j_coeff: Covector
 
 
 @dataclass(frozen=True)
@@ -124,18 +125,15 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
                 f"lam * Q_typ / B reaches {ratio:.3f}, beyond {_WEAK_COUPLING_MAX}"
             )
 
-    # dphi on the circle embedding (c, s): dphi = -s dc + c ds
-    dphi = np.zeros_like(pts)
-    dphi[:, 0], dphi[:, 1] = -pts[:, 1], pts[:, 0]
-    d_y_over_z = _d_y_over_z(pts, 2)
+    # -dphi / 2 on the circle embedding (c, s), where dphi = -s dc + c ds
+    azimuth = {0: 0.5 * pts[:, 1], 1: -0.5 * pts[:, 0]}
     # d(Omega^2) for Omega^2 = (X + shift) Z - Y^2
-    d_omega_sq = np.zeros_like(pts)
-    d_omega_sq[:, 2], d_omega_sq[:, 3], d_omega_sq[:, 4] = z, -2.0 * y, x_eff
+    d_omega_sq = {2: z, 3: -2.0 * y, 4: x_eff}
 
-    correction = (m.mu * m.lam**2 * z**2 * m.j_action / (4.0 * omega**3 * m.b_field))[:, None]
-    coeff_plus = -0.5 * dphi - correction * d_y_over_z
-    coeff_minus = -0.5 * dphi + correction * d_y_over_z
-    j_coeff = -(y / (2.0 * z))[:, None] * _d_z_over_omega(pts, 2, omega_sq, d_omega_sq)
+    correction = m.mu * m.lam**2 * z**2 * m.j_action / (4.0 * omega**3 * m.b_field)
+    coeff_plus = azimuth | _d_y_over_z(pts, 2, -correction)
+    coeff_minus = azimuth | _d_y_over_z(pts, 2, correction)
+    j_coeff = _d_z_over_omega(pts, 2, omega, d_omega_sq, -(y / (2.0 * z)))
 
     return LinearOneForm(
         loop=m.loop, action_coeffs={"+": coeff_plus, "-": coeff_minus}, j_coeff=j_coeff
@@ -160,22 +158,21 @@ def _triple_pair(loop: LoopSpec) -> tuple[np.ndarray, np.ndarray]:
     return loop.points[:, :3], loop.points[:, 3:]
 
 
-def _d_y_over_z(points: np.ndarray, col: int) -> np.ndarray:
-    """Covector of d(Y/Z) for the triple (X, Y, Z) in columns col..col+2."""
+def _d_y_over_z(points: np.ndarray, col: int, f: np.ndarray) -> Covector:
+    """Covector of f d(Y/Z), f sampled along the loop, for the triple (X, Y, Z)
+    in columns col..col+2: its two nonzero columns, col + 1 and col + 2."""
     y, z = points[:, col + 1], points[:, col + 2]
-    grad = np.zeros_like(points)
-    grad[:, col + 1] = 1.0 / z
-    grad[:, col + 2] = -y / z**2
-    return grad
+    return {col + 1: f * (1.0 / z), col + 2: f * (-y / z**2)}
 
 
-def _d_z_over_omega(points: np.ndarray, col: int, omega_sq: np.ndarray,
-                    d_omega_sq: np.ndarray) -> np.ndarray:
-    """Covector of d(Z/Omega) for the triple (X, Y, Z) in columns col..col+2,
-    given Omega^2 and its covector d(Omega^2) over all columns."""
-    omega = np.sqrt(omega_sq)
-    grad = -(points[:, col + 2] / omega_sq)[:, None] * (d_omega_sq / (2.0 * omega)[:, None])
-    grad[:, col + 2] += 1.0 / omega
+def _d_z_over_omega(points: np.ndarray, col: int, omega: np.ndarray,
+                    d_omega_sq: Covector, f: np.ndarray) -> Covector:
+    """Covector of f d(Z/Omega), f sampled along the loop, for the triple
+    (X, Y, Z) in columns col..col+2, given Omega and the covector d(Omega^2),
+    whose columns it has; column col + 2 must be among them."""
+    scale = -0.5 * f * points[:, col + 2] / omega**3
+    grad = {j: scale * c for j, c in d_omega_sq.items()}
+    grad[col + 2] += f / omega
     return grad
 
 
@@ -197,27 +194,18 @@ def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec) -> LinearOneForm
     z1, z2 = x1[:, 2], x2[:, 2]
     y2 = x2[:, 1]
     ksq = p.k**2
-
-    grad_y1z1 = _d_y_over_z(pts, 0)
+    kzz = ksq * z1 * z2 / w_sq**2  # k^2 Z1 Z2 / omega^4
 
     # gradient of Omega^2 = X2 Z2 - k^2 Z1 Z2 / omega^2 - Y2^2
-    grad_osq = np.empty_like(pts)
-    grad_osq[:, 0] = ksq * z1**2 * z2 / w_sq**2
-    grad_osq[:, 1] = -2.0 * ksq * z1 * z2 * x1[:, 1] / w_sq**2
-    grad_osq[:, 2] = -ksq * z2 / w_sq + ksq * z1 * z2 * x1[:, 0] / w_sq**2
-    grad_osq[:, 3] = z2
-    grad_osq[:, 4] = -2.0 * y2
-    grad_osq[:, 5] = x2[:, 0] - ksq * z1 / w_sq
-    grad_z2_over_omega = _d_z_over_omega(pts, 3, omega_sq, grad_osq)
+    grad_osq = {0: kzz * z1, 1: -2.0 * kzz * x1[:, 1], 2: kzz * x1[:, 0] - ksq * z2 / w_sq,
+                3: z2, 4: -2.0 * y2, 5: x2[:, 0] - ksq * z1 / w_sq}
 
     nl = p.n_level
-    quantum_coeff = (
-        (2 * nl + 1) * z1 / (4.0 * w)
-        + ksq * z1**2 * z2 * p.j_action / (2.0 * w_sq**2 * omega)
-    )[:, None] * grad_y1z1
-    j_coeff = (ksq * z1**2 * z2 / (2.0 * w_sq**2 * omega))[:, None] * grad_y1z1 - (
-        y2 / (2.0 * z2)
-    )[:, None] * grad_z2_over_omega
+    quantum_coeff = _d_y_over_z(pts, 0, (2 * nl + 1) * z1 / (4.0 * w)
+                                + ksq * z1**2 * z2 * p.j_action / (2.0 * w_sq**2 * omega))
+    j_coeff = _d_z_over_omega(pts, 3, omega, grad_osq, -(y2 / (2.0 * z2)))
+    for col, c in _d_y_over_z(pts, 0, kzz * z1 / (2.0 * omega)).items():
+        j_coeff[col] += c
 
     return LinearOneForm(loop=loop, action_coeffs={nl: quantum_coeff}, j_coeff=j_coeff)
 
@@ -340,7 +328,7 @@ def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     the circulation of (2n+1) Z/(4 omega) d(Y/Z)."""
     w_sq = _frequency_sq(loop.points, "frequency squared")
     coeff = (2 * n + 1) * loop.points[:, 2] / (4.0 * np.sqrt(w_sq))
-    return closed_line_integral(coeff[:, None] * _d_y_over_z(loop.points, 0), loop)
+    return closed_line_integral(_d_y_over_z(loop.points, 0, coeff), loop)
 
 
 def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
@@ -380,7 +368,7 @@ def full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:
 
     t1 = (x1[:, 2] / 4.0) * ((2 * m + 1) * cos_sq / high + (2 * n + 1) * sin_sq / low)
     t2 = (x2[:, 2] / 4.0) * ((2 * m + 1) * sin_sq / high + (2 * n + 1) * cos_sq / low)
-    coeffs = t1[:, None] * _d_y_over_z(pts, 0) + t2[:, None] * _d_y_over_z(pts, 3)
+    coeffs = _d_y_over_z(pts, 0, t1) | _d_y_over_z(pts, 3, t2)
     return closed_line_integral(coeffs, loop).value
 
 
@@ -406,8 +394,8 @@ def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int, n: int) -> tup
         4.0 * w_sq**2 * omega
     )
     t2 = (2 * m + 1) * z2 / (4.0 * omega)
-    part1 = closed_line_integral(t1[:, None] * _d_y_over_z(pts, 0), loop).value
-    part2 = closed_line_integral(t2[:, None] * _d_y_over_z(pts, 3), loop).value
+    part1 = closed_line_integral(_d_y_over_z(pts, 0, t1), loop).value
+    part2 = closed_line_integral(_d_y_over_z(pts, 3, t2), loop).value
     return part1, part2
 
 

@@ -16,6 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Mapping
 
 import numpy as np
 
@@ -25,6 +26,9 @@ DEFAULT_SAMPLES = 4096
 
 _MIN_SEGMENTS = 16
 _CLOSURE_RTOL = 1e-12
+
+# A sampled covector: column of a loop's points -> its component at the M + 1 samples.
+Covector = Mapping[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -208,11 +212,13 @@ def _trapezoid(values: np.ndarray, period: float) -> float:
     return float(period / (len(values) - 1) * (0.5 * values[0] + inner + 0.5 * values[-1]))
 
 
-def _contracted(coeffs: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """coeffs . velocity at the M + 1 samples; the last covector meets velocity[0]."""
-    g = np.empty(len(coeffs))
-    np.einsum("jd,jd->j", coeffs[:-1], velocity, out=g[:-1])
-    g[-1] = coeffs[-1] @ velocity[0]
+def _contracted(coefficients: Covector, velocity: np.ndarray, stride: int) -> np.ndarray:
+    """coefficients[::stride] . velocity at the samples, summed over the
+    covector's columns; the last covector meets velocity[0]."""
+    g = np.zeros(len(velocity) + 1)
+    for col, c in coefficients.items():
+        g[:-1] += c[:-1:stride] * velocity[:, col]
+        g[-1] += c[-1] * velocity[0, col]
     return g
 
 
@@ -226,22 +232,26 @@ def _require_halvable(m: int) -> None:
         )
 
 
-def closed_line_integral(coefficients: np.ndarray, loop: LoopSpec) -> QuadratureResult:
+def closed_line_integral(coefficients: Covector, loop: LoopSpec) -> QuadratureResult:
     """Evaluate the circulation of a sampled covector field around the loop.
 
-    ``coefficients[j]`` is the covector at ``loop.points[j]``; the result is
-    the closed line integral of coefficients . dx, a trapezoid sum against
-    ``loop.velocity``.  The error estimate is the difference against a
-    stride-2 subsample of the same data.
+    ``coefficients[col]`` is the covector's component along column ``col`` of
+    ``loop.points`` at its M + 1 samples; columns left out are zero.  The
+    result is the closed line integral of coefficients . dx, a trapezoid sum
+    against ``loop.velocity`` over the listed columns only.  The error
+    estimate is the difference against a stride-2 subsample of the same data.
+    A column outside ``[0, loop.dim)`` or of a shape other than (M + 1,) is
+    ``LengthMismatch``.
     """
-    c = np.asarray(coefficients, dtype=float)
-    if c.shape != loop.points.shape:
-        raise LengthMismatch(
-            f"coefficients shape {c.shape} does not match loop samples {loop.points.shape}"
-        )
-    _require_halvable(loop.n_segments)
-    value = _trapezoid(_contracted(c, loop.velocity), loop.period)
-    half = _trapezoid(_contracted(c[::2], loop.half_velocity), loop.period)
+    m = loop.n_segments
+    for col, c in coefficients.items():
+        if not (isinstance(col, numbers.Integral) and 0 <= col < loop.dim
+                and np.shape(c) == (m + 1,)):
+            raise LengthMismatch(f"covector column {col!r} of shape {np.shape(c)} is not one "
+                                 f"of the loop's {loop.dim} columns of {m + 1} samples")
+    _require_halvable(m)
+    value = _trapezoid(_contracted(coefficients, loop.velocity, 1), loop.period)
+    half = _trapezoid(_contracted(coefficients, loop.half_velocity, 2), loop.period)
     return QuadratureResult(value=value, error_estimate=abs(value - half))
 
 

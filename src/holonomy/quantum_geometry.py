@@ -325,8 +325,8 @@ def spin_hannay_closed_form(loop: LoopSpec, level: int) -> float:
             f"{float(np.min(denom_core / b)):.2e} of |B|)"
         )
     denom = 2.0 * b * denom_core
-    coeffs = np.column_stack([b2 / denom, -b1 / denom, np.zeros_like(b)])
-    return -closed_line_integral(np.ldexp(coeffs, -exponent), loop).value
+    coeffs = {0: np.ldexp(b2 / denom, -exponent), 1: np.ldexp(-b1 / denom, -exponent)}
+    return -closed_line_integral(coeffs, loop).value
 
 
 def classicalize(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -12,8 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy import StandardLoopParams, elliptic_bound, manifold, quantum_geometry
-from holonomy.cli import ExperimentConfig, execute, main
+from holonomy import (
+    StandardLoopParams,
+    bo_full_quantum_phase_parts,
+    combined_parameter_loop,
+    coupled_gho_one_form,
+    elliptic_bound,
+    full_quantum_phase,
+    manifold,
+    phases_from_one_form,
+    quantum_geometry,
+)
+from holonomy.cli import ExperimentConfig, _standard_params, execute, main
+from holonomy.errors import HolonomyError
 from holonomy.errors import ConfigInvalid
 
 
@@ -641,3 +652,36 @@ def test_swept_rows_equal_one_point_runs(cfg, cold, tmp_path):
         [single] = run_rows(dict(cfg, experiment=experiment, params=one, sweep=None),
                             tmp_path / f"single-{i}")
         assert {col: single[col] for col in row} == row
+
+
+def test_full_quantum_row_is_its_three_routes(tmp_path):
+    """Each full-quantum row's cells are, bit for bit, the three routes called
+    directly and independently in the row's order; a failed row names the first
+    route's error.  Across K_max and then mode collapse the error column runs
+    "" -> EllipticViolation -> ModeCollapse, each kind in one contiguous block."""
+    cfg = dict(SWEPT_CONFIGS["full-quantum"], numerics={"n_samples": 64})
+    params = cfg["params"]
+    m, n = params["m_level"], params["n_level"]
+    rows = run_rows(cfg, tmp_path)
+    order = ["", "EllipticViolation", "ModeCollapse"]
+    kinds = [row["error"] for row in rows]
+    assert sorted(set(kinds)) == sorted(order)
+    assert kinds == sorted(kinds, key=order.index)
+    loop = combined_parameter_loop(_standard_params(params), 64)
+    for row in rows:
+        k = float(row["K"])
+        p = _standard_params(params, k=k, j_action=m + 0.5)
+        cells = {}
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                gamma_mn = full_quantum_phase(loop, k, m, n)
+                part1, part2 = bo_full_quantum_phase_parts(loop, k, m, n)
+                hybrid = phases_from_one_form(coupled_gho_one_form(p, loop)).gammas[n]
+                cells = dict(gamma_mn=gamma_mn, bo_gamma_mn=part1 + part2,
+                             hybrid_gamma_n=hybrid, abs_err_bo_vs_hybrid=abs(part1 - hybrid))
+                error = ""
+            except HolonomyError as exc:
+                error = type(exc).__name__
+        assert row["error"] == error
+        for col in ("gamma_mn", "bo_gamma_mn", "hybrid_gamma_n", "abs_err_bo_vs_hybrid"):
+            assert (float(row[col]) if row[col] else None) == cells.get(col), (k, col)

@@ -720,6 +720,17 @@ class TestArgumentChecks:
         with pytest.raises(TypeError, match="hbar"):
             propagate_quantum(FAMILY, cone_loop(1.1, n_samples=32), 0, 30.0, 8, hbar=0.0)
 
+    @pytest.mark.parametrize("propagate, position", [(propagate_quantum, 4),
+                                                     (propagate_classical, 3)])
+    def test_step_count_has_no_default(self, propagate, position):
+        # one step schedule: every caller passes its count, as
+        # recommended_steps_per_sample gives it, by this name and position
+        params = list(inspect.signature(propagate).parameters.values())
+        assert params[position].name == "steps_per_sample"
+        assert params[position].default is inspect.Parameter.empty
+        with pytest.raises(TypeError, match="steps_per_sample"):
+            propagate(*[FAMILY, cone_loop(1.1, n_samples=32), 0, 30.0][4 - position:])
+
     def test_energies_in_units_of_hbar(self):
         # the family H/hbar at slowness s takes the steps of H at slowness s/hbar
         loop = cone_loop(1.1, n_samples=32)

@@ -69,12 +69,12 @@ def spin_osc(lam, eps=0.5, j_action=1.0, i_plus=1.0, i_minus=0.0, n_samples=1024
 
 def mismatched_one_form():
     loop = triple_loop(n_samples=64)
-    return LinearOneForm(loop=loop, action_coeffs={0: np.zeros((65, 3))}, j_coeff=np.zeros(65))
+    return LinearOneForm(loop=loop, action_coeffs={0: {1: np.zeros(65)}}, j_coeff={2: np.zeros(64)})
 
 
 # (error, what the message names, the call)
 PIPELINE_GUARDS = {
-    "one-form shape": (LengthMismatch, r"coefficients shape \(65,\)",
+    "one-form shape": (LengthMismatch, r"covector column 2 of shape \(64,\)",
                        lambda: phases_from_one_form(mismatched_one_form())),
     "five columns": (ValueError, "got 5 columns",
                      lambda: full_quantum_phase(spin_osc(0.0, n_samples=64).loop, 0.1, 0, 0)),
@@ -106,12 +106,7 @@ class TestPhasesFromOneForm:
         # A = I dphi on the unit circle gives gamma = 2 pi, delta_phi = 0
         loop = circle_loop(n_samples=256)
         c, s = loop.points.T
-        dphi = np.column_stack([-s, c])
-        form = LinearOneForm(
-            loop=loop,
-            action_coeffs={0: dphi},
-            j_coeff=np.zeros_like(loop.points),
-        )
+        form = LinearOneForm(loop=loop, action_coeffs={0: {0: -s, 1: c}}, j_coeff={})
         ph = phases_from_one_form(form)
         assert abs(ph.gammas[0] - 2 * math.pi) < 1e-10
         assert ph.delta_phi == 0.0
@@ -232,10 +227,10 @@ class TestCoupledGHOOneForm:
         pts = form.loop.points
         y1, z1 = pts[:, 1], pts[:, 2]
         w = math.sqrt(p.a1**2 * (1 - 0.25))
-        expected = (3.0 * z1 / (4.0 * w))[:, None] * np.column_stack(
-            [np.zeros_like(z1), 1.0 / z1, -y1 / z1**2, np.zeros_like(z1), np.zeros_like(z1), np.zeros_like(z1)]
-        )
-        assert np.max(np.abs(form.action_coeffs[1] - expected)) < 1e-12
+        expected = {1: 3.0 * z1 / (4.0 * w) / z1, 2: 3.0 * z1 / (4.0 * w) * (-y1 / z1**2)}
+        assert form.action_coeffs[1].keys() == expected.keys()
+        for col, c in expected.items():
+            assert np.max(np.abs(form.action_coeffs[1][col] - c)) < 1e-12
 
     def test_frozen_parameters_zero_phases(self):
         p = std_params(eps=0.0, k=0.01)
@@ -323,8 +318,9 @@ class TestStandardLoopReport:
         form = coupled_gho_one_form(p, combined_parameter_loop(p, 512))
         rev = LinearOneForm(
             loop=form.loop.reversed(),
-            action_coeffs={k: v[::-1] for k, v in form.action_coeffs.items()},
-            j_coeff=form.j_coeff[::-1],
+            action_coeffs={k: {col: c[::-1] for col, c in v.items()}
+                           for k, v in form.action_coeffs.items()},
+            j_coeff={col: c[::-1] for col, c in form.j_coeff.items()},
         )
         fwd_ph = phases_from_one_form(form)
         rev_ph = phases_from_one_form(rev)

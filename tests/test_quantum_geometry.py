@@ -621,8 +621,7 @@ def old_spin_hannay_closed_form(loop, level):
     if np.any(denom_core <= 1e-6 * b):
         raise PoleProximity("pole")
     denom = 2.0 * b * denom_core
-    coeffs = np.column_stack([b2 / denom, -b1 / denom, np.zeros_like(b)])
-    return -closed_line_integral(coeffs, loop).value
+    return -closed_line_integral({0: b2 / denom, 1: -b1 / denom}, loop).value
 
 
 class TestClosedFormScale:
