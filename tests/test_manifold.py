@@ -150,10 +150,15 @@ class TestClosedLineIntegral:
         v2 = closed_line_integral(coeffs(unit_circle_3d(2048)), unit_circle_3d(2048)).value
         assert abs(v2 - v1) < 1e-8 * abs(v2)
 
-    @pytest.mark.parametrize("columns", [{0: np.zeros(10)}, {0: np.zeros(65), 1: np.zeros(64)},
+    def test_length_mismatch(self):
+        loop = unit_circle_3d(n=64)
+        with pytest.raises(LengthMismatch, match=r"shape \(10,\)"):
+            closed_line_integral({0: np.zeros(10)}, loop)
+
+    @pytest.mark.parametrize("columns", [{0: np.zeros(65), 1: np.zeros(64)},
                                          {2: np.zeros((65, 1))}, {0: np.zeros((65, 3))}],
-                             ids=["short", "one short", "2-D column", "dense array"])
-    def test_length_mismatch(self, columns):
+                             ids=["one short", "2-D column", "dense array"])
+    def test_column_of_another_shape(self, columns):
         loop = unit_circle_3d(n=64)
         with pytest.raises(LengthMismatch, match="shape"):
             closed_line_integral(columns, loop)
