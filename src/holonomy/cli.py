@@ -310,7 +310,7 @@ def _hybrid_spin_osc_points(cfg: ExperimentConfig) -> list[Point]:
         mu=_number(params, "mu", 1.0, positive=True),
         b_field=_number(params, "b_magnitude", 1.0, positive=True),
         loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n_samples),
-                                  _gho_loop(a, m_param, eps, omega, period, n_samples, 1)),
+                                  _gho_loop([(a, m_param, omega)], eps, period, n_samples, 1)),
         i_plus=_number(params, "i_plus", 1.0),
         i_minus=_number(params, "i_minus", 0.0),
         j_action=_number(params, "j_action", 1.0),

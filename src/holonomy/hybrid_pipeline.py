@@ -12,7 +12,9 @@ explicit coefficient fields.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable
 
 import numpy as np
@@ -27,6 +29,7 @@ from .errors import (
 from .manifold import (
     DEFAULT_SAMPLES,
     Covector,
+    Differential,
     LoopSpec,
     QuadratureResult,
     StandardLoopParams,
@@ -49,8 +52,9 @@ class LinearOneForm:
 
     ``action_coeffs[label]`` is the coefficient of that quantum action and
     ``j_coeff`` the coefficient of the classical action, each a ``Covector``
-    of its nonzero columns; ``phases_from_one_form`` raises ``LengthMismatch``
-    for a column the loop does not have or one of another length.
+    of its nonzero terms: loop columns and differentials pulled back onto
+    ``loop``; ``phases_from_one_form`` raises ``LengthMismatch`` for a column
+    the loop does not have or a term of another length.
     """
 
     loop: LoopSpec
@@ -112,8 +116,7 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
     pts = m.loop.points
     x, y, z = pts[:, 2:].T
     shift = m.mu * m.lam**2 * (m.i_plus - m.i_minus) / m.b_field
-    x_eff = x + shift
-    omega_sq = x_eff * z - y**2
+    omega_sq = (x + shift) * z - y**2
     require_positive(omega_sq, lambda j: OmegaImaginary(
         f"action-shifted frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
     omega = np.sqrt(omega_sq)
@@ -127,53 +130,74 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
 
     # -dphi / 2 on the circle embedding (c, s), where dphi = -s dc + c ds
     azimuth = {0: 0.5 * pts[:, 1], 1: -0.5 * pts[:, 0]}
-    # d(Omega^2) for Omega^2 = (X + shift) Z - Y^2
-    d_omega_sq = {2: z, 3: -2.0 * y, 4: x_eff}
+    d_y_over_z, d_p = m.loop.derived(_triple_differentials, 2)
 
     correction = m.mu * m.lam**2 * z**2 * m.j_action / (4.0 * omega**3 * m.b_field)
-    coeff_plus = azimuth | _d_y_over_z(pts, 2, -correction)
-    coeff_minus = azimuth | _d_y_over_z(pts, 2, correction)
-    j_coeff = _d_z_over_omega(pts, 2, omega, d_omega_sq, -(y / (2.0 * z)))
-
-    return LinearOneForm(
-        loop=m.loop, action_coeffs={"+": coeff_plus, "-": coeff_minus}, j_coeff=j_coeff
-    )
+    # f d(Z/Omega), f = -Y/(2Z), with d(Omega^2) = dP + shift dZ and dZ column 4
+    scale = y / (4.0 * omega * omega_sq)  # -f Z / (2 Omega^3)
+    return LinearOneForm(m.loop, {"+": azimuth | {d_y_over_z: -correction},
+                                  "-": azimuth | {d_y_over_z: correction}},
+                         j_coeff={4: -(y / (2.0 * z)) / omega + shift * scale, d_p: scale})
 
 
-def _bo_frequency_sq(x1: np.ndarray, x2: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """(omega^2 of the fast triple, effective Omega^2 of the slow triple),
-    both checked positive at every sample."""
-    w_sq = _frequency_sq(x1, "fast-triple frequency squared")
-    omega_sq = x2[:, 0] * x2[:, 2] - k**2 * x1[:, 2] * x2[:, 2] / w_sq - x2[:, 1] ** 2
-    require_positive(omega_sq, lambda j: EllipticViolation(
-        f"effective frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
-    return w_sq, omega_sq
+def _p_rate(x: np.ndarray, v: np.ndarray, col: int) -> np.ndarray:
+    """dP/dt, P = X Z - Y^2, of the triple (X, Y, Z) in columns col..col+2."""
+    return (v[:, col] * x[:, col + 2] + x[:, col] * v[:, col + 2]
+            - 2.0 * x[:, col + 1] * v[:, col + 1])
 
 
-def _triple_pair(loop: LoopSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The fast and slow triples (X1, Y1, Z1) and (X2, Y2, Z2) of a combined
-    loop, as built by ``combined_parameter_loop``."""
+def _triple_differentials(loop: LoopSpec, col: int) -> tuple[Differential, Differential]:
+    """d(Y/Z) and dP of the triple in columns col..col+2; a zero Z gives inf or
+    nan, where X Z - Y^2 is not positive, which every route checks first."""
+    def y_over_z(x, v):
+        y, z = x[:, col + 1], x[:, col + 2]
+        return (1.0 / z) * v[:, col + 1] + (-y / z**2) * v[:, col + 2]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return loop.pullback(y_over_z), loop.pullback(_p_rate, col)
+
+
+# The K-independent pieces of the coupled-oscillator routes on a combined loop:
+# w_sq = (omega1^2, omega2^2 = P2 = X2 Z2 - Y2^2), quarter_z = (Z1/4, Z2/4), z1z2 = Z1 Z2,
+# u = Z1 Z2 / omega1^2, fast = Z1/(4 omega1), back = Z1^2 Z2/(4 omega1^4), slow =
+# -Y2/(2 Z2), and the differentials d(Y1/Z1), d(Y2/Z2), dP2 and du.
+_PairGeometry = namedtuple("_PairGeometry",
+                           "w_sq quarter_z z1z2 u fast back slow d_y1z1 d_y2z2 d_p2 d_u")
+
+
+def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
+    """The ``_PairGeometry`` of a combined loop (through ``loop.derived``); a
+    sample divided by omega1^2 is inf or nan where that is not positive."""
     if loop.dim != 6:
         raise ValueError(f"expected a combined loop of two triples, got {loop.dim} columns")
-    return loop.points[:, :3], loop.points[:, 3:]
+
+    def u_rate(x, v):  # u = Z1 Z2 / P1
+        p1 = x[:, 0] * x[:, 2] - x[:, 1] ** 2
+        return ((v[:, 2] * x[:, 5] + x[:, 2] * v[:, 5]) / p1
+                - x[:, 2] * x[:, 5] * _p_rate(x, v, 0) / p1**2)
+
+    x = loop.points
+    (d_y1z1, _), (d_y2z2, d_p2) = (loop.derived(_triple_differentials, col) for col in (0, 3))
+    triples = x.reshape(-1, 2, 3)
+    w_sq = triples[..., 0] * triples[..., 2] - triples[..., 1] ** 2
+    z1z2 = x[:, 2] * x[:, 5]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fast = x[:, 2] / (4.0 * np.sqrt(w_sq[:, 0]))
+        return _PairGeometry(
+            w_sq=w_sq, z1z2=z1z2, u=z1z2 / w_sq[:, 0], quarter_z=triples[..., 2] / 4.0,
+            fast=fast, back=x[:, 2] * z1z2 / (4.0 * w_sq[:, 0] ** 2),
+            slow=-(x[:, 4] / (2.0 * x[:, 5])), d_y1z1=d_y1z1, d_y2z2=d_y2z2, d_p2=d_p2,
+            d_u=loop.pullback(u_rate))
 
 
-def _d_y_over_z(points: np.ndarray, col: int, f: np.ndarray) -> Covector:
-    """Covector of f d(Y/Z), f sampled along the loop, for the triple (X, Y, Z)
-    in columns col..col+2: its two nonzero columns, col + 1 and col + 2."""
-    y, z = points[:, col + 1], points[:, col + 2]
-    return {col + 1: f * (1.0 / z), col + 2: f * (-y / z**2)}
-
-
-def _d_z_over_omega(points: np.ndarray, col: int, omega: np.ndarray,
-                    d_omega_sq: Covector, f: np.ndarray) -> Covector:
-    """Covector of f d(Z/Omega), f sampled along the loop, for the triple
-    (X, Y, Z) in columns col..col+2, given Omega and the covector d(Omega^2),
-    whose columns it has; column col + 2 must be among them."""
-    scale = -0.5 * f * points[:, col + 2] / omega**3
-    grad = {j: scale * c for j, c in d_omega_sq.items()}
-    grad[col + 2] += f / omega
-    return grad
+def _slow_frequency_sq(g: _PairGeometry, k: float) -> np.ndarray:
+    """Effective Omega^2 = omega2^2 - k^2 u, checked positive after omega1^2."""
+    require_positive(g.w_sq[:, 0], lambda j: EllipticViolation(
+        f"fast-triple frequency squared {g.w_sq[j, 0]:.3e} at sample {j}", sample=j))
+    omega_sq = g.w_sq[:, 1] - k**2 * g.u
+    require_positive(omega_sq, lambda j: EllipticViolation(
+        f"effective frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
+    return omega_sq
 
 
 def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec) -> LinearOneForm:
@@ -186,42 +210,37 @@ def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec) -> LinearOneForm
     d(Y1/Z1) together with the slow oscillator's own d(Z2/Omega) term.
     """
     p.require_elliptic()
-    x1, x2 = _triple_pair(loop)
-    pts = loop.points
-    w_sq, omega_sq = _bo_frequency_sq(x1, x2, p.k)
-    w = np.sqrt(w_sq)
+    g = loop.derived(_pair_geometry)
+    omega_sq = _slow_frequency_sq(g, p.k)
     omega = np.sqrt(omega_sq)
-    z1, z2 = x1[:, 2], x2[:, 2]
-    y2 = x2[:, 1]
     ksq = p.k**2
-    kzz = ksq * z1 * z2 / w_sq**2  # k^2 Z1 Z2 / omega^4
+    back = g.back / omega  # Z1^2 Z2 / (4 omega1^4 Omega)
 
-    # gradient of Omega^2 = X2 Z2 - k^2 Z1 Z2 / omega^2 - Y2^2
-    grad_osq = {0: kzz * z1, 1: -2.0 * kzz * x1[:, 1], 2: kzz * x1[:, 0] - ksq * z2 / w_sq,
-                3: z2, 4: -2.0 * y2, 5: x2[:, 0] - ksq * z1 / w_sq}
-
+    # f d(Z2/Omega), f = -Y2/(2 Z2), with d(Omega^2) = dP2 - k^2 du and dZ2
+    # column 5; scale = -f Z2 / (2 Omega^3)
+    scale = loop.points[:, 4] / (4.0 * omega * omega_sq)
     nl = p.n_level
-    quantum_coeff = _d_y_over_z(pts, 0, (2 * nl + 1) * z1 / (4.0 * w)
-                                + ksq * z1**2 * z2 * p.j_action / (2.0 * w_sq**2 * omega))
-    j_coeff = _d_z_over_omega(pts, 3, omega, grad_osq, -(y2 / (2.0 * z2)))
-    for col, c in _d_y_over_z(pts, 0, kzz * z1 / (2.0 * omega)).items():
-        j_coeff[col] += c
-
+    quantum_coeff = {g.d_y1z1: (2 * nl + 1) * g.fast + (2.0 * ksq * p.j_action) * back}
+    j_coeff = {g.d_y1z1: (2.0 * ksq) * back, 5: g.slow / omega, g.d_p2: scale,
+               g.d_u: -ksq * scale}
     return LinearOneForm(loop=loop, action_coeffs={nl: quantum_coeff}, j_coeff=j_coeff)
 
 
-def _effective_core_sq(
-    p: StandardLoopParams, c1: np.ndarray, c2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(core^2, f1, f2) with core^2 = 1 - eps^2 - 2 D^2 f1 f2 checked positive
-    at every sample, where f_i = 1 - eps c_i and c_i = cos(w_i t)."""
-    eps, d = p.epsilon, p.d_ratio
-    f1 = 1.0 - eps * c1
-    f2 = 1.0 - eps * c2
-    core_sq = 1.0 - eps**2 - 2.0 * d**2 * f1 * f2
-    require_positive(core_sq, lambda j: EllipticViolation(
-        f"effective frequency squared vanished at sample {j}", sample=j))
-    return core_sq, f1, f2
+# A sweep from k = 0 reads at most four profiles, as ``_drive_grid`` reads grids.
+@lru_cache(maxsize=4, typed=True)
+def _drive_profile(eps: float, omega1: float, omega2: float, period: float,
+                   n_samples: int) -> tuple[np.ndarray, ...]:
+    """The K-independent samples of ``standard_loop_report``, read-only, with
+    (c_i, s_i) = (cos, sin)(w_i t) and f_i = 1 - eps c_i: f1 f2, f2 (eps - c1),
+    d(f1 f2)/dt, -(eps^2) w2 s2^2 / (2 f2) and eps s2."""
+    c2, s2 = _drive_grid(omega2, period, n_samples)
+    c1, s1 = _drive_grid(omega1, period, n_samples)
+    f1, f2 = 1.0 - eps * c1, 1.0 - eps * c2
+    profile = (f1 * f2, f2 * (eps - c1), eps * omega1 * s1 * f2 + f1 * eps * omega2 * s2,
+               -(eps**2) * omega2 * s2**2 / (2.0 * f2), eps * s2)
+    for a in profile:
+        a.flags.writeable = False
+    return profile
 
 
 def _fast_phase_span(p: StandardLoopParams, branch: str) -> float:
@@ -273,52 +292,43 @@ def standard_loop_report(
 
     # the per-subsystem branch (k = 0) integrates the slow subsystem over its own period
     period = p.common_period if branch == BRANCH_COMMON else 2.0 * math.pi / p.omega2
-    c2, s2 = _drive_grid(p.omega2, period, n_samples)
+    f1f2, f2_drive, f1f2_dot, slow_term, eps_s2 = _drive_profile(
+        eps, p.omega1, p.omega2, period, n_samples)
 
     gamma_0 = gamma_n0_closed_form(p, branch)
 
     # Coupling corrections share one integrand, evaluated on the range that
     # carries both drives (the common period; they vanish identically at k=0,
-    # where d = 0).  The effective-frequency core below feeds them and the
-    # uncoupled angle shift.
-    c1, s1 = _drive_grid(p.omega1, period, n_samples)
-    core_sq, f1, f2 = _effective_core_sq(p, c1, c2)
+    # where d = 0).  The effective-frequency core 1 - eps^2 - 2 D^2 f1 f2
+    # feeds them and the uncoupled angle shift.
+    core_sq = one_minus - 2.0 * d**2 * f1f2
+    require_positive(core_sq, lambda j: EllipticViolation(
+        f"effective frequency squared vanished at sample {j}", sample=j))
     margin = float(np.min(core_sq))
     core = np.sqrt(core_sq)
-    drive = eps - c1
-    omega_eff = p.a2 * core
-    base = d**2 * p.a2**2 * eps * p.omega1 * f2 * drive / (p.a1 * one_minus * omega_eff)
+    base = (d**2 * p.a2 * eps * p.omega1 / (p.a1 * one_minus)) * f2_drive / core
     res_dphi = periodic_integral(-base, period)
     res_gamma = periodic_integral(p.j_action * base, period)
-    delta_phi_i = res_dphi.value
-    gamma_i = res_gamma.value
-    errs = [0.0, res_dphi.error_estimate, res_gamma.error_estimate]
-    prod_dot = eps * p.omega1 * s1 * f2 + f1 * eps * p.omega2 * s2
-    core_dot = -(d**2) * prod_dot / core
 
     # Uncoupled angle shift, with the effective frequency kept inside.
-    integrand0 = -(eps**2) * p.omega2 * s2**2 / (2.0 * core * f2) + eps * s2 * core_dot / (
-        2.0 * core**2
-    )
-    res0 = periodic_integral(integrand0, period)
-    delta_phi_0 = res0.value
-    errs.append(res0.error_estimate)
+    core_dot = -(d**2) * f1f2_dot / core
+    res0 = periodic_integral(slow_term / core + eps_s2 * core_dot / (2.0 * core_sq), period)
 
     t_omega1 = _fast_phase_span(p, branch)
     gamma_i_approx = eps**2 * p.a2 * p.j_action * d**2 * t_omega1 / (p.a1 * one_minus * root)
     delta_phi_i_approx = -(eps**2) * p.a2 * d**2 * t_omega1 / (p.a1 * one_minus * root)
 
     return HybridPhaseReport(
-        gamma=gamma_0 + gamma_i,
-        delta_phi=delta_phi_0 + delta_phi_i,
+        gamma=gamma_0 + res_gamma.value,
+        delta_phi=res0.value + res_dphi.value,
         gamma_0_part=gamma_0,
-        gamma_I_part=gamma_i,
-        delta_phi_0_part=delta_phi_0,
-        delta_phi_I_part=delta_phi_i,
+        gamma_I_part=res_gamma.value,
+        delta_phi_0_part=res0.value,
+        delta_phi_I_part=res_dphi.value,
         gamma_I_approx=gamma_i_approx,
         delta_phi_I_approx=delta_phi_i_approx,
         elliptic_margin=margin,
-        quadrature_error=max(errs),
+        quadrature_error=max(r.error_estimate for r in (res_dphi, res_gamma, res0)),
         branch=branch,
     )
 
@@ -328,7 +338,7 @@ def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     the circulation of (2n+1) Z/(4 omega) d(Y/Z)."""
     w_sq = _frequency_sq(loop.points, "frequency squared")
     coeff = (2 * n + 1) * loop.points[:, 2] / (4.0 * np.sqrt(w_sq))
-    return closed_line_integral(_d_y_over_z(loop.points, 0, coeff), loop)
+    return closed_line_integral({loop.derived(_triple_differentials, 0)[0]: coeff}, loop)
 
 
 def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
@@ -358,18 +368,16 @@ def full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
-    x1, x2 = _triple_pair(loop)
-    pts = loop.points
-    w1_sq, w2_sq = _frequency_sq(pts.reshape(-1, 2, 3), "a bare triple's frequency squared").T
-    high_sq, low_sq, sin_sq = _normal_mode_squares(w1_sq, w2_sq, k**2 * x1[:, 2] * x2[:, 2])
-    high = np.sqrt(high_sq)
-    low = np.sqrt(low_sq)
+    g = loop.derived(_pair_geometry)
+    require_positive(g.w_sq, lambda j: EllipticViolation(
+        f"a bare triple's frequency squared {np.min(g.w_sq[j]):.3e} at sample {j}", sample=j))
+    high_sq, low_sq, sin_sq = _normal_mode_squares(g.w_sq[:, 0], g.w_sq[:, 1], k**2 * g.z1z2)
+    high, low = np.sqrt(high_sq), np.sqrt(low_sq)
     cos_sq = 1.0 - sin_sq
 
-    t1 = (x1[:, 2] / 4.0) * ((2 * m + 1) * cos_sq / high + (2 * n + 1) * sin_sq / low)
-    t2 = (x2[:, 2] / 4.0) * ((2 * m + 1) * sin_sq / high + (2 * n + 1) * cos_sq / low)
-    coeffs = _d_y_over_z(pts, 0, t1) | _d_y_over_z(pts, 3, t2)
-    return closed_line_integral(coeffs, loop).value
+    t1 = g.quarter_z[:, 0] * ((2 * m + 1) * cos_sq / high + (2 * n + 1) * sin_sq / low)
+    t2 = g.quarter_z[:, 1] * ((2 * m + 1) * sin_sq / high + (2 * n + 1) * cos_sq / low)
+    return closed_line_integral({g.d_y1z1: t1, g.d_y2z2: t2}, loop).value
 
 
 def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int, n: int) -> tuple[float, float]:
@@ -383,19 +391,13 @@ def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int, n: int) -> tup
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
-    x1, x2 = _triple_pair(loop)
-    pts = loop.points
-    w_sq, omega_sq = _bo_frequency_sq(x1, x2, k)
-    w = np.sqrt(w_sq)
-    omega = np.sqrt(omega_sq)
-    z1, z2 = x1[:, 2], x2[:, 2]
+    g = loop.derived(_pair_geometry)
+    omega = np.sqrt(_slow_frequency_sq(g, k))
 
-    t1 = (2 * n + 1) * z1 / (4.0 * w) + (2 * m + 1) * k**2 * z1**2 * z2 / (
-        4.0 * w_sq**2 * omega
-    )
-    t2 = (2 * m + 1) * z2 / (4.0 * omega)
-    part1 = closed_line_integral(_d_y_over_z(pts, 0, t1), loop).value
-    part2 = closed_line_integral(_d_y_over_z(pts, 3, t2), loop).value
+    t1 = (2 * n + 1) * g.fast + ((2 * m + 1) * k**2) * g.back / omega
+    t2 = (2 * m + 1) * g.quarter_z[:, 1] / omega
+    part1 = closed_line_integral({g.d_y1z1: t1}, loop).value
+    part2 = closed_line_integral({g.d_y2z2: t2}, loop).value
     return part1, part2
 
 

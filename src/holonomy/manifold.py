@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -27,8 +28,20 @@ DEFAULT_SAMPLES = 4096
 _MIN_SEGMENTS = 16
 _CLOSURE_RTOL = 1e-12
 
-# A sampled covector: column of a loop's points -> its component at the M + 1 samples.
-Covector = Mapping[int, np.ndarray]
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Differential:
+    """dg along a loop (``LoopSpec.pullback``), equal only to itself: dg/dt at M samples
+    (``full``) and at the stride-2 M/2 (``half``, None for an odd M), and the loop, weakly."""
+
+    full: np.ndarray
+    half: np.ndarray | None
+    loop: weakref.ref
+
+
+# A sampled covector, a sum of terms f dg: dg is a Differential of the loop or a
+# column index j of its points, d(x_j) with rate velocity[:, j]; f has M + 1 samples.
+Covector = Mapping[int | Differential, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -123,6 +136,20 @@ class LoopSpec:
         coef = np.ascontiguousarray(self._spectrum.T) * shift[:, None, :]
         return np.fft.irfft(coef, n=m, axis=-1)
 
+    def pullback(self, rate: Callable[..., np.ndarray], *args) -> Differential:
+        """dg of a function g of the points, whose chain rule ``rate(x, v,
+        *args)`` gives dg/dt at rows ``x`` of points moving with velocity ``v``."""
+        half = None if self.n_segments % 2 else rate(self.points[:-1:2], self.half_velocity, *args)
+        return Differential(rate(self.points[:-1], self.velocity, *args), half, weakref.ref(self))
+
+    def derived(self, build: Callable[..., object], *args):
+        """``build(self, *args)``, built on first use and kept as long as the
+        loop (geometry a sweep's rows share); a build that raises keeps nothing."""
+        memo = self.__dict__.setdefault("_derived", {})
+        if (build, *args) not in memo:
+            memo[(build, *args)] = build(self, *args)
+        return memo[(build, *args)]
+
     def reversed(self) -> "LoopSpec":
         """The same curve traversed in the opposite orientation."""
         return LoopSpec(self.period, self.points[::-1], self.cycles)
@@ -212,13 +239,13 @@ def _trapezoid(values: np.ndarray, period: float) -> float:
     return float(period / (len(values) - 1) * (0.5 * values[0] + inner + 0.5 * values[-1]))
 
 
-def _contracted(coefficients: Covector, velocity: np.ndarray, stride: int) -> np.ndarray:
-    """coefficients[::stride] . velocity at the samples, summed over the
-    covector's columns; the last covector meets velocity[0]."""
-    g = np.zeros(len(velocity) + 1)
-    for col, c in coefficients.items():
-        g[:-1] += c[:-1:stride] * velocity[:, col]
-        g[-1] += c[-1] * velocity[0, col]
+def _pulled_back(terms: list[tuple], m: int, stride: int) -> np.ndarray:
+    """The sum of f dg/dt over the terms (f, (dg/dt, stride-2 dg/dt)) at every
+    stride-th of M + 1 samples; the last f meets the rate's first sample."""
+    g = np.zeros(m // stride + 1)
+    for c, rates in terms:
+        g[:-1] += c[:-1:stride] * rates[stride - 1]
+        g[-1] += c[-1] * rates[stride - 1][0]
     return g
 
 
@@ -235,23 +262,30 @@ def _require_halvable(m: int) -> None:
 def closed_line_integral(coefficients: Covector, loop: LoopSpec) -> QuadratureResult:
     """Evaluate the circulation of a sampled covector field around the loop.
 
-    ``coefficients[col]`` is the covector's component along column ``col`` of
-    ``loop.points`` at its M + 1 samples; columns left out are zero.  The
-    result is the closed line integral of coefficients . dx, a trapezoid sum
-    against ``loop.velocity`` over the listed columns only.  The error
-    estimate is the difference against a stride-2 subsample of the same data.
-    A column outside ``[0, loop.dim)`` or of a shape other than (M + 1,) is
-    ``LengthMismatch``.
+    ``coefficients`` maps each term's differential dg to its coefficient f at
+    the M + 1 samples: a column index ``col`` stands for d(points[:, col]),
+    with rate ``loop.velocity[:, col]``, or a ``loop.pullback`` Differential.
+    The result is the trapezoid sum of f dg/dt summed over the terms, with the
+    difference from the stride-2 subsample as its error estimate.  A column
+    outside ``[0, loop.dim)``, a differential of another loop or a
+    coefficient of a shape other than (M + 1,) is ``LengthMismatch``.
     """
     m = loop.n_segments
-    for col, c in coefficients.items():
-        if not (isinstance(col, numbers.Integral) and 0 <= col < loop.dim
-                and np.shape(c) == (m + 1,)):
-            raise LengthMismatch(f"covector column {col!r} of shape {np.shape(c)} is not one "
+    for key, c in coefficients.items():
+        if isinstance(key, Differential):
+            if not (key.loop() is loop and np.shape(c) == (m + 1,)):
+                raise LengthMismatch(f"covector term of shape {np.shape(c)} is not pulled back "
+                                     f"onto this loop of {m + 1} samples")
+        elif not (isinstance(key, numbers.Integral) and 0 <= key < loop.dim
+                  and np.shape(c) == (m + 1,)):
+            raise LengthMismatch(f"covector column {key!r} of shape {np.shape(c)} is not one "
                                  f"of the loop's {loop.dim} columns of {m + 1} samples")
     _require_halvable(m)
-    value = _trapezoid(_contracted(coefficients, loop.velocity, 1), loop.period)
-    half = _trapezoid(_contracted(coefficients, loop.half_velocity, 2), loop.period)
+    terms = [(c, (key.full, key.half) if isinstance(key, Differential)
+              else (loop.velocity[:, key], loop.half_velocity[:, key]))
+             for key, c in coefficients.items()]
+    value = _trapezoid(_pulled_back(terms, m, 1), loop.period)
+    half = _trapezoid(_pulled_back(terms, m, 2), loop.period)
     return QuadratureResult(value=value, error_estimate=abs(value - half))
 
 
@@ -343,13 +377,16 @@ class StandardLoopParams:
             )
 
 
-def _gho_loop(a: float, mu: float, eps: float, omega: float, period: float, n_samples: int,
-              cycles: int) -> LoopSpec:
-    """The GHO triple X = a mu (1 + eps cos wt), Y = -a eps sin wt,
-    Z = (a/mu)(1 - eps cos wt) sampled uniformly over [0, period], its last
-    point snapped onto the first."""
-    c, s = (eps * g for g in _drive_grid(omega, period, n_samples))
-    pts = np.column_stack([a * mu * (1.0 + c), -a * s, (a / mu) * (1.0 - c)])
+def _gho_loop(triples: list[tuple[float, float, float]], eps: float, period: float,
+              n_samples: int, cycles: int) -> LoopSpec:
+    """The GHO triples X = a mu (1 + eps cos wt), Y = -a eps sin wt, Z = (a/mu)
+    (1 - eps cos wt), one per (a, mu, w) of ``triples``, side by side, sampled
+    uniformly over [0, period], the last point snapped onto the first."""
+    columns = []
+    for a, mu, omega in triples:
+        c, s = (eps * g for g in _drive_grid(omega, period, n_samples))
+        columns += [a * mu * (1.0 + c), -a * s, (a / mu) * (1.0 - c)]
+    pts = np.column_stack(columns)
     pts[-1] = pts[0]
     return LoopSpec(period, pts, cycles=cycles)
 
@@ -383,8 +420,8 @@ def standard_parameter_loops(
     coupled-phase quadrature.
     """
     return (
-        _gho_loop(p.a1, p.mu1, p.epsilon, p.omega1, p.common_period, n_samples, p.n1),
-        _gho_loop(p.a2, p.mu2, p.epsilon, p.omega2, p.common_period, n_samples, p.n2),
+        _gho_loop([(p.a1, p.mu1, p.omega1)], p.epsilon, p.common_period, n_samples, p.n1),
+        _gho_loop([(p.a2, p.mu2, p.omega2)], p.epsilon, p.common_period, n_samples, p.n2),
     )
 
 
@@ -398,11 +435,12 @@ def subsystem_parameter_loop(
         a, mu, omega = p.a2, p.mu2, p.omega2
     else:
         raise ValueError("subsystem must be 1 or 2")
-    return _gho_loop(a, mu, p.epsilon, omega, 2.0 * math.pi / omega, n_samples, 1)
+    return _gho_loop([(a, mu, omega)], p.epsilon, 2.0 * math.pi / omega, n_samples, 1)
 
 
 def combined_parameter_loop(
     p: StandardLoopParams, n_samples: int = DEFAULT_SAMPLES
 ) -> LoopSpec:
-    """Both triples concatenated into one 6-dimensional common-period loop."""
-    return _joined(*standard_parameter_loops(p, n_samples))
+    """Both triples side by side in one 6-dimensional common-period loop."""
+    return _gho_loop([(p.a1, p.mu1, p.omega1), (p.a2, p.mu2, p.omega2)], p.epsilon,
+                     p.common_period, n_samples, 1)

@@ -6,7 +6,7 @@ quadratic, so its ground state is the Gaussian exp(-q^T A q / 2) with
 A = -i P Q^-1, where the columns (Q; P) are the +i omega eigenvectors of J M
 (one oscillator gives A = (omega + i Y) / Z).  Gaussian overlaps have a
 closed form, so the discrete Wilson loop over the samples needs only the
-Hamiltonian: no connection coefficient and no ``_d_y_over_z`` enters it.
+Hamiltonian: no connection coefficient and no pulled-back d(Y/Z) enters it.
 Its error falls as M^-2, and the Richardson value (4 W(2M) - W(M)) / 3 as
 M^-4.  References: Berry, Proc. R. Soc. A 392, 45 (1984); Littlejohn,
 Phys. Rep. 138, 193 (1986).

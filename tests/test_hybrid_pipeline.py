@@ -1,8 +1,12 @@
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from holonomy import (
@@ -21,6 +25,7 @@ from holonomy import (
     bo_full_quantum_phase,
     bo_full_quantum_phase_parts,
     circle_loop,
+    closed_line_integral,
     combined_parameter_loop,
     coupled_gho_one_form,
     elliptic_bound,
@@ -32,7 +37,7 @@ from holonomy import (
     standard_loop_report,
     standard_parameter_loops,
 )
-from holonomy import manifold
+from holonomy import hybrid_pipeline, manifold
 from holonomy.cli import ExperimentConfig, execute
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
@@ -222,15 +227,17 @@ class TestReportQuadratureError:
 
 class TestCoupledGHOOneForm:
     def test_zero_coupling_coefficient_reduction(self):
+        # the quantum coefficient is one term, 3 Z1/(4 omega) d(Y1/Z1)
         p = std_params(eps=0.5, k=0.0, n_level=1)
         form = coupled_gho_one_form(p, combined_parameter_loop(p, 256))
-        pts = form.loop.points
-        y1, z1 = pts[:, 1], pts[:, 2]
+        x, v = form.loop.points, form.loop.velocity
+        z1 = x[:, 2]
         w = math.sqrt(p.a1**2 * (1 - 0.25))
-        expected = {1: 3.0 * z1 / (4.0 * w) / z1, 2: 3.0 * z1 / (4.0 * w) * (-y1 / z1**2)}
-        assert form.action_coeffs[1].keys() == expected.keys()
-        for col, c in expected.items():
-            assert np.max(np.abs(form.action_coeffs[1][col] - c)) < 1e-12
+        d_y1z1 = form.loop.derived(hybrid_pipeline._pair_geometry).d_y1z1
+        assert list(form.action_coeffs[1]) == [d_y1z1]
+        assert_allclose(d_y1z1.full, v[:, 1] / z1[:-1] - x[:-1, 1] * v[:, 2] / z1[:-1] ** 2,
+                        rtol=1e-13, atol=1e-13)
+        assert np.max(np.abs(form.action_coeffs[1][d_y1z1] - 3.0 * z1 / (4.0 * w))) < 1e-12
 
     def test_frozen_parameters_zero_phases(self):
         p = std_params(eps=0.0, k=0.01)
@@ -315,13 +322,9 @@ class TestStandardLoopReport:
         p0 = std_params(eps=0.5, k=0.0)
         _, k_max = elliptic_bound(p0)
         p = std_params(eps=0.5, k=0.4 * k_max)
+        # the one-form built on the reversed loop, whose differentials are its own
         form = coupled_gho_one_form(p, combined_parameter_loop(p, 512))
-        rev = LinearOneForm(
-            loop=form.loop.reversed(),
-            action_coeffs={k: {col: c[::-1] for col, c in v.items()}
-                           for k, v in form.action_coeffs.items()},
-            j_coeff={col: c[::-1] for col, c in form.j_coeff.items()},
-        )
+        rev = coupled_gho_one_form(p, form.loop.reversed())
         fwd_ph = phases_from_one_form(form)
         rev_ph = phases_from_one_form(rev)
         assert abs(fwd_ph.gammas[0] + rev_ph.gammas[0]) < 1e-12 * abs(fwd_ph.gammas[0])
@@ -497,6 +500,82 @@ class TestBOFullQuantum:
         g_m = bo_full_quantum_phase(self.loop, k, m, n)
         g_m1 = bo_full_quantum_phase(self.loop, k, m + 1, n)
         assert abs(-(g_m1 - g_m) - ph.delta_phi) <= 1e-9
+
+
+class TestPairGeometry:
+    """The K-independent pieces of the coupled-oscillator routes are built once
+    per loop and live exactly as long as it does."""
+
+    def test_built_once(self):
+        p = std_params(eps=0.5, k=0.1, n1=2, n2=1, a1=2.0)
+        loop = combined_parameter_loop(p, 256)
+        full_quantum_phase(loop, p.k, 1, 0)
+        first = loop.derived(hybrid_pipeline._pair_geometry)
+        bo_full_quantum_phase_parts(loop, p.k, 1, 0)
+        form = coupled_gho_one_form(p, loop)
+        again = loop.derived(hybrid_pipeline._pair_geometry)
+        assert again is first
+        assert all(a is b for a, b in zip(again, first))
+        assert list(form.action_coeffs[0]) == [first.d_y1z1]
+        assert {first.d_y1z1, first.d_p2, first.d_u} <= form.j_coeff.keys()
+
+    def test_freed_with_its_loop(self):
+        p = std_params(eps=0.5, k=0.1)
+        loop = combined_parameter_loop(p, 256)
+        phases_from_one_form(coupled_gho_one_form(p, loop))
+        full_quantum_phase(loop, p.k, 0, 0)
+        refs = [weakref.ref(loop), weakref.ref(loop.derived(hybrid_pipeline._pair_geometry).d_u)]
+        del loop
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_bare_fast_frequency_not_positive_is_each_routes_own_error(self):
+        # omega1^2 = 1 - 4 < 0 everywhere; the shared geometry divides by it, yet
+        # under raised floating-point conditions each route names its own guard
+        loop = LoopSpec(1.0, np.tile([1.0, 2.0, 1.0, 1.0, 0.1, 1.0], (65, 1)))
+        routes = {"a bare triple's frequency squared": lambda: full_quantum_phase(loop, 0.1, 0, 0),
+                  "fast-triple frequency squared": lambda: bo_full_quantum_phase_parts(
+                      loop, 0.1, 0, 0)}
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(2):  # the second call reads the geometry the first built
+                for names, call in routes.items():
+                    with pytest.raises(EllipticViolation, match=names) as err:
+                        call()
+                    assert err.value.sample == 0
+                with pytest.raises(EllipticViolation, match="fast-triple"):
+                    coupled_gho_one_form(std_params(eps=0.5, k=0.1), loop)
+
+    def test_differential_of_another_loop_is_rejected(self):
+        p = std_params(eps=0.5, k=0.1)
+        form = coupled_gho_one_form(p, combined_parameter_loop(p, 256))
+        with pytest.raises(LengthMismatch, match="not pulled back onto this loop"):
+            phases_from_one_form(LinearOneForm(form.loop.reversed(), form.action_coeffs, {}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), col=st.integers(0, 3), half_m=st.integers(16, 300),
+       period=st.floats(0.01, 100.0))
+def test_pulled_back_y_over_z_matches_its_columns(seed, col, half_m, period):
+    """f d(Y/Z) pulled back onto the loop equals the column form
+    f (1/Z) dY + f (-Y/Z^2) dZ, value and error estimate, to 8 ulp of the
+    summands' scale."""
+    rng = np.random.default_rng(seed)
+    m = 2 * half_m
+    points = rng.normal(size=(m + 1, col + 3)) * rng.uniform(0.1, 10.0, size=col + 3)
+    points[:, col + 2] = rng.uniform(0.2, 5.0) + np.abs(points[:, col + 2])
+    points[-1] = points[0]
+    loop = LoopSpec(period, points)
+    f = rng.normal(size=m + 1) * 10.0 ** rng.uniform(-3, 3)
+    y, z = points[:, col + 1], points[:, col + 2]
+    columns = {col + 1: f * (1.0 / z), col + 2: f * (-y / z**2)}
+    d_y_over_z, _ = hybrid_pipeline._triple_differentials(loop, col)
+    pulled = closed_line_integral({d_y_over_z: f}, loop)
+    ref = closed_line_integral(columns, loop)
+    summands = np.abs(columns[col + 1][:-1] * loop.velocity[:, col + 1]) + np.abs(
+        columns[col + 2][:-1] * loop.velocity[:, col + 2])
+    tol = 8 * np.spacing(loop.period / m * np.sum(summands))
+    assert abs(pulled.value - ref.value) <= tol
+    assert abs(pulled.error_estimate - ref.error_estimate) <= tol
 
 
 class TestNormalModeCollapseSide:

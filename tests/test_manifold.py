@@ -103,7 +103,7 @@ LOOP_BUILDERS = {
     "make_loop": lambda period, n: make_loop(never_called, period, n),
     "circle_loop": lambda period, n: circle_loop(period=period, n_samples=n),
     "cone_loop": lambda period, n: cone_loop(1.0, period=period, n_samples=n),
-    "_gho_loop": lambda period, n: _gho_loop(1.0, 1.0, 0.5, 1.0, period, n, 1),
+    "_gho_loop": lambda period, n: _gho_loop([(1.0, 1.0, 1.0)], 0.5, period, n, 1),
     "LoopSpec": lambda period, n: LoopSpec(period, np.ones((n + 1, 2))),
 }
 # Everything that takes a sample count and lays out its own grid.
@@ -181,6 +181,24 @@ class TestClosedLineIntegral:
     def test_empty_covector_vanishes(self):
         res = closed_line_integral({}, unit_circle_3d(n=64))
         assert (res.value, res.error_estimate) == (0.0, 0.0)
+
+
+def test_derived_is_built_once_per_arguments_and_not_after_a_raise():
+    loop = unit_circle_3d(n=64)
+    calls = []
+
+    def build(loop, col):
+        calls.append(col)
+        if len(calls) == 1:
+            raise NonFinite("first build fails")
+        return loop.points[:, col] * 2.0
+
+    with pytest.raises(NonFinite):
+        loop.derived(build, 0)
+    first = loop.derived(build, 0)
+    assert loop.derived(build, 0) is first
+    assert loop.derived(build, 1) is not first
+    assert calls == [0, 0, 1]
 
 
 def dense_reference(columns, loop):

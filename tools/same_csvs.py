@@ -16,10 +16,11 @@ The script prints every CSV whose bytes differ between the trees, or that
 only one of them wrote, and exits 1 if there is any; it exits 0 when every
 CSV is byte-identical.  Under each CSV written by both trees it prints every
 column that moved, with the largest absolute move over the cells that are
-finite numbers on both sides, the largest move relative to
-max(|base|, |head|) over those cells that are not zero on both sides (so a
-move at rounding level reads as one, near 1e-16), and whether any other
-cell (text, empty, inf or nan; compared exactly) changed.  A change that
+finite numbers on both sides, that move relative to the table's scale (the
+largest finite magnitude of any cell of either table, so a rounding-level
+move of a column that is itself at rounding level, such as a converged
+error estimate or a route residual, reads near 1e-16 and not as 1), and
+whether any other cell (text, empty, inf or nan; compared exactly) changed.  A change that
 moves values on purpose quotes this list.  Both trees together take about
 8 s on a 2-core x86-64 host.
 """
@@ -92,13 +93,16 @@ def _finite(cell: str) -> float | None:
 def column_moves(base: str, head: str) -> list[str]:
     """One line per column whose cells differ between two CSV texts, rows
     matched by position: the largest absolute move over the cells that are
-    finite numbers on both sides, the largest relative move over those not
-    zero on both sides, and ``text changed`` when any other cell differs.
+    finite numbers on both sides, that move relative to the tables' scale
+    (the largest finite magnitude of any cell; left out when that is 0),
+    and ``text changed`` when any other cell differs.
     A changed row count or a column only one side has gets a line of its
     own."""
     tables = [list(csv.reader(io.StringIO(text))) for text in (base, head)]
     old, new = ({name: column for name, *column in zip(*table)} if table else {}
                 for table in tables)
+    scale = max((abs(v) for table in tables for row in table[1:] for v in map(_finite, row)
+                 if v is not None), default=0.0)
     lines = []
     if len(tables[0]) != len(tables[1]):
         lines.append(f"rows: {len(tables[0]) - 1} -> {len(tables[1]) - 1}")
@@ -106,7 +110,7 @@ def column_moves(base: str, head: str) -> list[str]:
         if name not in new or name not in old:
             lines.append(f"{name}: only in {'head' if name in new else 'base'}")
             continue
-        moves, relative, text = [], [], False
+        moves, text = [], False
         for a, b in zip(old[name], new[name]):
             if a != b:
                 x, y = _finite(a), _finite(b)
@@ -114,11 +118,9 @@ def column_moves(base: str, head: str) -> list[str]:
                     text = True
                 else:
                     moves.append(abs(x - y))
-                    if x or y:
-                        relative.append(abs(x - y) / max(abs(x), abs(y)))
         if moves or text:
             parts = [f"largest move {max(moves):.3e}"] if moves else []
-            parts += [f"relative {max(relative):.1e}"] if relative else []
+            parts += [f"relative {max(moves) / scale:.1e}"] if moves and scale else []
             lines.append(f"{name}: " + ", ".join(parts + ["text changed"] * text))
     return lines
 
