@@ -8,7 +8,7 @@ same_csvs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(same_csvs)
 
 # One numeric move, a signed zero, a number turned empty and an error text;
-# moves are relative to the tables' largest magnitude, 3.
+# gamma_1 moves relative to its column's and the tables' largest magnitude, 3.
 MOVED = (
     "theta,gamma_1,gamma_2,error\n"
     "1.0000000000000000e+00,-2.0000000000000000e+00,0.0000000000000000e+00,\n"
@@ -23,8 +23,9 @@ RESHAPED = ("K,a\n1,2\n", "K,b\n1,2\n3,4\n")
 
 def test_column_moves_name_each_moved_column():
     assert same_csvs.column_moves(*MOVED) == [
-        "gamma_1: largest move 4.441e-16, relative 1.5e-16, text changed",
-        "gamma_2: largest move 0.000e+00, relative 0.0e+00",
+        "gamma_1: largest move 4.441e-16, relative 1.5e-16 of the column and 1.5e-16 of the table, "
+        "text changed",
+        "gamma_2: largest move 0.000e+00, relative 0.0e+00 of the column and 0.0e+00 of the table",
         "error: text changed",
     ]
     assert same_csvs.column_moves(*RESHAPED) == ["rows: 1 -> 2", "a: only in base", "b: only in head"]
@@ -36,7 +37,8 @@ def test_a_rounding_move_near_zero_is_small_against_the_table():
     base = "gamma,quadrature_error\n2.0,0.0\n-1.5,4.440892098500626e-16\n"
     head = "gamma,quadrature_error\n2.0,2.220446049250313e-16\n-1.5,4.440892098500626e-16\n"
     assert same_csvs.column_moves(base, head) == [
-        "quadrature_error: largest move 2.220e-16, relative 1.1e-16"]
+        "quadrature_error: largest move 2.220e-16, relative 5.0e-01 of the column and 1.1e-16 "
+        "of the table"]
     assert same_csvs.column_moves("x\n0.0\n", "x\n-0.0\n") == ["x: largest move 0.000e+00"]
 
 
@@ -51,8 +53,9 @@ def test_main_lists_moves_under_each_differing_csv(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "differs: gone.csv",
         "differs: moved.csv",
-        "  gamma_1: largest move 4.441e-16, relative 1.5e-16, text changed",
-        "  gamma_2: largest move 0.000e+00, relative 0.0e+00",
+        "  gamma_1: largest move 4.441e-16, relative 1.5e-16 of the column and 1.5e-16 of the table, "
+        "text changed",
+        "  gamma_2: largest move 0.000e+00, relative 0.0e+00 of the column and 0.0e+00 of the table",
         "  error: text changed",
         "3 CSVs, 2 differ",
     ]

@@ -16,11 +16,13 @@ The script prints every CSV whose bytes differ between the trees, or that
 only one of them wrote, and exits 1 if there is any; it exits 0 when every
 CSV is byte-identical.  Under each CSV written by both trees it prints every
 column that moved, with the largest absolute move over the cells that are
-finite numbers on both sides, that move relative to the table's scale (the
-largest finite magnitude of any cell of either table, so a rounding-level
-move of a column that is itself at rounding level, such as a converged
-error estimate or a route residual, reads near 1e-16 and not as 1), and
-whether any other cell (text, empty, inf or nan; compared exactly) changed.  A change that
+finite numbers on both sides, that move relative to the column's scale and
+to the table's (the largest finite magnitude of the column's cells, and of
+any cell, in either table), and whether any other cell (text, empty, inf or
+nan; compared exactly) changed.  A value column moved by rounding reads near
+1e-16 against its own scale; a column that is itself at rounding level,
+such as a converged error estimate or a route residual, reads near 1 there
+and near 1e-16 against the table.  A change that
 moves values on purpose quotes this list.  Both trees together take about
 8 s on a 2-core x86-64 host.
 """
@@ -93,16 +95,20 @@ def _finite(cell: str) -> float | None:
 def column_moves(base: str, head: str) -> list[str]:
     """One line per column whose cells differ between two CSV texts, rows
     matched by position: the largest absolute move over the cells that are
-    finite numbers on both sides, that move relative to the tables' scale
-    (the largest finite magnitude of any cell; left out when that is 0),
-    and ``text changed`` when any other cell differs.
+    finite numbers on both sides, that move relative to the column's and to
+    the table's scale (the largest finite magnitude of the column's cells
+    and of any cell in either table; left out when that is 0), and
+    ``text changed`` when any other cell differs.
     A changed row count or a column only one side has gets a line of its
     own."""
     tables = [list(csv.reader(io.StringIO(text))) for text in (base, head)]
     old, new = ({name: column for name, *column in zip(*table)} if table else {}
                 for table in tables)
-    scale = max((abs(v) for table in tables for row in table[1:] for v in map(_finite, row)
-                 if v is not None), default=0.0)
+
+    def scale(cells):
+        return max((abs(v) for v in map(_finite, cells) if v is not None), default=0.0)
+
+    table_scale = scale(cell for table in tables for row in table[1:] for cell in row)
     lines = []
     if len(tables[0]) != len(tables[1]):
         lines.append(f"rows: {len(tables[0]) - 1} -> {len(tables[1]) - 1}")
@@ -120,7 +126,10 @@ def column_moves(base: str, head: str) -> list[str]:
                     moves.append(abs(x - y))
         if moves or text:
             parts = [f"largest move {max(moves):.3e}"] if moves else []
-            parts += [f"relative {max(moves) / scale:.1e}"] if moves and scale else []
+            column_scale = scale(old[name] + new[name])
+            if moves and column_scale:
+                parts.append(f"relative {max(moves) / column_scale:.1e} of the column and "
+                             f"{max(moves) / table_scale:.1e} of the table")
             lines.append(f"{name}: " + ", ".join(parts + ["text changed"] * text))
     return lines
 
