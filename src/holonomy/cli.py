@@ -3,9 +3,9 @@
 Every experiment writes ``<experiment>.csv`` (17 significant digits, '.'
 decimal separator), optionally ``<experiment>.svg`` (a plain polyline chart,
 no external renderer), and ``run_meta.json`` with the echoed configuration,
-package version, and timings.  CSV bytes are deterministic for a fixed
-configuration; the ``seed`` is recorded for provenance only, as no
-experiment draws random numbers.
+the settings the run used (``resolved``), package version, and timings.
+CSV bytes are deterministic for a fixed configuration; the ``seed`` is
+recorded for provenance only, as no experiment draws random numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -67,17 +67,15 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _number(
-    section: dict[str, Any], key: str, default: Any, kind: type = float, positive: bool = False
-) -> Any:
-    """``section[key]`` (``default`` when absent) as a finite ``kind``, also
-    positive when ``positive`` is set; a list of such values when ``default``
-    is a list.  Anything else raises ``ConfigInvalid``."""
-    value = section.get(key, default)
+def _number(key: str, value: Any, default: Any, positive: bool = False) -> Any:
+    """``value`` as a finite number of ``default``'s kind (``int`` or ``float``),
+    also positive when ``positive`` is set; for a list ``default``, a list of
+    values of its first element's kind.  Anything else raises ``ConfigInvalid``."""
     if isinstance(default, list):
         if not isinstance(value, list):
-            raise ConfigInvalid(f"{key} must be a list of numbers, got {value!r}")
-        return [_number({key: v}, key, None, kind, positive) for v in value]
+            raise ConfigInvalid(f"{key} must be a list, got {value!r}")
+        return [_number(key, v, default[0], positive) for v in value]
+    kind = type(default)
     finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
         abs(value) <= sys.float_info.max  # false for inf, nan and ints past float range
     )
@@ -88,6 +86,17 @@ def _number(
     return kind(value)
 
 
+# The settings that must be positive, in every experiment that declares them.
+_POSITIVE = {"mu", "b_magnitude", "cycles", "a", "m", "omega", "j0", "a1_over_a2", "n_samples",
+             "slowness"}
+
+
+def _resolve(section: dict[str, Any], declared: dict[str, Any]) -> dict[str, Any]:
+    """Each declared setting's value in ``section``, else its default, checked."""
+    return {key: _number(key, section.get(key, default), default, key in _POSITIVE)
+            for key, default in declared.items()}
+
+
 def _sweep_block(sweep: dict[str, Any]) -> tuple[Callable[..., np.ndarray], float, float, int]:
     """A sweep block's spacing, start, stop and count, checked.  Only
     comparisons run here; the arithmetic that lays out the points, which can
@@ -95,9 +104,9 @@ def _sweep_block(sweep: dict[str, Any]) -> tuple[Callable[..., np.ndarray], floa
     if sweep.get("scale", "linear") not in ("linear", "log"):
         raise ConfigInvalid("sweep scale must be 'linear' or 'log'")
     log = sweep.get("scale") == "log"
-    start = _number(sweep, "start", None, positive=log)
-    stop = _number(sweep, "stop", None, positive=log)
-    count = _number(sweep, "count", None, int)
+    start = _number("start", sweep.get("start"), 0.0, positive=log)
+    stop = _number("stop", sweep.get("stop"), 0.0, positive=log)
+    count = _number("count", sweep.get("count"), 0)
     if count < 2:
         raise ConfigInvalid("sweep count must be at least 2")
     return np.geomspace if log else np.linspace, start, stop, count
@@ -154,7 +163,7 @@ class ExperimentConfig:
             numerics=sections["numerics"],
             output_dir=directory,
             emit_svg=emit_svg,
-            seed=_number(raw, "seed", 0, int),
+            seed=_number("seed", raw.get("seed", 0), 0),
         )
 
     @classmethod
@@ -164,12 +173,6 @@ class ExperimentConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigInvalid(f"cannot read configuration: {exc}") from exc
         return cls.from_dict(raw)
-
-    def n_samples(self, default: int = DEFAULT_SAMPLES) -> int:
-        return _number(self.numerics, "n_samples", default, int, positive=True)
-
-    def slowness(self) -> float:
-        return _number(self.numerics, "slowness", 1000.0, positive=True)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -182,23 +185,18 @@ class ExperimentConfig:
         }
 
 
-def _standard_params(params: dict[str, Any], **overrides: Any) -> StandardLoopParams:
-    defaults = {
-        "a1": 1.0,
-        "a2": 1.0,
-        "mu1": 1.0,
-        "mu2": 1.0,
-        "n1": 1,
-        "n2": 1,
-        "base_rate": 1.0,
-        "epsilon": math.sqrt(3.0) / 2.0,
-        "k": 0.0,
-        "j_action": 1.0,
-        "n_level": 0,
-    }
-    merged = {**defaults, **params, **overrides}
-    values = {key: _number(merged, key, None, type(value)) for key, value in defaults.items()}
-    return StandardLoopParams(**values)
+# The settings of ``StandardLoopParams`` and their defaults.
+_LOOP = {"a1": 1.0, "a2": 1.0, "mu1": 1.0, "mu2": 1.0, "n1": 1, "n2": 1, "base_rate": 1.0,
+         "epsilon": math.sqrt(3.0) / 2.0, "k": 0.0, "j_action": 1.0, "n_level": 0}
+
+
+def _loop_settings(*without: str) -> dict[str, Any]:
+    return {key: default for key, default in _LOOP.items() if key not in without}
+
+
+def _loop_params(s: dict[str, Any], **overrides: Any) -> StandardLoopParams:
+    """The standard loop of the resolved settings ``s``, with ``overrides``."""
+    return StandardLoopParams(**({key: s[key] for key in _LOOP if key in s} | overrides))
 
 
 def _hybrid_gho_row(p: StandardLoopParams, n_samples: int) -> dict[str, Any]:
@@ -218,45 +216,37 @@ def _hybrid_gho_row(p: StandardLoopParams, n_samples: int) -> dict[str, Any]:
     }
 
 
-def _hybrid_gho_points(cfg: ExperimentConfig) -> list[Point]:
-    base = _standard_params(cfg.params)
-    ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
-    n_samples = cfg.n_samples()
-    return [
-        ({"ratio": f"{base.n1}/{base.n2}", "K": k},
-         partial(_hybrid_gho_row, _standard_params(cfg.params, k=k), n_samples))
-        for k in ks
-    ]
+def _gho_points(base: StandardLoopParams, ks: list[float], n_samples: int) -> list[Point]:
+    """hybrid-gho rows of the loop ``base`` at each coupling in ``ks``."""
+    return [({"ratio": f"{base.n1}/{base.n2}", "K": k},
+             partial(_hybrid_gho_row, replace(base, k=k), n_samples)) for k in ks]
 
 
-def _fig_points(cfg: ExperimentConfig) -> list[Point]:
+def _hybrid_gho_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+    base = _loop_params(s)  # checks the settings, k too when a sweep replaces it
+    return _gho_points(base, [base.k] if cfg.sweep is None else _grid(cfg.sweep), s["n_samples"])
+
+
+def _fig_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
     """hybrid-gho rows over (ratio, K), K swept as fractions of each ratio's K_max."""
-    params = dict(cfg.params, a1=_number(cfg.params, "a1", 1.0))
-    params.setdefault("a2", params["a1"] / _number(params, "a1_over_a2", 1e8, positive=True))
-    params.setdefault("j_action", _number(params, "j_over_hbar", 1e13))
-    ratios = params.get("ratios", [[1, 1], [2, 1], [1, 2]])
-    if not (isinstance(ratios, list) and all(isinstance(r, list) and len(r) == 2 for r in ratios)):
-        raise ConfigInvalid(f"ratios must be a list of [n1, n2] pairs, got {ratios!r}")
-    n_samples = cfg.n_samples()
+    # a2 and j_action, unless given, follow from a1 / a1_over_a2 and j_over_hbar
+    s.update(_resolve(cfg.params, {"a2": s["a1"] / s["a1_over_a2"], "j_action": s["j_over_hbar"]}))
+    if any(len(ratio) != 2 for ratio in s["ratios"]):
+        raise ConfigInvalid(f"ratios must be a list of [n1, n2] pairs, got {s['ratios']!r}")
     points = []
-    for n1, n2 in ratios:
-        base = _standard_params(params, n1=n1, n2=n2, k=0.0)
+    for n1, n2 in s["ratios"]:
+        base = _loop_params(s, n1=n1, n2=n2)
         _, k_max = elliptic_bound(base)
-        for k in _grid(_FIG_SWEEP if cfg.sweep is None else cfg.sweep, k_max):
-            p = _standard_params(params, n1=n1, n2=n2, k=k)
-            points.append(({"ratio": f"{p.n1}/{p.n2}", "K": k},
-                           partial(_hybrid_gho_row, p, n_samples)))
+        ks = _grid(_FIG_SWEEP if cfg.sweep is None else cfg.sweep, k_max)
+        points += _gho_points(base, ks, s["n_samples"])
     return points
 
 
-def _spin_berry_points(cfg: ExperimentConfig) -> list[Point]:
-    family = spin_hamiltonian_family(_number(cfg.params, "mu", 1.0, positive=True))
-    b = _number(cfg.params, "b_magnitude", 1.0, positive=True)
-    cycles = _number(cfg.params, "cycles", 1, int, positive=True)
-    n_samples = cfg.n_samples()
+def _spin_berry_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+    family = spin_hamiltonian_family(s["mu"])
 
     def row(theta: float) -> dict[str, Any]:
-        loop = cone_loop(theta, b=b, n_samples=n_samples, cycles=cycles)
+        loop = cone_loop(theta, b=s["b_magnitude"], n_samples=s["n_samples"], cycles=s["cycles"])
         frame = eigenframe_along_loop(family, loop)
         g1, d1 = berry_and_hannay(frame, 0)
         g2, d2 = berry_and_hannay(frame, 1)
@@ -268,16 +258,13 @@ def _spin_berry_points(cfg: ExperimentConfig) -> list[Point]:
             abs_err_1=abs(d1 - c1), abs_err_2=abs(d2 - c2),
         )
 
-    thetas = _number(cfg.params, "thetas", [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3])
-    return [({"theta": theta}, partial(row, theta)) for theta in thetas]
+    return [({"theta": theta}, partial(row, theta)) for theta in s["thetas"]]
 
 
-def _gho_uncoupled_points(cfg: ExperimentConfig) -> list[Point]:
-    n_samples = cfg.n_samples()
-
+def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
     def row(p: StandardLoopParams) -> dict[str, Any]:
-        report = standard_loop_report(p, n_samples, branch=BRANCH_COMMON)
-        loop = combined_parameter_loop(p, n_samples)
+        report = standard_loop_report(p, s["n_samples"], branch=BRANCH_COMMON)
+        loop = combined_parameter_loop(p, s["n_samples"])
         phases = phases_from_one_form(coupled_gho_one_form(p, loop))
         closed = report.gamma_0_part
         quad = phases.gammas[p.n_level]
@@ -290,30 +277,22 @@ def _gho_uncoupled_points(cfg: ExperimentConfig) -> list[Point]:
             correspondence_residual=corr,
         )
 
-    epsilons = _number(cfg.params, "epsilons", [0.1, 0.5, math.sqrt(3.0) / 2.0])
-    return [
-        ({"epsilon": eps}, partial(row, _standard_params(cfg.params, epsilon=eps, k=0.0)))
-        for eps in epsilons
-    ]
+    return [({"epsilon": eps}, partial(row, _loop_params(s, epsilon=eps))) for eps in s["epsilons"]]
 
 
-def _hybrid_spin_osc_points(cfg: ExperimentConfig) -> list[Point]:
-    params = cfg.params
-    n_samples = cfg.n_samples()
-    a = _number(params, "a", 1.0, positive=True)
-    m_param = _number(params, "m", 1.0, positive=True)
-    eps = _number(params, "epsilon", 0.5)
-    omega = _number(params, "omega", 1.0, positive=True)
+def _hybrid_spin_osc_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+    n_samples, omega = s["n_samples"], s["omega"]
     period = 2.0 * math.pi / omega
     hybrid = partial(
         SpinOscillatorHybrid,
-        mu=_number(params, "mu", 1.0, positive=True),
-        b_field=_number(params, "b_magnitude", 1.0, positive=True),
+        mu=s["mu"],
+        b_field=s["b_magnitude"],
         loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n_samples),
-                                  _gho_loop([(a, m_param, omega)], eps, period, n_samples, 1)),
-        i_plus=_number(params, "i_plus", 1.0),
-        i_minus=_number(params, "i_minus", 0.0),
-        j_action=_number(params, "j_action", 1.0),
+                                  _gho_loop([(s["a"], s["m"], omega)], s["epsilon"], period,
+                                            n_samples, 1)),
+        i_plus=s["i_plus"],
+        i_minus=s["i_minus"],
+        j_action=s["j_action"],
     )
 
     def row(model: SpinOscillatorHybrid) -> dict[str, Any]:
@@ -325,20 +304,20 @@ def _hybrid_spin_osc_points(cfg: ExperimentConfig) -> list[Point]:
             quadrature_error=phases.quadrature_error,
         )
 
-    lambdas = _number(params, "lambdas", [0.0, 0.02, 0.05])
-    return [({"lambda": lam}, partial(row, hybrid(lam=lam))) for lam in lambdas]
+    return [({"lambda": lam}, partial(row, hybrid(lam=lam))) for lam in s["lambdas"]]
 
 
-def _full_quantum_points(cfg: ExperimentConfig) -> list[Point]:
-    base = _standard_params(cfg.params)
-    m_level = _number(cfg.params, "m_level", 0, int)
+def _full_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+    m_level = s["m_level"]
     if m_level < 0:
         raise ConfigInvalid(f"m_level must be nonnegative, got {m_level}")
-    n_samples = cfg.n_samples()
+    base = _loop_params(s)
     # The loop does not depend on k or j_action, so the sweep builds it once,
     # in the first row that runs; ``cache`` stores no exception, so a failing
     # build stays each row's own typed error.
-    combined_loop = cache(partial(combined_parameter_loop, base, n_samples))
+    combined_loop = cache(partial(combined_parameter_loop, base, s["n_samples"]))
+    # the hybrid route's classical action is the oscillator level's, m + 1/2
+    s["j_action"] = m_level + 0.5
 
     def row(p: StandardLoopParams) -> dict[str, Any]:
         # This order decides which typed error a row past mode collapse reports.
@@ -355,17 +334,12 @@ def _full_quantum_points(cfg: ExperimentConfig) -> list[Point]:
         )
 
     ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
-    j_action = m_level + 0.5
-    return [
-        ({"K": k}, partial(row, _standard_params(cfg.params, k=k, j_action=j_action)))
-        for k in ks
-    ]
+    return [({"K": k}, partial(row, _loop_params(s, k=k))) for k in ks]
 
 
-def _oracle_quantum_points(cfg: ExperimentConfig) -> list[Point]:
-    mu = _number(cfg.params, "mu", 1.0, positive=True)
+def _oracle_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+    mu, slowness, n_samples = s["mu"], s["slowness"], s["n_samples"]
     family = spin_hamiltonian_family(mu)
-    slowness, n_samples = cfg.slowness(), cfg.n_samples(256)
 
     def row(theta: float) -> dict[str, Any]:
         loop = cone_loop(theta, n_samples=n_samples)
@@ -380,23 +354,20 @@ def _oracle_quantum_points(cfg: ExperimentConfig) -> list[Point]:
             final_fidelity=prop.final_fidelity,
         )
 
-    thetas = _number(cfg.params, "thetas", [math.pi / 2, math.pi / 3])
     return [
         ({"theta": theta, "level": 0, "slowness": slowness}, partial(row, theta))
-        for theta in thetas
+        for theta in s["thetas"]
     ]
 
 
-def _oracle_classical_points(cfg: ExperimentConfig) -> list[Point]:
-    slowness, n_samples = cfg.slowness(), cfg.n_samples(256)
-    j0 = _number(cfg.params, "j0", 1.0, positive=True)
-    phi0 = _number(cfg.params, "phi0", 0.3)
+def _oracle_classical_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+    slowness, n_samples = s["slowness"], s["n_samples"]
 
     def row(p: StandardLoopParams) -> dict[str, Any]:
         loop = subsystem_parameter_loop(p, 2, n_samples)
         report = standard_loop_report(p, max(DEFAULT_SAMPLES, n_samples))
         steps = recommended_steps_per_sample(loop, slowness, rate_scale=p.a2)
-        qp0 = action_angle_to_qp(loop.points[0], j0, phi0)
+        qp0 = action_angle_to_qp(loop.points[0], s["j0"], s["phi0"])
         traj = propagate_classical(loop, qp0, slowness, steps)
         dphi_quad = report.delta_phi_0_part
         return dict(
@@ -406,61 +377,77 @@ def _oracle_classical_points(cfg: ExperimentConfig) -> list[Point]:
             j_drift=traj.action_drift,
         )
 
-    epsilons = _number(cfg.params, "epsilons", [math.sqrt(3.0) / 2.0])
     return [
-        ({"epsilon": eps, "slowness": slowness},
-         partial(row, _standard_params(cfg.params, epsilon=eps, k=0.0)))
-        for eps in epsilons
+        ({"epsilon": eps, "slowness": slowness}, partial(row, _loop_params(s, epsilon=eps)))
+        for eps in s["epsilons"]
     ]
 
 
-# experiment -> (sweep points, swept parameter or None, CSV columns before ``error``)
-_EXPERIMENTS: dict[
-    str, tuple[Callable[[ExperimentConfig], list[Point]], str | None, tuple[str, ...]]
-] = {
+_SAMPLES = {"n_samples": DEFAULT_SAMPLES}
+_ORACLE_NUMERICS = {"n_samples": 256, "slowness": 1000.0}
+# fig's a2 and j_action defaults are a1 / a1_over_a2 and j_over_hbar (``_fig_points``)
+_FIG_PARAMS = {**_loop_settings("n1", "n2", "k"), "a2": 1e-8, "j_action": 1e13,
+               "a1_over_a2": 1e8, "j_over_hbar": 1e13, "ratios": [[1, 1], [2, 1], [1, 2]]}
+
+# experiment -> (sweep points from the resolved settings, swept parameter or None,
+# CSV columns before ``error``, params, numerics).  ``params`` and ``numerics`` give
+# each setting's default, whose kind (int, float or a list of them) a value must
+# have; a setting named in ``_POSITIVE`` must also be positive.
+_EXPERIMENTS: dict[str, tuple[
+    Callable[[ExperimentConfig, dict[str, Any]], list[Point]], str | None, tuple[str, ...],
+    dict[str, Any], dict[str, Any]]] = {
     "spin-berry": (_spin_berry_points, None, (
         "theta", "gamma_1", "gamma_2", "delta_theta_1", "delta_theta_2",
-        "closed_form_1", "closed_form_2", "abs_err_1", "abs_err_2")),
+        "closed_form_1", "closed_form_2", "abs_err_1", "abs_err_2"),
+        {"mu": 1.0, "b_magnitude": 1.0, "cycles": 1,
+         "thetas": [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]}, _SAMPLES),
     "gho-uncoupled": (_gho_uncoupled_points, None, (
         "epsilon", "gamma_00_closed", "gamma_00_quadrature", "abs_err",
-        "delta_phi_0", "correspondence_residual")),
+        "delta_phi_0", "correspondence_residual"),
+        {**_loop_settings("epsilon", "k"), "epsilons": [0.1, 0.5, math.sqrt(3.0) / 2.0]}, _SAMPLES),
     "hybrid-spin-osc": (_hybrid_spin_osc_points, None, (
-        "lambda", "gamma_plus", "gamma_minus", "delta_phi", "quadrature_error")),
+        "lambda", "gamma_plus", "gamma_minus", "delta_phi", "quadrature_error"),
+        {"a": 1.0, "m": 1.0, "epsilon": 0.5, "omega": 1.0, "mu": 1.0, "b_magnitude": 1.0,
+         "i_plus": 1.0, "i_minus": 0.0, "j_action": 1.0, "lambdas": [0.0, 0.02, 0.05]}, _SAMPLES),
     "hybrid-gho": (_hybrid_gho_points, "k", (
         "ratio", "K", "branch", "gamma_0", "gamma_00", "gamma_I", "delta_phi",
         "delta_phi_0", "delta_phi_I", "gamma_I_approx", "delta_phi_I_approx",
-        "elliptic_margin", "quadrature_error")),
+        "elliptic_margin", "quadrature_error"), _LOOP, _SAMPLES),
     "full-quantum": (_full_quantum_points, "k", (
-        "K", "gamma_mn", "bo_gamma_mn", "hybrid_gamma_n", "abs_err_bo_vs_hybrid")),
+        "K", "gamma_mn", "bo_gamma_mn", "hybrid_gamma_n", "abs_err_bo_vs_hybrid"),
+        {**_LOOP, "m_level": 0}, _SAMPLES),
     "oracle-quantum": (_oracle_quantum_points, None, (
         "theta", "level", "slowness", "gamma_numeric", "gamma_wilson",
-        "abs_error", "norm_drift", "final_fidelity")),
+        "abs_error", "norm_drift", "final_fidelity"),
+        {"mu": 1.0, "thetas": [math.pi / 2, math.pi / 3]}, _ORACLE_NUMERICS),
     "oracle-classical": (_oracle_classical_points, None, (
         "epsilon", "slowness", "delta_phi_numeric", "delta_phi_quadrature",
-        "abs_error", "j_drift")),
+        "abs_error", "j_drift"),
+        {**_loop_settings("epsilon", "k"), "j0": 1.0, "phi0": 0.3,
+         "epsilons": [math.sqrt(3.0) / 2.0]}, _ORACLE_NUMERICS),
     "fig1": (_fig_points, "k_fraction_of_max", (
-        "ratio", "K", "branch", "gamma_0", "gamma_00", "gamma_I")),
+        "ratio", "K", "branch", "gamma_0", "gamma_00", "gamma_I"), _FIG_PARAMS, _SAMPLES),
     "fig2": (_fig_points, "k_fraction_of_max", (
-        "ratio", "K", "branch", "delta_phi_I", "gamma_I", "delta_phi_0")),
+        "ratio", "K", "branch", "delta_phi_I", "gamma_I", "delta_phi_0"), _FIG_PARAMS, _SAMPLES),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
-def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
-    """The experiment's CSV header and one row per sweep point.
+def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]], dict[str, Any]]:
+    """The experiment's CSV header, one row per sweep point, and the settings
+    the run used.
 
-    Every point, and so every configuration value, is built before the first
-    row runs; a ``HolonomyError`` or ``ValueError`` raised while they are
-    built is ``ConfigInvalid``.  A row's ``HolonomyError`` goes into its
-    ``error`` column; the row keeps its coordinates.  Points and rows run with
-    numpy's overflow, invalid and divide conditions raised; any
-    ``ArithmeticError`` there (numpy's conditions, a Python float ``**``
-    that overflows, a Python division by zero) means a value left
-    floating-point range: ``ConfigInvalid`` for the points, ``NonFinite``
-    for a row.
+    Every setting is checked and every point built before the first row runs;
+    a ``HolonomyError`` or ``ValueError`` raised meanwhile is ``ConfigInvalid``.
+    A row's ``HolonomyError`` goes into its ``error`` column; the row keeps its
+    coordinates.  All of it runs with numpy's overflow, invalid and divide
+    conditions raised; any ``ArithmeticError`` (numpy's conditions, a Python
+    float ``**`` that overflows, a Python division by zero) means a value left
+    floating-point range: ``ConfigInvalid`` before the first row, ``NonFinite``
+    in a row.
     """
-    points, axis, columns = _EXPERIMENTS[cfg.experiment]
+    points, axis, columns, params, numerics = _EXPERIMENTS[cfg.experiment]
     if cfg.sweep is not None and cfg.sweep.get("parameter") != axis:
         swept = cfg.sweep.get("parameter")
         takes = f"sweeps over {axis!r}, not {swept!r}" if axis else "takes no sweep"
@@ -468,7 +455,8 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
     rows = []
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            sweep_points = points(cfg)
+            s = {**_resolve(cfg.params, params), **_resolve(cfg.numerics, numerics)}
+            sweep_points = points(cfg, s)
         except ConfigInvalid:
             raise
         except (HolonomyError, ValueError) as exc:
@@ -484,7 +472,9 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]]]:
             except ArithmeticError:
                 row["error"] = NonFinite.__name__
             rows.append(row)
-    return [*columns, "error"], rows
+    resolved = {"params": {key: v for key, v in s.items() if key not in numerics},
+                "numerics": {key: s[key] for key in numerics}}
+    return [*columns, "error"], rows, resolved
 
 
 def _write_csv(path: Path, header: list[str], rows: list[dict[str, Any]]) -> None:
@@ -554,7 +544,7 @@ def execute(cfg: ExperimentConfig) -> int:
     """Run one experiment configuration; returns the process exit code.  An
     output directory that cannot be created or written is ``ConfigInvalid``."""
     t_start = time.perf_counter()
-    header, rows = _sweep(cfg)
+    header, rows, resolved = _sweep(cfg)
     out_dir = Path(cfg.output_dir)
     csv_path = out_dir / f"{cfg.experiment}.csv"
     try:
@@ -565,6 +555,7 @@ def execute(cfg: ExperimentConfig) -> int:
         meta = {
             "version": __version__,
             "config": cfg.as_dict(),
+            "resolved": resolved,
             "rows": len(rows),
             "failed_rows": sum(1 for r in rows if r.get("error")),
             "elapsed_seconds": time.perf_counter() - t_start,
@@ -600,8 +591,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_or = sub.add_parser("oracle", help="time-domain oracle comparisons")
     p_or.add_argument("kind", choices=("quantum", "classical"))
-    p_or.add_argument("--slowness", type=float, default=1000.0)
-    p_or.add_argument("--samples", type=int, default=256)
+    p_or.add_argument("--slowness", type=float, default=_ORACLE_NUMERICS["slowness"])
+    p_or.add_argument("--samples", type=int, default=_ORACLE_NUMERICS["n_samples"])
     p_or.add_argument("--out", default="out")
     p_or.add_argument("--emit-svg", action="store_true")
 
@@ -614,8 +605,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raw = {"experiment": f"oracle-{args.kind}",
                        "numerics": {"slowness": args.slowness, "n_samples": args.samples}}
             else:
-                raw = {"experiment": args.command, "sweep": dict(_FIG_SWEEP, count=args.points),
-                       "numerics": {"n_samples": DEFAULT_SAMPLES}}
+                raw = {"experiment": args.command, "sweep": dict(_FIG_SWEEP, count=args.points)}
             raw["output"] = {"directory": args.out, "emit_svg": args.emit_svg}
             cfg = ExperimentConfig.from_dict(raw)
         return execute(cfg)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from holonomy import (
     phases_from_one_form,
     quantum_geometry,
 )
-from holonomy.cli import ExperimentConfig, _standard_params, execute, main
+from holonomy.cli import _EXPERIMENTS, ExperimentConfig, execute, main
 from holonomy.errors import HolonomyError
 from holonomy.errors import ConfigInvalid
 
@@ -271,6 +272,20 @@ def test_removed_key_names_what_to_give_instead(section, key, instead):
         ExperimentConfig.from_dict({"experiment": "oracle-classical", section: {key: 1}})
 
 
+def test_misspelt_keys_show_in_resolved(tmp_path):
+    # keys the experiment does not declare are not read: the run's resolved
+    # settings show the defaults in their place
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "hybrid-gho", "params": {"epsilom": 0.5},
+                                "numerics": {"n_sample": 64},
+                                "output": {"directory": str(tmp_path / "out")}}))
+    assert main(["run", str(path)]) == 0
+    resolved = json.loads((tmp_path / "out" / "run_meta.json").read_text())["resolved"]
+    assert resolved["params"]["epsilon"] == math.sqrt(3.0) / 2.0
+    assert resolved["numerics"] == {"n_samples": 4096}
+    assert "epsilom" not in resolved["params"]
+
+
 # Output values that are not a non-empty directory string and a JSON bool:
 # ``str(None)`` once named the directory "None", and ``bool("false")`` is True.
 BAD_OUTPUTS = {
@@ -478,21 +493,19 @@ def test_out_of_range_values_are_typed(cfg, tmp_path, capsys):
         assert rows and all(row["error"] == "NonFinite" for row in rows)
 
 
-_STANDARD_KEYS = ("a1", "a2", "mu1", "mu2", "base_rate", "epsilon", "k", "j_action")
-# each experiment's numeric params; the list-valued ones get a one-element list
+def _kind(default):
+    """A declared default's kind: its type, or a list of its elements' type."""
+    return [type(default[0])] if isinstance(default, list) else type(default)
+
+
+# each experiment's float and list-of-float params, as its table declares them
 FUZZED_PARAMS = {
-    "spin-berry": ("mu", "b_magnitude", "thetas"),
-    "gho-uncoupled": (*_STANDARD_KEYS, "epsilons"),
-    "hybrid-spin-osc": ("a", "m", "epsilon", "omega", "mu", "b_magnitude", "i_plus", "i_minus",
-                        "j_action", "lambdas"),
-    "hybrid-gho": _STANDARD_KEYS,
-    "full-quantum": _STANDARD_KEYS,
-    "oracle-quantum": ("mu", "thetas"),
-    "oracle-classical": (*_STANDARD_KEYS, "j0", "phi0", "epsilons"),
-    "fig1": (*_STANDARD_KEYS, "a1_over_a2", "j_over_hbar"),
-    "fig2": (*_STANDARD_KEYS, "a1_over_a2", "j_over_hbar"),
+    name: {key: _kind(default) for key, default in params.items()
+           if _kind(default) in (float, [float])}
+    for name, (_, _, _, params, _) in _EXPERIMENTS.items()
 }
-_LIST_PARAMS = {"thetas", "epsilons", "lambdas"}
+# the same over every experiment, for keys an experiment does not declare
+ANY_PARAM = {key: kind for fuzzed in FUZZED_PARAMS.values() for key, kind in fuzzed.items()}
 _TEXT_COLUMNS = {"ratio", "branch", "error"}
 # finite, of either sign, with magnitude from 1e-300 to 1e300
 _MAGNITUDES = st.builds(lambda sign, u: sign * 10.0 ** (600.0 * u - 300.0),
@@ -502,15 +515,20 @@ _MAGNITUDES = st.builds(lambda sign, u: sign * 10.0 ** (600.0 * u - 300.0),
 @st.composite
 def one_row_configs(draw):
     """A one-row config (two rows for fig, whose sweep needs two points) with
-    one or two of its experiment's numeric params drawn from ``_MAGNITUDES``."""
+    one or two of its experiment's numeric params drawn from ``_MAGNITUDES``,
+    and now and then one that only another experiment declares."""
     experiment = draw(st.sampled_from(sorted(FUZZED_PARAMS)))
-    keys = draw(st.permutations(FUZZED_PARAMS[experiment]))[:draw(st.integers(1, 2))]
+    own = FUZZED_PARAMS[experiment]
+    keys = draw(st.permutations(sorted(own)))[:draw(st.integers(1, 2))]
+    if draw(st.integers(0, 3)) == 0:
+        keys.append(draw(st.sampled_from(sorted(ANY_PARAM.keys() - own.keys()))))
     params = {}
     for key in keys:
         value = draw(_MAGNITUDES)
-        params[key] = [value] if key in _LIST_PARAMS else value
+        params[key] = [value] if ANY_PARAM[key] == [float] else value
+    numerics = {"n_samples": 32, "slowness": 20.0}
     cfg = {"experiment": experiment, "params": params,
-           "numerics": {"n_samples": 32, "slowness": 20.0}}
+           "numerics": {key: numerics[key] for key in _EXPERIMENTS[experiment][4]}}
     if experiment.startswith("fig"):
         params["ratios"] = [[1, 1]]
         cfg["sweep"] = {"parameter": "k_fraction_of_max", "start": 0.1, "stop": 0.5, "count": 2}
@@ -656,8 +674,9 @@ def test_swept_rows_equal_one_point_runs(cfg, cold, tmp_path):
 
 def test_full_quantum_row_is_its_three_routes(tmp_path):
     """Each full-quantum row's cells are, bit for bit, the three routes called
-    directly and independently in the row's order; a failed row names the first
-    route's error.  Across K_max and then mode collapse the error column runs
+    directly and independently in the row's order, on the loop of the settings
+    ``run_meta.json`` says the run used; a failed row names the first route's
+    error.  Across K_max and then mode collapse the error column runs
     "" -> EllipticViolation -> ModeCollapse, each kind in one contiguous block."""
     cfg = dict(SWEPT_CONFIGS["full-quantum"], numerics={"n_samples": 64})
     params = cfg["params"]
@@ -667,10 +686,16 @@ def test_full_quantum_row_is_its_three_routes(tmp_path):
     kinds = [row["error"] for row in rows]
     assert sorted(set(kinds)) == sorted(order)
     assert kinds == sorted(kinds, key=order.index)
-    loop = combined_parameter_loop(_standard_params(params), 64)
+    resolved = json.loads((tmp_path / "run_meta.json").read_text())["resolved"]["params"]
+    assert resolved["j_action"] == m + 0.5
+    fields = {f.name for f in dataclasses.fields(StandardLoopParams)}
+    base = StandardLoopParams(**{key: v for key, v in resolved.items() if key in fields})
+    assert {key: getattr(base, key) for key in params if key in fields} == {
+        key: v for key, v in params.items() if key in fields}
+    loop = combined_parameter_loop(base, 64)
     for row in rows:
         k = float(row["K"])
-        p = _standard_params(params, k=k, j_action=m + 0.5)
+        p = dataclasses.replace(base, k=k)
         cells = {}
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             try:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from holonomy import manifold
-from holonomy.cli import EXPERIMENTS, ExperimentConfig, execute
+from holonomy.cli import _EXPERIMENTS, EXPERIMENTS, ExperimentConfig, execute
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = sorted(DATA.glob("*.json"))
@@ -66,3 +66,23 @@ def test_experiment_matches_snapshot(config, tmp_path):
                 assert abs(float(got) - float(want)) <= DIFFERENCE_ATOL, where
             else:
                 assert abs(float(got) - float(want)) <= RTOL * abs(float(want)), where
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.stem)
+def test_resolved_settings_reproduce_the_run(config, tmp_path):
+    """Given back as ``params`` and ``numerics``, the settings ``run_meta.json``
+    says a run used give the same CSV bytes and the same settings, and they
+    name every declared setting."""
+    raw = json.loads(config.read_text())
+    csvs, resolved = [], []
+    for run in ("given", "resolved"):
+        manifold._drive_grid.cache_clear()
+        out = tmp_path / run
+        assert execute(ExperimentConfig.from_dict(dict(raw, output={"directory": str(out)}))) == 0
+        csvs.append((out / f"{raw['experiment']}.csv").read_bytes())
+        resolved.append(json.loads((out / "run_meta.json").read_text())["resolved"])
+        raw = dict(raw, **resolved[-1])
+    assert csvs[0] == csvs[1] and resolved[0] == resolved[1]
+    *_, params, numerics = _EXPERIMENTS[raw["experiment"]]
+    assert {section: set(settings) for section, settings in resolved[0].items()} == {
+        "params": set(params), "numerics": set(numerics)}
