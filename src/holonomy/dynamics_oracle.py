@@ -10,8 +10,9 @@ generator A at the step's start, midpoint and end.  The exponential takes the
 fast phase exactly, so the step count grows only linearly with the slowness,
 and each step is unitary (quantum) or symplectic (classical) to rounding.
 Parameter values between samples come from the loop's own band-limited
-interpolant, the one every quadrature differentiates (``LoopSpec.upsampled``,
-grouped by offset for the classical oscillator).
+interpolant, the one every quadrature differentiates: ``LoopSpec.upsampled``,
+laid out (sample, offset, coordinate) for both oracles, and every error
+raised on it names the loop sample, its index on axis 0.
 Determinism of step placement makes convergence studies reproducible.
 
 Both equations are linear in the state, y' = A(t) y, so each step is one
@@ -201,12 +202,10 @@ def _unitary_expm1(omega: np.ndarray) -> np.ndarray:
     V diag(exp(-i lambda) - 1) V^dagger from the eigenpairs of K, with
     exp(-i lambda) - 1 = -2 sin^2(lambda/2) - i sin(lambda) kept to full
     relative precision for small lambda."""
-    dim = omega.shape[0]
-    k_stack = np.moveaxis((1j * omega).reshape(dim, dim, -1), -1, 0)
-    lam, vecs = _eigh(k_stack)
-    vecs = np.moveaxis(vecs, 0, -1)  # (N, N, n), eigenvectors as columns
-    phase = (-2.0 * np.sin(0.5 * lam) ** 2 - 1j * np.sin(lam)).T
-    return _bmm(vecs * phase[None], np.conj(vecs).swapaxes(0, 1)).reshape(omega.shape)
+    lam, vecs = _eigh(np.moveaxis(1j * omega, (0, 1), (-2, -1)))
+    vecs = np.moveaxis(vecs, (-2, -1), (0, 1))  # batch-last, eigenvectors as columns
+    phase = np.moveaxis(-2.0 * np.sin(0.5 * lam) ** 2 - 1j * np.sin(lam), -1, 0)
+    return _bmm(vecs * phase[None], np.conj(vecs).swapaxes(0, 1))
 
 
 def _symplectic_expm1(omega: np.ndarray) -> np.ndarray:
@@ -262,18 +261,15 @@ def propagate_quantum(
     n_steps = m * steps_per_sample
     h = slowness * loop.period / n_steps
 
-    fine = loop.upsampled(2 * steps_per_sample)  # 2 points per step
-    gen = family.matrices(fine, stride=2 * steps_per_sample)
-    energies_fine = _eigh(gen[::2], vectors=False)  # one per full step
-    require_gap(energies_fine, stride=steps_per_sample)
+    gen = family.matrices(loop.upsampled(2 * steps_per_sample))  # 2 points per step
+    energies = _eigh(gen[:, ::2], vectors=False)  # at every step start
+    require_gap(energies)
 
     frame = eigenframe_along_loop(family, loop)
     refs = smooth_track(frame, k)
 
-    by_sample = gen.reshape(m, 2 * steps_per_sample, family.dim, family.dim)
-
     def generators(lo: int, hi: int) -> np.ndarray:  # dpsi/dtau = gen psi
-        return np.ascontiguousarray(by_sample[:, lo:hi].transpose(2, 3, 1, 0)) * -1j
+        return np.ascontiguousarray(gen[:, lo:hi].transpose(2, 3, 1, 0)) * -1j
 
     states = _magnus_states(generators, _unitary_expm1, refs[0].astype(complex), h,
                             steps_per_sample, m)
@@ -281,7 +277,7 @@ def propagate_quantum(
     norm_drift = float(np.sum(np.abs(norms[1:] / norms[:-1] - 1.0)))
     psi = states[:, -1] / norms[-1]
 
-    e_level = energies_fine[:, k]
+    e_level = energies[..., k].ravel()  # in step order
     dyn = np.cumsum(np.concatenate(([0.0], 0.5 * h * (e_level + np.roll(e_level, -1)))))
     overlaps = np.einsum("ja,aj->j", np.conj(refs), states[:, ::steps_per_sample])
     track = np.angle(overlaps) + dyn[::steps_per_sample]
@@ -348,11 +344,11 @@ def propagate_classical(
     n_steps = m * steps_per_sample
     h = slowness * x2_loop.period / n_steps
 
-    planes = x2_loop._offset_planes(2 * steps_per_sample)  # (offset, coordinate, sample)
-    w_sq = _frequency_sq(planes.transpose(2, 0, 1), "frequency squared between samples")
+    fine = x2_loop.upsampled(2 * steps_per_sample)  # (sample, offset, coordinate)
+    w_sq = _frequency_sq(fine, "frequency squared between samples")
 
     def generators(lo: int, hi: int) -> np.ndarray:
-        x, y, z = planes[lo:hi].transpose(1, 0, 2)
+        x, y, z = fine[:, lo:hi].transpose(2, 1, 0)
         return np.array([[y, z], [-x, -y]])
 
     q, p = _magnus_states(generators, _symplectic_expm1, qp0, h, steps_per_sample, m)
@@ -362,8 +358,8 @@ def propagate_classical(
     def at_starts(values: np.ndarray) -> np.ndarray:
         return np.append(values[:, ::2], values[0, 0])
 
-    y_at = at_starts(planes[:, 1].T)
-    z_at = at_starts(planes[:, 2].T)
+    y_at = at_starts(fine[..., 1])
+    z_at = at_starts(fine[..., 2])
     omega = np.sqrt(at_starts(w_sq))
     v = -(z_at * p + y_at * q) / omega
     actions = omega * (q * q + v * v) / (2.0 * z_at)

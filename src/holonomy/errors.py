@@ -118,21 +118,20 @@ def require_positive(values: np.ndarray, error: Callable[[int], HolonomyError]) 
         raise error(int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))))
 
 
-def require_gap(energies: np.ndarray, stride: int = 1) -> float:
-    """Smallest gap between adjacent levels of sorted spectra, one per row.
+def require_gap(energies: np.ndarray) -> float:
+    """Smallest gap between adjacent levels of sorted spectra on the last axis.
 
-    ``energies`` is one spectrum (N,) or a stack (n, N).  Raises
-    ``GapTooSmall`` at the row and level of the smallest gap when it is below
-    1e-9 times the spectral scale, the largest |energy|; row j belongs to loop
-    sample j // stride.  A single level has no gap, and the result is then
-    infinite.
+    ``energies`` is one spectrum (N,) or a stack (M, ..., N) whose axis 0 is
+    the loop sample.  Raises ``GapTooSmall`` at the sample and level of the
+    smallest gap when it is below 1e-9 times the spectral scale, the largest
+    |energy|.  A single level has no gap, and the result is then infinite.
     """
-    gaps = np.diff(np.atleast_2d(energies), axis=1)
+    gaps = np.diff(np.atleast_2d(energies), axis=-1)
     if gaps.size == 0:
         return math.inf
     tol = 1e-9 * max(float(np.max(np.abs(energies))), 1e-300)
     min_gap = float(np.min(gaps))
     if min_gap < tol:
-        j, level = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-        raise GapTooSmall(sample=int(j) // stride, level=int(level), gap=min_gap, tol=tol)
+        at = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+        raise GapTooSmall(sample=int(at[0]), level=int(at[-1]), gap=min_gap, tol=tol)
     return min_gap

@@ -116,17 +116,15 @@ class LoopSpec:
         return _derivative(np.fft.rfft(self.points[:-1:2], axis=0), m // 2, self.period)
 
     def upsampled(self, factor: int) -> np.ndarray:
-        """The interpolant at M * factor points: row ``j * factor + s`` is at
-        sample ``j + s / factor``."""
-        m = self.n_segments
-        return self._offset_planes(factor).transpose(2, 0, 1).reshape(m * factor, self.dim)
-
-    def _offset_planes(self, factor: int) -> np.ndarray:
-        """The points of ``upsampled`` grouped by offset, shape (factor, dim, M):
-        entry ``[s, d, j]`` is coordinate d at sample ``j + s / factor``.  Each
-        offset ``s`` is one length-M inverse real FFT of the spectrum times
-        shift phases, an even M's Nyquist mode split symmetrically between
-        +M/2 and -M/2."""
+        """The interpolant at M * factor points, shape (M, factor, dim), the
+        loop sample on axis 0: entry ``[j, s]`` is at sample ``j + s / factor``.
+        Each offset ``s`` is one length-M inverse real FFT of the spectrum
+        times shift phases, an even M's Nyquist mode split symmetrically
+        between +M/2 and -M/2; the result is a transposed view of those
+        (factor, dim, M) planes.  A factor that is not a positive integer is
+        a ``ValueError``."""
+        if not (isinstance(factor, numbers.Integral) and factor >= 1):
+            raise ValueError(f"factor must be a positive integer, got {factor!r}")
         m = self.n_segments
         k = np.arange(m // 2 + 1)
         s = np.arange(factor)
@@ -134,7 +132,7 @@ class LoopSpec:
         if m % 2 == 0:
             shift[:, -1] = np.cos(math.pi * s / factor)
         coef = np.ascontiguousarray(self._spectrum.T) * shift[:, None, :]
-        return np.fft.irfft(coef, n=m, axis=-1)
+        return np.fft.irfft(coef, n=m, axis=-1).transpose(2, 0, 1)
 
     def pullback(self, rate: Callable[..., np.ndarray], *args) -> Differential:
         """dg of a function g of the points, whose chain rule ``rate(x, v,

@@ -58,12 +58,13 @@ class HamiltonianFamily:
 
     ``eval`` maps an (n, d) array of parameter points to the (n, N, N) stack
     of their matrices in one call; a per-point function ``f`` becomes one as
-    ``lambda pts: np.stack([f(x) for x in pts])``.  Every evaluated matrix
-    must be finite and Hermitian within 1e-10.  A non-finite matrix raises
-    ``NonFinite`` with its sample index in place of the floating-point
-    warning that produced it, so evaluation runs with numpy's floating-point
-    warnings off; with ``stride``, point j belongs to loop sample j // stride,
-    as in ``require_gap``.
+    ``lambda pts: np.stack([f(x) for x in pts])``.  ``matrices`` takes any
+    stack of points (M, ..., d) whose axis 0 is the loop sample, hands
+    ``eval`` the points flattened in order and returns (M, ..., N, N).
+    Every evaluated matrix must be finite and Hermitian within 1e-10.  A
+    non-finite matrix raises ``NonFinite`` with its index on axis 0 in place
+    of the floating-point warning that produced it, so evaluation runs with
+    numpy's floating-point warnings off.
     """
 
     dim: int
@@ -72,23 +73,24 @@ class HamiltonianFamily:
     def matrix(self, x: np.ndarray) -> np.ndarray:
         return self.matrices(np.asarray(x, dtype=float)[None])[0]
 
-    def matrices(self, points: np.ndarray, stride: int = 1) -> np.ndarray:
+    def matrices(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        shape = (pts.shape[0], self.dim, self.dim)
+        flat = pts.reshape(-1, pts.shape[-1])
+        shape = (flat.shape[0], self.dim, self.dim)
         with np.errstate(all="ignore"):
-            out = np.asarray(self.eval(pts), dtype=complex)
+            out = np.asarray(self.eval(flat), dtype=complex)
         if out.shape != shape:
             raise ValueError(f"family returned shape {out.shape}, expected {shape}")
         finite = np.isfinite(out)
         if not finite.all():
-            j = int(np.argmin(finite.all(axis=(1, 2)))) // stride
+            j = int(np.unravel_index(np.argmin(finite.all(axis=(1, 2))), pts.shape[:-1])[0])
             raise NonFinite(f"family matrix at sample {j} is not finite", sample=j)
         dev = _hermitian_deviation(out)
         if dev > _HERMITICITY_TOL:
             raise HermiticityViolation(
                 f"max |H - H^dagger| = {dev:.3e} exceeds {_HERMITICITY_TOL:.1e}"
             )
-        return out
+        return out.reshape(pts.shape[:-1] + shape[1:])
 
 
 def _hermitian_deviation(h: np.ndarray) -> float:
@@ -116,8 +118,9 @@ class EigenFrame:
 
 
 def _eigh(h: np.ndarray, vectors: bool = True):
-    """Ascending eigenvalues of an (n, N, N) stack of Hermitian matrices, and
-    with ``vectors`` their eigenvectors as columns, like ``np.linalg.eigh``.
+    """Ascending eigenvalues (..., N) of a stack (..., N, N) of Hermitian
+    matrices, and with ``vectors`` their eigenvectors as columns, like
+    ``np.linalg.eigh``; a loop sample on axis 0 stays on axis 0.
 
     Both read the lower triangle.  A 2 x 2 stack is solved in closed form:
     with m = (a + d)/2, c = (a - d)/2 and r = hypot(c, |b|) for
@@ -131,9 +134,9 @@ def _eigh(h: np.ndarray, vectors: bool = True):
     """
     if h.shape[-1] != 2:
         return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
-    a = h[:, 0, 0].real
-    d = h[:, 1, 1].real
-    b = np.conj(h[:, 1, 0])
+    a = h[..., 0, 0].real
+    d = h[..., 1, 1].real
+    b = np.conj(h[..., 1, 0])
     abs_b = np.abs(b)
     mid = 0.5 * (a + d)
     half = 0.5 * (a - d)
@@ -151,10 +154,10 @@ def _eigh(h: np.ndarray, vectors: bool = True):
     x /= norm
     y /= norm
     vecs = np.empty(h.shape, dtype=complex)
-    vecs[:, 0, 0] = x
-    vecs[:, 1, 0] = y
-    vecs[:, 0, 1] = -np.conj(y)
-    vecs[:, 1, 1] = np.conj(x)
+    vecs[..., 0, 0] = x
+    vecs[..., 1, 0] = y
+    vecs[..., 0, 1] = -np.conj(y)
+    vecs[..., 1, 1] = np.conj(x)
     return energies, vecs
 
 

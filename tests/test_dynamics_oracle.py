@@ -115,7 +115,7 @@ def magnus_step(gen, idx, y, h):
 
 def sequential_quantum(family, loop, k, slowness, sps):
     """Per-step Magnus loop with renormalisation, as one step after another."""
-    mats = family.matrices(loop.upsampled(2 * sps))
+    mats = family.matrices(loop.upsampled(2 * sps).reshape(-1, loop.dim))
     h, steps = step_schedule(loop, sps, slowness)
     e = np.linalg.eigvalsh(mats[::2])[:, k]
     refs = canonical_section_track(np.linalg.eigh(family.matrices(loop.points))[1][:, :, k])
@@ -136,7 +136,7 @@ def sequential_quantum(family, loop, k, slowness, sps):
 def sequential_classical(loop, qp0, slowness, sps):
     """Per-step Magnus loop for the driven oscillator, with the angle unwound
     one step at a time against omega h at the step's midpoint."""
-    fine = loop.upsampled(2 * sps)
+    fine = loop.upsampled(2 * sps).reshape(-1, 3)
     gen = np.array([[[y, z], [-x, -y]] for x, y, z in fine])
     h, steps = step_schedule(loop, sps, slowness)
     qp = [np.asarray(qp0, dtype=float)]
@@ -177,9 +177,15 @@ def test_upsample_matches_zero_padding(m, factor):
     points = rng.normal(size=(m + 1, 3))
     points[-1] = points[0]
     fine = LoopSpec(1.0, points).upsampled(factor)
-    assert fine.shape == (m * factor, 3)
-    assert np.max(np.abs(fine - zero_padded_upsample(points, factor))) <= 1e-13
-    assert np.max(np.abs(fine[::factor] - points[:-1])) <= 1e-13
+    assert fine.shape == (m, factor, 3)
+    assert np.max(np.abs(fine.reshape(-1, 3) - zero_padded_upsample(points, factor))) <= 1e-13
+    assert np.max(np.abs(fine[:, 0] - points[:-1])) <= 1e-13
+
+
+@pytest.mark.parametrize("factor", [0, -2, 1.5, 2.0])
+def test_upsample_factor_must_be_a_positive_integer(factor):
+    with pytest.raises(ValueError, match=f"factor must be a positive integer, got {factor!r}"):
+        circle_loop(n_samples=16).upsampled(factor)
 
 
 def lune_loop(alpha, cycles, n_samples):
@@ -581,7 +587,7 @@ class TestChunkedScan:
         c = 0.5 * (np.max(bumps(np.arange(m) / m)) + bumps(t_early))
         loop = make_loop(lambda t: np.array([c - bumps(t), 0.0, 1.0]), 1.0, m)
         rows = CHUNK // m
-        x = loop.upsampled(2 * sps)[:, 0].reshape(m, 2 * sps)
+        x = loop.upsampled(2 * sps)[..., 0]
         bad_samples, bad_offsets = np.nonzero(x <= 0)
         assert set(bad_samples) == {self.EARLY, self.LATE}
         assert np.all(bad_offsets[bad_samples == self.EARLY] >= 2 * rows)

@@ -38,6 +38,7 @@ from holonomy import (
     theta_averaged_one_form,
 )
 from holonomy import quantum_geometry
+from holonomy.errors import require_gap
 from holonomy.quantum_geometry import (
     _eigh,
     _fd_eigvec_triplet,
@@ -94,6 +95,50 @@ class TestHamiltonianFamily:
         fam = HamiltonianFamily(dim=2, eval=lambda pts: np.zeros((len(pts), 3, 3)))
         with pytest.raises(ValueError):
             fam.matrices(np.zeros((4, 3)))
+
+
+class TestLoopSampleAxis:
+    """A stack of points (M, f, d) is M loop samples of f points each: the
+    results keep that layout, and every error names the index on axis 0."""
+
+    M, F = 16, 6
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matrices_of_a_stack_are_the_flat_ones_reshaped(self, dim):
+        fam = spin_hamiltonian_family(1.3) if dim == 2 else random_family(3, RNG)
+        fine = cone_loop(1.1, n_samples=self.M).upsampled(self.F)
+        flat = fam.matrices(fine.reshape(-1, 3))
+        assert np.array_equal(fam.matrices(fine), flat.reshape(self.M, self.F, dim, dim))
+
+    @pytest.mark.parametrize("j, s", [(0, 5), (7, 0), (15, 3)])
+    def test_non_finite_names_the_sample(self, j, s):
+        def nan_at(pts):
+            out = np.zeros((len(pts), 2, 2))
+            out[j * self.F + s, 0, 0] = np.nan
+            return out
+
+        with pytest.raises(NonFinite) as info:
+            HamiltonianFamily(dim=2, eval=nan_at).matrices(np.zeros((self.M, self.F, 3)))
+        assert info.value.sample == j
+
+    def test_gap_error_names_the_sample_and_level(self):
+        energies = np.cumsum(np.ones((self.M, self.F, 4)), axis=-1)
+        energies[3, 5, 2:] -= 1.0 - 1e-11  # below tolerance, not the smallest
+        energies[9, 1, 1:] -= 1.0 - 1e-12
+        with pytest.raises(GapTooSmall) as info:
+            require_gap(energies)
+        assert (info.value.sample, info.value.level) == (9, 0)
+        assert info.value.gap == pytest.approx(1e-12, rel=1e-3)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_eigh_of_a_stack_is_the_flat_one_reshaped(self, dim):
+        h = random_stack(np.random.default_rng(dim), self.M * self.F, dim, 1.0)
+        stack = h.reshape(self.M, self.F, dim, dim)
+        energies, vectors = _eigh(stack)
+        assert np.array_equal(energies, _eigh(h)[0].reshape(self.M, self.F, dim))
+        assert np.array_equal(vectors, _eigh(h)[1].reshape(stack.shape))
+        assert np.array_equal(_eigh(stack, vectors=False),
+                              _eigh(h, vectors=False).reshape(self.M, self.F, dim))
 
 
 class TestEigenFrame:
