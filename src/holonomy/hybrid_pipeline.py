@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
 
     # -dphi / 2 on the circle embedding (c, s), where dphi = -s dc + c ds
     azimuth = {0: 0.5 * pts[:, 1], 1: -0.5 * pts[:, 0]}
-    d_y_over_z, d_p = m.loop.derived(_triple_differentials, 2)
+    d_y_over_z, d_p = (m.loop.derived(_differential, r, 2) for r in (_y_over_z_rate, _p_rate))
 
     correction = m.mu * m.lam**2 * z**2 * m.j_action / (4.0 * omega**3 * m.b_field)
     # f d(Z/Omega), f = -Y/(2Z), with d(Omega^2) = dP + shift dZ and dZ column 4
@@ -146,15 +146,16 @@ def _p_rate(x: np.ndarray, v: np.ndarray, col: int) -> np.ndarray:
             - 2.0 * x[:, col + 1] * v[:, col + 1])
 
 
-def _triple_differentials(loop: LoopSpec, col: int) -> tuple[Differential, Differential]:
-    """d(Y/Z) and dP of the triple in columns col..col+2; a zero Z gives inf or
-    nan, where X Z - Y^2 is not positive, which every route checks first."""
-    def y_over_z(x, v):
-        y, z = x[:, col + 1], x[:, col + 2]
-        return (1.0 / z) * v[:, col + 1] + (-y / z**2) * v[:, col + 2]
+def _y_over_z_rate(x: np.ndarray, v: np.ndarray, col: int) -> np.ndarray:
+    """d(Y/Z)/dt of the triple (X, Y, Z) in columns col..col+2."""
+    y, z = x[:, col + 1], x[:, col + 2]
+    return (1.0 / z) * v[:, col + 1] + (-y / z**2) * v[:, col + 2]
 
+
+def _differential(loop: LoopSpec, rate: Callable[..., np.ndarray], col: int) -> Differential:
+    """``loop.pullback(rate, col)``; a zero Z gives inf or nan, which X Z - Y^2 > 0 rules out."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return loop.pullback(y_over_z), loop.pullback(_p_rate, col)
+        return loop.pullback(rate, col)
 
 
 # The K-independent pieces of the coupled-oscillator routes on a combined loop:
@@ -177,7 +178,7 @@ def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
                 - x[:, 2] * x[:, 5] * _p_rate(x, v, 0) / p1**2)
 
     x = loop.points
-    (d_y1z1, _), (d_y2z2, d_p2) = (loop.derived(_triple_differentials, col) for col in (0, 3))
+    d_y1z1, d_y2z2 = (loop.derived(_differential, _y_over_z_rate, col) for col in (0, 3))
     triples = x.reshape(-1, 2, 3)
     w_sq = triples[..., 0] * triples[..., 2] - triples[..., 1] ** 2
     z1z2 = x[:, 2] * x[:, 5]
@@ -186,8 +187,8 @@ def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
         return _PairGeometry(
             w_sq=w_sq, z1z2=z1z2, u=z1z2 / w_sq[:, 0], quarter_z=triples[..., 2] / 4.0,
             fast=fast, back=x[:, 2] * z1z2 / (4.0 * w_sq[:, 0] ** 2),
-            slow=-(x[:, 4] / (2.0 * x[:, 5])), d_y1z1=d_y1z1, d_y2z2=d_y2z2, d_p2=d_p2,
-            d_u=loop.pullback(u_rate))
+            slow=-(x[:, 4] / (2.0 * x[:, 5])), d_y1z1=d_y1z1, d_y2z2=d_y2z2,
+            d_p2=loop.derived(_differential, _p_rate, 3), d_u=loop.pullback(u_rate))
 
 
 def _slow_frequency_sq(g: _PairGeometry, k: float) -> np.ndarray:
@@ -338,7 +339,7 @@ def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     the circulation of (2n+1) Z/(4 omega) d(Y/Z)."""
     w_sq = _frequency_sq(loop.points, "frequency squared")
     coeff = (2 * n + 1) * loop.points[:, 2] / (4.0 * np.sqrt(w_sq))
-    return closed_line_integral({loop.derived(_triple_differentials, 0)[0]: coeff}, loop)
+    return closed_line_integral({loop.derived(_differential, _y_over_z_rate, 0): coeff}, loop)
 
 
 def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):

@@ -1,13 +1,12 @@
 """Closed parameter loops, the standard periodic parameter family, and
 spectrally accurate closed-curve quadrature.
 
-Loops are uniformly sampled closed curves, each carrying its band-limited
-interpolant (Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3): one
-real FFT of the samples, taken on first use, gives the loop's velocity and
-its values between samples.  Line integrals apply the composite trapezoid
-rule in the loop parameter against that velocity, which is exact for
-band-limited curves and converges faster than any power of the sample count
-for smooth ones (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
+Loops are uniformly sampled closed curves with band-limited interpolants
+(Trefethen, *Spectral Methods in MATLAB*, SIAM 2000, ch. 3): one real FFT of
+the samples, on first use, gives a loop's velocity and values between samples;
+a loop of periodic drives takes its velocity from theirs by linearity.  The
+trapezoid rule against that velocity integrates exactly on band-limited loops,
+spectrally on smooth ones (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import weakref
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping
@@ -56,7 +56,7 @@ class LoopSpec:
     branch bookkeeping on multi-cycle loops.  Points are not checked here: a
     non-finite interior point reaches the consumer, whose guard names the
     sample.  ``points`` is a read-only copy, so the spectrum taken on first
-    use, and the velocities cached from it, never go stale.
+    use, and the velocities cached from it or its drives, never go stale.
     """
 
     period: float
@@ -219,6 +219,16 @@ def _drive_grid(omega: float, period: float, n_samples: int) -> tuple[np.ndarray
     return grid
 
 
+@lru_cache(maxsize=4, typed=True)  # the keys and guards of ``_drive_grid``
+def _drive_rates(omega: float, period: float, n_samples: int) -> tuple[np.ndarray, ...]:
+    """The read-only interpolant d/dt of ``_drive_grid``'s (cos, sin), shape
+    (M, 2), at the M samples and, for an even M only, at the stride-2 ones."""
+    pts = np.column_stack(_drive_grid(omega, period, n_samples))
+    pts[-1] = pts[0]
+    grid = LoopSpec(period, pts)
+    return (grid.velocity,) if n_samples % 2 else (grid.velocity, grid.half_velocity)
+
+
 def circle_loop(
     period: float = 1.0,
     n_samples: int = DEFAULT_SAMPLES,
@@ -231,20 +241,22 @@ def circle_loop(
     return LoopSpec(period, pts, cycles)
 
 
-def _trapezoid(values: np.ndarray, period: float) -> float:
-    """Trapezoid sum over ``period`` of M + 1 samples on a closed uniform grid."""
-    inner = np.sum(values[1:-1])
-    return float(period / (len(values) - 1) * (0.5 * values[0] + inner + 0.5 * values[-1]))
+def _trapezoid(values: np.ndarray, end: float, period: float) -> float:
+    """Trapezoid sum over ``period`` of M uniform samples ``values`` and the closing ``end``."""
+    return float(period / len(values) * (0.5 * values[0] + values[1:].sum() + 0.5 * end))
 
 
-def _pulled_back(terms: list[tuple], m: int, stride: int) -> np.ndarray:
-    """The sum of f dg/dt over the terms (f, (dg/dt, stride-2 dg/dt)) at every
-    stride-th of M + 1 samples; the last f meets the rate's first sample."""
-    g = np.zeros(m // stride + 1)
-    for c, rates in terms:
-        g[:-1] += c[:-1:stride] * rates[stride - 1]
-        g[-1] += c[-1] * rates[stride - 1][0]
-    return g
+def _pulled_back(terms: list[tuple], m: int, stride: int) -> tuple[np.ndarray, float]:
+    """``_trapezoid``'s (values, end) of the sum, term by term, of f dg/dt over the terms
+    (f, (dg/dt, stride-2 dg/dt)); the last f meets the rate's first sample."""
+    if not terms:
+        return np.zeros(m // stride), 0.0
+    (c, rates), *rest = terms
+    g, end = c[:-1:stride] * rates[stride - 1], c[-1] * rates[stride - 1][0]
+    for c, rates in rest:
+        g += c[:-1:stride] * rates[stride - 1]
+        end += c[-1] * rates[stride - 1][0]
+    return g, end
 
 
 def _require_halvable(m: int) -> None:
@@ -282,8 +294,8 @@ def closed_line_integral(coefficients: Covector, loop: LoopSpec) -> QuadratureRe
     terms = [(c, (key.full, key.half) if isinstance(key, Differential)
               else (loop.velocity[:, key], loop.half_velocity[:, key]))
              for key, c in coefficients.items()]
-    value = _trapezoid(_pulled_back(terms, m, 1), loop.period)
-    half = _trapezoid(_pulled_back(terms, m, 2), loop.period)
+    value = _trapezoid(*_pulled_back(terms, m, 1), loop.period)
+    half = _trapezoid(*_pulled_back(terms, m, 2), loop.period)
     return QuadratureResult(value=value, error_estimate=abs(value - half))
 
 
@@ -295,8 +307,8 @@ def periodic_integral(values: np.ndarray, period: float) -> QuadratureResult:
     """
     v = np.asarray(values, dtype=float)
     _require_halvable(v.shape[0] - 1)
-    value = _trapezoid(v, period)
-    half = _trapezoid(v[::2], period)
+    value = _trapezoid(v[:-1], v[-1], period)
+    half = _trapezoid(v[:-1:2], v[-1], period)
     return QuadratureResult(value=value, error_estimate=abs(value - half))
 
 
@@ -377,16 +389,23 @@ class StandardLoopParams:
 
 def _gho_loop(triples: list[tuple[float, float, float]], eps: float, period: float,
               n_samples: int, cycles: int) -> LoopSpec:
-    """The GHO triples X = a mu (1 + eps cos wt), Y = -a eps sin wt, Z = (a/mu)
-    (1 - eps cos wt), one per (a, mu, w) of ``triples``, side by side, sampled
-    uniformly over [0, period], the last point snapped onto the first."""
-    columns = []
+    """The GHO triples X = a mu (1 + eps cos wt), Y = -a eps sin wt, Z = (a/mu) (1 - eps cos
+    wt), one per (a, mu, w) of ``triples``, side by side, sampled uniformly over [0, period],
+    the last point snapped onto the first; its velocities are ``_drive_rates`` scaled."""
+    columns, scales, rates = [], [], []
     for a, mu, omega in triples:
         c, s = (eps * g for g in _drive_grid(omega, period, n_samples))
         columns += [a * mu * (1.0 + c), -a * s, (a / mu) * (1.0 - c)]
+        scales += [a * mu * eps, -a * eps, -(a / mu) * eps]
+        rates.append(_drive_rates(omega, period, n_samples))
     pts = np.column_stack(columns)
     pts[-1] = pts[0]
-    return LoopSpec(period, pts, cycles=cycles)
+    loop = LoopSpec(period, pts, cycles=cycles)
+    with np.errstate(over="raise"), suppress(FloatingPointError):  # on overflow, left to the FFT
+        for name, drives in zip(("velocity", "half_velocity"), zip(*rates)):  # odd M: no half
+            loop.__dict__[name] = vel = np.hstack([r[:, [0, 1, 0]] for r in drives]) * scales
+            vel.flags.writeable = False
+    return loop
 
 
 def _frequency_sq(triples: np.ndarray, what: str) -> np.ndarray:

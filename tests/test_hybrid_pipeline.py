@@ -568,7 +568,7 @@ def test_pulled_back_y_over_z_matches_its_columns(seed, col, half_m, period):
     f = rng.normal(size=m + 1) * 10.0 ** rng.uniform(-3, 3)
     y, z = points[:, col + 1], points[:, col + 2]
     columns = {col + 1: f * (1.0 / z), col + 2: f * (-y / z**2)}
-    d_y_over_z, _ = hybrid_pipeline._triple_differentials(loop, col)
+    d_y_over_z = hybrid_pipeline._differential(loop, hybrid_pipeline._y_over_z_rate, col)
     pulled = closed_line_integral({d_y_over_z: f}, loop)
     ref = closed_line_integral(columns, loop)
     summands = np.abs(columns[col + 1][:-1] * loop.velocity[:, col + 1]) + np.abs(

@@ -25,6 +25,8 @@ from holonomy import (
     standard_parameter_loops,
     subsystem_parameter_loop,
 )
+from holonomy import manifold
+from holonomy.cli import ExperimentConfig, _sweep
 from holonomy.manifold import _frequency_sq, _gho_loop, _joined
 from loops import make_loop
 
@@ -562,3 +564,86 @@ class TestGHOLoopsUnchanged:
                              old_subsystem_parameter_loop(p, subsystem, n_samples))
         assert_same_loop(combined_parameter_loop(p, n_samples),
                          old_combined_parameter_loop(p, n_samples))
+
+
+@st.composite
+def drive_loops(draw):
+    """A ``_gho_loop`` of one or two triples at an even or odd M, each drive
+    n_i in 1..M cycles of the period (aliased where n_i >= M/4), and the size
+    of each column's terms: a mu (1 + eps), a eps and (a/mu) (1 + eps)."""
+    m = draw(st.integers(16, 600))
+    period, eps = draw(st.floats(0.01, 100.0)), draw(st.floats(0.0, 0.99))
+    scale = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+    triples = draw(st.lists(st.tuples(scale, scale, st.integers(1, m)), min_size=1, max_size=2))
+    loop = _gho_loop([(a, mu, 2 * math.pi * n / period) for a, mu, n in triples], eps, period,
+                     m, 1)
+    return loop, np.ravel([(a * mu * (1 + eps), a * eps, a / mu * (1 + eps))
+                           for a, mu, _ in triples])
+
+
+# In ulp of a column's size times the Nyquist rate pi M / T, rounding being
+# absolute (the smallest subnormal) below the normal range: the largest
+# difference measured over 12,000 random draws like these, M up to 4096, was
+# 12.1 (numpy 2.4's pocketfft, x86-64); the bound leaves 2.6 times that.
+DRIVE_RATE_ULPS = 32
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=drive_loops())
+def test_drive_loop_velocities_match_the_loops_own_fft(drawn):
+    """A ``_gho_loop`` loop's velocities, taken by linearity from the cached
+    drive rates with no FFT of its own, equal those the same points give
+    through ``LoopSpec``'s FFT to rounding, at the M samples and at the
+    stride-2 ones; all are read-only, and an odd M's ``half_velocity`` is a
+    ``ValueError`` on both paths."""
+    loop, size = drawn
+    fft = LoopSpec(loop.period, loop.points, loop.cycles)
+    m = loop.n_segments
+    pairs = [(loop.velocity, fft.velocity, m)]
+    if m % 2:
+        for either in (loop, fft):
+            with pytest.raises(ValueError, match="even segment count"):
+                either.half_velocity
+    else:
+        pairs.append((loop.half_velocity, fft.half_velocity, m // 2))
+    assert "_spectrum" not in loop.__dict__
+    for new, old, samples in pairs:
+        assert new.shape == old.shape
+        assert not (new.flags.writeable or old.flags.writeable)
+        ulp = np.finfo(float).eps * size + np.finfo(float).smallest_subnormal
+        tol = DRIVE_RATE_ULPS * ulp * math.pi * samples / loop.period
+        assert np.all(np.abs(new - old) <= tol)
+
+
+def test_an_uncoupled_table_takes_only_its_drives_ffts(monkeypatch):
+    """An 8-row ``gho-uncoupled`` table at 4096 samples takes four real FFTs,
+    its two drives' rates at full and stride-2 resolution, and none per row,
+    though each row builds its own loop."""
+    rfft, calls = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: calls.append(1) or rfft(*args, **kw))
+    manifold._drive_grid.cache_clear()
+    manifold._drive_rates.cache_clear()
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "gho-uncoupled", "params": {"n1": 2, "n2": 1, "epsilons": [
+            0.1 * i for i in range(1, 9)]}, "numerics": {"n_samples": 4096}})
+    _, rows, _ = _sweep(cfg)
+    assert [row["error"] for row in rows] == [""] * 8
+    assert len(calls) <= 4
+
+
+def test_an_overflowing_drive_velocity_is_left_to_the_fft():
+    """A ``_gho_loop`` whose velocity would overflow is built all the same and
+    leaves its velocity to the FFT, which raises on use as it does for the same
+    points in a plain ``LoopSpec``; so a ``hybrid-spin-osc`` table, which builds
+    such a triple before its rows and never reads its velocity, still runs and
+    reports each row's own error."""
+    omega = 1e10
+    loop = _gho_loop([(1e150, 1e150, omega)], 0.5, 2 * math.pi / omega, 64, 1)
+    assert "velocity" not in loop.__dict__
+    for either in (loop, LoopSpec(loop.period, loop.points)):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            either.velocity
+    cfg = ExperimentConfig.from_dict({"experiment": "hybrid-spin-osc", "params": {
+        "a": 1e170, "omega": 1e150}, "numerics": {"n_samples": 64}})
+    _, rows, _ = _sweep(cfg)
+    assert [row["error"] for row in rows] == ["NonFinite"] * 3
