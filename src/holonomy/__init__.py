@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigInvalid,
     EllipticViolation,
-    EnergyMismatch,
     GapTooSmall,
     HermiticityViolation,
     HolonomyError,
@@ -16,8 +15,6 @@ from .errors import (
     NonAdiabatic,
     NonFinite,
     NotClosed,
-    NotNormalized,
-    NotUnitary,
     OmegaImaginary,
     OverlapTooSmall,
     PoleProximity,
@@ -39,19 +36,12 @@ from .manifold import (
     subsystem_parameter_loop,
 )
 from .quantum_geometry import (
-    ActionAngle,
     EigenFrame,
     HamiltonianFamily,
-    StokesVector,
-    action_angle_transform,
     berry_and_hannay,
-    classicalize,
     eigenframe_along_loop,
     finite_difference_connection,
-    pauli_matrices,
-    reconstruct,
     spin_hannay_closed_form,
-    stokes_vector,
     theta_averaged_one_form,
 )
 from .models import (

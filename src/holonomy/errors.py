@@ -59,14 +59,6 @@ class NonFinite(_AtSample):
     """A sampled value is NaN or infinite where a finite number is required."""
 
 
-class NotNormalized(HolonomyError):
-    """A state expected to be normalized is not."""
-
-
-class NotUnitary(HolonomyError):
-    """A matrix expected to be unitary is not."""
-
-
 class PoleProximity(HolonomyError):
     """A closed-form connection is evaluated too close to one of its poles."""
 
@@ -99,10 +91,6 @@ class OverlapTooSmall(_AtSample):
 class ResidualTooLarge(_AtSample):
     """An eigenpair misses H v = E v by more than 1e-9 times the matrix scale;
     ``sample`` is where the largest residual entry lies."""
-
-
-class EnergyMismatch(HolonomyError):
-    """A state's classical energy disagrees with its quantum expectation."""
 
 
 class ConfigInvalid(HolonomyError):

@@ -159,11 +159,11 @@ def _differential(loop: LoopSpec, rate: Callable[..., np.ndarray], col: int) -> 
 
 
 # The K-independent pieces of the coupled-oscillator routes on a combined loop:
-# w_sq = (omega1^2, omega2^2 = P2 = X2 Z2 - Y2^2), quarter_z = (Z1/4, Z2/4), z1z2 = Z1 Z2,
-# u = Z1 Z2 / omega1^2, fast = Z1/(4 omega1), back = Z1^2 Z2/(4 omega1^4), slow =
-# -Y2/(2 Z2), and the differentials d(Y1/Z1), d(Y2/Z2), dP2 and du.
-_PairGeometry = namedtuple("_PairGeometry",
-                           "w_sq quarter_z z1z2 u fast back slow d_y1z1 d_y2z2 d_p2 d_u")
+# w_sq = (omega1^2, omega2^2 = P2 = X2 Z2 - Y2^2), z1z2 = Z1 Z2, u = Z1 Z2 / omega1^2,
+# fast = Z1/(4 omega1), back = Z1^2 Z2/(4 omega1^4), slow = -Y2/(2 Z2), and the
+# differentials d(Y1/Z1), dP2 and du.  The fully quantum routes alone also read
+# d(Y2/Z2), which each builds itself.
+_PairGeometry = namedtuple("_PairGeometry", "w_sq z1z2 u fast back slow d_y1z1 d_p2 d_u")
 
 
 def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
@@ -178,16 +178,16 @@ def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
                 - x[:, 2] * x[:, 5] * _p_rate(x, v, 0) / p1**2)
 
     x = loop.points
-    d_y1z1, d_y2z2 = (loop.derived(_differential, _y_over_z_rate, col) for col in (0, 3))
+    d_y1z1 = loop.derived(_differential, _y_over_z_rate, 0)
     triples = x.reshape(-1, 2, 3)
     w_sq = triples[..., 0] * triples[..., 2] - triples[..., 1] ** 2
     z1z2 = x[:, 2] * x[:, 5]
     with np.errstate(divide="ignore", invalid="ignore"):
         fast = x[:, 2] / (4.0 * np.sqrt(w_sq[:, 0]))
         return _PairGeometry(
-            w_sq=w_sq, z1z2=z1z2, u=z1z2 / w_sq[:, 0], quarter_z=triples[..., 2] / 4.0,
-            fast=fast, back=x[:, 2] * z1z2 / (4.0 * w_sq[:, 0] ** 2),
-            slow=-(x[:, 4] / (2.0 * x[:, 5])), d_y1z1=d_y1z1, d_y2z2=d_y2z2,
+            w_sq=w_sq, z1z2=z1z2, u=z1z2 / w_sq[:, 0], fast=fast,
+            back=x[:, 2] * z1z2 / (4.0 * w_sq[:, 0] ** 2),
+            slow=-(x[:, 4] / (2.0 * x[:, 5])), d_y1z1=d_y1z1,
             d_p2=loop.derived(_differential, _p_rate, 3), d_u=loop.pullback(u_rate))
 
 
@@ -370,15 +370,17 @@ def full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
     g = loop.derived(_pair_geometry)
+    d_y2z2 = loop.derived(_differential, _y_over_z_rate, 3)
     require_positive(g.w_sq, lambda j: EllipticViolation(
         f"a bare triple's frequency squared {np.min(g.w_sq[j]):.3e} at sample {j}", sample=j))
     high_sq, low_sq, sin_sq = _normal_mode_squares(g.w_sq[:, 0], g.w_sq[:, 1], k**2 * g.z1z2)
     high, low = np.sqrt(high_sq), np.sqrt(low_sq)
     cos_sq = 1.0 - sin_sq
 
-    t1 = g.quarter_z[:, 0] * ((2 * m + 1) * cos_sq / high + (2 * n + 1) * sin_sq / low)
-    t2 = g.quarter_z[:, 1] * ((2 * m + 1) * sin_sq / high + (2 * n + 1) * cos_sq / low)
-    return closed_line_integral({g.d_y1z1: t1, g.d_y2z2: t2}, loop).value
+    x = loop.points
+    t1 = x[:, 2] / 4.0 * ((2 * m + 1) * cos_sq / high + (2 * n + 1) * sin_sq / low)
+    t2 = x[:, 5] / 4.0 * ((2 * m + 1) * sin_sq / high + (2 * n + 1) * cos_sq / low)
+    return closed_line_integral({g.d_y1z1: t1, d_y2z2: t2}, loop).value
 
 
 def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int, n: int) -> tuple[float, float]:
@@ -393,12 +395,13 @@ def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int, n: int) -> tup
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
     g = loop.derived(_pair_geometry)
+    d_y2z2 = loop.derived(_differential, _y_over_z_rate, 3)
     omega = np.sqrt(_slow_frequency_sq(g, k))
 
     t1 = (2 * n + 1) * g.fast + ((2 * m + 1) * k**2) * g.back / omega
-    t2 = (2 * m + 1) * g.quarter_z[:, 1] / omega
+    t2 = (2 * m + 1) * (loop.points[:, 5] / 4.0) / omega
     part1 = closed_line_integral({g.d_y1z1: t1}, loop).value
-    part2 = closed_line_integral({g.d_y2z2: t2}, loop).value
+    part2 = closed_line_integral({d_y2z2: t2}, loop).value
     return part1, part2
 
 

@@ -16,8 +16,9 @@ from .quantum_geometry import HamiltonianFamily
 def spin_hamiltonian_family(mu: float = 1.0) -> HamiltonianFamily:
     """The two-level family H(B) = -mu * sigma . B over field space.
 
-    The four entries are filled from -mu * B in the Pauli convention of
-    ``pauli_matrices``: H = [[-v3, v1 + i v2], [v1 - i v2, v3]] with v = -mu B.
+    Component 1 of a state is the spin-down amplitude and component 2 the
+    spin-up one, so sigma_3 = diag(-1, +1), and the four entries are filled
+    from -mu * B: H = [[-v3, v1 + i v2], [v1 - i v2, v3]] with v = -mu B.
     """
 
     def matrices(b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,5 @@
-"""Eigenframes along loops, Wilson-loop geometric phases, the map from
-quantum states to canonical coordinates, action-angle variables, and the
-angle-averaged one-form.
+"""Eigenframes along loops, Wilson-loop geometric phases, the closed-form
+two-level connection, and the angle-averaged one-form identity.
 
 Sign conventions
 ----------------
@@ -30,12 +29,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    EnergyMismatch,
     GapTooSmall,
     HermiticityViolation,
     NonFinite,
-    NotNormalized,
-    NotUnitary,
     OverlapTooSmall,
     PoleProximity,
     ResidualTooLarge,
@@ -332,131 +328,6 @@ def spin_hannay_closed_form(loop: LoopSpec, level: int) -> float:
     return -closed_line_integral(coeffs, loop).value
 
 
-def classicalize(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Split a state's components into canonical pairs psi_n = (q_n + i p_n)/sqrt(2).
-
-    q and p are in units of sqrt(hbar).  Returns (q, p, sum(p^2 + q^2)); the
-    last entry equals 2 ||psi||^2 and doubles as a normalization check.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("state must be finite")
-    root = math.sqrt(2.0)
-    q = root * np.real(psi)
-    p = root * np.imag(psi)
-    return q, p, float(np.sum(p**2 + q**2))
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    """The unit vector representing a normalized two-level pure state."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3])
-
-
-def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pauli matrices in the component ordering (lower, upper) used here.
-
-    Component 1 of a state is the spin-down amplitude and component 2 the
-    spin-up amplitude, so sigma_3 is diag(-1, +1).
-    """
-    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    s2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-    s3 = np.array([[-1, 0], [0, 1]], dtype=complex)
-    return s1, s2, s3
-
-
-def stokes_vector(
-    psi: np.ndarray,
-    field: np.ndarray | None = None,
-    mu: float = 1.0,
-) -> StokesVector:
-    """Stokes components of a normalized two-level state.
-
-    With ``field`` given, additionally verifies that the classical energy
-    -mu * S . B reproduces the quantum expectation of the spin Hamiltonian.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError("stokes_vector expects a two-component state")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) >= 1e-10:
-        raise NotNormalized(f"|psi| = {norm} is not 1 within 1e-10")
-    q, p, _ = classicalize(psi)
-    s = StokesVector(
-        s1=float(q[0] * q[1] + p[0] * p[1]),
-        s2=float(p[0] * q[1] - p[1] * q[0]),
-        s3=float((p[1] ** 2 + q[1] ** 2 - p[0] ** 2 - q[0] ** 2) / 2.0),
-    )
-    if field is not None:
-        b = np.asarray(field, dtype=float)
-        classical = -mu * float(s.array @ b)
-        sx, sy, sz = pauli_matrices()
-        h = -mu * (b[0] * sx + b[1] * sy + b[2] * sz)
-        quantum = float(np.real(np.vdot(psi, h @ psi)))
-        if abs(classical - quantum) > 1e-10 * max(1.0, abs(quantum)):
-            raise EnergyMismatch(
-                f"classical energy {classical!r} disagrees with quantum {quantum!r}"
-            )
-    return s
-
-
-@dataclass(frozen=True)
-class ActionAngle:
-    """Action-angle coordinates of a state in an instantaneous eigenbasis."""
-
-    actions: np.ndarray
-    angles: np.ndarray
-
-    def __post_init__(self):
-        actions = np.asarray(self.actions, dtype=float)
-        angles = np.mod(np.asarray(self.angles, dtype=float), TWO_PI)
-        if np.any(actions < 0):
-            raise ValueError("actions must be nonnegative")
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "angles", angles)
-
-
-def _require_unitary(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    n = c.shape[0]
-    dev = float(np.max(np.abs(c.conj().T @ c - np.eye(n))))
-    if dev > 1e-10:
-        raise NotUnitary(f"max |C^dagger C - I| = {dev:.3e} exceeds 1e-10")
-    return c
-
-
-def action_angle_transform(psi: np.ndarray, eigenvectors: np.ndarray) -> ActionAngle:
-    """Map a state onto (I, theta) in the eigenbasis whose columns are given.
-
-    I_k = |<E_k|psi>|^2, in units of hbar, and theta_k = -arg <E_k|psi>
-    modulo 2*pi, so the actions sum to the squared norm of the state.
-    """
-    c = _require_unitary(eigenvectors)
-    amps = c.conj().T @ np.asarray(psi, dtype=complex)
-    actions = np.abs(amps) ** 2
-    angles = np.mod(-np.angle(amps), TWO_PI)
-    return ActionAngle(actions=actions, angles=angles)
-
-
-def reconstruct(aa: ActionAngle, eigenvectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of ``action_angle_transform``: back to canonical (q, p).
-
-    ``aa.angles`` may hold one row of angles per state; q and p then hold
-    one row per state.
-    """
-    c = _require_unitary(eigenvectors)
-    amps = np.sqrt(aa.actions) * np.exp(-1j * aa.angles)
-    q, p, _ = classicalize(amps @ c.T)
-    return q, p
-
-
 def _fd_eigvec_triplet(family: HamiltonianFamily, x: np.ndarray, dx: np.ndarray):
     """Canonically gauged eigenvector matrices at x and x +/- h along dx,
     diagonalised as one stack of three."""
@@ -499,21 +370,28 @@ def theta_averaged_one_form(
 ) -> float:
     """Angle-averaged one-form <p dq> evaluated on the direction dx.
 
-    q and p are ``reconstruct``'s map at the given actions (in units of
-    hbar).  The average runs over the 2N + 1 points of the rank-1 lattice
-    theta_i = 2 pi i (1, ..., N) / (2N + 1), i = 0 ... 2N, which is exact for
-    this integrand: its frequencies e_k +/- e_l and 2 e_k are none of them 0
-    modulo 2N + 1 (Sloan and Joe, Lattice Methods for Multiple Integration,
-    1994).  The parametric derivative of q uses central differences with
-    step max(1e-6 |x|, 1e-8).
+    At the actions I_k (in units of hbar) and angles theta_k, the level
+    amplitudes a_k = sqrt(I_k) exp(-i theta_k) in the eigenbasis C give the
+    state psi = C a, whose components split into canonical pairs
+    psi_n = (q_n + i p_n)/sqrt(2).  The average runs over the 2N + 1 points of
+    the rank-1 lattice theta_i = 2 pi i (1, ..., N) / (2N + 1), i = 0 ... 2N,
+    which is exact for this integrand: its frequencies e_k +/- e_l and 2 e_k
+    are none of them 0 modulo 2N + 1 (Sloan and Joe, Lattice Methods for
+    Multiple Integration, 1994).  The parametric derivative of q uses central
+    differences with step max(1e-6 |x|, 1e-8).
     """
     actions = np.asarray(actions, dtype=float)
     n = family.dim
     if actions.shape != (n,):
         raise ValueError(f"expected {n} actions, got shape {actions.shape}")
+    if np.any(actions < 0):
+        raise ValueError("actions must be nonnegative")
+    if not np.all(np.isfinite(actions)):
+        raise ValueError("actions must be finite")
     nodes = np.outer(np.arange(2 * n + 1), np.arange(1, n + 1)) % (2 * n + 1)
-    lattice = ActionAngle(actions, nodes * (TWO_PI / (2 * n + 1)))
+    amps = np.sqrt(actions) * np.exp(-1j * (nodes * (TWO_PI / (2 * n + 1))))
     c0, cp, cm, h, norm_dx = _fd_eigvec_triplet(family, x, dx)
-    _, p0 = reconstruct(lattice, c0)
-    dq = (reconstruct(lattice, cp)[0] - reconstruct(lattice, cm)[0]) / (2.0 * h)
+    root = math.sqrt(2.0)
+    p0 = root * np.imag(amps @ c0.T)
+    dq = (root * np.real(amps @ cp.T) - root * np.real(amps @ cm.T)) / (2.0 * h)
     return float(np.mean(np.einsum("gn,gn->g", p0, dq))) * norm_dx

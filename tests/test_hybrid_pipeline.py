@@ -519,6 +519,16 @@ class TestPairGeometry:
         assert list(form.action_coeffs[0]) == [first.d_y1z1]
         assert {first.d_y1z1, first.d_p2, first.d_u} <= form.j_coeff.keys()
 
+    def test_one_form_leaves_slow_differential_unbuilt(self):
+        # only the fully quantum routes read d(Y2/Z2); the hybrid one-form does not build it
+        p = std_params(eps=0.5, k=0.1)
+        loop = combined_parameter_loop(p, 256)
+        key = (hybrid_pipeline._differential, hybrid_pipeline._y_over_z_rate, 3)
+        coupled_gho_one_form(p, loop)
+        assert key not in loop._derived
+        full_quantum_phase(loop, p.k, 0, 0)
+        assert key in loop._derived
+
     def test_freed_with_its_loop(self):
         p = std_params(eps=0.5, k=0.1)
         loop = combined_parameter_loop(p, 256)

@@ -8,33 +8,24 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from holonomy import (
-    ActionAngle,
     EigenFrame,
-    EnergyMismatch,
     GapTooSmall,
     HamiltonianFamily,
     HermiticityViolation,
     LoopSpec,
     NonFinite,
-    NotNormalized,
-    NotUnitary,
     OverlapTooSmall,
     PoleProximity,
     ResidualTooLarge,
-    action_angle_transform,
     berry_and_hannay,
     circle_loop,
-    classicalize,
     closed_line_integral,
     cone_loop,
     eigenframe_along_loop,
     finite_difference_connection,
-    pauli_matrices,
     propagate_quantum,
-    reconstruct,
     spin_hamiltonian_family,
     spin_hannay_closed_form,
-    stokes_vector,
     theta_averaged_one_form,
 )
 from holonomy import quantum_geometry
@@ -66,9 +57,16 @@ def constant_family(h0):
     return HamiltonianFamily(dim=2, eval=lambda pts: np.broadcast_to(h0, (len(pts), 2, 2)))
 
 
+# Pauli matrices with component 1 the spin-down amplitude and component 2 the
+# spin-up one, so sigma_3 = diag(-1, +1), as ``spin_hamiltonian_family`` takes them.
+PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, 1j], [-1j, 0]], dtype=complex),
+         np.array([[-1, 0], [0, 1]], dtype=complex))
+
+
 def spin_matrix(b, mu):
     """-mu * sigma . B at one field point, written out term by term."""
-    s1, s2, s3 = pauli_matrices()
+    s1, s2, s3 = PAULI
     return -mu * (b[0] * s1 + b[1] * s2 + b[2] * s3)
 
 
@@ -192,7 +190,7 @@ class TestWilsonLoop:
         assert abs(dtheta - math.pi / 2) < 1e-6
 
     def test_constant_loop_no_transport(self):
-        h0 = pauli_matrices()[2]
+        h0 = PAULI[2]
         fam = constant_family(h0)
         loop = make_loop(lambda t: np.array([1.0, 0.0]), 1.0, 64)
         gamma, dtheta = berry_and_hannay(eigenframe_along_loop(fam, loop), 0)
@@ -287,131 +285,6 @@ class TestClosedFormConnection:
             spin_hannay_closed_form(cone_loop(math.pi - 1e-8), 1)
 
 
-class TestClassicalization:
-    def test_basis_state(self):
-        q, p, check = classicalize(np.array([0.0, 1.0]))
-        assert_allclose(q, [0.0, math.sqrt(2.0)], atol=1e-15)
-        assert_allclose(p, [0.0, 0.0], atol=1e-15)
-        assert_allclose(check, 2.0, rtol=1e-15)
-
-    def test_zero_state(self):
-        q, p, check = classicalize(np.zeros(3))
-        assert np.all(q == 0) and np.all(p == 0) and check == 0.0
-
-    def test_normalization_identity(self):
-        for _ in range(2):
-            psi = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-            psi /= np.linalg.norm(psi)
-            _, _, check = classicalize(psi)
-            assert abs(check - 2.0) < 1e-12
-
-
-class TestStokes:
-    def test_axis_states(self):
-        up = np.array([0.0, 1.0])
-        assert_allclose(stokes_vector(up).array, [0, 0, 1], atol=1e-12)
-        plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        assert_allclose(stokes_vector(plus).array, [1, 0, 0], atol=1e-12)
-        circ = np.array([1j, 1.0]) / math.sqrt(2.0)
-        assert_allclose(stokes_vector(circ).array, [0, 1, 0], atol=1e-12)
-
-    def test_energy_consistency_random(self):
-        for _ in range(20):
-            psi = RNG.normal(size=2) + 1j * RNG.normal(size=2)
-            psi /= np.linalg.norm(psi)
-            b = RNG.normal(size=3)
-            s = stokes_vector(psi, field=b, mu=RNG.uniform(0.5, 2.0))
-            assert abs(s.array @ s.array - 1.0) < 1e-12
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
-            stokes_vector(np.array([1.0, 1.0]))
-
-    def test_energy_mismatch_is_typed(self, monkeypatch):
-        # a flipped sigma_3 puts the spin-up quantum energy at +1, against -1
-        s1, s2, s3 = pauli_matrices()
-        monkeypatch.setattr(quantum_geometry, "pauli_matrices", lambda: (s1, s2, -s3))
-        with pytest.raises(EnergyMismatch, match="disagrees"):
-            stokes_vector(np.array([0.0, 1.0]), field=np.array([0.0, 0.0, 1.0]))
-
-    def test_poisson_brackets(self):
-        # finite-difference {S_i, S_j} = 2 eps_ijk S_k on canonical coordinates
-        psi = RNG.normal(size=2) + 1j * RNG.normal(size=2)
-        psi /= np.linalg.norm(psi)
-        q0, p0, _ = classicalize(psi)
-
-        def s_of(q, p):
-            return np.array(
-                [
-                    q[0] * q[1] + p[0] * p[1],
-                    p[0] * q[1] - p[1] * q[0],
-                    (p[1] ** 2 + q[1] ** 2 - p[0] ** 2 - q[0] ** 2) / 2,
-                ]
-            )
-
-        eps = 1e-6
-        grad_q = np.empty((3, 2))
-        grad_p = np.empty((3, 2))
-        for n in range(2):
-            dq = np.zeros(2)
-            dq[n] = eps
-            grad_q[:, n] = (s_of(q0 + dq, p0) - s_of(q0 - dq, p0)) / (2 * eps)
-            grad_p[:, n] = (s_of(q0, p0 + dq) - s_of(q0, p0 - dq)) / (2 * eps)
-        s0 = s_of(q0, p0)
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            bracket = float(grad_q[i] @ grad_p[j] - grad_p[i] @ grad_q[j])
-            assert abs(bracket - 2.0 * s0[k]) < 1e-6
-
-
-class TestActionAngle:
-    def test_eigenbasis_state(self):
-        c = np.eye(3, dtype=complex)
-        aa = action_angle_transform(np.array([1.0, 0, 0], dtype=complex), c)
-        assert_allclose(aa.actions, [1.0, 0.0, 0.0], atol=1e-15)
-        assert aa.angles[0] == 0.0
-
-    def test_roundtrip(self):
-        fam = random_family(4, RNG)
-        _, c = np.linalg.eigh(fam.matrix(np.array([0.3, -0.2, 0.5])))
-        psi = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-        q1, p1 = reconstruct(action_angle_transform(psi, c), c)
-        q0, p0, _ = classicalize(psi)
-        assert np.max(np.abs(q1 - q0)) <= 1e-12
-        assert np.max(np.abs(p1 - p0)) <= 1e-12
-
-    def test_energy_identity(self):
-        fam = random_family(3, RNG)
-        x = RNG.normal(size=3)
-        h = fam.matrix(x)
-        energies, c = np.linalg.eigh(h)
-        psi = RNG.normal(size=3) + 1j * RNG.normal(size=3)
-        aa = action_angle_transform(psi, c)
-        mean_h = float(np.real(np.vdot(psi, h @ psi)))
-        assert abs(float(energies @ aa.actions) - mean_h) < 1e-12
-
-    def test_batch_of_angle_rows(self):
-        rng = np.random.default_rng(7)
-        c = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-        actions = rng.uniform(0.0, 2.0, size=3)
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=(5, 3))
-        q, p = reconstruct(ActionAngle(actions, angles), c)
-        assert q.shape == p.shape == (5, 3)
-        for row, theta in enumerate(angles):
-            q1, p1 = reconstruct(ActionAngle(actions, theta), c)
-            assert_allclose(q[row], q1, rtol=0, atol=1e-15)
-            assert_allclose(p[row], p1, rtol=0, atol=1e-15)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitary):
-            action_angle_transform(np.array([1.0, 0.0]), np.array([[1.0, 0.1], [0.0, 1.0]]))
-
-    def test_action_sum(self):
-        c = np.linalg.qr(RNG.normal(size=(3, 3)) + 1j * RNG.normal(size=(3, 3)))[0]
-        psi = RNG.normal(size=3) + 1j * RNG.normal(size=3)
-        aa = action_angle_transform(psi, c)
-        assert abs(np.sum(aa.actions) - np.linalg.norm(psi) ** 2) < 1e-12
-
-
 def grid_averaged_one_form(family, actions, x, dx):
     """<p dq> on dx averaged over the full 8^N grid of angles: a reference
     for ``theta_averaged_one_form``'s (2N + 1)-point lattice."""
@@ -445,6 +318,15 @@ class TestThetaAveragedOneForm:
         fam = spin_hamiltonian_family(1.0)
         val = theta_averaged_one_form(fam, np.zeros(2), np.array([0.3, 0.1, 0.9]), np.array([0.0, 1.0, 0.0]))
         assert val == 0.0
+
+    @pytest.mark.parametrize("actions, match", [([0.5, -1e-300], "nonnegative"),
+                                                ([np.nan, 1.0], "finite"),
+                                                ([1.0, np.inf], "finite")])
+    def test_rejects_bad_actions(self, actions, match):
+        fam = spin_hamiltonian_family(1.0)
+        with pytest.raises(ValueError, match=match):
+            theta_averaged_one_form(fam, np.array(actions), np.array([0.3, 0.1, 0.9]),
+                                    np.array([0.0, 1.0, 0.0]))
 
     def test_matches_connection_spin(self):
         fam = spin_hamiltonian_family(1.0)
