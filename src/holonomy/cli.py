@@ -3,7 +3,8 @@
 Every experiment writes ``<experiment>.csv`` (17 significant digits, '.'
 decimal separator), optionally ``<experiment>.svg`` (a plain polyline chart,
 no external renderer), and ``run_meta.json`` with the echoed configuration,
-the settings the run used (``resolved``), package version, and timings.
+the settings the run used (``resolved``), the rows that finished at each
+sample count (``samples_used``), package version, and timings.
 CSV bytes are deterministic for a fixed configuration; the ``seed`` is
 recorded for provenance only, as no experiment draws random numbers.
 """
@@ -17,6 +18,7 @@ import math
 import numbers
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
@@ -28,8 +30,10 @@ from . import __version__
 from .errors import ConfigInvalid, HolonomyError, NonFinite
 from .manifold import (
     DEFAULT_SAMPLES,
+    QuadratureResult,
     StandardLoopParams,
     _gho_loop,
+    _gho_points,
     circle_loop,
     combined_parameter_loop,
     subsystem_parameter_loop,
@@ -39,9 +43,12 @@ from .hybrid_pipeline import (
     BRANCH_COMMON,
     bo_full_quantum_phase_parts,
     coupled_gho_one_form,
+    coupled_samples,
     elliptic_bound,
     full_quantum_phase,
     phases_from_one_form,
+    require_coupled_samples,
+    spin_oscillator_frequency,
     spin_oscillator_one_form,
     standard_loop_report,
 )
@@ -57,8 +64,10 @@ from .dynamics_oracle import (
 _FIG_SWEEP = {"parameter": "k_fraction_of_max", "start": 1e-4, "stop": 0.95, "count": 50,
               "scale": "log"}
 
-# A sweep point: the row's coordinates and the callable computing its other columns.
-Point = tuple[dict[str, Any], Callable[[], dict[str, Any]]]
+# A sweep point: the row's coordinates and the callable computing, at a given
+# sample count, its other columns and the quadratures they come from.
+Row = tuple[dict[str, Any], tuple[QuadratureResult, ...]]
+Point = tuple[dict[str, Any], Callable[[int], Row]]
 
 
 def _fmt(value: Any) -> str:
@@ -199,8 +208,8 @@ def _loop_params(s: dict[str, Any], **overrides: Any) -> StandardLoopParams:
     return StandardLoopParams(**({key: s[key] for key in _LOOP if key in s} | overrides))
 
 
-def _hybrid_gho_row(p: StandardLoopParams, n_samples: int) -> dict[str, Any]:
-    report = standard_loop_report(p, n_samples)
+def _hybrid_gho_row(p: StandardLoopParams, cap: int, n_samples: int) -> Row:
+    report = standard_loop_report(p, n_samples, check_samples=cap)
     return {
         "branch": report.branch,
         "gamma_0": report.gamma,
@@ -213,18 +222,19 @@ def _hybrid_gho_row(p: StandardLoopParams, n_samples: int) -> dict[str, Any]:
         "delta_phi_I_approx": report.delta_phi_I_approx,
         "elliptic_margin": report.elliptic_margin,
         "quadrature_error": report.quadrature_error,
-    }
+    }, report.quadratures
 
 
-def _gho_points(base: StandardLoopParams, ks: list[float], n_samples: int) -> list[Point]:
+def _coupling_points(base: StandardLoopParams, ks: list[float], cap: int) -> list[Point]:
     """hybrid-gho rows of the loop ``base`` at each coupling in ``ks``."""
     return [({"ratio": f"{base.n1}/{base.n2}", "K": k},
-             partial(_hybrid_gho_row, replace(base, k=k), n_samples)) for k in ks]
+             partial(_hybrid_gho_row, replace(base, k=k), cap)) for k in ks]
 
 
 def _hybrid_gho_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
     base = _loop_params(s)  # checks the settings, k too when a sweep replaces it
-    return _gho_points(base, [base.k] if cfg.sweep is None else _grid(cfg.sweep), s["n_samples"])
+    ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
+    return _coupling_points(base, ks, s["n_samples"])
 
 
 def _fig_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
@@ -238,15 +248,15 @@ def _fig_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
         base = _loop_params(s, n1=n1, n2=n2)
         _, k_max = elliptic_bound(base)
         ks = _grid(_FIG_SWEEP if cfg.sweep is None else cfg.sweep, k_max)
-        points += _gho_points(base, ks, s["n_samples"])
+        points += _coupling_points(base, ks, s["n_samples"])
     return points
 
 
 def _spin_berry_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
     family = spin_hamiltonian_family(s["mu"])
 
-    def row(theta: float) -> dict[str, Any]:
-        loop = cone_loop(theta, b=s["b_magnitude"], n_samples=s["n_samples"], cycles=s["cycles"])
+    def row(theta: float, n_samples: int) -> Row:
+        loop = cone_loop(theta, b=s["b_magnitude"], n_samples=n_samples, cycles=s["cycles"])
         frame = eigenframe_along_loop(family, loop)
         g1, d1 = berry_and_hannay(frame, 0)
         g2, d2 = berry_and_hannay(frame, 1)
@@ -256,15 +266,18 @@ def _spin_berry_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
             gamma_1=g1, gamma_2=g2, delta_theta_1=d1, delta_theta_2=d2,
             closed_form_1=c1, closed_form_2=c2,
             abs_err_1=abs(d1 - c1), abs_err_2=abs(d2 - c2),
-        )
+        ), ()
 
     return [({"theta": theta}, partial(row, theta)) for theta in s["thetas"]]
 
 
 def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
-    def row(p: StandardLoopParams) -> dict[str, Any]:
-        report = standard_loop_report(p, s["n_samples"], branch=BRANCH_COMMON)
-        loop = combined_parameter_loop(p, s["n_samples"])
+    cap = s["n_samples"]
+
+    def row(p: StandardLoopParams, n_samples: int) -> Row:
+        report = standard_loop_report(p, n_samples, branch=BRANCH_COMMON, check_samples=cap)
+        require_coupled_samples(coupled_samples(p, cap), p.k, modes=False)
+        loop = combined_parameter_loop(p, n_samples)
         phases = phases_from_one_form(coupled_gho_one_form(p, loop))
         closed = report.gamma_0_part
         quad = phases.gammas[p.n_level]
@@ -275,34 +288,37 @@ def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Poin
             abs_err=abs(closed - quad),
             delta_phi_0=report.delta_phi_0_part,
             correspondence_residual=corr,
-        )
+        ), (*report.quadratures, *phases.quadratures)
 
     return [({"epsilon": eps}, partial(row, _loop_params(s, epsilon=eps))) for eps in s["epsilons"]]
 
 
 def _hybrid_spin_osc_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
-    n_samples, omega = s["n_samples"], s["omega"]
+    cap, omega = s["n_samples"], s["omega"]
     period = 2.0 * math.pi / omega
-    hybrid = partial(
-        SpinOscillatorHybrid,
-        mu=s["mu"],
-        b_field=s["b_magnitude"],
-        loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n_samples),
-                                  _gho_loop([(s["a"], s["m"], omega)], s["epsilon"], period,
-                                            n_samples, 1)),
-        i_plus=s["i_plus"],
-        i_minus=s["i_minus"],
-        j_action=s["j_action"],
-    )
+    triple = [(s["a"], s["m"], omega)]
 
-    def row(model: SpinOscillatorHybrid) -> dict[str, Any]:
+    @cache
+    def loop(n_samples: int):
+        return spin_oscillator_loop(circle_loop(period=period, n_samples=n_samples),
+                                    _gho_loop(triple, s["epsilon"], period, n_samples, 1))
+
+    # each row's model is checked here, on the loop of the ladder's first rung
+    hybrid = partial(SpinOscillatorHybrid, mu=s["mu"], b_field=s["b_magnitude"],
+                     loop=loop(_rungs(cap)[0]), i_plus=s["i_plus"], i_minus=s["i_minus"],
+                     j_action=s["j_action"])
+    checked = _gho_points(triple, s["epsilon"], period, cap)
+
+    def row(model: SpinOscillatorHybrid, n_samples: int) -> Row:
+        spin_oscillator_frequency(model, checked)  # the sampled checks, at the cap
+        model = replace(model, loop=loop(n_samples))
         phases = phases_from_one_form(spin_oscillator_one_form(model))
         return dict(
             gamma_plus=phases.gammas["+"],
             gamma_minus=phases.gammas["-"],
             delta_phi=phases.delta_phi,
             quadrature_error=phases.quadrature_error,
-        )
+        ), phases.quadratures
 
     return [({"lambda": lam}, partial(row, hybrid(lam=lam))) for lam in s["lambdas"]]
 
@@ -311,37 +327,40 @@ def _full_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point
     m_level = s["m_level"]
     if m_level < 0:
         raise ConfigInvalid(f"m_level must be nonnegative, got {m_level}")
-    base = _loop_params(s)
-    # The loop does not depend on k or j_action, so the sweep builds it once,
-    # in the first row that runs; ``cache`` stores no exception, so a failing
-    # build stays each row's own typed error.
-    combined_loop = cache(partial(combined_parameter_loop, base, s["n_samples"]))
+    base, cap = _loop_params(s), s["n_samples"]
+    # Neither the loops nor the samples the checks read depend on k or
+    # j_action, so the sweep builds each once, in the first row that reads
+    # it; ``cache`` stores no exception, so a failing build stays each row's
+    # own typed error.
+    combined_loop = cache(partial(combined_parameter_loop, base))
+    checked = cache(partial(coupled_samples, base, cap))
     # the hybrid route's classical action is the oscillator level's, m + 1/2
     s["j_action"] = m_level + 0.5
 
-    def row(p: StandardLoopParams) -> dict[str, Any]:
+    def row(p: StandardLoopParams, n_samples: int) -> Row:
         # This order decides which typed error a row past mode collapse reports.
-        loop = combined_loop()
+        require_coupled_samples(checked(), p.k)
+        loop = combined_loop(n_samples)
         gamma_mn = full_quantum_phase(loop, p.k, m_level, p.n_level)
         part1, part2 = bo_full_quantum_phase_parts(loop, p.k, m_level, p.n_level)
         phases = phases_from_one_form(coupled_gho_one_form(p, loop))
         hybrid_gamma = phases.gammas[p.n_level]
         return dict(
-            gamma_mn=gamma_mn,
-            bo_gamma_mn=part1 + part2,
+            gamma_mn=gamma_mn.value,
+            bo_gamma_mn=part1.value + part2.value,
             hybrid_gamma_n=hybrid_gamma,
-            abs_err_bo_vs_hybrid=abs(part1 - hybrid_gamma),
-        )
+            abs_err_bo_vs_hybrid=abs(part1.value - hybrid_gamma),
+        ), (gamma_mn, part1, part2, *phases.quadratures)
 
     ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
     return [({"K": k}, partial(row, _loop_params(s, k=k))) for k in ks]
 
 
 def _oracle_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
-    mu, slowness, n_samples = s["mu"], s["slowness"], s["n_samples"]
+    mu, slowness = s["mu"], s["slowness"]
     family = spin_hamiltonian_family(mu)
 
-    def row(theta: float) -> dict[str, Any]:
+    def row(theta: float, n_samples: int) -> Row:
         loop = cone_loop(theta, n_samples=n_samples)
         steps = recommended_steps_per_sample(loop, slowness, rate_scale=mu)
         prop = propagate_quantum(family, loop, 0, slowness, steps)
@@ -352,7 +371,7 @@ def _oracle_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Poi
             abs_error=abs(prop.geometric_phase - gamma_w),
             norm_drift=prop.norm_drift,
             final_fidelity=prop.final_fidelity,
-        )
+        ), ()
 
     return [
         ({"theta": theta, "level": 0, "slowness": slowness}, partial(row, theta))
@@ -361,9 +380,9 @@ def _oracle_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Poi
 
 
 def _oracle_classical_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
-    slowness, n_samples = s["slowness"], s["n_samples"]
+    slowness = s["slowness"]
 
-    def row(p: StandardLoopParams) -> dict[str, Any]:
+    def row(p: StandardLoopParams, n_samples: int) -> Row:
         loop = subsystem_parameter_loop(p, 2, n_samples)
         report = standard_loop_report(p, max(DEFAULT_SAMPLES, n_samples))
         steps = recommended_steps_per_sample(loop, slowness, rate_scale=p.a2)
@@ -375,7 +394,7 @@ def _oracle_classical_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[P
             delta_phi_quadrature=dphi_quad,
             abs_error=abs(traj.hannay_angle - dphi_quad),
             j_drift=traj.action_drift,
-        )
+        ), ()
 
     return [
         ({"epsilon": eps, "slowness": slowness}, partial(row, _loop_params(s, epsilon=eps)))
@@ -433,10 +452,34 @@ _EXPERIMENTS: dict[str, tuple[
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
+# The experiments of closed-loop quadratures, which converge geometrically in
+# the sample count: each row climbs ``_rungs``.  The others (spin-berry's Wilson
+# loops, which converge algebraically, and the oracles) run at n_samples.
+_LADDERED = {"hybrid-gho", "fig1", "fig2", "full-quantum", "gho-uncoupled", "hybrid-spin-osc"}
+_FIRST_RUNG = 256
 
-def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]], dict[str, Any]]:
-    """The experiment's CSV header, one row per sweep point, and the settings
-    the run used.
+
+def _rungs(cap: int) -> list[int]:
+    """The sample counts a quadrature row may run at, lowest first: cap / 2^j
+    from the first at or below ``_FIRST_RUNG`` up to the cap itself, each
+    halving taken only while it leaves an even count, which the stride-2
+    estimate needs.  A cap of at most ``_FIRST_RUNG``, or odd, is the only rung."""
+    rungs = [cap]
+    while rungs[0] > _FIRST_RUNG and rungs[0] % 4 == 0:
+        rungs.insert(0, rungs[0] // 2)
+    return rungs
+
+
+def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]], dict[str, Any],
+                                           dict[str, int]]:
+    """The experiment's CSV header, one row per sweep point, the settings the
+    run used, and how many rows finished at each sample count.
+
+    A quadrature row (``_LADDERED``) runs at each of ``_rungs(n_samples)`` in
+    turn and stops at the first where every quadrature it takes is resolved
+    (``QuadratureResult.resolved``), or at the cap; every sampled check that
+    decides its typed error reads the cap's samples, so the rung never changes
+    that.  A row that fails stops where it fails.
 
     Every setting is checked and every point built before the first row runs;
     a ``HolonomyError`` or ``ValueError`` raised meanwhile is ``ConfigInvalid``.
@@ -463,18 +506,23 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]], dict
             raise ConfigInvalid(str(exc)) from exc
         except ArithmeticError as exc:
             raise ConfigInvalid(f"configuration leaves floating-point range: {exc}") from exc
+        rungs = _rungs(s["n_samples"]) if cfg.experiment in _LADDERED else [s["n_samples"]]
+        samples_used = Counter()
         for coords, compute in sweep_points:
-            row = dict(coords, error="")
-            try:
-                row.update(compute())
-            except HolonomyError as exc:
-                row["error"] = type(exc).__name__
-            except ArithmeticError:
-                row["error"] = NonFinite.__name__
-            rows.append(row)
+            for n in rungs:
+                try:
+                    cells, quadratures = compute(n)
+                except HolonomyError as exc:
+                    cells, quadratures = {"error": type(exc).__name__}, ()
+                except ArithmeticError:
+                    cells, quadratures = {"error": NonFinite.__name__}, ()
+                if all(q.resolved for q in quadratures):
+                    break
+            rows.append(dict(coords, error="") | cells)
+            samples_used[str(n)] += 1
     resolved = {"params": {key: v for key, v in s.items() if key not in numerics},
                 "numerics": {key: s[key] for key in numerics}}
-    return [*columns, "error"], rows, resolved
+    return [*columns, "error"], rows, resolved, dict(samples_used)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[dict[str, Any]]) -> None:
@@ -544,7 +592,7 @@ def execute(cfg: ExperimentConfig) -> int:
     """Run one experiment configuration; returns the process exit code.  An
     output directory that cannot be created or written is ``ConfigInvalid``."""
     t_start = time.perf_counter()
-    header, rows, resolved = _sweep(cfg)
+    header, rows, resolved, samples_used = _sweep(cfg)
     out_dir = Path(cfg.output_dir)
     csv_path = out_dir / f"{cfg.experiment}.csv"
     try:
@@ -558,6 +606,7 @@ def execute(cfg: ExperimentConfig) -> int:
             "resolved": resolved,
             "rows": len(rows),
             "failed_rows": sum(1 for r in rows if r.get("error")),
+            "samples_used": samples_used,
             "elapsed_seconds": time.perf_counter() - t_start,
         }
         (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

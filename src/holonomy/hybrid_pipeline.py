@@ -35,6 +35,7 @@ from .manifold import (
     StandardLoopParams,
     _drive_grid,
     _frequency_sq,
+    _gho_points,
     closed_line_integral,
     periodic_integral,
 )
@@ -64,11 +65,17 @@ class LinearOneForm:
 
 @dataclass(frozen=True)
 class PhaseSet:
-    """Loop phases extracted from a one-form."""
+    """Loop phases extracted from a one-form, and the quadratures behind them:
+    one per action coefficient, in order, then the classical action's."""
 
     gammas: dict[Hashable, float]
     delta_phi: float
-    quadrature_error: float
+    quadratures: tuple[QuadratureResult, ...]
+
+    @property
+    def quadrature_error(self) -> float:
+        """The largest error estimate of the quadratures."""
+        return max(q.error_estimate for q in self.quadratures)
 
 
 @dataclass(frozen=True)
@@ -85,8 +92,10 @@ class HybridPhaseReport:
     gamma_I_approx: float
     delta_phi_I_approx: float
     elliptic_margin: float
-    quadrature_error: float
+    quadratures: tuple[QuadratureResult, ...]
     branch: str
+
+    quadrature_error = PhaseSet.quadrature_error  # the quadratures' largest estimate
 
 
 def phases_from_one_form(a: LinearOneForm) -> PhaseSet:
@@ -101,7 +110,7 @@ def phases_from_one_form(a: LinearOneForm) -> PhaseSet:
     return PhaseSet(
         gammas={label: r.value for label, r in res.items()},
         delta_phi=-res_j.value,
-        quadrature_error=max(r.error_estimate for r in (*res.values(), res_j)),
+        quadratures=(*res.values(), res_j),
     )
 
 
@@ -114,19 +123,8 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
     oscillator term, whose frequency is shifted by the population imbalance.
     """
     pts = m.loop.points
-    x, y, z = pts[:, 2:].T
-    shift = m.mu * m.lam**2 * (m.i_plus - m.i_minus) / m.b_field
-    omega_sq = (x + shift) * z - y**2
-    require_positive(omega_sq, lambda j: OmegaImaginary(
-        f"action-shifted frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
-    omega = np.sqrt(omega_sq)
-    if m.j_action > 0:
-        q_typ = np.sqrt(2.0 * z * m.j_action / omega)
-        ratio = float(np.max(m.lam * q_typ / m.b_field))
-        if ratio > _WEAK_COUPLING_MAX:
-            raise WeakCouplingViolated(
-                f"lam * Q_typ / B reaches {ratio:.3f}, beyond {_WEAK_COUPLING_MAX}"
-            )
+    _, y, z = pts[:, 2:].T
+    omega_sq, omega = spin_oscillator_frequency(m, pts[:, 2:])
 
     # -dphi / 2 on the circle embedding (c, s), where dphi = -s dc + c ds
     azimuth = {0: 0.5 * pts[:, 1], 1: -0.5 * pts[:, 0]}
@@ -137,7 +135,30 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
     scale = y / (4.0 * omega * omega_sq)  # -f Z / (2 Omega^3)
     return LinearOneForm(m.loop, {"+": azimuth | {d_y_over_z: -correction},
                                   "-": azimuth | {d_y_over_z: correction}},
-                         j_coeff={4: -(y / (2.0 * z)) / omega + shift * scale, d_p: scale})
+                         j_coeff={4: -(y / (2.0 * z)) / omega + m.frequency_shift * scale,
+                                  d_p: scale})
+
+
+def spin_oscillator_frequency(m: SpinOscillatorHybrid,
+                              xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Omega^2 = (X + shift) Z - Y^2 and Omega of ``m``'s action-shifted
+    oscillator at the rows (X, Y, Z) of ``xyz``, checked in this order:
+    ``OmegaImaginary`` at the first sample where Omega^2 is not positive, then,
+    for a positive action J, ``WeakCouplingViolated`` where the sampled maximum
+    of lam Q_typ / B, Q_typ = sqrt(2 Z J / Omega), passes 0.3."""
+    x, y, z = xyz.T
+    omega_sq = (x + m.frequency_shift) * z - y**2
+    require_positive(omega_sq, lambda j: OmegaImaginary(
+        f"action-shifted frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
+    omega = np.sqrt(omega_sq)
+    if m.j_action > 0:
+        q_typ = np.sqrt(2.0 * z * m.j_action / omega)
+        ratio = float(np.max(m.lam * q_typ / m.b_field))
+        if ratio > _WEAK_COUPLING_MAX:
+            raise WeakCouplingViolated(
+                f"lam * Q_typ / B reaches {ratio:.3f}, beyond {_WEAK_COUPLING_MAX}"
+            )
+    return omega_sq, omega
 
 
 def _p_rate(x: np.ndarray, v: np.ndarray, col: int) -> np.ndarray:
@@ -158,12 +179,32 @@ def _differential(loop: LoopSpec, rate: Callable[..., np.ndarray], col: int) -> 
         return loop.pullback(rate, col)
 
 
+# The K-independent samples of a combined loop's points that the coupled routes
+# check: w_sq = (omega1^2, omega2^2 = P2 = X2 Z2 - Y2^2), z1z2 = Z1 Z2 and
+# u = Z1 Z2 / omega1^2, inf or nan where omega1^2 is not positive.
+_PairSamples = namedtuple("_PairSamples", "w_sq z1z2 u")
+
 # The K-independent pieces of the coupled-oscillator routes on a combined loop:
-# w_sq = (omega1^2, omega2^2 = P2 = X2 Z2 - Y2^2), z1z2 = Z1 Z2, u = Z1 Z2 / omega1^2,
-# fast = Z1/(4 omega1), back = Z1^2 Z2/(4 omega1^4), slow = -Y2/(2 Z2), and the
-# differentials d(Y1/Z1), dP2 and du.  The fully quantum routes alone also read
-# d(Y2/Z2), which each builds itself.
+# the ``_PairSamples`` fields, fast = Z1/(4 omega1), back = Z1^2 Z2/(4 omega1^4),
+# slow = -Y2/(2 Z2), and the differentials d(Y1/Z1), dP2 and du.  The fully
+# quantum routes alone also read d(Y2/Z2), which each builds itself.
 _PairGeometry = namedtuple("_PairGeometry", "w_sq z1z2 u fast back slow d_y1z1 d_p2 d_u")
+
+
+def _pair_samples(x: np.ndarray) -> _PairSamples:
+    """The ``_PairSamples`` of the combined points ``x``."""
+    triples = x.reshape(-1, 2, 3)
+    w_sq = triples[..., 0] * triples[..., 2] - triples[..., 1] ** 2
+    z1z2 = x[:, 2] * x[:, 5]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _PairSamples(w_sq, z1z2, z1z2 / w_sq[:, 0])
+
+
+def coupled_samples(p: StandardLoopParams, n_samples: int) -> _PairSamples:
+    """The ``_PairSamples`` of ``combined_parameter_loop(p, n_samples)``'s
+    points, elementwise from the cached drive grids: no spectrum, no pullback."""
+    return _pair_samples(_gho_points([(p.a1, p.mu1, p.omega1), (p.a2, p.mu2, p.omega2)],
+                                     p.epsilon, p.common_period, n_samples))
 
 
 def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
@@ -179,19 +220,29 @@ def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
 
     x = loop.points
     d_y1z1 = loop.derived(_differential, _y_over_z_rate, 0)
-    triples = x.reshape(-1, 2, 3)
-    w_sq = triples[..., 0] * triples[..., 2] - triples[..., 1] ** 2
-    z1z2 = x[:, 2] * x[:, 5]
+    samples = _pair_samples(x)
+    w1_sq, z1z2 = samples.w_sq[:, 0], samples.z1z2
     with np.errstate(divide="ignore", invalid="ignore"):
-        fast = x[:, 2] / (4.0 * np.sqrt(w_sq[:, 0]))
         return _PairGeometry(
-            w_sq=w_sq, z1z2=z1z2, u=z1z2 / w_sq[:, 0], fast=fast,
-            back=x[:, 2] * z1z2 / (4.0 * w_sq[:, 0] ** 2),
-            slow=-(x[:, 4] / (2.0 * x[:, 5])), d_y1z1=d_y1z1,
-            d_p2=loop.derived(_differential, _p_rate, 3), d_u=loop.pullback(u_rate))
+            *samples, fast=x[:, 2] / (4.0 * np.sqrt(w1_sq)),
+            back=x[:, 2] * z1z2 / (4.0 * w1_sq**2), slow=-(x[:, 4] / (2.0 * x[:, 5])),
+            d_y1z1=d_y1z1, d_p2=loop.derived(_differential, _p_rate, 3), d_u=loop.pullback(u_rate))
 
 
-def _slow_frequency_sq(g: _PairGeometry, k: float) -> np.ndarray:
+def require_coupled_samples(g: _PairSamples, k: float, modes: bool = True) -> None:
+    """Raise the typed error the coupled-oscillator routes raise at the
+    samples ``g`` (``coupled_samples``), in the order a full-quantum row meets
+    them: ``full_quantum_phase``'s, a bare triple's frequency
+    (``EllipticViolation``) and the lower normal mode (``ModeCollapse``),
+    when ``modes`` is set; then those of ``bo_full_quantum_phase_parts`` and
+    ``coupled_gho_one_form``, the fast-triple and effective frequency
+    (``EllipticViolation``)."""
+    if modes:
+        _normal_modes(g, k, _lower_mode_sq)
+    _slow_frequency_sq(g, k)
+
+
+def _slow_frequency_sq(g: _PairSamples, k: float) -> np.ndarray:
     """Effective Omega^2 = omega2^2 - k^2 u, checked positive after omega1^2."""
     require_positive(g.w_sq[:, 0], lambda j: EllipticViolation(
         f"fast-triple frequency squared {g.w_sq[j, 0]:.3e} at sample {j}", sample=j))
@@ -227,8 +278,9 @@ def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec) -> LinearOneForm
     return LinearOneForm(loop=loop, action_coeffs={nl: quantum_coeff}, j_coeff=j_coeff)
 
 
-# A sweep from k = 0 reads at most four profiles, as ``_drive_grid`` reads grids.
-@lru_cache(maxsize=4, typed=True)
+# A sweep from k = 0 reads at most six profiles, one per period and sample
+# count, as ``_drive_grid`` reads grids.
+@lru_cache(maxsize=6, typed=True)
 def _drive_profile(eps: float, omega1: float, omega2: float, period: float,
                    n_samples: int) -> tuple[np.ndarray, ...]:
     """The K-independent samples of ``standard_loop_report``, read-only, with
@@ -269,6 +321,7 @@ def standard_loop_report(
     p: StandardLoopParams,
     n_samples: int = DEFAULT_SAMPLES,
     branch: str | None = None,
+    check_samples: int | None = None,
 ) -> HybridPhaseReport:
     """Phases and angle of the standard coupled-oscillator hybrid.
 
@@ -277,7 +330,9 @@ def standard_loop_report(
     the common period (or over each subsystem's own period on the uncoupled
     branch, which is only legal at k = 0).  The coupling correction pair is
     computed from one shared integrand array, so the antisymmetry between
-    phase and angle corrections holds to rounding.
+    phase and angle corrections holds to rounding.  The sampled elliptic check
+    and ``elliptic_margin`` read ``check_samples`` samples (by default
+    ``n_samples``) before the quadratures run.
     """
     if branch is None:
         branch = BRANCH_SUBSYSTEM if p.k == 0.0 else BRANCH_COMMON
@@ -293,8 +348,11 @@ def standard_loop_report(
 
     # the per-subsystem branch (k = 0) integrates the slow subsystem over its own period
     period = p.common_period if branch == BRANCH_COMMON else 2.0 * math.pi / p.omega2
-    f1f2, f2_drive, f1f2_dot, slow_term, eps_s2 = _drive_profile(
-        eps, p.omega1, p.omega2, period, n_samples)
+
+    def profile(n: int) -> tuple[np.ndarray, ...]:
+        return _drive_profile(eps, p.omega1, p.omega2, period, n)
+
+    f1f2, f2_drive, f1f2_dot, slow_term, eps_s2 = profile(n_samples)
 
     gamma_0 = gamma_n0_closed_form(p, branch)
 
@@ -302,10 +360,16 @@ def standard_loop_report(
     # carries both drives (the common period; they vanish identically at k=0,
     # where d = 0).  The effective-frequency core 1 - eps^2 - 2 D^2 f1 f2
     # feeds them and the uncoupled angle shift.
-    core_sq = one_minus - 2.0 * d**2 * f1f2
-    require_positive(core_sq, lambda j: EllipticViolation(
-        f"effective frequency squared vanished at sample {j}", sample=j))
-    margin = float(np.min(core_sq))
+    def checked_core_sq(f1f2: np.ndarray) -> np.ndarray:
+        core_sq = one_minus - 2.0 * d**2 * f1f2
+        require_positive(core_sq, lambda j: EllipticViolation(
+            f"effective frequency squared vanished at sample {j}", sample=j))
+        return core_sq
+
+    check_samples = n_samples if check_samples is None else check_samples
+    checked = checked_core_sq(profile(check_samples)[0])
+    core_sq = checked if check_samples == n_samples else checked_core_sq(f1f2)
+    margin = float(np.min(checked))
     core = np.sqrt(core_sq)
     base = (d**2 * p.a2 * eps * p.omega1 / (p.a1 * one_minus)) * f2_drive / core
     res_dphi = periodic_integral(-base, period)
@@ -329,7 +393,7 @@ def standard_loop_report(
         gamma_I_approx=gamma_i_approx,
         delta_phi_I_approx=delta_phi_i_approx,
         elliptic_margin=margin,
-        quadrature_error=max(r.error_estimate for r in (res_dphi, res_gamma, res0)),
+        quadratures=(res_dphi, res_gamma, res0),
         branch=branch,
     )
 
@@ -342,25 +406,44 @@ def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     return closed_line_integral({loop.derived(_differential, _y_over_z_rate, 0): coeff}, loop)
 
 
-def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
-    """(upper^2, lower^2, sin^2 beta) of two coupled oscillators, sample by
-    sample, from the bare frequencies squared and kzz = k^2 Z1 Z2.  Raises
+def _lower_mode_sq(w1_sq: np.ndarray, w2_sq: np.ndarray,
+                   kzz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r = sqrt((omega1^2 - omega2^2)^2 + 4 kzz) and the lower normal mode
+    squared, (omega1^2 + omega2^2 - r) / 2, of two coupled oscillators, sample
+    by sample, from the bare frequencies squared and kzz = k^2 Z1 Z2.  Raises
     ``ModeCollapse`` at the first sample whose lower mode squared is not
-    positive; sin^2 beta is 0 where the modes neither differ nor couple."""
+    positive."""
     r = np.sqrt((w1_sq - w2_sq) ** 2 + 4.0 * kzz)
     low_sq = 0.5 * (w1_sq + w2_sq - r)
     require_positive(low_sq, lambda j: ModeCollapse(
         f"lower normal frequency squared {low_sq[j]:.3e} at sample {j} is not positive "
         f"(omega1^2 omega2^2 = {w1_sq[j] * w2_sq[j]:.3e}, k^2 Z1 Z2 = {kzz[j]:.3e})",
         sample=j))
+    return r, low_sq
+
+
+def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
+    """(upper^2, lower^2, sin^2 beta) of two coupled oscillators, sample by
+    sample, checked as ``_lower_mode_sq`` checks; sin^2 beta is 0 where the
+    modes neither differ nor couple."""
+    r, low_sq = _lower_mode_sq(w1_sq, w2_sq, kzz)
     with np.errstate(invalid="ignore", divide="ignore"):
         sin_sq = np.where(r > 0, np.clip((w2_sq - w1_sq + r) / (2.0 * r), 0.0, 1.0), 0.0)
     return 0.5 * (w1_sq + w2_sq + r), low_sq, sin_sq
 
 
-def full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:
+def _normal_modes(g: _PairSamples, k: float, squares=_normal_mode_squares):
+    """``squares`` (``_normal_mode_squares`` or ``_lower_mode_sq``) at the
+    samples ``g``, after checking that both bare triples' frequencies squared
+    are positive (``EllipticViolation``)."""
+    require_positive(g.w_sq, lambda j: EllipticViolation(
+        f"a bare triple's frequency squared {np.min(g.w_sq[j]):.3e} at sample {j}", sample=j))
+    return squares(g.w_sq[:, 0], g.w_sq[:, 1], k**2 * g.z1z2)
+
+
+def full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> QuadratureResult:
     """Phase of the fully quantum coupled-oscillator state with m quanta in
-    the upper normal mode and n in the lower.
+    the upper normal mode and n in the lower, as its quadrature.
 
     ``loop`` is the combined loop of both triples (``combined_parameter_loop``).
     Evaluates the normal-mode connection coefficients sample by sample and
@@ -371,21 +454,20 @@ def full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:
         raise ValueError("mode occupation numbers must be nonnegative")
     g = loop.derived(_pair_geometry)
     d_y2z2 = loop.derived(_differential, _y_over_z_rate, 3)
-    require_positive(g.w_sq, lambda j: EllipticViolation(
-        f"a bare triple's frequency squared {np.min(g.w_sq[j]):.3e} at sample {j}", sample=j))
-    high_sq, low_sq, sin_sq = _normal_mode_squares(g.w_sq[:, 0], g.w_sq[:, 1], k**2 * g.z1z2)
+    high_sq, low_sq, sin_sq = _normal_modes(g, k)
     high, low = np.sqrt(high_sq), np.sqrt(low_sq)
     cos_sq = 1.0 - sin_sq
 
     x = loop.points
     t1 = x[:, 2] / 4.0 * ((2 * m + 1) * cos_sq / high + (2 * n + 1) * sin_sq / low)
     t2 = x[:, 5] / 4.0 * ((2 * m + 1) * sin_sq / high + (2 * n + 1) * cos_sq / low)
-    return closed_line_integral({g.d_y1z1: t1, d_y2z2: t2}, loop).value
+    return closed_line_integral({g.d_y1z1: t1, d_y2z2: t2}, loop)
 
 
-def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int, n: int) -> tuple[float, float]:
-    """The two quadrature pieces of the slow/fast-separated quantum phase
-    around the combined loop: the d(Y1/Z1) part and the d(Y2/Z2) part.
+def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int,
+                                n: int) -> tuple[QuadratureResult, QuadratureResult]:
+    """The two quadratures of the slow/fast-separated quantum phase around
+    the combined loop: the d(Y1/Z1) part and the d(Y2/Z2) part.
 
     Here ``n`` counts the fast oscillator's level and ``m`` the slow one's
     (unlike ``full_quantum_phase``, whose ``m`` counts the upper normal
@@ -400,12 +482,10 @@ def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int, n: int) -> tup
 
     t1 = (2 * n + 1) * g.fast + ((2 * m + 1) * k**2) * g.back / omega
     t2 = (2 * m + 1) * (loop.points[:, 5] / 4.0) / omega
-    part1 = closed_line_integral({g.d_y1z1: t1}, loop).value
-    part2 = closed_line_integral({d_y2z2: t2}, loop).value
-    return part1, part2
+    return closed_line_integral({g.d_y1z1: t1}, loop), closed_line_integral({d_y2z2: t2}, loop)
 
 
 def bo_full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:
     """Slow/fast-separated quantum phase (sum of both quadrature pieces)."""
     p1, p2 = bo_full_quantum_phase_parts(loop, k, m, n)
-    return p1 + p2
+    return p1.value + p2.value

@@ -164,20 +164,32 @@ def _derivative(spectrum: np.ndarray, m: int, period: float) -> np.ndarray:
     return vel
 
 
+# A quadrature whose estimate is at most 8 ulp of its integrand's scale is
+# resolved: halving its samples moved it by rounding alone.
+RESOLVED_SHARE = 8 * float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
-    """A quadrature value with an error estimate from resolution halving."""
+    """A quadrature value, an error estimate from resolution halving, and the
+    integrand's L1 scale h * sum |f dg/dt| over the M samples, the size its
+    rounding is measured against."""
 
     value: float
     error_estimate: float
+    scale: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.value) and math.isfinite(self.error_estimate)):
-            raise NonFinite(
-                f"quadrature value {self.value} or error {self.error_estimate} is not finite"
-            )
-        if not (self.error_estimate >= 0.0):
-            raise ValueError("error estimate must be nonnegative")
+        if not all(map(math.isfinite, (self.value, self.error_estimate, self.scale))):
+            raise NonFinite(f"quadrature value {self.value}, error {self.error_estimate} "
+                            f"or scale {self.scale} is not finite")
+        if not (self.error_estimate >= 0.0 and self.scale >= 0.0):
+            raise ValueError("error estimate and scale must be nonnegative")
+
+    @property
+    def resolved(self) -> bool:
+        """Whether the error estimate is within ``RESOLVED_SHARE`` of the scale."""
+        return self.error_estimate <= RESOLVED_SHARE * self.scale
 
 
 def _require_grid(period: float, n_samples: int) -> None:
@@ -192,9 +204,10 @@ def _require_grid(period: float, n_samples: int) -> None:
         raise ValueError(f"period must be positive and finite, got {period}")
 
 
-# A sweep from k = 0 reads at most four grids: a coupled row's two over the
-# common period, and a k = 0 row's two over the slow subsystem's own period.
-@lru_cache(maxsize=4, typed=True)
+# A sweep from k = 0 reads at most twelve grids: a coupled row's two over the
+# common period and a k = 0 row's two over the slow subsystem's own period, each
+# at the two sample counts its rows mostly run at and at the cap its checks read.
+@lru_cache(maxsize=12, typed=True)
 def _drive_grid(omega: float, period: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (cos(omega t), sin(omega t)) on ``np.linspace(0, period,
     n_samples + 1)``, the one sampling of every periodic drive, cached
@@ -219,7 +232,10 @@ def _drive_grid(omega: float, period: float, n_samples: int) -> tuple[np.ndarray
     return grid
 
 
-@lru_cache(maxsize=4, typed=True)  # the keys and guards of ``_drive_grid``
+# The keys and guards of ``_drive_grid``.  Only loops read rates, never the
+# checks, so a coupled sweep reads its two drives' at the two sample counts its
+# rows mostly run at and at the cap, where a row that stays unresolved ends.
+@lru_cache(maxsize=6, typed=True)
 def _drive_rates(omega: float, period: float, n_samples: int) -> tuple[np.ndarray, ...]:
     """The read-only interpolant d/dt of ``_drive_grid``'s (cos, sin), shape
     (M, 2), at the M samples and, for an even M only, at the stride-2 ones."""
@@ -276,7 +292,8 @@ def closed_line_integral(coefficients: Covector, loop: LoopSpec) -> QuadratureRe
     the M + 1 samples: a column index ``col`` stands for d(points[:, col]),
     with rate ``loop.velocity[:, col]``, or a ``loop.pullback`` Differential.
     The result is the trapezoid sum of f dg/dt summed over the terms, with the
-    difference from the stride-2 subsample as its error estimate.  A column
+    difference from the stride-2 subsample as its error estimate and h times
+    the sum of |f dg/dt| as its scale.  A column
     outside ``[0, loop.dim)``, a differential of another loop or a
     coefficient of a shape other than (M + 1,) is ``LengthMismatch``.
     """
@@ -294,22 +311,29 @@ def closed_line_integral(coefficients: Covector, loop: LoopSpec) -> QuadratureRe
     terms = [(c, (key.full, key.half) if isinstance(key, Differential)
               else (loop.velocity[:, key], loop.half_velocity[:, key]))
              for key, c in coefficients.items()]
-    value = _trapezoid(*_pulled_back(terms, m, 1), loop.period)
+    g, end = _pulled_back(terms, m, 1)
+    value = _trapezoid(g, end, loop.period)
     half = _trapezoid(*_pulled_back(terms, m, 2), loop.period)
-    return QuadratureResult(value=value, error_estimate=abs(value - half))
+    return QuadratureResult(value, abs(value - half), _scale(g, loop.period))
+
+
+def _scale(values: np.ndarray, period: float) -> float:
+    """h * sum |values| of M uniform samples over ``period``."""
+    return float(period / len(values) * np.abs(values).sum())
 
 
 def periodic_integral(values: np.ndarray, period: float) -> QuadratureResult:
     """Trapezoid integral of a periodic function sampled on a closed uniform grid.
 
     ``values`` includes both endpoints (t = 0 and t = period).  The error
-    estimate is the difference against the stride-2 subsample.
+    estimate is the difference against the stride-2 subsample, and the scale
+    h times the sum of |values| over the M samples.
     """
     v = np.asarray(values, dtype=float)
     _require_halvable(v.shape[0] - 1)
     value = _trapezoid(v[:-1], v[-1], period)
     half = _trapezoid(v[:-1:2], v[-1], period)
-    return QuadratureResult(value=value, error_estimate=abs(value - half))
+    return QuadratureResult(value, abs(value - half), _scale(v[:-1], period))
 
 
 @dataclass(frozen=True)
@@ -387,20 +411,26 @@ class StandardLoopParams:
             )
 
 
-def _gho_loop(triples: list[tuple[float, float, float]], eps: float, period: float,
-              n_samples: int, cycles: int) -> LoopSpec:
+def _gho_points(triples: list[tuple[float, float, float]], eps: float, period: float,
+               n_samples: int) -> np.ndarray:
     """The GHO triples X = a mu (1 + eps cos wt), Y = -a eps sin wt, Z = (a/mu) (1 - eps cos
     wt), one per (a, mu, w) of ``triples``, side by side, sampled uniformly over [0, period],
-    the last point snapped onto the first; its velocities are ``_drive_rates`` scaled."""
-    columns, scales, rates = [], [], []
+    the last point snapped onto the first: elementwise work on the cached drive grids."""
+    columns = []
     for a, mu, omega in triples:
         c, s = (eps * g for g in _drive_grid(omega, period, n_samples))
         columns += [a * mu * (1.0 + c), -a * s, (a / mu) * (1.0 - c)]
-        scales += [a * mu * eps, -a * eps, -(a / mu) * eps]
-        rates.append(_drive_rates(omega, period, n_samples))
     pts = np.column_stack(columns)
     pts[-1] = pts[0]
-    loop = LoopSpec(period, pts, cycles=cycles)
+    return pts
+
+
+def _gho_loop(triples: list[tuple[float, float, float]], eps: float, period: float,
+              n_samples: int, cycles: int) -> LoopSpec:
+    """The loop of ``_gho_points``; its velocities are ``_drive_rates`` scaled."""
+    loop = LoopSpec(period, _gho_points(triples, eps, period, n_samples), cycles=cycles)
+    scales = [v for a, mu, _ in triples for v in (a * mu * eps, -a * eps, -(a / mu) * eps)]
+    rates = [_drive_rates(omega, period, n_samples) for *_, omega in triples]
     with np.errstate(over="raise"), suppress(FloatingPointError):  # on overflow, left to the FFT
         for name, drives in zip(("velocity", "half_velocity"), zip(*rates)):  # odd M: no half
             loop.__dict__[name] = vel = np.hstack([r[:, [0, 1, 0]] for r in drives]) * scales

@@ -77,6 +77,12 @@ class SpinOscillatorHybrid:
             raise ValueError(f"expected the five columns (cos phi, sin phi, X, Y, Z), "
                              f"got {self.loop.dim}")
 
+    @property
+    def frequency_shift(self) -> float:
+        """mu lam^2 (I+ - I-) / B, the population imbalance's shift of the
+        oscillator's X in its frequency squared (X + shift) Z - Y^2."""
+        return self.mu * self.lam**2 * (self.i_plus - self.i_minus) / self.b_field
+
 
 def spin_oscillator_loop(phi_loop: LoopSpec, x_loop: LoopSpec) -> LoopSpec:
     """The five-column loop of ``SpinOscillatorHybrid``: the azimuth circle

@@ -181,7 +181,7 @@ def test_criterion_10_full_quantum_consistency():
     loop1, loop2 = H.standard_parameter_loops(p, 2048)
     loop = H.combined_parameter_loop(p, 2048)
     # (a) zero-coupling reduction to two independent oscillator phases
-    total = H.full_quantum_phase(loop, 0.0, 1, 2)
+    total = H.full_quantum_phase(loop, 0.0, 1, 2).value
     split = H.single_gho_phase(loop1, 1).value + H.single_gho_phase(loop2, 2).value
     err_a = abs(total - split)
     # (b) fast part of the separated phase vs hybrid phase at J = m + 1/2
@@ -193,7 +193,7 @@ def test_criterion_10_full_quantum_consistency():
         )
     )
     part1, _ = H.bo_full_quantum_phase_parts(loop, kc, m, n)
-    err_b = abs(part1 / ph.gammas[n] - 1.0)
+    err_b = abs(part1.value / ph.gammas[n] - 1.0)
     # (c) minus the level-index difference reproduces the angle shift
     g_m = H.bo_full_quantum_phase(loop, kc, m, n)
     g_m1 = H.bo_full_quantum_phase(loop, kc, m + 1, n)

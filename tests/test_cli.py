@@ -699,8 +699,8 @@ def test_full_quantum_row_is_its_three_routes(tmp_path):
         cells = {}
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             try:
-                gamma_mn = full_quantum_phase(loop, k, m, n)
-                part1, part2 = bo_full_quantum_phase_parts(loop, k, m, n)
+                gamma_mn = full_quantum_phase(loop, k, m, n).value
+                part1, part2 = (q.value for q in bo_full_quantum_phase_parts(loop, k, m, n))
                 hybrid = phases_from_one_form(coupled_gho_one_form(p, loop)).gammas[n]
                 cells = dict(gamma_mn=gamma_mn, bo_gamma_mn=part1 + part2,
                              hybrid_gamma_n=hybrid, abs_err_bo_vs_hybrid=abs(part1 - hybrid))

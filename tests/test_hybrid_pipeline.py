@@ -428,20 +428,20 @@ class TestFullQuantum:
         self.loop = combined_parameter_loop(self.p, 1024)
 
     def test_zero_coupling_sum(self):
-        total = full_quantum_phase(self.loop, 0.0, 1, 2)
+        total = full_quantum_phase(self.loop, 0.0, 1, 2).value
         split = single_gho_phase(self.loop1, 1).value + single_gho_phase(self.loop2, 2).value
         assert abs(total - split) <= 1e-10
 
     def test_frozen_parameters(self):
         p = std_params(eps=0.0, a1=2.0, n1=2, n2=1)
-        assert abs(full_quantum_phase(combined_parameter_loop(p, 256), 0.1, 0, 0)) < 1e-14
+        assert abs(full_quantum_phase(combined_parameter_loop(p, 256), 0.1, 0, 0).value) < 1e-14
 
     def test_swap_symmetry(self):
         k = 0.15
-        direct = full_quantum_phase(self.loop, k, 2, 1)
+        direct = full_quantum_phase(self.loop, k, 2, 1).value
         swapped_points = np.hstack([self.loop2.points, self.loop1.points])
         swapped = full_quantum_phase(LoopSpec(self.loop.period, swapped_points),
-                                     k, 2, 1)
+                                     k, 2, 1).value
         assert abs(direct - swapped) <= 1e-10
 
     def test_mode_collapse_along_loop(self):
@@ -482,7 +482,7 @@ class TestBOFullQuantum:
         # here since omega1 > omega2); the separated formula counts m in the
         # heavy oscillator 2.  At k = 0 they describe the same state with the
         # indices interchanged.
-        exact = full_quantum_phase(self.loop, 0.0, 1, 2)
+        exact = full_quantum_phase(self.loop, 0.0, 1, 2).value
         bo = bo_full_quantum_phase(self.loop, 0.0, 2, 1)
         assert abs(exact - bo) <= 1e-12
 
@@ -491,7 +491,7 @@ class TestBOFullQuantum:
         p = std_params(eps=0.5, k=k, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n)
         part1, _ = bo_full_quantum_phase_parts(self.loop, k, m, n)
         ph = phases_from_one_form(coupled_gho_one_form(p, self.loop))
-        assert abs(part1 / ph.gammas[n] - 1.0) <= 1e-9
+        assert abs(part1.value / ph.gammas[n] - 1.0) <= 1e-9
 
     def test_level_difference_gives_angle_shift(self):
         k, m, n = 0.15, 1, 2
@@ -601,4 +601,4 @@ class TestNormalModeCollapseSide:
             with pytest.raises(ModeCollapse):
                 full_quantum_phase(loop, k, 0, 0)
         else:
-            assert full_quantum_phase(loop, k, 0, 0) == 0.0
+            assert full_quantum_phase(loop, k, 0, 0).value == 0.0

@@ -497,9 +497,9 @@ class TestLoopInterpolant:
 class TestNonFinite:
     def test_non_finite_quadrature_rejected(self):
         with pytest.raises(NonFinite):
-            QuadratureResult(value=float("nan"), error_estimate=0.0)
+            QuadratureResult(value=float("nan"), error_estimate=0.0, scale=1.0)
         with pytest.raises(NonFinite):
-            QuadratureResult(value=1.0, error_estimate=float("inf"))
+            QuadratureResult(value=1.0, error_estimate=float("inf"), scale=1.0)
         loop = circle_loop(n_samples=64)
         coeffs = {0: np.zeros(65)}
         coeffs[0][10] = np.inf
@@ -626,7 +626,7 @@ def test_an_uncoupled_table_takes_only_its_drives_ffts(monkeypatch):
     cfg = ExperimentConfig.from_dict({
         "experiment": "gho-uncoupled", "params": {"n1": 2, "n2": 1, "epsilons": [
             0.1 * i for i in range(1, 9)]}, "numerics": {"n_samples": 4096}})
-    _, rows, _ = _sweep(cfg)
+    _, rows, *_ = _sweep(cfg)
     assert [row["error"] for row in rows] == [""] * 8
     assert len(calls) <= 4
 
@@ -645,5 +645,5 @@ def test_an_overflowing_drive_velocity_is_left_to_the_fft():
             either.velocity
     cfg = ExperimentConfig.from_dict({"experiment": "hybrid-spin-osc", "params": {
         "a": 1e170, "omega": 1e150}, "numerics": {"n_samples": 64}})
-    _, rows, _ = _sweep(cfg)
+    _, rows, *_ = _sweep(cfg)
     assert [row["error"] for row in rows] == ["NonFinite"] * 3

@@ -39,9 +39,6 @@ from holonomy.quantum_geometry import (
 )
 from loops import make_loop
 
-RNG = np.random.default_rng(20240811)
-
-
 def random_family(dim, rng, n_params=3):
     mats = []
     for _ in range(n_params + 1):
@@ -72,7 +69,8 @@ def spin_matrix(b, mu):
 
 class TestHamiltonianFamily:
     def test_spin_batch_matches_pointwise(self):
-        pts = RNG.normal(size=(50, 3)) * 10.0 ** RNG.uniform(-200, 150, size=(50, 1))
+        rng = np.random.default_rng(20240811)
+        pts = rng.normal(size=(50, 3)) * 10.0 ** rng.uniform(-200, 150, size=(50, 1))
         pts[:6] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
                    [-0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
         for mu in (1.7, -0.3):
@@ -103,7 +101,8 @@ class TestLoopSampleAxis:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matrices_of_a_stack_are_the_flat_ones_reshaped(self, dim):
-        fam = spin_hamiltonian_family(1.3) if dim == 2 else random_family(3, RNG)
+        rng = np.random.default_rng(5)
+        fam = spin_hamiltonian_family(1.3) if dim == 2 else random_family(3, rng)
         fine = cone_loop(1.1, n_samples=self.M).upsampled(self.F)
         flat = fam.matrices(fine.reshape(-1, 3))
         assert np.array_equal(fam.matrices(fine), flat.reshape(self.M, self.F, dim, dim))
@@ -200,7 +199,8 @@ class TestWilsonLoop:
         loop = cone_loop(2 * math.pi / 3, n_samples=512)
         frame = eigenframe_along_loop(spin_hamiltonian_family(1.0), loop)
         g_ref, _ = berry_and_hannay(frame, 0)
-        phases = np.exp(1j * RNG.uniform(0, 2 * math.pi, size=(frame.vectors.shape[0], 1, 2)))
+        rng = np.random.default_rng(3)
+        phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=(frame.vectors.shape[0], 1, 2)))
         scrambled = EigenFrame(
             loop=frame.loop,
             energies=frame.energies,
@@ -330,21 +330,23 @@ class TestThetaAveragedOneForm:
 
     def test_matches_connection_spin(self):
         fam = spin_hamiltonian_family(1.0)
+        rng = np.random.default_rng(1)
         for _ in range(10):
-            b = RNG.normal(size=3)
-            b *= RNG.uniform(0.5, 2.0) / np.linalg.norm(b)
-            actions = RNG.uniform(0.0, 2.0, size=2)
-            dx = RNG.normal(size=3)
+            b = rng.normal(size=3)
+            b *= rng.uniform(0.5, 2.0) / np.linalg.norm(b)
+            actions = rng.uniform(0.0, 2.0, size=2)
+            dx = rng.normal(size=3)
             lhs = theta_averaged_one_form(fam, actions, b, dx)
             rhs = float(actions @ finite_difference_connection(fam, b, dx))
             assert abs(lhs - rhs) <= 1e-7 * max(abs(rhs), 1e-9)
 
     def test_matches_connection_three_level(self):
-        fam = random_family(3, RNG)
+        rng = np.random.default_rng(2)
+        fam = random_family(3, rng)
         for _ in range(5):
-            x = RNG.normal(size=3)
-            actions = RNG.uniform(0.0, 2.0, size=3)
-            dx = RNG.normal(size=3)
+            x = rng.normal(size=3)
+            actions = rng.uniform(0.0, 2.0, size=3)
+            dx = rng.normal(size=3)
             lhs = theta_averaged_one_form(fam, actions, x, dx)
             rhs = float(actions @ finite_difference_connection(fam, x, dx))
             assert abs(lhs - rhs) <= 1e-7 * max(abs(rhs), 1e-9)

@@ -20,7 +20,7 @@ def test_config_example_is_valid():
     blocks = [part.split("```", 1)[0] for part in README.read_text().split("```json\n")[1:]]
     assert blocks
     for block in blocks:
-        _, rows, _ = _sweep(ExperimentConfig.from_dict(json.loads(block)))
+        _, rows, *_ = _sweep(ExperimentConfig.from_dict(json.loads(block)))
         assert rows and not any(row["error"] for row in rows)
 
 
