@@ -96,8 +96,7 @@ def _number(key: str, value: Any, default: Any, positive: bool = False) -> Any:
 
 
 # The settings that must be positive, in every experiment that declares them.
-_POSITIVE = {"mu", "b_magnitude", "cycles", "a", "m", "omega", "j0", "a1_over_a2", "n_samples",
-             "slowness"}
+_POSITIVE = {"mu", "b_magnitude", "cycles", "a", "m", "omega", "j0", "n_samples", "slowness"}
 
 
 def _resolve(section: dict[str, Any], declared: dict[str, Any]) -> dict[str, Any]:
@@ -156,6 +155,8 @@ class ExperimentConfig:
             if not isinstance(section, dict):
                 raise ConfigInvalid(f"{key} must be an object, got {section!r}")
         for key, name, instead in (("params", "hbar", "each action as J/hbar"),
+                                   ("params", "j_over_hbar", "j_action"),
+                                   ("params", "a1_over_a2", "a2"),
                                    ("numerics", "steps_per_sample", "slowness and n_samples")):
             if name in sections[key]:
                 raise ConfigInvalid(f"{key}.{name} is not a setting; give {instead}")
@@ -194,7 +195,7 @@ class ExperimentConfig:
         }
 
 
-# The settings of ``StandardLoopParams`` and their defaults.
+# The settings of ``StandardLoopParams`` and their defaults, also where an experiment omits one.
 _LOOP = {"a1": 1.0, "a2": 1.0, "mu1": 1.0, "mu2": 1.0, "n1": 1, "n2": 1, "base_rate": 1.0,
          "epsilon": math.sqrt(3.0) / 2.0, "k": 0.0, "j_action": 1.0, "n_level": 0}
 
@@ -205,7 +206,7 @@ def _loop_settings(*without: str) -> dict[str, Any]:
 
 def _loop_params(s: dict[str, Any], **overrides: Any) -> StandardLoopParams:
     """The standard loop of the resolved settings ``s``, with ``overrides``."""
-    return StandardLoopParams(**({key: s[key] for key in _LOOP if key in s} | overrides))
+    return StandardLoopParams(**({key: s.get(key, v) for key, v in _LOOP.items()} | overrides))
 
 
 def _hybrid_gho_row(p: StandardLoopParams, cap: int, n_samples: int) -> Row:
@@ -239,8 +240,7 @@ def _hybrid_gho_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
 
 def _fig_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
     """hybrid-gho rows over (ratio, K), K swept as fractions of each ratio's K_max."""
-    # a2 and j_action, unless given, follow from a1 / a1_over_a2 and j_over_hbar
-    s.update(_resolve(cfg.params, {"a2": s["a1"] / s["a1_over_a2"], "j_action": s["j_over_hbar"]}))
+    s.update(_resolve(cfg.params, {"a2": s["a1"] / 1e8}))  # a2, unless given, follows a1
     if any(len(ratio) != 2 for ratio in s["ratios"]):
         raise ConfigInvalid(f"ratios must be a list of [n1, n2] pairs, got {s['ratios']!r}")
     points = []
@@ -334,8 +334,6 @@ def _full_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point
     # own typed error.
     combined_loop = cache(partial(combined_parameter_loop, base))
     checked = cache(partial(coupled_samples, base, cap))
-    # the hybrid route's classical action is the oscillator level's, m + 1/2
-    s["j_action"] = m_level + 0.5
 
     def row(p: StandardLoopParams, n_samples: int) -> Row:
         # This order decides which typed error a row past mode collapse reports.
@@ -353,7 +351,8 @@ def _full_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point
         ), (gamma_mn, part1, part2, *phases.quadratures)
 
     ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
-    return [({"K": k}, partial(row, _loop_params(s, k=k))) for k in ks]
+    # the hybrid route's classical action is the oscillator level's, m + 1/2
+    return [({"K": k}, partial(row, _loop_params(s, k=k, j_action=m_level + 0.5))) for k in ks]
 
 
 def _oracle_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
@@ -404,9 +403,9 @@ def _oracle_classical_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[P
 
 _SAMPLES = {"n_samples": DEFAULT_SAMPLES}
 _ORACLE_NUMERICS = {"n_samples": 256, "slowness": 1000.0}
-# fig's a2 and j_action defaults are a1 / a1_over_a2 and j_over_hbar (``_fig_points``)
-_FIG_PARAMS = {**_loop_settings("n1", "n2", "k"), "a2": 1e-8, "j_action": 1e13,
-               "a1_over_a2": 1e8, "j_over_hbar": 1e13, "ratios": [[1, 1], [2, 1], [1, 2]]}
+# fig's a2 default is a1 / 1e8 (``_fig_points``); only fig1's gamma_0 reads n_level
+_FIG2_PARAMS = {**_loop_settings("n1", "n2", "k", "n_level"), "a2": 1e-8, "j_action": 1e13,
+                "ratios": [[1, 1], [2, 1], [1, 2]]}
 
 # experiment -> (sweep points from the resolved settings, swept parameter or None,
 # CSV columns before ``error``, params, numerics).  ``params`` and ``numerics`` give
@@ -421,9 +420,9 @@ _EXPERIMENTS: dict[str, tuple[
         {"mu": 1.0, "b_magnitude": 1.0, "cycles": 1,
          "thetas": [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]}, _SAMPLES),
     "gho-uncoupled": (_gho_uncoupled_points, None, (
-        "epsilon", "gamma_00_closed", "gamma_00_quadrature", "abs_err",
-        "delta_phi_0", "correspondence_residual"),
-        {**_loop_settings("epsilon", "k"), "epsilons": [0.1, 0.5, math.sqrt(3.0) / 2.0]}, _SAMPLES),
+        "epsilon", "gamma_00_closed", "gamma_00_quadrature", "abs_err", "delta_phi_0",
+        "correspondence_residual"), {**_loop_settings("epsilon", "k", "j_action"),
+                                     "epsilons": [0.1, 0.5, math.sqrt(3.0) / 2.0]}, _SAMPLES),
     "hybrid-spin-osc": (_hybrid_spin_osc_points, None, (
         "lambda", "gamma_plus", "gamma_minus", "delta_phi", "quadrature_error"),
         {"a": 1.0, "m": 1.0, "epsilon": 0.5, "omega": 1.0, "mu": 1.0, "b_magnitude": 1.0,
@@ -434,7 +433,7 @@ _EXPERIMENTS: dict[str, tuple[
         "elliptic_margin", "quadrature_error"), _LOOP, _SAMPLES),
     "full-quantum": (_full_quantum_points, "k", (
         "K", "gamma_mn", "bo_gamma_mn", "hybrid_gamma_n", "abs_err_bo_vs_hybrid"),
-        {**_LOOP, "m_level": 0}, _SAMPLES),
+        {**_loop_settings("j_action"), "m_level": 0}, _SAMPLES),
     "oracle-quantum": (_oracle_quantum_points, None, (
         "theta", "level", "slowness", "gamma_numeric", "gamma_wilson",
         "abs_error", "norm_drift", "final_fidelity"),
@@ -442,12 +441,12 @@ _EXPERIMENTS: dict[str, tuple[
     "oracle-classical": (_oracle_classical_points, None, (
         "epsilon", "slowness", "delta_phi_numeric", "delta_phi_quadrature",
         "abs_error", "j_drift"),
-        {**_loop_settings("epsilon", "k"), "j0": 1.0, "phi0": 0.3,
-         "epsilons": [math.sqrt(3.0) / 2.0]}, _ORACLE_NUMERICS),
-    "fig1": (_fig_points, "k_fraction_of_max", (
-        "ratio", "K", "branch", "gamma_0", "gamma_00", "gamma_I"), _FIG_PARAMS, _SAMPLES),
+        {**_loop_settings("a1", "mu1", "n1", "epsilon", "k", "j_action", "n_level"), "j0": 1.0,
+         "phi0": 0.3, "epsilons": [math.sqrt(3.0) / 2.0]}, _ORACLE_NUMERICS),
+    "fig1": (_fig_points, "k_fraction_of_max", ("ratio", "K", "branch", "gamma_0", "gamma_00",
+             "gamma_I"), {**_FIG2_PARAMS, "n_level": 0}, _SAMPLES),
     "fig2": (_fig_points, "k_fraction_of_max", (
-        "ratio", "K", "branch", "delta_phi_I", "gamma_I", "delta_phi_0"), _FIG_PARAMS, _SAMPLES),
+        "ratio", "K", "branch", "delta_phi_I", "gamma_I", "delta_phi_0"), _FIG2_PARAMS, _SAMPLES),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -461,11 +460,12 @@ _FIRST_RUNG = 256
 
 def _rungs(cap: int) -> list[int]:
     """The sample counts a quadrature row may run at, lowest first: cap / 2^j
-    from the first at or below ``_FIRST_RUNG`` up to the cap itself, each
-    halving taken only while it leaves an even count, which the stride-2
-    estimate needs.  A cap of at most ``_FIRST_RUNG``, or odd, is the only rung."""
+    from the first at or below ``_FIRST_RUNG`` up to the cap, halving only while
+    the half stays a multiple of ``_FIRST_RUNG`` (2^8), so that no drive
+    multiplier below 256 blinds a rung's stride-2 estimate.  A cap of at most
+    ``_FIRST_RUNG``, or not a multiple of 2 ``_FIRST_RUNG``, is the only rung."""
     rungs = [cap]
-    while rungs[0] > _FIRST_RUNG and rungs[0] % 4 == 0:
+    while rungs[0] > _FIRST_RUNG and rungs[0] % (2 * _FIRST_RUNG) == 0:
         rungs.insert(0, rungs[0] // 2)
     return rungs
 
@@ -475,11 +475,11 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]], dict
     """The experiment's CSV header, one row per sweep point, the settings the
     run used, and how many rows finished at each sample count.
 
-    A quadrature row (``_LADDERED``) runs at each of ``_rungs(n_samples)`` in
-    turn and stops at the first where every quadrature it takes is resolved
-    (``QuadratureResult.resolved``), or at the cap; every sampled check that
-    decides its typed error reads the cap's samples, so the rung never changes
-    that.  A row that fails stops where it fails.
+    A quadrature row (``_LADDERED``) runs at each of ``_rungs(n_samples)``, all
+    below the cap multiples of 256, and stops at the first where every quadrature
+    it takes is resolved (``QuadratureResult.resolved``), or at the cap; every
+    sampled check that decides its typed error reads the cap's samples, so the
+    rung never changes that.  A row that fails stops where it fails.
 
     Every setting is checked and every point built before the first row runs;
     a ``HolonomyError`` or ``ValueError`` raised meanwhile is ``ConfigInvalid``.

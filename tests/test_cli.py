@@ -265,6 +265,8 @@ def test_invalid_config_exits_2_with_one_record(text, tmp_path, capsys):
 
 @pytest.mark.parametrize("section, key, instead", [
     ("params", "hbar", "each action as J/hbar"),
+    ("params", "j_over_hbar", "j_action"),
+    ("params", "a1_over_a2", "a2"),
     ("numerics", "steps_per_sample", "slowness and n_samples"),
 ])
 def test_removed_key_names_what_to_give_instead(section, key, instead):
@@ -284,6 +286,60 @@ def test_misspelt_keys_show_in_resolved(tmp_path):
     assert resolved["params"]["epsilon"] == math.sqrt(3.0) / 2.0
     assert resolved["numerics"] == {"n_samples": 4096}
     assert "epsilom" not in resolved["params"]
+
+
+# A small configuration per experiment in which every declared setting can
+# move a cell: a coupling k > 0 where the action J enters, no sweep where k is
+# a setting, and (n1, n2) = (3, 1), which stays a reduced pair with either raised.
+_FRACTIONS = {"parameter": "k_fraction_of_max", "start": 0.1, "stop": 0.5, "count": 2}
+LIVE_CONFIGS = {
+    "spin-berry": {"params": {"thetas": [1.0]}},
+    "gho-uncoupled": {"params": {"n1": 3, "n2": 1, "epsilons": [0.5]}},
+    "hybrid-spin-osc": {"params": {"lambdas": [0.02]}},
+    "hybrid-gho": {"params": {"n1": 3, "n2": 1, "epsilon": 0.5, "k": 0.05}},
+    "full-quantum": {"params": {"n1": 3, "n2": 1, "epsilon": 0.5, "k": 0.05}},
+    "oracle-quantum": {"params": {"thetas": [1.0]},
+                       "numerics": {"n_samples": 32, "slowness": 20.0}},
+    "oracle-classical": {"params": {"epsilons": [0.5]},
+                         "numerics": {"n_samples": 32, "slowness": 20.0}},
+    "fig1": {"params": {"ratios": [[3, 1]]}, "sweep": _FRACTIONS},
+    "fig2": {"params": {"ratios": [[3, 1]]}, "sweep": _FRACTIONS},
+}
+# gho-uncoupled's phase and angle do not depend on the oscillators' scales, so
+# its a and mu settings move its cells by rounding at most; its checks still
+# read them (``OUT_OF_RANGE_CONFIGS["gho-uncoupled a1 mu2"]``).
+SCALE_FREE = {"gho-uncoupled": {"a1", "a2", "mu1", "mu2"}}
+
+
+def _perturbed(value):
+    """An int plus 1, a float times 1.1 plus 0.01, a list in its first element."""
+    if isinstance(value, list):
+        return [_perturbed(value[0]), *value[1:]]
+    return value + 1 if isinstance(value, int) else value * 1.1 + 0.01
+
+
+@pytest.mark.parametrize("experiment", LIVE_CONFIGS)
+def test_every_declared_setting_is_read(experiment, tmp_path):
+    """Changing any one setting an experiment declares changes its CSV bytes:
+    no declared setting is dead, or a second name for another."""
+    raw = {"experiment": experiment, "numerics": {"n_samples": 64}, **LIVE_CONFIGS[experiment]}
+
+    def csv_bytes(raw: dict, run: str) -> bytes:
+        out = tmp_path / run
+        assert execute(ExperimentConfig.from_dict(dict(raw, output={"directory": str(out)}))) == 0
+        return (out / f"{experiment}.csv").read_bytes()
+
+    base = csv_bytes(raw, "base")
+    assert all(row["error"] == "" for row in read_csv(tmp_path / "base" / f"{experiment}.csv"))
+    *_, params, numerics = _EXPERIMENTS[experiment]
+    unread = []
+    for section, declared in (("params", params), ("numerics", numerics)):
+        given = raw.get(section, {})
+        for key in sorted(declared.keys() - SCALE_FREE.get(experiment, set())):
+            changed = dict(given, **{key: _perturbed(given.get(key, declared[key]))})
+            if csv_bytes(dict(raw, **{section: changed}), key) == base:
+                unread.append(key)
+    assert unread == []
 
 
 # Output values that are not a non-empty directory string and a JSON bool:
@@ -338,7 +394,7 @@ def test_sweep_rejected_where_nothing_is_swept(experiment, tmp_path):
 def test_fig_sweep_spans_fractions_of_k_max(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "experiment": "fig1",
-        "params": {"ratios": [[2, 1]], "a1_over_a2": 4.0, "j_over_hbar": 2.0},
+        "params": {"ratios": [[2, 1]], "a2": 0.25, "j_action": 2.0},
         "sweep": {"parameter": "k_fraction_of_max", "start": 0.2, "stop": 0.6, "count": 3,
                   "scale": "linear"},
         "numerics": {"n_samples": 256},
@@ -440,7 +496,6 @@ OUT_OF_RANGE_CONFIGS = {
     "spin-osc lambda": {"experiment": "hybrid-spin-osc", "params": {"lambdas": [1e200]}},
     "spin-osc epsilon": {"experiment": "hybrid-spin-osc", "params": {"epsilon": 1e300}},
     "hybrid-gho j_action": {"experiment": "hybrid-gho", "params": {"j_action": 1e308, "k": 0.1}},
-    "fig1 a1_over_a2": {"experiment": "fig1", "params": {"a1_over_a2": 1e-300}},
     "fig1 a1": {"experiment": "fig1", "params": {"a1": 1e300}},
     # 2 pi / base_rate overflows to a period of +inf: the drive grid is NonFinite
     "hybrid-gho base_rate": {"experiment": "hybrid-gho", "params": {"base_rate": 1e-320}},
@@ -687,9 +742,10 @@ def test_full_quantum_row_is_its_three_routes(tmp_path):
     assert sorted(set(kinds)) == sorted(order)
     assert kinds == sorted(kinds, key=order.index)
     resolved = json.loads((tmp_path / "run_meta.json").read_text())["resolved"]["params"]
-    assert resolved["j_action"] == m + 0.5
+    assert "j_action" not in resolved  # the hybrid route runs at the oscillator level's m + 1/2
     fields = {f.name for f in dataclasses.fields(StandardLoopParams)}
-    base = StandardLoopParams(**{key: v for key, v in resolved.items() if key in fields})
+    base = StandardLoopParams(**{key: v for key, v in resolved.items() if key in fields},
+                              j_action=m + 0.5)
     assert {key: getattr(base, key) for key in params if key in fields} == {
         key: v for key, v in params.items() if key in fields}
     loop = combined_parameter_loop(base, 64)

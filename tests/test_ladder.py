@@ -1,8 +1,10 @@
 """The sample-count ladder of the quadrature experiments: each row runs at
 ``n_samples / 2^j`` from the first rung at or below 256 and doubles only while
-one of its quadratures is unresolved, ``n_samples`` being the cap; every
-sampled check that decides a typed error, and ``elliptic_margin``, reads the
-cap's samples.  ``run_meta.json`` counts the rows that finished at each rung."""
+one of its quadratures is unresolved, ``n_samples`` being the cap; every rung
+below the cap is a multiple of 256, so no drive multiplier below 256 can blind
+its stride-2 estimate.  Every sampled check that decides a typed error, and
+``elliptic_margin``, reads the cap's samples.  ``run_meta.json`` counts the
+rows that finished at each rung."""
 
 import json
 from dataclasses import replace
@@ -12,7 +14,7 @@ import pytest
 
 from holonomy import StandardLoopParams, elliptic_bound, standard_loop_report
 from holonomy import cli
-from holonomy.cli import _EXPERIMENTS, ExperimentConfig, _rungs, _sweep, execute
+from holonomy.cli import _EXPERIMENTS, _FIRST_RUNG, ExperimentConfig, _rungs, _sweep, execute
 
 DATA = Path(__file__).parent / "data"
 
@@ -25,26 +27,45 @@ def sweep(raw: dict):
 @pytest.mark.parametrize("cap, rungs", [
     (4096, [256, 512, 1024, 2048, 4096]),
     (512, [256, 512]),
-    (1000, [250, 500, 1000]),
-    (6000, [750, 1500, 3000, 6000]),  # 375 is odd, so 750 is the first rung
-    (260, [130, 260]),
+    (1000, [1000]),  # its half, 500, is not a multiple of 256
+    (6000, [6000]),
+    (260, [260]),
     (256, [256]),
-    (258, [258]),  # its half, 129, is odd
+    (258, [258]),
     (4097, [4097]),
     (64, [64]),
+    (1536, [768, 1536]),  # 384 is not a multiple of 256, so 768 is the first rung
 ])
 def test_rungs(cap, rungs):
     assert _rungs(cap) == rungs
 
 
 def test_every_rung_is_an_even_count_of_at_least_32():
+    """Every rung below the cap is a multiple of 256, and the first is at or
+    below 256 or has no half that is one."""
     for cap in range(16, 20000):
         rungs = _rungs(cap)
         assert rungs[-1] == cap
         assert all(2 * low == high for low, high in zip(rungs, rungs[1:]))
         if len(rungs) > 1:
             assert all(n % 2 == 0 and n >= 32 for n in rungs)
-            assert rungs[0] <= 256 or rungs[0] % 4
+            assert all(n % _FIRST_RUNG == 0 for n in rungs[:-1])
+            assert rungs[0] <= _FIRST_RUNG or rungs[0] % (2 * _FIRST_RUNG)
+
+
+def test_an_even_drive_multiplier_cannot_blind_a_rung():
+    """A (6, 1) loop capped at 6000 samples: at 750 samples, whose half is
+    odd, the stride-2 estimate of its six-cycle drive would read 1.4e-14
+    while the quadrature is 3.7e-7 off at eps 0.99 and 6.8e-5 off at eps
+    0.995.  6000 is not a multiple of 512, so the row runs at the cap alone
+    and meets the closed form."""
+    raw = {"experiment": "gho-uncoupled",
+           "params": {"n1": 6, "n2": 1, "epsilons": [0.99, 0.995]},
+           "numerics": {"n_samples": 6000}}
+    rows, samples_used = sweep(raw)
+    assert samples_used == {"6000": 2}
+    for row in rows:
+        assert row["abs_err"] < 1e-12 * row["gamma_00_closed"]
 
 
 def test_mode_collapse_is_decided_at_the_cap():
