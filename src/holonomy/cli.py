@@ -275,7 +275,7 @@ def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Poin
     cap = s["n_samples"]
 
     def row(p: StandardLoopParams, n_samples: int) -> Row:
-        report = standard_loop_report(p, n_samples, branch=BRANCH_COMMON, check_samples=cap)
+        report = standard_loop_report(p, n_samples, branch=BRANCH_COMMON)
         require_coupled_samples(coupled_samples(p, cap), p.k, modes=False)
         loop = combined_parameter_loop(p, n_samples)
         phases = phases_from_one_form(coupled_gho_one_form(p, loop))

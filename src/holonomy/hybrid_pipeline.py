@@ -36,6 +36,7 @@ from .manifold import (
     _drive_grid,
     _frequency_sq,
     _gho_points,
+    _require_grid,
     closed_line_integral,
     periodic_integral,
 )
@@ -278,9 +279,10 @@ def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec) -> LinearOneForm
     return LinearOneForm(loop=loop, action_coeffs={nl: quantum_coeff}, j_coeff=j_coeff)
 
 
-# A sweep from k = 0 reads at most six profiles, one per period and sample
-# count, as ``_drive_grid`` reads grids.
-@lru_cache(maxsize=6, typed=True)
+# Read at a row's cap alone, whose samples every rung takes at a stride.  A sweep
+# from k = 0 reads one profile over the slow period and one over the common
+# period; fig2's three ratios read three, which its repeated tables share.
+@lru_cache(maxsize=3, typed=True)
 def _drive_profile(eps: float, omega1: float, omega2: float, period: float,
                    n_samples: int) -> tuple[np.ndarray, ...]:
     """The K-independent samples of ``standard_loop_report``, read-only, with
@@ -332,7 +334,8 @@ def standard_loop_report(
     computed from one shared integrand array, so the antisymmetry between
     phase and angle corrections holds to rounding.  The sampled elliptic check
     and ``elliptic_margin`` read ``check_samples`` samples (by default
-    ``n_samples``) before the quadratures run.
+    ``n_samples``), a multiple of ``n_samples``, and the quadratures every
+    ``check_samples // n_samples``-th of them.
     """
     if branch is None:
         branch = BRANCH_SUBSYSTEM if p.k == 0.0 else BRANCH_COMMON
@@ -348,11 +351,11 @@ def standard_loop_report(
 
     # the per-subsystem branch (k = 0) integrates the slow subsystem over its own period
     period = p.common_period if branch == BRANCH_COMMON else 2.0 * math.pi / p.omega2
-
-    def profile(n: int) -> tuple[np.ndarray, ...]:
-        return _drive_profile(eps, p.omega1, p.omega2, period, n)
-
-    f1f2, f2_drive, f1f2_dot, slow_term, eps_s2 = profile(n_samples)
+    cap = n_samples if check_samples is None else check_samples
+    f1f2, *profile = _drive_profile(eps, p.omega1, p.omega2, period, cap)
+    _require_grid(period, n_samples)
+    if cap % n_samples:
+        raise ValueError(f"check_samples {cap} is not a multiple of n_samples {n_samples}")
 
     gamma_0 = gamma_n0_closed_form(p, branch)
 
@@ -360,16 +363,12 @@ def standard_loop_report(
     # carries both drives (the common period; they vanish identically at k=0,
     # where d = 0).  The effective-frequency core 1 - eps^2 - 2 D^2 f1 f2
     # feeds them and the uncoupled angle shift.
-    def checked_core_sq(f1f2: np.ndarray) -> np.ndarray:
-        core_sq = one_minus - 2.0 * d**2 * f1f2
-        require_positive(core_sq, lambda j: EllipticViolation(
-            f"effective frequency squared vanished at sample {j}", sample=j))
-        return core_sq
-
-    check_samples = n_samples if check_samples is None else check_samples
-    checked = checked_core_sq(profile(check_samples)[0])
-    core_sq = checked if check_samples == n_samples else checked_core_sq(f1f2)
-    margin = float(np.min(checked))
+    core_sq = one_minus - 2.0 * d**2 * f1f2
+    require_positive(core_sq, lambda j: EllipticViolation(
+        f"effective frequency squared vanished at sample {j}", sample=j))
+    margin = float(np.min(core_sq))
+    stride = cap // n_samples  # each rung's samples are the cap's at this stride
+    core_sq, f2_drive, f1f2_dot, slow_term, eps_s2 = (a[::stride] for a in (core_sq, *profile))
     core = np.sqrt(core_sq)
     base = (d**2 * p.a2 * eps * p.omega1 / (p.a1 * one_minus)) * f2_drive / core
     res_dphi = periodic_integral(-base, period)
