@@ -171,7 +171,7 @@ def _p_rate(x: np.ndarray, v: np.ndarray, col: int) -> np.ndarray:
 def _y_over_z_rate(x: np.ndarray, v: np.ndarray, col: int) -> np.ndarray:
     """d(Y/Z)/dt of the triple (X, Y, Z) in columns col..col+2."""
     y, z = x[:, col + 1], x[:, col + 2]
-    return (1.0 / z) * v[:, col + 1] + (-y / z**2) * v[:, col + 2]
+    return (v[:, col + 1] - (y / z) * v[:, col + 2]) / z
 
 
 def _differential(loop: LoopSpec, rate: Callable[..., np.ndarray], col: int) -> Differential:
@@ -186,7 +186,7 @@ def _differential(loop: LoopSpec, rate: Callable[..., np.ndarray], col: int) -> 
 _PairSamples = namedtuple("_PairSamples", "w_sq z1z2 u")
 
 # The K-independent pieces of the coupled-oscillator routes on a combined loop:
-# the ``_PairSamples`` fields, fast = Z1/(4 omega1), back = Z1^2 Z2/(4 omega1^4),
+# the ``_PairSamples`` fields, fast = Z1/(4 omega1), back = Z1 u/(4 omega1^2),
 # slow = -Y2/(2 Z2), and the differentials d(Y1/Z1), dP2 and du.  The fully
 # quantum routes alone also read d(Y2/Z2), which each builds itself.
 _PairGeometry = namedtuple("_PairGeometry", "w_sq z1z2 u fast back slow d_y1z1 d_p2 d_u")
@@ -216,17 +216,17 @@ def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
 
     def u_rate(x, v):  # u = Z1 Z2 / P1
         p1 = x[:, 0] * x[:, 2] - x[:, 1] ** 2
-        return ((v[:, 2] * x[:, 5] + x[:, 2] * v[:, 5]) / p1
-                - x[:, 2] * x[:, 5] * _p_rate(x, v, 0) / p1**2)
+        u = x[:, 2] * x[:, 5] / p1
+        return (v[:, 2] * x[:, 5] + x[:, 2] * v[:, 5] - u * _p_rate(x, v, 0)) / p1
 
     x = loop.points
     d_y1z1 = loop.derived(_differential, _y_over_z_rate, 0)
     samples = _pair_samples(x)
-    w1_sq, z1z2 = samples.w_sq[:, 0], samples.z1z2
+    w1_sq = samples.w_sq[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return _PairGeometry(
             *samples, fast=x[:, 2] / (4.0 * np.sqrt(w1_sq)),
-            back=x[:, 2] * z1z2 / (4.0 * w1_sq**2), slow=-(x[:, 4] / (2.0 * x[:, 5])),
+            back=x[:, 2] * samples.u / (4.0 * w1_sq), slow=-(x[:, 4] / (2.0 * x[:, 5])),
             d_y1z1=d_y1z1, d_p2=loop.derived(_differential, _p_rate, 3), d_u=loop.pullback(u_rate))
 
 
@@ -267,7 +267,7 @@ def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec) -> LinearOneForm
     omega_sq = _slow_frequency_sq(g, p.k)
     omega = np.sqrt(omega_sq)
     ksq = p.k**2
-    back = g.back / omega  # Z1^2 Z2 / (4 omega1^4 Omega)
+    back = g.back / omega  # Z1 u / (4 omega1^2 Omega)
 
     # f d(Z2/Omega), f = -Y2/(2 Z2), with d(Omega^2) = dP2 - k^2 du and dZ2
     # column 5; scale = -f Z2 / (2 Omega^3)
@@ -279,9 +279,8 @@ def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec) -> LinearOneForm
     return LinearOneForm(loop=loop, action_coeffs={nl: quantum_coeff}, j_coeff=j_coeff)
 
 
-# Read at a row's cap alone, whose samples every rung takes at a stride.  A sweep
-# from k = 0 reads one profile over the slow period and one over the common
-# period; fig2's three ratios read three, which its repeated tables share.
+# Read at a row's cap alone, whose samples each rung takes at a stride: a sweep from
+# k = 0 reads two (slow and common period), fig2 three (a ratio each, shared by tables).
 @lru_cache(maxsize=3, typed=True)
 def _drive_profile(eps: float, omega1: float, omega2: float, period: float,
                    n_samples: int) -> tuple[np.ndarray, ...]:
@@ -307,7 +306,8 @@ def _fast_phase_span(p: StandardLoopParams, branch: str) -> float:
 def gamma_n0_closed_form(p: StandardLoopParams, branch: str = BRANCH_COMMON) -> float:
     """Uncoupled quantum phase: (2n+1)(1 - sqrt(1-eps^2)) T w1 / (4 sqrt(1-eps^2))."""
     root = math.sqrt(1.0 - p.epsilon**2)
-    return (2 * p.n_level + 1) * (1.0 - root) * _fast_phase_span(p, branch) / (4.0 * root)
+    gap = p.epsilon**2 / (1.0 + root)  # 1 - root, without its cancellation at small eps
+    return (2 * p.n_level + 1) * gap * _fast_phase_span(p, branch) / (4.0 * root)
 
 
 def elliptic_bound(p: StandardLoopParams) -> tuple[float, float]:

@@ -2,6 +2,7 @@ import csv
 import gc
 import math
 import weakref
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from holonomy import (
     standard_parameter_loops,
 )
 from holonomy import hybrid_pipeline, manifold
+from holonomy.cli import ExperimentConfig, _sweep
 from holonomy.cli import ExperimentConfig, execute
 
 EPS_PAPER = math.sqrt(3.0) / 2.0
@@ -342,6 +344,41 @@ class TestStandardLoopReport:
     def test_subsystem_branch_requires_zero_coupling(self):
         with pytest.raises(ValueError):
             standard_loop_report(std_params(eps=0.5, k=1e-9), branch=BRANCH_SUBSYSTEM)
+
+
+    @pytest.mark.parametrize("n_level", [0, 2])
+    def test_closed_form_keeps_its_digits_at_small_eps(self, n_level):
+        """``gamma_n0_closed_form`` against a 60-digit reference from eps 1e-4
+        to 0.99: within 4 ulp, once the rounding of eps^2, which 1 - eps^2
+        magnifies by 1 / (1 - eps^2), is allowed for.  Forming 1 - sqrt(1 - eps^2)
+        by subtraction was 1.4e-8 of the value off at eps 1e-4."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for eps in np.geomspace(1e-4, 0.99, 400).tolist():
+                got = hybrid_pipeline.gamma_n0_closed_form(std_params(eps, n_level=n_level),
+                                                           BRANCH_SUBSYSTEM)
+                root = (1 - Decimal(eps) ** 2).sqrt()
+                want = (2 * n_level + 1) * (1 - root) * Decimal(2.0 * math.pi) / (4 * root)
+                tol = 4 * math.ulp(float(want)) / (1.0 - eps**2)
+                assert abs(Decimal(got) - want) <= Decimal(tol), eps
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e150])
+def test_gho_uncoupled_rows_stay_finite_at_a_large_z1(scale):
+    """(a1, mu1) = (lambda, 1 / lambda) maps the fast triple's Y to lambda Y
+    and Z to lambda^2 Z, which leaves every phase as it is, so the rows equal
+    those at lambda = 1 to rounding with |Z1| up to about 1e300.  d(Y/Z),
+    the back-reaction term and du form no Y/Z^2, Z1^2 Z2, omega1^4 or P1^2,
+    any of which overflows past |Z1| of about 1.3e154."""
+    def rows(a1):
+        raw = {"experiment": "gho-uncoupled", "numerics": {"n_samples": 256},
+               "params": {"n1": 2, "n2": 1, "a1": a1, "mu1": 1.0 / a1, "epsilons": [0.3, 0.8]}}
+        return _sweep(ExperimentConfig.from_dict(raw))[1]
+
+    for got, want in zip(rows(scale), rows(1.0), strict=True):
+        assert got.pop("error") == want.pop("error") == ""
+        tol = 4 * math.ulp(max(map(abs, want.values())))
+        assert all(abs(got[col] - value) <= tol for col, value in want.items()), (got, want)
 
 
 class TestDriveGridMemo:

@@ -7,13 +7,18 @@ its stride-2 estimate.  Every sampled check that decides a typed error, and
 rows that finished at each rung."""
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonomy import StandardLoopParams, elliptic_bound, standard_loop_report
 from holonomy import cli
+from holonomy.hybrid_pipeline import _drive_profile
+from holonomy.manifold import _drive_grid, _gho_points
 from holonomy.cli import _EXPERIMENTS, _FIRST_RUNG, ExperimentConfig, _rungs, _sweep, execute
 
 DATA = Path(__file__).parent / "data"
@@ -162,3 +167,40 @@ def test_samples_used_counts_every_row_at_a_rung(raw, tmp_path):
     assert set(map(int, meta["samples_used"])) <= set(rungs)
     if raw["experiment"] == "hybrid-gho":  # its last row, 0.9999 K_max, runs to the cap
         assert meta["samples_used"]["4096"] == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rate=st.floats(0.1, 10.0), ratio=st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 2), (5, 3)]),
+       eps=st.floats(0.0, 0.95), scales=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       k_share=st.floats(0.0, 0.95), common=st.booleans(),
+       cap=st.integers(1, 8).map(lambda j: 512 * j))
+def test_every_rung_reads_the_caps_samples_at_a_stride(rate, ratio, eps, scales, k_share, common,
+                                                        cap):
+    """At every rung cap / 2^j the drive grids, the GHO points and the report's
+    drive profile are the cap's at stride 2^j, bit for bit, over the common
+    period and over the slow one.  So a report whose checks read the cap has
+    the rung's own quadratures and the cap's ``elliptic_margin``, and a check
+    count that is not a multiple of the rung is refused."""
+    a1, a2, mu1, mu2 = (10.0**e for e in scales)
+    base = StandardLoopParams(a1=a1, a2=a2, mu1=mu1, mu2=mu2, n1=ratio[0], n2=ratio[1],
+                              base_rate=rate, epsilon=eps)
+    # the common branch at any coupling, or the per-subsystem one (slow period) at k = 0
+    p = replace(base, k=k_share * elliptic_bound(base)[1]) if common else base
+    period = p.common_period if common else 2.0 * math.pi / p.omega2
+    triples = [(a1, mu1, p.omega1), (a2, mu2, p.omega2)]
+
+    def arrays(n):
+        return (*_drive_grid(p.omega1, period, n), *_drive_grid(p.omega2, period, n),
+                _gho_points(triples, eps, period, n),
+                *_drive_profile(eps, p.omega1, p.omega2, period, n))
+
+    at_cap = arrays(cap)
+    margin = standard_loop_report(p, cap).elliptic_margin
+    for stride in (1, 2, 4, 8, 16):
+        n = cap // stride
+        assert [a[::stride].tobytes() for a in at_cap] == [a.tobytes() for a in arrays(n)]
+        checked = standard_loop_report(p, n, check_samples=cap)
+        assert checked.quadratures == standard_loop_report(p, n).quadratures
+        assert checked.elliptic_margin == margin
+        with pytest.raises(ValueError, match="not a multiple"):
+            standard_loop_report(p, n, check_samples=cap + n // 2)
