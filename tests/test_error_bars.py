@@ -5,9 +5,9 @@ form, plus a rounding floor of 8 ulp of the integrand's scale
 normal range), at every even M from 32 to 4096.  The sample ladder of the
 quadrature experiments relies on this.
 
-The closed forms write 1 - sqrt(1 - eps^2) as eps^2 / (1 + sqrt(1 - eps^2)):
-``gamma_n0_closed_form`` subtracts, which loses about ulp / eps^2 of its
-value at small eps (1.2e-13 of it at eps = 0.025, past 8 ulp of the scale).
+The closed forms write 1 - sqrt(1 - eps^2) as eps^2 / (1 + sqrt(1 - eps^2)),
+as ``gamma_n0_closed_form`` does: the subtraction loses about ulp / eps^2 of
+the value at small eps (1.2e-13 of it at eps = 0.025, past 8 ulp of the scale).
 
 Two limits are drawn around, not hidden:
 
