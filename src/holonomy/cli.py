@@ -34,6 +34,7 @@ from .manifold import (
     StandardLoopParams,
     _gho_loop,
     _gho_points,
+    _require_coupling,
     circle_loop,
     combined_parameter_loop,
     subsystem_parameter_loop,
@@ -64,10 +65,28 @@ from .dynamics_oracle import (
 _FIG_SWEEP = {"parameter": "k_fraction_of_max", "start": 1e-4, "stop": 0.95, "count": 50,
               "scale": "log"}
 
-# A sweep point: the row's coordinates and the callable computing, at a given
-# sample count, its other columns and the quadratures they come from.
+# A sweep row's columns besides its coordinates, and the quadratures they come from.
 Row = tuple[dict[str, Any], tuple[QuadratureResult, ...]]
-Point = tuple[dict[str, Any], Callable[[int], Row]]
+# A block of sweep rows computed together: their coordinates, and the callable
+# computing, for some of them (indices into the coordinates) at a given sample
+# count, each one's Row or the HolonomyError it raised.  A K sweep over one loop
+# is one block (``hybrid_pipeline``'s K blocks); any other row is a block of one.
+Block = tuple[list[dict[str, Any]], Callable[[list[int], int], list[Any]]]
+
+
+def _alone(compute: Callable[[int], Row], rows: list[int], n_samples: int) -> list[Row]:
+    """A block of one row: its row at ``n_samples``."""
+    return [compute(n_samples)]
+
+
+def _blocks_of_one(points: list[tuple[dict[str, Any], Callable[[int], Row]]]) -> list[Block]:
+    """A block for each (coordinates, callable computing the row at a sample count)."""
+    return [([coords], partial(_alone, compute)) for coords, compute in points]
+
+
+def _row_outcomes(outcomes: list, row: Callable[[Any], Row]) -> list:
+    """``row`` of each outcome of a K block, each error kept as it is."""
+    return [out if isinstance(out, HolonomyError) else row(out) for out in outcomes]
 
 
 def _fmt(value: Any) -> str:
@@ -209,8 +228,7 @@ def _loop_params(s: dict[str, Any], **overrides: Any) -> StandardLoopParams:
     return StandardLoopParams(**({key: s.get(key, v) for key, v in _LOOP.items()} | overrides))
 
 
-def _hybrid_gho_row(p: StandardLoopParams, cap: int, n_samples: int) -> Row:
-    report = standard_loop_report(p, n_samples, check_samples=cap)
+def _hybrid_gho_row(report) -> Row:
     return {
         "branch": report.branch,
         "gamma_0": report.gamma,
@@ -226,33 +244,41 @@ def _hybrid_gho_row(p: StandardLoopParams, cap: int, n_samples: int) -> Row:
     }, report.quadratures
 
 
-def _coupling_points(base: StandardLoopParams, ks: list[float], cap: int) -> list[Point]:
-    """hybrid-gho rows of the loop ``base`` at each coupling in ``ks``."""
-    return [({"ratio": f"{base.n1}/{base.n2}", "K": k},
-             partial(_hybrid_gho_row, replace(base, k=k), cap)) for k in ks]
+def _coupling_block(base: StandardLoopParams, ks: list[float], cap: int) -> Block:
+    """The block of hybrid-gho rows of the loop ``base`` at each coupling in ``ks``."""
+    for k in ks:  # a negative k fails here, before any row runs
+        _require_coupling(k)
+
+    def rows(which: list[int], n_samples: int) -> list:
+        reports = standard_loop_report(base, n_samples, check_samples=cap,
+                                       k=[ks[i] for i in which])
+        return _row_outcomes(reports, _hybrid_gho_row)
+
+    return [{"ratio": f"{base.n1}/{base.n2}", "K": k} for k in ks], rows
 
 
-def _hybrid_gho_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+def _hybrid_gho_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
     base = _loop_params(s)  # checks the settings, k too when a sweep replaces it
     ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
-    return _coupling_points(base, ks, s["n_samples"])
+    return [_coupling_block(base, ks, s["n_samples"])]
 
 
-def _fig_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
-    """hybrid-gho rows over (ratio, K), K swept as fractions of each ratio's K_max."""
+def _fig_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
+    """hybrid-gho rows over (ratio, K), K swept as fractions of each ratio's K_max;
+    a block per ratio."""
     s.update(_resolve(cfg.params, {"a2": s["a1"] / 1e8}))  # a2, unless given, follows a1
     if any(len(ratio) != 2 for ratio in s["ratios"]):
         raise ConfigInvalid(f"ratios must be a list of [n1, n2] pairs, got {s['ratios']!r}")
-    points = []
+    blocks = []
     for n1, n2 in s["ratios"]:
         base = _loop_params(s, n1=n1, n2=n2)
         _, k_max = elliptic_bound(base)
         ks = _grid(_FIG_SWEEP if cfg.sweep is None else cfg.sweep, k_max)
-        points += _coupling_points(base, ks, s["n_samples"])
-    return points
+        blocks.append(_coupling_block(base, ks, s["n_samples"]))
+    return blocks
 
 
-def _spin_berry_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+def _spin_berry_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
     family = spin_hamiltonian_family(s["mu"])
 
     def row(theta: float, n_samples: int) -> Row:
@@ -268,10 +294,10 @@ def _spin_berry_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
             abs_err_1=abs(d1 - c1), abs_err_2=abs(d2 - c2),
         ), ()
 
-    return [({"theta": theta}, partial(row, theta)) for theta in s["thetas"]]
+    return _blocks_of_one([({"theta": theta}, partial(row, theta)) for theta in s["thetas"]])
 
 
-def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
     cap = s["n_samples"]
 
     def row(p: StandardLoopParams, n_samples: int) -> Row:
@@ -290,10 +316,11 @@ def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Poin
             correspondence_residual=corr,
         ), (*report.quadratures, *phases.quadratures)
 
-    return [({"epsilon": eps}, partial(row, _loop_params(s, epsilon=eps))) for eps in s["epsilons"]]
+    return _blocks_of_one([({"epsilon": eps}, partial(row, _loop_params(s, epsilon=eps)))
+                           for eps in s["epsilons"]])
 
 
-def _hybrid_spin_osc_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+def _hybrid_spin_osc_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
     cap, omega = s["n_samples"], s["omega"]
     period = 2.0 * math.pi / omega
     triple = [(s["a"], s["m"], omega)]
@@ -320,42 +347,61 @@ def _hybrid_spin_osc_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Po
             quadrature_error=phases.quadrature_error,
         ), phases.quadratures
 
-    return [({"lambda": lam}, partial(row, hybrid(lam=lam))) for lam in s["lambdas"]]
+    return _blocks_of_one([({"lambda": lam}, partial(row, hybrid(lam=lam)))
+                           for lam in s["lambdas"]])
 
 
-def _full_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
-    m_level = s["m_level"]
+def _full_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
+    m_level, n_level = s["m_level"], s["n_level"]
     if m_level < 0:
         raise ConfigInvalid(f"m_level must be nonnegative, got {m_level}")
-    base, cap = _loop_params(s), s["n_samples"]
+    # the hybrid route's classical action is the oscillator level's, m + 1/2
+    base, cap = _loop_params(s, j_action=m_level + 0.5), s["n_samples"]
     # Neither the loops nor the samples the checks read depend on k or
-    # j_action, so the sweep builds each once, in the first row that reads
-    # it; ``cache`` stores no exception, so a failing build stays each row's
-    # own typed error.
+    # j_action, so the sweep builds each once, when a block first reads it;
+    # ``cache`` stores no exception, so a failing build stays each row's own
+    # typed error.
     combined_loop = cache(partial(combined_parameter_loop, base))
     checked = cache(partial(coupled_samples, base, cap))
-
-    def row(p: StandardLoopParams, n_samples: int) -> Row:
-        # This order decides which typed error a row past mode collapse reports.
-        require_coupled_samples(checked(), p.k)
-        loop = combined_loop(n_samples)
-        gamma_mn = full_quantum_phase(loop, p.k, m_level, p.n_level)
-        part1, part2 = bo_full_quantum_phase_parts(loop, p.k, m_level, p.n_level)
-        phases = phases_from_one_form(coupled_gho_one_form(p, loop))
-        hybrid_gamma = phases.gammas[p.n_level]
-        return dict(
-            gamma_mn=gamma_mn.value,
-            bo_gamma_mn=part1.value + part2.value,
-            hybrid_gamma_n=hybrid_gamma,
-            abs_err_bo_vs_hybrid=abs(part1.value - hybrid_gamma),
-        ), (gamma_mn, part1, part2, *phases.quadratures)
-
     ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
-    # the hybrid route's classical action is the oscillator level's, m + 1/2
-    return [({"K": k}, partial(row, _loop_params(s, k=k, j_action=m_level + 0.5))) for k in ks]
+    for k in ks:  # a negative k fails here, before any row runs
+        _require_coupling(k)
+    # the three routes, each over the rows the checks and the routes before it left standing
+    routes = (partial(full_quantum_phase, m=m_level, n=n_level),
+              partial(bo_full_quantum_phase_parts, m=m_level, n=n_level),
+              lambda loop, k: phases_from_one_form(coupled_gho_one_form(base, loop, k)))
+
+    def rows(which: list[int], n_samples: int) -> list:
+        block = [ks[i] for i in which]
+        # This order decides which typed error a row past mode collapse reports.
+        out = require_coupled_samples(checked(), block)
+        found = [[] for _ in block]
+        for route in routes:
+            standing = [j for j, error in enumerate(out) if error is None]
+            if standing:
+                results = route(combined_loop(n_samples), [block[j] for j in standing])
+                for j, result in zip(standing, results):
+                    if isinstance(result, HolonomyError):
+                        out[j] = result
+                    else:
+                        found[j].append(result)
+        return [error or _full_quantum_row(*f, n_level) for error, f in zip(out, found)]
+
+    return [([{"K": k} for k in ks], rows)]
 
 
-def _oracle_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+def _full_quantum_row(gamma_mn: QuadratureResult, parts: tuple, phases, n_level: int) -> Row:
+    part1, part2 = parts
+    hybrid_gamma = phases.gammas[n_level]
+    return dict(
+        gamma_mn=gamma_mn.value,
+        bo_gamma_mn=part1.value + part2.value,
+        hybrid_gamma_n=hybrid_gamma,
+        abs_err_bo_vs_hybrid=abs(part1.value - hybrid_gamma),
+    ), (gamma_mn, part1, part2, *phases.quadratures)
+
+
+def _oracle_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
     mu, slowness = s["mu"], s["slowness"]
     family = spin_hamiltonian_family(mu)
 
@@ -372,13 +418,13 @@ def _oracle_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Poi
             final_fidelity=prop.final_fidelity,
         ), ()
 
-    return [
+    return _blocks_of_one([
         ({"theta": theta, "level": 0, "slowness": slowness}, partial(row, theta))
         for theta in s["thetas"]
-    ]
+    ])
 
 
-def _oracle_classical_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Point]:
+def _oracle_classical_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
     slowness = s["slowness"]
 
     def row(p: StandardLoopParams, n_samples: int) -> Row:
@@ -395,10 +441,10 @@ def _oracle_classical_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[P
             j_drift=traj.action_drift,
         ), ()
 
-    return [
+    return _blocks_of_one([
         ({"epsilon": eps, "slowness": slowness}, partial(row, _loop_params(s, epsilon=eps)))
         for eps in s["epsilons"]
-    ]
+    ])
 
 
 _SAMPLES = {"n_samples": DEFAULT_SAMPLES}
@@ -407,12 +453,12 @@ _ORACLE_NUMERICS = {"n_samples": 256, "slowness": 1000.0}
 _FIG2_PARAMS = {**_loop_settings("n1", "n2", "k", "n_level"), "a2": 1e-8, "j_action": 1e13,
                 "ratios": [[1, 1], [2, 1], [1, 2]]}
 
-# experiment -> (sweep points from the resolved settings, swept parameter or None,
+# experiment -> (sweep blocks from the resolved settings, swept parameter or None,
 # CSV columns before ``error``, params, numerics).  ``params`` and ``numerics`` give
 # each setting's default, whose kind (int, float or a list of them) a value must
 # have; a setting named in ``_POSITIVE`` must also be positive.
 _EXPERIMENTS: dict[str, tuple[
-    Callable[[ExperimentConfig, dict[str, Any]], list[Point]], str | None, tuple[str, ...],
+    Callable[[ExperimentConfig, dict[str, Any]], list[Block]], str | None, tuple[str, ...],
     dict[str, Any], dict[str, Any]]] = {
     "spin-berry": (_spin_berry_points, None, (
         "theta", "gamma_1", "gamma_2", "delta_theta_1", "delta_theta_2",
@@ -470,6 +516,38 @@ def _rungs(cap: int) -> list[int]:
     return rungs
 
 
+def _ladder(compute: Callable[[list[int], int], list[Any]], count: int,
+            rungs: list[int]) -> list[tuple[Any, int]]:
+    """Each of a block's ``count`` rows' outcome, its Row or the exception it
+    raised, and the rung it stopped at.  Every row runs at the first rung; the
+    rows still unresolved run at the next, as a smaller block, up to the last.
+    A row that fails stops where it fails."""
+    done = {}
+    pending = list(range(count))
+    for n in rungs:
+        for i, out in zip(pending, _outcomes(compute, pending, n)):
+            if isinstance(out, BaseException) or n == rungs[-1] or all(
+                    q.resolved for q in out[1]):
+                done[i] = out, n
+        pending = [i for i in pending if i not in done]
+        if not pending:
+            break
+    return [done[i] for i in range(count)]
+
+
+def _outcomes(compute: Callable[[list[int], int], list[Any]], rows: list[int], n: int) -> list:
+    """``compute(rows, n)``.  When the block raises a ``HolonomyError`` or an
+    ``ArithmeticError``, each row runs again on its own, through the same
+    function, so that every row keeps its own outcome (kept without its
+    traceback, whose frames may hold the error in a cycle)."""
+    try:
+        return compute(rows, n)
+    except (HolonomyError, ArithmeticError) as exc:
+        if len(rows) == 1:
+            return [exc.with_traceback(None)]
+        return [_outcomes(compute, [i], n)[0] for i in rows]
+
+
 def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]], dict[str, Any],
                                            dict[str, int]]:
     """The experiment's CSV header, one row per sweep point, the settings the
@@ -479,7 +557,8 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]], dict
     below the cap multiples of 256, and stops at the first where every quadrature
     it takes is resolved (``QuadratureResult.resolved``), or at the cap; every
     sampled check that decides its typed error reads the cap's samples, so the
-    rung never changes that.  A row that fails stops where it fails.
+    rung never changes that.  A row that fails stops where it fails.  The rows
+    of a block run together at each rung (``_ladder``).
 
     Every setting is checked and every point built before the first row runs;
     a ``HolonomyError`` or ``ValueError`` raised meanwhile is ``ConfigInvalid``.
@@ -499,7 +578,7 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]], dict
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
             s = {**_resolve(cfg.params, params), **_resolve(cfg.numerics, numerics)}
-            sweep_points = points(cfg, s)
+            blocks = points(cfg, s)
         except ConfigInvalid:
             raise
         except (HolonomyError, ValueError) as exc:
@@ -508,18 +587,14 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]], dict
             raise ConfigInvalid(f"configuration leaves floating-point range: {exc}") from exc
         rungs = _rungs(s["n_samples"]) if cfg.experiment in _LADDERED else [s["n_samples"]]
         samples_used = Counter()
-        for coords, compute in sweep_points:
-            for n in rungs:
-                try:
-                    cells, quadratures = compute(n)
-                except HolonomyError as exc:
-                    cells, quadratures = {"error": type(exc).__name__}, ()
-                except ArithmeticError:
-                    cells, quadratures = {"error": NonFinite.__name__}, ()
-                if all(q.resolved for q in quadratures):
-                    break
-            rows.append(dict(coords, error="") | cells)
-            samples_used[str(n)] += 1
+        for coords, compute in blocks:
+            for point, (out, n) in zip(coords, _ladder(compute, len(coords), rungs)):
+                if isinstance(out, HolonomyError):
+                    out = {"error": type(out).__name__}, ()
+                elif isinstance(out, ArithmeticError):
+                    out = {"error": NonFinite.__name__}, ()
+                rows.append(dict(point, error="") | out[0])
+                samples_used[str(n)] += 1
     resolved = {"params": {key: v for key, v in s.items() if key not in numerics},
                 "numerics": {key: s[key] for key in numerics}}
     return [*columns, "error"], rows, resolved, dict(samples_used)

@@ -366,7 +366,7 @@ def propagate_classical(
     advance = h * np.sqrt(w_sq[:, 1::2].ravel())
     raw = np.arctan2(v, q)
     angles = np.cumsum(np.concatenate(([raw[0]], advance + _wrap_angle(np.diff(raw) - advance))))
-    dyn = _trapezoid(omega[:-1], omega[-1], slowness * x2_loop.period)
+    (dyn,) = _trapezoid(omega[None, :-1], [float(omega[-1])], slowness * x2_loop.period)
 
     return ClassicalTrajectory(
         hannay_angle=float(angles[-1] - angles[0] - dyn),

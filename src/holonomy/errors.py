@@ -106,6 +106,16 @@ def require_positive(values: np.ndarray, error: Callable[[int], HolonomyError]) 
         raise error(int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))))
 
 
+def failing_rows(values: np.ndarray,
+                 error: Callable[[int, int], HolonomyError]) -> dict[int, HolonomyError]:
+    """``error(i, j)`` for each row i of the stack ``values`` (rows, samples)
+    with a value that is not positive (NaN included), j its first such sample."""
+    bad = ~(values > 0)
+    if not bad.any():
+        return {}
+    return {i: error(i, int(np.argmax(bad[i]))) for i in np.flatnonzero(bad.any(axis=1)).tolist()}
+
+
 def require_gap(energies: np.ndarray) -> float:
     """Smallest gap between adjacent levels of sorted spectra on the last axis.
 

@@ -12,6 +12,7 @@ explicit coefficient fields.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,9 +22,11 @@ import numpy as np
 
 from .errors import (
     EllipticViolation,
+    HolonomyError,
     ModeCollapse,
     OmegaImaginary,
     WeakCouplingViolated,
+    failing_rows,
     require_positive,
 )
 from .manifold import (
@@ -47,6 +50,51 @@ _WEAK_COUPLING_MAX = 0.3  # largest allowed lam * Q_typ / B for the spin hybrid
 BRANCH_COMMON = "common"
 BRANCH_SUBSYSTEM = "per-subsystem"
 
+# A K block runs a route once for many couplings on one loop.  Where a coupled
+# route takes its coupling (``k``, which ``standard_loop_report`` and
+# ``coupled_gho_one_form`` otherwise read from ``p``), a sequence of couplings
+# gives each row its result or the ``HolonomyError`` its own checks raise; a
+# failure no coupling decides (a bare or fast triple's frequency, a grid or loop
+# that cannot be built) is raised for the whole block.  A K-dependent sample
+# array is a (K, M + 1) stack with the loop sample on its last axis, which numpy
+# sums pairwise row by row as it sums a 1-D array, and each row's scalar
+# factors (d^2, k^2, a coefficient) are Python floats formed one row at a time as
+# a single call forms them, then stacked into a (K, 1) column: so every row is
+# bit for bit its single call, the block of one.  Arithmetic after a check reads
+# only the rows that passed it.
+
+
+def _couplings(k) -> tuple[bool, list]:
+    """Whether ``k`` is a K block (a sequence of couplings), and its couplings."""
+    block = not isinstance(k, numbers.Real)
+    return block, list(k) if block else [k]
+
+
+def _column(factors: list[float]) -> np.ndarray:
+    """Per-row factors as a (K, 1) column."""
+    return np.array(factors, dtype=float)[:, None]
+
+
+def _standing(count: int, failed: dict[int, HolonomyError]) -> list[int]:
+    """The rows of a block of ``count`` that have not failed."""
+    return [i for i in range(count) if i not in failed]
+
+
+def _merged(failed: dict[int, HolonomyError], results: list) -> list:
+    """Each row's outcome: its error in ``failed``, else the next of the standing rows' ``results``."""
+    rest = iter(results)
+    return [failed[i] if i in failed else next(rest) for i in range(len(failed) + len(results))]
+
+
+def _outcome(block: bool, outcomes: list):
+    """A K block's ``outcomes``; for a single coupling, its one result, or its error raised."""
+    if block:
+        return outcomes
+    (out,) = outcomes
+    if isinstance(out, HolonomyError):
+        raise out
+    return out
+
 
 @dataclass(frozen=True)
 class LinearOneForm:
@@ -57,11 +105,17 @@ class LinearOneForm:
     of its nonzero terms: loop columns and differentials pulled back onto
     ``loop``; ``phases_from_one_form`` raises ``LengthMismatch`` for a column
     the loop does not have or a term of another length.
+
+    A K block's form (``coupled_gho_one_form``'s) holds (K', M + 1)
+    coefficient stacks, one row per member that has a one-form, in order, and
+    ``failed``, the error of each other member by its index in the block; a
+    single form's ``failed`` is None.
     """
 
     loop: LoopSpec
     action_coeffs: dict[Hashable, Covector]
     j_coeff: Covector
+    failed: dict[int, HolonomyError] | None = None
 
 
 @dataclass(frozen=True)
@@ -99,20 +153,26 @@ class HybridPhaseReport:
     quadrature_error = PhaseSet.quadrature_error  # the quadratures' largest estimate
 
 
-def phases_from_one_form(a: LinearOneForm) -> PhaseSet:
+def phases_from_one_form(a: LinearOneForm) -> PhaseSet | list[PhaseSet | HolonomyError]:
     """Integrate a one-form's coefficients around its loop.
 
     Because the coefficients are affine in the actions, each quantum phase is
     the exact circulation of its action coefficient, and the angle shift is
-    minus the circulation of the classical-action coefficient.
+    minus the circulation of the classical-action coefficient.  A K block's
+    form gives each member's phases, or the error ``failed`` holds for it.
     """
-    res = {label: closed_line_integral(c, a.loop) for label, c in a.action_coeffs.items()}
-    res_j = closed_line_integral(a.j_coeff, a.loop)
-    return PhaseSet(
-        gammas={label: r.value for label, r in res.items()},
-        delta_phi=-res_j.value,
-        quadratures=(*res.values(), res_j),
-    )
+    labels = list(a.action_coeffs)
+    res = [closed_line_integral(c, a.loop) for c in (*a.action_coeffs.values(), a.j_coeff)]
+    if a.failed is None:
+        return _phase_set(labels, res)
+    return _merged(a.failed, [_phase_set(labels, r) for r in zip(*res)] if a.j_coeff else [])
+
+
+def _phase_set(labels: list[Hashable], quadratures) -> PhaseSet:
+    """The phases of the action coefficients' quadratures and then the classical action's."""
+    *res, res_j = quadratures
+    return PhaseSet(gammas={label: r.value for label, r in zip(labels, res)},
+                    delta_phi=-res_j.value, quadratures=tuple(quadratures))
 
 
 def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
@@ -230,53 +290,102 @@ def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
             d_y1z1=d_y1z1, d_p2=loop.derived(_differential, _p_rate, 3), d_u=loop.pullback(u_rate))
 
 
-def require_coupled_samples(g: _PairSamples, k: float, modes: bool = True) -> None:
+# A block's checks at the cap run a few rows at a time, so that each (rows,
+# samples) temporary stays within this size: at 4097 samples a 41-row block
+# would make 1.3 MiB ones.
+_CHECK_BYTES = 256 * 1024
+
+
+def require_coupled_samples(g: _PairSamples, k, modes: bool = True):
     """Raise the typed error the coupled-oscillator routes raise at the
     samples ``g`` (``coupled_samples``), in the order a full-quantum row meets
     them: ``full_quantum_phase``'s, a bare triple's frequency
     (``EllipticViolation``) and the lower normal mode (``ModeCollapse``),
     when ``modes`` is set; then those of ``bo_full_quantum_phase_parts`` and
     ``coupled_gho_one_form``, the fast-triple and effective frequency
-    (``EllipticViolation``)."""
-    if modes:
-        _normal_modes(g, k, _lower_mode_sq)
-    _slow_frequency_sq(g, k)
+    (``EllipticViolation``).  For a K block, return each row's error or None,
+    checking ``_CHECK_BYTES`` worth of rows at a time."""
+    block, ks = _couplings(k)
+    rows = max(1, _CHECK_BYTES // g.u.nbytes)
+    return _outcome(block, [error for start in range(0, len(ks), rows)
+                            for error in _coupled_sample_errors(g, ks[start:start + rows], modes)])
 
 
-def _slow_frequency_sq(g: _PairSamples, k: float) -> np.ndarray:
-    """Effective Omega^2 = omega2^2 - k^2 u, checked positive after omega1^2."""
+def _coupled_sample_errors(g: _PairSamples, ks: list, modes: bool) -> list:
+    """``require_coupled_samples``'s error or None of each of the couplings ``ks``."""
+    ksq = _column([k**2 for k in ks])
+    failed = _normal_modes(g, ksq, _lower_mode_sq)[-1] if modes else {}
+    standing = _standing(len(ks), failed)
+    _, slow = _slow_frequency_sq(g, ksq[standing])
+    failed |= {standing[i]: error for i, error in slow.items()}
+    return [failed.get(i) for i in range(len(ks))]
+
+
+def _slow_frequency_sq(g: _PairSamples, ksq: np.ndarray):
+    """Effective Omega^2 = omega2^2 - k^2 u at each row of the column ``ksq``
+    of k^2, and each row's ``EllipticViolation`` where it is not positive;
+    omega1^2 is checked positive first, for every row."""
     require_positive(g.w_sq[:, 0], lambda j: EllipticViolation(
         f"fast-triple frequency squared {g.w_sq[j, 0]:.3e} at sample {j}", sample=j))
-    omega_sq = g.w_sq[:, 1] - k**2 * g.u
-    require_positive(omega_sq, lambda j: EllipticViolation(
-        f"effective frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
-    return omega_sq
+    omega_sq = g.w_sq[:, 1] - ksq * g.u
+    return omega_sq, failing_rows(omega_sq, lambda i, j: EllipticViolation(
+        f"effective frequency squared {omega_sq[i, j]:.3e} at sample {j}", sample=j))
 
 
-def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec) -> LinearOneForm:
+def _elliptic_failures(p: StandardLoopParams, ks: list) -> dict[int, HolonomyError]:
+    """``p.require_elliptic``'s error at each coupling of ``ks`` where it raises
+    one, without its traceback, whose frames would hold the error in a cycle."""
+    failed = {}
+    for i, k in enumerate(ks):
+        try:
+            p.require_elliptic(k)
+        except EllipticViolation as exc:
+            failed[i] = exc.with_traceback(None)
+    return failed
+
+
+def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec, k=None) -> LinearOneForm:
     """One-form of the quantum oscillator coupled to the classical one.
 
     ``loop`` carries the concatenated triples (X1, Y1, Z1, X2, Y2, Z2) over
     the common period, as ``combined_parameter_loop(p, n)`` builds
     them.  The quantum-action coefficient multiplies d(Y1/Z1); the
     classical-action coefficient collects the coupling back-reaction on
-    d(Y1/Z1) together with the slow oscillator's own d(Z2/Omega) term.
+    d(Y1/Z1) together with the slow oscillator's own d(Z2/Omega) term.  The
+    coupling is ``k``, by default ``p.k``; a K block ``k`` gives the form of
+    each row's coefficients or error (``LinearOneForm``).
     """
-    p.require_elliptic()
+    block, ks = _couplings(p.k if k is None else k)
+    failed = _elliptic_failures(p, ks)
+    if failed and not block:
+        raise failed[0]
+    standing = _standing(len(ks), failed)
+    if not standing:
+        return LinearOneForm(loop, {}, {}, failed)
     g = loop.derived(_pair_geometry)
-    omega_sq = _slow_frequency_sq(g, p.k)
+    ksq = [ks[i]**2 for i in standing]
+    omega_sq, slow = _slow_frequency_sq(g, _column(ksq))
+    if slow:
+        if not block:
+            raise slow[0]
+        failed |= {standing[i]: error for i, error in slow.items()}
+        kept = _standing(len(ksq), slow)
+        omega_sq, ksq = omega_sq[kept], [ksq[i] for i in kept]
     omega = np.sqrt(omega_sq)
-    ksq = p.k**2
     back = g.back / omega  # Z1 u / (4 omega1^2 Omega)
 
     # f d(Z2/Omega), f = -Y2/(2 Z2), with d(Omega^2) = dP2 - k^2 du and dZ2
     # column 5; scale = -f Z2 / (2 Omega^3)
     scale = loop.points[:, 4] / (4.0 * omega * omega_sq)
     nl = p.n_level
-    quantum_coeff = {g.d_y1z1: (2 * nl + 1) * g.fast + (2.0 * ksq * p.j_action) * back}
-    j_coeff = {g.d_y1z1: (2.0 * ksq) * back, 5: g.slow / omega, g.d_p2: scale,
-               g.d_u: -ksq * scale}
-    return LinearOneForm(loop=loop, action_coeffs={nl: quantum_coeff}, j_coeff=j_coeff)
+    quantum_coeff = {g.d_y1z1: (2 * nl + 1) * g.fast
+                     + _column([2.0 * x * p.j_action for x in ksq]) * back}
+    j_coeff = {g.d_y1z1: _column([2.0 * x for x in ksq]) * back, 5: g.slow / omega,
+               g.d_p2: scale, g.d_u: _column([-x for x in ksq]) * scale}
+    if not block:
+        return LinearOneForm(loop, {nl: {key: c[0] for key, c in quantum_coeff.items()}},
+                             {key: c[0] for key, c in j_coeff.items()})
+    return LinearOneForm(loop, {nl: quantum_coeff}, j_coeff, failed)
 
 
 # Read at a row's cap alone, whose samples each rung takes at a stride: a sweep from
@@ -324,6 +433,7 @@ def standard_loop_report(
     n_samples: int = DEFAULT_SAMPLES,
     branch: str | None = None,
     check_samples: int | None = None,
+    k=None,
 ) -> HybridPhaseReport:
     """Phases and angle of the standard coupled-oscillator hybrid.
 
@@ -335,66 +445,92 @@ def standard_loop_report(
     phase and angle corrections holds to rounding.  The sampled elliptic check
     and ``elliptic_margin`` read ``check_samples`` samples (by default
     ``n_samples``), a multiple of ``n_samples``, and the quadratures every
-    ``check_samples // n_samples``-th of them.
+    ``check_samples // n_samples``-th of them.  The coupling is ``k``, by
+    default ``p.k``; for a K block ``k`` the result is each row's report or
+    the ``HolonomyError`` it raised.
     """
-    if branch is None:
-        branch = BRANCH_SUBSYSTEM if p.k == 0.0 else BRANCH_COMMON
-    if branch not in (BRANCH_COMMON, BRANCH_SUBSYSTEM):
+    block, ks = _couplings(p.k if k is None else k)
+    if branch not in (None, BRANCH_COMMON, BRANCH_SUBSYSTEM):
         raise ValueError(f"unknown branch {branch!r}")
-    if branch == BRANCH_SUBSYSTEM and p.k != 0.0:
+    if branch == BRANCH_SUBSYSTEM and any(x != 0.0 for x in ks):
         raise ValueError("per-subsystem integration ranges require k = 0")
-    p.require_elliptic()
+    branches = [(BRANCH_SUBSYSTEM if x == 0.0 else BRANCH_COMMON) if branch is None else branch
+                for x in ks]
+    reports = {}
+    for b in dict.fromkeys(branches):
+        rows = [i for i, x in enumerate(branches) if x == b]
+        reports |= zip(rows, _branch_reports(p, [ks[i] for i in rows], n_samples, b,
+                                             check_samples))
+    return _outcome(block, [reports[i] for i in range(len(ks))])
 
-    eps, d = p.epsilon, p.d_ratio
+
+def _branch_reports(q: StandardLoopParams, ks: list, n_samples: int, branch: str,
+                    check_samples: int | None) -> list[HybridPhaseReport | HolonomyError]:
+    """``standard_loop_report``'s rows of one branch, at the couplings ``ks``."""
+    failed = _elliptic_failures(q, ks)
+    if len(failed) == len(ks):
+        return _merged(failed, [])
+    eps = q.epsilon
     one_minus = 1.0 - eps**2
     root = math.sqrt(one_minus)
 
     # the per-subsystem branch (k = 0) integrates the slow subsystem over its own period
-    period = p.common_period if branch == BRANCH_COMMON else 2.0 * math.pi / p.omega2
+    period = q.common_period if branch == BRANCH_COMMON else 2.0 * math.pi / q.omega2
     cap = n_samples if check_samples is None else check_samples
-    f1f2, *profile = _drive_profile(eps, p.omega1, p.omega2, period, cap)
+    f1f2, *profile = _drive_profile(eps, q.omega1, q.omega2, period, cap)
     _require_grid(period, n_samples)
     if cap % n_samples:
         raise ValueError(f"check_samples {cap} is not a multiple of n_samples {n_samples}")
 
-    gamma_0 = gamma_n0_closed_form(p, branch)
+    gamma_0 = gamma_n0_closed_form(q, branch)
 
     # Coupling corrections share one integrand, evaluated on the range that
     # carries both drives (the common period; they vanish identically at k=0,
     # where d = 0).  The effective-frequency core 1 - eps^2 - 2 D^2 f1 f2
-    # feeds them and the uncoupled angle shift.
-    core_sq = one_minus - 2.0 * d**2 * f1f2
-    require_positive(core_sq, lambda j: EllipticViolation(
-        f"effective frequency squared vanished at sample {j}", sample=j))
-    margin = float(np.min(core_sq))
+    # feeds them and the uncoupled angle shift.  Rounding is monotone and
+    # f1 f2 > 0, so its least sample at the cap, the elliptic margin, is
+    # exactly 1 - eps^2 - (2 D^2) max(f1 f2); only a row that fails forms its
+    # core at the cap, to name the sample.
+    peak = float(np.max(f1f2))
+    dsq, margins = [], []
+    for i, k in enumerate(ks):
+        if i in failed:
+            continue
+        d = q.d_ratio_at(k)
+        margin = one_minus - 2.0 * d**2 * peak
+        if margin > 0:
+            dsq.append(d**2)
+            margins.append(margin)
+        else:
+            j = int(np.argmax(~(one_minus - 2.0 * d**2 * f1f2 > 0)))
+            failed[i] = EllipticViolation(f"effective frequency squared vanished at sample {j}",
+                                          sample=j)
     stride = cap // n_samples  # each rung's samples are the cap's at this stride
-    core_sq, f2_drive, f1f2_dot, slow_term, eps_s2 = (a[::stride] for a in (core_sq, *profile))
+    f1f2, f2_drive, f1f2_dot, slow_term, eps_s2 = (a[::stride] for a in (f1f2, *profile))
+    core_sq = one_minus - _column([2.0 * x for x in dsq]) * f1f2
     core = np.sqrt(core_sq)
-    base = (d**2 * p.a2 * eps * p.omega1 / (p.a1 * one_minus)) * f2_drive / core
+    base = _column([x * q.a2 * eps * q.omega1 / (q.a1 * one_minus) for x in dsq]) * f2_drive / core
     res_dphi = periodic_integral(-base, period)
-    res_gamma = periodic_integral(p.j_action * base, period)
+    res_gamma = periodic_integral(q.j_action * base, period)
 
     # Uncoupled angle shift, with the effective frequency kept inside.
-    core_dot = -(d**2) * f1f2_dot / core
+    core_dot = _column([-x for x in dsq]) * f1f2_dot / core
     res0 = periodic_integral(slow_term / core + eps_s2 * core_dot / (2.0 * core_sq), period)
 
-    t_omega1 = _fast_phase_span(p, branch)
-    gamma_i_approx = eps**2 * p.a2 * p.j_action * d**2 * t_omega1 / (p.a1 * one_minus * root)
-    delta_phi_i_approx = -(eps**2) * p.a2 * d**2 * t_omega1 / (p.a1 * one_minus * root)
-
-    return HybridPhaseReport(
-        gamma=gamma_0 + res_gamma.value,
-        delta_phi=res0.value + res_dphi.value,
+    t_omega1 = _fast_phase_span(q, branch)
+    return _merged(failed, [HybridPhaseReport(
+        gamma=gamma_0 + gamma_i.value,
+        delta_phi=phi_0.value + phi_i.value,
         gamma_0_part=gamma_0,
-        gamma_I_part=res_gamma.value,
-        delta_phi_0_part=res0.value,
-        delta_phi_I_part=res_dphi.value,
-        gamma_I_approx=gamma_i_approx,
-        delta_phi_I_approx=delta_phi_i_approx,
+        gamma_I_part=gamma_i.value,
+        delta_phi_0_part=phi_0.value,
+        delta_phi_I_part=phi_i.value,
+        gamma_I_approx=eps**2 * q.a2 * q.j_action * x * t_omega1 / (q.a1 * one_minus * root),
+        delta_phi_I_approx=-(eps**2) * q.a2 * x * t_omega1 / (q.a1 * one_minus * root),
         elliptic_margin=margin,
-        quadratures=(res_dphi, res_gamma, res0),
+        quadratures=(phi_i, gamma_i, phi_0),
         branch=branch,
-    )
+    ) for x, margin, phi_i, gamma_i, phi_0 in zip(dsq, margins, res_dphi, res_gamma, res0)])
 
 
 def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
@@ -405,65 +541,69 @@ def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     return closed_line_integral({loop.derived(_differential, _y_over_z_rate, 0): coeff}, loop)
 
 
-def _lower_mode_sq(w1_sq: np.ndarray, w2_sq: np.ndarray,
-                   kzz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lower_mode_sq(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
     """r = sqrt((omega1^2 - omega2^2)^2 + 4 kzz) and the lower normal mode
-    squared, (omega1^2 + omega2^2 - r) / 2, of two coupled oscillators, sample
-    by sample, from the bare frequencies squared and kzz = k^2 Z1 Z2.  Raises
-    ``ModeCollapse`` at the first sample whose lower mode squared is not
-    positive."""
+    squared, (omega1^2 + omega2^2 - r) / 2, of two coupled oscillators at each
+    row of the stack kzz = k^2 Z1 Z2 (rows, samples), from the bare
+    frequencies squared, and the ``ModeCollapse`` of each row whose lower mode
+    squared is not positive, at its first such sample."""
     r = np.sqrt((w1_sq - w2_sq) ** 2 + 4.0 * kzz)
     low_sq = 0.5 * (w1_sq + w2_sq - r)
-    require_positive(low_sq, lambda j: ModeCollapse(
-        f"lower normal frequency squared {low_sq[j]:.3e} at sample {j} is not positive "
-        f"(omega1^2 omega2^2 = {w1_sq[j] * w2_sq[j]:.3e}, k^2 Z1 Z2 = {kzz[j]:.3e})",
+    return r, low_sq, failing_rows(low_sq, lambda i, j: ModeCollapse(
+        f"lower normal frequency squared {low_sq[i, j]:.3e} at sample {j} is not positive "
+        f"(omega1^2 omega2^2 = {w1_sq[j] * w2_sq[j]:.3e}, k^2 Z1 Z2 = {kzz[i, j]:.3e})",
         sample=j))
-    return r, low_sq
 
 
 def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
-    """(upper^2, lower^2, sin^2 beta) of two coupled oscillators, sample by
-    sample, checked as ``_lower_mode_sq`` checks; sin^2 beta is 0 where the
-    modes neither differ nor couple."""
-    r, low_sq = _lower_mode_sq(w1_sq, w2_sq, kzz)
+    """(upper^2, lower^2, sin^2 beta) of two coupled oscillators at each row of
+    the stack kzz whose lower mode stands, and the ``ModeCollapse`` of each
+    other row (``_lower_mode_sq``); sin^2 beta is 0 where the modes neither
+    differ nor couple."""
+    r, low_sq, failed = _lower_mode_sq(w1_sq, w2_sq, kzz)
+    if failed:
+        standing = _standing(len(r), failed)
+        r, low_sq = r[standing], low_sq[standing]
     with np.errstate(invalid="ignore", divide="ignore"):
         sin_sq = np.where(r > 0, np.clip((w2_sq - w1_sq + r) / (2.0 * r), 0.0, 1.0), 0.0)
-    return 0.5 * (w1_sq + w2_sq + r), low_sq, sin_sq
+    return 0.5 * (w1_sq + w2_sq + r), low_sq, sin_sq, failed
 
 
-def _normal_modes(g: _PairSamples, k: float, squares=_normal_mode_squares):
+def _normal_modes(g: _PairSamples, ksq: np.ndarray, squares=_normal_mode_squares):
     """``squares`` (``_normal_mode_squares`` or ``_lower_mode_sq``) at the
-    samples ``g``, after checking that both bare triples' frequencies squared
-    are positive (``EllipticViolation``)."""
+    samples ``g`` for the column ``ksq`` of k^2, after checking that both bare
+    triples' frequencies squared are positive (``EllipticViolation``)."""
     require_positive(g.w_sq, lambda j: EllipticViolation(
         f"a bare triple's frequency squared {np.min(g.w_sq[j]):.3e} at sample {j}", sample=j))
-    return squares(g.w_sq[:, 0], g.w_sq[:, 1], k**2 * g.z1z2)
+    return squares(g.w_sq[:, 0], g.w_sq[:, 1], ksq * g.z1z2)
 
 
-def full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> QuadratureResult:
+def full_quantum_phase(loop: LoopSpec, k, m: int, n: int) -> QuadratureResult:
     """Phase of the fully quantum coupled-oscillator state with m quanta in
     the upper normal mode and n in the lower, as its quadrature.
 
     ``loop`` is the combined loop of both triples (``combined_parameter_loop``).
     Evaluates the normal-mode connection coefficients sample by sample and
     integrates around it.  Raises ``ModeCollapse`` when the coupling closes
-    the lower mode anywhere along the loop.
+    the lower mode anywhere along the loop.  For a K block ``k``, returns
+    each row's quadrature or ``ModeCollapse``.
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
+    block, ks = _couplings(k)
     g = loop.derived(_pair_geometry)
     d_y2z2 = loop.derived(_differential, _y_over_z_rate, 3)
-    high_sq, low_sq, sin_sq = _normal_modes(g, k)
+    high_sq, low_sq, sin_sq, failed = _normal_modes(g, _column([k**2 for k in ks]))
     high, low = np.sqrt(high_sq), np.sqrt(low_sq)
     cos_sq = 1.0 - sin_sq
 
     x = loop.points
     t1 = x[:, 2] / 4.0 * ((2 * m + 1) * cos_sq / high + (2 * n + 1) * sin_sq / low)
     t2 = x[:, 5] / 4.0 * ((2 * m + 1) * sin_sq / high + (2 * n + 1) * cos_sq / low)
-    return closed_line_integral({g.d_y1z1: t1, d_y2z2: t2}, loop)
+    return _outcome(block, _merged(failed, closed_line_integral({g.d_y1z1: t1, d_y2z2: t2}, loop)))
 
 
-def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int,
+def bo_full_quantum_phase_parts(loop: LoopSpec, k, m: int,
                                 n: int) -> tuple[QuadratureResult, QuadratureResult]:
     """The two quadratures of the slow/fast-separated quantum phase around
     the combined loop: the d(Y1/Z1) part and the d(Y2/Z2) part.
@@ -471,17 +611,23 @@ def bo_full_quantum_phase_parts(loop: LoopSpec, k: float, m: int,
     Here ``n`` counts the fast oscillator's level and ``m`` the slow one's
     (unlike ``full_quantum_phase``, whose ``m`` counts the upper normal
     mode).  Actions are in units of hbar, so callers comparing against the
-    hybrid phases set J = m + 1/2 themselves.
+    hybrid phases set J = m + 1/2 themselves.  For a K block ``k``, returns
+    each row's pair or effective-frequency ``EllipticViolation``.
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
+    block, ks = _couplings(k)
     g = loop.derived(_pair_geometry)
     d_y2z2 = loop.derived(_differential, _y_over_z_rate, 3)
-    omega = np.sqrt(_slow_frequency_sq(g, k))
+    ksq = [k**2 for k in ks]
+    omega_sq, failed = _slow_frequency_sq(g, _column(ksq))
+    standing = _standing(len(ks), failed)
+    omega = np.sqrt(omega_sq[standing])
 
-    t1 = (2 * n + 1) * g.fast + ((2 * m + 1) * k**2) * g.back / omega
+    t1 = (2 * n + 1) * g.fast + _column([(2 * m + 1) * ksq[i] for i in standing]) * g.back / omega
     t2 = (2 * m + 1) * (loop.points[:, 5] / 4.0) / omega
-    return closed_line_integral({g.d_y1z1: t1}, loop), closed_line_integral({d_y2z2: t2}, loop)
+    parts = zip(closed_line_integral({g.d_y1z1: t1}, loop), closed_line_integral({d_y2z2: t2}, loop))
+    return _outcome(block, _merged(failed, list(parts)))
 
 
 def bo_full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:

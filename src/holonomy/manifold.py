@@ -257,22 +257,37 @@ def circle_loop(
     return LoopSpec(period, pts, cycles)
 
 
-def _trapezoid(values: np.ndarray, end: float, period: float) -> float:
-    """Trapezoid sum over ``period`` of M uniform samples ``values`` and the closing ``end``."""
-    return float(period / len(values) * (0.5 * values[0] + values[1:].sum() + 0.5 * end))
+def _trapezoid(values: np.ndarray, ends: list[float], period: float) -> list[float]:
+    """Trapezoid sums over ``period`` of each row of M uniform samples
+    ``values`` (K, M) and its closing sample in ``ends``.  numpy sums each
+    row, pairwise as it sums a 1-D array; the few scalar steps run on Python
+    floats, which round as numpy's float64 does."""
+    h = period / values.shape[1]
+    return [h * (0.5 * first + rest + 0.5 * end) for first, rest, end in
+            zip(values[:, 0].tolist(), values[:, 1:].sum(axis=1).tolist(), ends)]
 
 
-def _pulled_back(terms: list[tuple], m: int, stride: int) -> tuple[np.ndarray, float]:
-    """``_trapezoid``'s (values, end) of the sum, term by term, of f dg/dt over the terms
-    (f, (dg/dt, stride-2 dg/dt)); the last f meets the rate's first sample."""
+def _pulled_back(terms: list[tuple], rows: int, m: int,
+                 stride: int) -> tuple[np.ndarray, list[float]]:
+    """``_trapezoid``'s (values, ends) of the sum, term by term, of f dg/dt over the terms
+    (f, (dg/dt, stride-2 dg/dt)), each f a stack of ``rows`` rows or of one, (rows or 1,
+    M + 1); the last f meets the rate's first sample."""
     if not terms:
-        return np.zeros(m // stride), 0.0
+        return np.zeros((1, m // stride)), [0.0]
     (c, rates), *rest = terms
-    g, end = c[:-1:stride] * rates[stride - 1], c[-1] * rates[stride - 1][0]
+    g, ends = c[:, :-1:stride] * rates[stride - 1], _closing(c, rates[stride - 1], rows)
     for c, rates in rest:
-        g += c[:-1:stride] * rates[stride - 1]
-        end += c[-1] * rates[stride - 1][0]
-    return g, end
+        g = g + c[:, :-1:stride] * rates[stride - 1]
+        ends = [end + x for end, x in zip(ends, _closing(c, rates[stride - 1], rows))]
+    return g, ends
+
+
+def _closing(c: np.ndarray, rate: np.ndarray, rows: int) -> list[float]:
+    """The last sample of each of the ``rows`` rows of f (one row stands for
+    all) times the rate's first sample."""
+    first = float(rate[0])
+    products = [x * first for x in c[:, -1].tolist()]
+    return products if len(products) == rows else products * rows
 
 
 def _require_halvable(m: int) -> None:
@@ -296,44 +311,66 @@ def closed_line_integral(coefficients: Covector, loop: LoopSpec) -> QuadratureRe
     the sum of |f dg/dt| as its scale.  A column
     outside ``[0, loop.dim)``, a differential of another loop or a
     coefficient of a shape other than (M + 1,) is ``LengthMismatch``.
+
+    A coefficient may also be a stack (K, M + 1), one row per member of a
+    family of covectors on the loop, every stack with the same K; the result
+    is then the list of the K members' results, each bit for bit the one its
+    row alone gives (``periodic_integral`` likewise).
     """
     m = loop.n_segments
+    rows = set()
     for key, c in coefficients.items():
+        shape = np.shape(c)
+        sampled = shape[-1:] == (m + 1,) and len(shape) <= 2
+        rows.update(shape[:-1])
         if isinstance(key, Differential):
-            if not (key.loop() is loop and np.shape(c) == (m + 1,)):
-                raise LengthMismatch(f"covector term of shape {np.shape(c)} is not pulled back "
+            if not (key.loop() is loop and sampled):
+                raise LengthMismatch(f"covector term of shape {shape} is not pulled back "
                                      f"onto this loop of {m + 1} samples")
-        elif not (isinstance(key, numbers.Integral) and 0 <= key < loop.dim
-                  and np.shape(c) == (m + 1,)):
-            raise LengthMismatch(f"covector column {key!r} of shape {np.shape(c)} is not one "
+        elif not (isinstance(key, numbers.Integral) and 0 <= key < loop.dim and sampled):
+            raise LengthMismatch(f"covector column {key!r} of shape {shape} is not one "
                                  f"of the loop's {loop.dim} columns of {m + 1} samples")
+    if len(rows) > 1:
+        raise LengthMismatch(f"covector stacks of {sorted(rows)} rows")
     _require_halvable(m)
-    terms = [(c, (key.full, key.half) if isinstance(key, Differential)
-              else (loop.velocity[:, key], loop.half_velocity[:, key]))
+    terms = [(np.asarray(c).reshape(-1, m + 1), (key.full, key.half)
+              if isinstance(key, Differential) else (loop.velocity[:, key], loop.half_velocity[:, key]))
              for key, c in coefficients.items()]
-    g, end = _pulled_back(terms, m, 1)
-    value = _trapezoid(g, end, loop.period)
-    half = _trapezoid(*_pulled_back(terms, m, 2), loop.period)
-    return QuadratureResult(value, abs(value - half), _scale(g, loop.period))
+    count = max(rows, default=1)
+    g, ends = _pulled_back(terms, count, m, 1)
+    value = _trapezoid(g, ends, loop.period)
+    half = _trapezoid(*_pulled_back(terms, count, m, 2), loop.period)
+    return _results(value, half, _scale(g, loop.period), bool(rows))
 
 
-def _scale(values: np.ndarray, period: float) -> float:
-    """h * sum |values| of M uniform samples over ``period``."""
-    return float(period / len(values) * np.abs(values).sum())
+def _scale(values: np.ndarray, period: float) -> list[float]:
+    """h * sum |values| over ``period`` of each row of M uniform samples (K, M)."""
+    h = period / values.shape[1]
+    return [h * total for total in np.abs(values).sum(axis=1).tolist()]
+
+
+def _results(values: list[float], halves: list[float], scales: list[float],
+             stacked: bool) -> QuadratureResult | list[QuadratureResult]:
+    """The ``QuadratureResult`` of each row's sums: a list for a stack."""
+    results = [QuadratureResult(v, abs(v - h), s) for v, h, s in zip(values, halves, scales)]
+    return results if stacked else results[0]
 
 
 def periodic_integral(values: np.ndarray, period: float) -> QuadratureResult:
     """Trapezoid integral of a periodic function sampled on a closed uniform grid.
 
-    ``values`` includes both endpoints (t = 0 and t = period).  The error
+    ``values`` includes both endpoints (t = 0 and t = period), on its last
+    axis; a stack (K, M + 1) gives the list of its rows' results.  The error
     estimate is the difference against the stride-2 subsample, and the scale
     h times the sum of |values| over the M samples.
     """
     v = np.asarray(values, dtype=float)
-    _require_halvable(v.shape[0] - 1)
-    value = _trapezoid(v[:-1], v[-1], period)
-    half = _trapezoid(v[:-1:2], v[-1], period)
-    return QuadratureResult(value, abs(value - half), _scale(v[:-1], period))
+    rows = v.reshape(-1, v.shape[-1])
+    _require_halvable(rows.shape[1] - 1)
+    ends = rows[:, -1].tolist()
+    value = _trapezoid(rows[:, :-1], ends, period)
+    half = _trapezoid(rows[:, :-1:2], ends, period)
+    return _results(value, half, _scale(rows[:, :-1], period), v.ndim == 2)
 
 
 @dataclass(frozen=True)
@@ -372,8 +409,7 @@ class StandardLoopParams:
             raise ValueError(f"(n1, n2)=({self.n1}, {self.n2}) must be a reduced pair")
         if not (0.0 <= self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.k < 0:
-            raise ValueError("coupling k must be nonnegative")
+        _require_coupling(self.k)
         if self.j_action < 0:
             raise ValueError("j_action must be nonnegative")
         if self.n_level < 0:
@@ -394,21 +430,37 @@ class StandardLoopParams:
     @property
     def d_ratio(self) -> float:
         """Dimensionless coupling strength built from k and the drive scales."""
-        return self.k / math.sqrt(
+        return self.d_ratio_at(self.k)
+
+    def d_ratio_at(self, k: float) -> float:
+        """``d_ratio`` at the coupling ``k``."""
+        return k / math.sqrt(
             2.0 * self.mu1 * self.mu2 * self.a1 * self.a2 * (1.0 - self.epsilon**2)
         )
 
     @property
     def elliptic_margin(self) -> float:
         """Worst-case margin of the effective-frequency positivity condition."""
-        return 1.0 - self.epsilon**2 - 2.0 * self.d_ratio**2 * (1.0 + self.epsilon) ** 2
+        return self.elliptic_margin_at(self.k)
 
-    def require_elliptic(self) -> None:
-        if not self.elliptic_margin > 0.0:
+    def elliptic_margin_at(self, k: float) -> float:
+        """``elliptic_margin`` at the coupling ``k``."""
+        return 1.0 - self.epsilon**2 - 2.0 * self.d_ratio_at(k)**2 * (1.0 + self.epsilon) ** 2
+
+    def require_elliptic(self, k: float | None = None) -> None:
+        """Raise ``EllipticViolation`` unless the margin at the coupling ``k``,
+        by default this one's, is positive."""
+        k = self.k if k is None else k
+        margin = self.elliptic_margin_at(k)
+        if not margin > 0.0:
             raise EllipticViolation(
-                f"elliptic condition violated: margin {self.elliptic_margin:.3e} "
-                f"at coupling k={self.k}"
-            )
+                f"elliptic condition violated: margin {margin:.3e} at coupling k={k}")
+
+
+def _require_coupling(k: float) -> None:
+    """A coupling must be nonnegative (``ValueError``)."""
+    if k < 0:
+        raise ValueError("coupling k must be nonnegative")
 
 
 def _gho_points(triples: list[tuple[float, float, float]], eps: float, period: float,

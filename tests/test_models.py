@@ -28,9 +28,17 @@ def bare_squares(x1, x2, k):
     return w_sq[:1], w_sq[1:], np.array([k**2 * x1[2] * x2[2]])
 
 
+def normal_mode_squares(w1_sq, w2_sq, kzz):
+    """``_normal_mode_squares`` of the one-row stack ``kzz``, its ``ModeCollapse`` raised."""
+    *squares, failed = _normal_mode_squares(w1_sq, w2_sq, kzz[None])
+    if failed:
+        raise failed[0]
+    return tuple(v[0] for v in squares)
+
+
 def split(x1, x2, k):
     """(upper^2, lower^2, sin^2 beta) of one pair of triples."""
-    return tuple(float(v[0]) for v in _normal_mode_squares(*bare_squares(x1, x2, k)))
+    return tuple(float(v[0]) for v in normal_mode_squares(*bare_squares(x1, x2, k)))
 
 
 def collapse_coupling(x1, x2):
@@ -109,10 +117,10 @@ class TestNormalModes:
         collapsed = [j for j, (_, _, share) in enumerate(pairs) if share > 1.0]
         if collapsed:
             with pytest.raises(ModeCollapse) as err:
-                _normal_mode_squares(w1_sq, w2_sq, kzz)
+                normal_mode_squares(w1_sq, w2_sq, kzz)
             assert err.value.sample == collapsed[0]
             return
-        high_sq, low_sq, sin_sq = _normal_mode_squares(w1_sq, w2_sq, kzz)
+        high_sq, low_sq, sin_sq = normal_mode_squares(w1_sq, w2_sq, kzz)
         total = w1_sq + w2_sq
         ulp = np.spacing(total)
         assert np.all(np.abs(high_sq + low_sq - total) <= 4 * ulp)
