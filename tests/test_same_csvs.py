@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -62,3 +63,25 @@ def test_main_lists_moves_under_each_differing_csv(monkeypatch, capsys):
     trees["head"] = trees["base"]
     assert same_csvs.main() == 0
     assert capsys.readouterr().out.splitlines() == ["3 CSVs, 0 differ"]
+
+
+def test_main_reports_a_row_that_stops_at_another_rung(monkeypatch, capsys):
+    """Equal CSVs whose run_meta.json records differ in where their rows ended."""
+    def meta(samples_used, failed=0):
+        return json.dumps({"failed_rows": failed, "rows": 2, "samples_used": samples_used},
+                          sort_keys=True).encode()
+
+    trees = {
+        "base": {"t/x.csv": b"x\n1\n", "t/run_meta.json": meta({"256": 2})},
+        "head": {"t/x.csv": b"x\n1\n", "t/run_meta.json": meta({"256": 1, "512": 1}, failed=1)},
+    }
+    monkeypatch.setattr(same_csvs, "contents", lambda tree, out: trees[tree.name])
+    monkeypatch.setattr(sys, "argv", ["same_csvs.py", "base", "head"])
+    assert same_csvs.main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: t/run_meta.json",
+        "  failed_rows: 0 -> 1",
+        '  samples_used: {"256": 2} -> {"256": 1, "512": 1}',
+        "1 CSVs, 0 differ",
+        "1 run_meta.json records, 1 differ",
+    ]

@@ -14,7 +14,11 @@ same inputs.
 
 The script prints every CSV whose bytes differ between the trees, or that
 only one of them wrote, and exits 1 if there is any; it exits 0 when every
-CSV is byte-identical.  Under each CSV written by both trees it prints every
+CSV is byte-identical.  It compares each table's ``run_meta.json`` the same
+way, on the fields that say where its rows ended: ``rows``, ``failed_rows``
+and ``samples_used``, the count of rows that finished at each sample count.
+A change that stops a row at another rung of the sample ladder moves no CSV
+byte when the row is resolved at both, and shows only there.  Under each CSV written by both trees it prints every
 column that moved, with the largest absolute move over the cells that are
 finite numbers on both sides, that move relative to the column's scale and
 to the table's (the largest finite magnitude of the column's cells, and of
@@ -23,8 +27,9 @@ nan; compared exactly) changed.  A value column moved by rounding reads near
 1e-16 against its own scale; a column that is itself at rounding level,
 such as a converged error estimate or a route residual, reads near 1 there
 and near 1e-16 against the table.  A change that
-moves values on purpose quotes this list.  Both trees together take about
-8 s on a 2-core x86-64 host.
+moves values on purpose quotes this list.  Under each differing
+``run_meta.json`` it prints each of those fields that differs, base then
+head.  Both trees together take about 8 s on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402  (bench/ is not a package)
 
 SEEDS = (1, 2, 3)
+# the fields of each table's run_meta.json that are compared
+META_FIELDS = ("rows", "failed_rows", "samples_used")
 EXPERIMENTS = ("spin-berry", "gho-uncoupled", "hybrid-spin-osc", "hybrid-gho", "full-quantum",
                "oracle-quantum", "oracle-classical", "fig1", "fig2")
 
@@ -77,11 +84,24 @@ def configs(out: Path) -> list[dict]:
 
 def contents(tree: Path, out: Path) -> dict[str, bytes]:
     """Run every configuration on ``tree``'s source; the bytes of each CSV
-    written, by its path under ``out``."""
+    written, and the ``META_FIELDS`` of each ``run_meta.json`` as sorted JSON,
+    by its path under ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
     subprocess.run([sys.executable, "-c", _RUN], input=json.dumps(configs(out)), text=True,
                    env=env, cwd=out.parent, check=True)
-    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*.csv"))}
+    found = {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*.csv"))}
+    for path in sorted(out.rglob("run_meta.json")):
+        meta = json.loads(path.read_text())
+        found[str(path.relative_to(out))] = json.dumps(
+            {key: meta[key] for key in META_FIELDS}, sort_keys=True).encode()
+    return found
+
+
+def meta_moves(base: bytes, head: bytes) -> list[str]:
+    """One line per ``META_FIELDS`` field that differs between two records."""
+    old, new = json.loads(base), json.loads(head)
+    return [f"{key}: {json.dumps(old[key], sort_keys=True)} -> {json.dumps(new[key], sort_keys=True)}"
+            for key in META_FIELDS if old[key] != new[key]]
 
 
 def _finite(cell: str) -> float | None:
@@ -142,13 +162,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = contents(args.base, Path(tmp) / "base")
         head = contents(args.head, Path(tmp) / "head")
-    differ = sorted(name for name in base.keys() | head.keys() if base.get(name) != head.get(name))
+    names = base.keys() | head.keys()
+    differ = sorted(name for name in names if base.get(name) != head.get(name))
     for name in differ:
         print(f"differs: {name}")
         if name in base and name in head:
-            for line in column_moves(base[name].decode(), head[name].decode()):
+            moves = meta_moves if name.endswith(".json") else column_moves
+            for line in moves(base[name].decode(), head[name].decode()):
                 print(f"  {line}")
-    print(f"{len(base.keys() | head.keys())} CSVs, {len(differ)} differ")
+    for kind, suffix in (("CSVs", ".csv"), ("run_meta.json records", ".json")):
+        count = sum(1 for name in names if name.endswith(suffix))
+        if count or suffix == ".csv":
+            print(f"{count} {kind}, {sum(1 for name in differ if name.endswith(suffix))} differ")
     return 1 if differ else 0
 
 
