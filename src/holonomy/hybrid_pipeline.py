@@ -314,7 +314,7 @@ def require_coupled_samples(g: _PairSamples, k, modes: bool = True):
 def _coupled_sample_errors(g: _PairSamples, ks: list, modes: bool) -> list:
     """``require_coupled_samples``'s error or None of each of the couplings ``ks``."""
     ksq = _column([k**2 for k in ks])
-    failed = _normal_modes(g, ksq, _lower_mode_sq)[-1] if modes else {}
+    failed = _normal_modes(g, ksq, _mode_product)[-1] if modes else {}
     standing = _standing(len(ks), failed)
     _, slow = _slow_frequency_sq(g, ksq[standing])
     failed |= {standing[i]: error for i, error in slow.items()}
@@ -541,36 +541,41 @@ def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
     return closed_line_integral({loop.derived(_differential, _y_over_z_rate, 0): coeff}, loop)
 
 
-def _lower_mode_sq(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
-    """r = sqrt((omega1^2 - omega2^2)^2 + 4 kzz) and the lower normal mode
-    squared, (omega1^2 + omega2^2 - r) / 2, of two coupled oscillators at each
-    row of the stack kzz = k^2 Z1 Z2 (rows, samples), from the bare
-    frequencies squared, and the ``ModeCollapse`` of each row whose lower mode
-    squared is not positive, at its first such sample."""
-    r = np.sqrt((w1_sq - w2_sq) ** 2 + 4.0 * kzz)
-    low_sq = 0.5 * (w1_sq + w2_sq - r)
-    return r, low_sq, failing_rows(low_sq, lambda i, j: ModeCollapse(
-        f"lower normal frequency squared {low_sq[i, j]:.3e} at sample {j} is not positive "
-        f"(omega1^2 omega2^2 = {w1_sq[j] * w2_sq[j]:.3e}, k^2 Z1 Z2 = {kzz[i, j]:.3e})",
-        sample=j))
+def _mode_product(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
+    """omega1^2 omega2^2 - kzz, the product of two coupled oscillators' normal
+    modes squared, at each row of the stack kzz = k^2 Z1 Z2 >= 0 (rows,
+    samples), from the bare frequencies squared; and the ``ModeCollapse`` of
+    each row where it is not positive, so the lower mode squared is not, at
+    its first such sample."""
+    product = w1_sq * w2_sq - kzz
+    return product, failing_rows(product, lambda i, j: ModeCollapse(
+        f"lower normal frequency squared is not positive at sample {j}: omega1^2 omega2^2 "
+        f"- k^2 Z1 Z2 = {product[i, j]:.3e} (omega1^2 omega2^2 = {w1_sq[j] * w2_sq[j]:.3e}, "
+        f"k^2 Z1 Z2 = {kzz[i, j]:.3e})", sample=j))
 
 
 def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
     """(upper^2, lower^2, sin^2 beta) of two coupled oscillators at each row of
     the stack kzz whose lower mode stands, and the ``ModeCollapse`` of each
-    other row (``_lower_mode_sq``); sin^2 beta is 0 where the modes neither
-    differ nor couple."""
-    r, low_sq, failed = _lower_mode_sq(w1_sq, w2_sq, kzz)
+    other row (``_mode_product``); sin^2 beta is 0 where the modes neither
+    differ nor couple.  r = sqrt((omega1^2 - omega2^2)^2 + 4 kzz) is a hypot,
+    whose square cannot overflow; the upper mode squared is
+    (omega1^2 + omega2^2 + r) / 2 and the lower the product over it, which
+    keeps its digits where (omega1^2 + omega2^2 - r) / 2 cancels, as it does
+    to 0 when omega1^2 and omega2^2 are orders of magnitude apart."""
+    product, failed = _mode_product(w1_sq, w2_sq, kzz)
     if failed:
-        standing = _standing(len(r), failed)
-        r, low_sq = r[standing], low_sq[standing]
+        standing = _standing(len(kzz), failed)
+        product, kzz = product[standing], kzz[standing]
+    r = np.hypot(w1_sq - w2_sq, 2.0 * np.sqrt(kzz))
+    high_sq = 0.5 * (w1_sq + w2_sq + r)
     with np.errstate(invalid="ignore", divide="ignore"):
         sin_sq = np.where(r > 0, np.clip((w2_sq - w1_sq + r) / (2.0 * r), 0.0, 1.0), 0.0)
-    return 0.5 * (w1_sq + w2_sq + r), low_sq, sin_sq, failed
+    return high_sq, product / high_sq, sin_sq, failed
 
 
 def _normal_modes(g: _PairSamples, ksq: np.ndarray, squares=_normal_mode_squares):
-    """``squares`` (``_normal_mode_squares`` or ``_lower_mode_sq``) at the
+    """``squares`` (``_normal_mode_squares`` or ``_mode_product``) at the
     samples ``g`` for the column ``ksq`` of k^2, after checking that both bare
     triples' frequencies squared are positive (``EllipticViolation``)."""
     require_positive(g.w_sq, lambda j: EllipticViolation(

@@ -381,6 +381,26 @@ def test_gho_uncoupled_rows_stay_finite_at_a_large_z1(scale):
         assert all(abs(got[col] - value) <= tol for col, value in want.items()), (got, want)
 
 
+def test_full_quantum_rows_stay_finite_at_a_large_omega1():
+    """At (a1, mu1) = (1e80, 1e-80) omega1^2 is about 1e160: r forms no
+    (omega1^2 - omega2^2)^2, which overflows past omega1^2 of about 1.3e154,
+    and the lower mode no omega1^2 + omega2^2 - r, which cancels to 0 at
+    K = 0.  Every row is finite, and the K = 0 row, whose phases do not see
+    the scaling, is the (1, 1) row's to a few ulp."""
+    def rows(a1, sweep=None):
+        raw = {"experiment": "full-quantum", "numerics": {"n_samples": 256}, "sweep": sweep,
+               "params": {"n1": 2, "n2": 1, "a1": a1, "mu1": 1.0 / a1, "epsilon": 0.5}}
+        return _sweep(ExperimentConfig.from_dict(raw))[1]
+
+    (got,), (want,) = rows(1e80), rows(1.0)
+    assert got.pop("error") == want.pop("error") == ""
+    tol = 4 * math.ulp(max(map(abs, want.values())))
+    assert all(abs(got[col] - value) <= tol for col, value in want.items()), (got, want)
+    swept = rows(1e80, {"parameter": "k", "start": 0.0, "stop": 0.4, "count": 5})
+    for row in swept:
+        assert row.pop("error") == "" and all(map(math.isfinite, row.values())), row
+
+
 class TestDriveGridMemo:
     """The loop builders and ``standard_loop_report`` read drive grids from an
     ``lru_cache`` whose grids are all finite and read-only, so a cached grid
