@@ -84,11 +84,6 @@ def _blocks_of_one(points: list[tuple[dict[str, Any], Callable[[int], Row]]]) ->
     return [([coords], partial(_alone, compute)) for coords, compute in points]
 
 
-def _row_outcomes(outcomes: list, row: Callable[[Any], Row]) -> list:
-    """``row`` of each outcome of a K block, each error kept as it is."""
-    return [out if isinstance(out, HolonomyError) else row(out) for out in outcomes]
-
-
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.16e}"
@@ -252,7 +247,8 @@ def _coupling_block(base: StandardLoopParams, ks: list[float], cap: int) -> Bloc
     def rows(which: list[int], n_samples: int) -> list:
         reports = standard_loop_report(base, n_samples, check_samples=cap,
                                        k=[ks[i] for i in which])
-        return _row_outcomes(reports, _hybrid_gho_row)
+        return [out if isinstance(out, HolonomyError) else _hybrid_gho_row(out)
+                for out in reports]
 
     return [{"ratio": f"{base.n1}/{base.n2}", "K": k} for k in ks], rows
 
