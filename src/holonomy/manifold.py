@@ -259,35 +259,31 @@ def circle_loop(
 
 def _trapezoid(values: np.ndarray, ends: list[float], period: float) -> list[float]:
     """Trapezoid sums over ``period`` of each row of M uniform samples
-    ``values`` (K, M) and its closing sample in ``ends``.  numpy sums each
-    row, pairwise as it sums a 1-D array; the few scalar steps run on Python
-    floats, which round as numpy's float64 does."""
-    h = period / values.shape[1]
+    ``values``, a stack (K, M) or one row (M,), and its closing sample in
+    ``ends``.  numpy sums each row, pairwise as it sums a 1-D array; the few
+    scalar steps run on Python floats, which round as numpy's float64 does."""
+    rows = values.reshape(-1, values.shape[-1])
+    h = period / rows.shape[1]
     return [h * (0.5 * first + rest + 0.5 * end) for first, rest, end in
-            zip(values[:, 0].tolist(), values[:, 1:].sum(axis=1).tolist(), ends)]
+            zip(rows[:, 0].tolist(), rows[:, 1:].sum(axis=1).tolist(), ends)]
 
 
-def _pulled_back(terms: list[tuple], rows: int, m: int,
-                 stride: int) -> tuple[np.ndarray, list[float]]:
+def _pulled_back(terms: list[tuple], m: int, stride: int) -> tuple[np.ndarray, list[float]]:
     """``_trapezoid``'s (values, ends) of the sum, term by term, of f dg/dt over the terms
-    (f, (dg/dt, stride-2 dg/dt)), each f a stack of ``rows`` rows or of one, (rows or 1,
-    M + 1); the last f meets the rate's first sample."""
+    (f, (dg/dt, stride-2 dg/dt), the last sample of f in each row), each f one row
+    (M + 1,) or a stack; the last f meets the rate's first sample."""
     if not terms:
-        return np.zeros((1, m // stride)), [0.0]
-    (c, rates), *rest = terms
-    g, ends = c[:, :-1:stride] * rates[stride - 1], _closing(c, rates[stride - 1], rows)
-    for c, rates in rest:
-        g = g + c[:, :-1:stride] * rates[stride - 1]
-        ends = [end + x for end, x in zip(ends, _closing(c, rates[stride - 1], rows))]
-    return g, ends
-
-
-def _closing(c: np.ndarray, rate: np.ndarray, rows: int) -> list[float]:
-    """The last sample of each of the ``rows`` rows of f (one row stands for
-    all) times the rate's first sample."""
+        return np.zeros(m // stride), [0.0]
+    (c, rates, lasts), *rest = terms
+    rate = rates[stride - 1]
     first = float(rate[0])
-    products = [x * first for x in c[:, -1].tolist()]
-    return products if len(products) == rows else products * rows
+    g, ends = c[..., :-1:stride] * rate, [x * first for x in lasts]
+    for c, rates, lasts in rest:
+        rate = rates[stride - 1]
+        first = float(rate[0])
+        g = g + c[..., :-1:stride] * rate
+        ends = [end + x * first for end, x in zip(ends, lasts)]
+    return g, ends
 
 
 def _require_halvable(m: int) -> None:
@@ -333,20 +329,26 @@ def closed_line_integral(coefficients: Covector, loop: LoopSpec) -> QuadratureRe
     if len(rows) > 1:
         raise LengthMismatch(f"covector stacks of {sorted(rows)} rows")
     _require_halvable(m)
-    terms = [(np.asarray(c).reshape(-1, m + 1), (key.full, key.half)
-              if isinstance(key, Differential) else (loop.velocity[:, key], loop.half_velocity[:, key]))
-             for key, c in coefficients.items()]
     count = max(rows, default=1)
-    g, ends = _pulled_back(terms, count, m, 1)
+    terms = []
+    for key, c in coefficients.items():
+        c = np.asarray(c)
+        lasts = c[..., -1:].ravel().tolist()
+        terms.append((c, (key.full, key.half) if isinstance(key, Differential)
+                      else (loop.velocity[:, key], loop.half_velocity[:, key]),
+                      lasts if len(lasts) == count else lasts * count))  # one row for all
+    g, ends = _pulled_back(terms, m, 1)
     value = _trapezoid(g, ends, loop.period)
-    half = _trapezoid(*_pulled_back(terms, count, m, 2), loop.period)
+    half = _trapezoid(*_pulled_back(terms, m, 2), loop.period)
     return _results(value, half, _scale(g, loop.period), bool(rows))
 
 
 def _scale(values: np.ndarray, period: float) -> list[float]:
-    """h * sum |values| over ``period`` of each row of M uniform samples (K, M)."""
-    h = period / values.shape[1]
-    return [h * total for total in np.abs(values).sum(axis=1).tolist()]
+    """h * sum |values| over ``period`` of each row of M uniform samples, a
+    stack (K, M) or one row (M,)."""
+    rows = values.reshape(-1, values.shape[-1])
+    h = period / rows.shape[1]
+    return [h * total for total in np.abs(rows).sum(axis=1).tolist()]
 
 
 def _results(values: list[float], halves: list[float], scales: list[float],
