@@ -44,11 +44,10 @@ from .hybrid_pipeline import (
     BRANCH_COMMON,
     bo_full_quantum_phase_parts,
     coupled_gho_one_form,
-    coupled_samples,
     elliptic_bound,
     full_quantum_phase,
+    mode_collapses,
     phases_from_one_form,
-    require_coupled_samples,
     spin_oscillator_frequency,
     spin_oscillator_one_form,
     standard_loop_report,
@@ -294,11 +293,10 @@ def _spin_berry_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
 
 
 def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
-    cap = s["n_samples"]
-
+    # Every row is at k = 0, where no check at the cap can fail: the routes'
+    # checks at each rung are the row's own.
     def row(p: StandardLoopParams, n_samples: int) -> Row:
         report = standard_loop_report(p, n_samples, branch=BRANCH_COMMON)
-        require_coupled_samples(coupled_samples(p, cap), p.k, modes=False)
         loop = combined_parameter_loop(p, n_samples)
         phases = phases_from_one_form(coupled_gho_one_form(p, loop))
         closed = report.gamma_0_part
@@ -353,12 +351,10 @@ def _full_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block
         raise ConfigInvalid(f"m_level must be nonnegative, got {m_level}")
     # the hybrid route's classical action is the oscillator level's, m + 1/2
     base, cap = _loop_params(s, j_action=m_level + 0.5), s["n_samples"]
-    # Neither the loops nor the samples the checks read depend on k or
-    # j_action, so the sweep builds each once, when a block first reads it;
-    # ``cache`` stores no exception, so a failing build stays each row's own
-    # typed error.
+    # The loops depend on neither k nor j_action, so the sweep builds each
+    # once, when a block first reads it; ``cache`` stores no exception, so a
+    # failing build stays each row's own typed error.
     combined_loop = cache(partial(combined_parameter_loop, base))
-    checked = cache(partial(coupled_samples, base, cap))
     ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
     for k in ks:  # a negative k fails here, before any row runs
         _require_coupling(k)
@@ -370,7 +366,7 @@ def _full_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block
     def rows(which: list[int], n_samples: int) -> list:
         block = [ks[i] for i in which]
         # This order decides which typed error a row past mode collapse reports.
-        out = require_coupled_samples(checked(), block)
+        out = mode_collapses(base, block, cap)
         found = [[] for _ in block]
         for route in routes:
             standing = [j for j, error in enumerate(out) if error is None]

@@ -38,7 +38,6 @@ from .manifold import (
     StandardLoopParams,
     _drive_grid,
     _frequency_sq,
-    _gho_points,
     _require_grid,
     closed_line_integral,
     periodic_integral,
@@ -240,32 +239,12 @@ def _differential(loop: LoopSpec, rate: Callable[..., np.ndarray], col: int) -> 
         return loop.pullback(rate, col)
 
 
-# The K-independent samples of a combined loop's points that the coupled routes
-# check: w_sq = (omega1^2, omega2^2 = P2 = X2 Z2 - Y2^2), z1z2 = Z1 Z2 and
-# u = Z1 Z2 / omega1^2, inf or nan where omega1^2 is not positive.
-_PairSamples = namedtuple("_PairSamples", "w_sq z1z2 u")
-
 # The K-independent pieces of the coupled-oscillator routes on a combined loop:
-# the ``_PairSamples`` fields, fast = Z1/(4 omega1), back = Z1 u/(4 omega1^2),
-# slow = -Y2/(2 Z2), and the differentials d(Y1/Z1), dP2 and du.  The fully
-# quantum routes alone also read d(Y2/Z2), which each builds itself.
+# w_sq = (omega1^2, omega2^2 = P2 = X2 Z2 - Y2^2), z1z2 = Z1 Z2, u = Z1 Z2 / omega1^2,
+# fast = Z1/(4 omega1), back = Z1 u/(4 omega1^2), slow = -Y2/(2 Z2), and the
+# differentials d(Y1/Z1), dP2 and du.  The fully quantum routes alone also read
+# d(Y2/Z2), which each builds itself.
 _PairGeometry = namedtuple("_PairGeometry", "w_sq z1z2 u fast back slow d_y1z1 d_p2 d_u")
-
-
-def _pair_samples(x: np.ndarray) -> _PairSamples:
-    """The ``_PairSamples`` of the combined points ``x``."""
-    triples = x.reshape(-1, 2, 3)
-    w_sq = triples[..., 0] * triples[..., 2] - triples[..., 1] ** 2
-    z1z2 = x[:, 2] * x[:, 5]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _PairSamples(w_sq, z1z2, z1z2 / w_sq[:, 0])
-
-
-def coupled_samples(p: StandardLoopParams, n_samples: int) -> _PairSamples:
-    """The ``_PairSamples`` of ``combined_parameter_loop(p, n_samples)``'s
-    points, elementwise from the cached drive grids: no spectrum, no pullback."""
-    return _pair_samples(_gho_points([(p.a1, p.mu1, p.omega1), (p.a2, p.mu2, p.omega2)],
-                                     p.epsilon, p.common_period, n_samples))
 
 
 def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
@@ -281,47 +260,18 @@ def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
 
     x = loop.points
     d_y1z1 = loop.derived(_differential, _y_over_z_rate, 0)
-    samples = _pair_samples(x)
-    w1_sq = samples.w_sq[:, 0]
+    triples = x.reshape(-1, 2, 3)
+    w_sq = triples[..., 0] * triples[..., 2] - triples[..., 1] ** 2
+    z1z2 = x[:, 2] * x[:, 5]
     with np.errstate(divide="ignore", invalid="ignore"):
+        u = z1z2 / w_sq[:, 0]
         return _PairGeometry(
-            *samples, fast=x[:, 2] / (4.0 * np.sqrt(w1_sq)),
-            back=x[:, 2] * samples.u / (4.0 * w1_sq), slow=-(x[:, 4] / (2.0 * x[:, 5])),
+            w_sq, z1z2, u, fast=x[:, 2] / (4.0 * np.sqrt(w_sq[:, 0])),
+            back=x[:, 2] * u / (4.0 * w_sq[:, 0]), slow=-(x[:, 4] / (2.0 * x[:, 5])),
             d_y1z1=d_y1z1, d_p2=loop.derived(_differential, _p_rate, 3), d_u=loop.pullback(u_rate))
 
 
-# A block's checks at the cap run a few rows at a time, so that each (rows,
-# samples) temporary stays within this size: at 4097 samples a 41-row block
-# would make 1.3 MiB ones.
-_CHECK_BYTES = 256 * 1024
-
-
-def require_coupled_samples(g: _PairSamples, k, modes: bool = True):
-    """Raise the typed error the coupled-oscillator routes raise at the
-    samples ``g`` (``coupled_samples``), in the order a full-quantum row meets
-    them: ``full_quantum_phase``'s, a bare triple's frequency
-    (``EllipticViolation``) and the lower normal mode (``ModeCollapse``),
-    when ``modes`` is set; then those of ``bo_full_quantum_phase_parts`` and
-    ``coupled_gho_one_form``, the fast-triple and effective frequency
-    (``EllipticViolation``).  For a K block, return each row's error or None,
-    checking ``_CHECK_BYTES`` worth of rows at a time."""
-    block, ks = _couplings(k)
-    rows = max(1, _CHECK_BYTES // g.u.nbytes)
-    return _outcome(block, [error for start in range(0, len(ks), rows)
-                            for error in _coupled_sample_errors(g, ks[start:start + rows], modes)])
-
-
-def _coupled_sample_errors(g: _PairSamples, ks: list, modes: bool) -> list:
-    """``require_coupled_samples``'s error or None of each of the couplings ``ks``."""
-    ksq = _column([k**2 for k in ks])
-    failed = _normal_modes(g, ksq, _mode_product)[-1] if modes else {}
-    standing = _standing(len(ks), failed)
-    _, slow = _slow_frequency_sq(g, ksq[standing])
-    failed |= {standing[i]: error for i, error in slow.items()}
-    return [failed.get(i) for i in range(len(ks))]
-
-
-def _slow_frequency_sq(g: _PairSamples, ksq: np.ndarray):
+def _slow_frequency_sq(g: _PairGeometry, ksq: np.ndarray):
     """Effective Omega^2 = omega2^2 - k^2 u at each row of the column ``ksq``
     of k^2, and each row's ``EllipticViolation`` where it is not positive;
     omega1^2 is checked positive first, for every row."""
@@ -333,15 +283,11 @@ def _slow_frequency_sq(g: _PairSamples, ksq: np.ndarray):
 
 
 def _elliptic_failures(p: StandardLoopParams, ks: list) -> dict[int, HolonomyError]:
-    """``p.require_elliptic``'s error at each coupling of ``ks`` where it raises
-    one, without its traceback, whose frames would hold the error in a cycle."""
-    failed = {}
-    for i, k in enumerate(ks):
-        try:
-            p.require_elliptic(k)
-        except EllipticViolation as exc:
-            failed[i] = exc.with_traceback(None)
-    return failed
+    """The worst-case bound's ``EllipticViolation`` at each coupling of ``ks``
+    where ``p.elliptic_margin_at`` is not positive."""
+    margins = [p.elliptic_margin_at(k) for k in ks]
+    return {i: EllipticViolation(f"elliptic condition violated: margin {m:.3e} at coupling k={k}")
+            for i, (k, m) in enumerate(zip(ks, margins)) if not m > 0.0}
 
 
 def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec, k=None) -> LinearOneForm:
@@ -389,13 +335,15 @@ def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec, k=None) -> Linea
 
 
 # Read at a row's cap alone, whose samples each rung takes at a stride: a sweep from
-# k = 0 reads two (slow and common period), fig2 three (a ratio each, shared by tables).
+# k = 0 reads two (slow and common period), a full-quantum sweep one, fig2 three (a
+# ratio each, shared by tables).
 @lru_cache(maxsize=3, typed=True)
 def _drive_profile(eps: float, omega1: float, omega2: float, period: float,
                    n_samples: int) -> tuple[np.ndarray, ...]:
     """The K-independent samples of ``standard_loop_report``, read-only, with
     (c_i, s_i) = (cos, sin)(w_i t) and f_i = 1 - eps c_i: f1 f2, f2 (eps - c1),
-    d(f1 f2)/dt, -(eps^2) w2 s2^2 / (2 f2) and eps s2."""
+    d(f1 f2)/dt, -(eps^2) w2 s2^2 / (2 f2) and eps s2; ``mode_collapses``
+    reads f1 f2 alone."""
     c2, s2 = _drive_grid(omega2, period, n_samples)
     c1, s1 = _drive_grid(omega1, period, n_samples)
     f1, f2 = 1.0 - eps * c1, 1.0 - eps * c2
@@ -404,6 +352,50 @@ def _drive_profile(eps: float, omega1: float, omega2: float, period: float,
     for a in profile:
         a.flags.writeable = False
     return profile
+
+
+def _core_margins(q: StandardLoopParams, ks: list, f1f2: np.ndarray, error: type,
+                  failed: dict[int, HolonomyError]) -> tuple[list[float], list[float]]:
+    """(D^2, margin) of each coupling of ``ks`` that ``failed`` does not hold,
+    D = ``q.d_ratio_at(k)``, whose effective-frequency core
+    1 - eps^2 - 2 D^2 f1 f2 stays positive at the samples ``f1f2`` (a
+    ``_drive_profile``'s); each other row joins ``failed`` as ``error`` at the
+    first sample where its core is not positive.
+
+    On the loop family X_i Z_i - Y_i^2 = a_i^2 (1 - eps^2) and
+    Z1 Z2 = (a1 a2 / (mu1 mu2)) f1 f2, so the effective frequency squared
+    omega2^2 - k^2 Z1 Z2 / omega1^2 is a2^2 times the core and the normal
+    modes' product omega1^2 omega2^2 - k^2 Z1 Z2 is a1^2 a2^2 (1 - eps^2)
+    times it.  Rounding is monotone and f1 f2 > 0, so the core's least
+    sample, the margin, is exactly 1 - eps^2 - (2 D^2) max(f1 f2); only a row
+    that fails forms its sampled core, to name the sample."""
+    one_minus = 1.0 - q.epsilon**2
+    peak = float(np.max(f1f2))
+    dsq, margins = [], []
+    for i, k in enumerate(ks):
+        if i in failed:
+            continue
+        d = q.d_ratio_at(k)
+        margin = one_minus - 2.0 * d**2 * peak
+        if margin > 0:
+            dsq.append(d**2)
+            margins.append(margin)
+        else:
+            j = int(np.argmax(~(one_minus - 2.0 * d**2 * f1f2 > 0)))
+            failed[i] = error(f"the core 1 - eps^2 - 2 D^2 f1 f2 of the effective frequency "
+                              f"and the lower normal mode is not positive at sample {j}", sample=j)
+    return dsq, margins
+
+
+def mode_collapses(p: StandardLoopParams, ks: list, n_samples: int) -> list[ModeCollapse | None]:
+    """Each coupling of ``ks``'s ``ModeCollapse`` on ``p``'s combined loop of
+    ``n_samples`` samples (``combined_parameter_loop``), or None: the lower
+    normal mode closes where the effective-frequency core does
+    (``_core_margins``), so this is one comparison per coupling."""
+    f1f2 = _drive_profile(p.epsilon, p.omega1, p.omega2, p.common_period, n_samples)[0]
+    failed = {}
+    _core_margins(p, ks, f1f2, ModeCollapse, failed)
+    return [failed.get(i) for i in range(len(ks))]
 
 
 def _fast_phase_span(p: StandardLoopParams, branch: str) -> float:
@@ -487,24 +479,9 @@ def _branch_reports(q: StandardLoopParams, ks: list, n_samples: int, branch: str
     # Coupling corrections share one integrand, evaluated on the range that
     # carries both drives (the common period; they vanish identically at k=0,
     # where d = 0).  The effective-frequency core 1 - eps^2 - 2 D^2 f1 f2
-    # feeds them and the uncoupled angle shift.  Rounding is monotone and
-    # f1 f2 > 0, so its least sample at the cap, the elliptic margin, is
-    # exactly 1 - eps^2 - (2 D^2) max(f1 f2); only a row that fails forms its
-    # core at the cap, to name the sample.
-    peak = float(np.max(f1f2))
-    dsq, margins = [], []
-    for i, k in enumerate(ks):
-        if i in failed:
-            continue
-        d = q.d_ratio_at(k)
-        margin = one_minus - 2.0 * d**2 * peak
-        if margin > 0:
-            dsq.append(d**2)
-            margins.append(margin)
-        else:
-            j = int(np.argmax(~(one_minus - 2.0 * d**2 * f1f2 > 0)))
-            failed[i] = EllipticViolation(f"effective frequency squared vanished at sample {j}",
-                                          sample=j)
+    # feeds them and the uncoupled angle shift; its least sample at the cap is
+    # the elliptic margin.
+    dsq, margins = _core_margins(q, ks, f1f2, EllipticViolation, failed)
     stride = cap // n_samples  # each rung's samples are the cap's at this stride
     f1f2, f2_drive, f1f2_dot, slow_term, eps_s2 = (a[::stride] for a in (f1f2, *profile))
     core_sq = one_minus - _column([2.0 * x for x in dsq]) * f1f2
@@ -574,15 +551,6 @@ def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
     return high_sq, product / high_sq, sin_sq, failed
 
 
-def _normal_modes(g: _PairSamples, ksq: np.ndarray, squares=_normal_mode_squares):
-    """``squares`` (``_normal_mode_squares`` or ``_mode_product``) at the
-    samples ``g`` for the column ``ksq`` of k^2, after checking that both bare
-    triples' frequencies squared are positive (``EllipticViolation``)."""
-    require_positive(g.w_sq, lambda j: EllipticViolation(
-        f"a bare triple's frequency squared {np.min(g.w_sq[j]):.3e} at sample {j}", sample=j))
-    return squares(g.w_sq[:, 0], g.w_sq[:, 1], ksq * g.z1z2)
-
-
 def full_quantum_phase(loop: LoopSpec, k, m: int, n: int) -> QuadratureResult:
     """Phase of the fully quantum coupled-oscillator state with m quanta in
     the upper normal mode and n in the lower, as its quadrature.
@@ -598,7 +566,10 @@ def full_quantum_phase(loop: LoopSpec, k, m: int, n: int) -> QuadratureResult:
     block, ks = _couplings(k)
     g = loop.derived(_pair_geometry)
     d_y2z2 = loop.derived(_differential, _y_over_z_rate, 3)
-    high_sq, low_sq, sin_sq, failed = _normal_modes(g, _column([k**2 for k in ks]))
+    require_positive(g.w_sq, lambda j: EllipticViolation(
+        f"a bare triple's frequency squared {np.min(g.w_sq[j]):.3e} at sample {j}", sample=j))
+    high_sq, low_sq, sin_sq, failed = _normal_mode_squares(
+        g.w_sq[:, 0], g.w_sq[:, 1], _column([k**2 for k in ks]) * g.z1z2)
     high, low = np.sqrt(high_sq), np.sqrt(low_sq)
     cos_sq = 1.0 - sin_sq
 

@@ -429,34 +429,15 @@ class StandardLoopParams:
     def common_period(self) -> float:
         return 2.0 * math.pi / self.base_rate
 
-    @property
-    def d_ratio(self) -> float:
-        """Dimensionless coupling strength built from k and the drive scales."""
-        return self.d_ratio_at(self.k)
-
     def d_ratio_at(self, k: float) -> float:
-        """``d_ratio`` at the coupling ``k``."""
+        """Dimensionless coupling strength of the coupling ``k``, built from the drive scales."""
         return k / math.sqrt(
             2.0 * self.mu1 * self.mu2 * self.a1 * self.a2 * (1.0 - self.epsilon**2)
         )
 
-    @property
-    def elliptic_margin(self) -> float:
-        """Worst-case margin of the effective-frequency positivity condition."""
-        return self.elliptic_margin_at(self.k)
-
     def elliptic_margin_at(self, k: float) -> float:
-        """``elliptic_margin`` at the coupling ``k``."""
+        """Worst-case margin of the effective frequency's positivity at the coupling ``k``."""
         return 1.0 - self.epsilon**2 - 2.0 * self.d_ratio_at(k)**2 * (1.0 + self.epsilon) ** 2
-
-    def require_elliptic(self, k: float | None = None) -> None:
-        """Raise ``EllipticViolation`` unless the margin at the coupling ``k``,
-        by default this one's, is positive."""
-        k = self.k if k is None else k
-        margin = self.elliptic_margin_at(k)
-        if not margin > 0.0:
-            raise EllipticViolation(
-                f"elliptic condition violated: margin {margin:.3e} at coupling k={k}")
 
 
 def _require_coupling(k: float) -> None:

@@ -19,10 +19,9 @@ from holonomy.errors import HolonomyError
 from holonomy.hybrid_pipeline import (
     bo_full_quantum_phase_parts,
     coupled_gho_one_form,
-    coupled_samples,
     full_quantum_phase,
+    mode_collapses,
     phases_from_one_form,
-    require_coupled_samples,
     standard_loop_report,
 )
 from holonomy.manifold import combined_parameter_loop
@@ -76,9 +75,8 @@ def test_every_block_row_is_its_one_k_call(ratio, eps, scales, cap, levels, shar
     k_max = elliptic_bound(base)[1]
     ks = [0.0, *(share * k_max for share in shares)]
     one = [replace(base, k=k) for k in ks]
-    checked = coupled_samples(base, cap)
-    assert bits(block_of(lambda: require_coupled_samples(checked, ks), len(ks))) == bits(
-        [alone(lambda p=p: require_coupled_samples(checked, p.k)) for p in one])
+    assert bits(block_of(lambda: mode_collapses(base, ks, cap), len(ks))) == bits(
+        [alone(lambda p=p: mode_collapses(p, [p.k], cap)[0]) for p in one])
 
     rungs = cli._rungs(cap)
     for n in rungs:

@@ -39,6 +39,7 @@ from holonomy import (
     standard_parameter_loops,
 )
 from holonomy import hybrid_pipeline, manifold
+from holonomy.manifold import _gho_points
 from holonomy.cli import ExperimentConfig, _sweep
 from holonomy.cli import ExperimentConfig, execute
 
@@ -259,7 +260,7 @@ class TestCoupledGHOOneForm:
             x2[:, 0] * x2[:, 2] - p.k**2 * x1[:, 2] * x2[:, 2] / w_sq - x2[:, 1] ** 2
         )
         t = form.loop.times
-        d = p.d_ratio
+        d = p.d_ratio_at(p.k)
         f1 = 1 - p.epsilon * np.cos(p.omega1 * t)
         f2 = 1 - p.epsilon * np.cos(p.omega2 * t)
         omega_reduced = p.a2 * np.sqrt(1 - p.epsilon**2 - 2 * d**2 * f1 * f2)
@@ -422,6 +423,8 @@ class TestDriveGridMemo:
 
     def test_report_on_a_hit_equals_a_report_on_a_miss(self):
         p = std_params(eps=0.5, k=0.1, n1=2, n2=1)
+        # the report reads its grids through _drive_profile, whose key has no a_i
+        hybrid_pipeline._drive_profile.cache_clear()
         manifold._drive_grid.cache_clear()
         miss = standard_loop_report(p, 256)
         assert manifold._drive_grid.cache_info().currsize == 2
@@ -475,7 +478,7 @@ class TestEllipticBound:
         p0 = std_params(eps=0.4)
         d_max, k_max = elliptic_bound(p0)
         p = std_params(eps=0.4, k=k_max)
-        assert abs(p.d_ratio - d_max) < 1e-12
+        assert abs(p.d_ratio_at(p.k) - d_max) < 1e-12
 
 
 class TestFullQuantum:
@@ -527,6 +530,76 @@ class TestFullQuantum:
         with pytest.raises(EllipticViolation) as full:
             full_quantum_phase(combined, 0.1, 0, 0)
         assert single.value.sample == full.value.sample == 37
+
+
+def sampled_cap_check(p: StandardLoopParams, k: float, cap: int):
+    """The check that full-quantum rows made at the cap before it was decided
+    in closed form, as (error class name, sample) or (None, None): the normal
+    modes' product (``_mode_product``), then the effective frequency squared,
+    both on the combined loop's ``cap`` samples."""
+    x = _gho_points([(p.a1, p.mu1, p.omega1), (p.a2, p.mu2, p.omega2)], p.epsilon,
+                    p.common_period, cap)
+    triples = x.reshape(-1, 2, 3)
+    w_sq = triples[..., 0] * triples[..., 2] - triples[..., 1] ** 2
+    z1z2 = x[:, 2] * x[:, 5]
+    _, failed = hybrid_pipeline._mode_product(w_sq[:, 0], w_sq[:, 1], np.array([[k**2]]) * z1z2)
+    if failed:
+        return "ModeCollapse", failed[0].sample
+    bad = ~(w_sq[:, 1] - k**2 * (z1z2 / w_sq[:, 0]) > 0)
+    return ("EllipticViolation", int(np.argmax(bad))) if bad.any() else (None, None)
+
+
+def closed_form_root(p: StandardLoopParams, cap: int) -> float:
+    """The coupling where 1 - eps^2 - 2 D^2 max(f1 f2) vanishes at ``cap`` samples."""
+    one_minus = 1.0 - p.epsilon**2
+    f1f2 = hybrid_pipeline._drive_profile(p.epsilon, p.omega1, p.omega2, p.common_period, cap)[0]
+    d = math.sqrt(one_minus / (2.0 * float(np.max(f1f2))))
+    return d * math.sqrt(2.0 * p.mu1 * p.mu2 * p.a1 * p.a2 * one_minus)
+
+
+class TestModeCollapsesAtTheCap:
+    """``mode_collapses`` decides a full-quantum row's check at the cap with
+    one comparison at the peak of f1 f2."""
+
+    # Over 300 random families (nine reduced ratios, eps 0.01-0.99, a_i and
+    # mu_i over 1e-3..1e3, caps 512-4096) the two checks differed at 12 of 600
+    # couplings 1e-15 relative from the root and at none from 1e-14 on; the
+    # offsets drawn here keep a hundredfold margin.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ratio=st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (5, 3), (3, 1)]),
+           eps=st.floats(0.01, 0.99),
+           scales=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           cap=st.integers(1, 8).map(lambda j: 512 * j),
+           offset=st.floats(-12.0, -3.0).map(lambda e: 10.0**e), side=st.sampled_from([-1, 1]))
+    def test_closed_form_reads_as_the_sampled_check(self, ratio, eps, scales, cap, offset, side):
+        a1, a2, mu1, mu2 = (10.0**e for e in scales)
+        p = StandardLoopParams(a1=a1, a2=a2, mu1=mu1, mu2=mu2, n1=ratio[0], n2=ratio[1],
+                               base_rate=1.0, epsilon=eps)
+        k = closed_form_root(p, cap) * (1.0 + side * offset)
+        [error] = hybrid_pipeline.mode_collapses(p, [k], cap)
+        assert (type(error).__name__ if error else None, getattr(error, "sample", None)) == \
+            sampled_cap_check(p, k, cap)
+        assert (error is None) == (side < 0)
+
+    def test_the_root_of_criterion_10s_model(self):
+        """At 4096 samples the closed form closes the lower mode one ulp below
+        the sampled product: k = 0.8329378723506385 passed the sampled check
+        and then failed the one-form's worst-case bound (``EllipticViolation``);
+        it now reads ``ModeCollapse`` at the sample where the product closes at
+        the next coupling up.  The coupling below still reads the bound."""
+        p = std_params(eps=0.5, n1=2, n2=1, a1=2.0)
+        k = 0.8329378723506385
+        below, above = math.nextafter(k, 0.0), math.nextafter(k, 1.0)
+        assert sampled_cap_check(p, below, 4096) == sampled_cap_check(p, k, 4096) == (None, None)
+        assert sampled_cap_check(p, above, 4096) == ("ModeCollapse", 1226)
+        assert [getattr(e, "sample", e) for e in
+                hybrid_pipeline.mode_collapses(p, [below, k, above], 4096)] == [None, 1226, 1226]
+        raw = {"experiment": "full-quantum",
+               "params": {"a1": 2.0, "epsilon": 0.5, "n1": 2, "n2": 1}}
+        rows = [_sweep(ExperimentConfig.from_dict(dict(raw, params=dict(raw["params"], k=x))))[1][0]
+                for x in (below, k, above)]
+        assert [row["error"] for row in rows] == ["EllipticViolation", "ModeCollapse",
+                                                  "ModeCollapse"]
 
 
 class TestBOFullQuantum:
