@@ -68,8 +68,9 @@ _FIG_SWEEP = {"parameter": "k_fraction_of_max", "start": 1e-4, "stop": 0.95, "co
 Row = tuple[dict[str, Any], tuple[QuadratureResult, ...]]
 # A block of sweep rows computed together: their coordinates, and the callable
 # computing, for some of them (indices into the coordinates) at a given sample
-# count, each one's Row or the HolonomyError it raised.  A K sweep over one loop
-# is one block (``hybrid_pipeline``'s K blocks); any other row is a block of one.
+# count, each one's Row or the HolonomyError it raised.  A K sweep over one loop,
+# a gho-uncoupled table (an epsilon block) and a hybrid-spin-osc table (a lambda
+# block) are one block each; any other row is a block of one.
 Block = tuple[list[dict[str, Any]], Callable[[list[int], int], list[Any]]]
 
 
@@ -292,30 +293,34 @@ def _spin_berry_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
     return _blocks_of_one([({"theta": theta}, partial(row, theta)) for theta in s["thetas"]])
 
 
-def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
-    # Every row is at k = 0, where no check at the cap can fail: the routes'
-    # checks at each rung are the row's own.
-    def row(p: StandardLoopParams, n_samples: int) -> Row:
-        report = standard_loop_report(p, n_samples, branch=BRANCH_COMMON)
-        loop = combined_parameter_loop(p, n_samples)
-        phases = phases_from_one_form(coupled_gho_one_form(p, loop))
-        closed = report.gamma_0_part
-        quad = phases.gammas[p.n_level]
-        corr = closed + (p.n_level + 0.5) * (p.omega1 / p.omega2) * report.delta_phi_0_part
-        return dict(
-            gamma_00_closed=closed,
-            gamma_00_quadrature=quad,
-            abs_err=abs(closed - quad),
-            delta_phi_0=report.delta_phi_0_part,
-            correspondence_residual=corr,
-        ), (*report.quadratures, *phases.quadratures)
+def _gho_uncoupled_row(p: StandardLoopParams, report, phases) -> Row:
+    closed, quad, dphi = report.gamma_0_part, phases.gammas[p.n_level], report.delta_phi_0_part
+    corr = closed + (p.n_level + 0.5) * (p.omega1 / p.omega2) * dphi
+    row = dict(gamma_00_closed=closed, gamma_00_quadrature=quad, abs_err=abs(closed - quad),
+               delta_phi_0=dphi, correspondence_residual=corr)
+    return row, (*report.quadratures, *phases.quadratures)
 
-    return _blocks_of_one([({"epsilon": eps}, partial(row, _loop_params(s, epsilon=eps)))
-                           for eps in s["epsilons"]])
+
+def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
+    """One epsilon block.  Every row is at k = 0, where no check at the cap can
+    fail and no report row fails alone: the routes' checks are the row's own."""
+    params = [_loop_params(s, epsilon=eps) for eps in s["epsilons"]]
+
+    def rows(which: list[int], n_samples: int) -> list:
+        block = [params[i] for i in which]
+        reports = standard_loop_report(block, n_samples, branch=BRANCH_COMMON)
+        loop = combined_parameter_loop(block, n_samples)
+        phases = phases_from_one_form(coupled_gho_one_form(block, loop))
+        return [report if isinstance(report, HolonomyError) else out
+                if isinstance(out, HolonomyError) else _gho_uncoupled_row(p, report, out)
+                for p, report, out in zip(block, reports, phases)]
+
+    return [([{"epsilon": eps} for eps in s["epsilons"]], rows)]
 
 
 def _hybrid_spin_osc_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
-    cap, omega = s["n_samples"], s["omega"]
+    """One lambda block, after each row's sampled checks at the cap alone."""
+    cap, omega, lambdas = s["n_samples"], s["omega"], s["lambdas"]
     period = 2.0 * math.pi / omega
     triple = [(s["a"], s["m"], omega)]
 
@@ -324,25 +329,26 @@ def _hybrid_spin_osc_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Bl
         return spin_oscillator_loop(circle_loop(period=period, n_samples=n_samples),
                                     _gho_loop(triple, s["epsilon"], period, n_samples, 1))
 
-    # each row's model is checked here, on the loop of the ladder's first rung
-    hybrid = partial(SpinOscillatorHybrid, mu=s["mu"], b_field=s["b_magnitude"],
-                     loop=loop(_rungs(cap)[0]), i_plus=s["i_plus"], i_minus=s["i_minus"],
-                     j_action=s["j_action"])
+    # the model is checked here, on the loop of the ladder's first rung; lambda is each row's
+    model = SpinOscillatorHybrid(mu=s["mu"], lam=0.0, b_field=s["b_magnitude"],
+                                 loop=loop(_rungs(cap)[0]), i_plus=s["i_plus"],
+                                 i_minus=s["i_minus"], j_action=s["j_action"])
     checked = _gho_points(triple, s["epsilon"], period, cap)
 
-    def row(model: SpinOscillatorHybrid, n_samples: int) -> Row:
-        spin_oscillator_frequency(model, checked)  # the sampled checks, at the cap
-        model = replace(model, loop=loop(n_samples))
-        phases = phases_from_one_form(spin_oscillator_one_form(model))
-        return dict(
-            gamma_plus=phases.gammas["+"],
-            gamma_minus=phases.gammas["-"],
-            delta_phi=phases.delta_phi,
-            quadrature_error=phases.quadrature_error,
-        ), phases.quadratures
+    def rows(which: list[int], n_samples: int) -> list:
+        lams = [lambdas[i] for i in which]
+        out = [spin_oscillator_frequency(model, checked, [lam])[2].get(0) for lam in lams]
+        standing = [j for j, error in enumerate(out) if error is None]
+        form = spin_oscillator_one_form(replace(model, loop=loop(n_samples)),
+                                        [lams[j] for j in standing])
+        for j, phases in zip(standing, phases_from_one_form(form)):
+            out[j] = phases if isinstance(phases, HolonomyError) else (dict(
+                gamma_plus=phases.gammas["+"], gamma_minus=phases.gammas["-"],
+                delta_phi=phases.delta_phi, quadrature_error=phases.quadrature_error),
+                phases.quadratures)
+        return out
 
-    return _blocks_of_one([({"lambda": lam}, partial(row, hybrid(lam=lam)))
-                           for lam in s["lambdas"]])
+    return [([{"lambda": lam} for lam in lambdas], rows)]
 
 
 def _full_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
@@ -517,13 +523,13 @@ def _ladder(compute: Callable[[list[int], int], list[Any]], count: int,
     done = {}
     pending = list(range(count))
     for n in rungs:
+        if not pending:
+            break
         for i, out in zip(pending, _outcomes(compute, pending, n)):
             if isinstance(out, BaseException) or n == rungs[-1] or all(
                     q.resolved for q in out[1]):
                 done[i] = out, n
         pending = [i for i in pending if i not in done]
-        if not pending:
-            break
     return [done[i] for i in range(count)]
 
 
@@ -577,7 +583,14 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[str], list[dict[str, Any]], dict
             raise ConfigInvalid(str(exc)) from exc
         except ArithmeticError as exc:
             raise ConfigInvalid(f"configuration leaves floating-point range: {exc}") from exc
-        rungs = _rungs(s["n_samples"]) if cfg.experiment in _LADDERED else [s["n_samples"]]
+        rungs = [s["n_samples"]]
+        if cfg.experiment in _LADDERED:
+            # at two samples per cycle of the fastest drive or fewer, the half count sees it constant
+            blind = 2 * max(s.get("n1", 1), s.get("n2", 1),
+                            *(n for pair in s.get("ratios", []) for n in pair))
+            if s["n_samples"] <= blind:
+                raise ConfigInvalid(f"n_samples must exceed {blind}, twice the fastest drive")
+            rungs = [n for n in _rungs(s["n_samples"]) if n > blind]
         samples_used = Counter()
         for coords, compute in blocks:
             for point, (out, n) in zip(coords, _ladder(compute, len(coords), rungs)):

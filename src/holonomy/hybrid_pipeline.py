@@ -12,7 +12,6 @@ explicit coefficient fields.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +35,9 @@ from .manifold import (
     LoopSpec,
     QuadratureResult,
     StandardLoopParams,
+    _block_of,
     _drive_grid,
+    _epsilon_block,
     _frequency_sq,
     _require_grid,
     closed_line_integral,
@@ -51,22 +52,27 @@ BRANCH_SUBSYSTEM = "per-subsystem"
 
 # A K block runs a route once for many couplings on one loop.  Where a coupled
 # route takes its coupling (``k``, which ``standard_loop_report`` and
-# ``coupled_gho_one_form`` otherwise read from ``p``), a sequence of couplings
-# gives each row its result or the ``HolonomyError`` its own checks raise; a
-# failure no coupling decides (a bare or fast triple's frequency, a grid or loop
-# that cannot be built) is raised for the whole block.  A K-dependent sample
-# array is a (K, M + 1) stack with the loop sample on its last axis, which numpy
-# sums pairwise row by row as it sums a 1-D array, and each row's scalar
-# factors (d^2, k^2, a coefficient) are Python floats formed one row at a time as
-# a single call forms them, then stacked into a (K, 1) column: so every row is
-# bit for bit its single call, the block of one.  Arithmetic after a check reads
-# only the rows that passed it.
+# ``coupled_gho_one_form`` otherwise read from ``p``; the spin hybrid's ``lam``),
+# a sequence of couplings gives each row its result or the ``HolonomyError`` its
+# own checks raise; a failure no coupling decides (a bare or fast triple's
+# frequency, a grid or loop that cannot be built) is raised for the whole block.
+# An epsilon block (params that differ only in epsilon, in place of ``p``) runs on
+# a loop block, where every check that reads a loop row is that row's own.  A
+# row-dependent sample array is a (K, M + 1) stack with the loop sample on its last
+# axis, which numpy sums pairwise row by row as it sums a 1-D array, and each row's
+# scalar factors (d^2, k^2, eps, a coefficient) are Python floats formed one row at
+# a time as a single call forms them, then stacked into a (K, 1) column: so every
+# row is bit for bit its single call, the block of one.  Arithmetic after a check
+# reads only the rows that passed it.
 
 
-def _couplings(k) -> tuple[bool, list]:
-    """Whether ``k`` is a K block (a sequence of couplings), and its couplings."""
-    block = not isinstance(k, numbers.Real)
-    return block, list(k) if block else [k]
+def _rows(p, k=None) -> tuple[bool, list[StandardLoopParams], list]:
+    """Whether ``p`` and ``k`` make a block, and each row's params and coupling:
+    an epsilon block's own, or ``p`` at each coupling of ``k`` (by default ``p.k``)."""
+    if isinstance(p, (list, tuple)):
+        return True, _epsilon_block(p)[2], [q.k for q in p]
+    block, ks = _block_of(p.k if k is None else k)
+    return block, [p] * len(ks), ks
 
 
 def _column(factors: list[float]) -> np.ndarray:
@@ -174,63 +180,85 @@ def _phase_set(labels: list[Hashable], quadratures) -> PhaseSet:
                     delta_phi=-res_j.value, quadratures=tuple(quadratures))
 
 
-def spin_oscillator_one_form(m: SpinOscillatorHybrid) -> LinearOneForm:
+def _form(block: bool, loop: LoopSpec, action_coeffs: dict, j_coeff: Covector,
+          failed: dict[int, HolonomyError]) -> LinearOneForm:
+    """A block's ``LinearOneForm``; a single call's, of each stack's one row, or its error raised."""
+    if block:
+        return LinearOneForm(loop, action_coeffs, j_coeff, failed)
+    if failed:
+        raise failed[0]
+    one = lambda cov: {key: c if c.ndim == 1 else c[0] for key, c in cov.items()}
+    return LinearOneForm(loop, {label: one(c) for label, c in action_coeffs.items()}, one(j_coeff))
+
+
+def spin_oscillator_one_form(m: SpinOscillatorHybrid, lam=None) -> LinearOneForm:
     """One-form of the spin coupled to one classical oscillator.
 
     Coordinates are (cos phi, sin phi, X, Y, Z).  Each spin action couples to
     the azimuth with coefficient -1/2; the coupling correction enters the
     spin coefficients through the analytic action-derivative of the
     oscillator term, whose frequency is shifted by the population imbalance.
+    A lambda block ``lam`` (by default ``m.lam``) gives each row's form or error.
     """
+    block, lams = _block_of(m.lam if lam is None else lam)
     pts = m.loop.points
     _, y, z = pts[:, 2:].T
-    omega_sq, omega = spin_oscillator_frequency(m, pts[:, 2:])
-
+    omega_sq, omega, failed = spin_oscillator_frequency(m, pts[:, 2:], lams)
+    lams = [lams[i] for i in _standing(len(lams), failed)]
+    if not lams:
+        return _form(block, m.loop, {}, {}, failed)
     # -dphi / 2 on the circle embedding (c, s), where dphi = -s dc + c ds
     azimuth = {0: 0.5 * pts[:, 1], 1: -0.5 * pts[:, 0]}
     d_y_over_z, d_p = (m.loop.derived(_differential, r, 2) for r in (_y_over_z_rate, _p_rate))
 
-    correction = m.mu * m.lam**2 * z**2 * m.j_action / (4.0 * omega**3 * m.b_field)
+    correction = (_column([m.mu * x**2 for x in lams]) * z**2 * m.j_action
+                  / (4.0 * omega**3 * m.b_field))
     # f d(Z/Omega), f = -Y/(2Z), with d(Omega^2) = dP + shift dZ and dZ column 4
     scale = y / (4.0 * omega * omega_sq)  # -f Z / (2 Omega^3)
-    return LinearOneForm(m.loop, {"+": azimuth | {d_y_over_z: -correction},
-                                  "-": azimuth | {d_y_over_z: correction}},
-                         j_coeff={4: -(y / (2.0 * z)) / omega + m.frequency_shift * scale,
-                                  d_p: scale})
+    shifts = _column([m.frequency_shift_at(x) for x in lams])
+    return _form(block, m.loop, {"+": azimuth | {d_y_over_z: -correction},
+                                 "-": azimuth | {d_y_over_z: correction}},
+                 {4: -(y / (2.0 * z)) / omega + shifts * scale, d_p: scale}, failed)
 
 
-def spin_oscillator_frequency(m: SpinOscillatorHybrid,
-                              xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def spin_oscillator_frequency(m: SpinOscillatorHybrid, xyz: np.ndarray, lam=None):
     """Omega^2 = (X + shift) Z - Y^2 and Omega of ``m``'s action-shifted
     oscillator at the rows (X, Y, Z) of ``xyz``, checked in this order:
     ``OmegaImaginary`` at the first sample where Omega^2 is not positive, then,
     for a positive action J, ``WeakCouplingViolated`` where the sampled maximum
-    of lam Q_typ / B, Q_typ = sqrt(2 Z J / Omega), passes 0.3."""
+    of lam Q_typ / B, Q_typ = sqrt(2 Z J / Omega), passes 0.3.  A lambda block ``lam``
+    (by default ``m.lam``) gives the passing rows' stacks and the others' errors by index."""
+    block, lams = _block_of(m.lam if lam is None else lam)
     x, y, z = xyz.T
-    omega_sq = (x + m.frequency_shift) * z - y**2
-    require_positive(omega_sq, lambda j: OmegaImaginary(
-        f"action-shifted frequency squared {omega_sq[j]:.3e} at sample {j}", sample=j))
+    omega_sq = (x + _column([m.frequency_shift_at(v) for v in lams])) * z - y**2
+    failed = failing_rows(omega_sq, lambda i, j: OmegaImaginary(
+        f"action-shifted frequency squared {omega_sq[i, j]:.3e} at sample {j}", sample=j))
+    standing = _standing(len(lams), failed)
+    omega_sq = omega_sq[standing]
     omega = np.sqrt(omega_sq)
     if m.j_action > 0:
         q_typ = np.sqrt(2.0 * z * m.j_action / omega)
-        ratio = float(np.max(m.lam * q_typ / m.b_field))
-        if ratio > _WEAK_COUPLING_MAX:
-            raise WeakCouplingViolated(
-                f"lam * Q_typ / B reaches {ratio:.3f}, beyond {_WEAK_COUPLING_MAX}"
-            )
-    return omega_sq, omega
+        ratios = np.max(_column([lams[i] for i in standing]) * q_typ / m.b_field, axis=-1)
+        failed |= {i: WeakCouplingViolated(f"lam * Q_typ / B reaches {ratio:.3f}, beyond "
+                                           f"{_WEAK_COUPLING_MAX}")
+                   for i, ratio in zip(standing, ratios.tolist()) if ratio > _WEAK_COUPLING_MAX}
+        kept = [j for j, i in enumerate(standing) if i not in failed]
+        omega_sq, omega = omega_sq[kept], omega[kept]
+    if failed and not block:
+        raise failed[0]
+    return (omega_sq, omega, failed) if block else (omega_sq[0], omega[0])
 
 
 def _p_rate(x: np.ndarray, v: np.ndarray, col: int) -> np.ndarray:
     """dP/dt, P = X Z - Y^2, of the triple (X, Y, Z) in columns col..col+2."""
-    return (v[:, col] * x[:, col + 2] + x[:, col] * v[:, col + 2]
-            - 2.0 * x[:, col + 1] * v[:, col + 1])
+    return (v[..., col] * x[..., col + 2] + x[..., col] * v[..., col + 2]
+            - 2.0 * x[..., col + 1] * v[..., col + 1])
 
 
 def _y_over_z_rate(x: np.ndarray, v: np.ndarray, col: int) -> np.ndarray:
     """d(Y/Z)/dt of the triple (X, Y, Z) in columns col..col+2."""
-    y, z = x[:, col + 1], x[:, col + 2]
-    return (v[:, col + 1] - (y / z) * v[:, col + 2]) / z
+    y, z = x[..., col + 1], x[..., col + 2]
+    return (v[..., col + 1] - (y / z) * v[..., col + 2]) / z
 
 
 def _differential(loop: LoopSpec, rate: Callable[..., np.ndarray], col: int) -> Differential:
@@ -248,49 +276,62 @@ _PairGeometry = namedtuple("_PairGeometry", "w_sq z1z2 u fast back slow d_y1z1 d
 
 
 def _pair_geometry(loop: LoopSpec) -> _PairGeometry:
-    """The ``_PairGeometry`` of a combined loop (through ``loop.derived``); a
+    """The ``_PairGeometry`` of a combined loop (block) (through ``loop.derived``); a
     sample divided by omega1^2 is inf or nan where that is not positive."""
     if loop.dim != 6:
         raise ValueError(f"expected a combined loop of two triples, got {loop.dim} columns")
 
     def u_rate(x, v):  # u = Z1 Z2 / P1
-        p1 = x[:, 0] * x[:, 2] - x[:, 1] ** 2
-        u = x[:, 2] * x[:, 5] / p1
-        return (v[:, 2] * x[:, 5] + x[:, 2] * v[:, 5] - u * _p_rate(x, v, 0)) / p1
+        p1 = x[..., 0] * x[..., 2] - x[..., 1] ** 2
+        u = x[..., 2] * x[..., 5] / p1
+        return (v[..., 2] * x[..., 5] + x[..., 2] * v[..., 5] - u * _p_rate(x, v, 0)) / p1
 
     x = loop.points
     d_y1z1 = loop.derived(_differential, _y_over_z_rate, 0)
-    triples = x.reshape(-1, 2, 3)
+    triples = x.reshape(*x.shape[:-1], 2, 3)
     w_sq = triples[..., 0] * triples[..., 2] - triples[..., 1] ** 2
-    z1z2 = x[:, 2] * x[:, 5]
+    z1z2 = x[..., 2] * x[..., 5]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = z1z2 / w_sq[:, 0]
+        u = z1z2 / w_sq[..., 0]
         return _PairGeometry(
-            w_sq, z1z2, u, fast=x[:, 2] / (4.0 * np.sqrt(w_sq[:, 0])),
-            back=x[:, 2] * u / (4.0 * w_sq[:, 0]), slow=-(x[:, 4] / (2.0 * x[:, 5])),
+            w_sq, z1z2, u, fast=x[..., 2] / (4.0 * np.sqrt(w_sq[..., 0])),
+            back=x[..., 2] * u / (4.0 * w_sq[..., 0]), slow=-(x[..., 4] / (2.0 * x[..., 5])),
             d_y1z1=d_y1z1, d_p2=loop.derived(_differential, _p_rate, 3), d_u=loop.pullback(u_rate))
 
 
-def _slow_frequency_sq(g: _PairGeometry, ksq: np.ndarray):
-    """Effective Omega^2 = omega2^2 - k^2 u at each row of the column ``ksq``
-    of k^2, and each row's ``EllipticViolation`` where it is not positive;
-    omega1^2 is checked positive first, for every row."""
-    require_positive(g.w_sq[:, 0], lambda j: EllipticViolation(
-        f"fast-triple frequency squared {g.w_sq[j, 0]:.3e} at sample {j}", sample=j))
-    omega_sq = g.w_sq[:, 1] - ksq * g.u
-    return omega_sq, failing_rows(omega_sq, lambda i, j: EllipticViolation(
-        f"effective frequency squared {omega_sq[i, j]:.3e} at sample {j}", sample=j))
+def _slow_frequency_sq(loop: LoopSpec, ks: list, failed: dict[int, HolonomyError]):
+    """``loop`` narrowed to the rows of ``ks`` that ``failed`` does not hold and whose
+    omega1^2, then Omega^2 = omega2^2 - k^2 u, is positive (each other row joins ``failed``),
+    its geometry, and their Omega^2.  A single loop's omega1^2 failure is raised."""
+    block = loop
+    for fast in (True, False):
+        standing = _standing(len(ks), failed)
+        if not standing:
+            return block, None, None
+        loop = block.select(standing)
+        g = loop.derived(_pair_geometry)
+        w_sq = (np.atleast_2d(g.w_sq[..., 0]) if fast
+                else g.w_sq[..., 1] - _column([ks[i]**2 for i in standing]) * g.u)
+        found = failing_rows(w_sq, lambda i, j: EllipticViolation(
+            f"{'fast-triple' if fast else 'effective'} frequency squared {w_sq[i, j]:.3e} at "
+            f"sample {j}", sample=j))
+        if found and fast and loop.points.ndim == 2:
+            raise found[0]
+        failed |= {standing[i]: error for i, error in found.items()}
+    kept = _standing(len(standing), found)
+    loop = loop.select(kept)
+    return loop, loop.derived(_pair_geometry), w_sq[kept] if found else w_sq
 
 
-def _elliptic_failures(p: StandardLoopParams, ks: list) -> dict[int, HolonomyError]:
-    """The worst-case bound's ``EllipticViolation`` at each coupling of ``ks``
-    where ``p.elliptic_margin_at`` is not positive."""
-    margins = [p.elliptic_margin_at(k) for k in ks]
+def _elliptic_failures(qs: list[StandardLoopParams], ks: list) -> dict[int, HolonomyError]:
+    """The worst-case bound's ``EllipticViolation`` at each row's coupling of
+    ``ks`` where its params' ``elliptic_margin_at`` is not positive."""
+    margins = [q.elliptic_margin_at(k) for q, k in zip(qs, ks)]
     return {i: EllipticViolation(f"elliptic condition violated: margin {m:.3e} at coupling k={k}")
             for i, (k, m) in enumerate(zip(ks, margins)) if not m > 0.0}
 
 
-def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec, k=None) -> LinearOneForm:
+def coupled_gho_one_form(p, loop: LoopSpec, k=None) -> LinearOneForm:
     """One-form of the quantum oscillator coupled to the classical one.
 
     ``loop`` carries the concatenated triples (X1, Y1, Z1, X2, Y2, Z2) over
@@ -298,69 +339,59 @@ def coupled_gho_one_form(p: StandardLoopParams, loop: LoopSpec, k=None) -> Linea
     them.  The quantum-action coefficient multiplies d(Y1/Z1); the
     classical-action coefficient collects the coupling back-reaction on
     d(Y1/Z1) together with the slow oscillator's own d(Z2/Omega) term.  The
-    coupling is ``k``, by default ``p.k``; a K block ``k`` gives the form of
-    each row's coefficients or error (``LinearOneForm``).
+    coupling is ``k``, by default ``p.k``; a K block ``k``, or an epsilon
+    block ``p`` on its loop block, gives each row's form or error.
     """
-    block, ks = _couplings(p.k if k is None else k)
-    failed = _elliptic_failures(p, ks)
-    if failed and not block:
-        raise failed[0]
+    block, qs, ks = _rows(p, k)
+    failed = _elliptic_failures(qs, ks)
+    loop, g, omega_sq = _slow_frequency_sq(loop, ks, failed)
     standing = _standing(len(ks), failed)
     if not standing:
-        return LinearOneForm(loop, {}, {}, failed)
-    g = loop.derived(_pair_geometry)
+        return _form(block, loop, {}, {}, failed)
     ksq = [ks[i]**2 for i in standing]
-    omega_sq, slow = _slow_frequency_sq(g, _column(ksq))
-    if slow:
-        if not block:
-            raise slow[0]
-        failed |= {standing[i]: error for i, error in slow.items()}
-        kept = _standing(len(ksq), slow)
-        omega_sq, ksq = omega_sq[kept], [ksq[i] for i in kept]
     omega = np.sqrt(omega_sq)
     back = g.back / omega  # Z1 u / (4 omega1^2 Omega)
 
     # f d(Z2/Omega), f = -Y2/(2 Z2), with d(Omega^2) = dP2 - k^2 du and dZ2
     # column 5; scale = -f Z2 / (2 Omega^3)
-    scale = loop.points[:, 4] / (4.0 * omega * omega_sq)
-    nl = p.n_level
+    scale = loop.points[..., 4] / (4.0 * omega * omega_sq)
+    nl = qs[0].n_level
     quantum_coeff = {g.d_y1z1: (2 * nl + 1) * g.fast
-                     + _column([2.0 * x * p.j_action for x in ksq]) * back}
+                     + _column([2.0 * x * qs[i].j_action for x, i in zip(ksq, standing)]) * back}
     j_coeff = {g.d_y1z1: _column([2.0 * x for x in ksq]) * back, 5: g.slow / omega,
                g.d_p2: scale, g.d_u: _column([-x for x in ksq]) * scale}
-    if not block:
-        return LinearOneForm(loop, {nl: {key: c[0] for key, c in quantum_coeff.items()}},
-                             {key: c[0] for key, c in j_coeff.items()})
-    return LinearOneForm(loop, {nl: quantum_coeff}, j_coeff, failed)
+    return _form(block, loop, {nl: quantum_coeff}, j_coeff, failed)
 
 
 # Read at a row's cap alone, whose samples each rung takes at a stride: a sweep from
 # k = 0 reads two (slow and common period), a full-quantum sweep one, fig2 three (a
 # ratio each, shared by tables).
 @lru_cache(maxsize=3, typed=True)
-def _drive_profile(eps: float, omega1: float, omega2: float, period: float,
+def _drive_profile(epsilons: tuple[float, ...], omega1: float, omega2: float, period: float,
                    n_samples: int) -> tuple[np.ndarray, ...]:
-    """The K-independent samples of ``standard_loop_report``, read-only, with
-    (c_i, s_i) = (cos, sin)(w_i t) and f_i = 1 - eps c_i: f1 f2, f2 (eps - c1),
-    d(f1 f2)/dt, -(eps^2) w2 s2^2 / (2 f2) and eps s2; ``mode_collapses``
-    reads f1 f2 alone."""
+    """The K-independent samples of ``standard_loop_report``, read-only, a row
+    per epsilon, with (c_i, s_i) = (cos, sin)(w_i t) and f_i = 1 - eps c_i: f1 f2,
+    f2 (eps - c1), d(f1 f2)/dt, -(eps^2) w2 s2^2 / (2 f2) and eps s2;
+    ``mode_collapses`` reads f1 f2 alone."""
     c2, s2 = _drive_grid(omega2, period, n_samples)
     c1, s1 = _drive_grid(omega1, period, n_samples)
+    eps = _column(list(epsilons))
     f1, f2 = 1.0 - eps * c1, 1.0 - eps * c2
-    profile = (f1 * f2, f2 * (eps - c1), eps * omega1 * s1 * f2 + f1 * eps * omega2 * s2,
-               -(eps**2) * omega2 * s2**2 / (2.0 * f2), eps * s2)
+    profile = (f1 * f2, f2 * (eps - c1),
+               _column([e * omega1 for e in epsilons]) * s1 * f2 + f1 * eps * omega2 * s2,
+               _column([-(e**2) * omega2 for e in epsilons]) * s2**2 / (2.0 * f2), eps * s2)
     for a in profile:
         a.flags.writeable = False
     return profile
 
 
-def _core_margins(q: StandardLoopParams, ks: list, f1f2: np.ndarray, error: type,
+def _core_margins(qs: list[StandardLoopParams], ks: list, f1f2: np.ndarray, error: type,
                   failed: dict[int, HolonomyError]) -> tuple[list[float], list[float]]:
-    """(D^2, margin) of each coupling of ``ks`` that ``failed`` does not hold,
-    D = ``q.d_ratio_at(k)``, whose effective-frequency core
-    1 - eps^2 - 2 D^2 f1 f2 stays positive at the samples ``f1f2`` (a
-    ``_drive_profile``'s); each other row joins ``failed`` as ``error`` at the
-    first sample where its core is not positive.
+    """(D^2, margin) of each row that ``failed`` does not hold, D =
+    ``q.d_ratio_at(k)`` of its params and coupling in ``qs`` and ``ks``, whose
+    effective-frequency core 1 - eps^2 - 2 D^2 f1 f2 stays positive at the
+    samples ``f1f2`` (a ``_drive_profile``'s); each other row joins ``failed``
+    as ``error`` at the first sample where its core is not positive.
 
     On the loop family X_i Z_i - Y_i^2 = a_i^2 (1 - eps^2) and
     Z1 Z2 = (a1 a2 / (mu1 mu2)) f1 f2, so the effective frequency squared
@@ -369,19 +400,20 @@ def _core_margins(q: StandardLoopParams, ks: list, f1f2: np.ndarray, error: type
     times it.  Rounding is monotone and f1 f2 > 0, so the core's least
     sample, the margin, is exactly 1 - eps^2 - (2 D^2) max(f1 f2); only a row
     that fails forms its sampled core, to name the sample."""
-    one_minus = 1.0 - q.epsilon**2
-    peak = float(np.max(f1f2))
+    peaks = np.max(f1f2, axis=-1).tolist()
     dsq, margins = [], []
-    for i, k in enumerate(ks):
+    for i, (q, k) in enumerate(zip(qs, ks)):
         if i in failed:
             continue
+        row = i if len(peaks) > 1 else 0
+        one_minus = 1.0 - q.epsilon**2
         d = q.d_ratio_at(k)
-        margin = one_minus - 2.0 * d**2 * peak
+        margin = one_minus - 2.0 * d**2 * peaks[row]
         if margin > 0:
             dsq.append(d**2)
             margins.append(margin)
         else:
-            j = int(np.argmax(~(one_minus - 2.0 * d**2 * f1f2 > 0)))
+            j = int(np.argmax(~(one_minus - 2.0 * d**2 * f1f2[row] > 0)))
             failed[i] = error(f"the core 1 - eps^2 - 2 D^2 f1 f2 of the effective frequency "
                               f"and the lower normal mode is not positive at sample {j}", sample=j)
     return dsq, margins
@@ -392,9 +424,9 @@ def mode_collapses(p: StandardLoopParams, ks: list, n_samples: int) -> list[Mode
     ``n_samples`` samples (``combined_parameter_loop``), or None: the lower
     normal mode closes where the effective-frequency core does
     (``_core_margins``), so this is one comparison per coupling."""
-    f1f2 = _drive_profile(p.epsilon, p.omega1, p.omega2, p.common_period, n_samples)[0]
+    f1f2 = _drive_profile((p.epsilon,), p.omega1, p.omega2, p.common_period, n_samples)[0]
     failed = {}
-    _core_margins(p, ks, f1f2, ModeCollapse, failed)
+    _core_margins([p] * len(ks), ks, f1f2, ModeCollapse, failed)
     return [failed.get(i) for i in range(len(ks))]
 
 
@@ -421,7 +453,7 @@ def elliptic_bound(p: StandardLoopParams) -> tuple[float, float]:
 
 
 def standard_loop_report(
-    p: StandardLoopParams,
+    p,
     n_samples: int = DEFAULT_SAMPLES,
     branch: str | None = None,
     check_samples: int | None = None,
@@ -438,10 +470,10 @@ def standard_loop_report(
     and ``elliptic_margin`` read ``check_samples`` samples (by default
     ``n_samples``), a multiple of ``n_samples``, and the quadratures every
     ``check_samples // n_samples``-th of them.  The coupling is ``k``, by
-    default ``p.k``; for a K block ``k`` the result is each row's report or
-    the ``HolonomyError`` it raised.
+    default ``p.k``; for a K block ``k``, or an epsilon block ``p``, the
+    result is each row's report or the ``HolonomyError`` it raised.
     """
-    block, ks = _couplings(p.k if k is None else k)
+    block, qs, ks = _rows(p, k)
     if branch not in (None, BRANCH_COMMON, BRANCH_SUBSYSTEM):
         raise ValueError(f"unknown branch {branch!r}")
     if branch == BRANCH_SUBSYSTEM and any(x != 0.0 for x in ks):
@@ -451,42 +483,48 @@ def standard_loop_report(
     reports = {}
     for b in dict.fromkeys(branches):
         rows = [i for i, x in enumerate(branches) if x == b]
-        reports |= zip(rows, _branch_reports(p, [ks[i] for i in rows], n_samples, b,
-                                             check_samples))
+        reports |= zip(rows, _branch_reports([qs[i] for i in rows], [ks[i] for i in rows],
+                                             n_samples, b, check_samples))
     return _outcome(block, [reports[i] for i in range(len(ks))])
 
 
-def _branch_reports(q: StandardLoopParams, ks: list, n_samples: int, branch: str,
+def _branch_reports(qs: list[StandardLoopParams], ks: list, n_samples: int, branch: str,
                     check_samples: int | None) -> list[HybridPhaseReport | HolonomyError]:
-    """``standard_loop_report``'s rows of one branch, at the couplings ``ks``."""
-    failed = _elliptic_failures(q, ks)
+    """``standard_loop_report``'s rows of one branch, at the params ``qs``
+    (one for all, or an epsilon block's) and couplings ``ks``."""
+    failed = _elliptic_failures(qs, ks)
     if len(failed) == len(ks):
         return _merged(failed, [])
-    eps = q.epsilon
-    one_minus = 1.0 - eps**2
-    root = math.sqrt(one_minus)
+    q = qs[0]  # every row's drives, scales and actions
+    shared = all(x is q for x in qs)
 
     # the per-subsystem branch (k = 0) integrates the slow subsystem over its own period
     period = q.common_period if branch == BRANCH_COMMON else 2.0 * math.pi / q.omega2
     cap = n_samples if check_samples is None else check_samples
-    f1f2, *profile = _drive_profile(eps, q.omega1, q.omega2, period, cap)
+    f1f2, *profile = _drive_profile((q.epsilon,) if shared else tuple(x.epsilon for x in qs),
+                                    q.omega1, q.omega2, period, cap)
     _require_grid(period, n_samples)
     if cap % n_samples:
         raise ValueError(f"check_samples {cap} is not a multiple of n_samples {n_samples}")
-
-    gamma_0 = gamma_n0_closed_form(q, branch)
 
     # Coupling corrections share one integrand, evaluated on the range that
     # carries both drives (the common period; they vanish identically at k=0,
     # where d = 0).  The effective-frequency core 1 - eps^2 - 2 D^2 f1 f2
     # feeds them and the uncoupled angle shift; its least sample at the cap is
     # the elliptic margin.
-    dsq, margins = _core_margins(q, ks, f1f2, EllipticViolation, failed)
+    dsq, margins = _core_margins(qs, ks, f1f2, EllipticViolation, failed)
+    standing = _standing(len(ks), failed)
+    rows = 0 if shared else standing  # a K block's one profile row, or each row's
     stride = cap // n_samples  # each rung's samples are the cap's at this stride
-    f1f2, f2_drive, f1f2_dot, slow_term, eps_s2 = (a[::stride] for a in (f1f2, *profile))
-    core_sq = one_minus - _column([2.0 * x for x in dsq]) * f1f2
+    f1f2, f2_drive, f1f2_dot, slow_term, eps_s2 = (a[rows, ::stride] for a in (f1f2, *profile))
+    # each standing row's (eps, 1 - eps^2, sqrt(1 - eps^2), gamma_0), once per profile row
+    heads = [(x.epsilon, 1.0 - x.epsilon**2, math.sqrt(1.0 - x.epsilon**2),
+              gamma_n0_closed_form(x, branch)) for x in ([q] if shared else [qs[i] for i in standing])]
+    heads *= len(standing) if shared else 1
+    core_sq = _column([h[1] for h in heads]) - _column([2.0 * x for x in dsq]) * f1f2
     core = np.sqrt(core_sq)
-    base = _column([x * q.a2 * eps * q.omega1 / (q.a1 * one_minus) for x in dsq]) * f2_drive / core
+    base = _column([x * q.a2 * eps * q.omega1 / (q.a1 * one_minus)
+                    for x, (eps, one_minus, *_) in zip(dsq, heads)]) * f2_drive / core
     res_dphi = periodic_integral(-base, period)
     res_gamma = periodic_integral(q.j_action * base, period)
 
@@ -495,7 +533,7 @@ def _branch_reports(q: StandardLoopParams, ks: list, n_samples: int, branch: str
     res0 = periodic_integral(slow_term / core + eps_s2 * core_dot / (2.0 * core_sq), period)
 
     t_omega1 = _fast_phase_span(q, branch)
-    return _merged(failed, [HybridPhaseReport(
+    reports = [HybridPhaseReport(
         gamma=gamma_0 + gamma_i.value,
         delta_phi=phi_0.value + phi_i.value,
         gamma_0_part=gamma_0,
@@ -507,7 +545,9 @@ def _branch_reports(q: StandardLoopParams, ks: list, n_samples: int, branch: str
         elliptic_margin=margin,
         quadratures=(phi_i, gamma_i, phi_0),
         branch=branch,
-    ) for x, margin, phi_i, gamma_i, phi_0 in zip(dsq, margins, res_dphi, res_gamma, res0)])
+    ) for x, margin, phi_i, gamma_i, phi_0, (eps, one_minus, root, gamma_0)
+        in zip(dsq, margins, res_dphi, res_gamma, res0, heads)]
+    return _merged(failed, reports)
 
 
 def single_gho_phase(loop: LoopSpec, n: int) -> QuadratureResult:
@@ -563,7 +603,7 @@ def full_quantum_phase(loop: LoopSpec, k, m: int, n: int) -> QuadratureResult:
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
-    block, ks = _couplings(k)
+    block, ks = _block_of(k)
     g = loop.derived(_pair_geometry)
     d_y2z2 = loop.derived(_differential, _y_over_z_rate, 3)
     require_positive(g.w_sq, lambda j: EllipticViolation(
@@ -592,15 +632,15 @@ def bo_full_quantum_phase_parts(loop: LoopSpec, k, m: int,
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
-    block, ks = _couplings(k)
+    block, ks = _block_of(k)
     g = loop.derived(_pair_geometry)
     d_y2z2 = loop.derived(_differential, _y_over_z_rate, 3)
-    ksq = [k**2 for k in ks]
-    omega_sq, failed = _slow_frequency_sq(g, _column(ksq))
+    failed = {}
+    omega_sq = _slow_frequency_sq(loop, ks, failed)[2]
     standing = _standing(len(ks), failed)
-    omega = np.sqrt(omega_sq[standing])
+    omega = np.sqrt(omega_sq)
 
-    t1 = (2 * n + 1) * g.fast + _column([(2 * m + 1) * ksq[i] for i in standing]) * g.back / omega
+    t1 = (2 * n + 1) * g.fast + _column([(2 * m + 1) * ks[i]**2 for i in standing]) * g.back / omega
     t2 = (2 * m + 1) * (loop.points[:, 5] / 4.0) / omega
     parts = zip(closed_line_integral({g.d_y1z1: t1}, loop), closed_line_integral({d_y2z2: t2}, loop))
     return _outcome(block, _merged(failed, list(parts)))

@@ -51,7 +51,9 @@ class LoopSpec:
 
     ``points``, shape (M + 1, d), holds the M + 1 samples at ``times``, which
     are derived: ``np.linspace(0, period, M + 1)``.  The last point must
-    coincide with the first (relative tolerance 1e-12).  ``cycles`` records
+coincide with the first (relative tolerance 1e-12).  A loop block of E
+    loops holds an (E, M + 1, d) stack, each row closed, and its velocities and
+    pullbacks have the row axis first (``upsampled`` takes one loop).  ``cycles`` records
     how many base cycles the curve contains; phase computations use it for
     branch bookkeeping on multi-cycle loops.  Points are not checked here: a
     non-finite interior point reaches the consumer, whose guard names the
@@ -65,11 +67,11 @@ class LoopSpec:
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
-        if points.ndim != 2:
-            raise ValueError(f"points must be a 2-D array, got shape {points.shape}")
-        _require_grid(self.period, points.shape[0] - 1)
-        x0, x1 = points[0], points[-1]
-        scale = max(1.0, float(np.max(np.abs(x0))), float(np.max(np.abs(x1))))
+        if points.ndim not in (2, 3):
+            raise ValueError(f"points must be a 2-D array or a 3-D block, got {points.shape}")
+        _require_grid(self.period, points.shape[-2] - 1)
+        x0, x1 = points[..., 0, :], points[..., -1, :]
+        scale = np.fmax(1.0, np.max(np.abs([x0, x1]), axis=(0, -1)))[..., None]
         if not np.all(np.abs(x1 - x0) <= _CLOSURE_RTOL * scale):
             raise NotClosed("loop endpoint does not return to its start")
         if not (isinstance(self.cycles, int) and self.cycles >= 1):
@@ -86,11 +88,11 @@ class LoopSpec:
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self.points.shape[-1]
 
     @property
     def n_segments(self) -> int:
-        return self.points.shape[0] - 1
+        return self.points.shape[-2] - 1
 
     @property
     def spacing(self) -> float:
@@ -99,11 +101,11 @@ class LoopSpec:
     @cached_property
     def _spectrum(self) -> np.ndarray:
         """Real FFT of the first M samples (the endpoint repeats the start)."""
-        return np.fft.rfft(self.points[:-1], axis=0)
+        return np.fft.rfft(self.points[..., :-1, :], axis=-2)
 
     @cached_property
     def velocity(self) -> np.ndarray:
-        """d(points)/dt at the first M samples, shape (M, dim)."""
+        """d(points)/dt at the first M samples, shape (M, dim) (a block's (E, M, dim))."""
         return _derivative(self._spectrum, self.n_segments, self.period)
 
     @cached_property
@@ -113,7 +115,7 @@ class LoopSpec:
         m = self.n_segments
         if m % 2:
             raise ValueError(f"a stride-2 subsample needs an even segment count, got {m}")
-        return _derivative(np.fft.rfft(self.points[:-1:2], axis=0), m // 2, self.period)
+        return _derivative(np.fft.rfft(self.points[..., :-1:2, :], axis=-2), m // 2, self.period)
 
     def upsampled(self, factor: int) -> np.ndarray:
         """The interpolant at M * factor points, shape (M, factor, dim), the
@@ -123,8 +125,8 @@ class LoopSpec:
         between +M/2 and -M/2; the result is a transposed view of those
         (factor, dim, M) planes.  A factor that is not a positive integer is
         a ``ValueError``."""
-        if not (isinstance(factor, numbers.Integral) and factor >= 1):
-            raise ValueError(f"factor must be a positive integer, got {factor!r}")
+        if not (isinstance(factor, numbers.Integral) and factor >= 1 and self.points.ndim == 2):
+            raise ValueError(f"factor must be a positive integer, got {factor!r}, on one loop")
         m = self.n_segments
         k = np.arange(m // 2 + 1)
         s = np.arange(factor)
@@ -136,9 +138,10 @@ class LoopSpec:
 
     def pullback(self, rate: Callable[..., np.ndarray], *args) -> Differential:
         """dg of a function g of the points, whose chain rule ``rate(x, v,
-        *args)`` gives dg/dt at rows ``x`` of points moving with velocity ``v``."""
-        half = None if self.n_segments % 2 else rate(self.points[:-1:2], self.half_velocity, *args)
-        return Differential(rate(self.points[:-1], self.velocity, *args), half, weakref.ref(self))
+        *args)`` gives dg/dt at samples ``x`` (coordinates last) moving with velocity ``v``."""
+        x = self.points[..., :-1, :]
+        half = None if self.n_segments % 2 else rate(x[..., ::2, :], self.half_velocity, *args)
+        return Differential(rate(x, self.velocity, *args), half, weakref.ref(self))
 
     def derived(self, build: Callable[..., object], *args):
         """``build(self, *args)``, built on first use and kept as long as the
@@ -150,7 +153,18 @@ class LoopSpec:
 
     def reversed(self) -> "LoopSpec":
         """The same curve traversed in the opposite orientation."""
-        return LoopSpec(self.period, self.points[::-1], self.cycles)
+        return LoopSpec(self.period, self.points[..., ::-1, :], self.cycles)
+
+    def select(self, rows: list[int]) -> "LoopSpec":
+        """This block's rows ``rows`` (ascending) and their velocities; a loop or all rows: itself."""
+        if self.points.ndim == 2 or len(rows) == len(self.points):
+            return self
+        loop = LoopSpec(self.period, self.points[rows], self.cycles)
+        for name in ("velocity", "half_velocity"):
+            if name in self.__dict__:
+                loop.__dict__[name] = vel = self.__dict__[name][rows]
+                vel.flags.writeable = False
+        return loop
 
 
 def _derivative(spectrum: np.ndarray, m: int, period: float) -> np.ndarray:
@@ -158,8 +172,8 @@ def _derivative(spectrum: np.ndarray, m: int, period: float) -> np.ndarray:
     freqs = 2.0 * math.pi * np.fft.rfftfreq(m, d=period / m)
     coef = spectrum * (1j * freqs)[:, None]
     if m % 2 == 0:
-        coef[m // 2] = 0.0  # unpaired Nyquist mode carries no derivative
-    vel = np.fft.irfft(coef, n=m, axis=0)
+        coef[..., m // 2, :] = 0.0  # unpaired Nyquist mode carries no derivative
+    vel = np.fft.irfft(coef, n=m, axis=-2)
     vel.flags.writeable = False
     return vel
 
@@ -268,22 +282,19 @@ def _trapezoid(values: np.ndarray, ends: list[float], period: float) -> list[flo
             zip(rows[:, 0].tolist(), rows[:, 1:].sum(axis=1).tolist(), ends)]
 
 
-def _pulled_back(terms: list[tuple], m: int, stride: int) -> tuple[np.ndarray, list[float]]:
+def _pulled_back(terms: list[tuple], m: int, stride: int,
+                 count: int) -> tuple[np.ndarray, list[float]]:
     """``_trapezoid``'s (values, ends) of the sum, term by term, of f dg/dt over the terms
-    (f, (dg/dt, stride-2 dg/dt), the last sample of f in each row), each f one row
-    (M + 1,) or a stack; the last f meets the rate's first sample."""
+    (f, (dg/dt, stride-2 dg/dt)), each f and rate one row, (M + 1,) and (M,), or a stack
+    of ``count`` rows; the last f of a row meets its rate's first sample."""
     if not terms:
-        return np.zeros(m // stride), [0.0]
-    (c, rates, lasts), *rest = terms
-    rate = rates[stride - 1]
-    first = float(rate[0])
-    g, ends = c[..., :-1:stride] * rate, [x * first for x in lasts]
-    for c, rates, lasts in rest:
+        return np.zeros((count, m // stride)), [0.0] * count
+    g = ends = None
+    for c, rates in terms:
         rate = rates[stride - 1]
-        first = float(rate[0])
-        g = g + c[..., :-1:stride] * rate
-        ends = [end + x * first for end, x in zip(ends, lasts)]
-    return g, ends
+        f_dg, end = c[..., :-1:stride] * rate, c[..., -1] * rate[..., 0]
+        g, ends = (f_dg, end) if g is None else (g + f_dg, ends + end)
+    return g, np.broadcast_to(ends, (count,)).tolist()
 
 
 def _require_halvable(m: int) -> None:
@@ -311,10 +322,11 @@ def closed_line_integral(coefficients: Covector, loop: LoopSpec) -> QuadratureRe
     A coefficient may also be a stack (K, M + 1), one row per member of a
     family of covectors on the loop, every stack with the same K; the result
     is then the list of the K members' results, each bit for bit the one its
-    row alone gives (``periodic_integral`` likewise).
+    row alone gives (``periodic_integral`` likewise).  On a loop block each
+    stack has a row per loop, and a coefficient (M + 1,) is every row's.
     """
     m = loop.n_segments
-    rows = set()
+    rows = set(loop.points.shape[:-2])
     for key, c in coefficients.items():
         shape = np.shape(c)
         sampled = shape[-1:] == (m + 1,) and len(shape) <= 2
@@ -332,14 +344,11 @@ def closed_line_integral(coefficients: Covector, loop: LoopSpec) -> QuadratureRe
     count = max(rows, default=1)
     terms = []
     for key, c in coefficients.items():
-        c = np.asarray(c)
-        lasts = c[..., -1:].ravel().tolist()
-        terms.append((c, (key.full, key.half) if isinstance(key, Differential)
-                      else (loop.velocity[:, key], loop.half_velocity[:, key]),
-                      lasts if len(lasts) == count else lasts * count))  # one row for all
-    g, ends = _pulled_back(terms, m, 1)
+        terms.append((np.asarray(c), (key.full, key.half) if isinstance(key, Differential)
+                      else (loop.velocity[..., key], loop.half_velocity[..., key])))
+    g, ends = _pulled_back(terms, m, 1, count)
     value = _trapezoid(g, ends, loop.period)
-    half = _trapezoid(*_pulled_back(terms, m, 2), loop.period)
+    half = _trapezoid(*_pulled_back(terms, m, 2, count), loop.period)
     return _results(value, half, _scale(g, loop.period), bool(rows))
 
 
@@ -446,29 +455,42 @@ def _require_coupling(k: float) -> None:
         raise ValueError("coupling k must be nonnegative")
 
 
-def _gho_points(triples: list[tuple[float, float, float]], eps: float, period: float,
-               n_samples: int) -> np.ndarray:
+def _block_of(values) -> tuple[bool, list]:
+    """Whether ``values`` is a block (a sequence of a scalar setting), and its values."""
+    block = not isinstance(values, numbers.Real)
+    return block, list(values) if block else [values]
+
+
+def _gho_points(triples: list[tuple[float, float, float]], eps, period: float,
+                n_samples: int) -> np.ndarray:
     """The GHO triples X = a mu (1 + eps cos wt), Y = -a eps sin wt, Z = (a/mu) (1 - eps cos
     wt), one per (a, mu, w) of ``triples``, side by side, sampled uniformly over [0, period],
-    the last point snapped onto the first: elementwise work on the cached drive grids."""
+    the last point snapped onto the first: elementwise work on the cached drive grids.  A
+    sequence ``eps`` gives the (E, M + 1, d) stack of a loop block, a row per epsilon."""
+    block, epsilons = _block_of(eps)
+    eps = np.array(epsilons)[:, None]
     columns = []
     for a, mu, omega in triples:
         c, s = (eps * g for g in _drive_grid(omega, period, n_samples))
         columns += [a * mu * (1.0 + c), -a * s, (a / mu) * (1.0 - c)]
-    pts = np.column_stack(columns)
-    pts[-1] = pts[0]
-    return pts
+    pts = np.stack(columns, axis=-1)
+    pts[:, -1] = pts[:, 0]
+    return pts if block else pts[0]
 
 
-def _gho_loop(triples: list[tuple[float, float, float]], eps: float, period: float,
+def _gho_loop(triples: list[tuple[float, float, float]], eps, period: float,
               n_samples: int, cycles: int) -> LoopSpec:
-    """The loop of ``_gho_points``; its velocities are ``_drive_rates`` scaled."""
+    """The loop (block) of ``_gho_points``; its velocities are ``_drive_rates``
+    scaled.  On overflow one loop leaves its velocity to the FFT; a block raises."""
+    block, epsilons = _block_of(eps)
     loop = LoopSpec(period, _gho_points(triples, eps, period, n_samples), cycles=cycles)
-    scales = [v for a, mu, _ in triples for v in (a * mu * eps, -a * eps, -(a / mu) * eps)]
+    scales = np.array([[v for a, mu, _ in triples for v in (a * mu * e, -a * e, -(a / mu) * e)]
+                       for e in epsilons])[:, None, :]
     rates = [_drive_rates(omega, period, n_samples) for *_, omega in triples]
-    with np.errstate(over="raise"), suppress(FloatingPointError):  # on overflow, left to the FFT
+    with np.errstate(over="raise"), suppress(*(() if block else (FloatingPointError,))):
         for name, drives in zip(("velocity", "half_velocity"), zip(*rates)):  # odd M: no half
-            loop.__dict__[name] = vel = np.hstack([r[:, [0, 1, 0]] for r in drives]) * scales
+            vel = np.hstack([r[:, [0, 1, 0]] for r in drives]) * scales
+            loop.__dict__[name] = vel = vel if block else vel[0]
             vel.flags.writeable = False
     return loop
 
@@ -520,9 +542,18 @@ def subsystem_parameter_loop(
     return _gho_loop([(a, mu, omega)], p.epsilon, 2.0 * math.pi / omega, n_samples, 1)
 
 
-def combined_parameter_loop(
-    p: StandardLoopParams, n_samples: int = DEFAULT_SAMPLES
-) -> LoopSpec:
-    """Both triples side by side in one 6-dimensional common-period loop."""
-    return _gho_loop([(p.a1, p.mu1, p.omega1), (p.a2, p.mu2, p.omega2)], p.epsilon,
+def _epsilon_block(p) -> tuple[StandardLoopParams, float | list[float], list]:
+    """``p``, its epsilon and [p]; of an epsilon block (else ``ValueError``), its first, each."""
+    if not isinstance(p, (list, tuple)):
+        return p, p.epsilon, [p]
+    if len({tuple((vars(q) | {"epsilon": 0.0}).values()) for q in p}) != 1:
+        raise ValueError("the params of an epsilon block must differ only in epsilon")
+    return p[0], [q.epsilon for q in p], list(p)
+
+
+def combined_parameter_loop(p, n_samples: int = DEFAULT_SAMPLES) -> LoopSpec:
+    """Both triples side by side in one 6-dimensional common-period loop; for an
+    epsilon block ``p`` (``_epsilon_block``), the loop block of its rows."""
+    p, eps, _ = _epsilon_block(p)
+    return _gho_loop([(p.a1, p.mu1, p.omega1), (p.a2, p.mu2, p.omega2)], eps,
                      p.common_period, n_samples, 1)

@@ -552,7 +552,8 @@ def sampled_cap_check(p: StandardLoopParams, k: float, cap: int):
 def closed_form_root(p: StandardLoopParams, cap: int) -> float:
     """The coupling where 1 - eps^2 - 2 D^2 max(f1 f2) vanishes at ``cap`` samples."""
     one_minus = 1.0 - p.epsilon**2
-    f1f2 = hybrid_pipeline._drive_profile(p.epsilon, p.omega1, p.omega2, p.common_period, cap)[0]
+    f1f2 = hybrid_pipeline._drive_profile((p.epsilon,), p.omega1, p.omega2, p.common_period,
+                                          cap)[0]
     d = math.sqrt(one_minus / (2.0 * float(np.max(f1f2))))
     return d * math.sqrt(2.0 * p.mu1 * p.mu2 * p.a1 * p.a2 * one_minus)
 

@@ -1,8 +1,9 @@
 """The sample-count ladder of the quadrature experiments: each row runs at
 ``n_samples / 2^j`` from the first rung at or below 256 and doubles only while
 one of its quadratures is unresolved, ``n_samples`` being the cap; every rung
-below the cap is a multiple of 256, so no drive multiplier below 256 can blind
-its stride-2 estimate.  Every sampled check that decides a typed error, and
+below the cap is a multiple of 256 and more than two samples per cycle of the
+fastest drive, so no drive multiplier can blind its stride-2 estimate, and a
+cap at or below that is refused.  Every sampled check that decides a typed error, and
 ``elliptic_margin``, reads the cap's samples.  ``run_meta.json`` counts the
 rows that finished at each rung."""
 
@@ -71,6 +72,24 @@ def test_an_even_drive_multiplier_cannot_blind_a_rung():
     assert samples_used == {"6000": 2}
     for row in rows:
         assert row["abs_err"] < 1e-12 * row["gamma_00_closed"]
+
+
+def test_no_rung_is_two_samples_or_fewer_per_cycle_of_the_fastest_drive():
+    """At 256 samples a 128-cycle drive has two samples per cycle, so the
+    half count sees it as a constant: its estimate read rounding and these
+    rows stopped there 31.1 and 260.2 off.  Such rungs are skipped, and a cap
+    at or below two samples per cycle is ``ConfigInvalid``."""
+    raw = {"experiment": "gho-uncoupled", "params": {"n1": 128, "n2": 1, "epsilons": [0.5, 0.9]},
+           "numerics": {"n_samples": 8192}}
+    rows, samples_used = sweep(raw)
+    assert "256" not in samples_used
+    assert [row["error"] for row in rows] == ["", ""]
+    assert max(row["abs_err"] for row in rows) < 1e-10
+    for raw in (dict(raw, numerics={"n_samples": 256}),
+                {"experiment": "fig1", "params": {"ratios": [[1, 1], [1, 200]]},
+                 "numerics": {"n_samples": 400}}):
+        with pytest.raises(cli.ConfigInvalid, match="the fastest drive"):
+            sweep(raw)
 
 
 def test_mode_collapse_is_decided_at_the_cap():
@@ -192,7 +211,7 @@ def test_every_rung_reads_the_caps_samples_at_a_stride(rate, ratio, eps, scales,
     def arrays(n):
         return (*_drive_grid(p.omega1, period, n), *_drive_grid(p.omega2, period, n),
                 _gho_points(triples, eps, period, n),
-                *_drive_profile(eps, p.omega1, p.omega2, period, n))
+                *(a[0] for a in _drive_profile((eps,), p.omega1, p.omega2, period, n)))
 
     at_cap = arrays(cap)
     margin = standard_loop_report(p, cap).elliptic_margin

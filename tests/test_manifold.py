@@ -329,10 +329,17 @@ class TestLoopSpecValidation:
             LoopSpec(1.0, 5.0)
 
     def test_three_dimensional_points_rejected(self):
+        """A 3-D stack is a loop block, (E, M + 1, d), whose every row must
+        close; points of any other rank are rejected."""
         with pytest.raises(ValueError, match="points"):
-            LoopSpec(1.0, np.ones((17, 2, 2)))
+            LoopSpec(1.0, np.ones((2, 17, 2, 2)))
         with pytest.raises(ValueError, match="points must be a 2-D array"):
             LoopSpec(1.0, np.ones(17))
+        t = np.linspace(0, 1, 33)
+        closed = np.column_stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)])
+        assert LoopSpec(1.0, [closed, 2 * closed]).n_segments == 32
+        with pytest.raises(NotClosed):
+            LoopSpec(1.0, [closed, np.column_stack([t, t])])
 
     @pytest.mark.parametrize("build", SAMPLERS.values(), ids=SAMPLERS)
     @pytest.mark.parametrize("n_samples", [16.0, 16.5])
