@@ -56,7 +56,6 @@ from .hybrid_pipeline import (
     HybridPhaseReport,
     LinearOneForm,
     PhaseSet,
-    bo_full_quantum_phase,
     bo_full_quantum_phase_parts,
     coupled_gho_one_form,
     elliptic_bound,

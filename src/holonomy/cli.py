@@ -219,8 +219,12 @@ def _loop_settings(*without: str) -> dict[str, Any]:
 
 
 def _loop_params(s: dict[str, Any], **overrides: Any) -> StandardLoopParams:
-    """The standard loop of the resolved settings ``s``, with ``overrides``."""
-    return StandardLoopParams(**({key: s.get(key, v) for key, v in _LOOP.items()} | overrides))
+    """The standard loop of the resolved settings ``s``, with ``overrides``; the coupling
+    ``k``, which the loop does not read, is checked after the drives, before the actions."""
+    settings = {key: s.get(key, v) for key, v in _LOOP.items() if key != "k"} | overrides
+    drives = StandardLoopParams(**settings | {"j_action": 0.0, "n_level": 0})
+    _require_coupling([s.get("k", 0.0)])
+    return replace(drives, j_action=settings["j_action"], n_level=settings["n_level"])
 
 
 def _hybrid_gho_row(report) -> Row:
@@ -241,12 +245,10 @@ def _hybrid_gho_row(report) -> Row:
 
 def _coupling_block(base: StandardLoopParams, ks: list[float], cap: int) -> Block:
     """The block of hybrid-gho rows of the loop ``base`` at each coupling in ``ks``."""
-    for k in ks:  # a negative k fails here, before any row runs
-        _require_coupling(k)
+    _require_coupling(ks)  # a negative k fails here, before any row runs
 
     def rows(which: list[int], n_samples: int) -> list:
-        reports = standard_loop_report(base, n_samples, check_samples=cap,
-                                       k=[ks[i] for i in which])
+        reports = standard_loop_report(base, [ks[i] for i in which], n_samples, check_samples=cap)
         return [out if isinstance(out, HolonomyError) else _hybrid_gho_row(out)
                 for out in reports]
 
@@ -255,7 +257,7 @@ def _coupling_block(base: StandardLoopParams, ks: list[float], cap: int) -> Bloc
 
 def _hybrid_gho_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
     base = _loop_params(s)  # checks the settings, k too when a sweep replaces it
-    ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
+    ks = [s["k"]] if cfg.sweep is None else _grid(cfg.sweep)
     return [_coupling_block(base, ks, s["n_samples"])]
 
 
@@ -307,10 +309,10 @@ def _gho_uncoupled_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Bloc
     params = [_loop_params(s, epsilon=eps) for eps in s["epsilons"]]
 
     def rows(which: list[int], n_samples: int) -> list:
-        block = [params[i] for i in which]
-        reports = standard_loop_report(block, n_samples, branch=BRANCH_COMMON)
+        block, ks = [params[i] for i in which], [0.0] * len(which)
+        reports = standard_loop_report(block, ks, n_samples, branch=BRANCH_COMMON)
         loop = combined_parameter_loop(block, n_samples)
-        phases = phases_from_one_form(coupled_gho_one_form(block, loop))
+        phases = phases_from_one_form(coupled_gho_one_form(block, loop, ks))
         return [report if isinstance(report, HolonomyError) else out
                 if isinstance(out, HolonomyError) else _gho_uncoupled_row(p, report, out)
                 for p, report, out in zip(block, reports, phases)]
@@ -329,8 +331,8 @@ def _hybrid_spin_osc_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Bl
         return spin_oscillator_loop(circle_loop(period=period, n_samples=n_samples),
                                     _gho_loop(triple, s["epsilon"], period, n_samples, 1))
 
-    # the model is checked here, on the loop of the ladder's first rung; lambda is each row's
-    model = SpinOscillatorHybrid(mu=s["mu"], lam=0.0, b_field=s["b_magnitude"],
+    # the model is checked here, on the loop of the ladder's first rung
+    model = SpinOscillatorHybrid(mu=s["mu"], b_field=s["b_magnitude"],
                                  loop=loop(_rungs(cap)[0]), i_plus=s["i_plus"],
                                  i_minus=s["i_minus"], j_action=s["j_action"])
     checked = _gho_points(triple, s["epsilon"], period, cap)
@@ -361,9 +363,8 @@ def _full_quantum_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block
     # once, when a block first reads it; ``cache`` stores no exception, so a
     # failing build stays each row's own typed error.
     combined_loop = cache(partial(combined_parameter_loop, base))
-    ks = [base.k] if cfg.sweep is None else _grid(cfg.sweep)
-    for k in ks:  # a negative k fails here, before any row runs
-        _require_coupling(k)
+    ks = [s["k"]] if cfg.sweep is None else _grid(cfg.sweep)
+    _require_coupling(ks)  # a negative k fails here, before any row runs
     # the three routes, each over the rows the checks and the routes before it left standing
     routes = (partial(full_quantum_phase, m=m_level, n=n_level),
               partial(bo_full_quantum_phase_parts, m=m_level, n=n_level),
@@ -427,7 +428,9 @@ def _oracle_classical_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[B
 
     def row(p: StandardLoopParams, n_samples: int) -> Row:
         loop = subsystem_parameter_loop(p, 2, n_samples)
-        report = standard_loop_report(p, max(DEFAULT_SAMPLES, n_samples))
+        (report,) = standard_loop_report(p, [0.0], max(DEFAULT_SAMPLES, n_samples))
+        if isinstance(report, HolonomyError):
+            raise report
         steps = recommended_steps_per_sample(loop, slowness, rate_scale=p.a2)
         qp0 = action_angle_to_qp(loop.points[0], s["j0"], s["phi0"])
         traj = propagate_classical(loop, qp0, slowness, steps)

@@ -35,10 +35,10 @@ from .manifold import (
     LoopSpec,
     QuadratureResult,
     StandardLoopParams,
-    _block_of,
     _drive_grid,
     _epsilon_block,
     _frequency_sq,
+    _require_coupling,
     _require_grid,
     closed_line_integral,
     periodic_integral,
@@ -50,29 +50,28 @@ _WEAK_COUPLING_MAX = 0.3  # largest allowed lam * Q_typ / B for the spin hybrid
 BRANCH_COMMON = "common"
 BRANCH_SUBSYSTEM = "per-subsystem"
 
-# A K block runs a route once for many couplings on one loop.  Where a coupled
-# route takes its coupling (``k``, which ``standard_loop_report`` and
-# ``coupled_gho_one_form`` otherwise read from ``p``; the spin hybrid's ``lam``),
-# a sequence of couplings gives each row its result or the ``HolonomyError`` its
-# own checks raise; a failure no coupling decides (a bare or fast triple's
-# frequency, a grid or loop that cannot be built) is raised for the whole block.
-# An epsilon block (params that differ only in epsilon, in place of ``p``) runs on
-# a loop block, where every check that reads a loop row is that row's own.  A
-# row-dependent sample array is a (K, M + 1) stack with the loop sample on its last
-# axis, which numpy sums pairwise row by row as it sums a 1-D array, and each row's
-# scalar factors (d^2, k^2, eps, a coefficient) are Python floats formed one row at
-# a time as a single call forms them, then stacked into a (K, 1) column: so every
-# row is bit for bit its single call, the block of one.  Arithmetic after a check
-# reads only the rows that passed it.
+# Every coupled route takes its couplings as a block, a sequence ``ks`` (the spin
+# hybrid's ``lams``), and gives each row its result or the ``HolonomyError`` its own
+# checks raise; one coupling is a block of one.  A negative k, or a failure no
+# coupling decides (a bare or fast triple's frequency, a grid or loop that cannot
+# be built), is raised for the whole block.  An epsilon block (params that differ
+# only in epsilon, in place of ``p``) takes one coupling per row and runs on a loop
+# block, where every check that reads a loop row is that row's own.  A row-dependent
+# sample array is a (K, M + 1) stack with the loop sample on its last axis, which
+# numpy sums pairwise row by row as it sums a 1-D array, and each row's scalar
+# factors (d^2, k^2, eps, a coefficient) are Python floats formed one row at a time,
+# then stacked into a (K, 1) column: so every row is bit for bit its block of one.
+# Arithmetic after a check reads only the rows that passed it.
 
 
-def _rows(p, k=None) -> tuple[bool, list[StandardLoopParams], list]:
-    """Whether ``p`` and ``k`` make a block, and each row's params and coupling:
-    an epsilon block's own, or ``p`` at each coupling of ``k`` (by default ``p.k``)."""
-    if isinstance(p, (list, tuple)):
-        return True, _epsilon_block(p)[2], [q.k for q in p]
-    block, ks = _block_of(p.k if k is None else k)
-    return block, [p] * len(ks), ks
+def _rows(p, ks) -> tuple[list[StandardLoopParams], list]:
+    """Each row's params and checked coupling: ``p`` at each coupling of ``ks``, or
+    an epsilon block ``p``'s rows, one coupling each (another count is a ``ValueError``)."""
+    ks = _require_coupling(ks)
+    qs = _epsilon_block(p)[2] if isinstance(p, (list, tuple)) else [p] * len(ks)
+    if len(qs) != len(ks):
+        raise ValueError(f"an epsilon block of {len(qs)} rows got {len(ks)} couplings")
+    return qs, ks
 
 
 def _column(factors: list[float]) -> np.ndarray:
@@ -91,16 +90,6 @@ def _merged(failed: dict[int, HolonomyError], results: list) -> list:
     return [failed[i] if i in failed else next(rest) for i in range(len(failed) + len(results))]
 
 
-def _outcome(block: bool, outcomes: list):
-    """A K block's ``outcomes``; for a single coupling, its one result, or its error raised."""
-    if block:
-        return outcomes
-    (out,) = outcomes
-    if isinstance(out, HolonomyError):
-        raise out
-    return out
-
-
 @dataclass(frozen=True)
 class LinearOneForm:
     """Sampled covector coefficients of a one-form affine in the actions.
@@ -111,16 +100,15 @@ class LinearOneForm:
     ``loop``; ``phases_from_one_form`` raises ``LengthMismatch`` for a column
     the loop does not have or a term of another length.
 
-    A K block's form (``coupled_gho_one_form``'s) holds (K', M + 1)
-    coefficient stacks, one row per member that has a one-form, in order, and
-    ``failed``, the error of each other member by its index in the block; a
-    single form's ``failed`` is None.
+    Each coefficient is a (K', M + 1) stack, a row per member of the form's block
+    that has a one-form, in order, or (M + 1,) samples its rows share; ``failed``
+    holds each other member's error by its index; a form with no such member has no terms.
     """
 
     loop: LoopSpec
     action_coeffs: dict[Hashable, Covector]
     j_coeff: Covector
-    failed: dict[int, HolonomyError] | None = None
+    failed: dict[int, HolonomyError]
 
 
 @dataclass(frozen=True)
@@ -158,18 +146,16 @@ class HybridPhaseReport:
     quadrature_error = PhaseSet.quadrature_error  # the quadratures' largest estimate
 
 
-def phases_from_one_form(a: LinearOneForm) -> PhaseSet | list[PhaseSet | HolonomyError]:
+def phases_from_one_form(a: LinearOneForm) -> list[PhaseSet | HolonomyError]:
     """Integrate a one-form's coefficients around its loop.
 
     Because the coefficients are affine in the actions, each quantum phase is
     the exact circulation of its action coefficient, and the angle shift is
-    minus the circulation of the classical-action coefficient.  A K block's
-    form gives each member's phases, or the error ``failed`` holds for it.
+    minus the circulation of the classical-action coefficient.  Each member of
+    the form's block gets its phases, or the error ``failed`` holds for it.
     """
     labels = list(a.action_coeffs)
     res = [closed_line_integral(c, a.loop) for c in (*a.action_coeffs.values(), a.j_coeff)]
-    if a.failed is None:
-        return _phase_set(labels, res)
     return _merged(a.failed, [_phase_set(labels, r) for r in zip(*res)] if a.j_coeff else [])
 
 
@@ -180,33 +166,21 @@ def _phase_set(labels: list[Hashable], quadratures) -> PhaseSet:
                     delta_phi=-res_j.value, quadratures=tuple(quadratures))
 
 
-def _form(block: bool, loop: LoopSpec, action_coeffs: dict, j_coeff: Covector,
-          failed: dict[int, HolonomyError]) -> LinearOneForm:
-    """A block's ``LinearOneForm``; a single call's, of each stack's one row, or its error raised."""
-    if block:
-        return LinearOneForm(loop, action_coeffs, j_coeff, failed)
-    if failed:
-        raise failed[0]
-    one = lambda cov: {key: c if c.ndim == 1 else c[0] for key, c in cov.items()}
-    return LinearOneForm(loop, {label: one(c) for label, c in action_coeffs.items()}, one(j_coeff))
-
-
-def spin_oscillator_one_form(m: SpinOscillatorHybrid, lam=None) -> LinearOneForm:
+def spin_oscillator_one_form(m: SpinOscillatorHybrid, lams) -> LinearOneForm:
     """One-form of the spin coupled to one classical oscillator.
 
     Coordinates are (cos phi, sin phi, X, Y, Z).  Each spin action couples to
     the azimuth with coefficient -1/2; the coupling correction enters the
     spin coefficients through the analytic action-derivative of the
     oscillator term, whose frequency is shifted by the population imbalance.
-    A lambda block ``lam`` (by default ``m.lam``) gives each row's form or error.
+    The form has a row per coupling of the lambda block ``lams``, or its error.
     """
-    block, lams = _block_of(m.lam if lam is None else lam)
     pts = m.loop.points
     _, y, z = pts[:, 2:].T
     omega_sq, omega, failed = spin_oscillator_frequency(m, pts[:, 2:], lams)
     lams = [lams[i] for i in _standing(len(lams), failed)]
     if not lams:
-        return _form(block, m.loop, {}, {}, failed)
+        return LinearOneForm(m.loop, {}, {}, failed)
     # -dphi / 2 on the circle embedding (c, s), where dphi = -s dc + c ds
     azimuth = {0: 0.5 * pts[:, 1], 1: -0.5 * pts[:, 0]}
     d_y_over_z, d_p = (m.loop.derived(_differential, r, 2) for r in (_y_over_z_rate, _p_rate))
@@ -216,19 +190,18 @@ def spin_oscillator_one_form(m: SpinOscillatorHybrid, lam=None) -> LinearOneForm
     # f d(Z/Omega), f = -Y/(2Z), with d(Omega^2) = dP + shift dZ and dZ column 4
     scale = y / (4.0 * omega * omega_sq)  # -f Z / (2 Omega^3)
     shifts = _column([m.frequency_shift_at(x) for x in lams])
-    return _form(block, m.loop, {"+": azimuth | {d_y_over_z: -correction},
-                                 "-": azimuth | {d_y_over_z: correction}},
-                 {4: -(y / (2.0 * z)) / omega + shifts * scale, d_p: scale}, failed)
+    return LinearOneForm(m.loop, {"+": azimuth | {d_y_over_z: -correction},
+                                  "-": azimuth | {d_y_over_z: correction}},
+                         {4: -(y / (2.0 * z)) / omega + shifts * scale, d_p: scale}, failed)
 
 
-def spin_oscillator_frequency(m: SpinOscillatorHybrid, xyz: np.ndarray, lam=None):
+def spin_oscillator_frequency(m: SpinOscillatorHybrid, xyz: np.ndarray, lams):
     """Omega^2 = (X + shift) Z - Y^2 and Omega of ``m``'s action-shifted
     oscillator at the rows (X, Y, Z) of ``xyz``, checked in this order:
     ``OmegaImaginary`` at the first sample where Omega^2 is not positive, then,
     for a positive action J, ``WeakCouplingViolated`` where the sampled maximum
-    of lam Q_typ / B, Q_typ = sqrt(2 Z J / Omega), passes 0.3.  A lambda block ``lam``
-    (by default ``m.lam``) gives the passing rows' stacks and the others' errors by index."""
-    block, lams = _block_of(m.lam if lam is None else lam)
+    of lam Q_typ / B, Q_typ = sqrt(2 Z J / Omega), passes 0.3.  Gives, of the
+    lambda block ``lams``, the passing rows' stacks and the others' errors by index."""
     x, y, z = xyz.T
     omega_sq = (x + _column([m.frequency_shift_at(v) for v in lams])) * z - y**2
     failed = failing_rows(omega_sq, lambda i, j: OmegaImaginary(
@@ -244,9 +217,7 @@ def spin_oscillator_frequency(m: SpinOscillatorHybrid, xyz: np.ndarray, lam=None
                    for i, ratio in zip(standing, ratios.tolist()) if ratio > _WEAK_COUPLING_MAX}
         kept = [j for j, i in enumerate(standing) if i not in failed]
         omega_sq, omega = omega_sq[kept], omega[kept]
-    if failed and not block:
-        raise failed[0]
-    return (omega_sq, omega, failed) if block else (omega_sq[0], omega[0])
+    return omega_sq, omega, failed
 
 
 def _p_rate(x: np.ndarray, v: np.ndarray, col: int) -> np.ndarray:
@@ -331,7 +302,7 @@ def _elliptic_failures(qs: list[StandardLoopParams], ks: list) -> dict[int, Holo
             for i, (k, m) in enumerate(zip(ks, margins)) if not m > 0.0}
 
 
-def coupled_gho_one_form(p, loop: LoopSpec, k=None) -> LinearOneForm:
+def coupled_gho_one_form(p, loop: LoopSpec, ks) -> LinearOneForm:
     """One-form of the quantum oscillator coupled to the classical one.
 
     ``loop`` carries the concatenated triples (X1, Y1, Z1, X2, Y2, Z2) over
@@ -339,15 +310,15 @@ def coupled_gho_one_form(p, loop: LoopSpec, k=None) -> LinearOneForm:
     them.  The quantum-action coefficient multiplies d(Y1/Z1); the
     classical-action coefficient collects the coupling back-reaction on
     d(Y1/Z1) together with the slow oscillator's own d(Z2/Omega) term.  The
-    coupling is ``k``, by default ``p.k``; a K block ``k``, or an epsilon
-    block ``p`` on its loop block, gives each row's form or error.
+    form has a row per coupling of the K block ``ks``, or of an epsilon block
+    ``p`` on its loop block, or its error.
     """
-    block, qs, ks = _rows(p, k)
+    qs, ks = _rows(p, ks)
     failed = _elliptic_failures(qs, ks)
     loop, g, omega_sq = _slow_frequency_sq(loop, ks, failed)
     standing = _standing(len(ks), failed)
     if not standing:
-        return _form(block, loop, {}, {}, failed)
+        return LinearOneForm(loop, {}, {}, failed)
     ksq = [ks[i]**2 for i in standing]
     omega = np.sqrt(omega_sq)
     back = g.back / omega  # Z1 u / (4 omega1^2 Omega)
@@ -360,7 +331,7 @@ def coupled_gho_one_form(p, loop: LoopSpec, k=None) -> LinearOneForm:
                      + _column([2.0 * x * qs[i].j_action for x, i in zip(ksq, standing)]) * back}
     j_coeff = {g.d_y1z1: _column([2.0 * x for x in ksq]) * back, 5: g.slow / omega,
                g.d_p2: scale, g.d_u: _column([-x for x in ksq]) * scale}
-    return _form(block, loop, {nl: quantum_coeff}, j_coeff, failed)
+    return LinearOneForm(loop, {nl: quantum_coeff}, j_coeff, failed)
 
 
 # Read at a row's cap alone, whose samples each rung takes at a stride: a sweep from
@@ -424,6 +395,7 @@ def mode_collapses(p: StandardLoopParams, ks: list, n_samples: int) -> list[Mode
     ``n_samples`` samples (``combined_parameter_loop``), or None: the lower
     normal mode closes where the effective-frequency core does
     (``_core_margins``), so this is one comparison per coupling."""
+    ks = _require_coupling(ks)
     f1f2 = _drive_profile((p.epsilon,), p.omega1, p.omega2, p.common_period, n_samples)[0]
     failed = {}
     _core_margins([p] * len(ks), ks, f1f2, ModeCollapse, failed)
@@ -454,11 +426,11 @@ def elliptic_bound(p: StandardLoopParams) -> tuple[float, float]:
 
 def standard_loop_report(
     p,
+    ks,
     n_samples: int = DEFAULT_SAMPLES,
     branch: str | None = None,
     check_samples: int | None = None,
-    k=None,
-) -> HybridPhaseReport:
+) -> list[HybridPhaseReport | HolonomyError]:
     """Phases and angle of the standard coupled-oscillator hybrid.
 
     The uncoupled quantum part comes from its closed form; the remaining
@@ -469,11 +441,11 @@ def standard_loop_report(
     phase and angle corrections holds to rounding.  The sampled elliptic check
     and ``elliptic_margin`` read ``check_samples`` samples (by default
     ``n_samples``), a multiple of ``n_samples``, and the quadratures every
-    ``check_samples // n_samples``-th of them.  The coupling is ``k``, by
-    default ``p.k``; for a K block ``k``, or an epsilon block ``p``, the
-    result is each row's report or the ``HolonomyError`` it raised.
+    ``check_samples // n_samples``-th of them.  The result has, for each
+    coupling of the K block ``ks`` (or row of an epsilon block ``p``, one
+    coupling each), its report or the ``HolonomyError`` it raised.
     """
-    block, qs, ks = _rows(p, k)
+    qs, ks = _rows(p, ks)
     if branch not in (None, BRANCH_COMMON, BRANCH_SUBSYSTEM):
         raise ValueError(f"unknown branch {branch!r}")
     if branch == BRANCH_SUBSYSTEM and any(x != 0.0 for x in ks):
@@ -485,7 +457,7 @@ def standard_loop_report(
         rows = [i for i, x in enumerate(branches) if x == b]
         reports |= zip(rows, _branch_reports([qs[i] for i in rows], [ks[i] for i in rows],
                                              n_samples, b, check_samples))
-    return _outcome(block, [reports[i] for i in range(len(ks))])
+    return [reports[i] for i in range(len(ks))]
 
 
 def _branch_reports(qs: list[StandardLoopParams], ks: list, n_samples: int, branch: str,
@@ -591,19 +563,19 @@ def _normal_mode_squares(w1_sq: np.ndarray, w2_sq: np.ndarray, kzz: np.ndarray):
     return high_sq, product / high_sq, sin_sq, failed
 
 
-def full_quantum_phase(loop: LoopSpec, k, m: int, n: int) -> QuadratureResult:
+def full_quantum_phase(loop: LoopSpec, ks, m: int, n: int) -> list[QuadratureResult | ModeCollapse]:
     """Phase of the fully quantum coupled-oscillator state with m quanta in
     the upper normal mode and n in the lower, as its quadrature.
 
     ``loop`` is the combined loop of both triples (``combined_parameter_loop``).
     Evaluates the normal-mode connection coefficients sample by sample and
-    integrates around it.  Raises ``ModeCollapse`` when the coupling closes
-    the lower mode anywhere along the loop.  For a K block ``k``, returns
-    each row's quadrature or ``ModeCollapse``.
+    integrates around it.  Returns, for each coupling of the K block ``ks``,
+    its quadrature or its ``ModeCollapse`` where the coupling closes the lower
+    mode anywhere along the loop.
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
-    block, ks = _block_of(k)
+    ks = _require_coupling(ks)
     g = loop.derived(_pair_geometry)
     d_y2z2 = loop.derived(_differential, _y_over_z_rate, 3)
     require_positive(g.w_sq, lambda j: EllipticViolation(
@@ -616,23 +588,23 @@ def full_quantum_phase(loop: LoopSpec, k, m: int, n: int) -> QuadratureResult:
     x = loop.points
     t1 = x[:, 2] / 4.0 * ((2 * m + 1) * cos_sq / high + (2 * n + 1) * sin_sq / low)
     t2 = x[:, 5] / 4.0 * ((2 * m + 1) * sin_sq / high + (2 * n + 1) * cos_sq / low)
-    return _outcome(block, _merged(failed, closed_line_integral({g.d_y1z1: t1, d_y2z2: t2}, loop)))
+    return _merged(failed, closed_line_integral({g.d_y1z1: t1, d_y2z2: t2}, loop))
 
 
-def bo_full_quantum_phase_parts(loop: LoopSpec, k, m: int,
-                                n: int) -> tuple[QuadratureResult, QuadratureResult]:
+def bo_full_quantum_phase_parts(loop: LoopSpec, ks, m: int, n: int) -> list[
+        tuple[QuadratureResult, QuadratureResult] | HolonomyError]:
     """The two quadratures of the slow/fast-separated quantum phase around
     the combined loop: the d(Y1/Z1) part and the d(Y2/Z2) part.
 
     Here ``n`` counts the fast oscillator's level and ``m`` the slow one's
     (unlike ``full_quantum_phase``, whose ``m`` counts the upper normal
     mode).  Actions are in units of hbar, so callers comparing against the
-    hybrid phases set J = m + 1/2 themselves.  For a K block ``k``, returns
-    each row's pair or effective-frequency ``EllipticViolation``.
+    hybrid phases set J = m + 1/2 themselves.  Returns, for each coupling of
+    the K block ``ks``, its pair or effective-frequency ``EllipticViolation``.
     """
     if m < 0 or n < 0:
         raise ValueError("mode occupation numbers must be nonnegative")
-    block, ks = _block_of(k)
+    ks = _require_coupling(ks)
     g = loop.derived(_pair_geometry)
     d_y2z2 = loop.derived(_differential, _y_over_z_rate, 3)
     failed = {}
@@ -643,10 +615,4 @@ def bo_full_quantum_phase_parts(loop: LoopSpec, k, m: int,
     t1 = (2 * n + 1) * g.fast + _column([(2 * m + 1) * ks[i]**2 for i in standing]) * g.back / omega
     t2 = (2 * m + 1) * (loop.points[:, 5] / 4.0) / omega
     parts = zip(closed_line_integral({g.d_y1z1: t1}, loop), closed_line_integral({d_y2z2: t2}, loop))
-    return _outcome(block, _merged(failed, list(parts)))
-
-
-def bo_full_quantum_phase(loop: LoopSpec, k: float, m: int, n: int) -> float:
-    """Slow/fast-separated quantum phase (sum of both quadrature pieces)."""
-    p1, p2 = bo_full_quantum_phase_parts(loop, k, m, n)
-    return p1.value + p2.value
+    return _merged(failed, list(parts))

@@ -51,11 +51,11 @@ class LoopSpec:
 
     ``points``, shape (M + 1, d), holds the M + 1 samples at ``times``, which
     are derived: ``np.linspace(0, period, M + 1)``.  The last point must
-coincide with the first (relative tolerance 1e-12).  A loop block of E
+    coincide with the first (relative tolerance 1e-12).  A loop block of E
     loops holds an (E, M + 1, d) stack, each row closed, and its velocities and
-    pullbacks have the row axis first (``upsampled`` takes one loop).  ``cycles`` records
-    how many base cycles the curve contains; phase computations use it for
-    branch bookkeeping on multi-cycle loops.  Points are not checked here: a
+    pullbacks have the row axis first (``upsampled`` takes one loop).  ``cycles``
+    records how many base cycles the curve contains; phase computations use it
+    for branch bookkeeping on multi-cycle loops.  Points are not checked here: a
     non-finite interior point reaches the consumer, whose guard names the
     sample.  ``points`` is a read-only copy, so the spectrum taken on first
     use, and the velocities cached from it or its drives, never go stale.
@@ -404,7 +404,6 @@ class StandardLoopParams:
     n2: int
     base_rate: float
     epsilon: float
-    k: float = 0.0
     j_action: float = 1.0
     n_level: int = 0
 
@@ -420,7 +419,6 @@ class StandardLoopParams:
             raise ValueError(f"(n1, n2)=({self.n1}, {self.n2}) must be a reduced pair")
         if not (0.0 <= self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        _require_coupling(self.k)
         if self.j_action < 0:
             raise ValueError("j_action must be nonnegative")
         if self.n_level < 0:
@@ -449,10 +447,11 @@ class StandardLoopParams:
         return 1.0 - self.epsilon**2 - 2.0 * self.d_ratio_at(k)**2 * (1.0 + self.epsilon) ** 2
 
 
-def _require_coupling(k: float) -> None:
-    """A coupling must be nonnegative (``ValueError``)."""
-    if k < 0:
+def _require_coupling(ks) -> list:
+    """The couplings of the sequence ``ks`` as a list; each must be nonnegative (``ValueError``)."""
+    if any(k < 0 for k in ks):
         raise ValueError("coupling k must be nonnegative")
+    return list(ks)
 
 
 def _block_of(values) -> tuple[bool, list]:

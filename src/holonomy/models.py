@@ -61,7 +61,6 @@ class SpinOscillatorHybrid:
     """
 
     mu: float
-    lam: float
     b_field: float
     loop: LoopSpec
     i_plus: float

@@ -26,10 +26,10 @@ def report(number: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def std_params(eps=EPS_PAPER, k=0.0, n1=1, n2=1, j_action=1.0, n_level=0, **kw):
+def std_params(eps=EPS_PAPER, n1=1, n2=1, j_action=1.0, n_level=0, **kw):
     return H.StandardLoopParams(
         a1=kw.pop("a1", 1.0), a2=kw.pop("a2", 1.0), mu1=1.0, mu2=1.0,
-        n1=n1, n2=n2, base_rate=1.0, epsilon=eps, k=k,
+        n1=n1, n2=n2, base_rate=1.0, epsilon=eps,
         j_action=j_action, n_level=n_level, **kw,
     )
 
@@ -104,11 +104,12 @@ def test_criterion_05_uncoupled_gho():
     t0 = time.perf_counter()
     worst = 0.0
     for eps in (0.1, 0.5, EPS_PAPER):
-        p = std_params(eps=eps, k=0.0)
+        p = std_params(eps=eps)
         closed = H.gamma_n0_closed_form(p, H.BRANCH_COMMON)
-        quad = H.phases_from_one_form(
-            H.coupled_gho_one_form(p, H.combined_parameter_loop(p))
-        ).gammas[0]
+        [phases] = H.phases_from_one_form(
+            H.coupled_gho_one_form(p, H.combined_parameter_loop(p), [0.0])
+        )
+        quad = phases.gammas[0]
         worst = max(worst, abs(quad / closed - 1.0))
     ref = H.gamma_n0_closed_form(std_params(eps=EPS_PAPER), H.BRANCH_COMMON)
     value_ok = abs(ref - math.pi / 2) < 1e-12
@@ -122,8 +123,8 @@ def test_criterion_06_uncoupled_correspondence():
     worst = 0.0
     for n1, n2 in ((1, 1), (2, 1), (3, 2)):
         for n in (0, 1, 2):
-            p = std_params(eps=EPS_PAPER, k=0.0, n1=n1, n2=n2, n_level=n)
-            rep = H.standard_loop_report(p, branch=H.BRANCH_COMMON)
+            p = std_params(eps=EPS_PAPER, n1=n1, n2=n2, n_level=n)
+            [rep] = H.standard_loop_report(p, [0.0], branch=H.BRANCH_COMMON)
             resid = abs(
                 rep.gamma_0_part + (n + 0.5) * (p.omega1 / p.omega2) * rep.delta_phi_0_part
             ) / abs(rep.gamma_0_part)
@@ -133,12 +134,11 @@ def test_criterion_06_uncoupled_correspondence():
 
 
 def test_criterion_07_coupling_identity():
-    p0 = std_params(eps=EPS_PAPER, k=0.0, j_action=2.0)
-    _, k_max = H.elliptic_bound(p0)
+    p = std_params(eps=EPS_PAPER, j_action=2.0)
+    _, k_max = H.elliptic_bound(p)
     worst = 0.0
     for kval in np.geomspace(1e-3 * k_max, 0.95 * k_max, 50):
-        p = std_params(eps=EPS_PAPER, k=float(kval), j_action=2.0)
-        rep = H.standard_loop_report(p)
+        [rep] = H.standard_loop_report(p, [float(kval)])
         resid = abs(rep.gamma_I_part + p.j_action * rep.delta_phi_I_part)
         worst = max(worst, resid / abs(rep.gamma_I_part))
     report(7, "gamma_I = -(J/hbar) delta_phi_I within 1e-12 on a 50-point grid",
@@ -146,12 +146,11 @@ def test_criterion_07_coupling_identity():
 
 
 def test_criterion_08_weak_coupling():
-    p0 = std_params(eps=EPS_PAPER, k=0.0, n1=2, n2=1)
-    _, k_max = H.elliptic_bound(p0)
+    p = std_params(eps=EPS_PAPER, n1=2, n2=1)
+    _, k_max = H.elliptic_bound(p)
     errs = []
     for frac in (0.1, 0.05, 0.025, 0.0125):
-        p = std_params(eps=EPS_PAPER, k=frac * k_max, n1=2, n2=1)
-        rep = H.standard_loop_report(p)
+        [rep] = H.standard_loop_report(p, [frac * k_max])
         errs.append(abs(rep.gamma_I_part / rep.gamma_I_approx - 1.0))
     monotone = all(b < a for a, b in zip(errs, errs[1:]))
     report(8, "weak-coupling approximation within 5% at D = 0.1 D_max, improving as D halves",
@@ -159,44 +158,39 @@ def test_criterion_08_weak_coupling():
 
 
 def test_criterion_09_elliptic_bound():
-    d_max, k_max = H.elliptic_bound(std_params(eps=EPS_PAPER))
+    p = std_params(eps=EPS_PAPER)
+    d_max, k_max = H.elliptic_bound(p)
     value_ok = abs(d_max - 0.18947) <= 1e-5
-    raised = False
-    try:
-        H.standard_loop_report(std_params(eps=EPS_PAPER, k=1.001 * k_max))
-    except H.EllipticViolation:
-        raised = True
-    raised_form = False
-    p = std_params(eps=EPS_PAPER, k=1.001 * k_max)
-    try:
-        H.coupled_gho_one_form(p, H.combined_parameter_loop(p))
-    except H.EllipticViolation:
-        raised_form = True
-    report(9, "D_max(eps) = 0.18947 +/- 1e-5; beyond it every path raises, never NaN",
-           value_ok and raised and raised_form, f"d_max={d_max:.6f}")
+    [out] = H.standard_loop_report(p, [1.001 * k_max])
+    [out_form] = H.phases_from_one_form(
+        H.coupled_gho_one_form(p, H.combined_parameter_loop(p), [1.001 * k_max]))
+    failed = type(out) is type(out_form) is H.EllipticViolation
+    report(9, "D_max(eps) = 0.18947 +/- 1e-5; beyond it every path's row is EllipticViolation, "
+           "never NaN", value_ok and failed, f"d_max={d_max:.6f}")
 
 
 def test_criterion_10_full_quantum_consistency():
-    p = std_params(eps=0.5, k=0.0, n1=2, n2=1, a1=2.0)
+    p = std_params(eps=0.5, n1=2, n2=1, a1=2.0)
     loop1, loop2 = H.standard_parameter_loops(p, 2048)
     loop = H.combined_parameter_loop(p, 2048)
     # (a) zero-coupling reduction to two independent oscillator phases
-    total = H.full_quantum_phase(loop, 0.0, 1, 2).value
+    total = H.full_quantum_phase(loop, [0.0], 1, 2)[0].value
     split = H.single_gho_phase(loop1, 1).value + H.single_gho_phase(loop2, 2).value
     err_a = abs(total - split)
     # (b) fast part of the separated phase vs hybrid phase at J = m + 1/2
     kc, m, n = 0.15, 1, 2
-    ph = H.phases_from_one_form(
+    [ph] = H.phases_from_one_form(
         H.coupled_gho_one_form(
-            std_params(eps=0.5, k=kc, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n),
-            loop,
+            std_params(eps=0.5, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n),
+            loop, [kc],
         )
     )
-    part1, _ = H.bo_full_quantum_phase_parts(loop, kc, m, n)
+    [(part1, _)] = H.bo_full_quantum_phase_parts(loop, [kc], m, n)
     err_b = abs(part1.value / ph.gammas[n] - 1.0)
-    # (c) minus the level-index difference reproduces the angle shift
-    g_m = H.bo_full_quantum_phase(loop, kc, m, n)
-    g_m1 = H.bo_full_quantum_phase(loop, kc, m + 1, n)
+    # (c) minus the level-index difference reproduces the angle shift; the
+    # separated phase is the sum of its two quadratures
+    g_m, g_m1 = (sum(q.value for q in H.bo_full_quantum_phase_parts(loop, [kc], level, n)[0])
+                 for level in (m, m + 1))
     err_c = abs(-(g_m1 - g_m) - ph.delta_phi)
     report(10, "full-quantum reductions: (a) 1e-10, (b) 1e-9, (c) 1e-9",
            err_a <= 1e-10 and err_b <= 1e-9 and err_c <= 1e-9,
@@ -240,9 +234,9 @@ def test_criterion_12_classical_oracle():
     ok = True
     details = []
     for eps in (0.3, EPS_PAPER):
-        p = std_params(eps=eps, k=0.0)
+        p = std_params(eps=eps)
         loop = H.subsystem_parameter_loop(p, 2, 256)
-        rep = H.standard_loop_report(p)
+        [rep] = H.standard_loop_report(p, [0.0])
         qp0 = H.action_angle_to_qp(loop.points[0], 1.0, 0.3)
         sps = H.recommended_steps_per_sample(loop, 1000.0)
         traj = H.propagate_classical(loop, qp0, 1000.0, sps)

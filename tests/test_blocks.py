@@ -1,6 +1,6 @@
 """A coupling sweep runs as one K block, a gho-uncoupled table as one
 epsilon block and a hybrid-spin-osc table as one lambda block: each route
-takes the block's rows at once, and every row equals its one-row call bit for
+takes the block's rows at once, and every row equals its block of one bit for
 bit, in each quadrature's value, error estimate and scale, in its elliptic
 margin, in its typed error and the sample that error names, and in the rung of
 the sample ladder where it stops."""
@@ -58,11 +58,17 @@ def bits(value):
 
 
 def alone(call):
-    """A one-K call's result, or the error it raises."""
+    """A call's result, or the error it raises."""
     try:
         return call()
     except (HolonomyError, ArithmeticError) as exc:
         return exc
+
+
+def one_row(call):
+    """The outcome of a block of one: its one row, or the error the call raises."""
+    outcome = alone(call)
+    return outcome if isinstance(outcome, BaseException) else outcome[0]
 
 
 def block_of(call, count):
@@ -107,24 +113,18 @@ def test_every_block_row_is_its_one_k_call(ratio, eps, scales, cap, levels, shar
                               base_rate=1.0, epsilon=eps, n_level=n_level, j_action=m_level + 0.5)
     k_max = elliptic_bound(base)[1]
     ks = [0.0, *(share * k_max for share in shares)]
-    one = [replace(base, k=k) for k in ks]
     assert bits(block_of(lambda: mode_collapses(base, ks, cap), len(ks))) == bits(
-        [alone(lambda p=p: mode_collapses(p, [p.k], cap)[0]) for p in one])
+        [one_row(lambda k=k: mode_collapses(base, [k], cap)) for k in ks])
 
     rungs = cli._rungs(cap)
     for n in rungs:
-        reports = block_of(lambda: standard_loop_report(base, n, check_samples=cap, k=ks), len(ks))
-        assert bits(reports) == bits(
-            [alone(lambda p=p: standard_loop_report(p, n, check_samples=cap)) for p in one])
         loop = combined_parameter_loop(base, n)
-        for route in (lambda k: full_quantum_phase(loop, k, m_level, n_level),
-                      lambda k: bo_full_quantum_phase_parts(loop, k, m_level, n_level)):
+        for route in (lambda ks: standard_loop_report(base, ks, n, check_samples=cap),
+                      lambda ks: full_quantum_phase(loop, ks, m_level, n_level),
+                      lambda ks: bo_full_quantum_phase_parts(loop, ks, m_level, n_level),
+                      lambda ks: phases_from_one_form(coupled_gho_one_form(base, loop, ks))):
             assert bits(block_of(lambda: route(ks), len(ks))) == bits(
-                [alone(lambda k=k: route(k)) for k in ks])
-        phases = block_of(lambda: phases_from_one_form(coupled_gho_one_form(base, loop, ks)),
-                          len(ks))
-        assert bits(phases) == bits(
-            [alone(lambda p=p: phases_from_one_form(coupled_gho_one_form(p, loop))) for p in one])
+                [one_row(lambda k=k: route([k])) for k in ks])
 
     # the ladder: each row stops at the rung where it stops alone, with the same outcome
     s = {**cli._resolve({"n1": ratio[0], "n2": ratio[1], "a1": a1, "a2": a2, "mu1": mu1,
@@ -158,30 +158,38 @@ def test_every_epsilon_block_row_is_its_one_row_call(ratio, scales, extreme, eps
     """Rows that differ only in epsilon, at one coupling that the bound of
     some rows admits and of others not, some with a frequency squared that
     underflows to 0: every row of the report, of the one-form on the loop
-    block and of the gho-uncoupled ladder is its one-row call."""
+    block and of the gho-uncoupled ladder is its block of one."""
     settings_ = dict(zip(("a1", "a2", "mu1", "mu2"), (10.0**e for e in scales)), **extreme)
     base = StandardLoopParams(**settings_, n1=ratio[0], n2=ratio[1], base_rate=1.0, epsilon=0.0,
                               n_level=n_level)
     # the first row's bound: a larger epsilon has a smaller one
     k = share * elliptic_bound(replace(base, epsilon=epsilons[0]))[1]
-    ps = [replace(base, epsilon=eps, k=k) for eps in epsilons]
+    ps = [replace(base, epsilon=eps) for eps in epsilons]
+    ks = [k] * len(ps)  # one coupling per row
     branch = BRANCH_COMMON if common or k else None
     rungs = cli._rungs(cap)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for n in rungs:
             assert_rows_alone(
-                lambda: standard_loop_report(ps, n, branch=branch, check_samples=cap),
-                [alone(lambda p=p: standard_loop_report(p, n, branch=branch, check_samples=cap))
-                 for p in ps])
+                lambda: standard_loop_report(ps, ks, n, branch=branch, check_samples=cap),
+                [one_row(lambda p=p: standard_loop_report(p, [k], n, branch=branch,
+                                                          check_samples=cap)) for p in ps])
             assert_rows_alone(
-                lambda: phases_from_one_form(coupled_gho_one_form(ps, combined_parameter_loop(ps, n))),
-                [alone(lambda p=p: phases_from_one_form(coupled_gho_one_form(
-                    p, combined_parameter_loop(p, n)))) for p in ps])
+                lambda: phases_from_one_form(coupled_gho_one_form(
+                    ps, combined_parameter_loop(ps, n), ks)),
+                [one_row(lambda p=p: phases_from_one_form(coupled_gho_one_form(
+                    p, combined_parameter_loop(p, n), [k]))) for p in ps])
         s = {**cli._resolve(dict(settings_, n1=ratio[0], n2=ratio[1], n_level=n_level,
                                  epsilons=epsilons), cli._EXPERIMENTS["gho-uncoupled"][3]),
              "n_samples": cap}
         (block,) = cli._gho_uncoupled_points(cli.ExperimentConfig("gho-uncoupled"), s)
         assert_ladder_rows_alone(block, rungs)
+
+
+def frequency_row(m, xyz, lam):
+    """The frequency check's block of one at ``lam``: its error, or its (Omega^2, Omega)."""
+    omega_sq, omega, failed = spin_oscillator_frequency(m, xyz, [lam])
+    return failed[0] if failed else (omega_sq[0], omega[0])
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -192,7 +200,7 @@ def test_every_epsilon_block_row_is_its_one_row_call(ratio, scales, extreme, eps
 def test_every_lambda_block_row_is_its_one_row_call(eps, scales, actions, lambdas, cap):
     """Couplings past the weak-coupling limit, and frequency shifts that make
     Omega^2 negative where I- > I+: every row of the frequency check, of the
-    one-form and of the hybrid-spin-osc ladder is its one-row call."""
+    one-form and of the hybrid-spin-osc ladder is its block of one."""
     a, mass, b_field = (10.0**e for e in scales)
     i_plus, i_minus, j_action = actions
     rungs = cli._rungs(cap)
@@ -200,17 +208,16 @@ def test_every_lambda_block_row_is_its_one_row_call(eps, scales, actions, lambda
         for n in rungs:
             loop = spin_oscillator_loop(circle_loop(2 * np.pi, n),
                                         _gho_loop([(a, mass, 1.0)], eps, 2 * np.pi, n, 1))
-            m = SpinOscillatorHybrid(mu=1.0, lam=0.0, b_field=b_field, loop=loop, i_plus=i_plus,
+            m = SpinOscillatorHybrid(mu=1.0, b_field=b_field, loop=loop, i_plus=i_plus,
                                      i_minus=i_minus, j_action=j_action)
-            one = [replace(m, lam=lam) for lam in lambdas]
-            omega_sq, omega, failed = spin_oscillator_frequency(m, loop.points[:, 2:], lambdas)
+            xyz = loop.points[:, 2:]
+            omega_sq, omega, failed = spin_oscillator_frequency(m, xyz, lambdas)
             rest = iter(zip(omega_sq, omega))
             assert bits([failed[i] if i in failed else next(rest) for i in range(len(lambdas))]) \
-                == bits([alone(lambda q=q: spin_oscillator_frequency(q, loop.points[:, 2:]))
-                         for q in one])
+                == bits([alone(lambda lam=lam: frequency_row(m, xyz, lam)) for lam in lambdas])
             assert_rows_alone(lambda: phases_from_one_form(spin_oscillator_one_form(m, lambdas)),
-                              [alone(lambda q=q: phases_from_one_form(spin_oscillator_one_form(q)))
-                               for q in one])
+                              [one_row(lambda lam=lam: phases_from_one_form(
+                                  spin_oscillator_one_form(m, [lam]))) for lam in lambdas])
         s = {**cli._resolve({"a": a, "m": mass, "b_magnitude": b_field, "epsilon": eps,
                              "i_plus": i_plus, "i_minus": i_minus, "j_action": j_action,
                              "lambdas": lambdas}, cli._EXPERIMENTS["hybrid-spin-osc"][3]),

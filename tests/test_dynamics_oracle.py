@@ -42,7 +42,7 @@ def constant_field_loop(n=64):
 
 def std_params(eps=EPS_PAPER):
     return StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, n1=1, n2=1,
-                              base_rate=1.0, epsilon=eps, k=0.0, j_action=1.0)
+                              base_rate=1.0, epsilon=eps, j_action=1.0)
 
 
 def three_level_family():
@@ -395,7 +395,7 @@ class TestPropagateClassical:
     def test_matches_quadrature_moderate_slowness(self):
         p = std_params(eps=0.5)
         loop = subsystem_parameter_loop(p, 2, 128)
-        rep = standard_loop_report(p)
+        [rep] = standard_loop_report(p, [0.0])
         qp0 = action_angle_to_qp(loop.points[0], 1.0, 0.3)
         sps = recommended_steps_per_sample(loop, 400.0)
         traj = propagate_classical(loop, qp0, 400.0, sps)

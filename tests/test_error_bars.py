@@ -95,10 +95,10 @@ def test_coupled_one_form_at_zero_coupling(data, ratio, m):
     classical coefficient to minus the slow oscillator's Hannay angle."""
     p = standard_params(data.draw, *ratio)
     loop = combined_parameter_loop(p, m)
-    form = coupled_gho_one_form(p, loop)
-    assert_honest(closed_line_integral(form.action_coeffs[p.n_level], loop),
+    form = coupled_gho_one_form(p, loop, [0.0])
+    assert_honest(closed_line_integral(form.action_coeffs[p.n_level], loop)[0],
                   (p.n_level + 0.5) * uncoupled_angle(p, p.common_period * p.omega1))
-    assert_honest(closed_line_integral(form.j_coeff, loop),
+    assert_honest(closed_line_integral(form.j_coeff, loop)[0],
                   uncoupled_angle(p, p.common_period * p.omega2))
 
 
@@ -111,5 +111,5 @@ def test_estimate_is_blind_to_a_symmetry_its_half_count_shares():
     p = StandardLoopParams(a1=1.3, a2=0.7, mu1=0.8, mu2=1.5, n1=1, n2=2, base_rate=1.0,
                            epsilon=0.95)
     loop = combined_parameter_loop(p, 34)
-    assert_honest(closed_line_integral(coupled_gho_one_form(p, loop).j_coeff, loop),
+    assert_honest(closed_line_integral(coupled_gho_one_form(p, loop, [0.0]).j_coeff, loop)[0],
                   uncoupled_angle(p, p.common_period * p.omega2))

@@ -65,7 +65,7 @@ def mode_collapse_k(loop):
 
 def test_richardson_error_falls_16_fold_per_doubling():
     p = criterion_10_params(0.5)
-    ref = full_quantum_phase(combined_parameter_loop(p, 4096), 0.4, 0, 0).value
+    ref = full_quantum_phase(combined_parameter_loop(p, 4096), [0.4], 0, 0)[0].value
     errors = [abs(richardson(p, 0.4, m) - ref) for m in (128, 256)]
     assert 12.0 < errors[0] / errors[1] < 20.0, errors
 
@@ -79,4 +79,4 @@ def test_gaussian_wilson_loop_matches_full_quantum_phase(eps, collapse_fraction)
     p = criterion_10_params(eps)
     loop = combined_parameter_loop(p, 4096)
     k = collapse_fraction * mode_collapse_k(loop)
-    assert abs(richardson(p, k, 256) - full_quantum_phase(loop, k, 0, 0).value) <= 2e-6
+    assert abs(richardson(p, k, 256) - full_quantum_phase(loop, [k], 0, 0)[0].value) <= 2e-6

@@ -23,7 +23,6 @@ from holonomy import (
     StandardLoopParams,
     TooFewSamples,
     WeakCouplingViolated,
-    bo_full_quantum_phase,
     bo_full_quantum_phase_parts,
     circle_loop,
     closed_line_integral,
@@ -46,10 +45,10 @@ from holonomy.cli import ExperimentConfig, execute
 EPS_PAPER = math.sqrt(3.0) / 2.0
 
 
-def std_params(eps=EPS_PAPER, k=0.0, n1=1, n2=1, j_action=1.0, n_level=0, **kw):
+def std_params(eps=EPS_PAPER, n1=1, n2=1, j_action=1.0, n_level=0, **kw):
     return StandardLoopParams(
         a1=kw.pop("a1", 1.0), a2=kw.pop("a2", 1.0), mu1=1.0, mu2=1.0,
-        n1=n1, n2=n2, base_rate=1.0, epsilon=eps, k=k,
+        n1=n1, n2=n2, base_rate=1.0, epsilon=eps,
         j_action=j_action, n_level=n_level, **kw,
     )
 
@@ -65,10 +64,10 @@ def triple_loop(a=1.0, m=1.0, eps=0.5, n_samples=1024, period=2 * math.pi):
     return LoopSpec(period, pts, cycles=1)
 
 
-def spin_osc(lam, eps=0.5, j_action=1.0, i_plus=1.0, i_minus=0.0, n_samples=1024):
+def spin_osc(eps=0.5, j_action=1.0, i_plus=1.0, i_minus=0.0, n_samples=1024):
     period = 2 * math.pi
     return SpinOscillatorHybrid(
-        mu=1.0, lam=lam, b_field=1.0,
+        mu=1.0, b_field=1.0,
         loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n_samples),
                                   triple_loop(eps=eps, n_samples=n_samples, period=period)),
         i_plus=i_plus, i_minus=i_minus, j_action=j_action,
@@ -77,7 +76,8 @@ def spin_osc(lam, eps=0.5, j_action=1.0, i_plus=1.0, i_minus=0.0, n_samples=1024
 
 def mismatched_one_form():
     loop = triple_loop(n_samples=64)
-    return LinearOneForm(loop=loop, action_coeffs={0: {1: np.zeros(65)}}, j_coeff={2: np.zeros(64)})
+    return LinearOneForm(loop=loop, action_coeffs={0: {1: np.zeros(65)}}, j_coeff={2: np.zeros(64)},
+                         failed={})
 
 
 # (error, what the message names, the call)
@@ -85,21 +85,43 @@ PIPELINE_GUARDS = {
     "one-form shape": (LengthMismatch, r"covector column 2 of shape \(64,\)",
                        lambda: phases_from_one_form(mismatched_one_form())),
     "five columns": (ValueError, "got 5 columns",
-                     lambda: full_quantum_phase(spin_osc(0.0, n_samples=64).loop, 0.1, 0, 0)),
+                     lambda: full_quantum_phase(spin_osc(n_samples=64).loop, [0.1], 0, 0)),
     "unknown branch": (ValueError, "unknown branch 'other'",
-                       lambda: standard_loop_report(std_params(), 64, branch="other")),
+                       lambda: standard_loop_report(std_params(), [0.0], 64, branch="other")),
     "full quantum m": (ValueError, "occupation",
                        lambda: full_quantum_phase(combined_parameter_loop(std_params(), 64),
-                                                  0.1, -1, 0)),
+                                                  [0.1], -1, 0)),
     "full quantum n": (ValueError, "occupation",
                        lambda: full_quantum_phase(combined_parameter_loop(std_params(), 64),
-                                                  0.1, 0, -1)),
+                                                  [0.1], 0, -1)),
     "separated m": (ValueError, "occupation",
                     lambda: bo_full_quantum_phase_parts(combined_parameter_loop(std_params(), 64),
-                                                        0.1, -1, 0)),
+                                                        [0.1], -1, 0)),
     "separated n": (ValueError, "occupation",
                     lambda: bo_full_quantum_phase_parts(combined_parameter_loop(std_params(), 64),
-                                                        0.1, 0, -1)),
+                                                        [0.1], 0, -1)),
+    # a negative coupling fails the whole block, at every route that takes one
+    "negative k": (ValueError, "coupling k must be nonnegative",
+                   lambda: standard_loop_report(std_params(), [0.1, -0.1], 64)),
+    "negative k one-form": (ValueError, "coupling k must be nonnegative",
+                            lambda: coupled_gho_one_form(
+                                std_params(), combined_parameter_loop(std_params(), 64), [-0.1])),
+    "negative k full quantum": (ValueError, "coupling k must be nonnegative",
+                                lambda: full_quantum_phase(
+                                    combined_parameter_loop(std_params(), 64), [-0.1], 0, 0)),
+    "negative k separated": (ValueError, "coupling k must be nonnegative",
+                             lambda: bo_full_quantum_phase_parts(
+                                 combined_parameter_loop(std_params(), 64), [-0.1], 0, 0)),
+    "negative k mode collapses": (ValueError, "coupling k must be nonnegative",
+                                  lambda: hybrid_pipeline.mode_collapses(std_params(), [-0.1], 256)),
+    # an epsilon block takes one coupling per row; zip would drop the rows past the shorter
+    "epsilon block, fewer couplings": (
+        ValueError, "epsilon block of 2 rows got 1 couplings",
+        lambda: standard_loop_report([std_params(0.3), std_params(0.5)], [0.0], 64)),
+    "epsilon block one-form, more couplings": (
+        ValueError, "epsilon block of 2 rows got 3 couplings",
+        lambda: coupled_gho_one_form([std_params(0.3), std_params(0.5)], combined_parameter_loop(
+            [std_params(0.3), std_params(0.5)], 64), [0.0] * 3)),
 }
 
 
@@ -114,33 +136,35 @@ class TestPhasesFromOneForm:
         # A = I dphi on the unit circle gives gamma = 2 pi, delta_phi = 0
         loop = circle_loop(n_samples=256)
         c, s = loop.points.T
-        form = LinearOneForm(loop=loop, action_coeffs={0: {0: -s, 1: c}}, j_coeff={})
-        ph = phases_from_one_form(form)
+        # a block of one: (1, M + 1) stacks, the classical action's coefficient zero
+        form = LinearOneForm(loop=loop, action_coeffs={0: {0: -s[None], 1: c[None]}},
+                             j_coeff={0: np.zeros((1, 257))}, failed={})
+        [ph] = phases_from_one_form(form)
         assert abs(ph.gammas[0] - 2 * math.pi) < 1e-10
         assert ph.delta_phi == 0.0
 
     def test_spin_oscillator_decoupled_solid_angle(self):
-        ph = phases_from_one_form(spin_oscillator_one_form(spin_osc(lam=0.0)))
+        [ph] = phases_from_one_form(spin_oscillator_one_form(spin_osc(), [0.0]))
         assert abs(ph.gammas["+"] + math.pi) < 1e-12
         assert abs(ph.gammas["-"] + math.pi) < 1e-12
 
     def test_coupled_gho_two_routes_at_zero_coupling(self):
-        p = std_params(eps=EPS_PAPER, k=0.0)
-        ph = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p)))
-        rep = standard_loop_report(p, branch=BRANCH_COMMON)
+        p = std_params(eps=EPS_PAPER)
+        [ph] = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p), [0.0]))
+        [rep] = standard_loop_report(p, [0.0], branch=BRANCH_COMMON)
         assert abs(ph.gammas[0] / rep.gamma_0_part - 1.0) <= 1e-9
         assert abs(ph.delta_phi / rep.delta_phi_0_part - 1.0) <= 1e-9
 
 
 class TestSpinOscillatorOneForm:
     def test_decoupled_angle_shift(self):
-        ph = phases_from_one_form(spin_oscillator_one_form(spin_osc(lam=0.0, eps=0.5)))
+        [ph] = phases_from_one_form(spin_oscillator_one_form(spin_osc(eps=0.5), [0.0]))
         root = math.sqrt(1 - 0.25)
         expected = -(2 * math.pi / 2) * (1 - root) / root
         assert abs(ph.delta_phi - expected) < 1e-10
 
     def test_zero_oscillator_action_phases_exact(self):
-        ph = phases_from_one_form(spin_oscillator_one_form(spin_osc(lam=0.1, j_action=0.0)))
+        [ph] = phases_from_one_form(spin_oscillator_one_form(spin_osc(j_action=0.0), [0.1]))
         assert ph.gammas["+"] == -math.pi
         assert ph.gammas["-"] == -math.pi
 
@@ -149,12 +173,12 @@ class TestSpinOscillatorOneForm:
         period = 2 * math.pi
         n = 1024
         hybrid = SpinOscillatorHybrid(
-            mu=1.0, lam=0.1, b_field=1.0,
+            mu=1.0, b_field=1.0,
             loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n, cycles=2),
                                       triple_loop(eps=0.5, n_samples=n, period=period)),
             i_plus=1.0, i_minus=0.0, j_action=0.0,
         )
-        ph = phases_from_one_form(spin_oscillator_one_form(hybrid))
+        [ph] = phases_from_one_form(spin_oscillator_one_form(hybrid, [0.1]))
         assert abs(ph.gammas["+"] + 2 * math.pi) < 1e-12
         assert abs(ph.gammas["-"] + 2 * math.pi) < 1e-12
 
@@ -163,48 +187,48 @@ class TestSpinOscillatorOneForm:
         n = 256
         pts = np.tile([1.2, -0.1, 0.8], (n + 1, 1))
         hybrid = SpinOscillatorHybrid(
-            mu=1.0, lam=0.05, b_field=1.0,
+            mu=1.0, b_field=1.0,
             loop=spin_oscillator_loop(circle_loop(period=period, n_samples=n),
                                       LoopSpec(period, pts)),
             i_plus=0.7, i_minus=0.3, j_action=1.0,
         )
-        ph = phases_from_one_form(spin_oscillator_one_form(hybrid))
+        [ph] = phases_from_one_form(spin_oscillator_one_form(hybrid, [0.05]))
         assert abs(ph.delta_phi) <= 1e-12
         assert abs(ph.gammas["+"] + math.pi) <= 1e-12
         assert abs(ph.gammas["-"] + math.pi) <= 1e-12
 
     def test_coupling_splits_levels(self):
-        ph = phases_from_one_form(spin_oscillator_one_form(spin_osc(lam=0.05)))
+        [ph] = phases_from_one_form(spin_oscillator_one_form(spin_osc(), [0.05]))
         assert ph.gammas["+"] != ph.gammas["-"]
         # corrections are opposite: gamma_+ + gamma_- = -2 pi exactly
         assert abs(ph.gammas["+"] + ph.gammas["-"] + 2 * math.pi) < 1e-12
 
     def test_weak_coupling_guard(self):
-        with pytest.raises(WeakCouplingViolated):
-            spin_oscillator_one_form(spin_osc(lam=0.5, j_action=4.0))
+        [err] = phases_from_one_form(spin_oscillator_one_form(spin_osc(j_action=4.0), [0.5]))
+        assert type(err) is WeakCouplingViolated  # a sampled maximum: it names no sample
 
     def test_population_inversion_can_close_the_frequency(self):
         # a large enough inverted population drives the shifted X negative
         from holonomy import OmegaImaginary
 
-        hybrid = spin_osc(lam=1.05, j_action=0.0, i_plus=0.0, i_minus=1.0, n_samples=256)
-        with pytest.raises(OmegaImaginary):
-            spin_oscillator_one_form(hybrid)
+        hybrid = spin_osc(j_action=0.0, i_plus=0.0, i_minus=1.0, n_samples=256)
+        [err] = phases_from_one_form(spin_oscillator_one_form(hybrid, [1.05]))
+        assert type(err) is OmegaImaginary
 
     def test_omega_imaginary_names_its_sample(self):
         from holonomy import OmegaImaginary
 
-        hybrid = spin_osc(lam=1.05, j_action=0.0, i_plus=0.0, i_minus=1.0, n_samples=256)
-        with pytest.raises(OmegaImaginary) as err:
-            spin_oscillator_one_form(hybrid)
+        hybrid = spin_osc(j_action=0.0, i_plus=0.0, i_minus=1.0, n_samples=256)
+        [err] = phases_from_one_form(spin_oscillator_one_form(hybrid, [1.05]))
+        assert type(err) is OmegaImaginary
         x, y, z = hybrid.loop.points[:, 2:].T
         omega_sq = (x - 1.05**2) * z - y**2
-        assert err.value.sample == int(np.argmax(omega_sq <= 0)) > 0
+        assert err.sample == int(np.argmax(omega_sq <= 0)) > 0
 
     def test_one_form_integrates_around_the_model_loop(self):
-        hybrid = spin_osc(lam=0.05)
+        hybrid = spin_osc()
         assert hybrid.loop.dim == 5
-        assert spin_oscillator_one_form(hybrid).loop is hybrid.loop
+        assert spin_oscillator_one_form(hybrid, [0.05]).loop is hybrid.loop
 
     def test_loops_must_share_sampling(self):
         with pytest.raises(ValueError):
@@ -216,14 +240,14 @@ class TestReportQuadratureError:
     @pytest.mark.parametrize("n_samples", [17, 30])
     def test_too_coarse_for_an_error_estimate(self, n_samples):
         # no stride-2 estimate can be formed; at 17 samples delta_phi_0 is 4.8e-5 off
-        p = std_params(eps=0.8, k=0.1, n1=2, n2=1)
+        p = std_params(eps=0.8, n1=2, n2=1)
         with pytest.raises(TooFewSamples, match=f"got {n_samples}"):
-            standard_loop_report(p, n_samples)
+            standard_loop_report(p, [0.1], n_samples)
 
     def test_estimate_at_32_samples_covers_the_error(self):
-        p = std_params(eps=0.8, k=0.1, n1=2, n2=1)
-        coarse = standard_loop_report(p, 32)
-        converged = standard_loop_report(p, 4096)
+        p = std_params(eps=0.8, n1=2, n2=1)
+        [coarse] = standard_loop_report(p, [0.1], 32)
+        [converged] = standard_loop_report(p, [0.1], 4096)
         assert coarse.quadrature_error > 0.0
         assert abs(coarse.delta_phi_0_part - converged.delta_phi_0_part) <= coarse.quadrature_error
 
@@ -231,8 +255,8 @@ class TestReportQuadratureError:
 class TestCoupledGHOOneForm:
     def test_zero_coupling_coefficient_reduction(self):
         # the quantum coefficient is one term, 3 Z1/(4 omega) d(Y1/Z1)
-        p = std_params(eps=0.5, k=0.0, n_level=1)
-        form = coupled_gho_one_form(p, combined_parameter_loop(p, 256))
+        p = std_params(eps=0.5, n_level=1)
+        form = coupled_gho_one_form(p, combined_parameter_loop(p, 256), [0.0])
         x, v = form.loop.points, form.loop.velocity
         z1 = x[:, 2]
         w = math.sqrt(p.a1**2 * (1 - 0.25))
@@ -243,60 +267,57 @@ class TestCoupledGHOOneForm:
         assert np.max(np.abs(form.action_coeffs[1][d_y1z1] - 3.0 * z1 / (4.0 * w))) < 1e-12
 
     def test_frozen_parameters_zero_phases(self):
-        p = std_params(eps=0.0, k=0.01)
-        ph = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p, 256)))
+        p = std_params(eps=0.0)
+        [ph] = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p, 256), [0.01]))
         assert abs(ph.gammas[0]) < 1e-14
         assert abs(ph.delta_phi) < 1e-14
 
     def test_effective_frequency_two_expressions(self):
-        p0 = std_params(eps=EPS_PAPER, k=0.0)
-        _, k_max = elliptic_bound(p0)
-        p = std_params(eps=EPS_PAPER, k=0.5 * k_max)
-        form = coupled_gho_one_form(p, combined_parameter_loop(p, 512))
+        p = std_params(eps=EPS_PAPER)
+        k = 0.5 * elliptic_bound(p)[1]
+        form = coupled_gho_one_form(p, combined_parameter_loop(p, 512), [k])
         pts = form.loop.points
         x1, x2 = pts[:, :3], pts[:, 3:]
         w_sq = x1[:, 0] * x1[:, 2] - x1[:, 1] ** 2
         omega_direct = np.sqrt(
-            x2[:, 0] * x2[:, 2] - p.k**2 * x1[:, 2] * x2[:, 2] / w_sq - x2[:, 1] ** 2
+            x2[:, 0] * x2[:, 2] - k**2 * x1[:, 2] * x2[:, 2] / w_sq - x2[:, 1] ** 2
         )
         t = form.loop.times
-        d = p.d_ratio_at(p.k)
+        d = p.d_ratio_at(k)
         f1 = 1 - p.epsilon * np.cos(p.omega1 * t)
         f2 = 1 - p.epsilon * np.cos(p.omega2 * t)
         omega_reduced = p.a2 * np.sqrt(1 - p.epsilon**2 - 2 * d**2 * f1 * f2)
         assert_allclose(omega_direct, omega_reduced, rtol=1e-12)
 
-    def test_elliptic_violation_raises(self):
-        p0 = std_params(eps=EPS_PAPER, k=0.0)
-        _, k_max = elliptic_bound(p0)
-        p = std_params(eps=EPS_PAPER, k=1.01 * k_max)
-        with pytest.raises(EllipticViolation):
-            coupled_gho_one_form(p, combined_parameter_loop(p))
+    def test_elliptic_violation_is_the_rows_error(self):
+        p = std_params(eps=EPS_PAPER)
+        k = 1.01 * elliptic_bound(p)[1]
+        [err] = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p), [k]))
+        assert type(err) is EllipticViolation and err.sample is None  # the worst-case bound
 
 
 class TestStandardLoopReport:
     def test_gamma_00_reference_value(self):
-        rep = standard_loop_report(std_params(eps=EPS_PAPER, k=0.0), branch=BRANCH_COMMON)
+        [rep] = standard_loop_report(std_params(eps=EPS_PAPER), [0.0], branch=BRANCH_COMMON)
         assert_allclose(rep.gamma_0_part, math.pi / 2, rtol=1e-12)
 
     def test_delta_phi_0_per_cycle(self):
-        rep = standard_loop_report(std_params(eps=EPS_PAPER, k=0.0))
+        [rep] = standard_loop_report(std_params(eps=EPS_PAPER), [0.0])
         assert rep.branch == BRANCH_SUBSYSTEM
         assert abs(rep.delta_phi_0_part + math.pi) < 1e-9
 
     def test_coupling_identity(self):
-        p0 = std_params(eps=EPS_PAPER, k=0.0, j_action=2.5)
-        _, k_max = elliptic_bound(p0)
+        p = std_params(eps=EPS_PAPER, j_action=2.5)
+        _, k_max = elliptic_bound(p)
         for frac in (0.2, 0.6, 0.9):
-            p = std_params(eps=EPS_PAPER, k=frac * k_max, j_action=2.5)
-            rep = standard_loop_report(p)
+            [rep] = standard_loop_report(p, [frac * k_max])
             resid = rep.gamma_I_part + p.j_action * rep.delta_phi_I_part
             assert abs(resid) <= 1e-12 * abs(rep.gamma_I_part)
 
     def test_decomposition_sums_exactly(self):
-        p0 = std_params(eps=0.5, k=0.0)
-        _, k_max = elliptic_bound(p0)
-        rep = standard_loop_report(std_params(eps=0.5, k=0.5 * k_max))
+        p = std_params(eps=0.5)
+        _, k_max = elliptic_bound(p)
+        [rep] = standard_loop_report(p, [0.5 * k_max])
         assert rep.gamma == rep.gamma_0_part + rep.gamma_I_part
         assert rep.delta_phi == rep.delta_phi_0_part + rep.delta_phi_I_part
         assert rep.elliptic_margin > 0
@@ -304,47 +325,45 @@ class TestStandardLoopReport:
     def test_uncoupled_correspondence(self):
         for n1, n2 in ((1, 1), (2, 1), (3, 2)):
             for n in (0, 1, 2):
-                p = std_params(eps=0.6, k=0.0, n1=n1, n2=n2, n_level=n)
-                rep = standard_loop_report(p, branch=BRANCH_COMMON)
+                p = std_params(eps=0.6, n1=n1, n2=n2, n_level=n)
+                [rep] = standard_loop_report(p, [0.0], branch=BRANCH_COMMON)
                 resid = rep.gamma_0_part + (n + 0.5) * (p.omega1 / p.omega2) * rep.delta_phi_0_part
                 assert abs(resid) <= 1e-9 * abs(rep.gamma_0_part)
 
     def test_weak_coupling_quadratic_convergence(self):
-        p0 = std_params(eps=EPS_PAPER, k=0.0, n1=2, n2=1)
-        d_max, k_max = elliptic_bound(p0)
+        p = std_params(eps=EPS_PAPER, n1=2, n2=1)
+        d_max, k_max = elliptic_bound(p)
         fracs = (0.2, 0.1, 0.05, 0.025)
         errs = []
         for frac in fracs:
-            rep = standard_loop_report(std_params(eps=EPS_PAPER, k=frac * k_max, n1=2, n2=1))
+            [rep] = standard_loop_report(p, [frac * k_max])
             errs.append(abs(rep.gamma_I_part / rep.gamma_I_approx - 1.0))
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
         ratios = [e / (frac * d_max) ** 2 for e, frac in zip(errs, fracs)]
         assert max(ratios) < 10.0 * min(ratios)  # bounded constant in the D^2 law
 
     def test_orientation_reversal_negates_phases(self):
-        p0 = std_params(eps=0.5, k=0.0)
-        _, k_max = elliptic_bound(p0)
-        p = std_params(eps=0.5, k=0.4 * k_max)
+        p = std_params(eps=0.5)
+        ks = [0.4 * elliptic_bound(p)[1]]
         # the one-form built on the reversed loop, whose differentials are its own
-        form = coupled_gho_one_form(p, combined_parameter_loop(p, 512))
-        rev = coupled_gho_one_form(p, form.loop.reversed())
-        fwd_ph = phases_from_one_form(form)
-        rev_ph = phases_from_one_form(rev)
+        form = coupled_gho_one_form(p, combined_parameter_loop(p, 512), ks)
+        rev = coupled_gho_one_form(p, form.loop.reversed(), ks)
+        [fwd_ph] = phases_from_one_form(form)
+        [rev_ph] = phases_from_one_form(rev)
         assert abs(fwd_ph.gammas[0] + rev_ph.gammas[0]) < 1e-12 * abs(fwd_ph.gammas[0])
         assert abs(fwd_ph.delta_phi + rev_ph.delta_phi) < 1e-12 * abs(fwd_ph.delta_phi)
 
     def test_report_vs_one_form_route_with_coupling(self):
-        p0 = std_params(eps=EPS_PAPER, k=0.0, j_action=1.0)
-        _, k_max = elliptic_bound(p0)
-        p = std_params(eps=EPS_PAPER, k=0.5 * k_max, j_action=1.0)
-        rep = standard_loop_report(p)
-        ph = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p)))
+        p = std_params(eps=EPS_PAPER, j_action=1.0)
+        ks = [0.5 * elliptic_bound(p)[1]]
+        [rep] = standard_loop_report(p, ks)
+        [ph] = phases_from_one_form(coupled_gho_one_form(p, combined_parameter_loop(p), ks))
         assert abs(ph.gammas[0] / rep.gamma - 1.0) < 1e-9
         assert abs(ph.delta_phi / rep.delta_phi - 1.0) < 1e-9
 
     def test_subsystem_branch_requires_zero_coupling(self):
         with pytest.raises(ValueError):
-            standard_loop_report(std_params(eps=0.5, k=1e-9), branch=BRANCH_SUBSYSTEM)
+            standard_loop_report(std_params(eps=0.5), [1e-9], branch=BRANCH_SUBSYSTEM)
 
 
     @pytest.mark.parametrize("n_level", [0, 2])
@@ -422,13 +441,13 @@ class TestDriveGridMemo:
         assert hit[1].tobytes() == np.sin(wt).tobytes()
 
     def test_report_on_a_hit_equals_a_report_on_a_miss(self):
-        p = std_params(eps=0.5, k=0.1, n1=2, n2=1)
+        p = std_params(eps=0.5, n1=2, n2=1)
         # the report reads its grids through _drive_profile, whose key has no a_i
         hybrid_pipeline._drive_profile.cache_clear()
         manifold._drive_grid.cache_clear()
-        miss = standard_loop_report(p, 256)
+        miss = standard_loop_report(p, [0.1], 256)
         assert manifold._drive_grid.cache_info().currsize == 2
-        assert standard_loop_report(p, 256) == miss
+        assert standard_loop_report(p, [0.1], 256) == miss
 
     def test_memo_is_bounded(self):
         maxsize = manifold._drive_grid.cache_info().maxsize
@@ -439,16 +458,16 @@ class TestDriveGridMemo:
     def test_grid_left_non_finite_outside_the_errstate_is_not_memoised(self, tmp_path):
         # omega1 = 2 base_rate overflows to inf, so its grid would be NaN: the
         # grid raises NonFinite itself, under any errstate, and is not cached.
-        params = {"base_rate": 1e308, "n1": 2, "n2": 1, "k": 1e-3}
+        params = {"base_rate": 1e308, "n1": 2, "n2": 1}
         p = StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, epsilon=EPS_PAPER, **params)
         manifold._drive_grid.cache_clear()
         with np.errstate(all="ignore"), pytest.raises(NonFinite):
-            standard_loop_report(p, 64)
+            standard_loop_report(p, [1e-3], 64)
         assert manifold._drive_grid.cache_info().currsize == 1  # omega2's finite grid
         with pytest.raises(NonFinite):
             manifold._drive_grid(p.omega1, p.common_period, 64)
         cfg = ExperimentConfig.from_dict({
-            "experiment": "hybrid-gho", "params": params, "numerics": {"n_samples": 64},
+            "experiment": "hybrid-gho", "params": params | {"k": 1e-3}, "numerics": {"n_samples": 64},
             "output": {"directory": str(tmp_path)},
         })
         assert execute(cfg) == 0
@@ -475,38 +494,37 @@ class TestEllipticBound:
         assert d_max < 1e-3
 
     def test_round_trip_with_d_ratio(self):
-        p0 = std_params(eps=0.4)
-        d_max, k_max = elliptic_bound(p0)
-        p = std_params(eps=0.4, k=k_max)
-        assert abs(p.d_ratio_at(p.k) - d_max) < 1e-12
+        p = std_params(eps=0.4)
+        d_max, k_max = elliptic_bound(p)
+        assert abs(p.d_ratio_at(k_max) - d_max) < 1e-12
 
 
 class TestFullQuantum:
     def setup_method(self):
-        self.p = std_params(eps=0.5, k=0.0, n1=2, n2=1, a1=2.0)
+        self.p = std_params(eps=0.5, n1=2, n2=1, a1=2.0)
         self.loop1, self.loop2 = standard_parameter_loops(self.p, 1024)
         self.loop = combined_parameter_loop(self.p, 1024)
 
     def test_zero_coupling_sum(self):
-        total = full_quantum_phase(self.loop, 0.0, 1, 2).value
+        total = full_quantum_phase(self.loop, [0.0], 1, 2)[0].value
         split = single_gho_phase(self.loop1, 1).value + single_gho_phase(self.loop2, 2).value
         assert abs(total - split) <= 1e-10
 
     def test_frozen_parameters(self):
         p = std_params(eps=0.0, a1=2.0, n1=2, n2=1)
-        assert abs(full_quantum_phase(combined_parameter_loop(p, 256), 0.1, 0, 0).value) < 1e-14
+        assert abs(full_quantum_phase(combined_parameter_loop(p, 256), [0.1], 0, 0)[0].value) < 1e-14
 
     def test_swap_symmetry(self):
         k = 0.15
-        direct = full_quantum_phase(self.loop, k, 2, 1).value
+        direct = full_quantum_phase(self.loop, [k], 2, 1)[0].value
         swapped_points = np.hstack([self.loop2.points, self.loop1.points])
         swapped = full_quantum_phase(LoopSpec(self.loop.period, swapped_points),
-                                     k, 2, 1).value
+                                     [k], 2, 1)[0].value
         assert abs(direct - swapped) <= 1e-10
 
     def test_mode_collapse_along_loop(self):
-        with pytest.raises(ModeCollapse):
-            full_quantum_phase(self.loop, 5.0, 0, 0)
+        [err] = full_quantum_phase(self.loop, [5.0], 0, 0)
+        assert type(err) is ModeCollapse and err.sample == 0
 
     def test_mode_collapse_names_its_first_sample(self):
         # the lower mode closes where omega1^2 omega2^2 <= k^2 Z1 Z2
@@ -515,9 +533,9 @@ class TestFullQuantum:
         w2_sq = x2[:, 0] * x2[:, 2] - x2[:, 1] ** 2
         ratio = w1_sq * w2_sq / (x1[:, 2] * x2[:, 2])
         k = math.sqrt(np.quantile(ratio, 0.4))
-        with pytest.raises(ModeCollapse) as err:
-            full_quantum_phase(self.loop, k, 0, 0)
-        assert err.value.sample == int(np.argmax(ratio <= k**2)) > 0
+        [err] = full_quantum_phase(self.loop, [k], 0, 0)
+        assert type(err) is ModeCollapse
+        assert err.sample == int(np.argmax(ratio <= k**2)) > 0
 
     def test_nan_sample_is_elliptic_violation_at_that_sample(self):
         # NaN compares false both ways, so a guard written as "any <= 0" let it through
@@ -528,7 +546,7 @@ class TestFullQuantum:
         with pytest.raises(EllipticViolation) as single:
             single_gho_phase(loop2, 0)
         with pytest.raises(EllipticViolation) as full:
-            full_quantum_phase(combined, 0.1, 0, 0)
+            full_quantum_phase(combined, [0.1], 0, 0)
         assert single.value.sample == full.value.sample == 37
 
 
@@ -605,31 +623,36 @@ class TestModeCollapsesAtTheCap:
 
 class TestBOFullQuantum:
     def setup_method(self):
-        self.p = std_params(eps=0.5, k=0.0, n1=2, n2=1, a1=2.0)
+        self.p = std_params(eps=0.5, n1=2, n2=1, a1=2.0)
         self.loop = combined_parameter_loop(self.p, 1024)
+
+    def separated(self, k, m, n):
+        """The slow/fast-separated phase: the sum of its two quadratures."""
+        [(part1, part2)] = bo_full_quantum_phase_parts(self.loop, [k], m, n)
+        return part1.value + part2.value
 
     def test_zero_coupling_matches_exact(self):
         # The exact formula counts m in the higher normal mode (oscillator 1
         # here since omega1 > omega2); the separated formula counts m in the
         # heavy oscillator 2.  At k = 0 they describe the same state with the
         # indices interchanged.
-        exact = full_quantum_phase(self.loop, 0.0, 1, 2).value
-        bo = bo_full_quantum_phase(self.loop, 0.0, 2, 1)
+        exact = full_quantum_phase(self.loop, [0.0], 1, 2)[0].value
+        bo = self.separated(0.0, 2, 1)
         assert abs(exact - bo) <= 1e-12
 
     def test_fast_part_matches_hybrid_phase(self):
         k, m, n = 0.15, 1, 2
-        p = std_params(eps=0.5, k=k, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n)
-        part1, _ = bo_full_quantum_phase_parts(self.loop, k, m, n)
-        ph = phases_from_one_form(coupled_gho_one_form(p, self.loop))
+        p = std_params(eps=0.5, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n)
+        [(part1, _)] = bo_full_quantum_phase_parts(self.loop, [k], m, n)
+        [ph] = phases_from_one_form(coupled_gho_one_form(p, self.loop, [k]))
         assert abs(part1.value / ph.gammas[n] - 1.0) <= 1e-9
 
     def test_level_difference_gives_angle_shift(self):
         k, m, n = 0.15, 1, 2
-        p = std_params(eps=0.5, k=k, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n)
-        ph = phases_from_one_form(coupled_gho_one_form(p, self.loop))
-        g_m = bo_full_quantum_phase(self.loop, k, m, n)
-        g_m1 = bo_full_quantum_phase(self.loop, k, m + 1, n)
+        p = std_params(eps=0.5, n1=2, n2=1, a1=2.0, j_action=(m + 0.5), n_level=n)
+        [ph] = phases_from_one_form(coupled_gho_one_form(p, self.loop, [k]))
+        g_m = self.separated(k, m, n)
+        g_m1 = self.separated(k, m + 1, n)
         assert abs(-(g_m1 - g_m) - ph.delta_phi) <= 1e-9
 
 
@@ -638,12 +661,12 @@ class TestPairGeometry:
     per loop and live exactly as long as it does."""
 
     def test_built_once(self):
-        p = std_params(eps=0.5, k=0.1, n1=2, n2=1, a1=2.0)
+        p = std_params(eps=0.5, n1=2, n2=1, a1=2.0)
         loop = combined_parameter_loop(p, 256)
-        full_quantum_phase(loop, p.k, 1, 0)
+        full_quantum_phase(loop, [0.1], 1, 0)
         first = loop.derived(hybrid_pipeline._pair_geometry)
-        bo_full_quantum_phase_parts(loop, p.k, 1, 0)
-        form = coupled_gho_one_form(p, loop)
+        bo_full_quantum_phase_parts(loop, [0.1], 1, 0)
+        form = coupled_gho_one_form(p, loop, [0.1])
         again = loop.derived(hybrid_pipeline._pair_geometry)
         assert again is first
         assert all(a is b for a, b in zip(again, first))
@@ -652,19 +675,19 @@ class TestPairGeometry:
 
     def test_one_form_leaves_slow_differential_unbuilt(self):
         # only the fully quantum routes read d(Y2/Z2); the hybrid one-form does not build it
-        p = std_params(eps=0.5, k=0.1)
+        p = std_params(eps=0.5)
         loop = combined_parameter_loop(p, 256)
         key = (hybrid_pipeline._differential, hybrid_pipeline._y_over_z_rate, 3)
-        coupled_gho_one_form(p, loop)
+        coupled_gho_one_form(p, loop, [0.1])
         assert key not in loop._derived
-        full_quantum_phase(loop, p.k, 0, 0)
+        full_quantum_phase(loop, [0.1], 0, 0)
         assert key in loop._derived
 
     def test_freed_with_its_loop(self):
-        p = std_params(eps=0.5, k=0.1)
+        p = std_params(eps=0.5)
         loop = combined_parameter_loop(p, 256)
-        phases_from_one_form(coupled_gho_one_form(p, loop))
-        full_quantum_phase(loop, p.k, 0, 0)
+        phases_from_one_form(coupled_gho_one_form(p, loop, [0.1]))
+        full_quantum_phase(loop, [0.1], 0, 0)
         refs = [weakref.ref(loop), weakref.ref(loop.derived(hybrid_pipeline._pair_geometry).d_u)]
         del loop
         gc.collect()
@@ -674,9 +697,9 @@ class TestPairGeometry:
         # omega1^2 = 1 - 4 < 0 everywhere; the shared geometry divides by it, yet
         # under raised floating-point conditions each route names its own guard
         loop = LoopSpec(1.0, np.tile([1.0, 2.0, 1.0, 1.0, 0.1, 1.0], (65, 1)))
-        routes = {"a bare triple's frequency squared": lambda: full_quantum_phase(loop, 0.1, 0, 0),
+        routes = {"a bare triple's frequency squared": lambda: full_quantum_phase(loop, [0.1], 0, 0),
                   "fast-triple frequency squared": lambda: bo_full_quantum_phase_parts(
-                      loop, 0.1, 0, 0)}
+                      loop, [0.1], 0, 0)}
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for _ in range(2):  # the second call reads the geometry the first built
                 for names, call in routes.items():
@@ -684,13 +707,13 @@ class TestPairGeometry:
                         call()
                     assert err.value.sample == 0
                 with pytest.raises(EllipticViolation, match="fast-triple"):
-                    coupled_gho_one_form(std_params(eps=0.5, k=0.1), loop)
+                    coupled_gho_one_form(std_params(eps=0.5), loop, [0.1])
 
     def test_differential_of_another_loop_is_rejected(self):
-        p = std_params(eps=0.5, k=0.1)
-        form = coupled_gho_one_form(p, combined_parameter_loop(p, 256))
+        p = std_params(eps=0.5)
+        form = coupled_gho_one_form(p, combined_parameter_loop(p, 256), [0.1])
         with pytest.raises(LengthMismatch, match="not pulled back onto this loop"):
-            phases_from_one_form(LinearOneForm(form.loop.reversed(), form.action_coeffs, {}))
+            phases_from_one_form(LinearOneForm(form.loop.reversed(), form.action_coeffs, {}, {}))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -728,8 +751,8 @@ class TestNormalModeCollapseSide:
         k_c = w1 * w2 / math.sqrt(x1[2] * x2[2])  # the lower mode closes at k_c
         k = (1.0 + offset) * k_c
         loop = LoopSpec(1.0, np.tile([*x1, *x2], (65, 1)))
+        [out] = full_quantum_phase(loop, [k], 0, 0)
         if offset > 0:
-            with pytest.raises(ModeCollapse):
-                full_quantum_phase(loop, k, 0, 0)
+            assert type(out) is ModeCollapse and out.sample == 0
         else:
-            assert full_quantum_phase(loop, k, 0, 0).value == 0.0
+            assert out.value == 0.0

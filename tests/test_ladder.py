@@ -9,7 +9,6 @@ rows that finished at each rung."""
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -110,13 +109,13 @@ def test_unresolved_row_is_the_direct_computation_at_the_cap():
     """A row just below K_max, where both drives of a (1, 1) loop peak
     together, stays unresolved up to the cap; its cells are then bit for bit
     those of ``standard_loop_report`` at the cap."""
-    base = StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, n1=1, n2=1, base_rate=1.0,
-                              epsilon=0.898)
-    p = replace(base, k=0.9999 * elliptic_bound(base)[1])
+    p = StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, n1=1, n2=1, base_rate=1.0,
+                           epsilon=0.898)
+    k = 0.9999 * elliptic_bound(p)[1]
     rows, samples_used = sweep({"experiment": "hybrid-gho",
-                                "params": {"epsilon": p.epsilon, "k": p.k}})
+                                "params": {"epsilon": p.epsilon, "k": k}})
     assert samples_used == {"4096": 1}
-    report = standard_loop_report(p, 4096)
+    [report] = standard_loop_report(p, [k], 4096)
     assert not all(q.resolved for q in report.quadratures)
     want = {"gamma_0": report.gamma, "gamma_I": report.gamma_I_part,
             "delta_phi": report.delta_phi, "delta_phi_0": report.delta_phi_0_part,
@@ -130,13 +129,13 @@ def test_elliptic_margin_is_the_caps_sampled_minimum():
     the cap's samples, which differs from the first rung's in its last
     digits."""
     base = StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, n1=3, n2=2, base_rate=1.0,
-                              epsilon=0.5, k=0.3)
+                              epsilon=0.5)
     rows, samples_used = sweep({"experiment": "hybrid-gho", "params": {
         "epsilon": 0.5, "n1": 3, "n2": 2, "k": 0.3}})
     assert samples_used == {"256": 1}
-    at_cap = standard_loop_report(base, 4096).elliptic_margin
-    assert rows[0]["elliptic_margin"] == at_cap != standard_loop_report(base, 256).elliptic_margin
-    assert rows[0]["gamma_I"] == standard_loop_report(base, 256).gamma_I_part
+    [at_cap], [at_256] = (standard_loop_report(base, [0.3], n) for n in (4096, 256))
+    assert rows[0]["elliptic_margin"] == at_cap.elliptic_margin != at_256.elliptic_margin
+    assert rows[0]["gamma_I"] == at_256.gamma_I_part
 
 
 def cap_of(raw: dict) -> int:
@@ -204,7 +203,7 @@ def test_every_rung_reads_the_caps_samples_at_a_stride(rate, ratio, eps, scales,
     base = StandardLoopParams(a1=a1, a2=a2, mu1=mu1, mu2=mu2, n1=ratio[0], n2=ratio[1],
                               base_rate=rate, epsilon=eps)
     # the common branch at any coupling, or the per-subsystem one (slow period) at k = 0
-    p = replace(base, k=k_share * elliptic_bound(base)[1]) if common else base
+    p, ks = base, [k_share * elliptic_bound(base)[1] if common else 0.0]
     period = p.common_period if common else 2.0 * math.pi / p.omega2
     triples = [(a1, mu1, p.omega1), (a2, mu2, p.omega2)]
 
@@ -214,12 +213,12 @@ def test_every_rung_reads_the_caps_samples_at_a_stride(rate, ratio, eps, scales,
                 *(a[0] for a in _drive_profile((eps,), p.omega1, p.omega2, period, n)))
 
     at_cap = arrays(cap)
-    margin = standard_loop_report(p, cap).elliptic_margin
+    [at_cap_report] = standard_loop_report(p, ks, cap)
     for stride in (1, 2, 4, 8, 16):
         n = cap // stride
         assert [a[::stride].tobytes() for a in at_cap] == [a.tobytes() for a in arrays(n)]
-        checked = standard_loop_report(p, n, check_samples=cap)
-        assert checked.quadratures == standard_loop_report(p, n).quadratures
-        assert checked.elliptic_margin == margin
+        [checked] = standard_loop_report(p, ks, n, check_samples=cap)
+        assert checked.quadratures == standard_loop_report(p, ks, n)[0].quadratures
+        assert checked.elliptic_margin == at_cap_report.elliptic_margin
         with pytest.raises(ValueError, match="not a multiple"):
-            standard_loop_report(p, n, check_samples=cap + n // 2)
+            standard_loop_report(p, ks, n, check_samples=cap + n // 2)

@@ -95,8 +95,8 @@ def never_called(t):
 def coupled_report(period, n_samples):
     """``standard_loop_report``, which takes its period from its parameters."""
     p = StandardLoopParams(a1=1.0, a2=1.0, mu1=1.0, mu2=1.0, n1=2, n2=1, base_rate=1.0,
-                           epsilon=0.5, k=0.1)
-    return standard_loop_report(p, n_samples)
+                           epsilon=0.5)
+    return standard_loop_report(p, [0.1], n_samples)
 
 
 # Every loop builder, and the tests' scalar sampler, given a period and a
@@ -382,7 +382,6 @@ MANIFOLD_GUARDS = {
     "unreduced pair": (ValueError, r"\(n1, n2\)=\(2, 4\)",
                        lambda: StandardLoopParams(**dict(STANDARD, n1=2, n2=4))),
     "epsilon 1": (ValueError, "epsilon", lambda: StandardLoopParams(**dict(STANDARD, epsilon=1.0))),
-    "negative k": (ValueError, "coupling k", lambda: StandardLoopParams(**dict(STANDARD, k=-0.1))),
     "negative j_action": (ValueError, "j_action",
                           lambda: StandardLoopParams(**dict(STANDARD, j_action=-1.0))),
     "negative n_level": (ValueError, "n_level",

@@ -137,7 +137,7 @@ def pair_loop(x1, x2, n_samples=16):
 MODEL_GUARDS = {
     "X Z < Y^2": (EllipticViolation, "bare triple's frequency squared",
                   lambda: full_quantum_phase(pair_loop((1.0, 2.0, 1.0), (1.0, 0.0, 1.0)),
-                                             0.1, 0, 0)),
+                                             [0.1], 0, 0)),
 }
 
 
