@@ -284,8 +284,7 @@ def _spin_berry_points(cfg: ExperimentConfig, s: dict[str, Any]) -> list[Block]:
         frame = eigenframe_along_loop(family, loop)
         g1, d1 = berry_and_hannay(frame, 0)
         g2, d2 = berry_and_hannay(frame, 1)
-        c1 = spin_hannay_closed_form(loop, 1)
-        c2 = spin_hannay_closed_form(loop, 2)
+        c1, c2 = spin_hannay_closed_form(loop, (1, 2))
         return dict(
             gamma_1=g1, gamma_2=g2, delta_theta_1=d1, delta_theta_2=d2,
             closed_form_1=c1, closed_form_2=c2,

@@ -45,7 +45,7 @@ from .manifold import (
 )
 from .models import SpinOscillatorHybrid
 
-_WEAK_COUPLING_MAX = 0.3  # largest allowed lam * Q_typ / B for the spin hybrid
+_WEAK_COUPLING_MAX = 0.3  # largest allowed |lam| * Q_typ / B for the spin hybrid
 
 BRANCH_COMMON = "common"
 BRANCH_SUBSYSTEM = "per-subsystem"
@@ -200,7 +200,7 @@ def spin_oscillator_frequency(m: SpinOscillatorHybrid, xyz: np.ndarray, lams):
     oscillator at the rows (X, Y, Z) of ``xyz``, checked in this order:
     ``OmegaImaginary`` at the first sample where Omega^2 is not positive, then,
     for a positive action J, ``WeakCouplingViolated`` where the sampled maximum
-    of lam Q_typ / B, Q_typ = sqrt(2 Z J / Omega), passes 0.3.  Gives, of the
+    of |lam| Q_typ / B, Q_typ = sqrt(2 Z J / Omega), passes 0.3.  Gives, of the
     lambda block ``lams``, the passing rows' stacks and the others' errors by index."""
     x, y, z = xyz.T
     omega_sq = (x + _column([m.frequency_shift_at(v) for v in lams])) * z - y**2
@@ -211,8 +211,8 @@ def spin_oscillator_frequency(m: SpinOscillatorHybrid, xyz: np.ndarray, lams):
     omega = np.sqrt(omega_sq)
     if m.j_action > 0:
         q_typ = np.sqrt(2.0 * z * m.j_action / omega)
-        ratios = np.max(_column([lams[i] for i in standing]) * q_typ / m.b_field, axis=-1)
-        failed |= {i: WeakCouplingViolated(f"lam * Q_typ / B reaches {ratio:.3f}, beyond "
+        ratios = np.max(_column([abs(lams[i]) for i in standing]) * q_typ / m.b_field, axis=-1)
+        failed |= {i: WeakCouplingViolated(f"|lam| * Q_typ / B reaches {ratio:.3f}, beyond "
                                            f"{_WEAK_COUPLING_MAX}")
                    for i, ratio in zip(standing, ratios.tolist()) if ratio > _WEAK_COUPLING_MAX}
         kept = [j for j, i in enumerate(standing) if i not in failed]
@@ -610,6 +610,8 @@ def bo_full_quantum_phase_parts(loop: LoopSpec, ks, m: int, n: int) -> list[
     failed = {}
     omega_sq = _slow_frequency_sq(loop, ks, failed)[2]
     standing = _standing(len(ks), failed)
+    if not standing:
+        return _merged(failed, [])
     omega = np.sqrt(omega_sq)
 
     t1 = (2 * n + 1) * g.fast + _column([(2 * m + 1) * ks[i]**2 for i in standing]) * g.back / omega

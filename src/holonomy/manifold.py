@@ -17,7 +17,7 @@ import weakref
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -248,7 +248,8 @@ def _drive_grid(omega: float, period: float, n_samples: int) -> tuple[np.ndarray
 
 # The keys and guards of ``_drive_grid``.  Only loops read rates, never the
 # checks, so a coupled sweep reads its two drives' at the two sample counts its
-# rows mostly run at and at the cap, where a row that stays unresolved ends.
+# rows mostly run at and at the cap, where a row that stays unresolved ends; a
+# table of cone loops reads one drive's, at its one sample count.
 @lru_cache(maxsize=6, typed=True)
 def _drive_rates(omega: float, period: float, n_samples: int) -> tuple[np.ndarray, ...]:
     """The read-only interpolant d/dt of ``_drive_grid``'s (cos, sin), shape
@@ -486,11 +487,20 @@ def _gho_loop(triples: list[tuple[float, float, float]], eps, period: float,
     scales = np.array([[v for a, mu, _ in triples for v in (a * mu * e, -a * e, -(a / mu) * e)]
                        for e in epsilons])[:, None, :]
     rates = [_drive_rates(omega, period, n_samples) for *_, omega in triples]
+    return _born_with_velocities(loop, (
+        np.hstack([r[:, [0, 1, 0]] for r in drives]) * (scales if block else scales[0])
+        for drives in zip(*rates)), block)
+
+
+def _born_with_velocities(loop: LoopSpec, velocities: Iterable[np.ndarray],
+                          block: bool = False) -> LoopSpec:
+    """``loop`` with its ``velocity`` and, for an even M, ``half_velocity`` set read-only
+    from ``velocities``, formed one at a time in that order.  One that overflows is left,
+    with the rest, to the loop's own FFT; in a loop block it raises."""
     with np.errstate(over="raise"), suppress(*(() if block else (FloatingPointError,))):
-        for name, drives in zip(("velocity", "half_velocity"), zip(*rates)):  # odd M: no half
-            vel = np.hstack([r[:, [0, 1, 0]] for r in drives]) * scales
-            loop.__dict__[name] = vel = vel if block else vel[0]
+        for name, vel in zip(("velocity", "half_velocity"), velocities):  # odd M: no half
             vel.flags.writeable = False
+            loop.__dict__[name] = vel
     return loop
 
 

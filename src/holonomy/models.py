@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import DEFAULT_SAMPLES, LoopSpec, _drive_grid, _joined, _require_grid
+from .manifold import (DEFAULT_SAMPLES, LoopSpec, _born_with_velocities, _drive_grid,
+                       _drive_rates, _joined, _require_grid)
 from .quantum_geometry import HamiltonianFamily
 
 
@@ -42,12 +43,18 @@ def cone_loop(
     cycles: int = 1,
 ) -> LoopSpec:
     """Field loop at constant polar angle theta on the sphere of radius b,
-    sampled in one vectorised pass."""
+    sampled in one vectorised pass.  It is born with its velocity and (an even
+    M) its half velocity: b sin(theta) times its drive's cached interpolant
+    derivative beside an exact-zero third column, so it takes no FFT of its
+    own unless that product would overflow (``_gho_loop``'s rule)."""
     _require_grid(period, n_samples)
-    cos, sin = _drive_grid(2.0 * math.pi * cycles / period, period, n_samples)
+    omega = 2.0 * math.pi * cycles / period
+    cos, sin = _drive_grid(omega, period, n_samples)
     st, ct = math.sin(theta), math.cos(theta)
     points = b * np.column_stack([st * cos, st * sin, np.full_like(cos, ct)])
-    return LoopSpec(period, points, cycles)
+    return _born_with_velocities(LoopSpec(period, points, cycles), (
+        np.hstack([r * (b * st), np.zeros((len(r), 1))])
+        for r in _drive_rates(omega, period, n_samples)))
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,25 @@ def test_guard_raises_its_error_naming_the_argument(error, names, call):
         call()
 
 
+# Every coupled route, called with an empty block, as its outcomes per row.
+EMPTY_BLOCK_ROUTES = {
+    "standard_loop_report": lambda p, loop: standard_loop_report(p, [], 64),
+    "coupled_gho_one_form": lambda p, loop: phases_from_one_form(coupled_gho_one_form(p, loop, [])),
+    "full_quantum_phase": lambda p, loop: full_quantum_phase(loop, [], 0, 0),
+    "bo_full_quantum_phase_parts": lambda p, loop: bo_full_quantum_phase_parts(loop, [], 0, 0),
+    "spin_oscillator_one_form": lambda p, loop: phases_from_one_form(
+        spin_oscillator_one_form(spin_osc(n_samples=64), [])),
+    "spin_oscillator_frequency": lambda p, loop: hybrid_pipeline.spin_oscillator_frequency(
+        spin_osc(n_samples=64), spin_osc(n_samples=64).loop.points[:, 2:], [])[2],
+}
+
+
+@pytest.mark.parametrize("route", EMPTY_BLOCK_ROUTES.values(), ids=EMPTY_BLOCK_ROUTES)
+def test_an_empty_block_has_no_outcomes(route):
+    p = std_params(eps=0.5, n1=2, n2=1)
+    assert not route(p, combined_parameter_loop(p, 64))
+
+
 class TestPhasesFromOneForm:
     def test_action_times_winding(self):
         # A = I dphi on the unit circle gives gamma = 2 pi, delta_phi = 0
@@ -206,6 +225,13 @@ class TestSpinOscillatorOneForm:
     def test_weak_coupling_guard(self):
         [err] = phases_from_one_form(spin_oscillator_one_form(spin_osc(j_action=4.0), [0.5]))
         assert type(err) is WeakCouplingViolated  # a sampled maximum: it names no sample
+
+    def test_weak_coupling_guard_reads_the_size_of_lambda(self):
+        # the sign of lambda flips the coupling, not its strength
+        cfg = ExperimentConfig.from_dict({"experiment": "hybrid-spin-osc", "params": {
+            "lambdas": [0.5, -0.5, -1.05], "j_action": 4.0}})
+        _, rows, *_ = _sweep(cfg)
+        assert [row["error"] for row in rows] == ["WeakCouplingViolated"] * 3
 
     def test_population_inversion_can_close_the_frequency(self):
         # a large enough inverted population drives the shifted X negative

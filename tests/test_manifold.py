@@ -602,7 +602,12 @@ def test_drive_loop_velocities_match_the_loops_own_fft(drawn):
     through ``LoopSpec``'s FFT to rounding, at the M samples and at the
     stride-2 ones; all are read-only, and an odd M's ``half_velocity`` is a
     ``ValueError`` on both paths."""
-    loop, size = drawn
+    assert_drive_velocities_match_fft(*drawn)
+
+
+def assert_drive_velocities_match_fft(loop, size):
+    """``loop``'s velocities, whose columns' terms have the sizes ``size``, equal
+    those of the same points through ``LoopSpec``'s FFT within ``DRIVE_RATE_ULPS``."""
     fft = LoopSpec(loop.period, loop.points, loop.cycles)
     m = loop.n_segments
     pairs = [(loop.velocity, fft.velocity, m)]
@@ -619,6 +624,34 @@ def test_drive_loop_velocities_match_the_loops_own_fft(drawn):
         ulp = np.finfo(float).eps * size + np.finfo(float).smallest_subnormal
         tol = DRIVE_RATE_ULPS * ulp * math.pi * samples / loop.period
         assert np.all(np.abs(new - old) <= tol)
+
+
+@st.composite
+def cone_loops(draw):
+    """A ``cone_loop`` at an even or odd M, any polar angle, a field strength a power
+    of ten in [1e-6, 1e6] and one to three cycles, and the size of each column."""
+    theta, b = draw(st.floats(0.0, math.pi)), 10.0 ** draw(st.integers(-6, 6))
+    loop = cone_loop(theta, b=b, period=draw(st.floats(0.01, 100.0)),
+                     n_samples=draw(st.integers(16, 600)), cycles=draw(st.integers(1, 3)))
+    return loop, b * np.abs([math.sin(theta), math.sin(theta), math.cos(theta)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=cone_loops())
+def test_cone_loop_velocities_match_the_loops_own_fft(drawn):
+    """A ``cone_loop``'s velocities, b sin(theta) times its drive's cached rates
+    beside a zero column, equal those of its points through ``LoopSpec``'s FFT
+    to rounding; the zero column is exact."""
+    loop, size = drawn
+    assert_drive_velocities_match_fft(loop, size)
+    assert not np.any(loop.velocity[:, 2])
+
+
+def test_an_overflowing_cone_velocity_is_left_to_the_fft():
+    loop = cone_loop(1.0, b=1e300, period=1e-10, n_samples=64)
+    assert {"velocity", "half_velocity"}.isdisjoint(loop.__dict__)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        loop.velocity
 
 
 def test_an_uncoupled_table_takes_only_its_drives_ffts(monkeypatch):

@@ -261,6 +261,35 @@ class TestWilsonLoop:
         assert abs(abs(gamma) - 2 * math.pi) < 1e-6
 
 
+def axis0_section_pivot(track):
+    """``section_pivot`` as one reduction along axis 0, as it was first written."""
+    floor = np.min(np.abs(track), axis=0)
+    viable = np.nonzero(floor > quantum_geometry._PIVOT_FLOOR)[0]
+    return int(viable[-1]) if viable.size else None
+
+
+@st.composite
+def pivot_tracks(draw):
+    """An (M + 1, N) complex track of moduli in [2e-3, 1], some of whose columns
+    dip to a modulus at, just below or well below the pivot floor at one sample."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(2, 300))
+    track = rng.uniform(2e-3, 1.0, (rows, n)) * np.exp(2j * np.pi * rng.random((rows, n)))
+    floor = quantum_geometry._PIVOT_FLOOR
+    for col, dip in enumerate(draw(st.lists(st.sampled_from(
+            [None, floor, np.nextafter(floor, 0.0), 0.0, 1e-9]), min_size=n, max_size=n))):
+        if dip is not None:
+            track[draw(st.integers(0, rows - 1)), col] = dip
+    return track
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(track=pivot_tracks())
+def test_section_pivot_reads_as_one_axis_0_reduction(track):
+    assert quantum_geometry.section_pivot(track) == axis0_section_pivot(track)
+
+
 class TestClosedFormConnection:
     def test_equator_level_one(self):
         assert abs(spin_hannay_closed_form(cone_loop(math.pi / 2), 1) - math.pi) < 1e-9
@@ -553,6 +582,59 @@ def old_spin_hannay_closed_form(loop, level):
     return -closed_line_integral({0: b2 / denom, 1: -b1 / denom}, loop).value
 
 
+def per_level_closed_form(loop, level):
+    """``spin_hannay_closed_form`` of one level as it was written before it took
+    a sequence of levels."""
+    exponent = np.frexp(np.max(np.abs(loop.points)))[1]
+    b1, b2, b3 = np.ldexp(loop.points, -exponent).T
+    b = np.sqrt(b1**2 + b2**2 + b3**2)
+    sign = 1.0 if level == 1 else -1.0
+    denom_core = b + sign * b3
+    if np.any(denom_core <= 1e-6 * b):
+        raise PoleProximity(
+            f"loop approaches the level-{level} connection pole (min margin "
+            f"{float(np.min(denom_core / b)):.2e} of |B|)"
+        )
+    denom = 2.0 * b * denom_core
+    coeffs = {0: np.ldexp(b2 / denom, -exponent), 1: np.ldexp(-b1 / denom, -exponent)}
+    return -closed_line_integral(coeffs, loop).value
+
+
+def outcome(call):
+    """A call's value, or the type and message of the ``PoleProximity`` it raises."""
+    try:
+        return call()
+    except PoleProximity as err:
+        return PoleProximity, str(err)
+
+
+class TestTwoLevelClosedForm:
+    @pytest.mark.parametrize("theta", [1e-8, 1e-4, 0.5, math.pi / 2, 2.5, math.pi - 1e-4,
+                                       math.pi - 1e-8])
+    @pytest.mark.parametrize("b", [1e-200, 1.0, 1e300])
+    def test_both_levels_read_as_each_alone(self, theta, b):
+        # near theta = 0 only level 2 meets its pole, near pi only level 1
+        loop = cone_loop(theta, b=b, n_samples=256)
+        alone = {level: outcome(lambda: per_level_closed_form(loop, level)) for level in (1, 2)}
+        for level in (1, 2):
+            assert outcome(lambda: spin_hannay_closed_form(loop, level)) == alone[level]
+        for levels in ((1, 2), (2, 1)):
+            first_pole = next((alone[lv] for lv in levels if isinstance(alone[lv], tuple)), None)
+            expected = first_pole or [alone[lv] for lv in levels]
+            assert outcome(lambda: spin_hannay_closed_form(loop, levels)) == expected
+
+    def test_each_pole_is_its_own_levels(self):
+        for theta, bad in ((1e-8, 2), (math.pi - 1e-8, 1)):
+            loop = cone_loop(theta, n_samples=64)
+            assert math.isfinite(spin_hannay_closed_form(loop, 3 - bad))
+            with pytest.raises(PoleProximity, match=f"level-{bad}"):
+                spin_hannay_closed_form(loop, bad)
+
+    def test_levels_are_checked(self):
+        with pytest.raises(ValueError, match="level must be 1 or 2"):
+            spin_hannay_closed_form(cone_loop(1.0, n_samples=64), (1, 3))
+
+
 class TestClosedFormScale:
     def test_in_range_values_unchanged(self):
         rng = np.random.default_rng(7)
@@ -566,9 +648,11 @@ class TestClosedFormScale:
 
     @pytest.mark.parametrize("exponent", [515, -664, 997])
     def test_power_of_two_scaled_field_gives_unit_value(self, exponent):
-        # fields near 1e155, 1e-200 and 1e300: the squares overflow or underflow
+        # fields near 1e155, 1e-200 and 1e300: the squares overflow or underflow.
+        # Both loops take their velocity from the drive, which a power of two scales exactly
         unit = cone_loop(1.0, n_samples=256)
-        scaled = LoopSpec(unit.period, np.ldexp(unit.points, exponent))
+        scaled = cone_loop(1.0, b=2.0**exponent, n_samples=256)
+        assert np.array_equal(scaled.points, np.ldexp(unit.points, exponent))
         for level in (1, 2):
             assert spin_hannay_closed_form(scaled, level) == spin_hannay_closed_form(unit, level)
 
