@@ -131,6 +131,13 @@ def test_guard_raises_its_error_naming_the_argument(error, names, call):
         call()
 
 
+def empty_spin_frequency(p, loop):
+    """``spin_oscillator_frequency`` of an empty lambda block: its rows, standing or failed."""
+    m = spin_osc(n_samples=64)
+    omega_sq, _, failed = hybrid_pipeline.spin_oscillator_frequency(m, m.loop.points[:, 2:], [])
+    return [*omega_sq, *failed]
+
+
 # Every coupled route, called with an empty block, as its outcomes per row.
 EMPTY_BLOCK_ROUTES = {
     "standard_loop_report": lambda p, loop: standard_loop_report(p, [], 64),
@@ -139,15 +146,14 @@ EMPTY_BLOCK_ROUTES = {
     "bo_full_quantum_phase_parts": lambda p, loop: bo_full_quantum_phase_parts(loop, [], 0, 0),
     "spin_oscillator_one_form": lambda p, loop: phases_from_one_form(
         spin_oscillator_one_form(spin_osc(n_samples=64), [])),
-    "spin_oscillator_frequency": lambda p, loop: hybrid_pipeline.spin_oscillator_frequency(
-        spin_osc(n_samples=64), spin_osc(n_samples=64).loop.points[:, 2:], [])[2],
+    "spin_oscillator_frequency": empty_spin_frequency,
 }
 
 
 @pytest.mark.parametrize("route", EMPTY_BLOCK_ROUTES.values(), ids=EMPTY_BLOCK_ROUTES)
 def test_an_empty_block_has_no_outcomes(route):
     p = std_params(eps=0.5, n1=2, n2=1)
-    assert not route(p, combined_parameter_loop(p, 64))
+    assert route(p, combined_parameter_loop(p, 64)) == []
 
 
 class TestPhasesFromOneForm:
